@@ -838,10 +838,10 @@ ServeResult Server::run() {
         if (queue_->all_done() && !done_) announce_done(now);
         if (done_) {
             // Serve until every worker has read its 'done' and closed, or
-            // linger expires.  An idle worker sleeping on a wait retry must
-            // find the socket alive for its next lease-request — tearing it
-            // down the instant the last shard lands would burn that worker's
-            // whole reconnect budget against a vanished socket.
+            // linger expires.  Idle workers wait on their sockets and leave
+            // on the done broadcast at once, so linger only runs while a
+            // connection still holds an attempt — a hedge or zombie whose
+            // duplicate completion should land and byte-verify.
             if (conns_.empty() || ms_since(done_at_, now) >= config_.linger_ms) break;
         }
 

@@ -31,7 +31,10 @@
 //                      "manifest":{...},"records_path":"...",
 //                      "resume_candidates":[...],"lease_ms":N,
 //                      "heartbeat_ms":N}
-//                   | {"type":"wait","retry_ms":N}   (queue momentarily dry)
+//                   | {"type":"wait","retry_ms":N}   (queue momentarily dry:
+//                                                     wait on the socket for up
+//                                                     to N ms, then re-request;
+//                                                     a "done" may arrive first)
 //                   | {"type":"done"}                (audit finished, exit)
 //   worker -> coord   {"type":"heartbeat","shard":i,"attempt":a,"units":u}
 //                     (one-way; extends the lease deadline)

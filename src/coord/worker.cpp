@@ -4,9 +4,11 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,10 +34,27 @@ namespace ff::coord {
 namespace {
 
 namespace fs = std::filesystem;
+using Clock = std::chrono::steady_clock;
 using common::Json;
 
 void sleep_ms(double ms) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
+}
+
+/// Milliseconds left until `deadline`, 0 once it has passed.
+int ms_until(Clock::time_point deadline) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+    return static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
+}
+
+/// Floor of the heartbeat interval a welcome or lease grant advertises.
+/// HeartbeatThread skips its sleep for an interval <= 0, so a bad value
+/// would beat in a tight loop against the single-threaded coordinator.
+constexpr double kMinHeartbeatMs = 20.0;
+
+double heartbeat_interval_ms(const Json& message) {
+    const double ms = common::json_double(message, "heartbeat_ms");
+    return ms > kMinHeartbeatMs ? ms : kMinHeartbeatMs;  // NaN fails the test too
 }
 
 /// FNV-1a of the worker id, seeding the reconnect-jitter Rng.  Not
@@ -217,6 +237,10 @@ private:
     Json make_beat(int shard, int attempt) const;
 
     Outcome serve_leases();  ///< The request loop on one connection.
+    /// A wait reply's retry_ms as an int, clamped to [0, reply_timeout_ms]
+    /// before it becomes a deadline: a wire value like 1e300 would overflow
+    /// the conversion, and a negative or NaN one re-requests at once.
+    int retry_ms(const Json& wait) const;
     Outcome execute_lease(Json grant);
     /// The completion handshake, resending across reconnects: the records
     /// are durable and duplicate completions byte-verify, so a dead socket
@@ -260,7 +284,7 @@ bool Worker::connect_once() {
                                  common::json_string(r.message, "error"));
             }
             if (type != "welcome") continue;  // a stray duplicated reply; keep reading
-            heartbeat_ms_ = common::json_double(r.message, "heartbeat_ms");
+            heartbeat_ms_ = heartbeat_interval_ms(r.message);
             if (r.message.contains("resumed") && common::json_bool(r.message, "resumed")) {
                 log("session " + session_ + " resumed");
             }
@@ -336,33 +360,48 @@ bool Worker::send_heartbeat(int shard, int attempt, const std::atomic<bool>& sto
     }
 }
 
+int Worker::retry_ms(const Json& wait) const {
+    const double ms = common::json_double(wait, "retry_ms");
+    const int cap = static_cast<int>(config_.reply_timeout_ms);  // < 0: reads never time out
+    const double bound = cap < 0 ? INT_MAX : cap;
+    return ms > 0.0 ? static_cast<int>(std::min(ms, bound)) : 0;  // NaN fails the test too
+}
+
 Worker::Outcome Worker::serve_leases() {
     while (true) {
         try {
             Json request = Json::object();
             request["type"] = "lease-request";
             conn_.write(request);
-            bool served = false;
-            while (!served) {
-                ReadResult r = conn_.read(static_cast<int>(config_.reply_timeout_ms));
+            // After a wait reply the worker keeps reading its socket until
+            // the retry deadline: the coordinator's done broadcast then ends
+            // an idle worker at once, and only the deadline passing
+            // re-requests.
+            std::optional<Clock::time_point> retry_at;
+            while (true) {
+                ReadResult r = conn_.read(retry_at ? ms_until(*retry_at)
+                                                   : static_cast<int>(config_.reply_timeout_ms));
                 if (r.status == ReadStatus::Timeout) {
-                    throw common::Error("no reply from the coordinator");
+                    if (!retry_at) throw common::Error("no reply from the coordinator");
+                    break;  // the retry is due: re-request
                 }
                 if (r.status == ReadStatus::Closed) return Outcome::Reconnect;
                 const std::string& type = common::json_string(r.message, "type");
                 if (type == "done") return Outcome::Done;
-                if (type == "wait") {
-                    sleep_ms(common::json_double(r.message, "retry_ms"));
-                    served = true;  // re-request
+                if (type == "wait" && !retry_at) {
+                    retry_at = Clock::now() + std::chrono::milliseconds(retry_ms(r.message));
                 } else if (type == "lease") {
+                    // Also mid-wait: a duplicated request's second reply can
+                    // grant a lease, and the coordinator counts it as held.
                     Outcome out = execute_lease(std::move(r.message));
                     if (out != Outcome::Continue) return out;
-                    served = true;
+                    break;
                 } else if (type == "error") {
                     throw FatalError("coordinator: " + common::json_string(r.message, "error"));
                 } else {
-                    // A duplicated request's extra reply, or a stale ack
-                    // from before a resume: skip, never desynchronize.
+                    // A duplicated request's extra reply (a second wait
+                    // too), or a stale ack from before a resume: skip,
+                    // never desynchronize.
                     log("ignoring stray '" + type + "' frame");
                 }
             }
@@ -380,7 +419,7 @@ Worker::Outcome Worker::execute_lease(Json grant) {
     int attempt = static_cast<int>(common::json_int(grant, "attempt"));
     shard::ShardManifest manifest = shard::ShardManifest::from_json(grant["manifest"]);
     const std::string records_path = common::json_string(grant, "records_path");
-    heartbeat_ms_ = common::json_double(grant, "heartbeat_ms");
+    heartbeat_ms_ = heartbeat_interval_ms(grant);
     units_done_.store(0, std::memory_order_relaxed);
     log("leased shard " + std::to_string(shard) + " attempt " + std::to_string(attempt) +
         " [" + std::to_string(manifest.unit_begin) + ", " + std::to_string(manifest.unit_end) +

@@ -4,7 +4,7 @@
 // path arrives via the FFAUDIT_PATH compile definition (CMakeLists.txt).
 //
 //   0  success (including a replay that reproduces)
-//   2  usage errors (bad flags, bad fault specs)
+//   2  usage errors (bad flags, bad fault specs, out-of-range timings)
 //   3  an interrupted, resumable shard
 //   4  job construction failures
 //   5  shard execution failures
@@ -72,6 +72,24 @@ TEST(CliUsage, BadInvocationsExitTwo) {
     EXPECT_EQ(help.code, 0);
     EXPECT_NE(help.out.find("exit codes:"), std::string::npos)
         << "--help must document the exit-code contract";
+}
+
+TEST(CliUsage, ServeRejectsBadTimingFlagsAtParseTime) {
+    // An unknown workload fails job construction (exit 4) only after every
+    // flag has parsed, so exit 2 here means the flag itself was refused: a
+    // NaN lease or a 0 ms heartbeat never reaches a running serve.
+    const std::string serve =
+        "serve --workload no_such_kernel --records-dir " + scratch_dir("timing") + " ";
+    for (const char* bad :
+         {"--lease-ms 0", "--lease-ms nan", "--lease-ms soon", "--heartbeat-ms 0",
+          "--heartbeat-ms -1", "--heartbeat-ms inf", "--linger-ms -1", "--linger-ms nan",
+          "--session-grace-ms -0.5", "--session-grace-ms inf"}) {
+        const CliResult r = run_cli(serve + bad);
+        EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
+    }
+    // No linger and no session parking are valid settings.
+    const CliResult zero = run_cli(serve + "--linger-ms 0 --session-grace-ms 0 --lease-ms 1e4");
+    EXPECT_EQ(zero.code, 4) << zero.out;
 }
 
 TEST(CliJobErrors, UnknownWorkloadExitsFour) {

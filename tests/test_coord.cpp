@@ -1,7 +1,8 @@
 // The fault-tolerant coordinator (src/coord): lease state-machine unit
 // tests driven by a fake clock (expiry, backoff, retry caps, straggler
 // hedging, duplicate completion), wire-framing round trips, fault-plan
-// parsing, and the end-to-end acceptance bar — a coordinator plus in-
+// parsing, a worker against a scripted coordinator (wait replies, wire
+// timings), and the end-to-end acceptance bar — a coordinator plus in-
 // process worker threads, with one worker crashing mid-shard and one
 // stalling past its lease, finishes the audit with a report byte-identical
 // to the single-process Fuzzer::audit at worker counts {1, 2, 4}
@@ -9,12 +10,16 @@
 // path: a permanently failed shard is salvaged, its blamed unit re-run
 // in-process under tightened budgets, and the remainder split and re-issued.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -530,6 +535,205 @@ TEST(LeaseQueue, NextEventTracksDeadlinesAndBackoffGates) {
     auto next = queue.next_event_ms(at_ms(400));
     ASSERT_TRUE(next.has_value());
     EXPECT_NEAR(*next, 600.0, 1.5);
+}
+
+// --- Worker against a scripted coordinator -----------------------------------
+//
+// A coordinator played from a script over a real unix socket puts the worker
+// in states the real one reaches only by timing (a long wait, a done pushed
+// mid-wait, a socket closed mid-wait) and feeds it out-of-range timings.
+
+common::Json message(const std::string& type) {
+    common::Json m = common::Json::object();
+    m["type"] = type;
+    return m;
+}
+
+common::Json wait_reply(double retry_ms) {
+    common::Json m = message("wait");
+    m["retry_ms"] = retry_ms;
+    return m;
+}
+
+/// Accepts the worker's next connection, waiting up to 5 s.
+coord::FramedConn accept_worker(int listen_fd) {
+    pollfd pfd{listen_fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) != 1) throw common::Error("the worker did not connect");
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) throw common::Error("accept failed");
+    return coord::FramedConn(fd);
+}
+
+/// Reads the worker's next frame, which must be of `type`.
+common::Json expect_frame(coord::FramedConn& conn, const std::string& type) {
+    coord::ReadResult r = conn.read(5000);
+    if (r.status != coord::ReadStatus::Ok) {
+        throw common::Error("expected a '" + type + "' frame, got none");
+    }
+    const std::string got = common::json_string(r.message, "type");
+    if (got != type) throw common::Error("expected a '" + type + "' frame, got '" + got + "'");
+    return r.message;
+}
+
+/// Answers the worker's hello with a welcome; returns the hello.
+common::Json welcome_worker(coord::FramedConn& conn, bool resumed = false) {
+    common::Json hello = expect_frame(conn, "hello");
+    common::Json welcome = message("welcome");
+    welcome["protocol"] = coord::kProtocolVersion;
+    welcome["heartbeat_ms"] = 100.0;
+    welcome["resumed"] = resumed;
+    conn.write(welcome);
+    return hello;
+}
+
+/// Waits up to 5 s for the worker to close its end.
+void expect_worker_left(coord::FramedConn& conn) {
+    coord::ReadResult r = conn.read(5000);
+    if (r.status == coord::ReadStatus::Ok) {
+        throw common::Error("the worker sent '" + common::json_string(r.message, "type") +
+                            "' instead of leaving");
+    }
+    if (r.status == coord::ReadStatus::Timeout) throw common::Error("the worker did not leave");
+}
+
+struct ScriptedRun {
+    coord::WorkerStats stats;
+    double seconds = 0.0;  ///< Wall time of run_worker.
+};
+
+/// Runs one worker against `script`, which plays the coordinator on the
+/// listening socket from its own thread and closes it when done, so a
+/// worker that outlives the script fails fast on reconnect.  A failed
+/// script step or a worker error is a test failure.
+ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
+                         const std::function<void(int listen_fd)>& script) {
+    const std::string path = scratch_dir(name) + "/coord.sock";
+    const int listen_fd = coord::listen_endpoint(coord::Endpoint::unix_path(path), 4);
+    std::thread coordinator([&] {
+        try {
+            script(listen_fd);
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "scripted coordinator: " << e.what();
+        }
+        ::close(listen_fd);
+    });
+    coord::WorkerConfig wc;
+    wc.socket_path = path;
+    wc.worker_id = "w0";
+    wc.reply_timeout_ms = reply_timeout_ms;
+    wc.max_connect_attempts = 3;
+    ScriptedRun run;
+    const auto start = std::chrono::steady_clock::now();
+    try {
+        run.stats = coord::run_worker(wc);
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "worker: " << e.what();
+    }
+    run.seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    coordinator.join();
+    return run;
+}
+
+TEST(ScriptedCoordinator, PushedDoneEndsALongWaitAtOnce) {
+    const ScriptedRun run = run_scripted("wait_done", 60000.0, [](int listen_fd) {
+        coord::FramedConn conn = accept_worker(listen_fd);
+        welcome_worker(conn);
+        expect_frame(conn, "lease-request");
+        conn.write(wait_reply(30000.0));
+        conn.write(wait_reply(30000.0));  // a duplicated stray reply
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        conn.write(message("done"));
+        expect_worker_left(conn);
+    });
+    // A worker that slept out its retry would take 30 s per wait.
+    EXPECT_LT(run.seconds, 5.0);
+    EXPECT_EQ(run.stats.reconnects, 0);
+    EXPECT_EQ(run.stats.shards_completed, 0);
+}
+
+TEST(ScriptedCoordinator, RetryFromTheWireIsClampedToTheReplyTimeout) {
+    const ScriptedRun run = run_scripted("wait_clamp", 300.0, [](int listen_fd) {
+        coord::FramedConn conn = accept_worker(listen_fd);
+        welcome_worker(conn);
+        expect_frame(conn, "lease-request");
+        conn.write(wait_reply(-5.0));  // below the range: re-request at once
+        expect_frame(conn, "lease-request");
+        // Past any integer millisecond count: the worker waits out its
+        // 300 ms reply timeout, not an overflowed deadline.
+        const auto sent = std::chrono::steady_clock::now();
+        conn.write(wait_reply(1e300));
+        expect_frame(conn, "lease-request");
+        EXPECT_GE(std::chrono::steady_clock::now() - sent, std::chrono::milliseconds(250));
+        conn.write(message("done"));
+        expect_worker_left(conn);
+    });
+    EXPECT_LT(run.seconds, 5.0);
+    EXPECT_EQ(run.stats.reconnects, 0);
+}
+
+TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
+    const shard::JobSpec job = gemm_job(4);
+    const shard::ShardManifest manifest =
+        shard::plan_shards(job, shard::load_job_program(job), 1, 2).front();
+    const std::string records = scratch_dir("beat_floor_records") + "/lease-s0-a0.jsonl";
+    int beats = 0;
+    double busy_ms = 0.0;
+    const ScriptedRun run = run_scripted("beat_floor", 60000.0, [&](int listen_fd) {
+        coord::FramedConn conn = accept_worker(listen_fd);
+        welcome_worker(conn);
+        expect_frame(conn, "lease-request");
+        common::Json grant = message("lease");
+        grant["shard"] = 0;
+        grant["attempt"] = 0;
+        grant["manifest"] = manifest.to_json();
+        grant["records_path"] = records;
+        grant["resume_candidates"] = common::Json::array();
+        grant["heartbeat_ms"] = 0.0;  // unfloored, the beat thread never sleeps
+        const auto granted = std::chrono::steady_clock::now();
+        conn.write(grant);
+        while (true) {
+            coord::ReadResult r = conn.read(30000);
+            if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
+            const std::string type = common::json_string(r.message, "type");
+            if (type == "complete") break;
+            if (type != "heartbeat") throw common::Error("unexpected '" + type + "' frame");
+            ++beats;
+        }
+        busy_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
+                                                            granted)
+                      .count();
+        common::Json ack = message("ack");
+        ack["done"] = true;
+        conn.write(ack);
+        expect_worker_left(conn);
+    });
+    EXPECT_EQ(run.stats.shards_completed, 1);
+    // The beat thread beats at once and then at most once per 20 ms; each
+    // durable checkpoint (2 units) adds one progress beat.
+    const std::int64_t units = manifest.unit_end - manifest.unit_begin;
+    EXPECT_LE(beats, busy_ms / 20.0 + 1 + (units + 1) / 2) << busy_ms << " ms";
+}
+
+TEST(ScriptedCoordinator, EofMidWaitReconnectsTheSameSession) {
+    const ScriptedRun run = run_scripted("wait_eof", 60000.0, [](int listen_fd) {
+        std::string session;
+        {
+            coord::FramedConn conn = accept_worker(listen_fd);
+            session = common::json_string(welcome_worker(conn), "session");
+            expect_frame(conn, "lease-request");
+            conn.write(wait_reply(30000.0));
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }  // closes the socket mid-wait
+        coord::FramedConn conn = accept_worker(listen_fd);
+        const common::Json hello = welcome_worker(conn, /*resumed=*/true);
+        EXPECT_EQ(common::json_string(hello, "session"), session);
+        conn.write(message("done"));
+        expect_frame(conn, "lease-request");  // sent right after the welcome
+        expect_worker_left(conn);
+    });
+    EXPECT_LT(run.seconds, 5.0);
+    EXPECT_EQ(run.stats.reconnects, 1);
 }
 
 // --- End to end: coordinator + in-process workers ----------------------------

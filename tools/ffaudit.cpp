@@ -30,7 +30,9 @@
 //       and, with --repair, truncates corrupt files to their last
 //       verifiable prefix so run-shard/serve can resume them.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -159,6 +161,26 @@ std::string flag_value(const std::vector<std::string>& args, std::size_t& i) {
 std::int64_t int_value(const std::vector<std::string>& args, std::size_t& i) {
     const std::string v = flag_value(args, i);
     return std::stoll(v, nullptr, 0);
+}
+
+/// A flag value that fails validation; main() exits kExitUsage on it.
+struct UsageError : common::Error {
+    using common::Error::Error;
+};
+
+/// Value of a millisecond timing flag; advances `i`.  Throws UsageError
+/// unless it is a finite number > 0, or >= 0 when `zero_ok` (std::stod
+/// alone would take "nan" and "inf").
+double ms_value(const std::vector<std::string>& args, std::size_t& i, bool zero_ok) {
+    const std::string flag = args[i];
+    const std::string text = flag_value(args, i);
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
+        throw UsageError(flag + " needs a finite number of milliseconds " +
+                         (zero_ok ? ">= 0" : "> 0") + ", got '" + text + "'");
+    }
+    return v;
 }
 
 /// Parses one job option; returns false when `args[i]` is not a job flag.
@@ -397,9 +419,8 @@ int cmd_serve(const std::vector<std::string>& args) {
             config.worker_threads = static_cast<int>(int_value(args, i));
         else if (args[i] == "--max-respawns")
             config.max_respawns = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--lease-ms") config.lease.lease_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--heartbeat-ms")
-            config.lease.heartbeat_ms = std::stod(flag_value(args, i));
+        else if (args[i] == "--lease-ms") config.lease.lease_ms = ms_value(args, i, false);
+        else if (args[i] == "--heartbeat-ms") config.lease.heartbeat_ms = ms_value(args, i, false);
         else if (args[i] == "--max-failures")
             config.lease.max_failures = static_cast<int>(int_value(args, i));
         else if (args[i] == "--backoff-base-ms")
@@ -408,7 +429,7 @@ int cmd_serve(const std::vector<std::string>& args) {
             config.lease.backoff.max_ms = std::stod(flag_value(args, i));
         else if (args[i] == "--straggler-factor")
             config.lease.straggler_factor = std::stod(flag_value(args, i));
-        else if (args[i] == "--linger-ms") config.linger_ms = std::stod(flag_value(args, i));
+        else if (args[i] == "--linger-ms") config.linger_ms = ms_value(args, i, true);
         else if (args[i] == "--worker-watchdog-ms")
             config.worker_watchdog_ms = std::stod(flag_value(args, i));
         else if (args[i] == "--worker-rlimit-as") config.worker_rlimit_as = int_value(args, i);
@@ -417,8 +438,7 @@ int cmd_serve(const std::vector<std::string>& args) {
         else if (args[i] == "--quarantine-max-alloc-bytes")
             config.quarantine_max_alloc_bytes = int_value(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
-        else if (args[i] == "--session-grace-ms")
-            config.session_grace_ms = std::stod(flag_value(args, i));
+        else if (args[i] == "--session-grace-ms") config.session_grace_ms = ms_value(args, i, true);
         else if (args[i] == "--worker-reply-timeout-ms")
             config.worker_reply_timeout_ms = std::stod(flag_value(args, i));
         else if (args[i] == "--net-fault") {
@@ -649,6 +669,8 @@ int main(int argc, char** argv) {
             return kExitOk;
         }
         return usage(("unknown command " + command).c_str());
+    } catch (const UsageError& e) {
+        return usage(e.what());
     } catch (const common::ParseError& e) {
         std::fprintf(stderr, "ffaudit %s: %s\n", command.c_str(), e.what());
         return kExitParse;
