@@ -13,7 +13,7 @@
 //    per-point kernel loop; see docs/ARCHITECTURE.md "Specialization
 //    tiers");
 //  * batched     — segment-eligible kernels run the whole stride-1 inner
-//    extent per dispatch through the vertical batch VMs (the default).
+//    extent per dispatch through the VM's batch mode (the default).
 //
 // The workload is tasklet-dense on purpose (chained elementwise maps with
 // arithmetic, a matmul-style accumulation nest, and a branchy activation —
@@ -25,6 +25,7 @@
 // A second, flat-stride section measures the batched segment tier against
 // the per-point kernel loop on straight-line 1-D chains per dtype (f64,
 // f32, i64).  Acceptance bar: batched >= 2x per-point on the f64 section.
+// The exit code is 1 when any of the three bars fails.
 //
 // Lines prefixed BENCH_KV are machine-readable; scripts/bench_hotpath_json.py
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
@@ -237,7 +238,8 @@ double measure_parallel(int threads, int reps_per_thread) {
     return static_cast<double>(tasklet_executions_per_run()) * threads * reps_per_thread / secs;
 }
 
-void print_report() {
+/// Prints the report; returns whether all three acceptance bars hold.
+bool print_report() {
     const int reps = 6;
     const double ref = measure(/*compiled=*/false, /*specialize=*/false, /*batch=*/false, reps);
     const double generic =
@@ -262,6 +264,7 @@ void print_report() {
     std::printf("  generic     (bytecode VM, no kernels)  : %12.0f exec/s\n", generic);
     std::printf("  specialized (per-point kernel loop)    : %12.0f exec/s\n", specialized);
     std::printf("  batched     (segment tier, the default): %12.0f exec/s\n", batched);
+    bool bars_hold = compiled_speedup >= 3.0 && spec_speedup >= 1.5;
     std::printf("  generic compiled speedup: %.2fx vs reference (acceptance bar: >= 3x)  -> %s\n",
                 compiled_speedup, compiled_speedup >= 3.0 ? "PASS" : "FAIL");
     std::printf("  specialization speedup: %.2fx vs generic (acceptance bar: >= 1.5x)  -> %s\n",
@@ -302,6 +305,7 @@ void print_report() {
         row.batched = measure_flat(row.dtype, /*batch=*/true, 20, &fs);
         row.segments = fs.segment_launches;
         const double speedup = row.batched / row.perpoint;
+        if (row.dtype == ir::DType::F64) bars_hold = bars_hold && speedup >= 2.0;
         std::printf("  %s: per-point %12.0f pts/s, batched %12.0f pts/s -> %.2fx%s\n",
                     row.name, row.perpoint, row.batched, speedup,
                     row.dtype == ir::DType::F64
@@ -356,6 +360,7 @@ void print_report() {
     }
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
+    return bars_hold;
 }
 
 }  // namespace
@@ -363,6 +368,6 @@ void print_report() {
 int main(int argc, char** argv) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
-    print_report();
-    return 0;
+    // A failed bar fails the run, so CI gates on interpreter speed.
+    return print_report() ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -70,9 +71,9 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
 //  * loads promote within the signature's family (F32 -> double mirrors the
 //    tagged load; I32 -> int64 likewise);
 //  * stores convert the untagged result like Buffer::store converts the
-//    tagged Value — including int64 -> float *via double* (Buffer::store
-//    casts as_double(), which double-rounds; a direct int64 -> float cast
-//    can differ in the last bit).
+//    tagged Value: float storage through as_double, integer storage through
+//    as_int.  So int64 -> float goes *via double* (a direct int64 -> float
+//    cast can differ in the last bit).
 
 /// Raw storage base of `buf`'s runtime dtype (never null for a constructed
 /// buffer).
@@ -86,48 +87,83 @@ void* raw_data_of(Buffer& buf) {
     return nullptr;
 }
 
-double load_to_f64(const void* raw, ir::DType dt, std::int64_t flat) {
-    return dt == ir::DType::F64
-               ? static_cast<const double*>(raw)[flat]
-               : static_cast<double>(static_cast<const float*>(raw)[flat]);
-}
+// Value::as_double / Value::as_int of an untagged value.
+double as_double(double v) { return v; }
+double as_double(std::int64_t v) { return static_cast<double>(v); }
+std::int64_t as_int(double v) { return static_cast<std::int64_t>(v); }
+std::int64_t as_int(std::int64_t v) { return v; }
 
-std::int64_t load_to_i64(const void* raw, ir::DType dt, std::int64_t flat) {
-    return dt == ir::DType::I64
-               ? static_cast<const std::int64_t*>(raw)[flat]
-               : static_cast<std::int64_t>(static_cast<const std::int32_t*>(raw)[flat]);
-}
-
-void store_from_f64(void* raw, ir::DType dt, std::int64_t flat, double v) {
+/// Calls fn with `raw` as a pointer to `dt`'s element type.
+template <typename Fn>
+void with_elements(void* raw, ir::DType dt, Fn&& fn) {
     switch (dt) {
-        case ir::DType::F64: static_cast<double*>(raw)[flat] = v; break;
-        case ir::DType::F32:
-            static_cast<float*>(raw)[flat] = static_cast<float>(v);
-            break;
-        case ir::DType::I64:
-            static_cast<std::int64_t*>(raw)[flat] = static_cast<std::int64_t>(v);
-            break;
-        case ir::DType::I32:
-            static_cast<std::int32_t*>(raw)[flat] =
-                static_cast<std::int32_t>(static_cast<std::int64_t>(v));
-            break;
+        case ir::DType::F64: fn(static_cast<double*>(raw)); break;
+        case ir::DType::F32: fn(static_cast<float*>(raw)); break;
+        case ir::DType::I64: fn(static_cast<std::int64_t*>(raw)); break;
+        case ir::DType::I32: fn(static_cast<std::int32_t*>(raw)); break;
     }
 }
 
-void store_from_i64(void* raw, ir::DType dt, std::int64_t flat, std::int64_t v) {
-    switch (dt) {
-        case ir::DType::F64:
-            static_cast<double*>(raw)[flat] = static_cast<double>(v);
-            break;
-        case ir::DType::F32:
-            static_cast<float*>(raw)[flat] =
-                static_cast<float>(static_cast<double>(v));
-            break;
-        case ir::DType::I64: static_cast<std::int64_t*>(raw)[flat] = v; break;
-        case ir::DType::I32:
-            static_cast<std::int32_t*>(raw)[flat] = static_cast<std::int32_t>(v);
-            break;
-    }
+/// Buffer::store's conversion of an untagged value to element type S.
+template <typename S, typename T>
+S store_cast(T v) {
+    if constexpr (std::is_floating_point_v<S>) return static_cast<S>(as_double(v));
+    else return static_cast<S>(as_int(v));
+}
+
+/// The dtype family an untagged representation loads from: its full-width
+/// dtype and the narrow element type that promotes to it.
+template <typename T>
+constexpr ir::DType kWideDType = std::is_same_v<T, double> ? ir::DType::F64 : ir::DType::I64;
+template <typename T>
+using NarrowOf = std::conditional_t<std::is_same_v<T, double>, float, std::int32_t>;
+
+/// Element `flat` of storage in T's family, promoted like Buffer::load.
+template <typename T>
+T load_as(const void* raw, ir::DType dt, std::int64_t flat) {
+    return dt == kWideDType<T> ? static_cast<const T*>(raw)[flat]
+                               : static_cast<T>(static_cast<const NarrowOf<T>*>(raw)[flat]);
+}
+
+/// Stores `v` into element `flat` of storage of any dtype.
+template <typename T>
+void store_as(void* raw, ir::DType dt, std::int64_t flat, T v) {
+    with_elements(raw, dt, [&](auto* dst) {
+        dst[flat] = store_cast<std::remove_pointer_t<decltype(dst)>>(v);
+    });
+}
+
+/// Column twin of load_as: col[j] = element base + j * stride, j < n.
+template <typename T>
+void gather_column(T* col, const void* raw, ir::DType dt, std::int64_t base,
+                   std::int64_t stride, std::int64_t n) {
+    const auto gather = [&](const auto* src) {
+        for (std::int64_t j = 0; j < n; ++j) col[j] = static_cast<T>(src[base + j * stride]);
+    };
+    if (dt == kWideDType<T>) gather(static_cast<const T*>(raw));
+    else gather(static_cast<const NarrowOf<T>*>(raw));
+}
+
+/// Column twin of store_as: element base + j * stride = col[j], j < n.
+template <typename T>
+void scatter_column(void* raw, ir::DType dt, std::int64_t base, std::int64_t stride,
+                    const T* col, std::int64_t n) {
+    with_elements(raw, dt, [&](auto* dst) {
+        using S = std::remove_pointer_t<decltype(dst)>;
+        for (std::int64_t j = 0; j < n; ++j) dst[base + j * stride] = store_cast<S>(col[j]);
+    });
+}
+
+/// Sizes a VM frame for `prog` and zeroes its slots (lanes no input loads
+/// start at zero in every representation); returns the slot array.
+template <typename T>
+T* reset_frame(std::vector<T>& slots, std::vector<T>& regs, const TaskletProgram& prog) {
+    const auto nslots = static_cast<std::size_t>(prog.slot_count());
+    const auto nregs = static_cast<std::size_t>(prog.reg_count());
+    if (slots.size() < nslots) slots.resize(nslots);
+    std::fill_n(slots.begin(), nslots, T{});
+    if (regs.size() < nregs) regs.resize(nregs);
+    return slots.data();
 }
 
 }  // namespace
@@ -364,8 +400,8 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     }
 
     // Segment eligibility: every tasklet runs an untagged VM (so lanes move
-    // through raw storage) and is straight-line (so the vertical batch VMs
-    // apply).  Tagged-sig tasklets are excluded — batching them would
+    // through raw storage) and is straight-line (so the VM's batch mode
+    // applies).  Tagged-sig tasklets are excluded — batching them would
     // re-introduce per-element tag dispatch for no gain.  Note integer
     // Div/Mod can never reach here: the throw-free gate above only admits
     // div/mod under the f64 feasibility proof.
@@ -893,7 +929,7 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // 3.75. Segment (batched) execution: when the kernel is
     // segment-eligible, the knob is on, and this launch's concrete lane
     // windows are alias-safe, run the whole innermost extent per dispatch
-    // through the vertical batch VMs.  Falls through to the per-point loop
+    // through the VM's batch mode.  Falls through to the per-point loop
     // below (still a committed launch — same results, point at a time)
     // when any condition fails.
     const std::size_t inner = nparams - 1;
@@ -915,61 +951,30 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                 plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
             const std::size_t nin = tp.inputs.size();
             const std::size_t nout = tp.outputs.size();
-            if (tp.sig == VMSig::F64) {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.f64_slots.size() < nslots) s.f64_slots.resize(nslots);
-                std::fill_n(s.f64_slots.begin(), nslots, 0.0);
-                if (s.f64_regs.size() < nregs) s.f64_regs.resize(nregs);
+            // Tagged lanes move Values through Buffer::load/store, untagged
+            // lanes raw storage through the conversions above.
+            const auto run_point = [&](auto& slot_vec, auto& reg_vec) {
+                using T = typename std::decay_t<decltype(slot_vec)>::value_type;
+                T* slots = reset_frame(slot_vec, reg_vec, *tp.prog);
                 for (std::size_t i = 0; i < nin; ++i, ++a) {
                     const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.f64_slots[static_cast<std::size_t>(lane.slot)] =
-                            load_to_f64(lane.raw, lane.dt, lane.offset);
+                    if (lane.slot < 0) continue;
+                    if constexpr (std::is_same_v<T, Value>)
+                        slots[lane.slot] = lane.buf->load(lane.offset);
+                    else
+                        slots[lane.slot] = load_as<T>(lane.raw, lane.dt, lane.offset);
                 }
-                tp.prog->execute_f64(s.f64_slots.data(), s.f64_regs.data());
+                tp.prog->run_vm(slots, reg_vec.data());
                 for (std::size_t i = 0; i < nout; ++i, ++a) {
                     const Scratch::KernelLane& lane = s.lanes[a];
-                    store_from_f64(lane.raw, lane.dt, lane.offset,
-                                   s.f64_slots[static_cast<std::size_t>(lane.slot)]);
+                    if constexpr (std::is_same_v<T, Value>)
+                        lane.buf->store(lane.offset, slots[lane.slot]);
+                    else
+                        store_as(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
                 }
-            } else if (tp.sig == VMSig::I64) {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.i64_slots.size() < nslots) s.i64_slots.resize(nslots);
-                std::fill_n(s.i64_slots.begin(), nslots, std::int64_t{0});
-                if (s.i64_regs.size() < nregs) s.i64_regs.resize(nregs);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.i64_slots[static_cast<std::size_t>(lane.slot)] =
-                            load_to_i64(lane.raw, lane.dt, lane.offset);
-                }
-                tp.prog->execute_i64(s.i64_slots.data(), s.i64_regs.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    store_from_i64(lane.raw, lane.dt, lane.offset,
-                                   s.i64_slots[static_cast<std::size_t>(lane.slot)]);
-                }
-            } else {
-                const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-                const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-                if (s.slots.size() < nslots) s.slots.resize(nslots);
-                std::fill_n(s.slots.begin(), nslots, Value{});
-                if (s.regs.size() < nregs) s.regs.resize(nregs);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        s.slots[static_cast<std::size_t>(lane.slot)] =
-                            lane.buf->load(lane.offset);
-                }
-                tp.prog->execute_compiled(s.slots.data(), s.regs.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    lane.buf->store(lane.offset,
-                                    s.slots[static_cast<std::size_t>(lane.slot)]);
-                }
-            }
+            };
+            if (tp.sig == VMSig::Tagged) run_point(s.slots, s.regs);
+            else s.untagged(tp.sig, [&](auto& frame) { run_point(frame.slots, frame.regs); });
         }
         // Odometer: find the deepest level that advances; the precomputed
         // delta folds that advance plus every deeper level's reset into one
@@ -1030,23 +1035,20 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
     const std::size_t inner = nparams - 1;
 
     // Column arenas: tile the segment so scratch stays cache-resident, sized
-    // once for the largest program of each signature.  Tile-outer /
+    // once for the largest program of each representation.  Tile-outer /
     // tasklet-inner order: within a tile every tasklet sees its
     // predecessors' stores for the whole tile — for pointwise-aligned
     // dependencies (the only cross-lane interaction the alias check admits)
-    // that is exactly per-point order.
+    // that is exactly per-point order.  segment_ok excludes Tagged tasklets.
     constexpr std::int64_t kTile = 256;
-    std::size_t f64_cols = 0, i64_cols = 0;
     for (std::size_t t = 0; t < ntasklets; ++t) {
         const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-        const std::size_t cols = static_cast<std::size_t>(tp.prog->slot_count()) +
-                                 static_cast<std::size_t>(tp.prog->reg_count());
-        if (tp.sig == VMSig::F64) f64_cols = std::max(f64_cols, cols);
-        else i64_cols = std::max(i64_cols, cols);
+        const auto cols = static_cast<std::size_t>(
+            (tp.prog->slot_count() + tp.prog->reg_count()) * kTile);
+        s.untagged(tp.sig, [&](auto& frame) {
+            if (frame.cols.size() < cols) frame.cols.resize(cols);
+        });
     }
-    const auto tile_sz = static_cast<std::size_t>(kTile);
-    if (s.seg_f64.size() < f64_cols * tile_sz) s.seg_f64.resize(f64_cols * tile_sz);
-    if (s.seg_i64.size() < i64_cols * tile_sz) s.seg_i64.resize(i64_cols * tile_sz);
 
     // Lane offsets stay at the segment's start point; addresses inside a
     // segment are offset + j * inner-stride.
@@ -1061,116 +1063,25 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
                 const std::size_t nin = tp.inputs.size();
                 const std::size_t nout = tp.outputs.size();
                 const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
-                if (tp.sig == VMSig::F64) {
-                    double* cols = s.seg_f64.data();
-                    double* regs = cols + nslots * tn;
-                    std::fill_n(cols, static_cast<std::size_t>(nslots * tn), 0.0);
+                s.untagged(tp.sig, [&](auto& frame) {
+                    using T = typename std::decay_t<decltype(frame.cols)>::value_type;
+                    T* cols = frame.cols.data();
+                    std::fill_n(cols, nslots * tn, T{});
                     for (std::size_t i = 0; i < nin; ++i, ++a) {
                         const Scratch::KernelLane& lane = s.lanes[a];
                         if (lane.slot < 0) continue;
                         const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        double* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        if (lane.dt == ir::DType::F64) {
-                            const double* src = static_cast<const double*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j) col[j] = src[j * d];
-                        } else {
-                            const float* src = static_cast<const float*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j)
-                                col[j] = static_cast<double>(src[j * d]);
-                        }
+                        gather_column(cols + lane.slot * tn, lane.raw, lane.dt,
+                                      lane.offset + j0 * d, d, tn);
                     }
-                    tp.prog->execute_f64_batch(cols, regs, tn);
+                    tp.prog->run_vm<T, true>(cols, cols + nslots * tn, tn);
                     for (std::size_t i = 0; i < nout; ++i, ++a) {
                         const Scratch::KernelLane& lane = s.lanes[a];
                         const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        const double* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        switch (lane.dt) {
-                            case ir::DType::F64: {
-                                double* dst = static_cast<double*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j) dst[j * d] = col[j];
-                                break;
-                            }
-                            case ir::DType::F32: {
-                                float* dst = static_cast<float*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<float>(col[j]);
-                                break;
-                            }
-                            case ir::DType::I64: {
-                                std::int64_t* dst = static_cast<std::int64_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int64_t>(col[j]);
-                                break;
-                            }
-                            case ir::DType::I32: {
-                                std::int32_t* dst = static_cast<std::int32_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int32_t>(
-                                        static_cast<std::int64_t>(col[j]));
-                                break;
-                            }
-                        }
+                        scatter_column(lane.raw, lane.dt, lane.offset + j0 * d, d,
+                                       cols + lane.slot * tn, tn);
                     }
-                } else {  // VMSig::I64 — segment_ok excludes Tagged
-                    std::int64_t* cols = s.seg_i64.data();
-                    std::int64_t* regs = cols + nslots * tn;
-                    std::fill_n(cols, static_cast<std::size_t>(nslots * tn), std::int64_t{0});
-                    for (std::size_t i = 0; i < nin; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        if (lane.slot < 0) continue;
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        std::int64_t* col = cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        if (lane.dt == ir::DType::I64) {
-                            const std::int64_t* src =
-                                static_cast<const std::int64_t*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j) col[j] = src[j * d];
-                        } else {
-                            const std::int32_t* src =
-                                static_cast<const std::int32_t*>(lane.raw) + base;
-                            for (std::int64_t j = 0; j < tn; ++j)
-                                col[j] = static_cast<std::int64_t>(src[j * d]);
-                        }
-                    }
-                    tp.prog->execute_i64_batch(cols, regs, tn);
-                    for (std::size_t i = 0; i < nout; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        const std::int64_t base = lane.offset + j0 * d;
-                        const std::int64_t* col =
-                            cols + static_cast<std::int64_t>(lane.slot) * tn;
-                        switch (lane.dt) {
-                            case ir::DType::F64: {
-                                double* dst = static_cast<double*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<double>(col[j]);
-                                break;
-                            }
-                            case ir::DType::F32: {
-                                // Via double: mirrors Buffer::store's
-                                // as_double() double-rounding.
-                                float* dst = static_cast<float*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] =
-                                        static_cast<float>(static_cast<double>(col[j]));
-                                break;
-                            }
-                            case ir::DType::I64: {
-                                std::int64_t* dst = static_cast<std::int64_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j) dst[j * d] = col[j];
-                                break;
-                            }
-                            case ir::DType::I32: {
-                                std::int32_t* dst = static_cast<std::int32_t*>(lane.raw) + base;
-                                for (std::int64_t j = 0; j < tn; ++j)
-                                    dst[j * d] = static_cast<std::int32_t>(col[j]);
-                                break;
-                            }
-                        }
-                    }
-                }
+                });
             }
         }
         // Outer odometer (levels [0, inner)); a level-k advance moves every
@@ -1433,11 +1344,7 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
         execute_tasklet_untagged(sdfg, plan, tp, ctx))
         return;
 
-    const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-    const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-    if (s.slots.size() < nslots) s.slots.resize(nslots);
-    std::fill_n(s.slots.begin(), nslots, Value{});
-    if (s.regs.size() < nregs) s.regs.resize(nregs);
+    reset_frame(s.slots, s.regs, *tp.prog);
 
     // Gather every input first (lazy allocation and bounds checks fire in
     // edge order, like the reference path), then validate declared inputs
@@ -1450,7 +1357,7 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
             s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
             throw common::Error("tasklet: missing input connector '" + check.conn + "'");
 
-    tp.prog->execute_compiled(s.slots.data(), s.regs.data());
+    tp.prog->run_vm(s.slots.data(), s.regs.data());
 
     for (const AccessPlan& ap : tp.outputs) plan_scatter(sdfg, ctx, plan, tp, ap, s.slots.data());
 }
@@ -1473,19 +1380,6 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
     // untagged result whatever their dtype, so they can never force a
     // fallback.
     Scratch& s = scratch_;
-    const bool is_f64 = tp.sig == VMSig::F64;
-    const std::size_t nslots = static_cast<std::size_t>(tp.prog->slot_count());
-    const std::size_t nregs = static_cast<std::size_t>(tp.prog->reg_count());
-    if (is_f64) {
-        if (s.f64_slots.size() < nslots) s.f64_slots.resize(nslots);
-        std::fill_n(s.f64_slots.begin(), nslots, 0.0);
-        if (s.f64_regs.size() < nregs) s.f64_regs.resize(nregs);
-    } else {
-        if (s.i64_slots.size() < nslots) s.i64_slots.resize(nslots);
-        std::fill_n(s.i64_slots.begin(), nslots, std::int64_t{0});
-        if (s.i64_regs.size() < nregs) s.i64_regs.resize(nregs);
-    }
-
     auto& idx = s.idx;
     auto flat_of = [&](Buffer& buf, const AccessPlan& ap) {
         idx.resize(ap.dims.size());
@@ -1494,38 +1388,34 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
         return buf.flat_index(idx, ap.memlet->data);
     };
 
-    s.input_counts.resize(tp.inputs.size());
-    for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
-        const AccessPlan& ap = tp.inputs[i];
-        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        if (ir::dtype_is_float(buf.dtype()) != is_f64)
-            return false;  // input dtype drift: tagged path handles it
-        const void* data = raw_data_of(buf);
-        const std::int64_t flat = flat_of(buf, ap);
-        if (ap.slot_base >= 0) {
-            const auto slot = static_cast<std::size_t>(ap.slot_base);
-            if (is_f64) s.f64_slots[slot] = load_to_f64(data, buf.dtype(), flat);
-            else s.i64_slots[slot] = load_to_i64(data, buf.dtype(), flat);
+    return s.untagged(tp.sig, [&](auto& frame) {
+        using T = typename std::decay_t<decltype(frame.slots)>::value_type;
+        T* slots = reset_frame(frame.slots, frame.regs, *tp.prog);
+        s.input_counts.resize(tp.inputs.size());
+        for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
+            const AccessPlan& ap = tp.inputs[i];
+            Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
+            if (ir::dtype_is_float(buf.dtype()) != std::is_same_v<T, double>)
+                return false;  // input dtype drift: tagged path handles it
+            const std::int64_t flat = flat_of(buf, ap);
+            if (ap.slot_base >= 0)
+                slots[ap.slot_base] = load_as<T>(raw_data_of(buf), buf.dtype(), flat);
+            s.input_counts[i] = 1;
         }
-        s.input_counts[i] = 1;
-    }
-    for (const TaskletPlan::InputCheck& check : tp.input_checks)
-        if (check.input_index < 0 ||
-            s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
-            throw common::Error("tasklet: missing input connector '" + check.conn + "'");
+        for (const TaskletPlan::InputCheck& check : tp.input_checks)
+            if (check.input_index < 0 ||
+                s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
+                throw common::Error("tasklet: missing input connector '" + check.conn + "'");
 
-    if (is_f64) tp.prog->execute_f64(s.f64_slots.data(), s.f64_regs.data());
-    else tp.prog->execute_i64(s.i64_slots.data(), s.i64_regs.data());
+        tp.prog->run_vm(slots, frame.regs.data());
 
-    for (const AccessPlan& ap : tp.outputs) {
-        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        void* data = raw_data_of(buf);
-        const std::int64_t flat = flat_of(buf, ap);
-        const auto slot = static_cast<std::size_t>(ap.slot_base);
-        if (is_f64) store_from_f64(data, buf.dtype(), flat, s.f64_slots[slot]);
-        else store_from_i64(data, buf.dtype(), flat, s.i64_slots[slot]);
-    }
-    return true;
+        for (const AccessPlan& ap : tp.outputs) {
+            Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
+            const std::int64_t flat = flat_of(buf, ap);
+            store_as(raw_data_of(buf), buf.dtype(), flat, slots[ap.slot_base]);
+        }
+        return true;
+    });
 }
 
 // --- Copies and collectives -------------------------------------------------

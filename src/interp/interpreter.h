@@ -72,8 +72,8 @@
 // tasklet's inner loop runs over raw Buffer storage with per-lane dtype
 // conversion.  On top of that sits the *segment* tier: a kernel whose
 // tasklets are all untagged and straight-line (no branches, no traps) can
-// run its whole stride-1 innermost extent per dispatch through the vertical
-// batch VMs (TaskletProgram::execute_*_batch) — auto-vectorizable column
+// run its whole stride-1 innermost extent per dispatch through the VM's
+// batch mode (TaskletProgram::run_vm<T, true>) — auto-vectorizable column
 // loops instead of per-point dispatch.  Each launch checks the concrete lane
 // windows for unsafe aliasing (vertical execution reorders loads/stores
 // across points) and silently degrades to the per-point kernel loop when
@@ -438,8 +438,8 @@ private:
                             std::int64_t seg_len) const;
     /// The batched inner loop of a committed, alias-safe launch: iterates
     /// the outer levels, and per segment runs each tasklet's whole innermost
-    /// extent through the vertical VMs in tiles (gather columns -> batch VM
-    /// -> scatter columns, converting per lane dtype).  Tile-outer /
+    /// extent through the VM's batch mode in tiles (gather columns -> batch
+    /// VM -> scatter columns, converting per lane dtype).  Tile-outer /
     /// tasklet-inner order preserves per-point semantics for
     /// pointwise-aligned cross-tasklet dependencies.  Must only be called
     /// from execute_scope_kernel after footprint validation and fuel
@@ -546,18 +546,23 @@ private:
         };
         std::vector<ActiveParam> active_params;
 
-        // Untagged tasklet execution (TaskletPlan::sig != Tagged).
-        std::vector<double> f64_slots;          // connector lanes, raw doubles
-        std::vector<double> f64_regs;           // f64 VM register file
-        std::vector<std::int64_t> i64_slots;    // connector lanes, raw int64s
-        std::vector<std::int64_t> i64_regs;     // i64 VM register file
-
-        // Segment (batched) execution: column arenas for the vertical VMs —
-        // slot and register columns of one tile (slot s occupies
-        // [s*tile, s*tile + tile)).  Sized max(slot_count, ...) + reg columns
-        // per sig at launch time, reused across tiles and launches.
-        std::vector<double> seg_f64;
-        std::vector<std::int64_t> seg_i64;
+        // Untagged tasklet execution (TaskletPlan::sig != Tagged), one frame
+        // per value representation: connector lanes, the VM register file,
+        // and the segment tier's column arena — slot and register columns
+        // of one tile (slot s occupies [s*tile, s*tile + tile)), sized per
+        // launch for the largest program and reused across tiles and
+        // launches.
+        template <typename T>
+        struct UntaggedFrame {
+            std::vector<T> slots, regs, cols;
+        };
+        UntaggedFrame<double> f64;
+        UntaggedFrame<std::int64_t> i64;
+        /// Calls fn with the frame of untagged signature `sig`.
+        template <typename Fn>
+        decltype(auto) untagged(VMSig sig, Fn&& fn) {
+            return sig == VMSig::F64 ? fn(f64) : fn(i64);
+        }
 
         // Flat-stride kernel launch state (reused across launches).
         /// One access of the running kernel: its buffer, the raw storage

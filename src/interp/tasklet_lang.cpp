@@ -3,8 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <set>
+#include <type_traits>
 
 #include "common/error.h"
 #include "symbolic/expr.h"
@@ -372,16 +374,29 @@ inline Value op_mod(const Value& a, const Value& b) {
     return Value::from_int(sym::floormod_i64(a.i, b.i));
 }
 
+// Double min/max with one answer on every tier: a NaN operand loses (as in
+// fmin/fmax), and -0 orders below +0.  libm's fmin/fmax may return either
+// zero of a ±0 pair, and did differ between call sites.
+inline double min_f64(double a, double b) {
+    if (a < b || std::isnan(b)) return a;
+    if (b < a || std::isnan(a)) return b;
+    return std::signbit(a) ? a : b;
+}
+
+inline double max_f64(double a, double b) {
+    if (a > b || std::isnan(b)) return a;
+    if (b > a || std::isnan(a)) return b;
+    return std::signbit(a) ? b : a;
+}
+
 inline Value op_min(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float)
-               ? Value::from_double(std::fmin(a.as_double(), b.as_double()))
-               : Value::from_int(std::min(a.i, b.i));
+    return (a.is_float || b.is_float) ? Value::from_double(min_f64(a.as_double(), b.as_double()))
+                                      : Value::from_int(std::min(a.i, b.i));
 }
 
 inline Value op_max(const Value& a, const Value& b) {
-    return (a.is_float || b.is_float)
-               ? Value::from_double(std::fmax(a.as_double(), b.as_double()))
-               : Value::from_int(std::max(a.i, b.i));
+    return (a.is_float || b.is_float) ? Value::from_double(max_f64(a.as_double(), b.as_double()))
+                                      : Value::from_int(std::max(a.i, b.i));
 }
 
 }  // namespace
@@ -521,19 +536,28 @@ private:
 
     // --- Untagged f64 feasibility (see TaskletProgram::has_f64_variant) ---
 
-    /// Abstract value: which runtime tags a value can carry, plus a bound on
-    /// its magnitude while integer (so we know doubles represent it exactly).
+    /// Abstract value: which runtime tags a value can carry, plus — while
+    /// integer — a bound on its magnitude (so we know doubles represent it
+    /// exactly) and whether it can be negative.
     struct AbsVal {
         bool can_int = false;
         bool can_float = false;
         double ibound = 0.0;
+        bool ineg = false;
 
-        static AbsVal flt() { return AbsVal{false, true, 0.0}; }
-        static AbsVal intv(double bound) { return AbsVal{true, false, bound}; }
+        static AbsVal flt() { return AbsVal{false, true, 0.0, false}; }
+        static AbsVal intv(double bound, bool neg = false) {
+            return AbsVal{true, false, bound, neg};
+        }
+        /// A binary int-or-float result: integer only if both operands can be.
+        static AbsVal arith(const AbsVal& a, const AbsVal& b, double bound, bool neg) {
+            return AbsVal{a.can_int && b.can_int, a.can_float || b.can_float, bound, neg};
+        }
         void merge(const AbsVal& o) {
             can_int = can_int || o.can_int;
             can_float = can_float || o.can_float;
             ibound = std::max(ibound, o.ibound);
+            ineg = ineg || o.ineg;
         }
     };
     struct AbsState {
@@ -586,7 +610,7 @@ private:
                 case BC::Const: {
                     const Value& c = p_.consts_[static_cast<std::size_t>(in.a)];
                     out(c.is_float ? AbsVal::flt()
-                                   : AbsVal::intv(std::fabs(static_cast<double>(c.i))));
+                                   : AbsVal::intv(std::fabs(static_cast<double>(c.i)), c.i < 0));
                     break;
                 }
                 case BC::LoadSlot: out(s.slots[static_cast<std::size_t>(in.a)]); break;
@@ -604,20 +628,28 @@ private:
                     merge_into(static_cast<std::size_t>(in.b), s);
                     break;
                 case BC::Neg:
-                case BC::Abs: out(ra()); break;
+                    // The int path negates 0 to +0, double negation to -0.
+                    if (ra().can_int) feasible = false;
+                    out(ra());
+                    break;
+                case BC::Abs: out(AbsVal::arith(ra(), ra(), ra().ibound, false)); break;
                 case BC::Not: out(AbsVal::intv(1.0)); break;
                 case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
                 case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
                     out(AbsVal::flt());
                     break;
                 case BC::Add:
+                    out(AbsVal::arith(ra(), rb(), ra().ibound + rb().ibound,
+                                      ra().ineg || rb().ineg));
+                    break;
                 case BC::Sub:
-                    out(AbsVal{ra().can_int && rb().can_int, ra().can_float || rb().can_float,
-                               ra().ibound + rb().ibound});
+                    out(AbsVal::arith(ra(), rb(), ra().ibound + rb().ibound, true));
                     break;
                 case BC::Mul:
-                    out(AbsVal{ra().can_int && rb().can_int, ra().can_float || rb().can_float,
-                               ra().ibound * rb().ibound});
+                    // int 0 * -n is +0, but 0.0 * -n is -0.0.
+                    if (ra().can_int && rb().can_int && (ra().ineg || rb().ineg)) feasible = false;
+                    out(AbsVal::arith(ra(), rb(), ra().ibound * rb().ibound,
+                                      ra().ineg || rb().ineg));
                     break;
                 case BC::Div:
                 case BC::Mod:
@@ -632,8 +664,8 @@ private:
                     break;
                 case BC::Min:
                 case BC::Max:
-                    out(AbsVal{ra().can_int && rb().can_int, ra().can_float || rb().can_float,
-                               std::max(ra().ibound, rb().ibound)});
+                    out(AbsVal::arith(ra(), rb(), std::max(ra().ibound, rb().ibound),
+                                      ra().ineg || rb().ineg));
                     break;
             }
             if (falls_through) merge_into(pc + 1, s);
@@ -968,409 +1000,196 @@ std::shared_ptr<const TaskletProgram> TaskletProgram::parse(const std::string& c
     return prog;
 }
 
-void TaskletProgram::execute_compiled(Value* slots, Value* regs) const {
-    const BCInstr* code = bytecode_.data();
-    const std::size_t n = bytecode_.size();
-    std::size_t pc = 0;
-    while (pc < n) {
-        const BCInstr& in = code[pc];
-        switch (in.op) {
-            case BC::Const: regs[in.dst] = consts_[static_cast<std::size_t>(in.a)]; break;
-            case BC::LoadSlot: regs[in.dst] = slots[in.a]; break;
-            case BC::StoreSlot: slots[in.a] = regs[in.b]; break;
-            case BC::Bool: regs[in.dst] = make_bool(regs[in.a].truthy()); break;
-            case BC::Trap:
-                throw common::Error("tasklet: unbound connector '" +
-                                    var_names_[static_cast<std::size_t>(in.a)] + "'");
-            case BC::Jump: pc = static_cast<std::size_t>(in.a); continue;
-            case BC::JumpIfFalse:
-                if (!regs[in.a].truthy()) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::JumpIfTrue:
-                if (regs[in.a].truthy()) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::Neg: regs[in.dst] = op_neg(regs[in.a]); break;
-            case BC::Not: regs[in.dst] = make_bool(!regs[in.a].truthy()); break;
-            case BC::Abs: regs[in.dst] = op_abs(regs[in.a]); break;
-            case BC::Exp: regs[in.dst] = Value::from_double(std::exp(regs[in.a].as_double())); break;
-            case BC::Log: regs[in.dst] = Value::from_double(std::log(regs[in.a].as_double())); break;
-            case BC::Sqrt:
-                regs[in.dst] = Value::from_double(std::sqrt(regs[in.a].as_double()));
-                break;
-            case BC::Sin: regs[in.dst] = Value::from_double(std::sin(regs[in.a].as_double())); break;
-            case BC::Cos: regs[in.dst] = Value::from_double(std::cos(regs[in.a].as_double())); break;
-            case BC::Tanh:
-                regs[in.dst] = Value::from_double(std::tanh(regs[in.a].as_double()));
-                break;
-            case BC::Floor:
-                regs[in.dst] = Value::from_double(std::floor(regs[in.a].as_double()));
-                break;
-            case BC::Ceil:
-                regs[in.dst] = Value::from_double(std::ceil(regs[in.a].as_double()));
-                break;
-            case BC::Add: regs[in.dst] = op_add(regs[in.a], regs[in.b]); break;
-            case BC::Sub: regs[in.dst] = op_sub(regs[in.a], regs[in.b]); break;
-            case BC::Mul: regs[in.dst] = op_mul(regs[in.a], regs[in.b]); break;
-            case BC::Div: regs[in.dst] = op_div(regs[in.a], regs[in.b]); break;
-            case BC::Mod: regs[in.dst] = op_mod(regs[in.a], regs[in.b]); break;
-            case BC::Lt:
-                regs[in.dst] = make_bool(regs[in.a].as_double() < regs[in.b].as_double());
-                break;
-            case BC::Le:
-                regs[in.dst] = make_bool(regs[in.a].as_double() <= regs[in.b].as_double());
-                break;
-            case BC::Gt:
-                regs[in.dst] = make_bool(regs[in.a].as_double() > regs[in.b].as_double());
-                break;
-            case BC::Ge:
-                regs[in.dst] = make_bool(regs[in.a].as_double() >= regs[in.b].as_double());
-                break;
-            case BC::Eq:
-                regs[in.dst] = make_bool(regs[in.a].as_double() == regs[in.b].as_double());
-                break;
-            case BC::Ne:
-                regs[in.dst] = make_bool(regs[in.a].as_double() != regs[in.b].as_double());
-                break;
-            case BC::Min: regs[in.dst] = op_min(regs[in.a], regs[in.b]); break;
-            case BC::Max: regs[in.dst] = op_max(regs[in.a], regs[in.b]); break;
-            case BC::Pow:
-                regs[in.dst] =
-                    Value::from_double(std::pow(regs[in.a].as_double(), regs[in.b].as_double()));
-                break;
-        }
-        ++pc;
-    }
-}
-
-void TaskletProgram::execute_f64(double* slots, double* regs) const {
-    const BCInstr* code = bytecode_.data();
-    const std::size_t n = bytecode_.size();
-    const double* consts = f64consts_.data();
-    std::size_t pc = 0;
-    while (pc < n) {
-        const BCInstr& in = code[pc];
-        switch (in.op) {
-            case BC::Const: regs[in.dst] = consts[in.a]; break;
-            case BC::LoadSlot: regs[in.dst] = slots[in.a]; break;
-            case BC::StoreSlot: slots[in.a] = regs[in.b]; break;
-            case BC::Bool: regs[in.dst] = regs[in.a] != 0.0 ? 1.0 : 0.0; break;
-            case BC::Trap:
-                // Feasibility analysis rejects programs with traps; keep the
-                // tagged VM's error for defense in depth.
-                throw common::Error("tasklet: unbound connector '" +
-                                    var_names_[static_cast<std::size_t>(in.a)] + "'");
-            case BC::Jump: pc = static_cast<std::size_t>(in.a); continue;
-            case BC::JumpIfFalse:
-                if (regs[in.a] == 0.0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::JumpIfTrue:
-                if (regs[in.a] != 0.0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::Neg: regs[in.dst] = -regs[in.a]; break;
-            case BC::Not: regs[in.dst] = regs[in.a] == 0.0 ? 1.0 : 0.0; break;
-            case BC::Abs: regs[in.dst] = std::fabs(regs[in.a]); break;
-            case BC::Exp: regs[in.dst] = std::exp(regs[in.a]); break;
-            case BC::Log: regs[in.dst] = std::log(regs[in.a]); break;
-            case BC::Sqrt: regs[in.dst] = std::sqrt(regs[in.a]); break;
-            case BC::Sin: regs[in.dst] = std::sin(regs[in.a]); break;
-            case BC::Cos: regs[in.dst] = std::cos(regs[in.a]); break;
-            case BC::Tanh: regs[in.dst] = std::tanh(regs[in.a]); break;
-            case BC::Floor: regs[in.dst] = std::floor(regs[in.a]); break;
-            case BC::Ceil: regs[in.dst] = std::ceil(regs[in.a]); break;
-            case BC::Add: regs[in.dst] = regs[in.a] + regs[in.b]; break;
-            case BC::Sub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
-            case BC::Mul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
-            case BC::Div: regs[in.dst] = regs[in.a] / regs[in.b]; break;
-            case BC::Mod: regs[in.dst] = std::fmod(regs[in.a], regs[in.b]); break;
-            case BC::Lt: regs[in.dst] = regs[in.a] < regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Le: regs[in.dst] = regs[in.a] <= regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Gt: regs[in.dst] = regs[in.a] > regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Ge: regs[in.dst] = regs[in.a] >= regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Eq: regs[in.dst] = regs[in.a] == regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Ne: regs[in.dst] = regs[in.a] != regs[in.b] ? 1.0 : 0.0; break;
-            case BC::Min: regs[in.dst] = std::fmin(regs[in.a], regs[in.b]); break;
-            case BC::Max: regs[in.dst] = std::fmax(regs[in.a], regs[in.b]); break;
-            case BC::Pow: regs[in.dst] = std::pow(regs[in.a], regs[in.b]); break;
-        }
-        ++pc;
-    }
-}
-
-void TaskletProgram::execute_i64(std::int64_t* slots, std::int64_t* regs) const {
-    // Untagged int64 twin of execute_compiled: feasibility (has_i64_variant)
-    // proved every runtime value stays integer-tagged, so each opcode mirrors
-    // the tagged VM's int path exactly.  Comparisons go through double
-    // conversion because the tagged VM compares as_double() — identical for
-    // every operand, including magnitudes past 2^53 where the conversion
-    // rounds (both engines then compare the same rounded doubles).
-    const BCInstr* code = bytecode_.data();
-    const std::size_t n = bytecode_.size();
-    const std::int64_t* consts = i64consts_.data();
-    std::size_t pc = 0;
-    while (pc < n) {
-        const BCInstr& in = code[pc];
-        switch (in.op) {
-            case BC::Const: regs[in.dst] = consts[in.a]; break;
-            case BC::LoadSlot: regs[in.dst] = slots[in.a]; break;
-            case BC::StoreSlot: slots[in.a] = regs[in.b]; break;
-            case BC::Bool: regs[in.dst] = regs[in.a] != 0 ? 1 : 0; break;
-            case BC::Trap:
-                // Feasibility rejects traps; keep the tagged VM's error for
-                // defense in depth.
-                throw common::Error("tasklet: unbound connector '" +
-                                    var_names_[static_cast<std::size_t>(in.a)] + "'");
-            case BC::Jump: pc = static_cast<std::size_t>(in.a); continue;
-            case BC::JumpIfFalse:
-                if (regs[in.a] == 0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::JumpIfTrue:
-                if (regs[in.a] != 0) { pc = static_cast<std::size_t>(in.b); continue; }
-                break;
-            case BC::Neg: regs[in.dst] = -regs[in.a]; break;
-            case BC::Not: regs[in.dst] = regs[in.a] == 0 ? 1 : 0; break;
-            case BC::Abs: regs[in.dst] = regs[in.a] < 0 ? -regs[in.a] : regs[in.a]; break;
-            case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
-            case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
-                throw common::Error("tasklet: i64 engine reached a float opcode");
-            case BC::Add: regs[in.dst] = regs[in.a] + regs[in.b]; break;
-            case BC::Sub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
-            case BC::Mul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
-            case BC::Div: regs[in.dst] = sym::floordiv_i64(regs[in.a], regs[in.b]); break;
-            case BC::Mod: regs[in.dst] = sym::floormod_i64(regs[in.a], regs[in.b]); break;
-            case BC::Lt:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) < static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Le:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) <= static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Gt:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) > static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Ge:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) >= static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Eq:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) == static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Ne:
-                regs[in.dst] =
-                    static_cast<double>(regs[in.a]) != static_cast<double>(regs[in.b]) ? 1 : 0;
-                break;
-            case BC::Min: regs[in.dst] = std::min(regs[in.a], regs[in.b]); break;
-            case BC::Max: regs[in.dst] = std::max(regs[in.a], regs[in.b]); break;
-        }
-        ++pc;
-    }
-}
-
-// --- Batched (segment) execution ---------------------------------------------
+// --- Bytecode VM -------------------------------------------------------------
 //
-// Vertical twins of the untagged engines for straight-line programs: one
-// pass over the bytecode, each instruction executing as a tight loop over a
-// column of `n` lanes.  The loops carry no cross-lane dependencies and no
-// branches, so the compiler auto-vectorizes them — this is the inner loop of
-// the interpreter's segment kernels.  Straight-line bytecode has no jumps or
-// traps by definition (is_straightline), so pc only ever advances.
+// One executor for every compiled tier, instantiated per value representation
+// T and lane mode.  VMRepr<T> holds a representation's operator semantics.
+// The untagged representations are only run where the parse-time
+// feasibility analyses (has_f64_variant / has_i64_variant) proved them
+// bit-identical to the tagged one.
 
-void TaskletProgram::execute_f64_batch(double* slots, double* regs, std::int64_t n) const {
-    for (const BCInstr& in : bytecode_) {
-        double* d = regs + static_cast<std::int64_t>(in.dst) * n;
-        const double* a = regs + static_cast<std::int64_t>(in.a) * n;
-        const double* b = regs + static_cast<std::int64_t>(in.b) * n;
-        switch (in.op) {
-            case BC::Const: {
-                const double c = f64consts_[static_cast<std::size_t>(in.a)];
-                for (std::int64_t j = 0; j < n; ++j) d[j] = c;
-                break;
-            }
-            case BC::LoadSlot: {
-                const double* src = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) d[j] = src[j];
-                break;
-            }
-            case BC::StoreSlot: {
-                double* dst = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) dst[j] = b[j];
-                break;
-            }
-            case BC::Bool:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != 0.0 ? 1.0 : 0.0;
-                break;
-            case BC::Trap: case BC::Jump: case BC::JumpIfFalse: case BC::JumpIfTrue:
-                throw common::Error("tasklet: batch engine on non-straight-line program");
-            case BC::Neg:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = -a[j];
-                break;
-            case BC::Not:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == 0.0 ? 1.0 : 0.0;
-                break;
-            case BC::Abs:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fabs(a[j]);
-                break;
-            case BC::Exp:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::exp(a[j]);
-                break;
-            case BC::Log:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::log(a[j]);
-                break;
-            case BC::Sqrt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::sqrt(a[j]);
-                break;
-            case BC::Sin:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::sin(a[j]);
-                break;
-            case BC::Cos:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::cos(a[j]);
-                break;
-            case BC::Tanh:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::tanh(a[j]);
-                break;
-            case BC::Floor:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::floor(a[j]);
-                break;
-            case BC::Ceil:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::ceil(a[j]);
-                break;
-            case BC::Add:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] + b[j];
-                break;
-            case BC::Sub:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] - b[j];
-                break;
-            case BC::Mul:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] * b[j];
-                break;
-            case BC::Div:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] / b[j];
-                break;
-            case BC::Mod:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmod(a[j], b[j]);
-                break;
-            case BC::Lt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] < b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Le:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] <= b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Gt:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] > b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Ge:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] >= b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Eq:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Ne:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != b[j] ? 1.0 : 0.0;
-                break;
-            case BC::Min:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmin(a[j], b[j]);
-                break;
-            case BC::Max:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::fmax(a[j], b[j]);
-                break;
-            case BC::Pow:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::pow(a[j], b[j]);
-                break;
-        }
-    }
-}
+namespace {
 
-void TaskletProgram::execute_i64_batch(std::int64_t* slots, std::int64_t* regs,
-                                       std::int64_t n) const {
-    for (const BCInstr& in : bytecode_) {
-        std::int64_t* d = regs + static_cast<std::int64_t>(in.dst) * n;
-        const std::int64_t* a = regs + static_cast<std::int64_t>(in.a) * n;
-        const std::int64_t* b = regs + static_cast<std::int64_t>(in.b) * n;
-        switch (in.op) {
-            case BC::Const: {
-                const std::int64_t c = i64consts_[static_cast<std::size_t>(in.a)];
-                for (std::int64_t j = 0; j < n; ++j) d[j] = c;
-                break;
-            }
-            case BC::LoadSlot: {
-                const std::int64_t* src = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) d[j] = src[j];
-                break;
-            }
-            case BC::StoreSlot: {
-                std::int64_t* dst = slots + static_cast<std::int64_t>(in.a) * n;
-                for (std::int64_t j = 0; j < n; ++j) dst[j] = b[j];
-                break;
-            }
-            case BC::Bool:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] != 0 ? 1 : 0;
-                break;
-            case BC::Trap: case BC::Jump: case BC::JumpIfFalse: case BC::JumpIfTrue:
-                throw common::Error("tasklet: batch engine on non-straight-line program");
-            case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
-            case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
+template <typename T>
+struct VMRepr;
+
+/// Tagged values: the op_* helpers the AST walker uses.
+template <>
+struct VMRepr<Value> {
+    static constexpr bool kFloatOps = true;
+    static Value boolean(bool b) { return make_bool(b); }
+    static bool truthy(const Value& x) { return x.truthy(); }
+    static double to_double(const Value& x) { return x.as_double(); }
+    static Value from_double(double d) { return Value::from_double(d); }
+    static Value neg(const Value& x) { return op_neg(x); }
+    static Value abs(const Value& x) { return op_abs(x); }
+    static Value add(const Value& x, const Value& y) { return op_add(x, y); }
+    static Value sub(const Value& x, const Value& y) { return op_sub(x, y); }
+    static Value mul(const Value& x, const Value& y) { return op_mul(x, y); }
+    static Value div(const Value& x, const Value& y) { return op_div(x, y); }
+    static Value mod(const Value& x, const Value& y) { return op_mod(x, y); }
+    static Value min(const Value& x, const Value& y) { return op_min(x, y); }
+    static Value max(const Value& x, const Value& y) { return op_max(x, y); }
+};
+
+/// Raw doubles: plain IEEE operations.
+template <>
+struct VMRepr<double> {
+    static constexpr bool kFloatOps = true;
+    static double boolean(bool b) { return b ? 1.0 : 0.0; }
+    static bool truthy(double x) { return x != 0.0; }
+    static double to_double(double x) { return x; }
+    static double from_double(double d) { return d; }
+    static double neg(double x) { return -x; }
+    static double abs(double x) { return std::fabs(x); }
+    static double add(double x, double y) { return x + y; }
+    static double sub(double x, double y) { return x - y; }
+    static double mul(double x, double y) { return x * y; }
+    static double div(double x, double y) { return x / y; }
+    static double mod(double x, double y) { return std::fmod(x, y); }
+    static double min(double x, double y) { return min_f64(x, y); }
+    static double max(double x, double y) { return max_f64(x, y); }
+};
+
+/// Raw int64s: the tagged int path — floor division/modulo that throw on
+/// zero, comparisons through double like as_double().  No float-valued
+/// opcode is reachable (has_i64_variant rejects them).
+template <>
+struct VMRepr<std::int64_t> {
+    using I = std::int64_t;
+    static constexpr bool kFloatOps = false;
+    static I boolean(bool b) { return b ? 1 : 0; }
+    static bool truthy(I x) { return x != 0; }
+    static double to_double(I x) { return static_cast<double>(x); }
+    static I neg(I x) { return -x; }
+    static I abs(I x) { return x < 0 ? -x : x; }
+    static I add(I x, I y) { return x + y; }
+    static I sub(I x, I y) { return x - y; }
+    static I mul(I x, I y) { return x * y; }
+    static I div(I x, I y) { return sym::floordiv_i64(x, y); }
+    static I mod(I x, I y) { return sym::floormod_i64(x, y); }
+    static I min(I x, I y) { return std::min(x, y); }
+    static I max(I x, I y) { return std::max(x, y); }
+};
+
+}  // namespace
+
+template <typename T, bool kBatch>
+void TaskletProgram::run_vm(T* slots, T* regs, std::int64_t n) const {
+    using R = VMRepr<T>;
+    const T* consts = [&] {
+        if constexpr (std::is_same_v<T, Value>) return consts_.data();
+        else if constexpr (std::is_same_v<T, double>) return f64consts_.data();
+        else return i64consts_.data();
+    }();
+    // Lanes per column.  In batch mode every instruction is one
+    // auto-vectorizable loop over the column (no cross-lane dependency, no
+    // branch); the scalar mode's loops are a single lane.
+    const std::int64_t w = kBatch ? n : 1;
+    const BCInstr* code = bytecode_.data();
+    const std::size_t len = bytecode_.size();
+    for (std::size_t pc = 0; pc < len;) {
+        const BCInstr& in = code[pc++];
+        T* d = regs + in.dst * w;
+        const auto unary = [&](auto f) {
+            const T* a = regs + in.a * w;
+            for (std::int64_t j = 0; j < w; ++j) d[j] = f(a[j]);
+        };
+        const auto binary = [&](auto f) {
+            const T* a = regs + in.a * w;
+            const T* b = regs + in.b * w;
+            for (std::int64_t j = 0; j < w; ++j) d[j] = f(a[j], b[j]);
+        };
+        const auto compare = [&](auto cmp) {
+            binary([&](T x, T y) { return R::boolean(cmp(R::to_double(x), R::to_double(y))); });
+        };
+        // Float-valued functions evaluate on the double conversion.
+        const auto unary_f = [&](auto f) {
+            if constexpr (R::kFloatOps)
+                unary([&](T x) { return R::from_double(f(R::to_double(x))); });
+            else
                 throw common::Error("tasklet: i64 engine reached a float opcode");
-            case BC::Neg:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = -a[j];
+        };
+        const auto jump_guard = [] {
+            if constexpr (kBatch)
+                throw common::Error("tasklet: batch engine on non-straight-line program");
+        };
+        switch (in.op) {
+            case BC::Const: {
+                const T c = consts[in.a];
+                for (std::int64_t j = 0; j < w; ++j) d[j] = c;
                 break;
-            case BC::Not:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] == 0 ? 1 : 0;
+            }
+            case BC::LoadSlot: {
+                const T* src = slots + in.a * w;
+                for (std::int64_t j = 0; j < w; ++j) d[j] = src[j];
                 break;
-            case BC::Abs:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] < 0 ? -a[j] : a[j];
+            }
+            case BC::StoreSlot: {
+                T* dst = slots + in.a * w;
+                const T* src = regs + in.b * w;
+                for (std::int64_t j = 0; j < w; ++j) dst[j] = src[j];
                 break;
-            case BC::Add:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] + b[j];
+            }
+            case BC::Bool: unary([](T x) { return R::boolean(R::truthy(x)); }); break;
+            case BC::Trap:
+                throw common::Error("tasklet: unbound connector '" +
+                                    var_names_[static_cast<std::size_t>(in.a)] + "'");
+            case BC::Jump:
+                jump_guard();
+                pc = static_cast<std::size_t>(in.a);
                 break;
-            case BC::Sub:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] - b[j];
+            case BC::JumpIfFalse:
+                jump_guard();
+                if (!R::truthy(regs[in.a])) pc = static_cast<std::size_t>(in.b);
                 break;
-            case BC::Mul:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = a[j] * b[j];
+            case BC::JumpIfTrue:
+                jump_guard();
+                if (R::truthy(regs[in.a])) pc = static_cast<std::size_t>(in.b);
                 break;
-            case BC::Div:
-                // Unreachable from segment kernels (classification requires
-                // throw-free programs); kept exact for direct callers.
-                for (std::int64_t j = 0; j < n; ++j) d[j] = sym::floordiv_i64(a[j], b[j]);
-                break;
-            case BC::Mod:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = sym::floormod_i64(a[j], b[j]);
-                break;
-            case BC::Lt:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) < static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Le:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) <= static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Gt:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) > static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Ge:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) >= static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Eq:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) == static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Ne:
-                for (std::int64_t j = 0; j < n; ++j)
-                    d[j] = static_cast<double>(a[j]) != static_cast<double>(b[j]) ? 1 : 0;
-                break;
-            case BC::Min:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::min(a[j], b[j]);
-                break;
-            case BC::Max:
-                for (std::int64_t j = 0; j < n; ++j) d[j] = std::max(a[j], b[j]);
+            case BC::Neg: unary([](T x) { return R::neg(x); }); break;
+            case BC::Not: unary([](T x) { return R::boolean(!R::truthy(x)); }); break;
+            case BC::Abs: unary([](T x) { return R::abs(x); }); break;
+            case BC::Exp: unary_f([](double x) { return std::exp(x); }); break;
+            case BC::Log: unary_f([](double x) { return std::log(x); }); break;
+            case BC::Sqrt: unary_f([](double x) { return std::sqrt(x); }); break;
+            case BC::Sin: unary_f([](double x) { return std::sin(x); }); break;
+            case BC::Cos: unary_f([](double x) { return std::cos(x); }); break;
+            case BC::Tanh: unary_f([](double x) { return std::tanh(x); }); break;
+            case BC::Floor: unary_f([](double x) { return std::floor(x); }); break;
+            case BC::Ceil: unary_f([](double x) { return std::ceil(x); }); break;
+            case BC::Add: binary([](T x, T y) { return R::add(x, y); }); break;
+            case BC::Sub: binary([](T x, T y) { return R::sub(x, y); }); break;
+            case BC::Mul: binary([](T x, T y) { return R::mul(x, y); }); break;
+            case BC::Div: binary([](T x, T y) { return R::div(x, y); }); break;
+            case BC::Mod: binary([](T x, T y) { return R::mod(x, y); }); break;
+            case BC::Lt: compare(std::less<>{}); break;
+            case BC::Le: compare(std::less_equal<>{}); break;
+            case BC::Gt: compare(std::greater<>{}); break;
+            case BC::Ge: compare(std::greater_equal<>{}); break;
+            case BC::Eq: compare(std::equal_to<>{}); break;
+            case BC::Ne: compare(std::not_equal_to<>{}); break;
+            case BC::Min: binary([](T x, T y) { return R::min(x, y); }); break;
+            case BC::Max: binary([](T x, T y) { return R::max(x, y); }); break;
+            case BC::Pow:
+                if constexpr (R::kFloatOps)
+                    binary([](T x, T y) {
+                        return R::from_double(std::pow(R::to_double(x), R::to_double(y)));
+                    });
+                else
+                    throw common::Error("tasklet: i64 engine reached a float opcode");
                 break;
         }
     }
 }
+
+template void TaskletProgram::run_vm<Value, false>(Value*, Value*, std::int64_t) const;
+template void TaskletProgram::run_vm<double, false>(double*, double*, std::int64_t) const;
+template void TaskletProgram::run_vm<double, true>(double*, double*, std::int64_t) const;
+template void TaskletProgram::run_vm<std::int64_t, false>(std::int64_t*, std::int64_t*,
+                                                          std::int64_t) const;
+template void TaskletProgram::run_vm<std::int64_t, true>(std::int64_t*, std::int64_t*,
+                                                         std::int64_t) const;
 
 void TaskletProgram::execute_compiled(ConnectorEnv& env) const {
     // Same input contract as the reference engine.
@@ -1389,7 +1208,7 @@ void TaskletProgram::execute_compiled(ConnectorEnv& env) const {
         for (std::size_t l = 0; l < lanes; ++l)
             slots[static_cast<std::size_t>(sd.base) + l] = it->second[l];
     }
-    execute_compiled(slots.data(), regs.data());
+    run_vm(slots.data(), regs.data());
     for (const SlotDesc& sd : slot_table_) {
         if (!sd.is_output) continue;
         auto& vec = env[sd.name];

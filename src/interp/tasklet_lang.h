@@ -15,21 +15,26 @@
 // Numeric model: a value is either double or int64.  Mixed arithmetic
 // promotes to double; integer division/modulo use floor semantics to agree
 // with the symbolic layer.  Comparisons and logical operators yield int 0/1.
+// Double min/max ignore a NaN operand (like fmin/fmax) and order -0 below
+// +0, so every engine gives the same bits for a ±0 pair.
 //
-// Execution engines (one program, two implementations):
+// Execution engines (one program; an AST walker and one bytecode VM):
 //
 //  * Reference: a recursive AST walker (`execute`) over a string-keyed
 //    ConnectorEnv.  Kept as the semantic ground truth for differential
 //    testing and selectable via ExecConfig::use_compiled_tasklets = false.
 //  * Compiled: at parse time every program is lowered to a flat bytecode
-//    register program (`execute_compiled`).  Lowering constant-folds pure
-//    subexpressions, resolves every connector reference to a fixed *slot*
-//    index (no string lookups at runtime), lowers short-circuit && / || and
-//    ternaries to conditional jumps, and turns statically-detectable
-//    unbound-lane reads into trap instructions so both engines fail
-//    identically.  The VM runs against caller-provided flat Value arrays
-//    (slots + registers) and performs no heap allocation — this is the
-//    innermost loop of every fuzzing trial (one execution per map point).
+//    register program, run by one VM template (`run_vm`).  Lowering
+//    constant-folds pure subexpressions, resolves every connector reference
+//    to a fixed *slot* index (no string lookups at runtime), lowers
+//    short-circuit && / || and ternaries to conditional jumps, and turns
+//    statically-detectable unbound-lane reads into trap instructions so both
+//    engines fail identically.  The VM runs against caller-provided flat
+//    arrays (slots + registers) and performs no heap allocation — this is
+//    the innermost loop of every fuzzing trial (one execution per map
+//    point).  Its value representation is the tagged Value, or — where a
+//    parse-time analysis proves it bit-identical — a raw double or int64;
+//    straight-line programs can also run n lanes at once in columns.
 //
 // Programs are parsed once and cached by the interpreter.
 #pragma once
@@ -93,25 +98,36 @@ public:
     /// Slot layout: every variable (inputs, outputs, locals) occupies a
     /// contiguous lane range in the flat slot array.
     const std::vector<SlotDesc>& slot_table() const { return slot_table_; }
-    /// Size of the flat slot array `execute_compiled` operates on.
+    /// Size of the flat slot array `run_vm` operates on.
     int slot_count() const { return slot_count_; }
     /// Number of scratch registers the VM needs.
     int reg_count() const { return reg_count_; }
 
-    /// Runs the bytecode program.  `slots` must hold slot_count() values
-    /// with all input lanes pre-loaded (output/local lanes zeroed);
-    /// `regs` must hold reg_count() values (contents ignored).  Performs no
-    /// heap allocation.
-    void execute_compiled(Value* slots, Value* regs) const;
+    /// Runs the bytecode program.  `T` is the value representation:
+    ///  * Value: the tagged VM, valid for every program;
+    ///  * double: only when has_f64_variant();
+    ///  * std::int64_t: only when has_i64_variant().
+    /// With kBatch = false, `slots` holds slot_count() values with all input
+    /// lanes pre-loaded (output/local lanes zeroed), `regs` holds
+    /// reg_count() values (contents ignored) and `n` is ignored.  With
+    /// kBatch = true (untagged T, only when is_straightline()) both are
+    /// arrays of `n`-element columns — slot s occupies slots[s*n .. s*n+n) —
+    /// and every instruction runs as one auto-vectorizable loop over the
+    /// batch: the inner loop of the segment tier.  Performs no heap
+    /// allocation.  Throws common::Error on a trap and on integer
+    /// division/modulo by zero, with the same message in every
+    /// representation.
+    template <typename T, bool kBatch = false>
+    void run_vm(T* slots, T* regs, std::int64_t n = 1) const;
 
-    /// Convenience wrapper driving the bytecode VM from a ConnectorEnv
+    /// Convenience wrapper driving the tagged VM from a ConnectorEnv
     /// (marshals in/out; used by tests to compare engines).  Semantics match
     /// `execute`, including missing-input errors.
     void execute_compiled(ConnectorEnv& env) const;
 
-    // --- Untagged f64 engine ---
+    // --- Untagged variants ---
 
-    /// Whether the untagged double-only variant of this program exists.
+    /// Whether the untagged double representation (run_vm<double>) exists.
     ///
     /// At parse time an abstract interpretation over the bytecode decides
     /// whether — assuming every input lane arrives as a double, which the
@@ -119,22 +135,19 @@ public:
     /// whose connectors all bind F64 containers — representing every runtime
     /// value as a raw double is bit-identical to the tagged VM.  The checks:
     /// no trap instructions; no Div/Mod whose operands could both be integers
-    /// (those take the floor-semantics int path in the tagged VM); and no
+    /// (those take the floor-semantics int path in the tagged VM); no
     /// integer intermediate whose magnitude could exceed 2^50 (doubles
-    /// represent such values exactly, so int and double arithmetic agree).
+    /// represent such values exactly, so int and double arithmetic agree);
+    /// and no Neg of a possible integer nor Mul of two possible integers one
+    /// of which could be negative (integer zero has no sign, so the int path
+    /// gives +0 where double arithmetic gives -0).
     /// Comparisons, min/max and promotions already evaluate through
     /// as_double() in the tagged VM, so 0/1 booleans and small integer
     /// constants are representation-equivalent.
     bool has_f64_variant() const { return f64_feasible_; }
 
-    /// Runs the untagged variant: same slot/register layout and bytecode as
-    /// execute_compiled, but `slots`/`regs` are raw doubles and no opcode
-    /// dispatches on a value tag.  Only valid when has_f64_variant().
-    void execute_f64(double* slots, double* regs) const;
-
-    // --- Untagged i64 engine ---
-
-    /// Whether the untagged int64-only variant of this program exists.
+    /// Whether the untagged int64 representation (run_vm<std::int64_t>)
+    /// exists.
     ///
     /// The dual of has_f64_variant for integer-family containers: assuming
     /// every input lane arrives as an int64 (the interpreter selects this
@@ -145,34 +158,17 @@ public:
     /// float-producing opcode (exp/log/sqrt/sin/cos/tanh/floor/ceil/pow).
     /// Add/Sub/Mul/Min/Max/Neg/Abs on two ints stay int; comparisons and
     /// logic yield int 0/1; Div/Mod take the tagged VM's floor-semantics int
-    /// path, which execute_i64 mirrors including the divide-by-zero throw.
-    /// Comparisons in the tagged VM go through as_double(), so execute_i64
-    /// compares the double conversions — identical for any operand values.
+    /// path, including the divide-by-zero throw.  Comparisons in the tagged
+    /// VM go through as_double(), so the int64 representation compares the
+    /// double conversions — identical for any operand values.
     bool has_i64_variant() const { return i64_feasible_; }
-
-    /// Runs the untagged int64 variant: raw int64 slots/registers, no value
-    /// tags.  Only valid when has_i64_variant().  Throws common::Error on
-    /// integer division/modulo by zero, exactly like the tagged VM.
-    void execute_i64(std::int64_t* slots, std::int64_t* regs) const;
-
-    // --- Batched (segment) execution ---
 
     /// Whether the bytecode is straight-line: no jump, no conditional jump,
     /// no trap.  Only straight-line programs can execute vertically (one
-    /// instruction over a whole lane batch), so the interpreter's segment
-    /// kernels require this in addition to an untagged variant.
+    /// instruction over a whole lane batch, run_vm<T, true>), so the
+    /// interpreter's segment kernels require this in addition to an untagged
+    /// variant.
     bool is_straightline() const { return straightline_; }
-
-    /// Vertical twin of execute_f64 for straight-line programs: `slots` and
-    /// `regs` are arrays of `n`-element columns (slot s occupies
-    /// slots[s*n .. s*n+n)), and every instruction executes as one loop over
-    /// the batch — the auto-vectorizable inner loops of the segment tier.
-    /// Only valid when has_f64_variant() && is_straightline().
-    void execute_f64_batch(double* slots, double* regs, std::int64_t n) const;
-
-    /// Vertical twin of execute_i64 (same column layout).  Only valid when
-    /// has_i64_variant() && is_straightline().
-    void execute_i64_batch(std::int64_t* slots, std::int64_t* regs, std::int64_t n) const;
 
     /// Connectors for which the compiler emitted unbound-lane traps (a read
     /// of a non-input lane no earlier statement assigns).  The interpreter
@@ -251,8 +247,8 @@ private:
     // Compiled form (built once at parse time by TaskletCompiler).
     std::vector<BCInstr> bytecode_;
     std::vector<Value> consts_;
-    std::vector<double> f64consts_;  ///< consts_ as doubles (f64 engine).
-    std::vector<std::int64_t> i64consts_;  ///< consts_ as int64s (i64 engine).
+    std::vector<double> f64consts_;        ///< consts_ as doubles (run_vm<double>).
+    std::vector<std::int64_t> i64consts_;  ///< consts_ as int64s (run_vm<std::int64_t>).
     bool f64_feasible_ = false;      ///< See has_f64_variant().
     bool i64_feasible_ = false;      ///< See has_i64_variant().
     bool straightline_ = false;      ///< See is_straightline().

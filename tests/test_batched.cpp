@@ -314,6 +314,48 @@ TEST(Batched, SpecialPayloadsSurviveBatchingBitwise) {
     EXPECT_EQ(batched.ctx.buffers.at("y").load_double(7), 1.0);
 }
 
+// --- Signed zeros --------------------------------------------------------------
+
+TEST(Batched, SignedZeroMinMaxAgreeAcrossTiers) {
+    // libm's fmin/fmax may return either zero of a ±0 pair; every tier must
+    // order -0 below +0 instead, in both operand orders.
+    std::vector<double> xv;
+    for (int rep = 0; rep < 8; ++rep) xv.insert(xv.end(), {-0.0, 0.0});
+    interp::Context inputs;
+    inputs.symbols["N"] = static_cast<std::int64_t>(xv.size());
+    inputs.buffers.emplace("x", make_buffer(xv));
+    for (const std::string code :
+         {"o = min(i, 0.0)", "o = min(0.0, i)", "o = max(i, 0.0)", "o = max(0.0, i)"}) {
+        const TierOut batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
+        EXPECT_EQ(batched.stats.segment_launches, 1) << code;
+        const bool is_min = code.find("min") != std::string::npos;
+        for (std::size_t k = 0; k < xv.size(); ++k)
+            EXPECT_EQ(std::signbit(batched.ctx.buffers.at("y").load_double(
+                          static_cast<std::int64_t>(k))),
+                      is_min && std::signbit(xv[k]))
+                << code << " at " << k;
+    }
+}
+
+TEST(Batched, IntegerZeroStaysUnsignedOnEveryTier) {
+    // Integer zero has no sign: the tagged tiers negate an int 0/1 to +0 and
+    // multiply it by a negative int to +0, where double arithmetic would
+    // give -0.  Such programs must not run untagged; a product of
+    // non-negative ints may.
+    interp::Context inputs;
+    const std::vector<double> xv = {-0.0, 0.0, 1.0, 7.0, -8.0, 6.0};
+    inputs.symbols["N"] = static_cast<std::int64_t>(xv.size());
+    inputs.buffers.emplace("x", make_buffer(xv));
+    for (const std::string code : {"o = -(i > 5.0)", "o = (i > 5.0) * -3"}) {
+        const TierOut batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
+        EXPECT_EQ(batched.stats.segment_launches, 0) << code;
+        EXPECT_FALSE(std::signbit(batched.ctx.buffers.at("y").load_double(0))) << code;
+    }
+    const TierOut batched =
+        expect_all_tiers_agree(make_scale_sdfg("o = (i > 5.0) * 3"), inputs, "nonneg product");
+    EXPECT_EQ(batched.stats.segment_launches, 1);
+}
+
 // --- Aliasing: vertical execution must refuse reordering ----------------------
 
 TEST(Batched, ShiftedSelfAliasRunsPerPoint) {

@@ -904,7 +904,9 @@ TEST(CoordEndToEnd, StalledWorkerLosesTheRaceAndItsBytesAreVerified) {
         });
         std::thread first([&] {
             try {
-                result.workers.push_back(coord::run_worker(workers[0]));
+                coord::WorkerStats stats = coord::run_worker(workers[0]);
+                std::lock_guard<std::mutex> lock(mu);
+                result.workers.push_back(stats);
             } catch (const std::exception& e) {
                 std::lock_guard<std::mutex> lock(mu);
                 result.worker_errors.push_back(e.what());
@@ -913,7 +915,9 @@ TEST(CoordEndToEnd, StalledWorkerLosesTheRaceAndItsBytesAreVerified) {
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
         std::thread second([&] {
             try {
-                result.workers.push_back(coord::run_worker(workers[1]));
+                coord::WorkerStats stats = coord::run_worker(workers[1]);
+                std::lock_guard<std::mutex> lock(mu);
+                result.workers.push_back(stats);
             } catch (const std::exception& e) {
                 std::lock_guard<std::mutex> lock(mu);
                 result.worker_errors.push_back(e.what());

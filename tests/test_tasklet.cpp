@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -194,20 +196,26 @@ TEST(TaskletCompiled, MissingInputThrows) {
     EXPECT_THROW(prog->execute_compiled(env), common::Error);
 }
 
-// --- Differential property test: bytecode VM vs reference AST evaluator ----
+// --- Differential property test: every engine and representation ---------
 //
 // Randomly generated programs over mixed int/float connectors must agree
-// between the two engines on every output lane — including int/float
-// promotion, floor division/modulo edge cases, NaNs and crashes.
+// between the reference AST evaluator and the tagged bytecode VM on every
+// output lane — including int/float promotion, floor division/modulo edge
+// cases, NaNs and crashes.  Programs with an untagged variant must also
+// agree between the tagged VM and the untagged representation, run one lane
+// at a time and, for straight-line programs, as one multi-lane batch.
 
 struct ProgramGen {
     common::Rng rng;
     std::vector<std::string> readable;  // expressions valid as loads
+    /// No float constants or float-valued functions: every such program
+    /// has an int64 variant.
+    bool ints_only = false;
 
     explicit ProgramGen(std::uint64_t seed) : rng(seed) {}
 
     std::string constant() {
-        switch (rng.uniform_int(0, 5)) {
+        switch (rng.uniform_int(0, ints_only ? 1 : 5)) {
             case 0: return std::to_string(rng.uniform_int(0, 7));          // small int
             case 1: return std::to_string(rng.uniform_int(0, 2));          // 0/1/2: div/mod edges
             case 2: return "2.0";
@@ -226,20 +234,44 @@ struct ProgramGen {
 
     std::string expr(int depth) {
         if (depth <= 0 || rng.chance(0.25)) return leaf();
-        switch (rng.uniform_int(0, 11)) {
-            case 0: return "(" + expr(depth - 1) + " + " + expr(depth - 1) + ")";
-            case 1: return "(" + expr(depth - 1) + " - " + expr(depth - 1) + ")";
-            case 2: return "(" + expr(depth - 1) + " * " + expr(depth - 1) + ")";
-            case 3: return "(" + expr(depth - 1) + " / " + expr(depth - 1) + ")";
-            case 4: return "(" + expr(depth - 1) + " % " + expr(depth - 1) + ")";
-            case 5: return "(-" + leaf() + ")";
-            case 6: return "(" + expr(depth - 1) + " < " + expr(depth - 1) + ")";
-            case 7: return "(" + expr(depth - 1) + " ? " + expr(depth - 1) + " : " +
-                           expr(depth - 1) + ")";
-            case 8: return "(" + expr(depth - 1) + " && " + expr(depth - 1) + ")";
-            case 9: return "min(" + expr(depth - 1) + ", " + expr(depth - 1) + ")";
-            case 10: return "abs(" + expr(depth - 1) + ")";
-            default: return "floor(" + expr(depth - 1) + ")";
+        static const char* const kInfix[] = {"+", "-",  "*",  "/",  "%",  "<",  ">",
+                                             "<=", ">=", "==", "!=", "&&", "||"};
+        static const char* const kFloatFns[] = {"floor", "ceil", "exp", "log",
+                                                "sqrt",  "sin",  "cos", "tanh"};
+        const auto sub = [&] { return expr(depth - 1); };
+        // The float-valued operators come last, so ints_only cuts them off.
+        const std::int64_t op = rng.uniform_int(0, ints_only ? 19 : 28);
+        if (op < 13) {
+            const std::string a = sub();
+            return "(" + a + " " + kInfix[op] + " " + sub() + ")";
+        }
+        switch (op) {
+            case 13: return "(-" + leaf() + ")";
+            case 14: return "(!" + sub() + ")";
+            case 15: {
+                const std::string c = sub();
+                const std::string a = sub();
+                return "(" + c + " ? " + a + " : " + sub() + ")";
+            }
+            case 16: {
+                const std::string c = sub();
+                const std::string a = sub();
+                return "select(" + c + ", " + a + ", " + sub() + ")";
+            }
+            case 17: {
+                const std::string a = sub();
+                return "min(" + a + ", " + sub() + ")";
+            }
+            case 18: {
+                const std::string a = sub();
+                return "max(" + a + ", " + sub() + ")";
+            }
+            case 19: return "abs(" + sub() + ")";
+            case 20: {
+                const std::string a = sub();
+                return "pow(" + a + ", " + sub() + ")";
+            }
+            default: return std::string(kFloatFns[op - 21]) + "(" + sub() + ")";
         }
     }
 
@@ -265,6 +297,23 @@ struct ProgramGen {
         if (rng.chance(0.3)) code += "; w[0] = " + expr(2) + "; w[1] = " + expr(2);
         return code;
     }
+
+    /// Inputs for an untagged run: every lane a double (`ints` false) or an
+    /// int64, with zeros — both signed zeros for doubles — common enough to
+    /// reach the division, modulo and min/max edge cases.
+    ConnectorEnv untagged_inputs(bool ints) {
+        const auto value = [&] {
+            if (rng.chance(0.25))
+                return ints ? Value::from_int(0) : Value::from_double(rng.chance(0.5) ? 0.0 : -0.0);
+            return ints ? Value::from_int(rng.uniform_int(-5, 5))
+                        : Value::from_double(rng.uniform_double(-4, 4));
+        };
+        ConnectorEnv env;
+        for (const char* name : {"a", "b", "k", "m"}) env[name] = {value()};
+        const Value v0 = value();
+        env["v"] = {v0, value()};
+        return env;
+    }
 };
 
 bool values_equal(const Value& x, const Value& y) {
@@ -276,15 +325,126 @@ bool values_equal(const Value& x, const Value& y) {
     return x.i == y.i;
 }
 
+/// Slot columns of `envs` for the untagged representation T — lane j of
+/// slot s at s*n + j — laid out as execute_compiled lays out one env.
+template <typename T>
+std::vector<T> slot_columns(const TaskletProgram& prog, const std::vector<ConnectorEnv>& envs) {
+    const std::size_t n = envs.size();
+    std::vector<T> cols(static_cast<std::size_t>(prog.slot_count()) * n, T{});
+    for (std::size_t j = 0; j < n; ++j)
+        for (const SlotDesc& sd : prog.slot_table()) {
+            const auto it = envs[j].find(sd.name);
+            if (it == envs[j].end()) continue;
+            const std::size_t lanes =
+                std::min(it->second.size(), static_cast<std::size_t>(sd.width));
+            for (std::size_t l = 0; l < lanes; ++l) {
+                const Value& v = it->second[l];
+                cols[(static_cast<std::size_t>(sd.base) + l) * n + j] =
+                    std::is_same_v<T, double> ? static_cast<T>(v.f) : static_cast<T>(v.i);
+            }
+        }
+    return cols;
+}
+
+/// Runs `prog`'s untagged representation T over `envs`, one lane at a time
+/// and — for straight-line programs — as one batch, against the tagged VM
+/// on each lane: every output lane must store the same bits (NaN payloads
+/// excepted) and every error must carry the same message.  Returns whether
+/// the batch ran.
+template <typename T>
+bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<ConnectorEnv>& envs) {
+    const std::size_t n = envs.size();
+    std::vector<ConnectorEnv> tagged = envs;
+    std::vector<std::string> errors(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        try {
+            prog.execute_compiled(tagged[j]);
+        } catch (const common::Error& e) {
+            errors[j] = e.what();
+        }
+    }
+    // Lane j of `cols` (n lanes per column) against the tagged run.  A
+    // double stores the tagged value's as_double(); an int64 must stay
+    // int-tagged.
+    const auto expect_lane = [&](const std::vector<T>& cols, std::size_t lanes, std::size_t j,
+                                 std::size_t col_lane, const std::string& what) {
+        for (const auto& [name, width] : prog.writes()) {
+            const SlotDesc* sd = nullptr;
+            for (const SlotDesc& d : prog.slot_table())
+                if (d.name == name) sd = &d;
+            ASSERT_NE(sd, nullptr) << name;
+            for (int l = 0; l < width; ++l) {
+                const Value& want = tagged[j].at(name)[static_cast<std::size_t>(l)];
+                const T got = cols[static_cast<std::size_t>(sd->base + l) * lanes + col_lane];
+                const bool same =
+                    std::is_same_v<T, double>
+                        ? values_equal(Value::from_double(want.as_double()),
+                                       Value::from_double(static_cast<double>(got)))
+                        : values_equal(want, Value::from_int(static_cast<std::int64_t>(got)));
+                EXPECT_TRUE(same) << what << " lane " << j << ": " << name << "[" << l
+                                  << "] tagged=" << want.as_double()
+                                  << " untagged=" << static_cast<double>(got);
+            }
+        }
+    };
+
+    std::vector<T> regs(static_cast<std::size_t>(prog.reg_count()) * n);
+    for (std::size_t j = 0; j < n; ++j) {
+        std::vector<T> slots = slot_columns<T>(prog, {envs[j]});
+        std::string error;
+        try {
+            prog.run_vm(slots.data(), regs.data());
+        } catch (const common::Error& e) {
+            error = e.what();
+        }
+        EXPECT_EQ(error, errors[j]) << "scalar lane " << j;
+        if (error.empty() && errors[j].empty()) expect_lane(slots, 1, j, 0, "scalar");
+    }
+    if (!prog.is_straightline()) return false;
+
+    std::vector<T> cols = slot_columns<T>(prog, envs);
+    std::string error;
+    try {
+        prog.run_vm<T, true>(cols.data(), regs.data(), static_cast<std::int64_t>(n));
+    } catch (const common::Error& e) {
+        error = e.what();
+    }
+    bool any_error = false;
+    for (const std::string& e : errors) any_error = any_error || !e.empty();
+    if (any_error) {
+        // The batch runs instruction by instruction across lanes, so it
+        // raises the first failing instruction's error of some lane.
+        EXPECT_FALSE(error.empty()) << "a lane throws but the batch did not";
+        EXPECT_NE(std::find(errors.begin(), errors.end(), error), errors.end())
+            << "batch raised '" << error << "'";
+        return true;
+    }
+    EXPECT_EQ(error, "");
+    for (std::size_t j = 0; j < n; ++j) expect_lane(cols, n, j, j, "batch");
+    return true;
+}
+
 TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
-    int crashes = 0;
+    constexpr std::size_t kLanes = 5;
+    int crashes = 0, f64_runs = 0, i64_runs = 0, batch_runs = 0;
     for (std::uint64_t seed = 0; seed < 400; ++seed) {
         ProgramGen gen(0xFACADE + seed);
+        gen.ints_only = seed % 3 == 2;
         ConnectorEnv inputs;
         const std::string code = gen.generate(inputs);
         SCOPED_TRACE("seed=" + std::to_string(seed) + " code: " + code);
 
         const auto prog = TaskletProgram::parse(code);
+
+        for (const bool ints : {false, true}) {
+            if (!(ints ? prog->has_i64_variant() : prog->has_f64_variant())) continue;
+            std::vector<ConnectorEnv> lanes;
+            for (std::size_t j = 0; j < kLanes; ++j) lanes.push_back(gen.untagged_inputs(ints));
+            const bool batched = ints ? expect_untagged_agree<std::int64_t>(*prog, lanes)
+                                      : expect_untagged_agree<double>(*prog, lanes);
+            ++(ints ? i64_runs : f64_runs);
+            batch_runs += batched ? 1 : 0;
+        }
 
         ConnectorEnv ref_env = inputs;
         ConnectorEnv vm_env = inputs;
@@ -325,6 +485,10 @@ TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
     // The generator intentionally produces some int-div-by-zero crashes;
     // they must not dominate (the value-comparison path is the point).
     EXPECT_LT(crashes, 200);
+    // Every representation and lane mode is actually exercised.
+    EXPECT_GE(f64_runs, 100);
+    EXPECT_GE(i64_runs, 100);
+    EXPECT_GE(batch_runs, 50);
 }
 
 }  // namespace
