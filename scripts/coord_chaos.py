@@ -6,13 +6,15 @@ injected faults and checks the fault-tolerance acceptance bar end to end:
 
 1. single-process reference: `ffaudit run` (canonical report + artifacts);
 2. for each worker count in {1, 2, 4}: `ffaudit serve --spawn-workers N`
-   where worker 0 is SIGKILLed mid-shard (`kill-after-units=3`, leaving a
-   torn record tail for the replacement to salvage) and worker 1 — when
-   there is one — stalls far past its lease (`delay-lease-ms=4000`, forcing
-   an expiry and a re-issue);
+   with 2 trial threads per worker, where worker 0 is SIGKILLed mid-shard
+   (`kill-after-units=3`, leaving a torn record tail for the replacement to
+   salvage) and worker 1 — when there is one — stalls far past its lease
+   (`delay-lease-ms=4000`, forcing an expiry and a re-issue);
 3. every serve run must exit 0, report byte-identical to step 1, artifacts
    byte-identical to step 1, and its summary line must prove the faults
-   actually fired (a worker was lost and a replacement spawned);
+   actually fired (a worker was lost and a replacement spawned) and that
+   every duplicate completion verified byte-identical to the accepted
+   record stream (multi-threaded workers must write the same bytes);
 4. poison-unit quarantine: two workers under hostile-trial faults — one
    spins forever after its first checkpoint (heartbeats keep flowing, only
    the wall-clock watchdog catches it, exit 113) and one allocates without
@@ -197,6 +199,9 @@ def main() -> None:
                    "--artifact-dir", art,
                    "--out", report,
                    "--spawn-workers", str(n),
+                   # Multi-threaded workers: their record streams must still
+                   # byte-verify against a duplicate's.
+                   "--worker-threads", "2",
                    # Tight leases so the stall visibly expires one, and an
                    # aggressive straggler factor so hedging gets exercise.
                    "--lease-ms", "1500",
@@ -224,6 +229,9 @@ def main() -> None:
             if counts["quarantined"] != 0:
                 fail(f"n={n}: {counts['quarantined']} unit(s) quarantined in a "
                      "scenario whose faults are all recoverable")
+            if counts["verified"] != counts["duplicates"]:
+                fail(f"n={n}: {counts['verified']} of {counts['duplicates']} duplicate "
+                     "completion(s) byte-verified")
 
             # 3. The acceptance bar: bytes, not summaries.
             if report.read_bytes() != ref_report.read_bytes():

@@ -18,7 +18,9 @@ End-to-end enforcement of determinism-contract clause 10
 5. a coverage-only (unguided) run of the same budget must hit strictly
    fewer def-use pairs than the guided run;
 6. a feedback-off run's report must carry no coverage keys at all
-   (conditional wire fields preserve historical bytes).
+   (conditional wire fields preserve historical bytes);
+7. `ffaudit fsck` verifies the reference corpus (exit 0), and a copy with
+   one flipped byte fails it (exit 6) naming the file and line.
 
 Usage:  python3 scripts/feedback_smoke.py --ffaudit build/ffaudit
 Exits non-zero on the first violated expectation.
@@ -152,10 +154,27 @@ def main() -> None:
                 if key in r:
                     fail(f"feedback-off report leaks coverage key '{key}'")
 
+        # 7. fsck reads corpus files: the reference verifies, one flipped
+        # byte is found at its line.
+        out = run([ffaudit, "fsck", "--records", ref_corpus])
+        if "ok — corpus of" not in out:
+            fail("fsck did not verify the reference corpus as a corpus")
+        damaged = root / "corpus-damaged.jsonl"
+        data = bytearray(ref_corpus.read_bytes())
+        at = len(data) // 2
+        while data[at] == ord("\n"):
+            at += 1
+        data[at] ^= 0x04
+        damaged.write_bytes(bytes(data))
+        out = run([ffaudit, "fsck", "--records", damaged], expect_rc=6)
+        line = data[:at].count(b"\n") + 1
+        if f"{damaged.name}: CORRUPT (integrity), line {line}:" not in out:
+            fail(f"fsck did not name line {line} of the damaged corpus")
+
         print(f"feedback_smoke: PASS (guided {guided_pairs} vs unguided "
               f"{unguided_pairs} pairs; corpus of {len(trials)} entries across "
               f"{len(generations)} generations; 8-thread and 4-shard runs "
-              "byte-identical)")
+              "byte-identical; fsck verifies the corpus and finds a flipped byte)")
 
 
 if __name__ == "__main__":

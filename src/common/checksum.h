@@ -1,12 +1,12 @@
 // CRC32C (Castagnoli) — the one checksum shared by the coordinator's wire
-// frames and the shard record streams.
+// frames and the sealed logs on disk (common/sealed_log.h).
 //
 // Chosen over CRC32 (ISO-HDLC) for its better error-detection properties on
 // short messages and because it is the checksum hardware accelerates
 // everywhere (SSE4.2 crc32, ARMv8 CRC) — this software table implementation
 // keeps the build dependency-free while staying drop-in compatible with any
 // accelerated producer.  The empty-message CRC is 0, and values chain:
-// crc32c(a + b) == crc32c(b, crc32c(a)), which the record-stream trailer
+// crc32c(a + b) == crc32c(b, crc32c(a)), which the sealed-log trailer
 // exploits to keep a rolling digest across resumed writers.
 #pragma once
 

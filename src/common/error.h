@@ -87,18 +87,21 @@ public:
     FileParseError(const std::string& path, int line, const std::string& what)
         : ParseError(path + (line > 0 ? ", line " + std::to_string(line) : "") + ": " + what),
           path_(path),
-          line_(line) {}
+          line_(line),
+          detail_(what) {}
     const std::string& path() const { return path_; }
     int line() const { return line_; }  ///< 1-based; 0 when unknown.
+    const std::string& detail() const { return detail_; }  ///< Message without path and line.
 
 private:
     std::string path_;
     int line_;
+    std::string detail_;
 };
 
-/// Checksummed content failed its integrity verification: a record-stream
-/// line whose CRC32C does not match its bytes, a trailer whose digest or
-/// record count disagrees with the stream, or data appearing after the
+/// Checksummed content failed its integrity verification: a sealed-log line
+/// (common/sealed_log.h) whose CRC32C does not match its bytes, a trailer
+/// whose digest or count disagrees with the log, or data appearing after the
 /// trailer.  Deliberately NOT a ParseError — the bytes may parse fine; they
 /// are provably not the bytes that were written.  The ffaudit CLI maps this
 /// to the merge/validation exit code (6), and `ffaudit fsck --repair` can
@@ -108,13 +111,16 @@ public:
     IntegrityError(const std::string& path, int line, const std::string& what)
         : Error(path + (line > 0 ? ", line " + std::to_string(line) : "") + ": " + what),
           path_(path),
-          line_(line) {}
+          line_(line),
+          detail_(what) {}
     const std::string& path() const { return path_; }
     int line() const { return line_; }  ///< 1-based; 0 when unknown.
+    const std::string& detail() const { return detail_; }  ///< Message without path and line.
 
 private:
     std::string path_;
     int line_;
+    std::string detail_;
 };
 
 /// The message of `e` without the "parse: " prefix ParseError adds —

@@ -512,26 +512,25 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
 }
 
 /// Folds failures recorded in [begin, end) into the per-instance
-/// lowest-failure watermarks.
+/// lowest-failure watermarks, and resets every slot of the range above an
+/// instance's watermark to NotRun: whether a worker had such a trial in
+/// flight when the failure landed is thread timing, and the slots (which
+/// shard record streams carry) must be a pure function of the job.
 void PreparedAudit::Impl::note_failures(std::int64_t begin, std::int64_t end) {
     const int mt = max_trials();
     if (mt == 0) return;
-    for (std::int64_t u = begin; u < end; ++u) {
+    for (std::int64_t u = begin; u < end;) {
         const std::size_t inst = static_cast<std::size_t>(u / mt);
-        const int trial = static_cast<int>(u % mt);
-        if (trial >= lowest_failure[inst]) {
-            // Skip to this instance's last unit of the range.
-            const std::int64_t next_inst = (static_cast<std::int64_t>(inst) + 1) * mt;
-            u = std::min(next_inst, end) - 1;
-            continue;
+        const std::int64_t first = static_cast<std::int64_t>(inst) * mt;
+        const std::int64_t stop = std::min(first + mt, end);
+        InstanceJob& job = jobs[inst];
+        for (; job.runnable && u < stop; ++u) {
+            const int trial = static_cast<int>(u - first);
+            TrialRecord& rec = job.records[static_cast<std::size_t>(trial)];
+            if (trial > lowest_failure[inst]) rec = TrialRecord{};
+            else if (rec.kind == TrialRecord::Kind::Failed) lowest_failure[inst] = trial;
         }
-        const InstanceJob& job = jobs[inst];
-        if (!job.runnable) {
-            u = std::min((static_cast<std::int64_t>(inst) + 1) * mt, end) - 1;
-            continue;
-        }
-        if (job.records[static_cast<std::size_t>(trial)].kind == TrialRecord::Kind::Failed)
-            lowest_failure[inst] = trial;
+        u = stop;
     }
 }
 

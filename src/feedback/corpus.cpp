@@ -1,50 +1,15 @@
 #include "feedback/corpus.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/checksum.h"
 #include "common/error.h"
+#include "common/sealed_log.h"
 
 namespace ff::feedback {
 
-namespace {
-
-/// Appends the per-line CRC to a compact, canonical JSON object dump (which
-/// always ends in '}'): the CRC is over the line without its "crc" field,
-/// the same convention as the shard record stream.
-std::string sealed_line(const common::Json& obj) {
-    std::string line = obj.dump();
-    const std::uint32_t crc = common::crc32c(line);
-    line.insert(line.size() - 1, ",\"crc\":\"" + common::crc32c_hex(crc) + "\"");
-    return line + "\n";
-}
-
-/// Verifies and strips the "crc" field of a parsed line; throws
-/// IntegrityError naming `path` and `line_no` on a mismatch.
-common::Json verify_line(const std::string& path, int line_no, const std::string& text) {
-    common::Json j;
-    try {
-        j = common::Json::parse(text);
-    } catch (const common::ParseError& e) {
-        throw common::FileParseError(path, line_no, common::error_detail(e));
-    }
-    if (!j.is_object() || !j.contains("crc"))
-        throw common::IntegrityError(path, line_no, "line is missing its checksum");
-    std::uint32_t stored = 0;
-    if (!common::crc32c_parse(common::json_string(j, "crc"), stored))
-        throw common::IntegrityError(path, line_no, "malformed checksum field");
-    j.as_object().erase("crc");
-    if (common::crc32c(j.dump()) != stored)
-        throw common::IntegrityError(path, line_no, "line checksum mismatch");
-    return j;
-}
-
-}  // namespace
+constexpr std::int64_t kCorpusFormat = 1;
 
 common::Json corpus_entry_to_json(const CorpusEntry& entry) {
     common::JsonObject o;
@@ -87,100 +52,67 @@ std::uint32_t corpus_digest_fold(std::uint32_t digest, const CorpusEntry& entry)
 
 void write_corpus_file(const std::string& path, const common::Json& job,
                        const std::vector<CorpusEntry>& entries) {
-    std::string bytes;
-    {
-        common::JsonObject header;
-        header["type"] = common::Json(std::string("corpus-header"));
-        header["format"] = common::Json(std::int64_t{1});
-        header["job"] = job;
-        bytes += sealed_line(common::Json(std::move(header)));
-    }
+    common::SealedWriter log = common::SealedWriter::create(path);
+    common::Json header = common::Json::object();
+    header["type"] = kCorpusHeaderType;
+    header["format"] = kCorpusFormat;
+    header["job"] = job;
+    log.append(header);
     for (const CorpusEntry& entry : entries) {
-        common::JsonObject line;
-        line["type"] = common::Json(std::string("entry"));
+        common::Json line = common::Json::object();
+        line["type"] = "entry";
         line["entry"] = corpus_entry_to_json(entry);
-        bytes += sealed_line(common::Json(std::move(line)));
+        log.append(line);
     }
-    {
-        common::JsonObject trailer;
-        trailer["type"] = common::Json(std::string("trailer"));
-        trailer["entries"] = common::Json(static_cast<std::int64_t>(entries.size()));
-        trailer["digest"] = common::Json(common::crc32c_hex(common::crc32c(bytes)));
-        bytes += sealed_line(common::Json(std::move(trailer)));
-    }
-
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) throw common::Error("cannot write " + tmp);
-        out << bytes;
-        out.close();
-        if (out.fail()) throw common::Error("short write to " + tmp);
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) throw common::Error("cannot rename " + tmp + " to " + path + ": " + ec.message());
+    common::Json trailer = common::Json::object();
+    trailer["type"] = "trailer";
+    trailer["entries"] = entries.size();
+    log.seal(std::move(trailer));
+    log.sync();
+    log.publish();
 }
 
 CorpusFile read_corpus_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw common::Error("cannot read " + path);
-
     CorpusFile file;
-    std::string line;
-    int line_no = 0;
-    bool have_header = false;
-    bool have_trailer = false;
-    std::uint32_t digest = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (have_trailer)
-            throw common::IntegrityError(path, line_no, "data after the corpus trailer");
-        const common::Json j = verify_line(path, line_no, line);
-        const std::string& type = common::json_string(j, "type");
-        if (line_no == 1) {
-            if (type != "corpus-header")
-                throw common::FileParseError(path, 1, "expected a corpus-header line");
-            if (common::json_int(j, "format") != 1)
-                throw common::FileParseError(path, 1, "unsupported corpus format " +
-                                                          std::to_string(common::json_int(j, "format")));
-            file.job = j.at("job");
-            have_header = true;
-        } else if (type == "entry") {
-            CorpusEntry entry = corpus_entry_from_json(j.at("entry"));
-            if (!file.entries.empty()) {
-                const CorpusEntry& prev = file.entries.back();
-                if (std::make_pair(prev.instance, prev.trial) >=
-                    std::make_pair(entry.instance, entry.trial))
-                    throw common::FileParseError(
-                        path, line_no,
-                        "entries out of canonical order at instance " +
-                            std::to_string(entry.instance) + ", trial " +
-                            std::to_string(entry.trial));
-            }
-            file.entries.push_back(std::move(entry));
-        } else if (type == "trailer") {
-            if (common::json_int(j, "entries") !=
-                static_cast<std::int64_t>(file.entries.size()))
-                throw common::IntegrityError(
-                    path, line_no,
-                    "trailer claims " + std::to_string(common::json_int(j, "entries")) +
-                        " entries but the file carries " + std::to_string(file.entries.size()));
-            std::uint32_t stored = 0;
-            if (!common::crc32c_parse(common::json_string(j, "digest"), stored))
-                throw common::IntegrityError(path, line_no, "malformed trailer digest");
-            if (stored != digest)
-                throw common::IntegrityError(path, line_no, "corpus digest mismatch");
-            have_trailer = true;
-            continue;  // digest covers bytes before the trailer only
-        } else {
-            throw common::FileParseError(path, line_no, "unknown line type '" + type + "'");
+    const auto on_line = [&](const common::SealedLine& line) {
+        if (line.number == 1) {
+            if (line.type != kCorpusHeaderType)
+                throw common::Error("expected a corpus-header line");
+            const std::int64_t format = common::json_int(line.json, "format");
+            if (format != kCorpusFormat)
+                throw common::Error("unsupported corpus format " + std::to_string(format));
+            file.job = line.json.at("job");
+            return;
         }
-        digest = common::crc32c(line + "\n", digest);
-    }
-    if (!have_header) throw common::FileParseError(path, 1, "no parseable corpus-header line");
-    if (!have_trailer)
-        throw common::FileParseError(path, line_no + 1, "corpus file is missing its trailer");
+        if (line.type != "entry")
+            throw common::Error("unknown line type '" + line.type + "'");
+        CorpusEntry entry = corpus_entry_from_json(line.json.at("entry"));
+        if (!file.entries.empty() &&
+            std::make_pair(file.entries.back().instance, file.entries.back().trial) >=
+                std::make_pair(entry.instance, entry.trial))
+            throw common::Error("entries out of canonical order at instance " +
+                                std::to_string(entry.instance) + ", trial " +
+                                std::to_string(entry.trial));
+        file.entries.push_back(std::move(entry));
+    };
+    const auto on_trailer = [&](const common::SealedLine& line) {
+        const std::int64_t claimed = common::json_int(line.json, "entries");
+        if (claimed != static_cast<std::int64_t>(file.entries.size()))
+            throw common::IntegrityError(path, line.number,
+                                         "trailer claims " + std::to_string(claimed) +
+                                             " entries but the file carries " +
+                                             std::to_string(file.entries.size()));
+    };
+    const common::SealedScan scan = common::scan_sealed(path, on_line, on_trailer);
+    scan.throw_if_corrupt(path);
+    // A corpus is written whole, so a tear or a missing trailer is damage,
+    // never a write in progress.
+    if (scan.torn_tail)
+        throw common::IntegrityError(path, scan.torn_line, "torn final line");
+    if (!scan.have_header) throw common::FileParseError(path, 1, "no corpus-header line");
+    if (!scan.sealed)
+        throw common::IntegrityError(path, static_cast<int>(scan.lines) + 1,
+                                     "corpus file is missing its trailer");
     return file;
 }
 

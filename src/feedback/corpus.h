@@ -10,10 +10,12 @@
 // byte-identical entries, and merging per-shard derivations is a plain
 // canonical-order union with duplicates dropped.
 //
-// The corpus file mirrors the shard record stream's integrity format
-// (records v2): one compact JSON object per line, each carrying a trailing
-// per-line CRC32C over its other bytes, sealed by a trailer line with the
-// entry count and the rolling CRC32C digest of every preceding byte:
+// The corpus file is a schema over the sealed-log format
+// (common/sealed_log.h): a header with the job identity, the entries in
+// canonical order, and a trailer with the entry count.  It is written whole
+// and published atomically, so unlike a record stream it has no resumable
+// prefix: a torn or truncated corpus is damage, and the fix is to
+// regenerate it.
 //   {"format":1,"job":{...},"type":"corpus-header","crc":"xxxxxxxx"}
 //   {"entry":{...},"type":"entry","crc":"xxxxxxxx"}        (ascending order)
 //   {"digest":"xxxxxxxx","entries":<n>,"type":"trailer","crc":"xxxxxxxx"}
@@ -21,7 +23,7 @@
 
 /// \file
 /// feedback::CorpusEntry, canonical idempotent merge, the instance-local
-/// sampling digest, and the CRC-sealed corpus file reader/writer.
+/// sampling digest, and the sealed corpus file reader/writer.
 
 #include <cstdint>
 #include <string>
@@ -58,9 +60,13 @@ std::vector<CorpusEntry> merge_corpus_entries(std::vector<CorpusEntry> entries);
 /// (the inputs are already a pure function of those plus the chain).
 std::uint32_t corpus_digest_fold(std::uint32_t digest, const CorpusEntry& entry);
 
-/// Writes the CRC-sealed corpus file (atomic: <path>.tmp + rename).  `job`
-/// is the job-identity document stored in the header (JobSpec::to_json for
-/// audits; any object).  Entries must already be in canonical order.
+/// The "type" of a corpus file's header line.
+inline constexpr const char* kCorpusHeaderType = "corpus-header";
+
+/// Writes the sealed corpus file: to <path>.tmp, fsynced, then renamed to
+/// `path` with a directory fsync.  `job` is the job-identity document stored
+/// in the header (JobSpec::to_json for audits; any object).  Entries must
+/// already be in canonical order.
 void write_corpus_file(const std::string& path, const common::Json& job,
                        const std::vector<CorpusEntry>& entries);
 
@@ -70,10 +76,11 @@ struct CorpusFile {
     std::vector<CorpusEntry> entries;  ///< In file (canonical) order.
 };
 
-/// Reads and fully verifies a corpus file: per-line CRCs, ascending entry
-/// order, trailer digest and count.  Throws common::FileParseError on
-/// malformed content and common::IntegrityError on checksum/digest
-/// violations, naming the file and 1-based line.
+/// Reads and fully verifies a corpus file: every line's bytes against its
+/// CRC, ascending entry order, trailer digest and count.  Throws
+/// common::FileParseError on malformed content and common::IntegrityError
+/// on checksum/digest violations, a torn final line or a missing trailer,
+/// naming the file and 1-based line.
 CorpusFile read_corpus_file(const std::string& path);
 
 }  // namespace ff::feedback

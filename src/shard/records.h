@@ -1,7 +1,9 @@
-// The shard record wire format: one append-only JSONL stream per shard.
+// The shard record wire format: one append-only JSONL stream per shard, a
+// schema over the sealed-log format (common/sealed_log.h), which owns the
+// per-line CRC32C, the digest trailer, verification, the torn-tail rule and
+// the publish/fsync mechanics.
 //
-// Line types (each a compact single-line JSON object; since format 2 every
-// line carries a trailing per-line CRC32C over its other bytes):
+// Line types (format 2):
 //   {"type":"header","format":2,"manifest":{...},"crc":"xxxxxxxx"}
 //   {"type":"record","unit":<u>,"rec":{...},"crc":"xxxxxxxx"}
 //   {"type":"checkpoint","completed":<u>,"crc":"xxxxxxxx"}
@@ -13,27 +15,20 @@
 // last checkpoint instead of restarting (the partially written chunk after
 // it — including a torn final line from a mid-write kill — is discarded by
 // truncation).  A shard is *complete* when its last checkpoint reaches
-// manifest.unit_end AND the stream ends with its trailer line.
-//
-// Integrity (format 2): the "crc" field of each line is the CRC32C of the
-// line with that field removed — a flipped bit anywhere in a line is
-// detected before its JSON is even parsed.  The trailer seals the whole
-// stream: "records" is the count of record lines and "digest" is the
-// rolling CRC32C of every byte of the file before the trailer line itself,
-// so dropped or reordered *whole lines* (individually checksum-valid) are
-// caught too.  Readers verify all of it unconditionally; a mismatch throws
-// common::IntegrityError naming the file and line (`ffaudit fsck` reports
-// it, `fsck --repair` truncates back to the last verifiable prefix).  Only
-// a torn final line — the signature of a mid-write kill, never of silent
-// corruption — is tolerated, exactly as before.
+// manifest.unit_end AND the stream ends with its trailer line, whose
+// "records" is the count of record lines.  Readers verify every line and
+// the trailer unconditionally; a mismatch throws common::IntegrityError
+// naming the file and line (`ffaudit fsck` reports it, `fsck --repair`
+// truncates back to the last checkpoint that verified).  Only a torn final
+// line is tolerated.
 //
 // Durability (the checkpoint invariant): the writer streams to
-// `<path>.tmp` and publishes the file under its real name by atomic rename
-// at the first checkpoint, so a reader never observes a stream without a
-// durable checkpoint.  Every checkpoint fsyncs twice — records first, then
-// the checkpoint line — so a crash at any instant can never leave a
-// durable checkpoint line above unsynced records.  Torn *tails* are
-// recoverable; a checkpoint that lies about its prefix is impossible.
+// `<path>.tmp` and publishes the file under its real name at the first
+// checkpoint, so a reader never observes a stream without a durable
+// checkpoint.  Every checkpoint fsyncs twice — records first, then the
+// checkpoint line — so a crash at any instant can never leave a durable
+// checkpoint line above unsynced records.  Torn *tails* are recoverable; a
+// checkpoint that lies about its prefix is impossible.
 //
 // The record payload is core::trial_record_to_json: kind, and for failing
 // trials the verdict, detail and exact inputs — everything the canonical
@@ -43,38 +38,37 @@
 // `unit_end - unit_begin` record lines and coverage validation is a count,
 // not a guess.
 //
-// Re-run determinism: records are pure functions of the job, and
+// Re-run determinism: records are pure functions of the job — every slot
+// above an instance's lowest failure is "not-run" whatever ran there — and
 // checkpoints land on the same interval grid whatever the interruption /
 // resume history, so two complete record files of the same shard are
-// byte-identical — the property the coordinator (src/coord) exploits to
-// cross-check duplicate completions of a re-issued shard.  The trailer is
-// a pure function of the preceding bytes, so it preserves that property.
+// byte-identical at any thread count — the property the coordinator
+// (src/coord) exploits to cross-check duplicate completions of a re-issued
+// shard.
 #pragma once
 
 /// \file
-/// Shard record streams: append-only writer with fsync'd checkpoints,
-/// atomic first-checkpoint publication and per-line CRC32C + stream
-/// trailer; verifying reader with a resume point; tolerant scanner for
-/// `ffaudit fsck`.
+/// Shard record streams: the record schema over common/sealed_log.h —
+/// writer with fsync'd checkpoints, verifying reader with a resume point,
+/// tolerant scanner and repair for `ffaudit fsck`.
 
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/sealed_log.h"
 #include "core/report.h"
 #include "shard/manifest.h"
 
 namespace ff::shard {
 
 /// Append-only writer of one shard's record stream.  Record writes are
-/// buffered in user space and flushed (write + fsync) by checkpoint(); a
-/// crash between checkpoints loses at most one chunk.  The stream lives at
-/// `<path>.tmp` until the first checkpoint atomically renames it to
-/// `path` — a visible record file therefore always contains at least one
-/// durable checkpoint.  Every line is written with its CRC32C field, and
-/// the checkpoint that reaches `unit_end` automatically appends the stream
-/// trailer.
+/// buffered in user space and made durable by checkpoint(); a crash between
+/// checkpoints loses at most one chunk.  The stream lives at `<path>.tmp`
+/// until the first checkpoint publishes it at `path` — a visible record
+/// file therefore always contains at least one durable checkpoint.  The
+/// checkpoint that reaches `unit_end` automatically appends the trailer.
 class RecordWriter {
 public:
     /// Fresh stream: creates/truncates `path + ".tmp"` and writes the
@@ -86,18 +80,10 @@ public:
     /// dropping any partially written chunk — and appends after it.
     /// `unit_end` comes from the manifest and `records_so_far` is the
     /// number of record lines in the retained prefix
-    /// (`checkpoint - unit_begin`); both re-arm the trailer bookkeeping,
-    /// and the retained bytes are re-read to re-seed the rolling stream
-    /// digest so a resumed stream stays byte-identical to an uninterrupted
-    /// one.
+    /// (`checkpoint - unit_begin`); both re-arm the trailer bookkeeping, so
+    /// a resumed stream stays byte-identical to an uninterrupted one.
     static RecordWriter resume(const std::string& path, std::int64_t resume_offset,
                                std::int64_t unit_end, std::int64_t records_so_far);
-
-    RecordWriter(RecordWriter&& other) noexcept;
-    RecordWriter& operator=(RecordWriter&& other) noexcept;
-    RecordWriter(const RecordWriter&) = delete;
-    RecordWriter& operator=(const RecordWriter&) = delete;
-    ~RecordWriter();
 
     /// Appends one trial slot at flat unit index `unit` (buffered).
     void write_record(std::int64_t unit, const core::TrialRecord& record);
@@ -105,9 +91,9 @@ public:
     /// Makes every unit in [unit_begin, completed) durable: writes + fsyncs
     /// the buffered records, then writes + fsyncs the checkpoint line (two
     /// fsyncs, so the checkpoint can never be durable above unsynced
-    /// records), then — on the first checkpoint — atomically renames the
-    /// `.tmp` stream to its real path and fsyncs the directory.  The final
-    /// checkpoint (`completed == unit_end`) also writes the stream trailer.
+    /// records), then — on the first checkpoint — publishes the stream at
+    /// its real path.  The final checkpoint (`completed == unit_end`) also
+    /// writes the stream trailer.
     void checkpoint(std::int64_t completed);
 
     /// Writes the stream trailer without a new checkpoint — for resuming a
@@ -120,22 +106,13 @@ public:
     void append_raw(const std::string& bytes);
 
 private:
-    RecordWriter(int fd, std::string path, bool published)
-        : fd_(fd), path_(std::move(path)), published_(published) {}
-    void write_line(const common::Json& line);  ///< checksum + digest + buffer
+    RecordWriter(common::SealedWriter log, std::int64_t unit_end, std::int64_t records)
+        : log_(std::move(log)), unit_end_(unit_end), record_count_(records) {}
     void write_trailer();
-    void buffered_write(const std::string& bytes);
-    void flush();  ///< write(2) the buffer; no fsync.
-    void sync();   ///< fsync(2) the stream.
-    void publish();  ///< rename .tmp -> path + directory fsync.
 
-    int fd_ = -1;           ///< POSIX descriptor of the stream.
-    std::string path_;      ///< Published path (stream is at path_ + ".tmp" until then).
-    bool published_ = false;  ///< Whether the stream is visible at path_.
-    std::string buffer_;    ///< Pending bytes since the last flush.
-    std::int64_t unit_end_ = 0;       ///< Shard range end; arms the trailer.
-    std::int64_t record_count_ = 0;   ///< Record lines written (incl. resumed prefix).
-    std::uint32_t digest_ = 0;        ///< Rolling CRC32C of all stream bytes so far.
+    common::SealedWriter log_;
+    std::int64_t unit_end_ = 0;      ///< Shard range end; arms the trailer.
+    std::int64_t record_count_ = 0;  ///< Record lines written (incl. resumed prefix).
     bool trailer_written_ = false;
 };
 
@@ -159,31 +136,13 @@ struct ShardRecordFile {
     bool complete() const { return checkpoint == manifest.unit_end && has_trailer; }
 };
 
-/// How scan_record_file classified the first defect it hit.
-enum class ScanErrorKind {
-    None,       ///< No hard corruption (the stream may still be torn).
-    Parse,      ///< Malformed JSON / format violation -> common::FileParseError.
-    Integrity,  ///< Checksum, digest or trailer violation -> common::IntegrityError.
-};
+using common::ScanErrorKind;
 
 /// Result of the tolerant scan behind `ffaudit fsck`: the longest valid
-/// prefix plus a classification of whatever stopped the scan.
-struct RecordScan {
+/// prefix plus the sealed-log classification of whatever stopped the scan
+/// (a torn tail is tolerated by the strict reader and reported by fsck).
+struct RecordScan : common::SealedScan {
     ShardRecordFile file;  ///< Valid prefix (records resized to the checkpoint).
-    bool have_header = false;
-    /// A final line missing its newline or unparseable — the signature of a
-    /// mid-write kill.  Tolerated by the strict reader; reported by fsck.
-    bool torn_tail = false;
-    int torn_line = 0;           ///< 1-based line of the tear (0 = none).
-    ScanErrorKind error_kind = ScanErrorKind::None;
-    int error_line = 0;          ///< 1-based line of the corruption (0 = none).
-    std::string error;           ///< Human detail of the corruption.
-    std::int64_t lines = 0;      ///< Lines examined, including a bad one.
-
-    /// Fully healthy: header present, no corruption, no tear.
-    bool clean() const {
-        return have_header && error_kind == ScanErrorKind::None && !torn_tail;
-    }
 };
 
 /// Scans a shard record stream without throwing on corruption: consumes

@@ -186,6 +186,42 @@ TEST(CliFsck, CleanExitsZeroAndCorruptionExitsSix) {
     EXPECT_EQ(run_cli("fsck").code, 2);
 }
 
+TEST(CliFsck, CorpusVerifiesAndRepairNeverTruncatesIt) {
+    const std::string dir = scratch_dir("fsck_corpus");
+    const std::string corpus = dir + "/corpus.jsonl";
+    ASSERT_EQ(run_cli(std::string("run ") + kJob + " --feedback --corpus-out " + corpus +
+                      " --out " + dir + "/report.json")
+                  .code,
+              0);
+
+    // A healthy corpus verifies through the corpus reader: exit 0.
+    const CliResult clean = run_cli("fsck --records " + corpus);
+    EXPECT_EQ(clean.code, 0) << clean.out;
+    EXPECT_NE(clean.out.find("ok — corpus of"), std::string::npos) << clean.out;
+    EXPECT_EQ(run_cli("fsck --records-dir " + dir).code, 0);
+
+    // One flipped byte: exit 6, naming file and line.
+    std::string bytes;
+    {
+        std::ifstream in(corpus, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    std::size_t at = bytes.size() / 2;
+    while (bytes[at] == '\n') ++at;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x04);
+    std::ofstream(corpus, std::ios::binary | std::ios::trunc) << bytes;
+    const CliResult corrupt = run_cli("fsck --records " + corpus);
+    EXPECT_EQ(corrupt.code, 6) << corrupt.out;
+    EXPECT_NE(corrupt.out.find("corpus.jsonl: CORRUPT"), std::string::npos) << corrupt.out;
+    EXPECT_NE(corrupt.out.find("line"), std::string::npos) << corrupt.out;
+
+    // A corpus is written whole, so --repair reports it but keeps its bytes.
+    EXPECT_EQ(run_cli("fsck --records " + corpus + " --repair").code, 6);
+    std::ifstream in(corpus, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()),
+              bytes);
+}
+
 TEST(CliCoordinator, QuarantinedPoisonUnitsExitNine) {
     // A spawned worker that spins forever after its first durable checkpoint
     // (heartbeats keep flowing — only the wall-clock watchdog catches it) is

@@ -1,6 +1,7 @@
 // The feedback subsystem (src/feedback + core/guided): coverage bitmap and
-// hex wire form, corpus files and their integrity checks, sampler-config
-// validation, and the clause-10 determinism bar — feedback-enabled reports
+// hex wire form, corpus files (committed golden bytes) and their integrity
+// checks on the bytes on disk, sampler-config validation, and the
+// clause-10 determinism bar — feedback-enabled reports
 // and corpora are byte-identical across execution tiers, worker-thread
 // counts, and shard counts (including an interrupted-and-resumed shard).
 #include <gtest/gtest.h>
@@ -201,6 +202,87 @@ TEST(FeedbackCorpus, FileRoundTripAndCorruptionRejected) {
         out << bytes.substr(0, bytes.size() - 2);
     }
     EXPECT_THROW(feedback::read_corpus_file(path), common::Error);
+}
+
+/// A committed corpus file: gemm, tiling, 8 trials, size-max 5, 2000
+/// transitions, feedback at generation size 4.  Regenerate only for a
+/// deliberate format change, with `ffaudit run` of that job (`--feedback
+/// --generation-size 4 --corpus-out corpus.jsonl`).
+const std::string kGoldenCorpus = std::string(FF_GOLDEN_DIR) + "/corpus-gemm-tiling.jsonl";
+
+void write_file(const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(FeedbackCorpus, GoldenFileReadAndReproducedByteForByte) {
+    const std::string golden = read_file(kGoldenCorpus);
+    const feedback::CorpusFile file = feedback::read_corpus_file(kGoldenCorpus);
+    ASSERT_GT(file.entries.size(), 1u);
+
+    // The header names the job: deriving its corpus again writes the file
+    // again, published whole (no .tmp left behind).
+    const shard::JobSpec job = shard::JobSpec::from_json(file.job);
+    core::Fuzzer fuzzer(shard::job_fuzz_config(job));
+    core::PreparedAudit audit =
+        fuzzer.prepare(shard::load_job_program(job), shard::job_passes(job));
+    audit.run_range(0, audit.unit_count());
+    audit.finalize();
+    const std::string path = scratch_dir("golden") + "/corpus.jsonl";
+    feedback::write_corpus_file(path, job.to_json(), audit.corpus());
+    EXPECT_EQ(read_file(path), golden);
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(FeedbackCorpus, NonCanonicalBytesRejectedAtTheirLine) {
+    // Each edit keeps every line valid JSON with unchanged content, so only
+    // a reader that checks the bytes on disk (not a re-serialization) sees
+    // it — and it must name the edited line.
+    const std::string golden = read_file(kGoldenCorpus);
+    std::vector<std::string> lines;
+    for (std::size_t pos = 0; pos < golden.size();) {
+        const std::size_t nl = golden.find('\n', pos);
+        lines.push_back(golden.substr(pos, nl - pos));
+        pos = nl + 1;
+    }
+    const int trailer_line = static_cast<int>(lines.size());
+    const auto join = [](const std::vector<std::string>& ls) {
+        std::string out;
+        for (const std::string& l : ls) out += l + "\n";
+        return out;
+    };
+    const std::string path = scratch_dir("noncanonical") + "/corpus.jsonl";
+    // Returns the rejection's detail ("" when the bytes were accepted).
+    const auto expect_rejected_at = [&](const std::string& bytes, int line, const char* edit) {
+        write_file(path, bytes);
+        try {
+            feedback::read_corpus_file(path);
+        } catch (const common::IntegrityError& e) {
+            EXPECT_EQ(e.line(), line) << edit << ": " << e.what();
+            return e.detail();
+        }
+        ADD_FAILURE() << edit << ": accepted";
+        return std::string();
+    };
+
+    std::vector<std::string> edited = lines;  // (a) a space in the trailer
+    edited.back().insert(1, " ");
+    expect_rejected_at(join(edited), trailer_line, "space inserted into the trailer");
+
+    edited = lines;  // (b) the trailer's crc field moved to the front
+    const std::string& trailer = lines.back();
+    const std::size_t crc_at = trailer.rfind(",\"crc\":");
+    edited.back() =
+        "{" + trailer.substr(crc_at + 1, 16) + "," + trailer.substr(1, crc_at - 1) + "}";
+    expect_rejected_at(join(edited), trailer_line, "trailer crc moved to the front");
+
+    // (c) the final newline removed
+    expect_rejected_at(golden.substr(0, golden.size() - 1), trailer_line, "final newline removed");
+
+    edited = lines;  // (d) a space in entry line 2
+    edited[1].insert(1, " ");
+    EXPECT_NE(expect_rejected_at(join(edited), 2, "space inserted into entry line 2")
+                  .find("line checksum mismatch"),
+              std::string::npos);
 }
 
 // --- Report plumbing ----------------------------------------------------------

@@ -1,5 +1,6 @@
 // Sharded audits (src/shard): wire-format losslessness, the deterministic
-// planner, checkpoint/resume semantics, merge validation, and the
+// planner, checkpoint/resume semantics, committed golden stream bytes and
+// their invariance across thread counts, merge validation, and the
 // end-to-end acceptance bar — for a fixed (workload, seed, trial budget),
 // merging shard record files at ANY shard count (including a shard that
 // was interrupted mid-chunk and resumed) reconstructs a report document and
@@ -7,6 +8,7 @@
 // (docs/ARCHITECTURE.md "Sharded execution").
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -520,6 +522,81 @@ TEST(ShardRecords, ScanClassifiesAndRepairRestoresResumableStream) {
         EXPECT_FALSE(scan.have_header);
         shard::repair_record_file(path, scan);
         EXPECT_EQ(slurp(path), "");
+    }
+}
+
+// --- Golden bytes and thread invariance ---------------------------------------
+
+/// A committed record stream of a failing shard: gemm, table2, 40 trials,
+/// size-max 6, 2000 transitions, one shard.  It holds failed records with
+/// inputs, not-run records above each failure, six checkpoints and the
+/// trailer.  Regenerate only for a deliberate format change, with `ffaudit
+/// plan` of that job (`--shards 1 --out-dir plan`) and then `ffaudit
+/// run-shard --manifest plan/shard-0.json --records-dir rec --threads 1`.
+const std::string kGoldenRecords = std::string(FF_GOLDEN_DIR) + "/records-gemm-table2.jsonl";
+
+/// Where `got` first differs from `want` ("" when equal), so a mismatch of
+/// a 30 KB stream fails with a line number instead of both streams.
+std::string first_difference(const std::string& got, const std::string& want) {
+    if (got == want) return "";
+    const auto at = std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first;
+    return "differs at byte " + std::to_string(at - got.begin()) + " (line " +
+           std::to_string(std::count(got.begin(), at, '\n') + 1) + ")";
+}
+
+/// Runs `manifest` in-process into a fresh `path` and returns the stream.
+std::string run_fresh_shard(const shard::ShardManifest& manifest, const std::string& path,
+                            const shard::RunShardOptions& options) {
+    fs::remove(path);
+    EXPECT_TRUE(shard::run_shard(manifest, path, options).completed);
+    return slurp(path);
+}
+
+TEST(ShardRecords, GoldenStreamReadAndReproducedByteForByte) {
+    const std::string golden = slurp(kGoldenRecords);
+    const shard::ShardRecordFile file = shard::read_record_file(kGoldenRecords);
+    EXPECT_TRUE(file.complete());
+    int failed = 0, not_run = 0;
+    for (const auto& [unit, rec] : file.records) {
+        if (rec.kind == core::TrialRecord::Kind::NotRun) ++not_run;
+        if (rec.kind != core::TrialRecord::Kind::Failed) continue;
+        ++failed;
+        EXPECT_NE(rec.inputs, nullptr) << "failed record of unit " << unit << " lost its inputs";
+    }
+    EXPECT_GT(failed, 1);
+    EXPECT_GT(not_run, 0);
+    std::size_t checkpoints = 0;
+    for (std::size_t at = golden.find("\"type\":\"checkpoint\""); at != std::string::npos;
+         at = golden.find("\"type\":\"checkpoint\"", at + 1))
+        ++checkpoints;
+    EXPECT_GT(checkpoints, 2u);
+
+    const std::string path = scratch_dir("golden") + "/records-0.jsonl";
+    EXPECT_EQ(first_difference(run_fresh_shard(file.manifest, path, {}), golden), "");
+
+    // Interrupted after two checkpoints, then resumed: the same bytes.
+    fs::remove(path);
+    shard::RunShardOptions interrupting;
+    interrupting.interrupt_after_units = 150;
+    EXPECT_FALSE(shard::run_shard(file.manifest, path, interrupting).completed);
+    EXPECT_GT(shard::run_shard(file.manifest, path, {}).resumed_from, 0);
+    EXPECT_EQ(first_difference(slurp(path), golden), "");
+}
+
+TEST(ShardRecords, StreamsByteIdenticalAtAnyThreadCount) {
+    // The golden shard fails in several instances, so worker threads have
+    // trials above a lowest failure in flight when it lands; the stream
+    // must not show which of them ran.
+    const std::string golden = slurp(kGoldenRecords);
+    const shard::ShardManifest manifest = shard::read_record_file(kGoldenRecords).manifest;
+    const std::string path = scratch_dir("thread_invariance") + "/records-0.jsonl";
+    for (int threads : {1, 2, 4, 8}) {
+        shard::RunShardOptions options;
+        options.num_threads = threads;
+        options.trial_chunk = 1;
+        for (int run = 0; run < 20; ++run)
+            ASSERT_EQ(first_difference(run_fresh_shard(manifest, path, options), golden), "")
+                << threads << " thread(s), run " << run;
     }
 }
 

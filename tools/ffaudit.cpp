@@ -26,9 +26,9 @@
 //   ffaudit worker --socket records/coord.sock      (or --connect host:port)
 //       one worker: lease, execute, report, repeat until the audit is done;
 //   ffaudit fsck --records-dir records/
-//       verifies record-stream integrity (per-line CRCs, stream trailer)
-//       and, with --repair, truncates corrupt files to their last
-//       verifiable prefix so run-shard/serve can resume them.
+//       verifies record streams and corpus files (per-line CRCs, digest
+//       trailer) and, with --repair, truncates corrupt record streams to
+//       their last verifiable prefix so run-shard/serve can resume them.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/sealed_log.h"
 #include "coord/coordinator.h"
 #include "coord/fault.h"
 #include "coord/worker.h"
@@ -82,7 +83,8 @@ int usage(const char* detail = nullptr) {
                  "  run        single-process audit emitting the same canonical report\n"
                  "  serve      coordinate a fault-tolerant audit (unix socket or TCP)\n"
                  "  worker     execute leases from a `ffaudit serve` coordinator\n"
-                 "  fsck       verify record-file integrity; --repair salvages a prefix\n"
+                 "  fsck       verify record-stream and corpus integrity; --repair salvages\n"
+                 "             a record stream's verified prefix\n"
                  "  replay     re-run a reproducer test case JSON\n"
                  "\n"
                  "job options (plan, run):\n"
@@ -548,11 +550,12 @@ int cmd_worker(const std::vector<std::string>& args) {
     return kExitOk;
 }
 
-/// `ffaudit fsck`: verify record streams, report corruption with file and
-/// line, optionally truncate back to the last verifiable prefix.  Exit 0
-/// when every file is healthy (complete or cleanly in progress); exit 6
-/// when any corruption — bit flip, torn tail, dropped line, missing
-/// header — was found, whether or not --repair salvaged it.
+/// `ffaudit fsck`: verify record streams and corpus files (the reader is
+/// picked by the header line's type), report corruption with file and
+/// line, optionally truncate a record stream back to its last verifiable
+/// prefix.  Exit 0 when every file is healthy (complete or cleanly in
+/// progress); exit 6 when any corruption — bit flip, torn tail, dropped
+/// line, missing header — was found, whether or not --repair salvaged it.
 int cmd_fsck(const std::vector<std::string>& args) {
     std::vector<std::string> paths;
     std::string records_dir;
@@ -573,6 +576,28 @@ int cmd_fsck(const std::vector<std::string>& args) {
 
     int corrupt_files = 0;
     for (const std::string& path : paths) {
+        if (common::sealed_header_type(path) == feedback::kCorpusHeaderType) {
+            // A corpus is written whole, so it has no resumable prefix:
+            // --repair leaves it alone; --corpus-out regenerates it.
+            try {
+                const feedback::CorpusFile corpus = feedback::read_corpus_file(path);
+                std::printf("fsck: %s: ok — corpus of %zu entries\n", path.c_str(),
+                            corpus.entries.size());
+                continue;
+            } catch (const common::IntegrityError& e) {
+                std::printf("fsck: %s: CORRUPT (integrity), line %d: %s\n", path.c_str(),
+                            e.line(), e.detail().c_str());
+            } catch (const common::FileParseError& e) {
+                std::printf("fsck: %s: CORRUPT (structure), line %d: %s\n", path.c_str(),
+                            e.line(), e.detail().c_str());
+            }
+            ++corrupt_files;
+            if (repair)
+                std::printf("fsck: %s: not repaired — a corpus is written whole; regenerate "
+                            "it with --corpus-out\n",
+                            path.c_str());
+            continue;
+        }
         shard::RecordScan scan;
         try {
             scan = shard::scan_record_file(path);
