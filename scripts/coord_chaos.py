@@ -5,11 +5,14 @@ Drives `ffaudit serve` with coordinator-spawned worker processes under
 injected faults and checks the fault-tolerance acceptance bar end to end:
 
 1. single-process reference: `ffaudit run` (canonical report + artifacts);
-2. for each worker count in {1, 2, 4}: `ffaudit serve --spawn-workers N`
-   with 2 trial threads per worker, where worker 0 is SIGKILLed mid-shard
-   (`kill-after-units=3`, leaving a torn record tail for the replacement to
-   salvage) and worker 1 — when there is one — stalls far past its lease
-   (`delay-lease-ms=4000`, forcing an expiry and a re-issue);
+2. for each worker count in {1, 2, 4} over 4 shards, and for 2 workers over
+   8 shards: `ffaudit serve --spawn-workers N` with 2 trial threads per
+   worker, where worker 0 is SIGKILLed mid-shard (`kill-after-units=3`,
+   leaving a torn record tail for the replacement to salvage) and worker 1
+   — when there is one — stalls far past its lease (`delay-lease-ms=4000`,
+   forcing an expiry and a re-issue).  The 8-shard serve gives each worker
+   several leases of the one job, so most of its leases run on the
+   prepared audit the worker kept from an earlier lease;
 3. every serve run must exit 0, report byte-identical to step 1, artifacts
    byte-identical to step 1, and its summary line must prove the faults
    actually fired (a worker was lost and a replacement spawned) and that
@@ -52,6 +55,8 @@ JOB_FLAGS = [
 ]
 
 WORKER_COUNTS = [1, 2, 4]
+# (workers, shards) of the crash + stall serves.
+CRASH_STALL_SERVES = [(1, 4), (2, 4), (4, 4), (2, 8)]
 
 
 def fail(message: str) -> None:
@@ -188,14 +193,16 @@ def main() -> None:
             net_chaos(ffaudit, root, ref_report, ref_artifacts)
             return
 
-        # 2. Coordinated runs under faults, at several worker counts.
-        for n in WORKER_COUNTS:
-            report = root / f"report-n{n}.json"
-            art = root / f"art-n{n}"
+        # 2. Coordinated runs under faults, at several worker and shard
+        #    counts.
+        for n, shards in CRASH_STALL_SERVES:
+            name = f"n={n}" if shards == 4 else f"n={n} shards={shards}"
+            report = root / f"report-n{n}-s{shards}.json"
+            art = root / f"art-n{n}-s{shards}"
             cmd = [ffaudit, "serve", *JOB_FLAGS,
-                   "--shards", "4",
+                   "--shards", str(shards),
                    "--checkpoint-interval", "2",
-                   "--records-dir", root / f"records-n{n}",
+                   "--records-dir", root / f"records-n{n}-s{shards}",
                    "--artifact-dir", art,
                    "--out", report,
                    "--spawn-workers", str(n),
@@ -217,28 +224,28 @@ def main() -> None:
             out = run(cmd)
 
             counts = summary_counts(out)
-            if counts["shards"] != 4:
-                fail(f"n={n}: merged {counts['shards']} shards, wanted 4")
+            if counts["shards"] != shards:
+                fail(f"{name}: merged {counts['shards']} shards, wanted {shards}")
             if counts["lost"] < 1:
-                fail(f"n={n}: no worker was lost — the kill fault never fired")
+                fail(f"{name}: no worker was lost — the kill fault never fired")
             if counts["spawned"] <= n:
-                fail(f"n={n}: {counts['spawned']} spawns for {n} workers — "
+                fail(f"{name}: {counts['spawned']} spawns for {n} workers — "
                      "the killed worker was never replaced")
             if n > 1 and counts["expirations"] < 1:
-                fail(f"n={n}: no lease expired — the stall fault never fired")
+                fail(f"{name}: no lease expired — the stall fault never fired")
             if counts["quarantined"] != 0:
-                fail(f"n={n}: {counts['quarantined']} unit(s) quarantined in a "
+                fail(f"{name}: {counts['quarantined']} unit(s) quarantined in a "
                      "scenario whose faults are all recoverable")
             if counts["verified"] != counts["duplicates"]:
-                fail(f"n={n}: {counts['verified']} of {counts['duplicates']} duplicate "
+                fail(f"{name}: {counts['verified']} of {counts['duplicates']} duplicate "
                      "completion(s) byte-verified")
 
             # 3. The acceptance bar: bytes, not summaries.
             if report.read_bytes() != ref_report.read_bytes():
-                fail(f"n={n}: coordinated report differs from the single-process report")
+                fail(f"{name}: coordinated report differs from the single-process report")
             if dir_bytes(art) != ref_artifacts:
-                fail(f"n={n}: reproducer artifacts differ from the single-process ones")
-            print(f"coord_chaos: n={n} byte-identical "
+                fail(f"{name}: reproducer artifacts differ from the single-process ones")
+            print(f"coord_chaos: {name} byte-identical "
                   f"({counts['lost']} worker(s) lost, {counts['spawned']} spawned, "
                   f"{counts['expirations']} expiration(s), {counts['duplicates']} "
                   f"duplicate(s) byte-verified)")
@@ -284,8 +291,8 @@ def main() -> None:
         print(f"coord_chaos: poison byte-identical ({counts['quarantined']} unit(s) "
               f"quarantined, {counts['split']} split shard(s), exit 9)")
 
-    print("coord_chaos: PASS (crash + stall at every worker count; poison units "
-          "quarantined; reports byte-identical)")
+    print("coord_chaos: PASS (crash + stall at every worker count and at 8 shards; "
+          "poison units quarantined; reports byte-identical)")
 
 
 if __name__ == "__main__":

@@ -125,6 +125,22 @@ void SealedWriter::append(const Json& line) {
     if (buffer_.size() >= 1 << 16) flush();
 }
 
+void SealedWriter::append_verified(std::string_view lines) {
+    int number = 0;
+    for (std::size_t pos = 0; pos < lines.size();) {
+        const std::size_t nl = lines.find('\n', pos);
+        ++number;
+        if (nl == std::string_view::npos ||
+            verify_line_crc(lines.substr(pos, nl - pos)) != LineCrc::Ok)
+            throw Error("appended line " + std::to_string(number) + " of " + path_ +
+                        " does not verify");
+        pos = nl + 1;
+    }
+    digest_ = crc32c(lines, digest_);
+    buffer_ += lines;
+    if (buffer_.size() >= 1 << 16) flush();
+}
+
 void SealedWriter::seal(Json trailer) {
     trailer["digest"] = crc32c_hex(digest_);
     append(trailer);

@@ -76,6 +76,11 @@ public:
     /// Buffers `line` (a JSON object) with its checksum splice; the buffer
     /// is written out (not synced) once it passes 64 KiB.
     void append(const Json& line);
+    /// Buffers whole lines that already carry their checksum splices — a
+    /// verified prefix of another log — folding them into the digest.
+    /// Throws common::Error unless every line ends in a newline and
+    /// verifies.
+    void append_verified(std::string_view lines);
     /// Appends `trailer` with its "digest" set to every byte so far.
     void seal(Json trailer);
     /// write(2)s the buffered bytes; no fsync.

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "common/error.h"
@@ -117,6 +119,7 @@ public:
         for (const Child& child : children_) {
             if (child.pid > 0) ::waitpid(child.pid, nullptr, 0);
         }
+        if (prepare_thread_.joinable()) prepare_thread_.join();
     }
 
     ServeResult run();
@@ -141,6 +144,10 @@ private:
     void handle_lease_request(Connection& conn, TimePoint now);
     void handle_complete(Connection& conn, int shard, int attempt, TimePoint now);
     void fold_records(shard::ShardRecordFile& file);
+    /// The audit completions fold into.  Its prepare runs on a thread
+    /// started after the workers spawn; the first use joins that thread and
+    /// rethrows its failure.
+    core::PreparedAudit& audit();
     void announce_done(TimePoint now);
     /// Quarantines every Failed shard that has no surviving attempt
     /// anywhere (a zombie holder can still rescue it, so those wait).
@@ -158,8 +165,10 @@ private:
 
     const CoordConfig& config_;
     std::vector<shard::ShardManifest> manifests_;
-    std::unique_ptr<core::Fuzzer> fuzzer_;
     std::unique_ptr<core::PreparedAudit> audit_;
+    std::exception_ptr prepare_error_;
+    std::atomic<bool> prepare_done_{false};  ///< The prepare thread has finished.
+    std::thread prepare_thread_;             ///< Fills audit_ or prepare_error_.
     std::unique_ptr<core::Fuzzer> quarantine_fuzzer_;
     std::unique_ptr<core::PreparedAudit> quarantine_audit_;
     std::unique_ptr<LeaseQueue> queue_;
@@ -212,15 +221,16 @@ void Server::spawn_worker(int index, const std::string& fault_spec) {
         args.push_back("--fault");
         args.push_back(fault_spec);
     }
+    std::vector<char*> argv;
+    argv.reserve(args.size() + 1);
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
     pid_t pid = ::fork();
     if (pid < 0) throw common::Error(std::string("fork: ") + std::strerror(errno));
     if (pid == 0) {
-        std::vector<char*> argv;
-        argv.reserve(args.size() + 1);
-        for (std::string& a : args) argv.push_back(a.data());
-        argv.push_back(nullptr);
-        ::execv(binary.c_str(), argv.data());
-        std::fprintf(stderr, "[coord] execv %s: %s\n", binary.c_str(), std::strerror(errno));
+        // The prepare thread may hold a lock (the allocator's, stdio's) the
+        // child inherits locked: between fork and exec, call nothing else.
+        ::execv(argv[0], argv.data());
         ::_exit(127);
     }
     children_.push_back({pid, index});
@@ -247,6 +257,8 @@ void Server::reap_children() {
             how += " — watchdog: stalled mid-unit";
         } else if (WIFEXITED(status) && WEXITSTATUS(status) == kWorkerExitMemoryCap) {
             how += " — address-space cap hit";
+        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 127) {
+            how += " — could not exec the worker binary";
         }
         log("worker w" + std::to_string(index) + " pid " + std::to_string(child.pid) +
             " terminated (" + how + ")");
@@ -605,9 +617,16 @@ void Server::handle_complete(Connection& conn, int shard, int attempt, TimePoint
     write_frame(conn.fd, ack);
 }
 
+core::PreparedAudit& Server::audit() {
+    if (prepare_thread_.joinable()) prepare_thread_.join();
+    if (prepare_error_) std::rethrow_exception(prepare_error_);
+    return *audit_;
+}
+
 void Server::fold_records(shard::ShardRecordFile& file) {
+    core::PreparedAudit& folded = audit();
     for (auto& [unit, record] : file.records) {
-        audit_->set_record(unit, std::move(record));
+        folded.set_record(unit, std::move(record));
         ++stats_.records_merged;
     }
 }
@@ -737,7 +756,7 @@ void Server::quarantine_shard(int shard, TimePoint now) {
                      ? std::string(core::verdict_name(rec.verdict))
                      : std::string("no failure")) +
                 ")");
-            audit_->set_record(blamed, clone_record(rec));
+            audit().set_record(blamed, clone_record(rec));
             ++stats_.records_merged;
         }
         stats_.quarantined_units.push_back(blamed);
@@ -781,25 +800,9 @@ ServeResult Server::run() {
     // so create it up front like the records directory.
     if (!config_.artifact_dir.empty()) fs::create_directories(config_.artifact_dir);
 
-    // Plan and prepare once; completed shards fold into this audit as they
-    // arrive and finalize() emits the canonical report at the end.
-    const ir::SDFG program = shard::load_job_program(config_.job);
-    manifests_ = shard::plan_shards(config_.job, program, config_.shard_count,
-                                    config_.checkpoint_interval);
-    core::FuzzConfig fuzz_config = shard::job_fuzz_config(config_.job);
-    fuzz_config.num_threads = config_.prepare_threads;
-    fuzz_config.artifact_dir = config_.artifact_dir;
-    fuzzer_ = std::make_unique<core::Fuzzer>(fuzz_config);
-    audit_ = std::make_unique<core::PreparedAudit>(
-        fuzzer_->prepare(program, shard::job_passes(config_.job)));
-    if (static_cast<std::int64_t>(audit_->instance_count()) != manifests_.front().instance_count) {
-        throw common::Error("prepared " + std::to_string(audit_->instance_count()) +
-                            " instances but planned " +
-                            std::to_string(manifests_.front().instance_count));
-    }
-    winner_path_.assign(manifests_.size(), "");
-    queue_ = std::make_unique<LeaseQueue>(manifests_, config_.lease);
-
+    // Listen before anything else: workers started alongside the
+    // coordinator then find it on their first dial, instead of all retrying
+    // on their reconnect schedules while a fast audit finishes without them.
     Endpoint ep = tcp ? Endpoint::parse_tcp(config_.listen_address)
                       : Endpoint::unix_path(config_.socket_path);
     int bound_port = 0;
@@ -825,12 +828,39 @@ ServeResult Server::run() {
         dial_ep_ = proxy_->listen_endpoint();
         log("net-fault proxy [" + net_plan.describe() + "] on " + dial_ep_.describe());
     }
+    // Plan here; the audit completed shards fold into is prepared once, on
+    // a thread started after the workers spawn (below), and finalize()
+    // emits the canonical report at the end.
+    ir::SDFG program = shard::load_job_program(config_.job);
+    manifests_ = shard::plan_shards(config_.job, program, config_.shard_count,
+                                    config_.checkpoint_interval);
+    winner_path_.assign(manifests_.size(), "");
+    queue_ = std::make_unique<LeaseQueue>(manifests_, config_.lease);
     log("serving " + std::to_string(manifests_.size()) + " shards on " + listen_ep_.describe());
 
     for (int i = 0; i < config_.spawn_workers; ++i) {
         auto it = config_.worker_faults.find(i);
         spawn_worker(i, it == config_.worker_faults.end() ? "" : it->second);
     }
+    // Workers prepare their own ranges meanwhile, so no lease grant waits
+    // for this.
+    prepare_thread_ = std::thread([this, program = std::move(program),
+                                   planned = manifests_.front().instance_count] {
+        try {
+            core::FuzzConfig fuzz_config = shard::job_fuzz_config(config_.job);
+            fuzz_config.num_threads = config_.prepare_threads;
+            fuzz_config.artifact_dir = config_.artifact_dir;
+            auto prepared = std::make_unique<core::PreparedAudit>(
+                core::Fuzzer(fuzz_config).prepare(program, shard::job_passes(config_.job)));
+            if (static_cast<std::int64_t>(prepared->instance_count()) != planned)
+                throw common::Error("prepared " + std::to_string(prepared->instance_count()) +
+                                    " instances but planned " + std::to_string(planned));
+            audit_ = std::move(prepared);
+        } catch (...) {
+            prepare_error_ = std::current_exception();
+        }
+        prepare_done_.store(true, std::memory_order_release);
+    });
 
     while (true) {
         TimePoint now = Clock::now();
@@ -900,6 +930,9 @@ ServeResult Server::run() {
         }
         reap_children();
         if (!done_) handle_failed_shards(now);
+        // A finished prepare joins here, so its failure ends the serve
+        // without waiting for the first fold.
+        if (prepare_done_.load(std::memory_order_acquire)) audit();
     }
 
     if (proxy_) {
@@ -913,7 +946,7 @@ ServeResult Server::run() {
     }
 
     ServeResult result;
-    result.reports = audit_->finalize();
+    result.reports = audit().finalize();
     stats_.queue = queue_->stats();
     result.stats = stats_;
     log("audit finalized: " + std::to_string(result.reports.size()) + " reports, " +

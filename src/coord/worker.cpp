@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/sealed_log.h"
 #include "coord/protocol.h"
 #include "shard/records.h"
 #include "shard/runner.h"
@@ -85,6 +87,37 @@ struct FatalError : common::Error {
     using common::Error::Error;
 };
 
+/// A stop request helper threads sleep on: stop() wakes every wait at once,
+/// so joining a helper never stalls the thread that stops it.
+class StopSignal {
+public:
+    /// Sleeps up to `ms` (clamped to a day); true once stop() was called.
+    bool wait_for(double ms) {
+        const auto span = std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::duration<double, std::milli>(std::clamp(ms, 0.0, 86400000.0)));
+        std::unique_lock<std::mutex> lock(mu_);
+        return cv_.wait_for(lock, span, [this] { return stopped_; });
+    }
+
+    bool stopped() const {
+        std::lock_guard<std::mutex> lock(mu_);
+        return stopped_;
+    }
+
+    void stop() {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            stopped_ = true;
+        }
+        cv_.notify_all();
+    }
+
+private:
+    mutable std::mutex mu_;
+    std::condition_variable cv_;
+    bool stopped_ = false;
+};
+
 /// Sends heartbeats for one lease while the main thread executes the
 /// shard.  The first beat goes out immediately — a long prepare phase must
 /// not look like death — then one per interval.  The beat callback owns
@@ -93,21 +126,15 @@ struct FatalError : common::Error {
 /// notices on its next frame.
 class HeartbeatThread {
 public:
-    /// The beat callback receives the thread's stop flag so a reconnect in
-    /// progress can abandon its backoff sleeps the moment stop() is called
-    /// — joining this thread must never stall the main thread for a whole
-    /// backoff schedule.
-    HeartbeatThread(std::function<bool(const std::atomic<bool>&)> beat, double interval_ms,
-                    bool enabled) {
+    /// The beat callback receives the thread's stop signal so a reconnect
+    /// in progress can abandon its backoff sleeps the moment stop() is
+    /// called.
+    HeartbeatThread(std::function<bool(StopSignal&)> beat, double interval_ms, bool enabled) {
         if (!enabled) return;
         thread_ = std::thread([this, beat = std::move(beat), interval_ms] {
-            while (!stop_.load(std::memory_order_relaxed)) {
+            while (!stop_.stopped()) {
                 if (!beat(stop_)) return;
-                double slept = 0.0;
-                while (slept < interval_ms && !stop_.load(std::memory_order_relaxed)) {
-                    sleep_ms(20.0);
-                    slept += 20.0;
-                }
+                if (stop_.wait_for(interval_ms)) return;
             }
         });
     }
@@ -117,12 +144,12 @@ public:
     ~HeartbeatThread() { stop(); }
 
     void stop() {
-        stop_.store(true, std::memory_order_relaxed);
+        stop_.stop();
         if (thread_.joinable()) thread_.join();
     }
 
 private:
-    std::atomic<bool> stop_{false};
+    StopSignal stop_;
     std::thread thread_;
 };
 
@@ -137,18 +164,17 @@ class Watchdog {
 public:
     Watchdog(double budget_ms, const std::string& worker_id) {
         if (budget_ms <= 0.0) return;
-        last_ms_.store(now_ms(), std::memory_order_relaxed);
+        reset();
         thread_ = std::thread([this, budget_ms, worker_id] {
-            while (!stop_.load(std::memory_order_relaxed)) {
-                sleep_ms(20.0);
-                const std::int64_t idle = now_ms() - last_ms_.load(std::memory_order_relaxed);
-                if (static_cast<double>(idle) > budget_ms) {
-                    std::fprintf(stderr,
-                                 "[worker %s] watchdog: no progress in %lld ms; exiting %d\n",
-                                 worker_id.c_str(), static_cast<long long>(idle),
-                                 kWorkerExitWatchdog);
-                    std::_Exit(kWorkerExitWatchdog);
-                }
+            // Sleep until the budget since the last reset runs out; a reset
+            // meanwhile moves the deadline, disarm() ends the wait at once.
+            while (!stop_.wait_for(budget_ms - idle_ms())) {
+                const double idle = idle_ms();
+                if (idle <= budget_ms) continue;
+                std::fprintf(stderr, "[worker %s] watchdog: no progress in %lld ms; exiting %d\n",
+                             worker_id.c_str(), static_cast<long long>(idle),
+                             kWorkerExitWatchdog);
+                std::_Exit(kWorkerExitWatchdog);
             }
         });
     }
@@ -157,24 +183,26 @@ public:
     Watchdog& operator=(const Watchdog&) = delete;
     ~Watchdog() { disarm(); }
 
-    void reset() { last_ms_.store(now_ms(), std::memory_order_relaxed); }
+    void reset() {
+        last_reset_.store(Clock::now().time_since_epoch().count(), std::memory_order_relaxed);
+    }
 
     /// Stops the timer for good — called once the shard result is in, so
     /// slow coordinator replies are never mistaken for a stalled trial.
     void disarm() {
-        stop_.store(true, std::memory_order_relaxed);
+        stop_.stop();
         if (thread_.joinable()) thread_.join();
     }
 
 private:
-    static std::int64_t now_ms() {
-        return std::chrono::duration_cast<std::chrono::milliseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
+    double idle_ms() const {
+        const Clock::duration last(last_reset_.load(std::memory_order_relaxed));
+        return std::chrono::duration<double, std::milli>(Clock::now().time_since_epoch() - last)
             .count();
     }
 
-    std::atomic<std::int64_t> last_ms_{0};
-    std::atomic<bool> stop_{false};
+    std::atomic<Clock::rep> last_reset_{0};  ///< Clock ticks at the last reset().
+    StopSignal stop_;
     std::thread thread_;
 };
 
@@ -233,7 +261,7 @@ private:
     /// One heartbeat delivery, reconnecting the session on a dead socket
     /// (HeartbeatThread's beat callback; `stop` aborts backoff sleeps).
     /// False = unrecoverable.
-    bool send_heartbeat(int shard, int attempt, const std::atomic<bool>& stop);
+    bool send_heartbeat(int shard, int attempt, StopSignal& stop);
     Json make_beat(int shard, int attempt) const;
 
     Outcome serve_leases();  ///< The request loop on one connection.
@@ -260,6 +288,9 @@ private:
     FramedConn conn_;
     double heartbeat_ms_ = 2500.0;
     std::atomic<std::int64_t> units_done_{0};  ///< Carried in heartbeats.
+    /// The prepared job, kept across leases: the next lease of the same job
+    /// prepares only the instances its range adds.
+    shard::JobCache jobs_;
     bool fault_armed_;  ///< One-shot faults not yet fired.
     WorkerStats stats_;
 };
@@ -316,7 +347,7 @@ Json Worker::make_beat(int shard, int attempt) const {
     return beat;
 }
 
-bool Worker::send_heartbeat(int shard, int attempt, const std::atomic<bool>& stop) {
+bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
     std::lock_guard<std::mutex> lock(conn_mu_);
     try {
         conn_.write(make_beat(shard, attempt));
@@ -327,29 +358,23 @@ bool Worker::send_heartbeat(int shard, int attempt, const std::atomic<bool>& sto
     // disconnect).  Reconnect with the same session id and resume beating
     // the same attempt: the coordinator parked the lease on the drop and
     // splices this session back onto it, so the shard in progress is never
-    // re-issued for a transport hiccup.  The stop flag short-circuits both
-    // the attempts and the sleeps — once the lease is over, nobody needs
-    // this connection enough to wait out a backoff schedule for it.
+    // re-issued for a transport hiccup.  The stop signal short-circuits
+    // both the attempts and the sleeps — once the lease is over, nobody
+    // needs this connection enough to wait out a backoff schedule for it.
     conn_.close();
     bool ok = false;
     try {
         ok = common::retry_with_backoff(
             config_.max_connect_attempts, config_.reconnect, rng_,
             [&] {
-                if (stop.load(std::memory_order_relaxed)) return true;  // abandon quietly
+                if (stop.stopped()) return true;  // abandon quietly
                 return connect_once();
             },
-            [&](double ms) {
-                double slept = 0.0;
-                while (slept < ms && !stop.load(std::memory_order_relaxed)) {
-                    sleep_ms(std::min(20.0, ms - slept));
-                    slept += 20.0;
-                }
-            });
+            [&](double ms) { stop.wait_for(ms); });
     } catch (const FatalError&) {
         return false;  // refusal surfaces on the main thread's next frame
     }
-    if (!ok || stop.load(std::memory_order_relaxed)) return false;
+    if (!ok || stop.stopped()) return false;
     ++stats_.reconnects;
     log("heartbeat reconnected (session " + session_ + ", shard " + std::to_string(shard) + ")");
     try {
@@ -491,12 +516,12 @@ Worker::Outcome Worker::execute_lease(Json grant) {
     shard::RunShardResult result;
     {
         HeartbeatThread heartbeats(
-            [this, shard, attempt](const std::atomic<bool>& stop) {
+            [this, shard, attempt](StopSignal& stop) {
                 return send_heartbeat(shard, attempt, stop);
             },
             heartbeat_ms_, !config_.fault.drop_heartbeats);
         try {
-            result = shard::run_shard(manifest, records_path, options);
+            result = shard::run_shard(jobs_, manifest, records_path, options);
         } catch (const common::Error& e) {
             heartbeats.stop();
             watchdog.disarm();
@@ -596,15 +621,20 @@ void Worker::salvage(const shard::ShardManifest& manifest, const std::string& re
             if (file.checkpoint <= manifest.unit_begin) continue;  // nothing durable
             // Copy the durable prefix — safe even while the prior attempt
             // is still writing, because resume_offset never exceeds the
-            // bytes that were fsync'd under its last checkpoint.
+            // bytes that were fsync'd under its last checkpoint.  The copy
+            // is a sealed log of its own: written at `.tmp`, fsynced, then
+            // renamed with a directory fsync, so the resumed stream's
+            // directory entry is as durable as a fresh one's.
             std::ifstream in(path, std::ios::binary);
             std::string bytes((std::istreambuf_iterator<char>(in)),
                               std::istreambuf_iterator<char>());
+            if (static_cast<std::int64_t>(bytes.size()) < file.resume_offset)
+                throw common::Error(path + " shrank below its durable prefix");
             bytes.resize(static_cast<std::size_t>(file.resume_offset));
-            std::ofstream out(records_path, std::ios::binary | std::ios::trunc);
-            out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-            out.close();
-            if (!out) throw common::Error("cannot write " + records_path);
+            common::SealedWriter out = common::SealedWriter::create(records_path);
+            out.append_verified(bytes);
+            out.sync();
+            out.publish();
             ++stats_.salvages;
             log("salvaged " + std::to_string(file.checkpoint - manifest.unit_begin) +
                 " units from " + path);

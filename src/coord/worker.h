@@ -13,9 +13,11 @@
 // everything else — socket errors, coordinator restarts, rejected
 // completions — is survived by reconnecting and re-requesting.
 //
-// Workers are deliberately stateless between leases: every fact they need
-// is in the lease grant, so a worker can die at ANY instant and its
-// replacement (or a hedge) continues from the last durable checkpoint.
+// Workers keep nothing between leases that a result depends on: every fact
+// they need is in the lease grant, and the prepared job they keep for the
+// next lease of the same job (shard::JobCache) is a pure function of it.
+// So a worker can die at ANY instant and its replacement (or a hedge)
+// continues from the last durable checkpoint.
 #pragma once
 
 /// \file
@@ -50,8 +52,10 @@ struct WorkerConfig {
     int trial_chunk = 1;       ///< Scheduler chunking (execution-only).
     FaultPlan fault;           ///< Injected sabotage (tests/chaos only).
     /// Reconnect schedule when the coordinator is unreachable; jitter
-    /// spreads a worker fleet's reconnect stampede.
-    common::BackoffPolicy reconnect{100.0, 2.0, 3000.0, 0.2};
+    /// spreads a worker fleet's reconnect stampede.  The short first delay
+    /// lets workers started alongside their coordinator join even an audit
+    /// whose leases finish within tens of milliseconds.
+    common::BackoffPolicy reconnect{20.0, 2.0, 3000.0, 0.2};
     int max_connect_attempts = 20;  ///< Dial attempts before giving up.
     /// Patience for a reply frame; generous, the coordinator answers every
     /// request promptly unless it is gone.

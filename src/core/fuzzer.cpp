@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/error.h"
 #include "core/guided.h"
@@ -43,11 +45,14 @@ int resolve_thread_count(int requested, std::int64_t available_units) {
     return static_cast<int>(std::clamp<std::int64_t>(t, 1, cap));
 }
 
-/// One prepared transformation instance: the cutout pipeline's output plus
-/// everything trial execution writes.  Pinned in a deque (atomics make it
-/// immovable; workers index it concurrently).
+/// One transformation instance: its match, the cutout pipeline's output
+/// once prepared, plus everything trial execution writes.  Pinned in a
+/// deque (atomics make it immovable; workers index it concurrently).
 struct InstanceJob {
     std::size_t index = 0;      ///< Position in the audit (= plan-cache key).
+    std::size_t pass = 0;       ///< Index of its transformation in the pass set.
+    xform::Match match;         ///< The match discovery found.
+    bool prepared = false;      ///< The per-instance pipeline has run.
     FuzzReport report;          ///< Filled by prepare, merged by finalize.
     Cutout cutout;              ///< Extracted (possibly min-cut) cutout.
     ir::SDFG transformed;       ///< Cutout with the transformation applied.
@@ -77,6 +82,11 @@ struct InstanceJob {
 /// micro-tasks like fuzz trials, work stealing degenerates to exactly this
 /// single shared queue; per-thread deques would only add overhead — see
 /// docs/ARCHITECTURE.md.)
+///
+/// Monotonicity also makes the completed prefix of the range cheap to know:
+/// each worker announces the unit it is about to claim before its claim can
+/// succeed and withdraws it once the claim's trials are done, so every unit
+/// below min(cursor, every announced unit) has finished.
 class AuditScheduler {
 public:
     /// A claimed run of consecutive trials of one instance.
@@ -87,13 +97,15 @@ public:
     };
 
     AuditScheduler(std::size_t instances, int max_trials, int chunk, std::int64_t unit_begin,
-                   std::int64_t unit_end)
+                   std::int64_t unit_end, int workers)
         : max_trials_(std::max(max_trials, 0)),
           chunk_(std::max(chunk, 1)),
           end_(unit_end),
           next_(unit_begin),
-          stop_(instances) {
+          stop_(instances),
+          in_flight_(static_cast<std::size_t>(workers)) {
         for (auto& s : stop_) s.store(max_trials_, std::memory_order_relaxed);
+        for (auto& f : in_flight_) f.store(kIdle, std::memory_order_relaxed);
     }
 
     /// Excludes an instance entirely (setup failed); its units are skipped.
@@ -101,12 +113,19 @@ public:
         stop_[instance].store(-1, std::memory_order_release);
     }
 
-    /// Claims the next chunk; false when the range is drained (or aborted).
-    bool claim(Claim& c) {
-        std::int64_t u = next_.load(std::memory_order_relaxed);
+    /// Claims the next chunk for `worker`; false when the range is drained
+    /// (or aborted).  The claim stays in flight until finish(worker).
+    bool claim(int worker, Claim& c) {
+        std::atomic<std::int64_t>& announced = in_flight_[static_cast<std::size_t>(worker)];
+        std::int64_t u = next_.load(std::memory_order_seq_cst);
         for (;;) {
-            if (aborted_.load(std::memory_order_acquire)) return false;
-            if (u >= end_) return false;
+            // Announce before the cursor can move past u: a prefix reader
+            // that sees the moved cursor also sees this announcement.
+            announced.store(u, std::memory_order_seq_cst);
+            if (aborted_.load(std::memory_order_acquire) || u >= end_) {
+                announced.store(kIdle, std::memory_order_seq_cst);
+                return false;
+            }
             const int inst = static_cast<int>(u / max_trials_);
             const int first = static_cast<int>(u % max_trials_);
             if (first > stop_at(static_cast<std::size_t>(inst))) {
@@ -114,17 +133,30 @@ public:
                 // jump the cursor to the next instance's first unit.
                 const std::int64_t next_inst =
                     (static_cast<std::int64_t>(inst) + 1) * max_trials_;
-                if (next_.compare_exchange_weak(u, next_inst, std::memory_order_acq_rel))
+                if (next_.compare_exchange_weak(u, next_inst, std::memory_order_seq_cst))
                     u = next_inst;
                 continue;
             }
             const int count = static_cast<int>(std::min<std::int64_t>(
                 std::min(chunk_, max_trials_ - first), end_ - u));
-            if (next_.compare_exchange_weak(u, u + count, std::memory_order_acq_rel)) {
+            if (next_.compare_exchange_weak(u, u + count, std::memory_order_seq_cst)) {
                 c = Claim{inst, first, count};
                 return true;
             }
         }
+    }
+
+    /// `worker`'s claim is done (its slots are final).
+    void finish(int worker) {
+        in_flight_[static_cast<std::size_t>(worker)].store(kIdle, std::memory_order_seq_cst);
+    }
+
+    /// Every unit below this one has finished or was skipped.
+    std::int64_t completed_prefix() const {
+        std::int64_t prefix = next_.load(std::memory_order_seq_cst);
+        for (const auto& f : in_flight_)
+            prefix = std::min(prefix, f.load(std::memory_order_seq_cst));
+        return std::min(prefix, end_);
     }
 
     /// Records a failure; later trials of that instance stop being claimed.
@@ -156,12 +188,16 @@ public:
     bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
 private:
+    static constexpr std::int64_t kIdle = std::numeric_limits<std::int64_t>::max();
+
     const int max_trials_;
     const int chunk_;
     const std::int64_t end_;  // one past the last unit of the range
     std::atomic<std::int64_t> next_;
     std::atomic<bool> aborted_{false};
     std::vector<std::atomic<int>> stop_;  // per-instance early-stop index
+    /// Per worker: the unit its current claim starts at (kIdle between claims).
+    std::vector<std::atomic<std::int64_t>> in_flight_;
 };
 
 /// Everything the worker pool shares for one run.
@@ -178,6 +214,8 @@ struct PoolShared {
     std::atomic<int> retire_watermark{0};
     std::atomic<std::int64_t> units{0};
     std::atomic<std::int64_t> claims{0};
+    /// Called by a worker after each finished claim (streaming ranges only).
+    std::function<void()> after_claim;
     std::exception_ptr error;
     std::mutex error_mutex;
 };
@@ -261,12 +299,12 @@ void run_unit(InstanceJob& job, int trial, DifferentialTester& tester,
 /// One worker of the audit-wide pool: claims unit chunks off the global
 /// queue, lazily (re)binding its execution context when the chunk belongs to
 /// a different instance than the previous one.
-void run_worker(PoolShared& sh) {
+void run_worker(PoolShared& sh, int worker) {
     std::unique_ptr<DifferentialTester> tester;
     std::size_t bound_instance = std::numeric_limits<std::size_t>::max();
     try {
         AuditScheduler::Claim c;
-        while (sh.scheduler.claim(c)) {
+        while (sh.scheduler.claim(worker, c)) {
             sh.claims.fetch_add(1, std::memory_order_relaxed);
             // Retire only instances strictly below the claimed one — the
             // cursor may already be past c.instance (this claim could be its
@@ -294,6 +332,8 @@ void run_worker(PoolShared& sh) {
                 sh.units.fetch_add(1, std::memory_order_relaxed);
             }
             atomic_store_max(job.last_ns, ns_since(sh.epoch));
+            sh.scheduler.finish(worker);
+            if (sh.after_claim) sh.after_claim();
         }
     } catch (...) {
         std::lock_guard<std::mutex> lock(sh.error_mutex);
@@ -418,14 +458,21 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
 }  // namespace
 
 /// Prepared jobs plus everything that persists across run_range calls: the
-/// bounded context/plan caches (so a chunked shard run reuses warm
-/// interpreters between checkpoints) and the accumulated scheduler stats.
+/// bounded context/plan caches (so successive ranges, and a worker's
+/// successive leases, reuse warm interpreters) and the scheduler stats since
+/// preparation or the last reset.
 struct PreparedAudit::Impl {
     FuzzConfig config;              ///< Captured at prepare time.
     std::deque<InstanceJob> jobs;   ///< Pinned (atomics make them immovable).
-    SchedulerStats stats;           ///< Accumulated over run_range calls.
+    std::size_t pass_count = 0;     ///< Size of the pass set discovery ran on.
+    SchedulerStats stats;           ///< Since preparation or the last reset.
     std::unique_ptr<interp::PlanCacheRegistry> registry;  ///< Lazily built.
     std::unique_ptr<TesterCache> cache;                   ///< Lazily built.
+    /// Cache and registry counters at the last reset; stats report the
+    /// growth since.
+    TesterCache::Stats cache_base;
+    std::uint64_t evictions_base = 0;
+    interp::SpecStats spec_base;
     std::chrono::steady_clock::time_point epoch;  ///< Trial wall-clock base.
     /// Lowest known failing trial per instance (max_trials = none): seeds
     /// the scheduler's early-stop across run_range calls and set_record
@@ -437,38 +484,135 @@ struct PreparedAudit::Impl {
         return static_cast<std::int64_t>(jobs.size()) * max_trials();
     }
 
-    void run_range(std::int64_t begin, std::int64_t end);
+    /// Instances [first, last) whose units intersect [begin, end).  With no
+    /// trials per instance no instance has units, and every range covers
+    /// them all.
+    std::pair<std::size_t, std::size_t> instances_in(std::int64_t begin, std::int64_t end) const {
+        const std::int64_t mt = max_trials();
+        if (mt == 0) return {0, jobs.size()};
+        begin = std::clamp<std::int64_t>(begin, 0, unit_count());
+        end = std::clamp<std::int64_t>(end, begin, unit_count());
+        if (begin == end) return {0, 0};
+        return {static_cast<std::size_t>(begin / mt),
+                static_cast<std::size_t>((end + mt - 1) / mt)};
+    }
+
+    /// Throws unless every instance intersecting [begin, end) is prepared.
+    void require_prepared(std::int64_t begin, std::int64_t end, const char* what) const {
+        const auto [first, last] = instances_in(begin, end);
+        for (std::size_t i = first; i < last; ++i)
+            if (!jobs[i].prepared)
+                throw common::Error(std::string(what) + ": instance " + std::to_string(i) +
+                                    " is not prepared");
+    }
+
+    void prepare_range(const ir::SDFG& p, const std::vector<xform::TransformationPtr>& passes,
+                       std::int64_t begin, std::int64_t end);
+    void run_range(std::int64_t begin, std::int64_t end, std::int64_t interval,
+                   const SettleFn& on_settle);
     void note_failures(std::int64_t begin, std::int64_t end);
 };
 
+/// Runs the per-instance pipelines (cutout, min-cut, apply, constraints)
+/// of the unprepared instances intersecting [begin, end).  They are
+/// independent pure functions of (program, match) writing only their own job
+/// slot, so they fan out over the worker pool; reports are byte-identical at
+/// any thread count, only prepare_seconds varies.
+void PreparedAudit::Impl::prepare_range(const ir::SDFG& p,
+                                        const std::vector<xform::TransformationPtr>& passes,
+                                        std::int64_t begin, std::int64_t end) {
+    if (passes.size() != pass_count)
+        throw common::Error("prepare_range: " + std::to_string(passes.size()) +
+                            " passes given, but match discovery ran on " +
+                            std::to_string(pass_count));
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::size_t> todo;
+    const auto [first, last] = instances_in(begin, end);
+    for (std::size_t i = first; i < last; ++i)
+        if (!jobs[i].prepared) todo.push_back(i);
+    const auto prepare_one = [&](std::size_t i) {
+        InstanceJob& job = jobs[i];
+        prepare_instance(config, p, *passes[job.pass], job.match, job);
+        job.prepared = true;
+    };
+    const int prep_workers =
+        resolve_thread_count(config.num_threads, static_cast<std::int64_t>(todo.size()));
+    if (prep_workers <= 1 || todo.size() <= 1) {
+        for (std::size_t i : todo) prepare_one(i);
+    } else {
+        // Claims are monotonic, so when a prepare throws, every lower-index
+        // instance has already been claimed and will finish — rethrowing the
+        // lowest-index failure reproduces exactly what the sequential loop
+        // would have raised.
+        std::atomic<std::size_t> next{0};
+        std::atomic<bool> abort{false};
+        std::mutex error_mutex;
+        std::size_t error_index = std::numeric_limits<std::size_t>::max();
+        std::exception_ptr error;
+        auto prep_worker = [&] {
+            for (;;) {
+                // Check abort *before* claiming: a claimed index is always
+                // prepared, so every index below any failing one is
+                // attempted and the lowest-index rethrow below matches the
+                // sequential loop exactly.
+                if (abort.load(std::memory_order_acquire)) return;
+                const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+                if (k >= todo.size()) return;
+                try {
+                    prepare_one(todo[k]);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(error_mutex);
+                    if (k < error_index) {
+                        error_index = k;
+                        error = std::current_exception();
+                    }
+                    abort.store(true, std::memory_order_release);
+                }
+            }
+        };
+        std::vector<std::thread> pool;
+        pool.reserve(static_cast<std::size_t>(prep_workers));
+        for (int t = 0; t < prep_workers; ++t) pool.emplace_back(prep_worker);
+        for (std::thread& t : pool) t.join();
+        if (error) std::rethrow_exception(error);
+    }
+    stats.prepare_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
 /// Executes every unit of [begin, end) with one worker pool (the audit-wide
-/// scheduler restricted to the range).
-void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
+/// scheduler restricted to the range), settling the completed prefix on the
+/// grid `begin + k * interval` (one boundary at `end` when interval <= 0).
+void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::int64_t interval,
+                                    const SettleFn& on_settle) {
     const int mt = max_trials();
     const std::int64_t total = unit_count();
     begin = std::clamp<std::int64_t>(begin, 0, total);
     end = std::clamp<std::int64_t>(end, begin, total);
+    require_prepared(begin, end, "run_range");
 
-    AuditScheduler scheduler(jobs.size(), mt, config.trial_chunk, begin, end);
     std::int64_t available_units = 0;
-    for (InstanceJob& job : jobs) {
-        if (!job.runnable) {
-            scheduler.skip_instance(job.index);
-            continue;
-        }
+    for (const InstanceJob& job : jobs) {
+        if (!job.runnable) continue;
         const std::int64_t lo =
             std::max<std::int64_t>(begin, static_cast<std::int64_t>(job.index) * mt);
         const std::int64_t hi =
             std::min<std::int64_t>(end, static_cast<std::int64_t>(job.index + 1) * mt);
         if (hi > lo) available_units += hi - lo;
+    }
+    const int workers = resolve_thread_count(config.num_threads, available_units);
+    AuditScheduler scheduler(jobs.size(), mt, config.trial_chunk, begin, end, workers);
+    for (InstanceJob& job : jobs) {
+        if (!job.runnable) {
+            scheduler.skip_instance(job.index);
+            continue;
+        }
         // Failures found by earlier ranges (or injected records) early-stop
         // this range's trials of the same instance.
         if (lowest_failure[job.index] < mt) scheduler.fail_at(job.index, lowest_failure[job.index]);
+        job.report.threads = workers;
     }
-    const int workers = resolve_thread_count(config.num_threads, available_units);
     stats.workers = workers;
-    for (InstanceJob& job : jobs)
-        if (job.runnable) job.report.threads = workers;
 
     if (!registry)
         registry = std::make_unique<interp::PlanCacheRegistry>(
@@ -482,12 +626,42 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
     PoolShared sh{jobs, scheduler, *cache, *registry};
     sh.epoch = epoch;
 
+    // Settling: each sub-range of the grid whose units have all finished is
+    // made final (note_failures) and handed to the hook, in order, by one
+    // thread at a time.  Workers that find another thread settling move on;
+    // the tail is settled here after the join.
+    std::mutex settle_mutex;
+    std::int64_t settled = begin;
+    bool stopped = false;
+    const auto settle = [&] {  // caller holds settle_mutex
+        while (!stopped && settled < end) {
+            const std::int64_t to = interval > 0 ? std::min(settled + interval, end) : end;
+            if (scheduler.completed_prefix() < to) return;
+            note_failures(settled, to);
+            const std::int64_t from = std::exchange(settled, to);
+            // Stays set if the hook throws: the lock is released while the
+            // exception unwinds, before the pool aborts, and no other thread
+            // may settle past a failed hook meanwhile.
+            stopped = true;
+            if (on_settle && !on_settle(from, to)) {
+                scheduler.abort();
+                return;
+            }
+            stopped = false;
+        }
+    };
+    if (on_settle)
+        sh.after_claim = [&] {
+            std::unique_lock<std::mutex> lock(settle_mutex, std::try_to_lock);
+            if (lock.owns_lock()) settle();
+        };
+
     if (workers == 1) {
-        run_worker(sh);
+        run_worker(sh, 0);
     } else {
         std::vector<std::thread> pool;
         pool.reserve(static_cast<std::size_t>(workers));
-        for (int i = 0; i < workers; ++i) pool.emplace_back([&sh] { run_worker(sh); });
+        for (int i = 0; i < workers; ++i) pool.emplace_back([&sh, i] { run_worker(sh, i); });
         for (std::thread& t : pool) t.join();
     }
     if (sh.error) std::rethrow_exception(sh.error);
@@ -495,20 +669,22 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end) {
     // Flush retires for instances the range has fully passed (stragglers,
     // tail instances) so registry eviction counts are deterministic for a
     // completed range.  Instances extending past `end` stay live: a later
-    // range (the next shard checkpoint chunk) will claim their units.
+    // range will claim their units.
     for (InstanceJob& job : jobs)
         if (static_cast<std::int64_t>(job.index + 1) * mt <= end) registry->retire(job.index);
     stats.spec = registry->spec_totals();
+    stats.spec -= spec_base;
     stats.units += sh.units.load(std::memory_order_relaxed);
     stats.claims += sh.claims.load(std::memory_order_relaxed);
     const TesterCache::Stats cache_stats = cache->stats();
-    stats.contexts_built = cache_stats.built;
-    stats.context_hits = cache_stats.hits;
-    stats.context_rebinds = cache_stats.rebinds;
-    stats.context_evictions = cache_stats.evictions;
-    stats.plan_caches_evicted = static_cast<std::int64_t>(registry->evictions());
+    stats.contexts_built = cache_stats.built - cache_base.built;
+    stats.context_hits = cache_stats.hits - cache_base.hits;
+    stats.context_rebinds = cache_stats.rebinds - cache_base.rebinds;
+    stats.context_evictions = cache_stats.evictions - cache_base.evictions;
+    stats.plan_caches_evicted = static_cast<std::int64_t>(registry->evictions() - evictions_base);
 
-    note_failures(begin, end);
+    std::lock_guard<std::mutex> lock(settle_mutex);
+    settle();
 }
 
 /// Folds failures recorded in [begin, end) into the per-instance
@@ -553,8 +729,32 @@ const FuzzReport& PreparedAudit::prepared_report(std::size_t instance) const {
     return impl_->jobs.at(instance).report;
 }
 
-void PreparedAudit::run_range(std::int64_t unit_begin, std::int64_t unit_end) {
-    impl_->run_range(unit_begin, unit_end);
+void PreparedAudit::prepare_range(const ir::SDFG& p,
+                                  const std::vector<xform::TransformationPtr>& passes,
+                                  std::int64_t unit_begin, std::int64_t unit_end) {
+    impl_->prepare_range(p, passes, unit_begin, unit_end);
+}
+
+void PreparedAudit::run_range(std::int64_t unit_begin, std::int64_t unit_end,
+                              std::int64_t settle_interval, const SettleFn& on_settle) {
+    impl_->run_range(unit_begin, unit_end, settle_interval, on_settle);
+}
+
+void PreparedAudit::reset_trials() {
+    Impl& impl = *impl_;
+    for (InstanceJob& job : impl.jobs) {
+        for (TrialRecord& rec : job.records) rec = TrialRecord{};
+        job.first_ns.store(std::numeric_limits<std::int64_t>::max(), std::memory_order_relaxed);
+        job.last_ns.store(-1, std::memory_order_relaxed);
+    }
+    impl.lowest_failure.assign(impl.jobs.size(), impl.max_trials());
+    impl.stats = SchedulerStats{};
+    if (impl.cache) impl.cache_base = impl.cache->stats();
+    if (impl.registry) {
+        impl.evictions_base = impl.registry->evictions();
+        impl.spec_base = impl.registry->spec_totals();
+    }
+    impl.epoch = std::chrono::steady_clock::now();
 }
 
 const std::vector<TrialRecord>& PreparedAudit::records(std::size_t instance) const {
@@ -566,6 +766,7 @@ void PreparedAudit::set_record(std::int64_t unit, TrialRecord record) {
     if (mt == 0 || unit < 0 || unit >= impl_->unit_count())
         throw common::Error("set_record: unit " + std::to_string(unit) +
                             " outside the audit's unit space");
+    impl_->require_prepared(unit, unit + 1, "set_record");
     const std::size_t instance = static_cast<std::size_t>(unit / mt);
     const int trial = static_cast<int>(unit % mt);
     InstanceJob& job = impl_->jobs[instance];
@@ -576,6 +777,7 @@ void PreparedAudit::set_record(std::int64_t unit, TrialRecord record) {
 }
 
 std::vector<FuzzReport> PreparedAudit::finalize() {
+    impl_->require_prepared(0, impl_->unit_count(), "finalize");
     std::vector<FuzzReport> reports;
     reports.reserve(impl_->jobs.size());
     for (InstanceJob& job : impl_->jobs) {
@@ -609,6 +811,7 @@ FuzzReport Fuzzer::test_instance(const ir::SDFG& p, const xform::Transformation&
     InstanceJob& job = audit.impl_->jobs.emplace_back();
     job.index = 0;
     prepare_instance(audit.impl_->config, p, transformation, match, job);
+    job.prepared = true;
     audit.impl_->lowest_failure.assign(1, audit.impl_->max_trials());
     audit.impl_->stats.prepare_seconds = job.setup_seconds;
     audit.impl_->epoch = std::chrono::steady_clock::now();
@@ -628,72 +831,29 @@ std::vector<FuzzReport> Fuzzer::audit(const ir::SDFG& p,
 }
 
 PreparedAudit Fuzzer::prepare(const ir::SDFG& p,
-                              const std::vector<xform::TransformationPtr>& passes) {
-    // Match discovery stays sequential — its order fixes the canonical
-    // instance indexing the merge replays — then the per-instance pipelines
-    // (cutout, min-cut, apply, constraints), which are independent pure
-    // functions of (program, match) writing only their own job slot, fan
-    // out over the worker pool.  Reports are byte-identical at any thread
-    // count; only prepare_seconds varies.
+                              const std::vector<xform::TransformationPtr>& passes,
+                              std::int64_t unit_begin, std::int64_t unit_end) {
+    // Match discovery stays sequential and global — its order fixes the
+    // canonical instance indexing the merge replays — then the
+    // per-instance pipelines run for the requested range only.
     const auto prep0 = std::chrono::steady_clock::now();
     PreparedAudit prepared;
-    prepared.impl_->config = normalized_config(config_);
-    const FuzzConfig& config = prepared.impl_->config;
-    std::deque<InstanceJob>& jobs = prepared.impl_->jobs;
-    std::vector<std::pair<const xform::Transformation*, xform::Match>> units;
-    for (const auto& pass : passes) {
-        for (xform::Match& match : pass->find_matches(p)) {
-            InstanceJob& job = jobs.emplace_back();
-            job.index = jobs.size() - 1;
-            units.emplace_back(pass.get(), std::move(match));
+    PreparedAudit::Impl& impl = *prepared.impl_;
+    impl.config = normalized_config(config_);
+    impl.pass_count = passes.size();
+    for (std::size_t k = 0; k < passes.size(); ++k) {
+        for (xform::Match& match : passes[k]->find_matches(p)) {
+            InstanceJob& job = impl.jobs.emplace_back();
+            job.index = impl.jobs.size() - 1;
+            job.pass = k;
+            job.match = std::move(match);
         }
     }
-    const int prep_workers =
-        resolve_thread_count(config_.num_threads, static_cast<std::int64_t>(jobs.size()));
-    if (prep_workers <= 1 || jobs.size() <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            prepare_instance(config, p, *units[i].first, units[i].second, jobs[i]);
-    } else {
-        // Claims are monotonic, so when a prepare throws, every lower-index
-        // instance has already been claimed and will finish — rethrowing the
-        // lowest-index failure reproduces exactly what the sequential loop
-        // would have raised.
-        std::atomic<std::size_t> next{0};
-        std::atomic<bool> abort{false};
-        std::mutex error_mutex;
-        std::size_t error_index = std::numeric_limits<std::size_t>::max();
-        std::exception_ptr error;
-        auto prep_worker = [&] {
-            for (;;) {
-                // Check abort *before* claiming: a claimed index is always
-                // prepared, so every index below any failing one is
-                // attempted and the lowest-index rethrow below matches the
-                // sequential loop exactly.
-                if (abort.load(std::memory_order_acquire)) return;
-                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= jobs.size()) return;
-                try {
-                    prepare_instance(config, p, *units[i].first, units[i].second, jobs[i]);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (i < error_index) {
-                        error_index = i;
-                        error = std::current_exception();
-                    }
-                    abort.store(true, std::memory_order_release);
-                }
-            }
-        };
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(prep_workers));
-        for (int t = 0; t < prep_workers; ++t) pool.emplace_back(prep_worker);
-        for (std::thread& t : pool) t.join();
-        if (error) std::rethrow_exception(error);
-    }
-    prepared.impl_->stats.prepare_seconds =
+    impl.lowest_failure.assign(impl.jobs.size(), impl.max_trials());
+    impl.stats.prepare_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - prep0).count();
-    prepared.impl_->lowest_failure.assign(jobs.size(), prepared.impl_->max_trials());
-    prepared.impl_->epoch = std::chrono::steady_clock::now();
+    impl.prepare_range(p, passes, unit_begin, unit_end);
+    impl.epoch = std::chrono::steady_clock::now();
     return prepared;
 }
 

@@ -16,6 +16,8 @@
 /// audit-wide (instance, trial) scheduler.
 
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -163,9 +165,10 @@ struct SchedulerStats {
     int context_rebinds = 0;     ///< Idle contexts rebound to a new instance.
     int context_evictions = 0;   ///< Idle contexts destroyed over the bound.
     std::int64_t plan_caches_evicted = 0;  ///< Registry evictions (see plan_cache.h).
-    /// Wall clock of the prepare phase (cutout, min-cut, transformation
-    /// application, constraint derivation across all instances; audit()
-    /// fans it over the worker pool).  Deterministic in outcome, not value.
+    /// Wall clock of the prepare phase (match discovery, then cutout,
+    /// min-cut, transformation application and constraint derivation of
+    /// every instance prepared since the stats started; fanned over the
+    /// worker pool).  Deterministic in outcome, not value.
     double prepare_seconds = 0.0;
     /// Specialization counters summed over every per-instance plan cache of
     /// the run: how many scopes/tasklets classified into the flat-stride /
@@ -175,25 +178,33 @@ struct SchedulerStats {
     interp::SpecStats spec;
 };
 
+/// Progress hook of PreparedAudit::run_range: called with `[from, to)` each
+/// time the range's completed prefix passes a boundary of its settle grid.
+/// Return false to stop the range early.
+using SettleFn = std::function<bool(std::int64_t from, std::int64_t to)>;
+
 /// A prepared audit whose trial units can be executed in arbitrary
 /// sub-ranges of the global unit space — the entry point cross-process
 /// sharding (src/shard) builds on.
 ///
-/// Preparation (match discovery + the per-instance cutout pipelines) is a
-/// pure function of `(program, passes, config)`, so two processes that
-/// prepare the same job agree on the canonical instance indexing and on the
-/// flat unit space `unit = instance * max_trials + trial`.  A shard then
-/// executes any contiguous unit range with run_range(); a merger injects
-/// records produced elsewhere with set_record(); finalize() performs the
-/// canonical-order merge and artifact saving either way.  `Fuzzer::audit`
-/// itself is prepare + run_range(0, unit_count()) + finalize().
+/// Preparation is a pure function of `(program, passes, config)`: match
+/// discovery fixes the canonical instance indexing and the flat unit space
+/// `unit = instance * max_trials + trial`, so two processes that prepare
+/// the same job agree on both.  The per-instance pipelines (cutout, min-cut,
+/// apply, constraints, validation) run only for instances that intersect a
+/// requested unit range, each at most once (prepare_range); a full prepare
+/// is the range [0, unit_count()).  A shard then executes any contiguous
+/// prepared unit range with run_range(); a merger injects records produced
+/// elsewhere with set_record(); finalize() performs the canonical-order
+/// merge and artifact saving either way.  `Fuzzer::audit` itself is
+/// prepare + run_range(0, unit_count()) + finalize().
 ///
-/// run_range() may be called repeatedly (the shard runner executes one
-/// checkpoint chunk per call); execution contexts and plan caches persist
-/// across calls.  Determinism contract (docs/ARCHITECTURE.md): for a fixed
-/// prepared job, the records of every executed unit are byte-identical
-/// regardless of how the unit space is cut into ranges, processes, or
-/// worker threads.
+/// run_range() may be called repeatedly; execution contexts and plan caches
+/// persist across calls, and reset_trials() starts a new run over the same
+/// prepared instances (a coordinator worker's next lease of the job).
+/// Determinism contract (docs/ARCHITECTURE.md): for a fixed prepared job,
+/// the records of every executed unit are byte-identical regardless of how
+/// the unit space is cut into ranges, processes, or worker threads.
 class PreparedAudit {
 public:
     PreparedAudit();   ///< Empty audit (0 instances) — assign over it.
@@ -210,35 +221,65 @@ public:
 
     /// Whether instance `i` has trial units to run (false when the
     /// transformation failed to apply — its report is already final and its
-    /// units are skipped by every scheduler).
+    /// units are skipped by every scheduler — or when it is not prepared).
     bool instance_runnable(std::size_t instance) const;
 
     /// The instance's report as of preparation (final for non-runnable
     /// instances, partial otherwise — finalize() completes it).
     const FuzzReport& prepared_report(std::size_t instance) const;
 
-    /// Executes every unit in [unit_begin, unit_end) with the configured
-    /// worker pool, recording outcomes into the per-instance trial slots.
-    /// Failures early-stop later trials of the same instance (including
-    /// across subsequent run_range calls); slots past a failure may stay
-    /// NotRun — the merge never reads them.
-    void run_range(std::int64_t unit_begin, std::int64_t unit_end);
+    /// Runs the per-instance pipelines of every instance that intersects
+    /// [unit_begin, unit_end) and is not prepared yet, fanned over the
+    /// configured worker pool.  `p` and `passes` must be the program and
+    /// pass set match discovery ran on (Fuzzer::prepare); a pass count that
+    /// disagrees throws common::Error.
+    void prepare_range(const ir::SDFG& p, const std::vector<xform::TransformationPtr>& passes,
+                       std::int64_t unit_begin, std::int64_t unit_end);
+
+    /// Executes every unit in [unit_begin, unit_end) with one pool of the
+    /// configured workers, recording outcomes into the per-instance trial
+    /// slots.  Every instance the range touches must be prepared (else
+    /// common::Error).  Failures early-stop later trials of the same
+    /// instance (including across subsequent run_range calls); every slot
+    /// above an instance's lowest failure ends NotRun.
+    ///
+    /// With `on_settle`, the range streams: claims are monotonic, so the
+    /// completed prefix is the minimum of the claim cursor and the start of
+    /// every in-flight claim, and each time that prefix passes a boundary of
+    /// the grid `unit_begin + k * settle_interval` (and `unit_end`) the
+    /// sub-range's slots are made final — the NotRun rule applied — and
+    /// handed to `on_settle`, in order, one call at a time, from whichever
+    /// pool thread observed the boundary.  Trials past the boundary keep
+    /// running meanwhile.  When `on_settle` returns false the pool stops and
+    /// run_range returns; an exception it throws stops the pool and
+    /// propagates out of run_range.
+    void run_range(std::int64_t unit_begin, std::int64_t unit_end,
+                   std::int64_t settle_interval = 0, const SettleFn& on_settle = {});
+
+    /// Forgets every executed trial — slots back to NotRun, lowest-failure
+    /// watermarks cleared, trial clocks and scheduler counters restarted —
+    /// while keeping the prepared instances, plan caches, execution contexts
+    /// and feedback state (a pure-function cache of the canonical corpus
+    /// scan).  A run after the reset records exactly what a freshly prepared
+    /// audit would.
+    void reset_trials();
 
     /// Trial slots of instance `i` (empty for non-runnable instances).
     const std::vector<TrialRecord>& records(std::size_t instance) const;
 
     /// Injects a record produced elsewhere (a shard merger) at flat unit
     /// index `unit`.  Ignored for units of non-runnable instances, whose
-    /// reports are final from preparation.
+    /// reports are final from preparation; the instance must be prepared.
     void set_record(std::int64_t unit, TrialRecord record);
 
     /// Canonical-order merge of every instance's slots into its FuzzReport
     /// (core::merge_trial_records), saving reproducer artifacts when the
     /// prepare-time config set `artifact_dir`.  Call once, after all
-    /// execution/injection.
+    /// execution/injection, on a fully prepared audit.
     std::vector<FuzzReport> finalize();
 
-    /// Scheduler counters accumulated over every run_range() call.
+    /// Scheduler counters accumulated since preparation (or the last
+    /// reset_trials()).
     const SchedulerStats& stats() const;
 
     /// The audit's merged corpus: every instance's feedback corpus entries
@@ -280,12 +321,16 @@ public:
     std::vector<FuzzReport> audit(const ir::SDFG& p,
                                   const std::vector<xform::TransformationPtr>& passes);
 
-    /// Runs only the prepare phase of audit() and hands back the prepared
+    /// Runs the prepare phase of audit() and hands back the prepared
     /// instances for ranged unit execution (see PreparedAudit) — the
-    /// cross-process sharding entry point.  The returned audit captures the
-    /// current config; later config changes do not affect it.
-    PreparedAudit prepare(const ir::SDFG& p,
-                          const std::vector<xform::TransformationPtr>& passes);
+    /// cross-process sharding entry point.  Match discovery always covers
+    /// the whole audit; the per-instance pipelines run for the instances
+    /// that intersect [unit_begin, unit_end) (by default all of them).  The
+    /// returned audit captures the current config; later config changes do
+    /// not affect it.
+    PreparedAudit prepare(const ir::SDFG& p, const std::vector<xform::TransformationPtr>& passes,
+                          std::int64_t unit_begin = 0,
+                          std::int64_t unit_end = std::numeric_limits<std::int64_t>::max());
 
     /// Scheduler counters of the last audit()/test_instance() call.
     const SchedulerStats& last_stats() const { return stats_; }

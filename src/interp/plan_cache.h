@@ -93,6 +93,20 @@ struct SpecStats {
         segment_launches += o.segment_launches;
         return *this;
     }
+
+    /// Field-wise difference (growth since an earlier snapshot).
+    SpecStats& operator-=(const SpecStats& o) {
+        scopes_planned -= o.scopes_planned;
+        scopes_specialized -= o.scopes_specialized;
+        scopes_segmented -= o.scopes_segmented;
+        tasklets_planned -= o.tasklets_planned;
+        tasklets_f64 -= o.tasklets_f64;
+        tasklets_i64 -= o.tasklets_i64;
+        kernel_launches -= o.kernel_launches;
+        kernel_fallbacks -= o.kernel_fallbacks;
+        segment_launches -= o.segment_launches;
+        return *this;
+    }
 };
 
 /// Thread-safe cache of the compiled artifacts derived from one (or more)

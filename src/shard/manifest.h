@@ -113,7 +113,7 @@ struct ShardManifest {
     /// runners cross-check their own prepare against it, catching
     /// program/pass-set drift between planner and worker machines.
     std::int64_t instance_count = 0;
-    /// Units per checkpoint chunk of the record stream (docs/TUNING.md).
+    /// Units between checkpoints of the record stream (docs/TUNING.md).
     int checkpoint_interval = 64;
 
     common::Json to_json() const;  ///< Wire form.

@@ -28,14 +28,39 @@ const core::TrialRecord& unit_record(const core::PreparedAudit& audit, std::int6
 
 }  // namespace
 
+core::PreparedAudit& JobCache::prepare(const ShardManifest& manifest,
+                                       const RunShardOptions& options) {
+    // The execution knobs are captured in the prepared audit's config, so
+    // they are part of what makes a cached audit reusable.
+    const std::string key = manifest.job.key() + "|threads=" +
+                            std::to_string(options.num_threads) +
+                            "|chunk=" + std::to_string(options.trial_chunk);
+    if (key == key_) {
+        audit_.reset_trials();
+    } else {
+        key_.clear();  // stays empty if preparing throws
+        core::FuzzConfig config = job_fuzz_config(manifest.job);
+        config.num_threads = options.num_threads;
+        config.trial_chunk = options.trial_chunk;
+        program_ = load_job_program(manifest.job);
+        passes_ = job_passes(manifest.job);
+        // Match discovery only; the range below prepares what it touches.
+        audit_ = core::Fuzzer(config).prepare(program_, passes_, 0, 0);
+        key_ = key;
+    }
+    audit_.prepare_range(program_, passes_, manifest.unit_begin, manifest.unit_end);
+    return audit_;
+}
+
 RunShardResult run_shard(const ShardManifest& manifest, const std::string& records_path,
                          const RunShardOptions& options) {
-    core::FuzzConfig config = job_fuzz_config(manifest.job);
-    config.num_threads = options.num_threads;
-    config.trial_chunk = options.trial_chunk;
-    const ir::SDFG program = load_job_program(manifest.job);
-    core::Fuzzer fuzzer(config);
-    core::PreparedAudit audit = fuzzer.prepare(program, job_passes(manifest.job));
+    JobCache cache;
+    return run_shard(cache, manifest, records_path, options);
+}
+
+RunShardResult run_shard(JobCache& cache, const ShardManifest& manifest,
+                         const std::string& records_path, const RunShardOptions& options) {
+    core::PreparedAudit& audit = cache.prepare(manifest, options);
 
     // Cross-check the prepared shape against the planner's: a mismatch
     // means the worker machine sees a different program or pass set than
@@ -101,35 +126,40 @@ RunShardResult run_shard(const ShardManifest& manifest, const std::string& recor
 
     RunShardResult result;
     result.resumed_from = start;
-    const std::int64_t interval = std::max(manifest.checkpoint_interval, 1);
     const core::TrialRecord not_run;
-    // An empty shard runs no chunks, so no checkpoint would ever publish
+    // An empty shard runs no units, so no checkpoint would ever publish
     // the stream; emit its one (empty) checkpoint explicitly.  Only for a
     // fresh stream: a resumed empty shard is already complete and another
     // checkpoint line would break re-run byte-identity.
     if (start == manifest.unit_end && fresh) writer->checkpoint(manifest.unit_end);
     if (needs_trailer) writer->finish();
-    for (std::int64_t u = start; u < manifest.unit_end; u += interval) {
-        const std::int64_t chunk_end = std::min(u + interval, manifest.unit_end);
-        audit.run_range(u, chunk_end);
-        result.units_run += chunk_end - u;
-        if (options.interrupt_after_units >= 0 &&
-            chunk_end - start > options.interrupt_after_units) {
-            // Deterministic stand-in for a kill -9 mid-chunk: half the
-            // chunk's records, then a torn line, never the checkpoint.
-            const std::int64_t torn_at = u + std::max<std::int64_t>(1, (chunk_end - u) / 2);
-            for (std::int64_t unit = u; unit < torn_at; ++unit)
-                writer->write_record(unit, unit_record(audit, unit, not_run));
-            writer->append_raw("{\"type\":\"record\",\"unit\":");
-            result.stats = audit.stats();
-            return result;  // completed stays false
-        }
-        for (std::int64_t unit = u; unit < chunk_end; ++unit)
-            writer->write_record(unit, unit_record(audit, unit, not_run));
-        writer->checkpoint(chunk_end);
-        if (options.on_progress) options.on_progress(result.units_run);
-    }
-    result.completed = true;
+    // One pool runs the whole remaining range; each settled sub-range of
+    // the checkpoint grid (records final, NotRun rule applied) is written
+    // and checkpointed here — records before the checkpoint line.
+    bool interrupted = false;
+    audit.run_range(start, manifest.unit_end, std::max(manifest.checkpoint_interval, 1),
+                    [&](std::int64_t from, std::int64_t to) {
+                        result.units_run = to - start;
+                        if (options.interrupt_after_units >= 0 &&
+                            to - start > options.interrupt_after_units) {
+                            // Deterministic stand-in for a kill -9 mid-write:
+                            // half the sub-range's records, then a torn line,
+                            // never the checkpoint.
+                            const std::int64_t torn_at =
+                                from + std::max<std::int64_t>(1, (to - from) / 2);
+                            for (std::int64_t unit = from; unit < torn_at; ++unit)
+                                writer->write_record(unit, unit_record(audit, unit, not_run));
+                            writer->append_raw("{\"type\":\"record\",\"unit\":");
+                            interrupted = true;
+                            return false;
+                        }
+                        for (std::int64_t unit = from; unit < to; ++unit)
+                            writer->write_record(unit, unit_record(audit, unit, not_run));
+                        writer->checkpoint(to);
+                        if (options.on_progress) options.on_progress(result.units_run);
+                        return true;
+                    });
+    result.completed = !interrupted;
     result.stats = audit.stats();
     return result;
 }

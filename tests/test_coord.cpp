@@ -38,6 +38,7 @@
 #include "core/fuzzer.h"
 #include "shard/manifest.h"
 #include "shard/merger.h"
+#include "shard/records.h"
 #include "workloads/npbench.h"
 
 namespace ff {
@@ -713,6 +714,56 @@ TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
     // durable checkpoint (2 units) adds one progress beat.
     const std::int64_t units = manifest.unit_end - manifest.unit_begin;
     EXPECT_LE(beats, busy_ms / 20.0 + 1 + (units + 1) / 2) << busy_ms << " ms";
+}
+
+TEST(ScriptedCoordinator, SalvagedTornCopyIsPublishedAndCompletedToTheGoldenBytes) {
+    const std::string golden_path = std::string(FF_GOLDEN_DIR) + "/records-gemm-table2.jsonl";
+    const std::string golden = read_file(golden_path);
+    const shard::ShardManifest manifest = shard::read_record_file(golden_path).manifest;
+    // A prior attempt killed mid-write after its second checkpoint: the
+    // durable prefix, a record line, and a torn one.
+    std::size_t cut = 0;
+    for (int k = 0; k < 2; ++k) cut = golden.find("\"type\":\"checkpoint\"", cut + 1);
+    ASSERT_NE(cut, std::string::npos);
+    cut = golden.find('\n', cut) + 1;
+    const std::size_t next_line = golden.find('\n', cut) + 1;
+    const std::string torn = golden.substr(0, next_line) + "{\"rec\":{\"kind\":\"pa";
+    const std::string dir = scratch_dir("salvage_sealed_records");
+    const std::string prior = dir + "/lease-s0-a0.jsonl";
+    const std::string records = dir + "/lease-s0-a1.jsonl";
+    std::ofstream(prior, std::ios::binary) << torn;
+
+    const ScriptedRun run = run_scripted("salvage_sealed", 60000.0, [&](int listen_fd) {
+        coord::FramedConn conn = accept_worker(listen_fd);
+        welcome_worker(conn);
+        expect_frame(conn, "lease-request");
+        common::Json grant = message("lease");
+        grant["shard"] = 0;
+        grant["attempt"] = 1;
+        grant["manifest"] = manifest.to_json();
+        grant["records_path"] = records;
+        common::Json candidates = common::Json::array();
+        candidates.push_back(prior);
+        grant["resume_candidates"] = std::move(candidates);
+        grant["heartbeat_ms"] = 100.0;
+        conn.write(grant);
+        while (true) {
+            coord::ReadResult r = conn.read(30000);
+            if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
+            const std::string type = common::json_string(r.message, "type");
+            if (type == "complete") break;
+            if (type != "heartbeat") throw common::Error("unexpected '" + type + "' frame");
+        }
+        common::Json ack = message("ack");
+        ack["done"] = true;
+        conn.write(ack);
+        expect_worker_left(conn);
+    });
+    EXPECT_EQ(run.stats.salvages, 1);
+    EXPECT_EQ(run.stats.shards_completed, 1);
+    EXPECT_EQ(read_file(records), golden);
+    for (const auto& entry : fs::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path() << " left behind";
 }
 
 TEST(ScriptedCoordinator, EofMidWaitReconnectsTheSameSession) {

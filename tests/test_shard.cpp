@@ -600,6 +600,151 @@ TEST(ShardRecords, StreamsByteIdenticalAtAnyThreadCount) {
     }
 }
 
+// --- Streamed checkpoints and prepared-job reuse -------------------------------
+
+std::size_t count_checkpoints(const std::string& stream) {
+    std::size_t n = 0;
+    for (std::size_t at = stream.find("\"type\":\"checkpoint\""); at != std::string::npos;
+         at = stream.find("\"type\":\"checkpoint\"", at + 1))
+        ++n;
+    return n;
+}
+
+TEST(ShardRecords, CheckpointsStreamFromTheCompletedPrefix) {
+    const std::string golden = slurp(kGoldenRecords);
+    const shard::ShardManifest manifest = shard::read_record_file(kGoldenRecords).manifest;
+    const std::int64_t units = manifest.unit_end - manifest.unit_begin;
+    const std::int64_t interval = manifest.checkpoint_interval;
+    // One progress call per boundary of the checkpoint grid, whatever the
+    // thread count.
+    std::vector<std::int64_t> want;
+    for (std::int64_t done = 0; done < units;) {
+        done = std::min(done + interval, units);
+        want.push_back(done);
+    }
+    ASSERT_GT(want.size(), 2u);
+    const std::string path = scratch_dir("streamed") + "/records-0.jsonl";
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        shard::RunShardOptions options;
+        options.num_threads = threads;
+        std::vector<std::int64_t> seen;
+        options.on_progress = [&seen](std::int64_t units_done) { seen.push_back(units_done); };
+        EXPECT_EQ(first_difference(run_fresh_shard(manifest, path, options), golden), "");
+        EXPECT_EQ(seen, want);
+
+        // A progress hook that throws at the second checkpoint stops the
+        // pool; its exception leaves run_shard with two checkpoints durable.
+        fs::remove(path);
+        int calls = 0;
+        options.on_progress = [&calls](std::int64_t) {
+            if (++calls == 2) throw common::Error("progress hook failed");
+        };
+        EXPECT_THROW(shard::run_shard(manifest, path, options), common::Error);
+        EXPECT_EQ(calls, 2);
+        EXPECT_EQ(count_checkpoints(slurp(path)), 2u);
+        EXPECT_EQ(shard::read_record_file(path).checkpoint, manifest.unit_begin + 2 * interval);
+        EXPECT_EQ(shard::run_shard(manifest, path, {}).resumed_from,
+                  manifest.unit_begin + 2 * interval);
+        EXPECT_EQ(first_difference(slurp(path), golden), "") << "resumed after the throw";
+    }
+}
+
+TEST(ShardRecords, ThrowingSettleHookStopsThePool) {
+    const shard::JobSpec job = shard::read_record_file(kGoldenRecords).manifest.job;
+    core::FuzzConfig config = shard::job_fuzz_config(job);
+    config.num_threads = 1;
+    core::PreparedAudit audit =
+        core::Fuzzer(config).prepare(shard::load_job_program(job), shard::job_passes(job));
+    const std::int64_t interval = 64;
+    int calls = 0;
+    EXPECT_THROW(audit.run_range(0, audit.unit_count(), interval,
+                                 [&calls](std::int64_t, std::int64_t) {
+                                     if (++calls == 2) throw common::Error("settle hook failed");
+                                     return true;
+                                 }),
+                 common::Error);
+    EXPECT_EQ(calls, 2);
+    // The only worker settles inline after each claim, so nothing past the
+    // second boundary ran.
+    const int mt = audit.max_trials();
+    for (std::int64_t u = 2 * interval; u < audit.unit_count(); ++u) {
+        const auto& slots = audit.records(static_cast<std::size_t>(u / mt));
+        if (!slots.empty())
+            EXPECT_EQ(slots[static_cast<std::size_t>(u % mt)].kind,
+                      core::TrialRecord::Kind::NotRun)
+                << "unit " << u;
+    }
+}
+
+/// `whole` narrowed to [begin, end) as shard `index` of two.
+shard::ShardManifest half_of(shard::ShardManifest whole, int index, std::int64_t begin,
+                             std::int64_t end) {
+    whole.shard_index = index;
+    whole.shard_count = 2;
+    whole.unit_begin = begin;
+    whole.unit_end = end;
+    return whole;
+}
+
+/// The unit after the lowest failure of the first instance whose lowest
+/// failure is not its last trial (-1 when none): split there, the first
+/// shard holds that failure and the second the instance's later trials.
+std::int64_t unit_after_inner_failure(const shard::ShardRecordFile& file) {
+    const int mt = file.manifest.job.max_trials;
+    for (const auto& [unit, rec] : file.records)
+        if (rec.kind == core::TrialRecord::Kind::Failed && unit % mt < mt - 1) return unit + 1;
+    return -1;
+}
+
+TEST(ShardReuse, LeasesOnOneJobCacheLeakNoState) {
+    const shard::ShardManifest plain = shard::read_record_file(kGoldenRecords).manifest;
+    shard::ShardManifest guided = plain;
+    guided.job.coverage = true;
+    guided.job.feedback = true;
+    guided.job.generation_size = 8;
+    const std::string dir = scratch_dir("reuse");
+    shard::RunShardOptions options;
+    options.num_threads = 2;
+    for (const shard::ShardManifest& whole : {plain, guided}) {
+        SCOPED_TRACE(whole.job.feedback ? "feedback on" : "feedback off");
+        run_fresh_shard(whole, dir + "/whole.jsonl", options);
+        const std::int64_t split =
+            unit_after_inner_failure(shard::read_record_file(dir + "/whole.jsonl"));
+        ASSERT_GT(split, whole.unit_begin);
+        const shard::ShardManifest a = half_of(whole, 0, whole.unit_begin, split);
+        const shard::ShardManifest b = half_of(whole, 1, split, whole.unit_end);
+        ASSERT_GT(b.unit_end - b.unit_begin, 2 * b.checkpoint_interval);
+        const std::string want_a = run_fresh_shard(a, dir + "/fresh-a.jsonl", options);
+        const std::string want_b = run_fresh_shard(b, dir + "/fresh-b.jsonl", options);
+        const std::string path_a = dir + "/a.jsonl";
+        const std::string path_b = dir + "/b.jsonl";
+
+        // B after A through one cache: A's lowest failure sits below B's
+        // trials of the same instance, so a leaked watermark would skip them.
+        shard::JobCache cache;
+        fs::remove(path_a);
+        fs::remove(path_b);
+        EXPECT_TRUE(shard::run_shard(cache, a, path_a, options).completed);
+        EXPECT_TRUE(shard::run_shard(cache, b, path_b, options).completed);
+        EXPECT_EQ(first_difference(slurp(path_a), want_a), "") << "A on a fresh cache";
+        EXPECT_EQ(first_difference(slurp(path_b), want_b), "") << "B after A on one cache";
+
+        // B interrupted after its first checkpoint, then resumed, both on
+        // the audit A left behind.
+        shard::JobCache resumed;
+        fs::remove(path_a);
+        fs::remove(path_b);
+        EXPECT_TRUE(shard::run_shard(resumed, a, path_a, options).completed);
+        shard::RunShardOptions interrupting = options;
+        interrupting.interrupt_after_units = b.checkpoint_interval;
+        EXPECT_FALSE(shard::run_shard(resumed, b, path_b, interrupting).completed);
+        EXPECT_EQ(shard::run_shard(resumed, b, path_b, options).resumed_from,
+                  b.unit_begin + b.checkpoint_interval);
+        EXPECT_EQ(first_difference(slurp(path_b), want_b), "") << "B resumed on one cache";
+    }
+}
+
 TEST(ShardPlanner, ManifestFileErrorsNameFileLineAndField) {
     const std::string dir = scratch_dir("manifest_errors");
     {  // JSON syntax error: file + line + column
