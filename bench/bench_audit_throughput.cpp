@@ -1,25 +1,16 @@
 // Audit-wide scheduling throughput: executed trials per second across a
 // multi-instance audit.
 //
-// PR 2 made the trials of ONE instance scale across a worker pool, but the
-// audit loop still ran instance after instance: a fresh pool was spawned and
-// joined per instance, and stragglers of each instance idled every other
-// worker at the join barrier.  The audit-wide scheduler (this PR) keeps one
-// fixed pool for the whole audit and drains a global queue of
-// (instance, trial) units, so trials of independent instances overlap and
-// pool spawn/join is paid once.
-//
-// Three configurations over the same K-instance workload:
-//   per-instance  — K sequential Fuzzer::test_instance calls at N workers
-//                   each (the PR 2 architecture: pool per instance);
+// The audit-wide scheduler keeps one fixed worker pool for the whole audit
+// and drains a global queue of (instance, trial) units, so trials of
+// independent instances overlap and pool spawn/join is paid once.  Two
+// configurations over the same K-instance workload:
 //   audit @ 1     — Fuzzer::audit with a single worker (serial baseline);
 //   audit @ N     — Fuzzer::audit with N workers (the audit-wide pool).
 //
 // Acceptance bar: on hardware with >= N cores, audit@N scales vs audit@1
-// (>= 3x at 8 workers) and is no slower than per-instance@N — the gap over
-// per-instance widens with K since barriers and pool spawns scale with K.
-// Reports must be byte-identical across all three (determinism check; the
-// process exits non-zero otherwise).
+// (>= 3x at 8 workers).  Reports must be byte-identical across both
+// (determinism check; the process exits non-zero otherwise).
 #include "bench_common.h"
 
 #include <cstdlib>
@@ -78,19 +69,6 @@ void tally(RunResult& run) {
     for (const auto& r : run.reports) run.executed += r.trials + r.uninteresting;
 }
 
-/// The PR 2 architecture: a fresh per-instance pool (spawned and joined) for
-/// every match, instances strictly sequential.
-RunResult run_per_instance(const ir::SDFG& p, const xform::MapTiling& tiling,
-                           const std::vector<xform::Match>& matches, int num_threads) {
-    core::Fuzzer fuzzer(make_config(num_threads));
-    RunResult run;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const auto& m : matches) run.reports.push_back(fuzzer.test_instance(p, tiling, m));
-    run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    tally(run);
-    return run;
-}
-
 /// The audit-wide scheduler: one pool over every (instance, trial) unit.
 RunResult run_audit(const ir::SDFG& p, int num_threads) {
     std::vector<xform::TransformationPtr> passes;
@@ -104,7 +82,7 @@ RunResult run_audit(const ir::SDFG& p, int num_threads) {
     return run;
 }
 
-/// Returns false when reports diverge across configurations (main()
+/// Returns false when reports diverge across worker counts (main()
 /// propagates this so the CI step actually fails).
 bool identical(const RunResult& a, const RunResult& b) {
     if (a.reports.size() != b.reports.size()) return false;
@@ -123,46 +101,34 @@ bool print_report() {
     const unsigned hw = std::thread::hardware_concurrency();
 
     const ir::SDFG p = build_workload();
-    const xform::MapTiling tiling(4, xform::MapTiling::Variant::Correct);
-    const auto matches = tiling.find_matches(p);
-    if (static_cast<int>(matches.size()) != kInstances)
-        throw common::Error("expected " + std::to_string(kInstances) + " matches");
-
     const RunResult audit_one = run_audit(p, 1);
+    if (static_cast<int>(audit_one.reports.size()) != kInstances)
+        throw common::Error("expected " + std::to_string(kInstances) + " instances");
     const RunResult audit_many = threads > 1 ? run_audit(p, threads) : audit_one;
-    const RunResult per_instance = run_per_instance(p, tiling, matches, threads);
 
     bench::banner("Audit-wide scheduling - executed trials per second (" +
                   std::to_string(kInstances) + " instances x " +
                   std::to_string(kTrialsPerInstance) + " trials)");
     std::printf("  audit @ 1 worker   : %10.1f trials/s  (%d executed)\n",
                 audit_one.trials_per_second(), audit_one.executed);
-    std::printf("  per-instance @ %-2d  : %10.1f trials/s  (pool spawned/joined per instance)\n",
-                threads, per_instance.trials_per_second());
     std::printf("  audit @ %-2d workers : %10.1f trials/s  (one pool, global unit queue, hw=%u)\n",
                 threads, audit_many.trials_per_second(), hw);
     std::printf("  scaling vs 1 worker      : %.2fx (bar: >= 3x at 8 workers on >= 8 cores)\n",
                 audit_many.trials_per_second() / audit_one.trials_per_second());
-    std::printf("  vs per-instance pools    : %.2fx (bar: >= 1x; gap widens with instance count)\n",
-                audit_many.trials_per_second() / per_instance.trials_per_second());
 
-    const bool ok = identical(audit_one, audit_many) && identical(audit_one, per_instance);
-    std::printf("  determinism (reports identical across all configurations): %s\n",
+    const bool ok = identical(audit_one, audit_many);
+    std::printf("  determinism (reports identical at 1 and %d workers): %s\n", threads,
                 ok ? "PASS" : "FAIL");
 
-    // Machine-readable baseline for scripts/bench_audit_json.py (the
+    // Machine-readable baseline for `scripts/bench_json.py audit` (the
     // BENCH_audit.json CI artifact, like bench_interp_hotpath's BENCH_KV
     // lines feeding BENCH_hotpath.json).
     std::printf("BENCH_KV audit_instances=%d audit_trials_per_instance=%d audit_threads=%d\n",
                 kInstances, kTrialsPerInstance, threads);
-    std::printf(
-        "BENCH_KV audit1_trials_per_s=%.1f auditN_trials_per_s=%.1f "
-        "per_instance_trials_per_s=%.1f\n",
-        audit_one.trials_per_second(), audit_many.trials_per_second(),
-        per_instance.trials_per_second());
-    std::printf("BENCH_KV audit_scaling=%.3f audit_vs_per_instance=%.3f audit_determinism_ok=%d\n",
-                audit_many.trials_per_second() / audit_one.trials_per_second(),
-                audit_many.trials_per_second() / per_instance.trials_per_second(), ok ? 1 : 0);
+    std::printf("BENCH_KV audit1_trials_per_s=%.1f auditN_trials_per_s=%.1f\n",
+                audit_one.trials_per_second(), audit_many.trials_per_second());
+    std::printf("BENCH_KV audit_scaling=%.3f audit_determinism_ok=%d\n",
+                audit_many.trials_per_second() / audit_one.trials_per_second(), ok ? 1 : 0);
     return ok;
 }
 

@@ -27,7 +27,7 @@
 // f32, i64).  Acceptance bar: batched >= 2x per-point on the f64 section.
 // The exit code is 1 when any of the three bars fails.
 //
-// Lines prefixed BENCH_KV are machine-readable; scripts/bench_hotpath_json.py
+// Lines prefixed BENCH_KV are machine-readable; `scripts/bench_json.py hotpath`
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
 #include "bench_common.h"
 
@@ -325,7 +325,7 @@ bool print_report() {
     std::printf("  %d threads: %12.0f exec/s (hardware_concurrency=%u)\n", threads, many, hw);
     std::printf("  scaling ratio: %.2fx\n", many / one);
 
-    // Machine-readable baseline (scripts/bench_hotpath_json.py).
+    // Machine-readable baseline (`scripts/bench_json.py hotpath`).
     std::printf("BENCH_KV workload=hotpath_const_extent_f64\n");
     std::printf("BENCH_KV n=%lld m=%lld k=%lld\n", static_cast<long long>(kN),
                 static_cast<long long>(kM), static_cast<long long>(kK));

@@ -158,10 +158,12 @@ private:
     /// fresh sub-shards.
     void quarantine_shard(int shard, TimePoint now);
     /// The side audit the quarantine re-run executes in — same job, but
-    /// with the tightened resource budgets; prepared lazily on the first
-    /// quarantine (preparation is deterministic, so the blamed unit's
-    /// record is exactly what any budgeted run would produce).
-    core::PreparedAudit& quarantine_audit();
+    /// with the tightened resource budgets — with `unit`'s instance
+    /// prepared.  Match discovery runs on the first quarantine; each
+    /// blamed unit then prepares only its own instance (preparation is
+    /// deterministic, so the blamed unit's record is exactly what any
+    /// budgeted run would produce).
+    core::PreparedAudit& quarantine_audit(std::int64_t unit);
 
     const CoordConfig& config_;
     std::vector<shard::ShardManifest> manifests_;
@@ -169,7 +171,10 @@ private:
     std::exception_ptr prepare_error_;
     std::atomic<bool> prepare_done_{false};  ///< The prepare thread has finished.
     std::thread prepare_thread_;             ///< Fills audit_ or prepare_error_.
-    std::unique_ptr<core::Fuzzer> quarantine_fuzzer_;
+    /// Program and pass set of the quarantine side audit, kept for the
+    /// prepare_range of each later blamed unit.
+    ir::SDFG quarantine_program_;
+    std::vector<xform::TransformationPtr> quarantine_passes_;
     std::unique_ptr<core::PreparedAudit> quarantine_audit_;
     std::unique_ptr<LeaseQueue> queue_;
     int listen_fd_ = -1;
@@ -670,8 +675,11 @@ void Server::handle_failed_shards(TimePoint now) {
     if (quarantined) queue_->extend_active(Clock::now());
 }
 
-core::PreparedAudit& Server::quarantine_audit() {
-    if (quarantine_audit_) return *quarantine_audit_;
+core::PreparedAudit& Server::quarantine_audit(std::int64_t unit) {
+    if (quarantine_audit_) {
+        quarantine_audit_->prepare_range(quarantine_program_, quarantine_passes_, unit, unit + 1);
+        return *quarantine_audit_;
+    }
     core::FuzzConfig qc = shard::job_fuzz_config(config_.job);
     qc.num_threads = 1;
     qc.artifact_dir = "";  // artifacts are saved by the main audit's finalize
@@ -684,10 +692,10 @@ core::PreparedAudit& Server::quarantine_audit() {
     }
     log("preparing quarantine audit (max_points=" + std::to_string(qc.diff.exec.max_points) +
         ", max_alloc_bytes=" + std::to_string(qc.diff.exec.max_alloc_bytes) + ")");
-    const ir::SDFG program = shard::load_job_program(config_.job);
-    quarantine_fuzzer_ = std::make_unique<core::Fuzzer>(qc);
+    quarantine_program_ = shard::load_job_program(config_.job);
+    quarantine_passes_ = shard::job_passes(config_.job);
     quarantine_audit_ = std::make_unique<core::PreparedAudit>(
-        quarantine_fuzzer_->prepare(program, shard::job_passes(config_.job)));
+        core::Fuzzer(qc).prepare(quarantine_program_, quarantine_passes_, unit, unit + 1));
     return *quarantine_audit_;
 }
 
@@ -743,7 +751,7 @@ void Server::quarantine_shard(int shard, TimePoint now) {
     // whatever verdict that produces.
     const std::int64_t blamed = salvaged_to;
     if (blamed < manifest.unit_end) {
-        core::PreparedAudit& side = quarantine_audit();
+        core::PreparedAudit& side = quarantine_audit(blamed);
         side.run_range(blamed, blamed + 1);
         const std::size_t instance =
             static_cast<std::size_t>(blamed / std::max(side.max_trials(), 1));

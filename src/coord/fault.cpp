@@ -2,77 +2,74 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <vector>
 
 #include "common/error.h"
 
 namespace ff::coord {
 
-namespace {
-
-std::vector<std::string> split(const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t end = s.find(sep, start);
-        if (end == std::string::npos) end = s.size();
-        out.push_back(s.substr(start, end - start));
+std::vector<FaultToken> fault_tokens(const std::string& spec, const std::string& dialect) {
+    std::vector<FaultToken> tokens;
+    for (std::size_t start = 0; start <= spec.size();) {
+        std::size_t end = spec.find(',', start);
+        if (end == std::string::npos) end = spec.size();
+        if (end > start) {
+            FaultToken& t = tokens.emplace_back();
+            t.dialect = dialect;
+            t.text = spec.substr(start, end - start);
+            const std::size_t eq = t.text.find('=');
+            t.key = t.text.substr(0, eq);
+            t.has_value = eq != std::string::npos;
+            if (t.has_value) t.value = t.text.substr(eq + 1);
+        }
         start = end + 1;
     }
-    return out;
+    return tokens;
 }
 
-std::int64_t parse_i64(const std::string& key, const std::string& value) {
+std::int64_t FaultToken::i64() const {
     char* end = nullptr;
     errno = 0;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("fault plan: " + key + "=" + value + ": expected an integer");
-    }
+    const long long v = std::strtoll(value.c_str(), &end, 10);
+    if (value.empty() || end != value.c_str() + value.size() || errno != 0)
+        throw common::Error(dialect + ": " + key + "=" + value + ": expected an integer");
     return static_cast<std::int64_t>(v);
 }
 
-double parse_f64(const std::string& key, const std::string& value) {
+double FaultToken::f64() const {
     char* end = nullptr;
     errno = 0;
-    double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("fault plan: " + key + "=" + value + ": expected a number");
-    }
+    const double v = std::strtod(value.c_str(), &end);
+    if (value.empty() || end != value.c_str() + value.size() || errno != 0)
+        throw common::Error(dialect + ": " + key + "=" + value + ": expected a number");
     return v;
 }
 
-}  // namespace
+void FaultToken::reject(const std::string& expected) const {
+    throw common::Error(dialect + ": unknown token '" + text + "' (expected " + expected + ")");
+}
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
     FaultPlan plan;
-    if (spec.empty()) return plan;
-    for (const std::string& token : split(spec, ',')) {
-        if (token.empty()) continue;
-        std::size_t eq = token.find('=');
-        std::string key = token.substr(0, eq);
-        std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        bool has_value = eq != std::string::npos;
-        if (key == "kill-after-units" && has_value) {
-            plan.kill_after_units = parse_i64(key, value);
-        } else if (key == "abandon-after-units" && has_value) {
-            plan.abandon_after_units = parse_i64(key, value);
-        } else if (key == "spin-after-units" && has_value) {
-            plan.spin_after_units = parse_i64(key, value);
-        } else if (key == "hog-memory-after-units" && has_value) {
-            plan.hog_memory_after_units = parse_i64(key, value);
-        } else if (key == "disconnect-after-units" && has_value) {
-            plan.disconnect_after_units = parse_i64(key, value);
-        } else if (key == "delay-lease-ms" && has_value) {
-            plan.delay_lease_ms = parse_f64(key, value);
-        } else if (key == "drop-heartbeats" && !has_value) {
+    for (const FaultToken& t : fault_tokens(spec, "fault plan")) {
+        if (t.key == "kill-after-units" && t.has_value) {
+            plan.kill_after_units = t.i64();
+        } else if (t.key == "abandon-after-units" && t.has_value) {
+            plan.abandon_after_units = t.i64();
+        } else if (t.key == "spin-after-units" && t.has_value) {
+            plan.spin_after_units = t.i64();
+        } else if (t.key == "hog-memory-after-units" && t.has_value) {
+            plan.hog_memory_after_units = t.i64();
+        } else if (t.key == "disconnect-after-units" && t.has_value) {
+            plan.disconnect_after_units = t.i64();
+        } else if (t.key == "delay-lease-ms" && t.has_value) {
+            plan.delay_lease_ms = t.f64();
+        } else if (t.key == "drop-heartbeats" && !t.has_value) {
             plan.drop_heartbeats = true;
         } else {
-            throw common::Error(
-                "fault plan: unknown token '" + token +
-                "' (expected kill-after-units=N, abandon-after-units=N, "
-                "spin-after-units=N, hog-memory-after-units=N, "
-                "disconnect-after-units=N, delay-lease-ms=N or drop-heartbeats)");
+            t.reject(
+                "kill-after-units=N, abandon-after-units=N, spin-after-units=N, "
+                "hog-memory-after-units=N, disconnect-after-units=N, delay-lease-ms=N or "
+                "drop-heartbeats");
         }
     }
     return plan;

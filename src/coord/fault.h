@@ -12,12 +12,37 @@
 #pragma once
 
 /// \file
-/// FaultPlan: parseable, deterministic worker fault injection.
+/// FaultPlan: parseable, deterministic worker fault injection, and the
+/// spec tokenizer it shares with NetFaultPlan.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace ff::coord {
+
+/// One `key[=value]` token of a comma-separated fault spec — the grammar
+/// both fault dialects (FaultPlan, NetFaultPlan) share.  Errors start with
+/// the dialect's name, e.g. "fault plan: kill-after-units=soon: expected an
+/// integer".
+struct FaultToken {
+    std::string dialect;     ///< Error prefix ("fault plan", "net fault plan").
+    std::string text;        ///< The whole token.
+    std::string key;         ///< Up to the first '='.
+    std::string value;       ///< After the first '=' ("" without one).
+    bool has_value = false;  ///< Whether the token has an '='.
+
+    /// The value as an integer; throws common::Error unless it is one.
+    std::int64_t i64() const;
+    /// The value as a number; throws common::Error unless it is one.
+    double f64() const;
+    /// Throws common::Error naming this token as unknown; `expected` lists
+    /// the dialect's tokens.
+    [[noreturn]] void reject(const std::string& expected) const;
+};
+
+/// The non-empty comma-separated tokens of `spec`, in order.
+std::vector<FaultToken> fault_tokens(const std::string& spec, const std::string& dialect);
 
 /// What a worker sabotages, and when.  One-shot faults arm on the first
 /// lease the worker receives and fire once; drop-heartbeats is persistent.

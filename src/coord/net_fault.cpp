@@ -6,11 +6,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
 #include "common/json.h"
+#include "coord/fault.h"
 
 namespace ff::coord {
 
@@ -22,38 +22,6 @@ std::int64_t steady_now_ms() {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                SteadyClock::now().time_since_epoch())
         .count();
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= s.size()) {
-        std::size_t end = s.find(sep, start);
-        if (end == std::string::npos) end = s.size();
-        out.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return out;
-}
-
-std::int64_t parse_i64(const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(value.c_str(), &end, 10);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("net fault plan: " + key + "=" + value + ": expected an integer");
-    }
-    return static_cast<std::int64_t>(v);
-}
-
-double parse_f64(const std::string& key, const std::string& value) {
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(value.c_str(), &end);
-    if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
-        throw common::Error("net fault plan: " + key + "=" + value + ": expected a number");
-    }
-    return v;
 }
 
 std::uint32_t get_u32_be(const char* in) {
@@ -114,37 +82,29 @@ bool send_all(int fd, const std::string& bytes) {
 
 NetFaultPlan NetFaultPlan::parse(const std::string& spec) {
     NetFaultPlan plan;
-    if (spec.empty()) return plan;
-    for (const std::string& token : split(spec, ',')) {
-        if (token.empty()) continue;
-        std::size_t eq = token.find('=');
-        std::string key = token.substr(0, eq);
-        std::string value = eq == std::string::npos ? "" : token.substr(eq + 1);
-        bool has_value = eq != std::string::npos;
-        if (key == "drop-frame-every-n" && has_value) {
-            plan.drop_frame_every_n = parse_i64(key, value);
+    for (const FaultToken& t : fault_tokens(spec, "net fault plan")) {
+        if (t.key == "drop-frame-every-n" && t.has_value) {
+            plan.drop_frame_every_n = t.i64();
             if (plan.drop_frame_every_n == 1) {
                 throw common::Error(
                     "net fault plan: drop-frame-every-n=1 would drop every hello and "
                     "wedge the handshake forever; use n >= 2");
             }
-        } else if (key == "delay-frame-ms" && has_value) {
-            plan.delay_frame_ms = parse_f64(key, value);
-        } else if ((key == "duplicate-frame" || key == "duplicate-frame-every-n") &&
-                   has_value) {
-            plan.duplicate_frame_every_n = parse_i64(key, value);
-        } else if (key == "corrupt-frame-byte" && has_value) {
-            plan.corrupt_frame_byte = parse_i64(key, value);
-        } else if (key == "partition-after-units" && has_value) {
-            plan.partition_after_units = parse_i64(key, value);
-        } else if (key == "heal-ms" && has_value) {
-            plan.heal_ms = parse_f64(key, value);
+        } else if (t.key == "delay-frame-ms" && t.has_value) {
+            plan.delay_frame_ms = t.f64();
+        } else if ((t.key == "duplicate-frame" || t.key == "duplicate-frame-every-n") &&
+                   t.has_value) {
+            plan.duplicate_frame_every_n = t.i64();
+        } else if (t.key == "corrupt-frame-byte" && t.has_value) {
+            plan.corrupt_frame_byte = t.i64();
+        } else if (t.key == "partition-after-units" && t.has_value) {
+            plan.partition_after_units = t.i64();
+        } else if (t.key == "heal-ms" && t.has_value) {
+            plan.heal_ms = t.f64();
         } else {
-            throw common::Error(
-                "net fault plan: unknown token '" + token +
-                "' (expected drop-frame-every-n=N, delay-frame-ms=N, "
-                "duplicate-frame=N, corrupt-frame-byte=N, "
-                "partition-after-units=N or heal-ms=N)");
+            t.reject(
+                "drop-frame-every-n=N, delay-frame-ms=N, duplicate-frame=N, "
+                "corrupt-frame-byte=N, partition-after-units=N or heal-ms=N");
         }
     }
     return plan;

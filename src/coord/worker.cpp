@@ -461,8 +461,6 @@ Worker::Outcome Worker::execute_lease(Json grant) {
 
     shard::RunShardOptions options;
     options.num_threads = config_.num_threads;
-    options.trial_chunk = config_.trial_chunk;
-    options.resume = true;
     if (fault_armed_ && config_.fault.kill_after_units >= 0) {
         options.interrupt_after_units = config_.fault.kill_after_units;
     } else if (fault_armed_ && config_.fault.abandon_after_units >= 0) {

@@ -49,7 +49,6 @@ struct WorkerConfig {
     std::string connect_address;
     std::string worker_id;     ///< Name in hello ("" = "pid<pid>").
     int num_threads = 1;       ///< Threads of each shard's trial pool.
-    int trial_chunk = 1;       ///< Scheduler chunking (execution-only).
     FaultPlan fault;           ///< Injected sabotage (tests/chaos only).
     /// Reconnect schedule when the coordinator is unreachable; jitter
     /// spreads a worker fleet's reconnect stampede.  The short first delay

@@ -155,60 +155,4 @@ TrialOutcome DifferentialTester::run_trial(const interp::Context& inputs) {
     return outcome;
 }
 
-std::unique_ptr<DifferentialTester> TesterCache::acquire(
-    std::uint64_t instance, const std::function<void(DifferentialTester&)>& bind_fn) {
-    std::unique_ptr<DifferentialTester> tester;
-    bool needs_bind = true;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Prefer an idle tester already bound to this instance...
-        for (auto it = idle_.begin(); it != idle_.end(); ++it) {
-            if (it->instance == instance) {
-                tester = std::move(it->tester);
-                idle_.erase(it);
-                needs_bind = false;
-                ++stats_.hits;
-                break;
-            }
-        }
-        // ...else repurpose the least recently released one.
-        if (!tester && !idle_.empty()) {
-            auto lru = idle_.begin();
-            for (auto it = idle_.begin(); it != idle_.end(); ++it)
-                if (it->stamp < lru->stamp) lru = it;
-            tester = std::move(lru->tester);
-            idle_.erase(lru);
-            ++stats_.rebinds;
-        }
-        if (!tester) ++stats_.built;
-    }
-    if (!tester) tester = std::make_unique<DifferentialTester>(config_);
-    if (needs_bind) bind_fn(*tester);
-    return tester;
-}
-
-void TesterCache::release(std::unique_ptr<DifferentialTester> tester, std::uint64_t instance) {
-    std::unique_ptr<DifferentialTester> evicted;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (idle_.size() < bound_) {
-            idle_.push_back(Entry{std::move(tester), instance, ++clock_});
-        } else {
-            evicted = std::move(tester);
-            ++stats_.evictions;
-        }
-    }
-    // `evicted` (two interpreters) is destroyed outside the lock.
-}
-
-TesterCache::Stats TesterCache::stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-}
-
-std::size_t TesterCache::idle_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return idle_.size();
-}
-
 }  // namespace ff::core

@@ -13,13 +13,11 @@
 #pragma once
 
 /// \file
-/// Differential execution contexts: verdicts, the reusable
-/// instance-switchable DifferentialTester, and the bounded TesterCache.
+/// Differential execution contexts: verdicts and the reusable
+/// instance-switchable DifferentialTester.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -104,11 +102,10 @@ struct ValidationResult {
 ///
 /// A tester is *bound* to one transformation instance — an (original,
 /// transformed, system-state, plan-cache) tuple — and runs any number of
-/// trials against it.  Binding is switchable: the audit-wide scheduler keeps
-/// a bounded cache of idle testers and rebinds the least recently used one
-/// when a worker moves to a different instance, so interpreter scratch
-/// allocations are reused across the whole audit instead of being rebuilt
-/// per instance (see core::Fuzzer).
+/// trials against it.  Binding is switchable: each worker slot of the
+/// audit-wide pool owns one tester and rebinds it when its worker moves to a
+/// different instance, so interpreter scratch allocations are reused across
+/// the whole audit instead of being rebuilt per instance (see core::Fuzzer).
 class DifferentialTester {
 public:
     /// Unbound tester: interpreters and scratch only.  bind() must be called
@@ -130,7 +127,7 @@ public:
 
     /// Not copyable/movable: a bound tester may point into its own
     /// owned_system_state_, which a generated copy would leave dangling.
-    /// The scheduler pools testers via unique_ptr (see TesterCache).
+    /// The scheduler holds its per-worker testers via unique_ptr.
     DifferentialTester(const DifferentialTester&) = delete;
     DifferentialTester& operator=(const DifferentialTester&) = delete;
 
@@ -170,69 +167,6 @@ private:
     /// bitmap the original-side interpreter marks into.
     std::shared_ptr<const feedback::CovAtlas> atlas_;
     feedback::CoverageMap cov_map_;  ///< Reset per trial, read after Ok runs.
-};
-
-/// Bounded, thread-safe cache of idle DifferentialTesters, keyed by the
-/// instance they are bound to.
-///
-/// The audit-wide scheduler's workers check their execution context in here
-/// whenever they switch instances and check one out for the instance they
-/// are about to run:
-///  * a *hit* returns a tester already bound to that instance — warm plans,
-///    no binding work at all;
-///  * a *rebind* repurposes the least recently released idle tester: its
-///    interpreters keep their scratch arenas and only swap plan caches;
-///  * a *build* (empty cache) constructs a tester from scratch.
-///
-/// `bound` caps the number of *idle* testers retained; testers checked out
-/// on a worker are never counted or touched, so eviction only ever destroys
-/// idle contexts.  All operations are mutex-guarded (they happen once per
-/// instance switch, not per trial).
-class TesterCache {
-public:
-    /// Cache retaining at most `bound` idle testers, constructing new ones
-    /// with `config`.
-    TesterCache(std::size_t bound, DiffConfig config)
-        : bound_(bound), config_(std::move(config)) {}
-
-    /// Cache-behaviour counters (monotonic over the cache's lifetime).
-    struct Stats {
-        int built = 0;      ///< Testers constructed from scratch.
-        int hits = 0;       ///< Acquires satisfied by a same-instance idle tester.
-        int rebinds = 0;    ///< Acquires that repurposed an idle tester (LRU).
-        int evictions = 0;  ///< Idle testers destroyed over the bound.
-    };
-
-    /// Checks out a tester for `instance`.  `bind_fn` is invoked (with the
-    /// tester to bind) only when the returned tester is not already bound to
-    /// that instance — i.e. on rebinds and builds, never on hits.
-    std::unique_ptr<DifferentialTester> acquire(
-        std::uint64_t instance, const std::function<void(DifferentialTester&)>& bind_fn);
-
-    /// Checks `tester` back in as idle for `instance`; destroys it instead
-    /// when the idle set is at the bound.
-    void release(std::unique_ptr<DifferentialTester> tester, std::uint64_t instance);
-
-    /// Snapshot of the counters.
-    Stats stats() const;
-
-    /// Idle testers currently retained (always <= the bound).
-    std::size_t idle_count() const;
-
-private:
-    /// One idle tester and the instance it is still bound to.
-    struct Entry {
-        std::unique_ptr<DifferentialTester> tester;  ///< The idle context.
-        std::uint64_t instance = 0;                  ///< Its current binding.
-        std::uint64_t stamp = 0;  ///< Release order (LRU victim selection).
-    };
-
-    mutable std::mutex mutex_;  ///< Guards idle_, clock_, stats_.
-    const std::size_t bound_;   ///< Idle-tester capacity.
-    const DiffConfig config_;   ///< Settings for built testers.
-    std::vector<Entry> idle_;   ///< The idle set.
-    std::uint64_t clock_ = 0;   ///< Monotonic release stamp.
-    Stats stats_;               ///< Lifetime counters.
 };
 
 }  // namespace ff::core

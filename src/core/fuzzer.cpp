@@ -27,7 +27,7 @@ std::size_t count_dataflow_nodes(const ir::SDFG& sdfg) {
 }
 
 /// Resolves the config's implication chain (feedback => coverage =>
-/// instrumented interpreters) once, so prepare, the tester cache and the
+/// instrumented interpreters) once, so prepare, the worker contexts and the
 /// per-instance feedback state all see the same effective settings.
 FuzzConfig normalized_config(FuzzConfig config) {
     if (config.feedback) config.coverage = true;
@@ -73,10 +73,9 @@ struct InstanceJob {
 
 /// Global (instance, trial) unit queue over one contiguous range of the
 /// flat unit space `instance * max_trials + trial`; a single monotonic
-/// cursor hands out chunks of consecutive trials of one instance (chunks
-/// never straddle an instance boundary).  Monotonicity gives the
-/// determinism invariant: every trial with an index <= its instance's
-/// lowest failure is guaranteed to execute *within the range*, which is all
+/// cursor hands out one unit per claim.  Monotonicity gives the determinism
+/// invariant: every trial with an index <= its instance's lowest failure is
+/// guaranteed to execute *within the range*, which is all
 /// merge_trial_records needs once every range of the unit space has run
 /// somewhere (single process or cross-process shards).  (For uniform
 /// micro-tasks like fuzz trials, work stealing degenerates to exactly this
@@ -85,21 +84,19 @@ struct InstanceJob {
 ///
 /// Monotonicity also makes the completed prefix of the range cheap to know:
 /// each worker announces the unit it is about to claim before its claim can
-/// succeed and withdraws it once the claim's trials are done, so every unit
+/// succeed and withdraws it once the claimed trial is done, so every unit
 /// below min(cursor, every announced unit) has finished.
 class AuditScheduler {
 public:
-    /// A claimed run of consecutive trials of one instance.
+    /// A claimed (instance, trial) unit.
     struct Claim {
         int instance = 0;  ///< Instance (job) index.
-        int first = 0;     ///< First trial index of the run.
-        int count = 0;     ///< Number of trials claimed.
+        int trial = 0;     ///< Trial index within the instance.
     };
 
-    AuditScheduler(std::size_t instances, int max_trials, int chunk, std::int64_t unit_begin,
+    AuditScheduler(std::size_t instances, int max_trials, std::int64_t unit_begin,
                    std::int64_t unit_end, int workers)
         : max_trials_(std::max(max_trials, 0)),
-          chunk_(std::max(chunk, 1)),
           end_(unit_end),
           next_(unit_begin),
           stop_(instances),
@@ -113,7 +110,7 @@ public:
         stop_[instance].store(-1, std::memory_order_release);
     }
 
-    /// Claims the next chunk for `worker`; false when the range is drained
+    /// Claims the next unit for `worker`; false when the range is drained
     /// (or aborted).  The claim stays in flight until finish(worker).
     bool claim(int worker, Claim& c) {
         std::atomic<std::int64_t>& announced = in_flight_[static_cast<std::size_t>(worker)];
@@ -127,8 +124,8 @@ public:
                 return false;
             }
             const int inst = static_cast<int>(u / max_trials_);
-            const int first = static_cast<int>(u % max_trials_);
-            if (first > stop_at(static_cast<std::size_t>(inst))) {
+            const int trial = static_cast<int>(u % max_trials_);
+            if (trial > stop_at(static_cast<std::size_t>(inst))) {
                 // Everything left in this instance is past its stop index:
                 // jump the cursor to the next instance's first unit.
                 const std::int64_t next_inst =
@@ -137,16 +134,14 @@ public:
                     u = next_inst;
                 continue;
             }
-            const int count = static_cast<int>(std::min<std::int64_t>(
-                std::min(chunk_, max_trials_ - first), end_ - u));
-            if (next_.compare_exchange_weak(u, u + count, std::memory_order_seq_cst)) {
-                c = Claim{inst, first, count};
+            if (next_.compare_exchange_weak(u, u + 1, std::memory_order_seq_cst)) {
+                c = Claim{inst, trial};
                 return true;
             }
         }
     }
 
-    /// `worker`'s claim is done (its slots are final).
+    /// `worker`'s claim is done (its slot is final).
     void finish(int worker) {
         in_flight_[static_cast<std::size_t>(worker)].store(kIdle, std::memory_order_seq_cst);
     }
@@ -173,47 +168,51 @@ public:
         return stop_[instance].load(std::memory_order_acquire);
     }
 
-    /// Instance the cursor currently points into: all lower instances are
-    /// fully claimed (workers retire their plan caches past this watermark).
-    int cursor_instance() const {
-        if (max_trials_ == 0) return 0;
-        return static_cast<int>(next_.load(std::memory_order_acquire) / max_trials_);
-    }
-
     /// Stops all further claims (a worker raised).
     void abort() { aborted_.store(true, std::memory_order_release); }
-
-    /// Whether abort() was called (workers also poll this inside a claimed
-    /// chunk so a large trial_chunk cannot delay error propagation).
-    bool aborted() const { return aborted_.load(std::memory_order_acquire); }
 
 private:
     static constexpr std::int64_t kIdle = std::numeric_limits<std::int64_t>::max();
 
     const int max_trials_;
-    const int chunk_;
     const std::int64_t end_;  // one past the last unit of the range
     std::atomic<std::int64_t> next_;
     std::atomic<bool> aborted_{false};
     std::vector<std::atomic<int>> stop_;  // per-instance early-stop index
-    /// Per worker: the unit its current claim starts at (kIdle between claims).
+    /// Per worker: the unit its current claim is (kIdle between claims).
     std::vector<std::atomic<std::int64_t>> in_flight_;
+};
+
+/// A pool-worker slot's execution context: its tester (two interpreters +
+/// scratch) and the instance that tester is bound to.  Kept by the
+/// PreparedAudit across run_range calls and reset_trials().
+struct WorkerContext {
+    static constexpr std::size_t kUnbound = std::numeric_limits<std::size_t>::max();
+    std::unique_ptr<DifferentialTester> tester;  ///< Null until first claimed.
+    std::size_t instance = kUnbound;             ///< Binding of `tester`.
 };
 
 /// Everything the worker pool shares for one run.
 struct PoolShared {
-    PoolShared(std::deque<InstanceJob>& j, AuditScheduler& s, TesterCache& c,
-               interp::PlanCacheRegistry& r)
-        : jobs(j), scheduler(s), cache(c), registry(r) {}
+    PoolShared(std::deque<InstanceJob>& j, AuditScheduler& s, std::vector<WorkerContext>& c,
+               interp::PlanCacheRegistry& r, const DiffConfig& d)
+        : jobs(j), scheduler(s), contexts(c), registry(r), diff(d) {}
 
     std::deque<InstanceJob>& jobs;
     AuditScheduler& scheduler;
-    TesterCache& cache;
+    /// One slot per worker, handed out in first-claim order (next_slot), so
+    /// a range that needs fewer workers than an earlier one reuses the
+    /// slots the earlier one built.
+    std::vector<WorkerContext>& contexts;
     interp::PlanCacheRegistry& registry;
+    const DiffConfig& diff;  ///< Settings of every built tester.
     std::chrono::steady_clock::time_point epoch{};
     std::atomic<int> retire_watermark{0};
+    std::atomic<int> next_slot{0};
     std::atomic<std::int64_t> units{0};
-    std::atomic<std::int64_t> claims{0};
+    std::atomic<int> contexts_built{0};
+    std::atomic<int> context_hits{0};
+    std::atomic<int> context_rebinds{0};
     /// Called by a worker after each finished claim (streaming ranges only).
     std::function<void()> after_claim;
     std::exception_ptr error;
@@ -241,7 +240,7 @@ void atomic_store_max(std::atomic<std::int64_t>& a, std::int64_t v) {
 /// Retires the plan caches of every instance below the scheduler cursor:
 /// once the cursor is past an instance, no new claims (and thus no new
 /// context binds) for it can occur, so its compiled artifacts are only kept
-/// alive by in-flight stragglers and the bounded registry/context caches.
+/// alive by contexts still bound to it and the bounded registry.
 void advance_retire_watermark(PoolShared& sh, int cursor_instance) {
     int w = sh.retire_watermark.load(std::memory_order_acquire);
     while (w < cursor_instance) {
@@ -296,16 +295,36 @@ void run_unit(InstanceJob& job, int trial, DifferentialTester& tester,
     scheduler.fail_at(job.index, trial);
 }
 
-/// One worker of the audit-wide pool: claims unit chunks off the global
-/// queue, lazily (re)binding its execution context when the chunk belongs to
-/// a different instance than the previous one.
+/// Points a worker's context at `job`: builds the slot's tester on its
+/// first use, keeps one already bound to the job (a hit), rebinds otherwise.
+void bind_context(PoolShared& sh, WorkerContext& ctx, InstanceJob& job) {
+    if (ctx.tester && ctx.instance == job.index) {
+        sh.context_hits.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    if (ctx.tester) {
+        sh.context_rebinds.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        ctx.tester = std::make_unique<DifferentialTester>(sh.diff);
+        sh.contexts_built.fetch_add(1, std::memory_order_relaxed);
+    }
+    // A bind that throws leaves the tester unbound, never a stale hit for
+    // a later range.
+    ctx.instance = WorkerContext::kUnbound;
+    ctx.tester->bind(job.cutout.program, job.transformed, job.cutout.system_state,
+                     sh.registry.acquire(job.index), &job.validation);
+    ctx.instance = job.index;
+}
+
+/// One worker of the audit-wide pool: claims units off the global queue,
+/// taking a context slot on its first claim and pointing it at the claim's
+/// instance whenever that differs from the previous claim's.
 void run_worker(PoolShared& sh, int worker) {
-    std::unique_ptr<DifferentialTester> tester;
-    std::size_t bound_instance = std::numeric_limits<std::size_t>::max();
+    WorkerContext* ctx = nullptr;
+    int current = -1;  // instance of the previous claim
     try {
         AuditScheduler::Claim c;
         while (sh.scheduler.claim(worker, c)) {
-            sh.claims.fetch_add(1, std::memory_order_relaxed);
             // Retire only instances strictly below the claimed one — the
             // cursor may already be past c.instance (this claim could be its
             // last), and retiring it before binding would evict the very
@@ -315,22 +334,15 @@ void run_worker(PoolShared& sh, int worker) {
             // Stamp before the context (re)bind so plan building counts
             // toward the instance's trial-phase wall clock.
             atomic_store_min(job.first_ns, ns_since(sh.epoch));
-            if (static_cast<std::size_t>(c.instance) != bound_instance) {
-                if (tester) sh.cache.release(std::move(tester), bound_instance);
-                tester = sh.cache.acquire(job.index, [&job, &sh](DifferentialTester& t) {
-                    t.bind(job.cutout.program, job.transformed, job.cutout.system_state,
-                           sh.registry.acquire(job.index), &job.validation);
-                });
-                bound_instance = static_cast<std::size_t>(c.instance);
+            if (!ctx)
+                ctx = &sh.contexts[static_cast<std::size_t>(
+                    sh.next_slot.fetch_add(1, std::memory_order_relaxed))];
+            if (c.instance != current) {
+                bind_context(sh, *ctx, job);
+                current = c.instance;
             }
-            for (int trial = c.first; trial < c.first + c.count; ++trial) {
-                // A failure below this chunk (or another worker's abort)
-                // may have landed meanwhile; the remaining trials' records
-                // would never be read.
-                if (sh.scheduler.aborted() || trial > sh.scheduler.stop_at(job.index)) break;
-                run_unit(job, trial, *tester, sh.scheduler);
-                sh.units.fetch_add(1, std::memory_order_relaxed);
-            }
+            run_unit(job, c.trial, *ctx->tester, sh.scheduler);
+            sh.units.fetch_add(1, std::memory_order_relaxed);
             atomic_store_max(job.last_ns, ns_since(sh.epoch));
             sh.scheduler.finish(worker);
             if (sh.after_claim) sh.after_claim();
@@ -340,7 +352,6 @@ void run_worker(PoolShared& sh, int worker) {
         if (!sh.error) sh.error = std::current_exception();
         sh.scheduler.abort();
     }
-    if (tester) sh.cache.release(std::move(tester), bound_instance);
 }
 
 /// Steps 1-4 of the pipeline for one instance: isolation, extraction,
@@ -458,19 +469,18 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
 }  // namespace
 
 /// Prepared jobs plus everything that persists across run_range calls: the
-/// bounded context/plan caches (so successive ranges, and a worker's
-/// successive leases, reuse warm interpreters) and the scheduler stats since
-/// preparation or the last reset.
+/// worker slots' execution contexts and the plan-cache registry (so
+/// successive ranges, and a worker's successive leases, reuse warm
+/// interpreters) and the scheduler stats since preparation or the last
+/// reset.
 struct PreparedAudit::Impl {
     FuzzConfig config;              ///< Captured at prepare time.
     std::deque<InstanceJob> jobs;   ///< Pinned (atomics make them immovable).
     std::size_t pass_count = 0;     ///< Size of the pass set discovery ran on.
     SchedulerStats stats;           ///< Since preparation or the last reset.
-    std::unique_ptr<interp::PlanCacheRegistry> registry;  ///< Lazily built.
-    std::unique_ptr<TesterCache> cache;                   ///< Lazily built.
-    /// Cache and registry counters at the last reset; stats report the
-    /// growth since.
-    TesterCache::Stats cache_base;
+    interp::PlanCacheRegistry registry;    ///< Per-instance plan caches.
+    std::vector<WorkerContext> contexts;  ///< One per pool-worker slot.
+    /// Registry counters at the last reset; stats report the growth since.
     std::uint64_t evictions_base = 0;
     interp::SpecStats spec_base;
     std::chrono::steady_clock::time_point epoch;  ///< Trial wall-clock base.
@@ -601,7 +611,7 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
         if (hi > lo) available_units += hi - lo;
     }
     const int workers = resolve_thread_count(config.num_threads, available_units);
-    AuditScheduler scheduler(jobs.size(), mt, config.trial_chunk, begin, end, workers);
+    AuditScheduler scheduler(jobs.size(), mt, begin, end, workers);
     for (InstanceJob& job : jobs) {
         if (!job.runnable) {
             scheduler.skip_instance(job.index);
@@ -614,16 +624,9 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
     }
     stats.workers = workers;
 
-    if (!registry)
-        registry = std::make_unique<interp::PlanCacheRegistry>(
-            static_cast<std::size_t>(std::max(config.plan_cache_bound, 0)));
-    if (!cache) {
-        const std::size_t context_bound =
-            config.context_cache_bound > 0 ? static_cast<std::size_t>(config.context_cache_bound)
-                                           : static_cast<std::size_t>(workers);
-        cache = std::make_unique<TesterCache>(context_bound, config.diff);
-    }
-    PoolShared sh{jobs, scheduler, *cache, *registry};
+    if (contexts.size() < static_cast<std::size_t>(workers))
+        contexts.resize(static_cast<std::size_t>(workers));
+    PoolShared sh{jobs, scheduler, contexts, registry, config.diff};
     sh.epoch = epoch;
 
     // Settling: each sub-range of the grid whose units have all finished is
@@ -671,17 +674,16 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
     // completed range.  Instances extending past `end` stay live: a later
     // range will claim their units.
     for (InstanceJob& job : jobs)
-        if (static_cast<std::int64_t>(job.index + 1) * mt <= end) registry->retire(job.index);
-    stats.spec = registry->spec_totals();
+        if (static_cast<std::int64_t>(job.index + 1) * mt <= end) registry.retire(job.index);
+    stats.spec = registry.spec_totals();
     stats.spec -= spec_base;
-    stats.units += sh.units.load(std::memory_order_relaxed);
-    stats.claims += sh.claims.load(std::memory_order_relaxed);
-    const TesterCache::Stats cache_stats = cache->stats();
-    stats.contexts_built = cache_stats.built - cache_base.built;
-    stats.context_hits = cache_stats.hits - cache_base.hits;
-    stats.context_rebinds = cache_stats.rebinds - cache_base.rebinds;
-    stats.context_evictions = cache_stats.evictions - cache_base.evictions;
-    stats.plan_caches_evicted = static_cast<std::int64_t>(registry->evictions() - evictions_base);
+    const std::int64_t units = sh.units.load(std::memory_order_relaxed);
+    stats.units += units;
+    stats.claims += units;  // one unit per claim
+    stats.contexts_built += sh.contexts_built.load(std::memory_order_relaxed);
+    stats.context_hits += sh.context_hits.load(std::memory_order_relaxed);
+    stats.context_rebinds += sh.context_rebinds.load(std::memory_order_relaxed);
+    stats.plan_caches_evicted = static_cast<std::int64_t>(registry.evictions() - evictions_base);
 
     std::lock_guard<std::mutex> lock(settle_mutex);
     settle();
@@ -749,11 +751,8 @@ void PreparedAudit::reset_trials() {
     }
     impl.lowest_failure.assign(impl.jobs.size(), impl.max_trials());
     impl.stats = SchedulerStats{};
-    if (impl.cache) impl.cache_base = impl.cache->stats();
-    if (impl.registry) {
-        impl.evictions_base = impl.registry->evictions();
-        impl.spec_base = impl.registry->spec_totals();
-    }
+    impl.evictions_base = impl.registry.evictions();
+    impl.spec_base = impl.registry.spec_totals();
     impl.epoch = std::chrono::steady_clock::now();
 }
 

@@ -3,9 +3,10 @@
 //
 // Execution model (see docs/ARCHITECTURE.md): audit() prepares every
 // transformation instance, then drains one global queue of (instance, trial)
-// units with a fixed pool of workers.  Workers lazily acquire a per-instance
-// execution context (two interpreters + scratch) from a bounded context
-// cache; per-instance plan caches are managed by a bounded registry.  Trial
+// units with a fixed pool of workers.  Each worker slot owns one execution
+// context (two interpreters + scratch), built on its first claim and rebound
+// when the worker moves to another instance; per-instance plan caches are
+// managed by a bounded registry.  Trial
 // inputs are a pure function of (seed, trial index) and per-instance results
 // are merged in canonical trial order, so reports are byte-identical at any
 // worker count.
@@ -49,23 +50,6 @@ struct FuzzConfig {
     /// instance x trial order, so the reported verdict is always the
     /// lowest-indexed failing trial of each instance.
     int num_threads = 1;
-    /// Consecutive trials of one instance claimed per scheduler operation.
-    /// Larger chunks cost one atomic claim per `trial_chunk` trials and keep
-    /// workers on one instance longer (fewer context rebinds); 1 reproduces
-    /// per-trial claiming.  Determinism is unaffected.  Values < 1 clamp
-    /// to 1.
-    int trial_chunk = 1;
-    /// Idle execution contexts (two interpreters + scratch each) the
-    /// audit-wide context cache retains; contexts in flight on a worker are
-    /// not counted.  Smaller bounds trade interpreter-reuse hits for memory;
-    /// eviction only ever destroys idle contexts, never running ones.
-    /// 0 = one per worker.
-    int context_cache_bound = 0;
-    /// Retired per-instance plan caches (compiled state plans + tasklet
-    /// bytecode) kept resident after the scheduler's cursor passes their
-    /// instance.  Bounds audit memory to O(bound) instances' artifacts; a
-    /// straggler that rebinds to an evicted instance transparently rebuilds.
-    int plan_cache_bound = 4;
     SamplerConfig sampler;  ///< Input-configuration sampling (Sec. 5.1).
     DiffConfig diff;        ///< Comparison threshold + interpreter settings.
     CutoutOptions cutout;   ///< Cutout extraction options (Sec. 3).
@@ -159,11 +143,13 @@ struct FuzzReport {
 struct SchedulerStats {
     int workers = 0;             ///< Pool size after clamping to the unit count.
     std::int64_t units = 0;      ///< (instance, trial) units executed.
-    std::int64_t claims = 0;     ///< Scheduler claim operations (chunked).
-    int contexts_built = 0;      ///< Execution contexts constructed.
-    int context_hits = 0;        ///< Cache hits already bound to the instance.
-    int context_rebinds = 0;     ///< Idle contexts rebound to a new instance.
-    int context_evictions = 0;   ///< Idle contexts destroyed over the bound.
+    std::int64_t claims = 0;     ///< Scheduler claims (one unit each).
+    /// Execution contexts a worker slot constructed on its first claim.
+    int contexts_built = 0;
+    /// First claims of a range whose slot context was already bound to the
+    /// claimed instance (a range that starts where an earlier one ended).
+    int context_hits = 0;
+    int context_rebinds = 0;     ///< Slot contexts rebound to another instance.
     std::int64_t plan_caches_evicted = 0;  ///< Registry evictions (see plan_cache.h).
     /// Wall clock of the prepare phase (match discovery, then cutout,
     /// min-cut, transformation application and constraint derivation of

@@ -8,8 +8,8 @@
 // space `unit = instance * max_trials + trial`.  The planner partitions
 // that space into contiguous ranges; one ShardManifest per range is all a
 // worker machine needs (`ffaudit run-shard`).  Execution-only knobs
-// (threads, chunking, specialization) are deliberately NOT part of the
-// manifest: the contract guarantees they cannot change results.
+// (threads, specialization) are deliberately NOT part of the manifest: the
+// contract guarantees they cannot change results.
 #pragma once
 
 /// \file

@@ -30,18 +30,16 @@ const core::TrialRecord& unit_record(const core::PreparedAudit& audit, std::int6
 
 core::PreparedAudit& JobCache::prepare(const ShardManifest& manifest,
                                        const RunShardOptions& options) {
-    // The execution knobs are captured in the prepared audit's config, so
-    // they are part of what makes a cached audit reusable.
-    const std::string key = manifest.job.key() + "|threads=" +
-                            std::to_string(options.num_threads) +
-                            "|chunk=" + std::to_string(options.trial_chunk);
+    // The thread count is captured in the prepared audit's config, so it is
+    // part of what makes a cached audit reusable.
+    const std::string key =
+        manifest.job.key() + "|threads=" + std::to_string(options.num_threads);
     if (key == key_) {
         audit_.reset_trials();
     } else {
         key_.clear();  // stays empty if preparing throws
         core::FuzzConfig config = job_fuzz_config(manifest.job);
         config.num_threads = options.num_threads;
-        config.trial_chunk = options.trial_chunk;
         program_ = load_job_program(manifest.job);
         passes_ = job_passes(manifest.job);
         // Match discovery only; the range below prepares what it touches.
@@ -85,7 +83,7 @@ RunShardResult run_shard(JobCache& cache, const ShardManifest& manifest,
     std::error_code ec;
     const bool existing_nonempty = std::filesystem::exists(records_path, ec) &&
                                    std::filesystem::file_size(records_path, ec) > 0 && !ec;
-    if (options.resume && existing_nonempty) {
+    if (existing_nonempty) {
         // A file the reader cannot make sense of at all (e.g. the previous
         // run died inside the header write) holds nothing resumable; every
         // record is a pure function of the job, so starting fresh loses no

@@ -8,8 +8,8 @@
 // time the range's completed prefix passes a checkpoint-interval boundary,
 // that sub-range's records are appended in unit order and made durable by a
 // checkpoint; trials past the boundary keep running meanwhile.  If the
-// process is killed, re-invoking with resume enabled picks up from the last
-// checkpoint — checkpointed units are never re-executed.
+// process is killed, re-invoking it on the same record file picks up from
+// the last checkpoint — checkpointed units are never re-executed.
 //
 // A JobCache keeps the prepared job across run_shard calls of the same job
 // (a coordinator worker's successive leases): later ranges prepare only the
@@ -36,10 +36,6 @@ namespace ff::shard {
 /// affect the recorded results — the determinism contract).
 struct RunShardOptions {
     int num_threads = 1;  ///< Workers of the in-process pool (0 = hardware).
-    int trial_chunk = 1;  ///< Scheduler claim chunking (FuzzConfig::trial_chunk).
-    /// Continue from an existing record file's last checkpoint.  When
-    /// false, an existing file is overwritten from scratch.
-    bool resume = true;
     /// Test/ops hook: deterministically interrupt the run at the first
     /// checkpoint boundary past this many units of THIS invocation — half
     /// of that checkpoint's records and a torn final line are written, but
@@ -65,8 +61,8 @@ struct RunShardResult {
 };
 
 /// A prepared job kept across run_shard calls.  Holds the job's program,
-/// pass set and prepared audit; a call for another job (or other execution
-/// knobs) replaces them.
+/// pass set and prepared audit; a call for another job (or another thread
+/// count) replaces them.
 class JobCache {
 public:
     /// The prepared audit for `manifest`'s job with every instance that
@@ -74,7 +70,7 @@ public:
     core::PreparedAudit& prepare(const ShardManifest& manifest, const RunShardOptions& options);
 
 private:
-    std::string key_;  ///< Job key + execution knobs of the cached audit ("" = none).
+    std::string key_;  ///< Job key + thread count of the cached audit ("" = none).
     ir::SDFG program_;
     std::vector<xform::TransformationPtr> passes_;
     core::PreparedAudit audit_;

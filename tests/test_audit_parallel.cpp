@@ -3,12 +3,12 @@
 // The contract under test (docs/ARCHITECTURE.md "Determinism contract"):
 // a full audit produces byte-identical reports — verdicts, trial counts,
 // failure details, reproducer artifacts, instance order — at any worker
-// count, any trial chunking, and any context/plan-cache bound, because
-// trial inputs are a pure function of (seed, trial index) and per-instance
-// records are merged in canonical instance x trial order.  This file also
-// unit-tests the two bounded caches behind the scheduler (core::TesterCache,
-// interp::PlanCacheRegistry) and doubles as a TSan target alongside
-// test_parallel (see the FF_SANITIZE=thread CI job).
+// count, because trial inputs are a pure function of (seed, trial index)
+// and per-instance records are merged in canonical instance x trial order.
+// This file also checks how the workers' execution contexts are built,
+// reused and rebound, unit-tests the bounded plan-cache registry behind the
+// scheduler (interp::PlanCacheRegistry), and doubles as a TSan target
+// alongside test_parallel (see the FF_SANITIZE=thread CI job).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -134,28 +134,10 @@ TEST(AuditParallel, FullAuditByteIdenticalAt1_2_8Workers) {
     expect_snapshots_identical(one, run_audit_snapshot(p, passes, config), "1 vs 8 workers");
 }
 
-TEST(AuditParallel, TrialChunkingPreservesReports) {
-    const ir::SDFG p = workloads::build_matrix_chain();
-    const auto passes = xform::builtin_transformations();
-
-    core::FuzzConfig config = quick_config(6);
-    config.sampler.size_max = 6;
-    config.max_trials = 10;
-    config.num_threads = 4;
-
-    config.trial_chunk = 1;
-    const AuditSnapshot baseline = run_audit_snapshot(p, passes, config);
-    config.trial_chunk = 7;
-    expect_snapshots_identical(baseline, run_audit_snapshot(p, passes, config),
-                               "chunk 1 vs chunk 7");
-    config.trial_chunk = 1000;  // clamps to one whole instance per claim
-    expect_snapshots_identical(baseline, run_audit_snapshot(p, passes, config),
-                               "chunk 1 vs chunk 1000");
-}
-
 TEST(AuditParallel, TinyCacheBoundsStillByteIdentical) {
-    // Starving both the context cache and the plan-cache registry must only
-    // cost rebuilds, never change results.
+    // Eight workers over five instances: stragglers rebind to instances the
+    // plan-cache registry has already retired.  That must only cost
+    // rebuilds, never change results.
     const ir::SDFG p = make_k_map_chain(5);
     std::vector<xform::TransformationPtr> passes;
     passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
@@ -168,10 +150,8 @@ TEST(AuditParallel, TinyCacheBoundsStillByteIdentical) {
         EXPECT_EQ(r.verdict, core::Verdict::Pass) << r.detail;
 
     config.num_threads = 8;
-    config.context_cache_bound = 1;
-    config.plan_cache_bound = 0;  // retire drops every finished instance's cache
     expect_snapshots_identical(baseline, run_audit_snapshot(p, passes, config),
-                               "default vs starved caches");
+                               "1 vs 8 workers");
 }
 
 TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
@@ -182,7 +162,6 @@ TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
 
     core::FuzzConfig config = quick_config();
     config.max_trials = 20;
-    config.trial_chunk = 4;
     config.num_threads = 1;
     core::Fuzzer fuzzer(config);
     const core::FuzzReport report = fuzzer.test_instance(p, tiling, matches[0]);
@@ -192,81 +171,73 @@ TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
     const core::SchedulerStats& stats = fuzzer.last_stats();
     EXPECT_EQ(stats.workers, 1);
     EXPECT_EQ(stats.units, 20);       // every trial of the passing instance ran
-    EXPECT_EQ(stats.claims, 5);       // ceil(20 / chunk 4)
+    EXPECT_EQ(stats.claims, 20);      // one unit per claim
     EXPECT_EQ(stats.contexts_built, 1);
     EXPECT_EQ(stats.context_hits, 0);
     EXPECT_EQ(stats.context_rebinds, 0);
-    EXPECT_EQ(stats.context_evictions, 0);
 }
 
 TEST(AuditParallel, PlanCacheRegistryEvictsRetiredInstancesDuringAudit) {
     // One worker claims instances strictly in order, so the retire watermark
     // and the final flush make registry eviction exact: every instance's
-    // cache is retired and, with a bound of one, all but one is evicted.
+    // cache is retired and, with the registry's bound of four, all but four
+    // are evicted.
     const ir::SDFG p = make_k_map_chain(6);
     std::vector<xform::TransformationPtr> passes;
     passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
 
     core::FuzzConfig config = quick_config();
     config.num_threads = 1;
-    config.plan_cache_bound = 1;
     core::Fuzzer fuzzer(config);
     const auto reports = fuzzer.audit(p, passes);
     ASSERT_EQ(reports.size(), 6u);
     for (const auto& r : reports) EXPECT_EQ(r.verdict, core::Verdict::Pass) << r.detail;
-    EXPECT_EQ(fuzzer.last_stats().plan_caches_evicted, 5);
+    EXPECT_EQ(fuzzer.last_stats().plan_caches_evicted, 2);
     EXPECT_EQ(fuzzer.last_stats().units, 6 * config.max_trials);
 }
 
-// --- TesterCache: bounded idle-context cache ---------------------------------
+TEST(AuditParallel, RangeStartingWhereTheLastEndedReusesItsContext) {
+    // A coordinator worker's next lease of a job runs on the same prepared
+    // audit after reset_trials() (shard::JobCache).  A lease that starts in
+    // the instance the previous one ended in finds the context the previous
+    // lease left bound there: no build, no rebind, one hit.
+    const ir::SDFG p = make_k_map_chain(3);
+    std::vector<xform::TransformationPtr> passes;
+    passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        core::FuzzConfig config = quick_config();
+        config.num_threads = threads;
+        core::PreparedAudit audit = core::Fuzzer(config).prepare(p, passes);
+        ASSERT_EQ(audit.instance_count(), 3u);
+        const std::int64_t mt = audit.max_trials();
 
-TEST(TesterCache, HitSkipsBindingAndRebindIsLru) {
-    core::TesterCache cache(/*bound=*/4, core::DiffConfig{});
-    int binds = 0;
-    const auto count_bind = [&binds](core::DifferentialTester&) { ++binds; };
+        // The first lease lies inside instance 1: every context it builds
+        // ends bound there.
+        audit.run_range(mt, mt + mt / 2);
+        EXPECT_EQ(audit.stats().workers, threads);
+        EXPECT_GE(audit.stats().contexts_built, 1);
+        EXPECT_LE(audit.stats().contexts_built, threads);
+        EXPECT_EQ(audit.stats().context_hits, 0);
+        EXPECT_EQ(audit.stats().context_rebinds, 0);
 
-    // Build two contexts (cache empty), bound to instances 7 and 9.
-    auto t7 = cache.acquire(7, count_bind);
-    auto t9 = cache.acquire(9, count_bind);
-    EXPECT_EQ(binds, 2);
-    EXPECT_EQ(cache.stats().built, 2);
-    core::DifferentialTester* raw7 = t7.get();
-    core::DifferentialTester* raw9 = t9.get();
-    cache.release(std::move(t7), 7);
-    cache.release(std::move(t9), 9);
-    EXPECT_EQ(cache.idle_count(), 2u);
+        // The next lease continues instance 1 on one worker, which takes
+        // the first slot — built by the first lease.
+        audit.reset_trials();
+        audit.run_range(mt + mt / 2, mt + mt / 2 + 1);
+        EXPECT_EQ(audit.stats().units, 1);
+        EXPECT_EQ(audit.stats().contexts_built, 0);
+        EXPECT_EQ(audit.stats().context_hits, 1);
+        EXPECT_EQ(audit.stats().context_rebinds, 0);
 
-    // Same-instance acquire: hit, no bind, same object back.
-    auto again = cache.acquire(9, count_bind);
-    EXPECT_EQ(binds, 2);
-    EXPECT_EQ(again.get(), raw9);
-    EXPECT_EQ(cache.stats().hits, 1);
-    cache.release(std::move(again), 9);
-
-    // Unknown instance: the least recently released idle context (7) is
-    // rebound instead of building a third.
-    auto rebound = cache.acquire(1, count_bind);
-    EXPECT_EQ(binds, 3);
-    EXPECT_EQ(rebound.get(), raw7);
-    EXPECT_EQ(cache.stats().rebinds, 1);
-    EXPECT_EQ(cache.stats().built, 2);
-}
-
-TEST(TesterCache, EvictsIdleContextsOverBound) {
-    core::TesterCache cache(/*bound=*/1, core::DiffConfig{});
-    const auto no_bind = [](core::DifferentialTester&) {};
-
-    // Two contexts in flight at once (two workers); the bound only applies
-    // when they come back idle.
-    auto a = cache.acquire(0, no_bind);
-    auto b = cache.acquire(1, no_bind);
-    EXPECT_EQ(cache.stats().built, 2);
-    cache.release(std::move(a), 0);
-    EXPECT_EQ(cache.idle_count(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 0);
-    cache.release(std::move(b), 1);  // over the bound: destroyed
-    EXPECT_EQ(cache.idle_count(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 1);
+        // A lease in another instance rebinds that context instead.
+        audit.reset_trials();
+        audit.run_range(2 * mt, 2 * mt + 1);
+        EXPECT_EQ(audit.stats().contexts_built, 0);
+        EXPECT_EQ(audit.stats().context_hits, 0);
+        EXPECT_EQ(audit.stats().context_rebinds, 1);
+        EXPECT_EQ(audit.records(2)[0].kind, core::TrialRecord::Kind::Pass);
+    }
 }
 
 // --- PlanCacheRegistry: bounded per-instance cache registry ------------------

@@ -355,7 +355,6 @@ std::pair<std::string, std::string> guided_fingerprint(bool compiled, bool speci
                                                        bool batch, int threads) {
     core::FuzzConfig config = tiling_config(8, /*feedback=*/true);
     config.num_threads = threads;
-    config.trial_chunk = 1 + threads % 3;
     config.diff.exec.use_compiled_tasklets = compiled;
     config.diff.exec.specialize = specialize;
     config.diff.exec.batch_segments = batch;

@@ -593,7 +593,6 @@ TEST(ShardRecords, StreamsByteIdenticalAtAnyThreadCount) {
     for (int threads : {1, 2, 4, 8}) {
         shard::RunShardOptions options;
         options.num_threads = threads;
-        options.trial_chunk = 1;
         for (int run = 0; run < 20; ++run)
             ASSERT_EQ(first_difference(run_fresh_shard(manifest, path, options), golden), "")
                 << threads << " thread(s), run " << run;
@@ -788,7 +787,6 @@ common::Json sharded_document(const shard::JobSpec& job, int count, const std::s
         const std::string path = dir + "/records-" + std::to_string(m.shard_index) + ".jsonl";
         shard::RunShardOptions options;
         options.num_threads = 1 + m.shard_index % 3;
-        options.trial_chunk = 1 + m.shard_index % 4;
         if (interrupt_one && m.shard_index == count / 2 && m.unit_end - m.unit_begin > 2) {
             shard::RunShardOptions interrupting = options;
             interrupting.interrupt_after_units = (m.unit_end - m.unit_begin) / 2;

@@ -107,8 +107,7 @@ int usage(const char* detail = nullptr) {
                  "\n"
                  "plan:      --shards <n> --out-dir <dir> [--checkpoint-interval <n>]\n"
                  "run-shard: --manifest <file> --records-dir <dir> [--records <file>]\n"
-                 "           [--threads <n>] [--trial-chunk <n>] [--no-resume]\n"
-                 "           [--interrupt-after-units <n>]\n"
+                 "           [--threads <n>] [--interrupt-after-units <n>]\n"
                  "merge:     --records-dir <dir> | --records <file>... \n"
                  "           [--artifact-dir <dir>] [--out <file>] [--threads <n>]\n"
                  "           [--corpus-out <file>]\n"
@@ -128,7 +127,7 @@ int usage(const char* detail = nullptr) {
                  "             drop-frame-every-n=N | delay-frame-ms=N | duplicate-frame=N |\n"
                  "             corrupt-frame-byte=N | partition-after-units=N | heal-ms=N)\n"
                  "worker:    --socket <path> | --connect <host:port> [--id <name>]\n"
-                 "           [--threads <n>] [--trial-chunk <n>] [--fault <spec>]\n"
+                 "           [--threads <n>] [--fault <spec>]\n"
                  "           [--watchdog-ms <x>] [--rlimit-as <bytes>]\n"
                  "           [--connect-attempts <n>] [--reply-timeout-ms <x>] [--quiet]\n"
                  "           fault <spec>: kill-after-units=N | abandon-after-units=N |\n"
@@ -288,9 +287,6 @@ int cmd_run_shard(const std::vector<std::string>& args) {
         else if (args[i] == "--records") records_path = flag_value(args, i);
         else if (args[i] == "--records-dir") records_dir = flag_value(args, i);
         else if (args[i] == "--threads") options.num_threads = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--trial-chunk")
-            options.trial_chunk = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--no-resume") options.resume = false;
         else if (args[i] == "--interrupt-after-units")
             options.interrupt_after_units = int_value(args, i);
         else return usage(("unknown run-shard option " + args[i]).c_str());
@@ -520,8 +516,6 @@ int cmd_worker(const std::vector<std::string>& args) {
         else if (args[i] == "--connect") config.connect_address = flag_value(args, i);
         else if (args[i] == "--id") config.worker_id = flag_value(args, i);
         else if (args[i] == "--threads") config.num_threads = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--trial-chunk")
-            config.trial_chunk = static_cast<int>(int_value(args, i));
         else if (args[i] == "--fault") {
             try {
                 config.fault = coord::FaultPlan::parse(flag_value(args, i));
