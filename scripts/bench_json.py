@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fold a bench's results into a BENCH_<name>.json baseline, gating on its bars.
 
-Three baselines, one subcommand each:
+Two baselines, one subcommand each:
 
 hotpath   Folds bench_interp_hotpath's output into BENCH_hotpath.json.
           The bench prints machine-readable lines of the form
@@ -15,23 +15,6 @@ hotpath   Folds bench_interp_hotpath's output into BENCH_hotpath.json.
 
               ./build/bench_interp_hotpath | \\
                   python3 scripts/bench_json.py hotpath - BENCH_hotpath.json
-
-audit     Folds bench_audit_throughput's BENCH_KV lines (audit-wide
-          scheduler throughput at 1 and N workers, scaling ratio,
-          determinism check) into BENCH_audit.json.  With --ffaudit it adds
-          a sharding section measured by driving the `ffaudit` CLI as real
-          subprocesses: a small npbench audit is planned and executed as 1
-          shard and as 4 shards (sequentially, so the numbers compare
-          plan+run+merge overhead rather than parallelism), and the merged
-          report is diffed byte for byte against the single-process
-          `ffaudit run` output (`shard_report_identical`).  Fails when a
-          required key is missing, the bench reports non-deterministic
-          reports (`audit_determinism_ok`), or the shard and single-process
-          reports diverge.
-
-              ./build/bench_audit_throughput | \\
-                  python3 scripts/bench_json.py audit - BENCH_audit.json \\
-                  --ffaudit build/ffaudit
 
 feedback  Measures feedback guidance with the `ffaudit` CLI over the tiling
           audit the feedback knobs are tuned for (docs/TUNING.md: 30 trials
@@ -82,28 +65,6 @@ HOTPATH_KEYS = (
     "flat_f32_batch_speedup",
     "flat_i64_batch_speedup",
 )
-
-AUDIT_KEYS = (
-    "audit1_trials_per_s",
-    "auditN_trials_per_s",
-    "audit_scaling",
-    "audit_determinism_ok",
-)
-
-SHARD_KEYS = (
-    "shard1_seconds",
-    "shard4_seconds",
-    "shard_merge_seconds",
-    "shard_report_identical",
-)
-
-SHARD_JOB_FLAGS = [
-    "--workload", "gemm",
-    "--passes", "table2",
-    "--trials", "10",
-    "--size-max", "6",
-    "--max-transitions", "2000",
-]
 
 GENERATION_SIZE = 10
 FEEDBACK_TRIALS = 30
@@ -165,54 +126,6 @@ def hotpath(args) -> dict:
     if not data:
         raise GateFailed("no BENCH_KV lines found in input")
     require(data, HOTPATH_KEYS, "keys in bench output")
-    return data
-
-
-def sharded_run(ffaudit: str, root: Path, count: int) -> tuple[float, float, Path]:
-    """plan + run-shard x count + merge; returns (run_seconds, merge_seconds,
-    merged report path)."""
-    plan_dir = root / f"plan{count}"
-    rec_dir = root / f"rec{count}"
-    report = root / f"report-shard{count}.json"
-    run([ffaudit, "plan", *SHARD_JOB_FLAGS, "--shards", str(count),
-         "--checkpoint-interval", "16", "--out-dir", str(plan_dir)])
-    run_seconds = 0.0
-    for i in range(count):
-        run_seconds += run([ffaudit, "run-shard", "--manifest",
-                            str(plan_dir / f"shard-{i}.json"), "--records-dir", str(rec_dir)])
-    merge_seconds = run([ffaudit, "merge", "--records-dir", str(rec_dir),
-                         "--out", str(report)])
-    return run_seconds, merge_seconds, report
-
-
-def shard_section(ffaudit: str) -> dict:
-    data = {}
-    with tempfile.TemporaryDirectory(prefix="bench_audit_shard_") as tmp:
-        root = Path(tmp)
-        reference = root / "report-single.json"
-        data["shard_single_seconds"] = round(
-            run([ffaudit, "run", *SHARD_JOB_FLAGS, "--out", str(reference)]), 3)
-        run1, merge1, report1 = sharded_run(ffaudit, root, 1)
-        run4, merge4, report4 = sharded_run(ffaudit, root, 4)
-        data["shard1_seconds"] = round(run1, 3)
-        data["shard4_seconds"] = round(run4, 3)
-        data["shard_merge_seconds"] = round(merge1 + merge4, 3)
-        ref_bytes = reference.read_bytes()
-        data["shard_report_identical"] = int(
-            report1.read_bytes() == ref_bytes and report4.read_bytes() == ref_bytes)
-    return data
-
-
-def audit(args) -> dict:
-    data = collect(args.bench_output)
-    require(data, AUDIT_KEYS, "BENCH_KV keys")
-    if not data["audit_determinism_ok"]:
-        raise GateFailed("bench reported non-deterministic reports")
-    if args.ffaudit:
-        data.update(shard_section(args.ffaudit))
-        require(data, SHARD_KEYS, "shard keys")
-        if not data["shard_report_identical"]:
-            raise GateFailed("sharded merge diverged from single-process report")
     return data
 
 
@@ -282,12 +195,6 @@ def main() -> int:
     p.add_argument("bench_output", help="bench output file, or - for stdin")
     p.add_argument("json_out", help="baseline JSON to write")
     p.set_defaults(fold=hotpath)
-
-    p = baselines.add_parser("audit", help="bench_audit_throughput -> BENCH_audit.json")
-    p.add_argument("bench_output", help="bench output file, or - for stdin")
-    p.add_argument("json_out", help="baseline JSON to write")
-    p.add_argument("--ffaudit", help="path to the ffaudit binary (enables the shard section)")
-    p.set_defaults(fold=audit)
 
     p = baselines.add_parser("feedback", help="ffaudit guidance runs -> BENCH_feedback.json")
     p.add_argument("json_out", help="baseline JSON to write")

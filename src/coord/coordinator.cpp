@@ -26,6 +26,7 @@
 #include "coord/net_fault.h"
 #include "coord/protocol.h"
 #include "coord/worker.h"
+#include "core/testcase_io.h"
 #include "shard/records.h"
 
 namespace ff::coord {
@@ -71,22 +72,6 @@ std::string slurp(const std::string& path) {
     if (!in) throw common::Error("cannot read " + path + ": " + std::strerror(errno));
     std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     return bytes;
-}
-
-/// Deep copy of a trial slot (TrialRecord is move-only because of the
-/// retained inputs) — the quarantine path copies a record out of the
-/// side audit's slots into the main audit.
-core::TrialRecord clone_record(const core::TrialRecord& rec) {
-    core::TrialRecord out;
-    out.kind = rec.kind;
-    out.verdict = rec.verdict;
-    out.detail = rec.detail;
-    out.original_points = rec.original_points;
-    out.original_instructions = rec.original_instructions;
-    out.transformed_points = rec.transformed_points;
-    out.transformed_instructions = rec.transformed_instructions;
-    if (rec.inputs) out.inputs = std::make_unique<interp::Context>(*rec.inputs);
-    return out;
 }
 
 /// The whole serve() run as an object so the destructor can tear down
@@ -151,12 +136,12 @@ private:
     void announce_done(TimePoint now);
     /// Quarantines every Failed shard that has no surviving attempt
     /// anywhere (a zombie holder can still rescue it, so those wait).
-    void handle_failed_shards(TimePoint now);
+    void handle_failed_shards();
     /// Poison-unit quarantine of one permanently Failed shard: salvage the
     /// best durable checkpoint, blame the first unfinished unit, re-run it
     /// in-process under tightened budgets, and split the remainder into
     /// fresh sub-shards.
-    void quarantine_shard(int shard, TimePoint now);
+    void quarantine_shard(int shard);
     /// The side audit the quarantine re-run executes in — same job, but
     /// with the tightened resource budgets — with `unit`'s instance
     /// prepared.  Match discovery runs on the first quarantine; each
@@ -655,7 +640,7 @@ void Server::announce_done(TimePoint now) {
     log("all shards complete");
 }
 
-void Server::handle_failed_shards(TimePoint now) {
+void Server::handle_failed_shards() {
     bool quarantined = false;
     for (int shard = 0; shard < queue_->shard_count(); ++shard) {
         if (queue_->state(shard) != ShardState::Failed) continue;
@@ -664,7 +649,7 @@ void Server::handle_failed_shards(TimePoint now) {
         bool held = false;
         for (const Connection& conn : conns_) held = held || conn.shard == shard;
         if (!held) {
-            quarantine_shard(shard, now);
+            quarantine_shard(shard);
             quarantined = true;
         }
     }
@@ -699,7 +684,7 @@ core::PreparedAudit& Server::quarantine_audit(std::int64_t unit) {
     return *quarantine_audit_;
 }
 
-void Server::quarantine_shard(int shard, TimePoint now) {
+void Server::quarantine_shard(int shard) {
     // By value: the split loop below grows manifests_, which would leave a
     // reference dangling on reallocation.
     const shard::ShardManifest manifest = manifests_.at(static_cast<std::size_t>(shard));
@@ -764,7 +749,10 @@ void Server::quarantine_shard(int shard, TimePoint now) {
                      ? std::string(core::verdict_name(rec.verdict))
                      : std::string("no failure")) +
                 ")");
-            audit().set_record(blamed, clone_record(rec));
+            // A deep copy through the wire codec (TrialRecord is move-only
+            // because of the retained inputs), lossless like a shard stream.
+            audit().set_record(blamed,
+                               core::trial_record_from_json(core::trial_record_to_json(rec)));
             ++stats_.records_merged;
         }
         stats_.quarantined_units.push_back(blamed);
@@ -794,7 +782,6 @@ void Server::quarantine_shard(int shard, TimePoint now) {
                 ") as shard " + std::to_string(index));
         }
     }
-    (void)now;
 }
 
 ServeResult Server::run() {
@@ -937,7 +924,7 @@ ServeResult Server::run() {
             log("session " + session + " never resumed; grace window expired, leases re-issued");
         }
         reap_children();
-        if (!done_) handle_failed_shards(now);
+        if (!done_) handle_failed_shards();
         // A finished prepare joins here, so its failure ends the serve
         // without waiting for the first fold.
         if (prepare_done_.load(std::memory_order_acquire)) audit();

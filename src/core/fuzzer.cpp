@@ -49,7 +49,7 @@ int resolve_thread_count(int requested, std::int64_t available_units) {
 /// once prepared, plus everything trial execution writes.  Pinned in a
 /// deque (atomics make it immovable; workers index it concurrently).
 struct InstanceJob {
-    std::size_t index = 0;      ///< Position in the audit (= plan-cache key).
+    std::size_t index = 0;      ///< Position in the audit.
     std::size_t pass = 0;       ///< Index of its transformation in the pass set.
     xform::Match match;         ///< The match discovery found.
     bool prepared = false;      ///< The per-instance pipeline has run.
@@ -59,6 +59,10 @@ struct InstanceJob {
     Constraints constraints;    ///< Gray-box sampling constraints.
     InputSampler sampler;       ///< Deterministic (seed, trial) input source.
     ValidationResult validation;  ///< Of `transformed`, computed once.
+    /// The instance's compiled artifacts (plans, tasklet programs, coverage
+    /// atlas), shared by every tester bound to it and by the feedback
+    /// derivation; they live as long as the prepared audit.
+    interp::PlanCachePtr plans;
     std::vector<TrialRecord> records;  ///< Per-trial slots, indexed by trial.
     /// Coverage-guided trial generation state (feedback jobs only); holds
     /// references into this job, which the deque pins in place.
@@ -195,8 +199,8 @@ struct WorkerContext {
 /// Everything the worker pool shares for one run.
 struct PoolShared {
     PoolShared(std::deque<InstanceJob>& j, AuditScheduler& s, std::vector<WorkerContext>& c,
-               interp::PlanCacheRegistry& r, const DiffConfig& d)
-        : jobs(j), scheduler(s), contexts(c), registry(r), diff(d) {}
+               const DiffConfig& d)
+        : jobs(j), scheduler(s), contexts(c), diff(d) {}
 
     std::deque<InstanceJob>& jobs;
     AuditScheduler& scheduler;
@@ -204,10 +208,8 @@ struct PoolShared {
     /// a range that needs fewer workers than an earlier one reuses the
     /// slots the earlier one built.
     std::vector<WorkerContext>& contexts;
-    interp::PlanCacheRegistry& registry;
     const DiffConfig& diff;  ///< Settings of every built tester.
     std::chrono::steady_clock::time_point epoch{};
-    std::atomic<int> retire_watermark{0};
     std::atomic<int> next_slot{0};
     std::atomic<std::int64_t> units{0};
     std::atomic<int> contexts_built{0};
@@ -234,22 +236,6 @@ void atomic_store_min(std::atomic<std::int64_t>& a, std::int64_t v) {
 void atomic_store_max(std::atomic<std::int64_t>& a, std::int64_t v) {
     std::int64_t cur = a.load(std::memory_order_relaxed);
     while (v > cur && !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-    }
-}
-
-/// Retires the plan caches of every instance below the scheduler cursor:
-/// once the cursor is past an instance, no new claims (and thus no new
-/// context binds) for it can occur, so its compiled artifacts are only kept
-/// alive by contexts still bound to it and the bounded registry.
-void advance_retire_watermark(PoolShared& sh, int cursor_instance) {
-    int w = sh.retire_watermark.load(std::memory_order_acquire);
-    while (w < cursor_instance) {
-        if (sh.retire_watermark.compare_exchange_weak(w, cursor_instance,
-                                                      std::memory_order_acq_rel)) {
-            for (int i = w; i < cursor_instance; ++i)
-                sh.registry.retire(static_cast<std::uint64_t>(i));
-            return;
-        }
     }
 }
 
@@ -311,8 +297,8 @@ void bind_context(PoolShared& sh, WorkerContext& ctx, InstanceJob& job) {
     // A bind that throws leaves the tester unbound, never a stale hit for
     // a later range.
     ctx.instance = WorkerContext::kUnbound;
-    ctx.tester->bind(job.cutout.program, job.transformed, job.cutout.system_state,
-                     sh.registry.acquire(job.index), &job.validation);
+    ctx.tester->bind(job.cutout.program, job.transformed, job.cutout.system_state, job.plans,
+                     &job.validation);
     ctx.instance = job.index;
 }
 
@@ -325,11 +311,6 @@ void run_worker(PoolShared& sh, int worker) {
     try {
         AuditScheduler::Claim c;
         while (sh.scheduler.claim(worker, c)) {
-            // Retire only instances strictly below the claimed one — the
-            // cursor may already be past c.instance (this claim could be its
-            // last), and retiring it before binding would evict the very
-            // plan cache the bind below is about to acquire.
-            advance_retire_watermark(sh, c.instance);
             InstanceJob& job = sh.jobs[static_cast<std::size_t>(c.instance)];
             // Stamp before the context (re)bind so plan building counts
             // toward the instance's trial-phase wall clock.
@@ -409,13 +390,15 @@ void prepare_instance(const FuzzConfig& config, const ir::SDFG& p,
     job.sampler = InputSampler(config.sampler);
     job.validation = ValidationResult::of(job.transformed);
     job.records.resize(static_cast<std::size_t>(std::max(config.max_trials, 0)));
+    job.plans = std::make_shared<interp::PlanCache>();
     if (config.feedback) {
         // The feedback state captures references into this job (pinned in
-        // the audit's deque) and runs its private derivation interpreter
-        // with the same exec settings the trial testers use.
+        // the audit's deque) and runs its derivation interpreter over the
+        // job's plan cache with the same exec settings the trial testers use.
         job.feedback = std::make_unique<InstanceFeedback>(
             job.cutout.program, job.cutout.input_config, job.constraints, job.sampler,
-            config.diff.exec, config.generation_size, static_cast<std::int64_t>(job.index));
+            config.diff.exec, config.generation_size, static_cast<std::int64_t>(job.index),
+            job.plans);
     }
     job.runnable = true;
     job.setup_seconds =
@@ -430,10 +413,8 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
     FuzzReport& report = job.report;
     const TrialRecord* failing = merge_trial_records(job.records, report);
     if (config.coverage)
-        report.pairs_total = job.feedback
-                                 ? static_cast<std::int64_t>(job.feedback->pair_count())
-                                 : static_cast<std::int64_t>(
-                                       feedback::CovAtlas::build(job.cutout.program).pair_count());
+        report.pairs_total =
+            static_cast<std::int64_t>(job.plans->atlas_for(job.cutout.program)->pair_count());
     if (job.feedback) {
         // Complete the canonical corpus scan over the full trial space:
         // donate every executed slot's coverage (empty = ran, no coverage),
@@ -469,19 +450,16 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
 }  // namespace
 
 /// Prepared jobs plus everything that persists across run_range calls: the
-/// worker slots' execution contexts and the plan-cache registry (so
-/// successive ranges, and a worker's successive leases, reuse warm
-/// interpreters) and the scheduler stats since preparation or the last
-/// reset.
+/// worker slots' execution contexts (so successive ranges, and a worker's
+/// successive leases, reuse warm interpreters) and the scheduler stats
+/// since preparation or the last reset.
 struct PreparedAudit::Impl {
     FuzzConfig config;              ///< Captured at prepare time.
     std::deque<InstanceJob> jobs;   ///< Pinned (atomics make them immovable).
     std::size_t pass_count = 0;     ///< Size of the pass set discovery ran on.
     SchedulerStats stats;           ///< Since preparation or the last reset.
-    interp::PlanCacheRegistry registry;    ///< Per-instance plan caches.
     std::vector<WorkerContext> contexts;  ///< One per pool-worker slot.
-    /// Registry counters at the last reset; stats report the growth since.
-    std::uint64_t evictions_base = 0;
+    /// Plan-cache counters at the last reset; stats report the growth since.
     interp::SpecStats spec_base;
     std::chrono::steady_clock::time_point epoch;  ///< Trial wall-clock base.
     /// Lowest known failing trial per instance (max_trials = none): seeds
@@ -492,6 +470,14 @@ struct PreparedAudit::Impl {
     int max_trials() const { return std::max(config.max_trials, 0); }
     std::int64_t unit_count() const {
         return static_cast<std::int64_t>(jobs.size()) * max_trials();
+    }
+
+    /// Specialization counters summed over every prepared job's plan cache.
+    interp::SpecStats spec_totals() const {
+        interp::SpecStats total;
+        for (const InstanceJob& job : jobs)
+            if (job.plans) total += job.plans->spec_stats();
+        return total;
     }
 
     /// Instances [first, last) whose units intersect [begin, end).  With no
@@ -626,7 +612,7 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
 
     if (contexts.size() < static_cast<std::size_t>(workers))
         contexts.resize(static_cast<std::size_t>(workers));
-    PoolShared sh{jobs, scheduler, contexts, registry, config.diff};
+    PoolShared sh{jobs, scheduler, contexts, config.diff};
     sh.epoch = epoch;
 
     // Settling: each sub-range of the grid whose units have all finished is
@@ -669,13 +655,7 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
     }
     if (sh.error) std::rethrow_exception(sh.error);
 
-    // Flush retires for instances the range has fully passed (stragglers,
-    // tail instances) so registry eviction counts are deterministic for a
-    // completed range.  Instances extending past `end` stay live: a later
-    // range will claim their units.
-    for (InstanceJob& job : jobs)
-        if (static_cast<std::int64_t>(job.index + 1) * mt <= end) registry.retire(job.index);
-    stats.spec = registry.spec_totals();
+    stats.spec = spec_totals();
     stats.spec -= spec_base;
     const std::int64_t units = sh.units.load(std::memory_order_relaxed);
     stats.units += units;
@@ -683,7 +663,6 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
     stats.contexts_built += sh.contexts_built.load(std::memory_order_relaxed);
     stats.context_hits += sh.context_hits.load(std::memory_order_relaxed);
     stats.context_rebinds += sh.context_rebinds.load(std::memory_order_relaxed);
-    stats.plan_caches_evicted = static_cast<std::int64_t>(registry.evictions() - evictions_base);
 
     std::lock_guard<std::mutex> lock(settle_mutex);
     settle();
@@ -751,8 +730,7 @@ void PreparedAudit::reset_trials() {
     }
     impl.lowest_failure.assign(impl.jobs.size(), impl.max_trials());
     impl.stats = SchedulerStats{};
-    impl.evictions_base = impl.registry.evictions();
-    impl.spec_base = impl.registry.spec_totals();
+    impl.spec_base = impl.spec_totals();
     impl.epoch = std::chrono::steady_clock::now();
 }
 

@@ -5,11 +5,10 @@
 // transformation instance, then drains one global queue of (instance, trial)
 // units with a fixed pool of workers.  Each worker slot owns one execution
 // context (two interpreters + scratch), built on its first claim and rebound
-// when the worker moves to another instance; per-instance plan caches are
-// managed by a bounded registry.  Trial
-// inputs are a pure function of (seed, trial index) and per-instance results
-// are merged in canonical trial order, so reports are byte-identical at any
-// worker count.
+// when the worker moves to another instance; each prepared instance owns the
+// plan cache its contexts bind to.  Trial inputs are a pure function of
+// (seed, trial index) and per-instance results are merged in canonical trial
+// order, so reports are byte-identical at any worker count.
 #pragma once
 
 /// \file
@@ -138,7 +137,7 @@ struct FuzzReport {
 /// test_instance() call.  `workers` is deterministic; every other field can
 /// depend on thread timing (e.g. `units` varies with how many in-flight
 /// trials past a failure still ran) — they exist for benchmarks, tuning
-/// (docs/TUNING.md) and the eviction tests, and only become run-to-run
+/// (docs/TUNING.md) and the context tests, and only become run-to-run
 /// stable at one worker or on failure-free audits.
 struct SchedulerStats {
     int workers = 0;             ///< Pool size after clamping to the unit count.
@@ -150,17 +149,18 @@ struct SchedulerStats {
     /// claimed instance (a range that starts where an earlier one ended).
     int context_hits = 0;
     int context_rebinds = 0;     ///< Slot contexts rebound to another instance.
-    std::int64_t plan_caches_evicted = 0;  ///< Registry evictions (see plan_cache.h).
     /// Wall clock of the prepare phase (match discovery, then cutout,
     /// min-cut, transformation application and constraint derivation of
     /// every instance prepared since the stats started; fanned over the
     /// worker pool).  Deterministic in outcome, not value.
     double prepare_seconds = 0.0;
-    /// Specialization counters summed over every per-instance plan cache of
-    /// the run: how many scopes/tasklets classified into the flat-stride /
-    /// untagged-f64 tiers and how the kernel launches went (see
-    /// interp::SpecStats and docs/TUNING.md).  Plan-time fields are
-    /// deterministic; launch counters scale with executed trials.
+    /// Specialization counters summed over every prepared instance's plan
+    /// cache since preparation or the last reset: how many scopes/tasklets
+    /// classified into the flat-stride / untagged-f64 tiers and how the
+    /// kernel launches went (see interp::SpecStats and docs/TUNING.md).
+    /// Plans are built once per instance, so a range revisiting an instance
+    /// plans nothing.  Launch counters scale with executed trials and
+    /// include the feedback derivation's re-executions.
     interp::SpecStats spec;
 };
 
@@ -185,9 +185,10 @@ using SettleFn = std::function<bool(std::int64_t from, std::int64_t to)>;
 /// merge and artifact saving either way.  `Fuzzer::audit` itself is
 /// prepare + run_range(0, unit_count()) + finalize().
 ///
-/// run_range() may be called repeatedly; execution contexts and plan caches
-/// persist across calls, and reset_trials() starts a new run over the same
-/// prepared instances (a coordinator worker's next lease of the job).
+/// run_range() may be called repeatedly; execution contexts and the
+/// instances' plan caches persist across calls, and reset_trials() starts a
+/// new run over the same prepared instances (a coordinator worker's next
+/// lease of the job).
 /// Determinism contract (docs/ARCHITECTURE.md): for a fixed prepared job,
 /// the records of every executed unit are byte-identical regardless of how
 /// the unit space is cut into ranges, processes, or worker threads.

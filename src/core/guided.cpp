@@ -12,17 +12,19 @@ InstanceFeedback::InstanceFeedback(const ir::SDFG& original,
                                    const std::set<std::string>& input_config,
                                    const Constraints& constraints, const InputSampler& sampler,
                                    interp::ExecConfig exec, int generation_size,
-                                   std::int64_t instance)
+                                   std::int64_t instance, interp::PlanCachePtr plans)
     : original_(original),
       input_config_(input_config),
       constraints_(constraints),
       sampler_(sampler),
       generation_size_(generation_size < 1 ? 1 : generation_size),
       instance_(instance),
-      interp_([&exec] {
-          exec.coverage = true;
-          return exec;
-      }()) {
+      interp_(
+          [&exec] {
+              exec.coverage = true;
+              return exec;
+          }(),
+          std::move(plans)) {
     atlas_ = interp_.plan_cache()->atlas_for(original_);
     cum_map_.reset(atlas_->pair_count());
     boundary_.push_back({0, 0});  // generation 0 mutates nothing
@@ -134,7 +136,5 @@ std::vector<feedback::CorpusEntry> InstanceFeedback::entries() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_;
 }
-
-std::uint32_t InstanceFeedback::pair_count() const { return atlas_->pair_count(); }
 
 }  // namespace ff::core

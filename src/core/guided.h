@@ -51,10 +51,13 @@ public:
     /// by reference and must outlive this object (they live in the prepared
     /// instance job).  `exec` configures the private derivation interpreter
     /// and must match the audit's trial interpreters (with coverage on) so
-    /// derived bitmaps equal recorded ones.
+    /// derived bitmaps equal recorded ones.  It runs over `plans`, the
+    /// instance's plan cache the trial testers share (nullptr creates a
+    /// private cache).
     InstanceFeedback(const ir::SDFG& original, const std::set<std::string>& input_config,
                      const Constraints& constraints, const InputSampler& sampler,
-                     interp::ExecConfig exec, int generation_size, std::int64_t instance);
+                     interp::ExecConfig exec, int generation_size, std::int64_t instance,
+                     interp::PlanCachePtr plans = nullptr);
 
     /// The guided input configuration of `trial`: generation 0 (or an empty
     /// parent pool) falls back to the sampler's pure (seed, trial) draw;
@@ -76,9 +79,6 @@ public:
 
     /// Corpus entries derived so far (canonical ascending-trial order).
     std::vector<feedback::CorpusEntry> entries() const;
-
-    /// Total def-use pairs of the instance's atlas.
-    std::uint32_t pair_count() const;
 
 private:
     /// Records generation-boundary snapshots the scan has reached.  Caller

@@ -1,8 +1,5 @@
 #include "interp/plan_cache.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "feedback/coverage.h"
 #include "ir/sdfg.h"
 
@@ -39,73 +36,6 @@ TaskletProgramPtr PlanCache::program_for(const std::string& code) {
     TaskletProgramPtr prog = TaskletProgram::parse(code);
     programs_.emplace(code, prog);
     return prog;
-}
-
-PlanCachePtr PlanCacheRegistry::acquire(std::uint64_t key) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-        ++creations_;
-        it = entries_.emplace(key, Entry{std::make_shared<PlanCache>(), 0, false}).first;
-    }
-    it->second.epoch = ++epoch_;
-    it->second.retired = false;  // a straggler re-acquired a retired instance
-    return it->second.cache;
-}
-
-void PlanCacheRegistry::retire(std::uint64_t key) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(key);
-    if (it == entries_.end()) return;  // already evicted (retire is idempotent)
-    if (!it->second.retired) {
-        it->second.retired = true;
-        it->second.epoch = ++epoch_;
-    }
-    evict_over_bound();
-}
-
-void PlanCacheRegistry::evict_over_bound() {
-    for (;;) {
-        std::size_t retired = 0;
-        auto oldest = entries_.end();
-        std::uint64_t oldest_epoch = std::numeric_limits<std::uint64_t>::max();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (!it->second.retired) continue;
-            ++retired;
-            if (it->second.epoch < oldest_epoch) {
-                oldest_epoch = it->second.epoch;
-                oldest = it;
-            }
-        }
-        if (retired <= retained_bound_ || oldest == entries_.end()) return;
-        // Fold the evicted cache's specialization counters into the running
-        // total so spec_totals() survives eviction.
-        evicted_spec_ += oldest->second.cache->spec_stats();
-        entries_.erase(oldest);
-        ++evictions_;
-    }
-}
-
-SpecStats PlanCacheRegistry::spec_totals() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SpecStats total = evicted_spec_;
-    for (const auto& [key, entry] : entries_) total += entry.cache->spec_stats();
-    return total;
-}
-
-std::size_t PlanCacheRegistry::size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
-}
-
-std::uint64_t PlanCacheRegistry::evictions() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return evictions_;
-}
-
-std::uint64_t PlanCacheRegistry::creations() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return creations_;
 }
 
 }  // namespace ff::interp

@@ -1,4 +1,4 @@
-// Shared, thread-safe caches for compiled execution artifacts.
+// Shared, thread-safe cache for compiled execution artifacts.
 //
 // The parallel trial engine runs one interpreter per worker thread over a
 // *shared, immutable* SDFG pair.  Everything derived from the graphs —
@@ -20,15 +20,14 @@
 //
 // A default-constructed Interpreter creates a private cache; callers that
 // fan trials out across threads construct one PlanCache and hand it to every
-// interpreter.  The audit-wide scheduler (core::Fuzzer::audit) manages one
-// cache per transformation instance through a PlanCacheRegistry, which
-// bounds how many finished instances' artifacts stay resident.
+// interpreter.  The audit-wide scheduler (core::Fuzzer::audit) gives each
+// prepared transformation instance one cache, shared by every worker bound
+// to the instance and by its feedback derivation, and kept as long as the
+// prepared audit.
 #pragma once
 
 /// \file
-/// Shared caches for compiled execution artifacts (PlanCache) and the
-/// bounded per-instance registry behind the audit-wide scheduler
-/// (PlanCacheRegistry).
+/// Shared, thread-safe cache for compiled execution artifacts (PlanCache).
 
 #include <atomic>
 #include <cstdint>
@@ -80,7 +79,7 @@ struct SpecStats {
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.
     std::int64_t segment_launches = 0;    ///< Committed launches that ran batched segments.
 
-    /// Field-wise accumulation (registry totals over many caches).
+    /// Field-wise accumulation (totals over many caches).
     SpecStats& operator+=(const SpecStats& o) {
         scopes_planned += o.scopes_planned;
         scopes_specialized += o.scopes_specialized;
@@ -218,79 +217,8 @@ private:
     std::atomic<std::int64_t> segment_launches_{0};
 };
 
-/// Shared handle to a PlanCache; interpreters and the context cache hold
-/// these, so registry eviction can never free artifacts still in use.
+/// Shared handle to a PlanCache; interpreters hold these, so a cache lives
+/// as long as its longest user.
 using PlanCachePtr = std::shared_ptr<PlanCache>;
-
-/// Thread-safe registry of per-instance plan caches for audit-wide
-/// scheduling.
-///
-/// Each transformation instance fuzzes a *different* SDFG pair, so instances
-/// do not share compiled artifacts — they share the registry, which hands
-/// out one PlanCache per instance key and bounds how many *retired*
-/// (finished) instances keep their artifacts resident.  The protocol:
-///
-///  * `acquire(key)` returns the instance's cache, creating it on first use
-///    (and re-creating it if a stale straggler asks after eviction — plans
-///    are rebuilt, correctness is unaffected).
-///  * `retire(key)` marks the instance finished.  Eviction is epoch-keyed:
-///    every acquire/retire stamps a monotonically increasing epoch, and when
-///    more than `retained_bound` retired entries exist the oldest-retired
-///    ones are erased.  In-flight interpreters hold PlanCachePtr shared
-///    handles, so erasing an entry frees memory only once the last user lets
-///    go.
-///
-/// The audit scheduler retires instances as the global unit cursor passes
-/// them, so a long audit over hundreds of instances keeps O(bound) compiled
-/// artifacts resident instead of all of them.
-class PlanCacheRegistry {
-public:
-    /// `retained_bound`: retired caches kept resident (0 keeps none).
-    explicit PlanCacheRegistry(std::size_t retained_bound = 4)
-        : retained_bound_(retained_bound) {}
-
-    /// Cache for instance `key`, creating (or re-creating) it when absent.
-    /// Re-acquiring a retired key un-retires it.
-    PlanCachePtr acquire(std::uint64_t key);
-
-    /// Marks `key` finished and evicts oldest-retired entries beyond the
-    /// bound.  Idempotent; unknown keys are ignored.
-    void retire(std::uint64_t key);
-
-    /// Entries currently registered (live + retained retired).
-    std::size_t size() const;
-
-    /// Retired caches erased so far (the eviction counter tests assert on).
-    std::uint64_t evictions() const;
-
-    /// Caches created so far (> distinct keys iff an evicted key was
-    /// re-acquired).
-    std::uint64_t creations() const;
-
-    /// Summed specialization counters over every cache this registry has
-    /// handed out, including already-evicted ones (their counts are folded
-    /// into a running total at eviction).  The fuzzer surfaces this through
-    /// core::SchedulerStats.
-    SpecStats spec_totals() const;
-
-private:
-    /// One registered instance cache and its eviction bookkeeping.
-    struct Entry {
-        PlanCachePtr cache;       ///< The instance's shared cache.
-        std::uint64_t epoch = 0;  ///< Last acquire/retire stamp (LRU order).
-        bool retired = false;     ///< Eligible for eviction.
-    };
-
-    /// Erases oldest-retired entries beyond the bound.  Caller holds mutex_.
-    void evict_over_bound();
-
-    mutable std::mutex mutex_;  ///< Guards all registry state.
-    std::size_t retained_bound_;
-    std::uint64_t epoch_ = 0;      ///< Monotonic stamp source.
-    std::uint64_t evictions_ = 0;  ///< Total retired entries erased.
-    std::uint64_t creations_ = 0;  ///< Total caches constructed.
-    SpecStats evicted_spec_;       ///< Counters folded in from evicted caches.
-    std::unordered_map<std::uint64_t, Entry> entries_;  ///< By instance key.
-};
 
 }  // namespace ff::interp

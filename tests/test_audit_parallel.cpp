@@ -6,9 +6,9 @@
 // count, because trial inputs are a pure function of (seed, trial index)
 // and per-instance records are merged in canonical instance x trial order.
 // This file also checks how the workers' execution contexts are built,
-// reused and rebound, unit-tests the bounded plan-cache registry behind the
-// scheduler (interp::PlanCacheRegistry), and doubles as a TSan target
-// alongside test_parallel (see the FF_SANITIZE=thread CI job).
+// reused and rebound, that each prepared instance keeps its compiled plans
+// across ranges, and doubles as a TSan target alongside test_parallel (see
+// the FF_SANITIZE=thread CI job).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "core/fuzzer.h"
 #include "core/report.h"
 #include "helpers.h"
-#include "interp/plan_cache.h"
 #include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/matchain.h"
@@ -135,9 +134,9 @@ TEST(AuditParallel, FullAuditByteIdenticalAt1_2_8Workers) {
 }
 
 TEST(AuditParallel, TinyCacheBoundsStillByteIdentical) {
-    // Eight workers over five instances: stragglers rebind to instances the
-    // plan-cache registry has already retired.  That must only cost
-    // rebuilds, never change results.
+    // Eight workers over five instances: workers rebind back and forth
+    // between instances whose plan caches other workers are filling at the
+    // same time.  That must never change results.
     const ir::SDFG p = make_k_map_chain(5);
     std::vector<xform::TransformationPtr> passes;
     passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
@@ -177,23 +176,27 @@ TEST(AuditParallel, SchedulerStatsCountUnitsAndClaims) {
     EXPECT_EQ(stats.context_rebinds, 0);
 }
 
-TEST(AuditParallel, PlanCacheRegistryEvictsRetiredInstancesDuringAudit) {
-    // One worker claims instances strictly in order, so the retire watermark
-    // and the final flush make registry eviction exact: every instance's
-    // cache is retired and, with the registry's bound of four, all but four
-    // are evicted.
+TEST(AuditParallel, RevisitedInstanceRebuildsNoPlans) {
+    // Each prepared instance owns its plan cache for the audit's lifetime:
+    // a range over an instance an earlier range finished (a coordinator
+    // worker's next lease of the job) finds every plan already built.
     const ir::SDFG p = make_k_map_chain(6);
     std::vector<xform::TransformationPtr> passes;
     passes.push_back(std::make_unique<xform::MapTiling>(4, xform::MapTiling::Variant::Correct));
 
     core::FuzzConfig config = quick_config();
     config.num_threads = 1;
-    core::Fuzzer fuzzer(config);
-    const auto reports = fuzzer.audit(p, passes);
-    ASSERT_EQ(reports.size(), 6u);
-    for (const auto& r : reports) EXPECT_EQ(r.verdict, core::Verdict::Pass) << r.detail;
-    EXPECT_EQ(fuzzer.last_stats().plan_caches_evicted, 2);
-    EXPECT_EQ(fuzzer.last_stats().units, 6 * config.max_trials);
+    core::PreparedAudit audit = core::Fuzzer(config).prepare(p, passes);
+    ASSERT_EQ(audit.instance_count(), 6u);
+    audit.run_range(0, audit.unit_count());
+    EXPECT_EQ(audit.stats().units, 6 * config.max_trials);
+    EXPECT_GT(audit.stats().spec.scopes_planned, 0);
+
+    audit.reset_trials();
+    audit.run_range(0, 1);
+    EXPECT_EQ(audit.stats().units, 1);
+    EXPECT_EQ(audit.stats().spec.scopes_planned, 0);
+    EXPECT_EQ(audit.records(0)[0].kind, core::TrialRecord::Kind::Pass);
 }
 
 TEST(AuditParallel, RangeStartingWhereTheLastEndedReusesItsContext) {
@@ -238,45 +241,6 @@ TEST(AuditParallel, RangeStartingWhereTheLastEndedReusesItsContext) {
         EXPECT_EQ(audit.stats().context_rebinds, 1);
         EXPECT_EQ(audit.records(2)[0].kind, core::TrialRecord::Kind::Pass);
     }
-}
-
-// --- PlanCacheRegistry: bounded per-instance cache registry ------------------
-
-TEST(PlanCacheRegistry, RetireEvictsOldestBeyondBound) {
-    interp::PlanCacheRegistry registry(/*retained_bound=*/1);
-    const interp::PlanCachePtr c0 = registry.acquire(0);
-    const interp::PlanCachePtr c1 = registry.acquire(1);
-    const interp::PlanCachePtr c2 = registry.acquire(2);
-    EXPECT_EQ(registry.size(), 3u);
-    EXPECT_EQ(registry.creations(), 3u);
-    ASSERT_NE(c0, c1);  // instances never share a cache
-
-    registry.retire(0);
-    EXPECT_EQ(registry.evictions(), 0u);  // within the bound
-    registry.retire(1);                    // two retired: oldest (0) goes
-    EXPECT_EQ(registry.evictions(), 1u);
-    EXPECT_EQ(registry.size(), 2u);
-    registry.retire(1);  // idempotent
-    EXPECT_EQ(registry.evictions(), 1u);
-
-    // The shared_ptr held above keeps the evicted cache itself alive — only
-    // the registry entry is gone; re-acquiring creates a fresh cache.
-    const interp::PlanCachePtr c0b = registry.acquire(0);
-    EXPECT_NE(c0b, c0);
-    EXPECT_EQ(registry.creations(), 4u);
-}
-
-TEST(PlanCacheRegistry, ReacquireUnretires) {
-    interp::PlanCacheRegistry registry(/*retained_bound=*/1);
-    const interp::PlanCachePtr c0 = registry.acquire(0);
-    registry.retire(0);
-    // A straggler re-acquires: same cache back, and it no longer counts as
-    // retired (retiring another instance must not evict it first).
-    EXPECT_EQ(registry.acquire(0), c0);
-    const interp::PlanCachePtr c1 = registry.acquire(1);
-    registry.retire(1);
-    EXPECT_EQ(registry.evictions(), 0u);  // 0 is live again, 1 is within bound
-    EXPECT_EQ(registry.size(), 2u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include <sys/wait.h>
 
@@ -67,6 +68,22 @@ TEST(CliUsage, BadInvocationsExitTwo) {
     EXPECT_EQ(run_cli("worker").code, 2);                // missing --socket
     EXPECT_EQ(run_cli("worker --socket /tmp/x.sock --fault explode").code, 2);
     EXPECT_EQ(run_cli("serve --records-dir /tmp/r --worker-fault 0=bogus").code, 2);
+    // Malformed or out-of-range numbers are refused at parse time, naming
+    // the flag, never as an internal error.
+    const std::pair<const char*, const char*> malformed[] = {
+        {"run --trials abc", "--trials"},
+        {"plan --shards x --out-dir /tmp/p", "--shards"},
+        {"run --threshold zz", "--threshold"},
+        {"run --trials 99999999999", "--trials"},
+        {"run --seed 12abc", "--seed"},
+        {"run --default N=ten", "--default"},
+        {"serve --records-dir /tmp/r --worker-fault x=kill-after-units=1", "--worker-fault"}};
+    for (const auto& [bad, flag] : malformed) {
+        const CliResult r = run_cli(bad);
+        EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
+        EXPECT_NE(r.out.find(std::string("ffaudit: ") + flag + " needs"), std::string::npos)
+            << bad << "\n" << r.out;
+    }
 
     const CliResult help = run_cli("--help");
     EXPECT_EQ(help.code, 0);
@@ -83,13 +100,43 @@ TEST(CliUsage, ServeRejectsBadTimingFlagsAtParseTime) {
     for (const char* bad :
          {"--lease-ms 0", "--lease-ms nan", "--lease-ms soon", "--heartbeat-ms 0",
           "--heartbeat-ms -1", "--heartbeat-ms inf", "--linger-ms -1", "--linger-ms nan",
-          "--session-grace-ms -0.5", "--session-grace-ms inf"}) {
+          "--session-grace-ms -0.5", "--session-grace-ms inf", "--straggler-factor nan",
+          "--straggler-factor -1", "--backoff-base-ms -5", "--backoff-max-ms inf",
+          "--worker-watchdog-ms -1", "--worker-reply-timeout-ms nan",
+          "--worker-reply-timeout-ms 3e9", "--threads two"}) {
         const CliResult r = run_cli(serve + bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
     }
-    // No linger and no session parking are valid settings.
-    const CliResult zero = run_cli(serve + "--linger-ms 0 --session-grace-ms 0 --lease-ms 1e4");
+    // No linger, no session parking, no backoff and no watchdog are valid
+    // settings.
+    const CliResult zero =
+        run_cli(serve + "--linger-ms 0 --session-grace-ms 0 --lease-ms 1e4 --backoff-base-ms 0 "
+                        "--worker-watchdog-ms 0 --worker-reply-timeout-ms 2147483647");
     EXPECT_EQ(zero.code, 4) << zero.out;
+
+    // The worker refuses the same class of values before it dials anyone.
+    for (const char* bad : {"--reply-timeout-ms 3e9", "--reply-timeout-ms 0",
+                            "--reply-timeout-ms -1", "--watchdog-ms nan", "--watchdog-ms -2"}) {
+        const CliResult r = run_cli(std::string("worker --socket /tmp/x.sock ") + bad);
+        EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
+    }
+}
+
+TEST(CliUsage, ListWorkloadsWorksWhereHelpSaysItDoes) {
+    // --help documents --list-workloads among the job options of plan, run
+    // and serve: each prints the kernel names and exits 0.
+    for (const char* command : {"plan", "run", "serve"}) {
+        const CliResult r = run_cli(std::string(command) + " --list-workloads");
+        EXPECT_EQ(r.code, 0) << command << "\n" << r.out;
+        EXPECT_NE(r.out.find("gemm\n"), std::string::npos) << command << "\n" << r.out;
+    }
+    // serve's --threads (its own prepare workers) is in the usage text.
+    const std::string help = run_cli("--help").out;
+    const std::size_t serve = help.find("\nserve:");
+    const std::size_t worker = help.find("\nworker:");
+    ASSERT_NE(serve, std::string::npos) << help;
+    ASSERT_NE(worker, std::string::npos) << help;
+    EXPECT_LT(help.find("--threads", serve), worker) << help;
 }
 
 TEST(CliJobErrors, UnknownWorkloadExitsFour) {

@@ -1026,6 +1026,34 @@ TEST(CoordEndToEnd, PoisonShardIsQuarantinedAndReportStaysByteIdentical) {
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
 
+TEST(CoordEndToEnd, QuarantinedUnitKeepsItsCoverage) {
+    // The blamed unit's record is copied out of the coordinator's side
+    // audit; its coverage words must come along, or the report's pairs_hit
+    // falls short of the single-process run.
+    shard::JobSpec job = gemm_job(6);
+    job.coverage = true;
+    const std::string want_doc = reference_doc(job, "");
+
+    const std::string dir = scratch_dir("quarantine_coverage");
+    coord::CoordConfig config = cluster_config(dir, job);
+    config.artifact_dir.clear();
+    config.shard_count = 1;
+    config.lease.max_failures = 1;
+    config.session_grace_ms = 0.0;  // the abandon is a loss, not a parked session
+
+    std::vector<coord::WorkerConfig> workers;
+    workers.push_back(cluster_worker(config, 0));
+    // Checkpoints every 2 units: the last durable one is at unit 16, which
+    // the quarantine then blames and re-runs in-process.
+    workers[0].fault = coord::FaultPlan::parse("abandon-after-units=17");
+
+    ClusterResult result = run_cluster(config, workers);
+    EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
+    ASSERT_EQ(result.serve.stats.quarantined_units.size(), 1u);
+    EXPECT_EQ(result.serve.stats.quarantined_units[0], 16);
+    EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
+}
+
 TEST(CoordEndToEnd, TransportBlipParksAndResumesTheSession) {
     const shard::JobSpec job = gemm_job(6);
     const std::string want_doc = reference_doc(job, "");

@@ -30,13 +30,17 @@
 //       trailer) and, with --repair, truncates corrupt record streams to
 //       their last verifiable prefix so run-shard/serve can resume them.
 #include <algorithm>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -87,7 +91,7 @@ int usage(const char* detail = nullptr) {
                  "             a record stream's verified prefix\n"
                  "  replay     re-run a reproducer test case JSON\n"
                  "\n"
-                 "job options (plan, run):\n"
+                 "job options (plan, run, serve):\n"
                  "  --workload <name>        npbench kernel (see --list-workloads)\n"
                  "  --sdfg <file>            serialized SDFG instead of a named workload\n"
                  "  --passes <set>           table2 | correct | tiling   [table2]\n"
@@ -114,7 +118,8 @@ int usage(const char* detail = nullptr) {
                  "run:       [--threads <n>] [--artifact-dir <dir>] [--out <file>]\n"
                  "           [--corpus-out <file>]\n"
                  "serve:     --records-dir <dir> [--socket <path> | --listen <host:port>]\n"
-                 "           [--spawn-workers <n>] [--worker-threads <n>] [--out <file>]\n"
+                 "           [--threads <n>] [--spawn-workers <n>] [--worker-threads <n>]\n"
+                 "           [--out <file>]\n"
                  "           [--shards <n>] [--artifact-dir <dir>] [--checkpoint-interval <n>]\n"
                  "           [--lease-ms <x>] [--heartbeat-ms <x>] [--max-failures <n>]\n"
                  "           [--backoff-base-ms <x>] [--backoff-max-ms <x>]\n"
@@ -159,53 +164,85 @@ std::string flag_value(const std::vector<std::string>& args, std::size_t& i) {
     return args[++i];
 }
 
-std::int64_t int_value(const std::vector<std::string>& args, std::size_t& i) {
-    const std::string v = flag_value(args, i);
-    return std::stoll(v, nullptr, 0);
-}
-
 /// A flag value that fails validation; main() exits kExitUsage on it.
 struct UsageError : common::Error {
     using common::Error::Error;
 };
 
-/// Value of a millisecond timing flag; advances `i`.  Throws UsageError
-/// unless it is a finite number > 0, or >= 0 when `zero_ok` (std::stod
-/// alone would take "nan" and "inf").
-double ms_value(const std::vector<std::string>& args, std::size_t& i, bool zero_ok) {
-    const std::string flag = args[i];
-    const std::string text = flag_value(args, i);
+/// `text`, the value of `flag`, as a T (an integer type or double).
+/// Throws UsageError naming the flag unless all of `text` parses (integers
+/// also take 0x hex and leading-0 octal) and fits in T.
+template <typename T = std::int64_t>
+T parse_number(const std::string& flag, const std::string& text) {
     char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
-        throw UsageError(flag + " needs a finite number of milliseconds " +
-                         (zero_ok ? ">= 0" : "> 0") + ", got '" + text + "'");
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(text.c_str(), &end);
+        if (!text.empty() && *end == '\0' && errno == 0) return v;
+    } else {
+        const long long v = std::strtoll(text.c_str(), &end, 0);
+        if (!text.empty() && *end == '\0' && errno == 0 && v >= std::numeric_limits<T>::min() &&
+            v <= std::numeric_limits<T>::max())
+            return static_cast<T>(v);
+    }
+    throw UsageError(flag + " needs " + (std::is_floating_point_v<T> ? "a number" : "an integer") +
+                     " in range, got '" + text + "'");
+}
+
+/// Value of a numeric flag (see parse_number); advances `i`.
+template <typename T = std::int64_t>
+T number_value(const std::vector<std::string>& args, std::size_t& i) {
+    const std::string flag = args[i];
+    return parse_number<T>(flag, flag_value(args, i));
+}
+
+/// Value of a millisecond timing or ratio flag; advances `i`.  Throws
+/// UsageError unless it is a finite number > 0 (>= 0 when `zero_ok`) and
+/// at most `max` (strtod alone would take "nan", "inf" and negatives).
+double bounded_value(const std::vector<std::string>& args, std::size_t& i, bool zero_ok,
+                     double max = std::numeric_limits<double>::max()) {
+    const std::string flag = args[i];
+    const double v = number_value<double>(args, i);
+    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok) || v > max) {
+        throw UsageError(flag + " needs a finite number " + (zero_ok ? ">= 0" : "> 0") +
+                         (max < std::numeric_limits<double>::max()
+                              ? " and <= " + std::to_string(static_cast<long long>(max))
+                              : std::string()) +
+                         ", got '" + args[i] + "'");
     }
     return v;
 }
 
+/// Reply timeouts end up as poll(2)'s int millisecond timeout.
+constexpr double kMaxReplyTimeoutMs = INT_MAX;
+
 /// Parses one job option; returns false when `args[i]` is not a job flag.
+/// --list-workloads prints the npbench kernel names and exits 0.
 bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, std::size_t& i) {
     const std::string& a = args[i];
     if (a == "--workload") job.workload = flag_value(args, i);
     else if (a == "--sdfg") job.sdfg_path = flag_value(args, i);
     else if (a == "--passes") job.passes = flag_value(args, i);
-    else if (a == "--seed") job.seed = static_cast<std::uint64_t>(int_value(args, i));
-    else if (a == "--trials") job.max_trials = static_cast<int>(int_value(args, i));
-    else if (a == "--size-max") job.size_max = int_value(args, i);
-    else if (a == "--threshold") job.threshold = std::stod(flag_value(args, i));
-    else if (a == "--max-transitions") job.max_state_transitions = int_value(args, i);
-    else if (a == "--max-points") job.max_points = int_value(args, i);
-    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = int_value(args, i);
+    else if (a == "--seed") job.seed = static_cast<std::uint64_t>(number_value(args, i));
+    else if (a == "--trials") job.max_trials = number_value<int>(args, i);
+    else if (a == "--size-max") job.size_max = number_value(args, i);
+    else if (a == "--threshold") job.threshold = number_value<double>(args, i);
+    else if (a == "--max-transitions") job.max_state_transitions = number_value(args, i);
+    else if (a == "--max-points") job.max_points = number_value(args, i);
+    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = number_value(args, i);
     else if (a == "--no-mincut") job.use_mincut = false;
     else if (a == "--coverage") job.coverage = true;
     else if (a == "--feedback") job.feedback = job.coverage = true;
-    else if (a == "--generation-size") job.generation_size = static_cast<int>(int_value(args, i));
+    else if (a == "--generation-size") job.generation_size = number_value<int>(args, i);
     else if (a == "--default") {
         const std::string kv = flag_value(args, i);
         const std::size_t eq = kv.find('=');
         if (eq == std::string::npos) throw common::Error("--default expects <sym>=<val>: " + kv);
-        job.defaults[kv.substr(0, eq)] = std::stoll(kv.substr(eq + 1));
+        job.defaults[kv.substr(0, eq)] = parse_number("--default", kv.substr(eq + 1));
+    } else if (a == "--list-workloads") {
+        for (const auto& name : workloads::npbench_kernel_names())
+            std::printf("%s\n", name.c_str());
+        std::exit(kExitOk);
     } else {
         return false;
     }
@@ -252,15 +289,11 @@ int cmd_plan(const std::vector<std::string>& args) {
     std::string out_dir;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(job, args, i)) continue;
-        if (args[i] == "--shards") shards = static_cast<int>(int_value(args, i));
+        if (args[i] == "--shards") shards = number_value<int>(args, i);
         else if (args[i] == "--checkpoint-interval")
-            checkpoint_interval = static_cast<int>(int_value(args, i));
+            checkpoint_interval = number_value<int>(args, i);
         else if (args[i] == "--out-dir") out_dir = flag_value(args, i);
-        else if (args[i] == "--list-workloads") {
-            for (const auto& name : workloads::npbench_kernel_names())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else return usage(("unknown plan option " + args[i]).c_str());
+        else return usage(("unknown plan option " + args[i]).c_str());
     }
     if (shards < 1) return usage("plan needs --shards >= 1");
     if (out_dir.empty()) return usage("plan needs --out-dir");
@@ -286,9 +319,9 @@ int cmd_run_shard(const std::vector<std::string>& args) {
         if (args[i] == "--manifest") manifest_path = flag_value(args, i);
         else if (args[i] == "--records") records_path = flag_value(args, i);
         else if (args[i] == "--records-dir") records_dir = flag_value(args, i);
-        else if (args[i] == "--threads") options.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") options.num_threads = number_value<int>(args, i);
         else if (args[i] == "--interrupt-after-units")
-            options.interrupt_after_units = int_value(args, i);
+            options.interrupt_after_units = number_value(args, i);
         else return usage(("unknown run-shard option " + args[i]).c_str());
     }
     if (manifest_path.empty()) return usage("run-shard needs --manifest");
@@ -321,7 +354,7 @@ int cmd_merge(const std::vector<std::string>& args) {
         else if (args[i] == "--artifact-dir") options.artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
         else if (args[i] == "--corpus-out") corpus_path = flag_value(args, i);
-        else if (args[i] == "--threads") options.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") options.num_threads = number_value<int>(args, i);
         else return usage(("unknown merge option " + args[i]).c_str());
     }
     if (!records_dir.empty()) {
@@ -356,7 +389,7 @@ int cmd_run(const std::vector<std::string>& args) {
     std::string artifact_dir;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(job, args, i)) continue;
-        if (args[i] == "--threads") threads = static_cast<int>(int_value(args, i));
+        if (args[i] == "--threads") threads = number_value<int>(args, i);
         else if (args[i] == "--artifact-dir") artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
         else if (args[i] == "--corpus-out") corpus_path = flag_value(args, i);
@@ -402,43 +435,42 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::string out_path;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (parse_job_flag(config.job, args, i)) continue;
-        if (args[i] == "--shards") config.shard_count = static_cast<int>(int_value(args, i));
+        if (args[i] == "--shards") config.shard_count = number_value<int>(args, i);
         else if (args[i] == "--checkpoint-interval")
-            config.checkpoint_interval = static_cast<int>(int_value(args, i));
+            config.checkpoint_interval = number_value<int>(args, i);
         else if (args[i] == "--socket") config.socket_path = flag_value(args, i);
         else if (args[i] == "--records-dir") config.records_dir = flag_value(args, i);
         else if (args[i] == "--artifact-dir") config.artifact_dir = flag_value(args, i);
         else if (args[i] == "--out") out_path = flag_value(args, i);
-        else if (args[i] == "--threads")
-            config.prepare_threads = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--spawn-workers")
-            config.spawn_workers = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--worker-threads")
-            config.worker_threads = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--max-respawns")
-            config.max_respawns = static_cast<int>(int_value(args, i));
-        else if (args[i] == "--lease-ms") config.lease.lease_ms = ms_value(args, i, false);
-        else if (args[i] == "--heartbeat-ms") config.lease.heartbeat_ms = ms_value(args, i, false);
+        else if (args[i] == "--threads") config.prepare_threads = number_value<int>(args, i);
+        else if (args[i] == "--spawn-workers") config.spawn_workers = number_value<int>(args, i);
+        else if (args[i] == "--worker-threads") config.worker_threads = number_value<int>(args, i);
+        else if (args[i] == "--max-respawns") config.max_respawns = number_value<int>(args, i);
+        else if (args[i] == "--lease-ms") config.lease.lease_ms = bounded_value(args, i, false);
+        else if (args[i] == "--heartbeat-ms")
+            config.lease.heartbeat_ms = bounded_value(args, i, false);
         else if (args[i] == "--max-failures")
-            config.lease.max_failures = static_cast<int>(int_value(args, i));
+            config.lease.max_failures = number_value<int>(args, i);
         else if (args[i] == "--backoff-base-ms")
-            config.lease.backoff.base_ms = std::stod(flag_value(args, i));
+            config.lease.backoff.base_ms = bounded_value(args, i, true);
         else if (args[i] == "--backoff-max-ms")
-            config.lease.backoff.max_ms = std::stod(flag_value(args, i));
+            config.lease.backoff.max_ms = bounded_value(args, i, true);
         else if (args[i] == "--straggler-factor")
-            config.lease.straggler_factor = std::stod(flag_value(args, i));
-        else if (args[i] == "--linger-ms") config.linger_ms = ms_value(args, i, true);
+            config.lease.straggler_factor = bounded_value(args, i, true);
+        else if (args[i] == "--linger-ms") config.linger_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-watchdog-ms")
-            config.worker_watchdog_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--worker-rlimit-as") config.worker_rlimit_as = int_value(args, i);
+            config.worker_watchdog_ms = bounded_value(args, i, true);
+        else if (args[i] == "--worker-rlimit-as")
+            config.worker_rlimit_as = number_value(args, i);
         else if (args[i] == "--quarantine-max-points")
-            config.quarantine_max_points = int_value(args, i);
+            config.quarantine_max_points = number_value(args, i);
         else if (args[i] == "--quarantine-max-alloc-bytes")
-            config.quarantine_max_alloc_bytes = int_value(args, i);
+            config.quarantine_max_alloc_bytes = number_value(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
-        else if (args[i] == "--session-grace-ms") config.session_grace_ms = ms_value(args, i, true);
+        else if (args[i] == "--session-grace-ms")
+            config.session_grace_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-reply-timeout-ms")
-            config.worker_reply_timeout_ms = std::stod(flag_value(args, i));
+            config.worker_reply_timeout_ms = bounded_value(args, i, true, kMaxReplyTimeoutMs);
         else if (args[i] == "--net-fault") {
             config.net_fault = flag_value(args, i);
             try {
@@ -453,7 +485,7 @@ int cmd_serve(const std::vector<std::string>& args) {
             const std::size_t eq = kv.find('=');
             if (eq == std::string::npos)
                 return usage(("--worker-fault expects <k>=<spec>: " + kv).c_str());
-            const int index = static_cast<int>(std::stoll(kv.substr(0, eq)));
+            const int index = parse_number<int>("--worker-fault", kv.substr(0, eq));
             try {
                 coord::FaultPlan::parse(kv.substr(eq + 1));  // validate up front
             } catch (const common::Error& e) {
@@ -515,7 +547,7 @@ int cmd_worker(const std::vector<std::string>& args) {
         if (args[i] == "--socket") config.socket_path = flag_value(args, i);
         else if (args[i] == "--connect") config.connect_address = flag_value(args, i);
         else if (args[i] == "--id") config.worker_id = flag_value(args, i);
-        else if (args[i] == "--threads") config.num_threads = static_cast<int>(int_value(args, i));
+        else if (args[i] == "--threads") config.num_threads = number_value<int>(args, i);
         else if (args[i] == "--fault") {
             try {
                 config.fault = coord::FaultPlan::parse(flag_value(args, i));
@@ -524,11 +556,11 @@ int cmd_worker(const std::vector<std::string>& args) {
             }
         }
         else if (args[i] == "--connect-attempts")
-            config.max_connect_attempts = static_cast<int>(int_value(args, i));
+            config.max_connect_attempts = number_value<int>(args, i);
         else if (args[i] == "--reply-timeout-ms")
-            config.reply_timeout_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--watchdog-ms") config.watchdog_ms = std::stod(flag_value(args, i));
-        else if (args[i] == "--rlimit-as") config.rlimit_as_bytes = int_value(args, i);
+            config.reply_timeout_ms = bounded_value(args, i, false, kMaxReplyTimeoutMs);
+        else if (args[i] == "--watchdog-ms") config.watchdog_ms = bounded_value(args, i, true);
+        else if (args[i] == "--rlimit-as") config.rlimit_as_bytes = number_value(args, i);
         else if (args[i] == "--quiet") config.verbose = false;
         else return usage(("unknown worker option " + args[i]).c_str());
     }
