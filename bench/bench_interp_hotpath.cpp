@@ -8,8 +8,8 @@
 //    construction and fresh gather/scatter vectors;
 //  * generic     — bytecode VM over precomputed memlet access plans and a
 //    reusable flat scratch arena (ExecConfig::specialize = false);
-//  * specialized — flat-stride map kernels + the untagged f64/i64 VMs on
-//    top of the generic path (batch_segments = false here, so this is the
+//  * specialized — flat-stride map kernels + the untagged f64 VM on top
+//    of the generic path (batch_segments = false here, so this is the
 //    per-point kernel loop; see docs/ARCHITECTURE.md "Specialization
 //    tiers");
 //  * batched     — segment-eligible kernels run the whole stride-1 inner
@@ -23,8 +23,8 @@
 // >= 1.5x the generic compiled path (both on one thread).
 //
 // A second, flat-stride section measures the batched segment tier against
-// the per-point kernel loop on straight-line 1-D chains per dtype (f64,
-// f32, i64).  Acceptance bar: batched >= 2x per-point on the f64 section.
+// the per-point kernel loop on straight-line 1-D chains per float dtype
+// (f64, f32).  Acceptance bar: batched >= 2x per-point on the f64 section.
 // The exit code is 1 when any of the three bars fails.
 //
 // Lines prefixed BENCH_KV are machine-readable; `scripts/bench_json.py hotpath`
@@ -120,13 +120,13 @@ double measure(bool compiled, bool specialize, bool batch, int reps,
     return static_cast<double>(tasklet_executions_per_run()) * reps / secs;
 }
 
-// --- Flat-stride batched vs per-point, per dtype ------------------------------
+// --- Flat-stride batched vs per-point, per float dtype ------------------------
 
 constexpr std::int64_t kFlatN = 1 << 15;
 
-/// Two chained straight-line 1-D elementwise maps over `dtype` containers:
-/// the shape the segment tier exists for (every launch is one contiguous
-/// stride-1 segment of kFlatN points).
+/// Two chained straight-line 1-D elementwise maps over float `dtype`
+/// containers: the shape the segment tier exists for (every launch is one
+/// contiguous stride-1 segment of kFlatN points).
 ir::SDFG build_flat(ir::DType dtype) {
     ir::SDFG p("flat");
     p.add_symbol("N");
@@ -135,12 +135,8 @@ ir::SDFG build_flat(ir::DType dtype) {
     p.add_array("t", dtype, {n}, /*transient=*/true);
     p.add_array("y", dtype, {n});
     ir::State& st = p.state(p.add_state("main", true));
-    const bool is_float = ir::dtype_is_float(dtype);
-    const ir::NodeId t = workloads::ew_unary(
-        p, st, st.add_access("x"), "t",
-        is_float ? "o = i * 0.5 + 1.0" : "o = i * 3 + 1");
-    workloads::ew_unary(p, st, t, "y",
-                        is_float ? "o = i * i - i * 0.25" : "o = i * i - i");
+    const ir::NodeId t = workloads::ew_unary(p, st, st.add_access("x"), "t", "o = i * 0.5 + 1.0");
+    workloads::ew_unary(p, st, t, "y", "o = i * i - i * 0.25");
     return p;
 }
 
@@ -273,12 +269,11 @@ bool print_report() {
 
     bench::banner("Specialization hit rates (plan classification + launches)");
     std::printf("  scopes: %lld/%lld flat-stride (%lld segment-eligible), "
-                "tasklets: %lld f64 + %lld i64 of %lld untagged\n",
+                "tasklets: %lld/%lld untagged f64\n",
                 static_cast<long long>(spec_stats.scopes_specialized),
                 static_cast<long long>(spec_stats.scopes_planned),
                 static_cast<long long>(spec_stats.scopes_segmented),
                 static_cast<long long>(spec_stats.tasklets_f64),
-                static_cast<long long>(spec_stats.tasklets_i64),
                 static_cast<long long>(spec_stats.tasklets_planned));
     std::printf("  kernel launches: %lld committed, %lld fell back to the odometer, "
                 "%lld ran batched segments\n",
@@ -294,9 +289,7 @@ bool print_report() {
         double perpoint, batched;
         std::int64_t segments;
     };
-    FlatRow flats[] = {{"f64", ir::DType::F64, 0, 0, 0},
-                       {"f32", ir::DType::F32, 0, 0, 0},
-                       {"i64", ir::DType::I64, 0, 0, 0}};
+    FlatRow flats[] = {{"f64", ir::DType::F64, 0, 0, 0}, {"f32", ir::DType::F32, 0, 0, 0}};
     bench::banner("Batched segment tier - flat-stride map points per second (N=" +
                   std::to_string(kFlatN) + ", 2 straight-line maps)");
     for (FlatRow& row : flats) {
@@ -341,9 +334,8 @@ bool print_report() {
                 static_cast<long long>(spec_stats.scopes_specialized),
                 static_cast<long long>(spec_stats.scopes_planned),
                 static_cast<long long>(spec_stats.scopes_segmented));
-    std::printf("BENCH_KV tasklets_f64=%lld tasklets_i64=%lld tasklets_planned=%lld\n",
+    std::printf("BENCH_KV tasklets_f64=%lld tasklets_planned=%lld\n",
                 static_cast<long long>(spec_stats.tasklets_f64),
-                static_cast<long long>(spec_stats.tasklets_i64),
                 static_cast<long long>(spec_stats.tasklets_planned));
     std::printf("BENCH_KV kernel_launches=%lld kernel_fallbacks=%lld segment_launches=%lld\n",
                 static_cast<long long>(spec_stats.kernel_launches),

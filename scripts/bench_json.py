@@ -11,7 +11,7 @@ hotpath   Folds bench_interp_hotpath's output into BENCH_hotpath.json.
           alongside its human-readable report; every pair lands in one flat
           JSON object.  Values parse as int, then float, then string.  Fails
           when the input holds no BENCH_KV line (the bench crashed before
-          its report) or one of the 11 hot-path keys is missing.
+          its report) or one of the 10 hot-path keys is missing.
 
               ./build/bench_interp_hotpath | \\
                   python3 scripts/bench_json.py hotpath - BENCH_hotpath.json
@@ -63,7 +63,6 @@ HOTPATH_KEYS = (
     "segment_launches",
     "flat_f64_batch_speedup",
     "flat_f32_batch_speedup",
-    "flat_i64_batch_speedup",
 )
 
 GENERATION_SIZE = 10

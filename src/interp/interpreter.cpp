@@ -64,16 +64,15 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
 
 // --- Untagged load/store conversions -----------------------------------------
 //
-// The untagged tiers move values between raw Buffer storage and flat
-// double/int64 arenas.  These helpers are the exact expressions Buffer::load
-// / Buffer::store apply on the tagged path, so every tier stays
-// byte-identical for any container dtype:
-//  * loads promote within the signature's family (F32 -> double mirrors the
-//    tagged load; I32 -> int64 likewise);
-//  * stores convert the untagged result like Buffer::store converts the
-//    tagged Value: float storage through as_double, integer storage through
-//    as_int.  So int64 -> float goes *via double* (a direct int64 -> float
-//    cast can differ in the last bit).
+// The untagged tier moves values between raw Buffer storage and flat double
+// arenas.  These helpers are the exact expressions Buffer::load /
+// Buffer::store apply on the tagged path, so every tier stays byte-identical
+// for any container dtype:
+//  * loads read float-family storage only (F32 -> double mirrors the tagged
+//    load; the signature and its drift checks keep integer storage out);
+//  * stores convert the untagged result like Buffer::store converts a float
+//    Value: float storage through as_double, integer storage through as_int
+//    (truncation to int64 first, then narrowing).
 
 /// Raw storage base of `buf`'s runtime dtype (never null for a constructed
 /// buffer).
@@ -87,12 +86,6 @@ void* raw_data_of(Buffer& buf) {
     return nullptr;
 }
 
-// Value::as_double / Value::as_int of an untagged value.
-double as_double(double v) { return v; }
-double as_double(std::int64_t v) { return static_cast<double>(v); }
-std::int64_t as_int(double v) { return static_cast<std::int64_t>(v); }
-std::int64_t as_int(std::int64_t v) { return v; }
-
 /// Calls fn with `raw` as a pointer to `dt`'s element type.
 template <typename Fn>
 void with_elements(void* raw, ir::DType dt, Fn&& fn) {
@@ -104,50 +97,39 @@ void with_elements(void* raw, ir::DType dt, Fn&& fn) {
     }
 }
 
-/// Buffer::store's conversion of an untagged value to element type S.
-template <typename S, typename T>
-S store_cast(T v) {
-    if constexpr (std::is_floating_point_v<S>) return static_cast<S>(as_double(v));
-    else return static_cast<S>(as_int(v));
+/// Buffer::store's conversion of an untagged double to element type S.
+template <typename S>
+S store_cast(double v) {
+    if constexpr (std::is_floating_point_v<S>) return static_cast<S>(v);
+    else return static_cast<S>(static_cast<std::int64_t>(v));
 }
 
-/// The dtype family an untagged representation loads from: its full-width
-/// dtype and the narrow element type that promotes to it.
-template <typename T>
-constexpr ir::DType kWideDType = std::is_same_v<T, double> ? ir::DType::F64 : ir::DType::I64;
-template <typename T>
-using NarrowOf = std::conditional_t<std::is_same_v<T, double>, float, std::int32_t>;
-
-/// Element `flat` of storage in T's family, promoted like Buffer::load.
-template <typename T>
-T load_as(const void* raw, ir::DType dt, std::int64_t flat) {
-    return dt == kWideDType<T> ? static_cast<const T*>(raw)[flat]
-                               : static_cast<T>(static_cast<const NarrowOf<T>*>(raw)[flat]);
+/// Element `flat` of F64 or F32 storage, promoted like Buffer::load.
+double load_double(const void* raw, ir::DType dt, std::int64_t flat) {
+    return dt == ir::DType::F64 ? static_cast<const double*>(raw)[flat]
+                                : static_cast<double>(static_cast<const float*>(raw)[flat]);
 }
 
 /// Stores `v` into element `flat` of storage of any dtype.
-template <typename T>
-void store_as(void* raw, ir::DType dt, std::int64_t flat, T v) {
+void store_double(void* raw, ir::DType dt, std::int64_t flat, double v) {
     with_elements(raw, dt, [&](auto* dst) {
         dst[flat] = store_cast<std::remove_pointer_t<decltype(dst)>>(v);
     });
 }
 
-/// Column twin of load_as: col[j] = element base + j * stride, j < n.
-template <typename T>
-void gather_column(T* col, const void* raw, ir::DType dt, std::int64_t base,
+/// Column twin of load_double: col[j] = element base + j * stride, j < n.
+void gather_column(double* col, const void* raw, ir::DType dt, std::int64_t base,
                    std::int64_t stride, std::int64_t n) {
     const auto gather = [&](const auto* src) {
-        for (std::int64_t j = 0; j < n; ++j) col[j] = static_cast<T>(src[base + j * stride]);
+        for (std::int64_t j = 0; j < n; ++j) col[j] = static_cast<double>(src[base + j * stride]);
     };
-    if (dt == kWideDType<T>) gather(static_cast<const T*>(raw));
-    else gather(static_cast<const NarrowOf<T>*>(raw));
+    if (dt == ir::DType::F64) gather(static_cast<const double*>(raw));
+    else gather(static_cast<const float*>(raw));
 }
 
-/// Column twin of store_as: element base + j * stride = col[j], j < n.
-template <typename T>
+/// Column twin of store_double: element base + j * stride = col[j], j < n.
 void scatter_column(void* raw, ir::DType dt, std::int64_t base, std::int64_t stride,
-                    const T* col, std::int64_t n) {
+                    const double* col, std::int64_t n) {
     with_elements(raw, dt, [&](auto* dst) {
         using S = std::remove_pointer_t<decltype(dst)>;
         for (std::int64_t j = 0; j < n; ++j) dst[base + j * stride] = store_cast<S>(col[j]);
@@ -271,11 +253,8 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
     }
 
     // Specialization tier: flat-stride kernels for qualifying scopes.
-    std::int64_t f64_count = 0, i64_count = 0;
-    for (const TaskletPlan& tp : plan.tasklet_plans) {
-        f64_count += tp.sig == VMSig::F64 ? 1 : 0;
-        i64_count += tp.sig == VMSig::I64 ? 1 : 0;
-    }
+    std::int64_t f64_count = 0;
+    for (const TaskletPlan& tp : plan.tasklet_plans) f64_count += tp.sig == VMSig::F64 ? 1 : 0;
     std::int64_t specialized = 0, segmented = 0;
     for (ScopePlan& sp : plan.scope_plans) {
         classify_scope_kernel(sdfg, state, plan, sp);
@@ -285,7 +264,7 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
     }
     plans_->note_classification(static_cast<std::int64_t>(plan.scope_plans.size()), specialized,
                                 segmented, static_cast<std::int64_t>(plan.tasklet_plans.size()),
-                                f64_count, i64_count);
+                                f64_count);
 
     // Def-use pair id bases (feedback/coverage.h).  The atlas enumerates the
     // same accesses in the same order as the tasklet plans above, so each
@@ -399,8 +378,8 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
         kern.tasklets.push_back(plan.node_to_plan[static_cast<std::size_t>(c)]);
     }
 
-    // Segment eligibility: every tasklet runs an untagged VM (so lanes move
-    // through raw storage) and is straight-line (so the VM's batch mode
+    // Segment eligibility: every tasklet runs the untagged f64 VM (so lanes
+    // move through raw storage) and is straight-line (so the VM's batch mode
     // applies).  Tagged-sig tasklets are excluded — batching them would
     // re-introduce per-element tag dispatch for no gain.  Note integer
     // Div/Mod can never reach here: the throw-free gate above only admits
@@ -409,7 +388,7 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     for (const int t : kern.tasklets) {
         const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(t)];
         kern.segment_ok =
-            kern.segment_ok && tp.sig != VMSig::Tagged && tp.prog->is_straightline();
+            kern.segment_ok && tp.sig == VMSig::F64 && tp.prog->is_straightline();
     }
 
     sp.kernel = static_cast<int>(plan.kernels.size());
@@ -512,35 +491,27 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
     }
 
     // Dtype-signature selection (see VMSig): program-side feasibility
-    // (proved at parse time under the all-inputs-arrive-as-the-family
-    // assumption) plus graph-side facts.  Every *input* must bind a
-    // single-point subset of a matching-family container — F32 inputs work
-    // on the f64 engine because the tagged VM already promotes F32 loads to
-    // double (Buffer::load), so computing in double is what the tagged path
-    // does anyway.  *Outputs* bind a single-point subset of any dtype: the
-    // untagged scatter conversions mirror Buffer::store's casts on the
-    // tagged result exactly (including int64 -> float via double).  No
-    // passthrough staging or invalid outputs on either side.
-    auto untagged_ok = [&](bool float_family) {
+    // (proved at parse time assuming every input arrives as a double) plus
+    // graph-side facts.  Every *input* must bind a single-point subset of a
+    // float-family container — F32 inputs work on the f64 engine because the
+    // tagged VM already promotes F32 loads to double (Buffer::load), so
+    // computing in double is what the tagged path does anyway.  *Outputs*
+    // bind a single-point subset of any dtype: the untagged scatter
+    // conversions mirror Buffer::store's casts on the tagged result exactly.
+    // No passthrough staging or invalid outputs on either side.
+    auto untagged_ok = [&] {
         auto shape_ok = [&](const AccessPlan& ap) {
             return ap.single_point && !ap.invalid && ap.passthrough_pool < 0 &&
                    sdfg.has_container(ap.memlet->data);
         };
-        for (const AccessPlan& ap : tp.inputs) {
-            if (!shape_ok(ap)) return false;
-            if (ir::dtype_is_float(sdfg.container(ap.memlet->data).dtype) != float_family)
+        for (const AccessPlan& ap : tp.inputs)
+            if (!shape_ok(ap) || !ir::dtype_is_float(sdfg.container(ap.memlet->data).dtype))
                 return false;
-        }
         for (const AccessPlan& ap : tp.outputs)
             if (!shape_ok(ap)) return false;
         return true;
     };
-    if (!tp.use_reference) {
-        if (prog.has_f64_variant() && untagged_ok(/*float_family=*/true))
-            tp.sig = VMSig::F64;
-        else if (prog.has_i64_variant() && untagged_ok(/*float_family=*/false))
-            tp.sig = VMSig::I64;
-    }
+    if (!tp.use_reference && prog.has_f64_variant() && untagged_ok()) tp.sig = VMSig::F64;
 }
 
 const StatePlan& Interpreter::plan_for(const ir::SDFG& sdfg, const ir::State& state) {
@@ -861,13 +832,11 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         lane.slot = ap.slot_base;
         const std::size_t dims = ap.dims.size();
         if (buf.dims() != dims) return false;  // generic raises rank mismatch
-        if (tp.sig != VMSig::Tagged) {
-            // Input dtype drift outside the signature's family: the generic
-            // tagged path handles any dtype.  Outputs convert on store, so
-            // only their raw pointer matters.
-            if (!ka.output &&
-                ir::dtype_is_float(lane.dt) != (tp.sig == VMSig::F64))
-                return false;
+        if (tp.sig == VMSig::F64) {
+            // Input dtype drift outside the float family: the generic tagged
+            // path handles any dtype.  Outputs convert on store, so only
+            // their raw pointer matters.
+            if (!ka.output && !ir::dtype_is_float(lane.dt)) return false;
             lane.raw = raw_data_of(buf);
             if (!lane.raw) return false;  // defensive
         }
@@ -962,7 +931,7 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                     if constexpr (std::is_same_v<T, Value>)
                         slots[lane.slot] = lane.buf->load(lane.offset);
                     else
-                        slots[lane.slot] = load_as<T>(lane.raw, lane.dt, lane.offset);
+                        slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
                 }
                 tp.prog->run_vm(slots, reg_vec.data());
                 for (std::size_t i = 0; i < nout; ++i, ++a) {
@@ -970,11 +939,11 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                     if constexpr (std::is_same_v<T, Value>)
                         lane.buf->store(lane.offset, slots[lane.slot]);
                     else
-                        store_as(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
+                        store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
                 }
             };
             if (tp.sig == VMSig::Tagged) run_point(s.slots, s.regs);
-            else s.untagged(tp.sig, [&](auto& frame) { run_point(frame.slots, frame.regs); });
+            else run_point(s.f64_slots, s.f64_regs);
         }
         // Odometer: find the deepest level that advances; the precomputed
         // delta folds that advance plus every deeper level's reset into one
@@ -1034,20 +1003,18 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
     const std::size_t ntasklets = kern.tasklets.size();
     const std::size_t inner = nparams - 1;
 
-    // Column arenas: tile the segment so scratch stays cache-resident, sized
-    // once for the largest program of each representation.  Tile-outer /
-    // tasklet-inner order: within a tile every tasklet sees its
-    // predecessors' stores for the whole tile — for pointwise-aligned
-    // dependencies (the only cross-lane interaction the alias check admits)
-    // that is exactly per-point order.  segment_ok excludes Tagged tasklets.
+    // Column arena: tile the segment so scratch stays cache-resident, sized
+    // once for the largest program.  Tile-outer / tasklet-inner order:
+    // within a tile every tasklet sees its predecessors' stores for the
+    // whole tile — for pointwise-aligned dependencies (the only cross-lane
+    // interaction the alias check admits) that is exactly per-point order.
+    // segment_ok excludes Tagged tasklets.
     constexpr std::int64_t kTile = 256;
     for (std::size_t t = 0; t < ntasklets; ++t) {
         const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
         const auto cols = static_cast<std::size_t>(
             (tp.prog->slot_count() + tp.prog->reg_count()) * kTile);
-        s.untagged(tp.sig, [&](auto& frame) {
-            if (frame.cols.size() < cols) frame.cols.resize(cols);
-        });
+        if (s.f64_cols.size() < cols) s.f64_cols.resize(cols);
     }
 
     // Lane offsets stay at the segment's start point; addresses inside a
@@ -1063,25 +1030,22 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
                 const std::size_t nin = tp.inputs.size();
                 const std::size_t nout = tp.outputs.size();
                 const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
-                s.untagged(tp.sig, [&](auto& frame) {
-                    using T = typename std::decay_t<decltype(frame.cols)>::value_type;
-                    T* cols = frame.cols.data();
-                    std::fill_n(cols, nslots * tn, T{});
-                    for (std::size_t i = 0; i < nin; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        if (lane.slot < 0) continue;
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        gather_column(cols + lane.slot * tn, lane.raw, lane.dt,
-                                      lane.offset + j0 * d, d, tn);
-                    }
-                    tp.prog->run_vm<T, true>(cols, cols + nslots * tn, tn);
-                    for (std::size_t i = 0; i < nout; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        const std::int64_t d = s.lane_delta[a * nparams + inner];
-                        scatter_column(lane.raw, lane.dt, lane.offset + j0 * d, d,
-                                       cols + lane.slot * tn, tn);
-                    }
-                });
+                double* cols = s.f64_cols.data();
+                std::fill_n(cols, nslots * tn, 0.0);
+                for (std::size_t i = 0; i < nin; ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    if (lane.slot < 0) continue;
+                    const std::int64_t d = s.lane_delta[a * nparams + inner];
+                    gather_column(cols + lane.slot * tn, lane.raw, lane.dt,
+                                  lane.offset + j0 * d, d, tn);
+                }
+                tp.prog->run_vm<double, true>(cols, cols + nslots * tn, tn);
+                for (std::size_t i = 0; i < nout; ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    const std::int64_t d = s.lane_delta[a * nparams + inner];
+                    scatter_column(lane.raw, lane.dt, lane.offset + j0 * d, d,
+                                   cols + lane.slot * tn, tn);
+                }
             }
         }
         // Outer odometer (levels [0, inner)); a level-k advance moves every
@@ -1340,7 +1304,7 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
         s.cache_plan = &plan;
         s.cache_ctx = &ctx;
     }
-    if (tp.sig != VMSig::Tagged && config_.specialize &&
+    if (tp.sig == VMSig::F64 && config_.specialize &&
         execute_tasklet_untagged(sdfg, plan, tp, ctx))
         return;
 
@@ -1364,7 +1328,7 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
 
 bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                            const TaskletPlan& tp, Context& ctx) {
-    // Twin of execute_tasklet_planned for tp.sig != Tagged nodes outside
+    // Twin of execute_tasklet_planned for tp.sig == F64 nodes outside
     // flat-stride kernels: every access is a single point (by
     // classification), so gathers and scatters move raw values between
     // bounds-checked flat indices and the untagged slot array, converting
@@ -1375,7 +1339,7 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
     // output-buffer allocation at each scatter (an earlier output's bounds
     // error must leave later outputs unallocated, exactly like the tagged
     // path).  A caller-provided *input* buffer whose runtime dtype drifted
-    // outside the signature's family hands the node back to the tagged path
+    // outside the float family hands the node back to the tagged path
     // (return false, before any store); output buffers convert from the
     // untagged result whatever their dtype, so they can never force a
     // fallback.
@@ -1388,34 +1352,30 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
         return buf.flat_index(idx, ap.memlet->data);
     };
 
-    return s.untagged(tp.sig, [&](auto& frame) {
-        using T = typename std::decay_t<decltype(frame.slots)>::value_type;
-        T* slots = reset_frame(frame.slots, frame.regs, *tp.prog);
-        s.input_counts.resize(tp.inputs.size());
-        for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
-            const AccessPlan& ap = tp.inputs[i];
-            Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-            if (ir::dtype_is_float(buf.dtype()) != std::is_same_v<T, double>)
-                return false;  // input dtype drift: tagged path handles it
-            const std::int64_t flat = flat_of(buf, ap);
-            if (ap.slot_base >= 0)
-                slots[ap.slot_base] = load_as<T>(raw_data_of(buf), buf.dtype(), flat);
-            s.input_counts[i] = 1;
-        }
-        for (const TaskletPlan::InputCheck& check : tp.input_checks)
-            if (check.input_index < 0 ||
-                s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
-                throw common::Error("tasklet: missing input connector '" + check.conn + "'");
+    double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
+    s.input_counts.resize(tp.inputs.size());
+    for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
+        const AccessPlan& ap = tp.inputs[i];
+        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
+        if (!ir::dtype_is_float(buf.dtype())) return false;  // drift: tagged path handles it
+        const std::int64_t flat = flat_of(buf, ap);
+        if (ap.slot_base >= 0)
+            slots[ap.slot_base] = load_double(raw_data_of(buf), buf.dtype(), flat);
+        s.input_counts[i] = 1;
+    }
+    for (const TaskletPlan::InputCheck& check : tp.input_checks)
+        if (check.input_index < 0 ||
+            s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
+            throw common::Error("tasklet: missing input connector '" + check.conn + "'");
 
-        tp.prog->run_vm(slots, frame.regs.data());
+    tp.prog->run_vm(slots, s.f64_regs.data());
 
-        for (const AccessPlan& ap : tp.outputs) {
-            Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-            const std::int64_t flat = flat_of(buf, ap);
-            store_as(raw_data_of(buf), buf.dtype(), flat, slots[ap.slot_base]);
-        }
-        return true;
-    });
+    for (const AccessPlan& ap : tp.outputs) {
+        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
+        const std::int64_t flat = flat_of(buf, ap);
+        store_double(raw_data_of(buf), buf.dtype(), flat, slots[ap.slot_base]);
+    }
+    return true;
 }
 
 // --- Copies and collectives -------------------------------------------------

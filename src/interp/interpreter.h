@@ -65,22 +65,22 @@
 // selects a *dtype signature* (TaskletPlan::sig): a program admitting the
 // untagged double VM (TaskletProgram::has_f64_variant) whose input
 // connectors all bind scalar float-family (F64/F32) containers runs tagless
-// on raw doubles, and a program admitting the int twin (has_i64_variant)
-// whose inputs all bind int-family (I64/I32) containers runs on raw int64s;
-// output containers may be any dtype — the store-side conversions mirror the
-// tagged VM's Buffer::store casts exactly.  Inside a kernel an untagged
-// tasklet's inner loop runs over raw Buffer storage with per-lane dtype
-// conversion.  On top of that sits the *segment* tier: a kernel whose
-// tasklets are all untagged and straight-line (no branches, no traps) can
-// run its whole stride-1 innermost extent per dispatch through the VM's
-// batch mode (TaskletProgram::run_vm<T, true>) — auto-vectorizable column
-// loops instead of per-point dispatch.  Each launch checks the concrete lane
-// windows for unsafe aliasing (vertical execution reorders loads/stores
-// across points) and silently degrades to the per-point kernel loop when
-// segments could overlap.  Classification lives in the shared plan (keyed,
-// like everything else, on plan uid + mutation epoch); ExecConfig::specialize
-// and ExecConfig::batch_segments select what execution uses, and results are
-// byte-identical under every toggle combination.
+// on raw doubles; every other tasklet, int-family inputs included, runs the
+// tagged VM.  Output containers may be any dtype — the store-side
+// conversions mirror the tagged VM's Buffer::store casts exactly.  Inside a
+// kernel an untagged tasklet's inner loop runs over raw Buffer storage with
+// per-lane dtype conversion.  On top of that sits the *segment* tier: a
+// kernel whose tasklets are all untagged and straight-line (no branches, no
+// traps) can run its whole stride-1 innermost extent per dispatch through the
+// VM's batch mode (TaskletProgram::run_vm<double, true>) — auto-vectorizable
+// column loops instead of per-point dispatch.  Each launch checks the
+// concrete lane windows for unsafe aliasing (vertical execution reorders
+// loads/stores across points) and silently degrades to the per-point kernel
+// loop when segments could overlap.  Classification lives in the shared
+// plan (keyed, like everything else, on plan uid + mutation epoch);
+// ExecConfig::specialize and ExecConfig::batch_segments select what
+// execution uses, and results are byte-identical under every toggle
+// combination.
 //
 // Plan sharing across threads:
 //
@@ -132,7 +132,7 @@ struct ExecConfig {
     /// for differential testing and the hot-path benchmark.
     bool use_compiled_tasklets = true;
     /// Use the plan's specialization tiers: flat-stride map kernels and the
-    /// untagged f64/i64 tasklet VMs (only meaningful with compiled
+    /// untagged f64 tasklet VM (only meaningful with compiled
     /// tasklets).  Plans always carry the classification; this selects
     /// whether execution uses it.  Off reproduces the generic compiled path
     /// — results are byte-identical either way (the determinism contract),
@@ -214,17 +214,15 @@ struct AccessPlan {
 };
 
 /// Dtype signature of a planned tasklet: which VM executes it under
-/// ExecConfig::specialize.  Untagged signatures require the program to admit
-/// the corresponding engine (TaskletProgram::has_f64_variant /
-/// has_i64_variant), every *input* connector to bind a single-point subset
-/// of a matching-family container (float family F64/F32 for F64, int family
-/// I64/I32 for I64), and every output connector a single-point subset of any
-/// dtype — output conversions mirror the tagged VM's Buffer::store casts
-/// exactly, so results are byte-identical.
+/// ExecConfig::specialize.  F64 requires the program to admit the untagged
+/// double engine (TaskletProgram::has_f64_variant), every *input* connector
+/// to bind a single-point subset of a float-family (F64/F32) container, and
+/// every output connector a single-point subset of any dtype — output
+/// conversions mirror the tagged VM's Buffer::store casts exactly, so
+/// results are byte-identical.
 enum class VMSig : std::uint8_t {
     Tagged,  ///< Generic tagged-Value bytecode VM (always correct).
     F64,     ///< Untagged double VM (float-family inputs).
-    I64,     ///< Untagged int64 VM (int-family inputs).
 };
 
 /// Compiled execution recipe for one tasklet node.
@@ -301,9 +299,9 @@ struct KernelAccess {
 struct ScopeKernel {
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
-    /// Segment-eligible: every tasklet selected an untagged signature and is
+    /// Segment-eligible: every tasklet selected the F64 signature and is
     /// straight-line, so the innermost extent can execute through the batch
-    /// VMs.  Each launch still checks the concrete lane windows for unsafe
+    /// VM.  Each launch still checks the concrete lane windows for unsafe
     /// aliasing before batching (see execute_scope_kernel).
     bool segment_ok = false;
 };
@@ -451,13 +449,13 @@ private:
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
                                  const StatePlan& plan, const TaskletPlan& tp, Context& ctx);
-    /// Untagged twin of execute_tasklet_planned (tp.sig != Tagged only):
+    /// Untagged twin of execute_tasklet_planned (tp.sig == F64 only):
     /// single-point gathers/scatters straight between raw Buffer storage and
-    /// a flat double/int64 slot array, converting per the lane's dtype — no
-    /// Value tags anywhere.  Returns false — before any store, with only
-    /// idempotent work done — when a caller-provided context buffer's dtype
-    /// drifted outside the signature's input family; the caller then runs
-    /// the tagged path, which handles any dtype.
+    /// a flat double slot array, converting per the lane's dtype — no Value
+    /// tags anywhere.  Returns false — before any store, with only
+    /// idempotent work done — when a caller-provided input buffer's dtype
+    /// drifted outside the float family; the caller then runs the tagged
+    /// path, which handles any dtype.
     bool execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                   const TaskletPlan& tp, Context& ctx);
     void execute_access_copies(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
@@ -546,23 +544,12 @@ private:
         };
         std::vector<ActiveParam> active_params;
 
-        // Untagged tasklet execution (TaskletPlan::sig != Tagged), one frame
-        // per value representation: connector lanes, the VM register file,
-        // and the segment tier's column arena — slot and register columns
-        // of one tile (slot s occupies [s*tile, s*tile + tile)), sized per
-        // launch for the largest program and reused across tiles and
-        // launches.
-        template <typename T>
-        struct UntaggedFrame {
-            std::vector<T> slots, regs, cols;
-        };
-        UntaggedFrame<double> f64;
-        UntaggedFrame<std::int64_t> i64;
-        /// Calls fn with the frame of untagged signature `sig`.
-        template <typename Fn>
-        decltype(auto) untagged(VMSig sig, Fn&& fn) {
-            return sig == VMSig::F64 ? fn(f64) : fn(i64);
-        }
+        // Untagged tasklet execution (TaskletPlan::sig == F64): connector
+        // lanes, the VM register file, and the segment tier's column arena —
+        // slot and register columns of one tile (slot s occupies
+        // [s*tile, s*tile + tile)), sized per launch for the largest program
+        // and reused across tiles and launches.
+        std::vector<double> f64_slots, f64_regs, f64_cols;
 
         // Flat-stride kernel launch state (reused across launches).
         /// One access of the running kernel: its buffer, the raw storage

@@ -531,7 +531,6 @@ private:
                 p_.straightline_ = false;
         }
         analyze_f64();
-        analyze_i64();
     }
 
     // --- Untagged f64 feasibility (see TaskletProgram::has_f64_variant) ---
@@ -675,29 +674,6 @@ private:
         if (!feasible) return;
         p_.f64consts_.reserve(p_.consts_.size());
         for (const Value& c : p_.consts_) p_.f64consts_.push_back(c.as_double());
-    }
-
-    /// Untagged i64 feasibility (see TaskletProgram::has_i64_variant).  With
-    /// every input arriving as int64 and every constant integer, values can
-    /// only become float through a float-producing opcode — so feasibility is
-    /// a pure instruction scan, no abstract interpretation needed.
-    void analyze_i64() {
-        bool feasible = true;
-        for (const Value& c : p_.consts_) feasible = feasible && !c.is_float;
-        for (const BCInstr& in : p_.bytecode_) {
-            switch (in.op) {
-                case BC::Trap:
-                case BC::Exp: case BC::Log: case BC::Sqrt: case BC::Sin: case BC::Cos:
-                case BC::Tanh: case BC::Floor: case BC::Ceil: case BC::Pow:
-                    feasible = false;
-                    break;
-                default: break;
-            }
-        }
-        p_.i64_feasible_ = feasible;
-        if (!feasible) return;
-        p_.i64consts_.reserve(p_.consts_.size());
-        for (const Value& c : p_.consts_) p_.i64consts_.push_back(c.i);
     }
 
     void build_slot_table() {
@@ -1004,9 +980,9 @@ std::shared_ptr<const TaskletProgram> TaskletProgram::parse(const std::string& c
 //
 // One executor for every compiled tier, instantiated per value representation
 // T and lane mode.  VMRepr<T> holds a representation's operator semantics.
-// The untagged representations are only run where the parse-time
-// feasibility analyses (has_f64_variant / has_i64_variant) proved them
-// bit-identical to the tagged one.
+// The untagged double representation is only run where the parse-time
+// feasibility analysis (has_f64_variant) proved it bit-identical to the
+// tagged one.
 
 namespace {
 
@@ -1016,7 +992,6 @@ struct VMRepr;
 /// Tagged values: the op_* helpers the AST walker uses.
 template <>
 struct VMRepr<Value> {
-    static constexpr bool kFloatOps = true;
     static Value boolean(bool b) { return make_bool(b); }
     static bool truthy(const Value& x) { return x.truthy(); }
     static double to_double(const Value& x) { return x.as_double(); }
@@ -1035,7 +1010,6 @@ struct VMRepr<Value> {
 /// Raw doubles: plain IEEE operations.
 template <>
 struct VMRepr<double> {
-    static constexpr bool kFloatOps = true;
     static double boolean(bool b) { return b ? 1.0 : 0.0; }
     static bool truthy(double x) { return x != 0.0; }
     static double to_double(double x) { return x; }
@@ -1051,27 +1025,6 @@ struct VMRepr<double> {
     static double max(double x, double y) { return max_f64(x, y); }
 };
 
-/// Raw int64s: the tagged int path — floor division/modulo that throw on
-/// zero, comparisons through double like as_double().  No float-valued
-/// opcode is reachable (has_i64_variant rejects them).
-template <>
-struct VMRepr<std::int64_t> {
-    using I = std::int64_t;
-    static constexpr bool kFloatOps = false;
-    static I boolean(bool b) { return b ? 1 : 0; }
-    static bool truthy(I x) { return x != 0; }
-    static double to_double(I x) { return static_cast<double>(x); }
-    static I neg(I x) { return -x; }
-    static I abs(I x) { return x < 0 ? -x : x; }
-    static I add(I x, I y) { return x + y; }
-    static I sub(I x, I y) { return x - y; }
-    static I mul(I x, I y) { return x * y; }
-    static I div(I x, I y) { return sym::floordiv_i64(x, y); }
-    static I mod(I x, I y) { return sym::floormod_i64(x, y); }
-    static I min(I x, I y) { return std::min(x, y); }
-    static I max(I x, I y) { return std::max(x, y); }
-};
-
 }  // namespace
 
 template <typename T, bool kBatch>
@@ -1079,8 +1032,7 @@ void TaskletProgram::run_vm(T* slots, T* regs, std::int64_t n) const {
     using R = VMRepr<T>;
     const T* consts = [&] {
         if constexpr (std::is_same_v<T, Value>) return consts_.data();
-        else if constexpr (std::is_same_v<T, double>) return f64consts_.data();
-        else return i64consts_.data();
+        else return f64consts_.data();
     }();
     // Lanes per column.  In batch mode every instruction is one
     // auto-vectorizable loop over the column (no cross-lane dependency, no
@@ -1105,10 +1057,7 @@ void TaskletProgram::run_vm(T* slots, T* regs, std::int64_t n) const {
         };
         // Float-valued functions evaluate on the double conversion.
         const auto unary_f = [&](auto f) {
-            if constexpr (R::kFloatOps)
-                unary([&](T x) { return R::from_double(f(R::to_double(x))); });
-            else
-                throw common::Error("tasklet: i64 engine reached a float opcode");
+            unary([&](T x) { return R::from_double(f(R::to_double(x))); });
         };
         const auto jump_guard = [] {
             if constexpr (kBatch)
@@ -1172,12 +1121,9 @@ void TaskletProgram::run_vm(T* slots, T* regs, std::int64_t n) const {
             case BC::Min: binary([](T x, T y) { return R::min(x, y); }); break;
             case BC::Max: binary([](T x, T y) { return R::max(x, y); }); break;
             case BC::Pow:
-                if constexpr (R::kFloatOps)
-                    binary([](T x, T y) {
-                        return R::from_double(std::pow(R::to_double(x), R::to_double(y)));
-                    });
-                else
-                    throw common::Error("tasklet: i64 engine reached a float opcode");
+                binary([](T x, T y) {
+                    return R::from_double(std::pow(R::to_double(x), R::to_double(y)));
+                });
                 break;
         }
     }
@@ -1186,10 +1132,6 @@ void TaskletProgram::run_vm(T* slots, T* regs, std::int64_t n) const {
 template void TaskletProgram::run_vm<Value, false>(Value*, Value*, std::int64_t) const;
 template void TaskletProgram::run_vm<double, false>(double*, double*, std::int64_t) const;
 template void TaskletProgram::run_vm<double, true>(double*, double*, std::int64_t) const;
-template void TaskletProgram::run_vm<std::int64_t, false>(std::int64_t*, std::int64_t*,
-                                                          std::int64_t) const;
-template void TaskletProgram::run_vm<std::int64_t, true>(std::int64_t*, std::int64_t*,
-                                                         std::int64_t) const;
 
 void TaskletProgram::execute_compiled(ConnectorEnv& env) const {
     // Same input contract as the reference engine.

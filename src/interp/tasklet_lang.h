@@ -33,7 +33,7 @@
 //    arrays (slots + registers) and performs no heap allocation — this is
 //    the innermost loop of every fuzzing trial (one execution per map
 //    point).  Its value representation is the tagged Value, or — where a
-//    parse-time analysis proves it bit-identical — a raw double or int64;
+//    parse-time analysis proves it bit-identical — a raw double;
 //    straight-line programs can also run n lanes at once in columns.
 //
 // Programs are parsed once and cached by the interpreter.
@@ -105,18 +105,16 @@ public:
 
     /// Runs the bytecode program.  `T` is the value representation:
     ///  * Value: the tagged VM, valid for every program;
-    ///  * double: only when has_f64_variant();
-    ///  * std::int64_t: only when has_i64_variant().
+    ///  * double: only when has_f64_variant().
     /// With kBatch = false, `slots` holds slot_count() values with all input
     /// lanes pre-loaded (output/local lanes zeroed), `regs` holds
     /// reg_count() values (contents ignored) and `n` is ignored.  With
-    /// kBatch = true (untagged T, only when is_straightline()) both are
+    /// kBatch = true (double only, when is_straightline()) both are
     /// arrays of `n`-element columns — slot s occupies slots[s*n .. s*n+n) —
     /// and every instruction runs as one auto-vectorizable loop over the
     /// batch: the inner loop of the segment tier.  Performs no heap
     /// allocation.  Throws common::Error on a trap and on integer
-    /// division/modulo by zero, with the same message in every
-    /// representation.
+    /// division/modulo by zero.
     template <typename T, bool kBatch = false>
     void run_vm(T* slots, T* regs, std::int64_t n = 1) const;
 
@@ -125,7 +123,7 @@ public:
     /// `execute`, including missing-input errors.
     void execute_compiled(ConnectorEnv& env) const;
 
-    // --- Untagged variants ---
+    // --- Untagged variant ---
 
     /// Whether the untagged double representation (run_vm<double>) exists.
     ///
@@ -146,27 +144,10 @@ public:
     /// constants are representation-equivalent.
     bool has_f64_variant() const { return f64_feasible_; }
 
-    /// Whether the untagged int64 representation (run_vm<std::int64_t>)
-    /// exists.
-    ///
-    /// The dual of has_f64_variant for integer-family containers: assuming
-    /// every input lane arrives as an int64 (the interpreter selects this
-    /// engine only for tasklets whose input connectors all bind I64/I32
-    /// containers), every runtime value provably stays integer-tagged in the
-    /// tagged VM — so representing it as a raw int64 is bit-identical.  The
-    /// checks: no trap instructions, no float constants, and no
-    /// float-producing opcode (exp/log/sqrt/sin/cos/tanh/floor/ceil/pow).
-    /// Add/Sub/Mul/Min/Max/Neg/Abs on two ints stay int; comparisons and
-    /// logic yield int 0/1; Div/Mod take the tagged VM's floor-semantics int
-    /// path, including the divide-by-zero throw.  Comparisons in the tagged
-    /// VM go through as_double(), so the int64 representation compares the
-    /// double conversions — identical for any operand values.
-    bool has_i64_variant() const { return i64_feasible_; }
-
     /// Whether the bytecode is straight-line: no jump, no conditional jump,
     /// no trap.  Only straight-line programs can execute vertically (one
-    /// instruction over a whole lane batch, run_vm<T, true>), so the
-    /// interpreter's segment kernels require this in addition to an untagged
+    /// instruction over a whole lane batch, run_vm<double, true>), so the
+    /// interpreter's segment kernels require this in addition to the untagged
     /// variant.
     bool is_straightline() const { return straightline_; }
 
@@ -247,10 +228,8 @@ private:
     // Compiled form (built once at parse time by TaskletCompiler).
     std::vector<BCInstr> bytecode_;
     std::vector<Value> consts_;
-    std::vector<double> f64consts_;        ///< consts_ as doubles (run_vm<double>).
-    std::vector<std::int64_t> i64consts_;  ///< consts_ as int64s (run_vm<std::int64_t>).
+    std::vector<double> f64consts_;  ///< consts_ as doubles (run_vm<double>).
     bool f64_feasible_ = false;      ///< See has_f64_variant().
-    bool i64_feasible_ = false;      ///< See has_i64_variant().
     bool straightline_ = false;      ///< See is_straightline().
     bool has_div_mod_ = false;       ///< See has_div_mod().
     std::vector<SlotDesc> slot_table_;  // indexed by var index

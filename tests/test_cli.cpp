@@ -69,20 +69,43 @@ TEST(CliUsage, BadInvocationsExitTwo) {
     EXPECT_EQ(run_cli("worker --socket /tmp/x.sock --fault explode").code, 2);
     EXPECT_EQ(run_cli("serve --records-dir /tmp/r --worker-fault 0=bogus").code, 2);
     // Malformed or out-of-range numbers are refused at parse time, naming
-    // the flag, never as an internal error.
-    const std::pair<const char*, const char*> malformed[] = {
+    // the flag, never as an internal error.  So are a flag without its value
+    // and a --default without '=', whatever the command's own failure code,
+    // and job values under which an audit tests or compares nothing: no
+    // trials, no sizes, a NaN or infinite threshold.
+    const std::pair<std::string, const char*> malformed[] = {
         {"run --trials abc", "--trials"},
         {"plan --shards x --out-dir /tmp/p", "--shards"},
         {"run --threshold zz", "--threshold"},
         {"run --trials 99999999999", "--trials"},
         {"run --seed 12abc", "--seed"},
         {"run --default N=ten", "--default"},
-        {"serve --records-dir /tmp/r --worker-fault x=kill-after-units=1", "--worker-fault"}};
+        {"serve --records-dir /tmp/r --worker-fault x=kill-after-units=1", "--worker-fault"},
+        {"run --trials", "--trials"},
+        {"plan --workload gemm --shards", "--shards"},
+        {"merge --records", "--records"},
+        {"serve --records-dir /tmp/r --lease-ms", "--lease-ms"},
+        {"worker --socket", "--socket"},
+        {"run --workload gemm --passes tiling --trials 2 --default N", "--default"},
+        {"run --workload gemm --passes tiling --trials -5", "--trials"},
+        {"run --workload gemm --passes tiling --trials 0", "--trials"},
+        {"plan --workload gemm --trials 0 --shards 2 --out-dir " + scratch_dir("zero_trials"),
+         "--trials"},
+        {"run --workload gemm --passes tiling --trials 2 --threshold nan", "--threshold"},
+        {"run --workload gemm --passes tiling --trials 2 --threshold inf", "--threshold"},
+        {"run --workload gemm --passes tiling --trials 2 --size-max 0", "--size-max"}};
     for (const auto& [bad, flag] : malformed) {
         const CliResult r = run_cli(bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
         EXPECT_NE(r.out.find(std::string("ffaudit: ") + flag + " needs"), std::string::npos)
             << bad << "\n" << r.out;
+    }
+
+    // A threshold <= 0 still selects the bitwise comparison.
+    for (const char* bitwise : {"--threshold 0", "--threshold -1"}) {
+        const CliResult r =
+            run_cli(std::string("run --workload gemm --passes tiling --trials 1 ") + bitwise);
+        EXPECT_EQ(r.code, 0) << bitwise << "\n" << r.out;
     }
 
     const CliResult help = run_cli("--help");

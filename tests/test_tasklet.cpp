@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -208,8 +207,9 @@ TEST(TaskletCompiled, MissingInputThrows) {
 struct ProgramGen {
     common::Rng rng;
     std::vector<std::string> readable;  // expressions valid as loads
-    /// No float constants or float-valued functions: every such program
-    /// has an int64 variant.
+    /// No float constants or float-valued functions, so expressions over the
+    /// int connectors stay integer-tagged and exercise the tagged VM's
+    /// integer paths (floor division and modulo, division by zero).
     bool ints_only = false;
 
     explicit ProgramGen(std::uint64_t seed) : rng(seed) {}
@@ -298,15 +298,13 @@ struct ProgramGen {
         return code;
     }
 
-    /// Inputs for an untagged run: every lane a double (`ints` false) or an
-    /// int64, with zeros — both signed zeros for doubles — common enough to
-    /// reach the division, modulo and min/max edge cases.
-    ConnectorEnv untagged_inputs(bool ints) {
+    /// Inputs for an untagged run: every lane a double, with both signed
+    /// zeros common enough to reach the division, modulo and min/max edge
+    /// cases.
+    ConnectorEnv untagged_inputs() {
         const auto value = [&] {
-            if (rng.chance(0.25))
-                return ints ? Value::from_int(0) : Value::from_double(rng.chance(0.5) ? 0.0 : -0.0);
-            return ints ? Value::from_int(rng.uniform_int(-5, 5))
-                        : Value::from_double(rng.uniform_double(-4, 4));
+            if (rng.chance(0.25)) return Value::from_double(rng.chance(0.5) ? 0.0 : -0.0);
+            return Value::from_double(rng.uniform_double(-4, 4));
         };
         ConnectorEnv env;
         for (const char* name : {"a", "b", "k", "m"}) env[name] = {value()};
@@ -325,33 +323,29 @@ bool values_equal(const Value& x, const Value& y) {
     return x.i == y.i;
 }
 
-/// Slot columns of `envs` for the untagged representation T — lane j of
-/// slot s at s*n + j — laid out as execute_compiled lays out one env.
-template <typename T>
-std::vector<T> slot_columns(const TaskletProgram& prog, const std::vector<ConnectorEnv>& envs) {
+/// Slot columns of `envs` for the untagged double representation — lane j
+/// of slot s at s*n + j — laid out as execute_compiled lays out one env.
+std::vector<double> slot_columns(const TaskletProgram& prog,
+                                 const std::vector<ConnectorEnv>& envs) {
     const std::size_t n = envs.size();
-    std::vector<T> cols(static_cast<std::size_t>(prog.slot_count()) * n, T{});
+    std::vector<double> cols(static_cast<std::size_t>(prog.slot_count()) * n, 0.0);
     for (std::size_t j = 0; j < n; ++j)
         for (const SlotDesc& sd : prog.slot_table()) {
             const auto it = envs[j].find(sd.name);
             if (it == envs[j].end()) continue;
             const std::size_t lanes =
                 std::min(it->second.size(), static_cast<std::size_t>(sd.width));
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const Value& v = it->second[l];
-                cols[(static_cast<std::size_t>(sd.base) + l) * n + j] =
-                    std::is_same_v<T, double> ? static_cast<T>(v.f) : static_cast<T>(v.i);
-            }
+            for (std::size_t l = 0; l < lanes; ++l)
+                cols[(static_cast<std::size_t>(sd.base) + l) * n + j] = it->second[l].f;
         }
     return cols;
 }
 
-/// Runs `prog`'s untagged representation T over `envs`, one lane at a time
-/// and — for straight-line programs — as one batch, against the tagged VM
-/// on each lane: every output lane must store the same bits (NaN payloads
-/// excepted) and every error must carry the same message.  Returns whether
-/// the batch ran.
-template <typename T>
+/// Runs `prog`'s untagged double representation over `envs`, one lane at a
+/// time and — for straight-line programs — as one batch, against the tagged
+/// VM on each lane: every output lane must store the same bits (NaN
+/// payloads excepted) and every error must carry the same message.  Returns
+/// whether the batch ran.
 bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<ConnectorEnv>& envs) {
     const std::size_t n = envs.size();
     std::vector<ConnectorEnv> tagged = envs;
@@ -363,11 +357,10 @@ bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<Connect
             errors[j] = e.what();
         }
     }
-    // Lane j of `cols` (n lanes per column) against the tagged run.  A
-    // double stores the tagged value's as_double(); an int64 must stay
-    // int-tagged.
-    const auto expect_lane = [&](const std::vector<T>& cols, std::size_t lanes, std::size_t j,
-                                 std::size_t col_lane, const std::string& what) {
+    // Lane j of `cols` (n lanes per column) against the tagged run: the
+    // double stores the tagged value's as_double().
+    const auto expect_lane = [&](const std::vector<double>& cols, std::size_t lanes,
+                                 std::size_t j, std::size_t col_lane, const std::string& what) {
         for (const auto& [name, width] : prog.writes()) {
             const SlotDesc* sd = nullptr;
             for (const SlotDesc& d : prog.slot_table())
@@ -375,22 +368,19 @@ bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<Connect
             ASSERT_NE(sd, nullptr) << name;
             for (int l = 0; l < width; ++l) {
                 const Value& want = tagged[j].at(name)[static_cast<std::size_t>(l)];
-                const T got = cols[static_cast<std::size_t>(sd->base + l) * lanes + col_lane];
-                const bool same =
-                    std::is_same_v<T, double>
-                        ? values_equal(Value::from_double(want.as_double()),
-                                       Value::from_double(static_cast<double>(got)))
-                        : values_equal(want, Value::from_int(static_cast<std::int64_t>(got)));
-                EXPECT_TRUE(same) << what << " lane " << j << ": " << name << "[" << l
-                                  << "] tagged=" << want.as_double()
-                                  << " untagged=" << static_cast<double>(got);
+                const double got =
+                    cols[static_cast<std::size_t>(sd->base + l) * lanes + col_lane];
+                EXPECT_TRUE(values_equal(Value::from_double(want.as_double()),
+                                         Value::from_double(got)))
+                    << what << " lane " << j << ": " << name << "[" << l
+                    << "] tagged=" << want.as_double() << " untagged=" << got;
             }
         }
     };
 
-    std::vector<T> regs(static_cast<std::size_t>(prog.reg_count()) * n);
+    std::vector<double> regs(static_cast<std::size_t>(prog.reg_count()) * n);
     for (std::size_t j = 0; j < n; ++j) {
-        std::vector<T> slots = slot_columns<T>(prog, {envs[j]});
+        std::vector<double> slots = slot_columns(prog, {envs[j]});
         std::string error;
         try {
             prog.run_vm(slots.data(), regs.data());
@@ -402,10 +392,10 @@ bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<Connect
     }
     if (!prog.is_straightline()) return false;
 
-    std::vector<T> cols = slot_columns<T>(prog, envs);
+    std::vector<double> cols = slot_columns(prog, envs);
     std::string error;
     try {
-        prog.run_vm<T, true>(cols.data(), regs.data(), static_cast<std::int64_t>(n));
+        prog.run_vm<double, true>(cols.data(), regs.data(), static_cast<std::int64_t>(n));
     } catch (const common::Error& e) {
         error = e.what();
     }
@@ -426,7 +416,7 @@ bool expect_untagged_agree(const TaskletProgram& prog, const std::vector<Connect
 
 TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
     constexpr std::size_t kLanes = 5;
-    int crashes = 0, f64_runs = 0, i64_runs = 0, batch_runs = 0;
+    int crashes = 0, f64_runs = 0, batch_runs = 0;
     for (std::uint64_t seed = 0; seed < 400; ++seed) {
         ProgramGen gen(0xFACADE + seed);
         gen.ints_only = seed % 3 == 2;
@@ -436,14 +426,11 @@ TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
 
         const auto prog = TaskletProgram::parse(code);
 
-        for (const bool ints : {false, true}) {
-            if (!(ints ? prog->has_i64_variant() : prog->has_f64_variant())) continue;
+        if (prog->has_f64_variant()) {
             std::vector<ConnectorEnv> lanes;
-            for (std::size_t j = 0; j < kLanes; ++j) lanes.push_back(gen.untagged_inputs(ints));
-            const bool batched = ints ? expect_untagged_agree<std::int64_t>(*prog, lanes)
-                                      : expect_untagged_agree<double>(*prog, lanes);
-            ++(ints ? i64_runs : f64_runs);
-            batch_runs += batched ? 1 : 0;
+            for (std::size_t j = 0; j < kLanes; ++j) lanes.push_back(gen.untagged_inputs());
+            batch_runs += expect_untagged_agree(*prog, lanes) ? 1 : 0;
+            ++f64_runs;
         }
 
         ConnectorEnv ref_env = inputs;
@@ -485,9 +472,8 @@ TEST(TaskletDifferential, RandomProgramsAgreeAcrossEngines) {
     // The generator intentionally produces some int-div-by-zero crashes;
     // they must not dominate (the value-comparison path is the point).
     EXPECT_LT(crashes, 200);
-    // Every representation and lane mode is actually exercised.
+    // Both representations and both lane modes are actually exercised.
     EXPECT_GE(f64_runs, 100);
-    EXPECT_GE(i64_runs, 100);
     EXPECT_GE(batch_runs, 50);
 }
 

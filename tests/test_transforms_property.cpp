@@ -191,10 +191,10 @@ INSTANTIATE_TEST_SUITE_P(Suite, CorrectPassProperty,
                                            "unroll_candidates", "conv1d", "vadv_lite"));
 
 /// Container-dtype rewrite schemes for the widened differential battery.
-/// The kernels are authored with f64 floats; these schemes retype the
-/// containers in place so the same 420-program oracle also exercises the
-/// f32 conversion paths, the untagged i64 VM, and mixed-dtype kernels where
-/// a single tasklet loads one family and stores another.
+/// The kernels are authored with F64 containers only; these schemes retype
+/// them in place so the same all-tier oracle also exercises the f32
+/// conversion paths, integer storage on the tagged VM, and kernels whose
+/// producers and consumers store different float widths.
 enum class DtypeScheme { F32, I64, Mixed };
 
 const char* scheme_name(DtypeScheme s) {
@@ -208,13 +208,16 @@ const char* scheme_name(DtypeScheme s) {
 
 /// Rewrites every container's dtype according to `scheme`:
 ///  * F32   — float containers become F32 (ints keep their type),
-///  * I64   — int containers become I64 (floats keep their type, so tasklets
-///            mix int loads with float math and int/float stores),
-///  * Mixed — cycles {F64, F32, I64, I32} within each family in container
-///            order, producing cross-dtype producer/consumer chains.
-/// Families are preserved so arithmetic semantics (notably integer division
-/// by a zero-valued input) cannot differ from the f64 battery; what changes
-/// is purely the storage conversion surface the tiers must agree on.
+///  * I64   — every container becomes I64, so each kernel runs on integer
+///            storage: int-tagged loads, the tagged VM's integer arithmetic,
+///            and float results truncated on store,
+///  * Mixed — cycles {F64, F32} over float containers and {I64, I32} over
+///            int containers, in container order; on these all-F64 kernels
+///            it alternates F64 and F32, producing cross-width
+///            producer/consumer chains.
+/// F32 and Mixed preserve every container's family, so only the storage
+/// conversion surface the tiers must agree on changes; I64 also changes the
+/// arithmetic, which every correct pass must preserve all the same.
 void retype_containers(ir::SDFG& sdfg, DtypeScheme scheme) {
     int float_idx = 0, int_idx = 0;
     for (const auto& [name, desc] : sdfg.containers()) {
@@ -225,7 +228,7 @@ void retype_containers(ir::SDFG& sdfg, DtypeScheme scheme) {
                 if (is_float) d.dtype = ir::DType::F32;
                 break;
             case DtypeScheme::I64:
-                if (!is_float) d.dtype = ir::DType::I64;
+                d.dtype = ir::DType::I64;
                 break;
             case DtypeScheme::Mixed:
                 if (is_float)
@@ -242,7 +245,7 @@ void retype_containers(ir::SDFG& sdfg, DtypeScheme scheme) {
 
 /// The pass-preservation property again, but over retyped containers: every
 /// correct-mode pass, applied to every match on every kernel, must preserve
-/// semantics when the containers are f32 / widened-int / mixed-dtype — and
+/// semantics when the containers are f32 / int64 / mixed-width — and
 /// run_all_tiers inside expect_equivalent additionally pins all four
 /// execution tiers to the reference engine bitwise for each such program.
 class DtypeWidenedProperty

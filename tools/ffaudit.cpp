@@ -158,16 +158,16 @@ int usage(const char* detail = nullptr) {
     return kExitUsage;
 }
 
-/// Value of a --flag; advances `i`.  Throws common::Error when missing.
-std::string flag_value(const std::vector<std::string>& args, std::size_t& i) {
-    if (i + 1 >= args.size()) throw common::Error("missing value for " + args[i]);
-    return args[++i];
-}
-
 /// A flag value that fails validation; main() exits kExitUsage on it.
 struct UsageError : common::Error {
     using common::Error::Error;
 };
+
+/// Value of a --flag; advances `i`.  Throws UsageError when missing.
+std::string flag_value(const std::vector<std::string>& args, std::size_t& i) {
+    if (i + 1 >= args.size()) throw UsageError(args[i] + " needs a value");
+    return args[++i];
+}
 
 /// `text`, the value of `flag`, as a T (an integer type or double).
 /// Throws UsageError naming the flag unless all of `text` parses (integers
@@ -194,6 +194,15 @@ template <typename T = std::int64_t>
 T number_value(const std::vector<std::string>& args, std::size_t& i) {
     const std::string flag = args[i];
     return parse_number<T>(flag, flag_value(args, i));
+}
+
+/// Value of an integer flag that must be at least 1; advances `i`.
+template <typename T = std::int64_t>
+T positive_value(const std::vector<std::string>& args, std::size_t& i) {
+    const std::string flag = args[i];
+    const T v = number_value<T>(args, i);
+    if (v < 1) throw UsageError(flag + " needs an integer >= 1, got '" + args[i] + "'");
+    return v;
 }
 
 /// Value of a millisecond timing or ratio flag; advances `i`.  Throws
@@ -224,10 +233,15 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     else if (a == "--sdfg") job.sdfg_path = flag_value(args, i);
     else if (a == "--passes") job.passes = flag_value(args, i);
     else if (a == "--seed") job.seed = static_cast<std::uint64_t>(number_value(args, i));
-    else if (a == "--trials") job.max_trials = number_value<int>(args, i);
-    else if (a == "--size-max") job.size_max = number_value(args, i);
-    else if (a == "--threshold") job.threshold = number_value<double>(args, i);
-    else if (a == "--max-transitions") job.max_state_transitions = number_value(args, i);
+    else if (a == "--trials") job.max_trials = positive_value<int>(args, i);
+    else if (a == "--size-max") job.size_max = positive_value(args, i);
+    else if (a == "--threshold") {
+        // A threshold <= 0 compares bitwise; NaN would flag every output and
+        // infinity none.
+        job.threshold = number_value<double>(args, i);
+        if (!std::isfinite(job.threshold))
+            throw UsageError("--threshold needs a finite number, got '" + args[i] + "'");
+    } else if (a == "--max-transitions") job.max_state_transitions = number_value(args, i);
     else if (a == "--max-points") job.max_points = number_value(args, i);
     else if (a == "--max-alloc-bytes") job.max_alloc_bytes = number_value(args, i);
     else if (a == "--no-mincut") job.use_mincut = false;
@@ -237,7 +251,8 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     else if (a == "--default") {
         const std::string kv = flag_value(args, i);
         const std::size_t eq = kv.find('=');
-        if (eq == std::string::npos) throw common::Error("--default expects <sym>=<val>: " + kv);
+        if (eq == std::string::npos)
+            throw UsageError("--default needs <sym>=<val>, got '" + kv + "'");
         job.defaults[kv.substr(0, eq)] = parse_number("--default", kv.substr(eq + 1));
     } else if (a == "--list-workloads") {
         for (const auto& name : workloads::npbench_kernel_names())
