@@ -28,12 +28,15 @@ injected faults and checks the fault-tolerance acceptance bar end to end:
    the faults lived in the workers, not the trials).
 
 With --net the scenario changes to network chaos: the coordinator listens
-on TCP (127.0.0.1, kernel-assigned port) and interposes the deterministic
-frame-fault proxy (`--net-fault`) between itself and its spawned workers —
-periodic frame drops, per-frame delay, duplication, one corrupted frame
-and one timed partition with heal — at the same worker counts, with the
-same byte-identical acceptance bar; severed connections must come back as
-session *resumes*, not lease expirations.
+on TCP (127.0.0.1, kernel-assigned port) and hands every spawned worker the
+same wire-fault plan (`--worker-fault <k>=<spec>`), which fires in the
+worker's own frame I/O — periodic frame drops, per-frame delay,
+duplication, one corrupted frame per worker and one partition per worker
+(a disconnect that redials only after `heal-ms`) — at the same worker
+counts, with the same byte-identical acceptance bar.  The `worker done:`
+line of every worker that ran a lease must show frames dropped and
+duplicated, its one corrupted frame and its partition; the summary must
+show severed connections coming back as session *resumes*.
 
 Usage:  python3 scripts/coord_chaos.py --ffaudit build/ffaudit [--net]
 Exits non-zero on the first violated expectation.
@@ -95,28 +98,40 @@ def summary_counts(output: str) -> dict:
     return dict(zip(keys, (int(g) for g in m.groups())))
 
 
-def net_counts(output: str) -> dict:
-    """Parses the `net faults: ...` proxy summary into named counters."""
-    m = re.search(
-        r"net faults: (\d+) frame\(s\) forwarded, (\d+) dropped, (\d+) duplicated, "
-        r"(\d+) corrupted, (\d+) partition\(s\)",
+# The wire-fault plan every --net worker carries.  A worker that runs a
+# lease offers at least five frames to open connections (hello, request,
+# a beat of that lease, and after the partition a hello and the
+# completion), so each class fires in each such worker: frame 2, its first
+# lease-request, is duplicated; frame 3 is corrupted; frame 5 is dropped.
+NET_FAULT = ("drop-frame-every-n=5,delay-frame-ms=5,duplicate-frame=2,"
+             "corrupt-frame-byte=3,disconnect-after-units=3,heal-ms=1500")
+
+
+def worker_lines(output: str) -> list:
+    """Parses the workers' `worker done: ...` lines into named counters."""
+    lines = re.findall(
+        r"worker done: (\d+) shard\(s\) completed, (\d+) failed, .*?, "
+        r"(\d+) frame\(s\) dropped, (\d+) duplicated, (\d+) corrupted"
+        r"( \(disconnected by fault plan\))?",
         output)
-    if not m:
-        fail("serve printed no net-faults summary line")
-    keys = ("forwarded", "dropped", "duplicated", "corrupted", "partitions")
-    return dict(zip(keys, (int(g) for g in m.groups())))
+    if not lines:
+        fail("no worker printed a `worker done:` line")
+    keys = ("completed", "failed", "dropped", "duplicated", "corrupted")
+    return [{**dict(zip(keys, (int(g) for g in line[:5]))), "disconnected": bool(line[5])}
+            for line in lines]
 
 
 def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -> None:
-    """--net mode: a TCP coordinator behind the deterministic frame proxy.
+    """--net mode: a TCP coordinator whose workers all carry wire faults.
 
     Every network fault class at once — periodic frame loss, per-frame
-    delay, duplication, one corrupted frame (the receiver's CRC must turn
-    it into a clean disconnect) and one timed partition with heal — at
-    worker counts {1, 2, 4}.  Each run must exit 0, prove via the summary
-    that the faults fired and that broken connections were resumed (not
-    expired), and produce a report and artifacts byte-identical to the
-    single-process reference.
+    delay, duplication, one corrupted frame per worker (the receiver's CRC
+    must turn it into a clean disconnect) and one partition per worker,
+    healed after `heal-ms` — at worker counts {1, 2, 4}.  Each run must
+    exit 0, prove via the workers' counters that every fault class fired
+    and via the summary that broken connections were resumed (not expired),
+    and produce a report and artifacts byte-identical to the single-process
+    reference.
     """
     for n in WORKER_COUNTS:
         report = root / f"report-net{n}.json"
@@ -129,30 +144,36 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
                "--out", report,
                "--spawn-workers", str(n),
                "--listen", "127.0.0.1:0",
-               "--net-fault", ("drop-frame-every-n=7,delay-frame-ms=5,"
-                               "duplicate-frame=9,corrupt-frame-byte=15,"
-                               "partition-after-units=3,heal-ms=1500"),
                # Leases stay alive through the partition via the grace
-               # window; dropped replies re-request fast.
+               # window; dropped requests are re-sent fast.
                "--lease-ms", "3000",
                "--heartbeat-ms", "300",
                "--session-grace-ms", "8000",
                "--worker-reply-timeout-ms", "2000",
                "--straggler-factor", "50",
                "--linger-ms", "8000"]
+        for k in range(n):
+            cmd += ["--worker-fault", f"{k}={NET_FAULT}"]
         out = run(cmd, timeout=900)
 
         counts = summary_counts(out)
-        net = net_counts(out)
+        workers = worker_lines(out)
+        if len(workers) != n:
+            fail(f"net n={n}: {len(workers)} `worker done:` line(s), wanted {n}")
+        net = {k: sum(w[k] for w in workers) for k in ("dropped", "duplicated", "corrupted")}
         if counts["shards"] != 4:
             fail(f"net n={n}: merged {counts['shards']} shards, wanted 4")
-        if net["dropped"] < 1 or net["duplicated"] < 1:
-            fail(f"net n={n}: proxy dropped {net['dropped']}, duplicated "
-                 f"{net['duplicated']} — the frame faults never fired")
-        if net["corrupted"] != 1:
-            fail(f"net n={n}: {net['corrupted']} corrupted frame(s), wanted exactly 1")
-        if net["partitions"] != 1:
-            fail(f"net n={n}: {net['partitions']} partition(s), wanted exactly 1")
+        # Every fault class fires in every worker that ran a lease; the
+        # one-shot ones exactly once.
+        for w in workers:
+            if w["completed"] + w["failed"] == 0:
+                continue
+            if w["dropped"] < 1 or w["duplicated"] < 1 or w["corrupted"] != 1:
+                fail(f"net n={n}: a worker dropped {w['dropped']}, duplicated "
+                     f"{w['duplicated']} and corrupted {w['corrupted']} frame(s); "
+                     "wanted >= 1, >= 1 and exactly 1")
+            if not w["disconnected"]:
+                fail(f"net n={n}: a worker ran a lease but its partition never fired")
         if counts["resumed"] < 1:
             fail(f"net n={n}: no session resumed — severed connections were "
                  "not spliced back onto their leases")
@@ -161,9 +182,10 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
             fail(f"net n={n}: report differs from the single-process report")
         if dir_bytes(art) != ref_artifacts:
             fail(f"net n={n}: reproducer artifacts differ from the single-process ones")
+        partitions = sum(w["disconnected"] for w in workers)
         print(f"coord_chaos: net n={n} byte-identical "
               f"({net['dropped']} dropped, {net['duplicated']} duplicated, "
-              f"{net['corrupted']} corrupted, {net['partitions']} partition(s), "
+              f"{net['corrupted']} corrupted, {partitions} partition(s), "
               f"{counts['parked']} parked, {counts['resumed']} resumed)")
 
     print("coord_chaos: PASS (drop + delay + duplicate + corrupt + partition/heal "
@@ -174,8 +196,8 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--ffaudit", required=True, help="path to the ffaudit binary")
     parser.add_argument("--net", action="store_true",
-                        help="network chaos instead: TCP transport through the "
-                             "deterministic frame-fault proxy")
+                        help="network chaos instead: TCP transport, every worker "
+                             "carrying deterministic wire faults")
     args = parser.parse_args()
     ffaudit = args.ffaudit
 

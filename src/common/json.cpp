@@ -394,10 +394,4 @@ const JsonObject& json_object_field(const Json& j, const std::string& key) {
     return v.as_object();
 }
 
-const JsonArray& json_array_field(const Json& j, const std::string& key) {
-    const Json& v = field_or_throw(j, key, "an array");
-    if (!v.is_array()) wrong_type(key, "an array", v);
-    return v.as_array();
-}
-
 }  // namespace ff::common

@@ -116,6 +116,5 @@ double json_double(const Json& j, const std::string& key);
 bool json_bool(const Json& j, const std::string& key);
 const std::string& json_string(const Json& j, const std::string& key);
 const JsonObject& json_object_field(const Json& j, const std::string& key);
-const JsonArray& json_array_field(const Json& j, const std::string& key);
 
 }  // namespace ff::common

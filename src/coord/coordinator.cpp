@@ -23,7 +23,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "coord/net_fault.h"
 #include "coord/protocol.h"
 #include "coord/worker.h"
 #include "core/testcase_io.h"
@@ -45,6 +44,11 @@ double ms_since(TimePoint then, TimePoint now) {
 /// send, far below wedging the audit (a timed-out peer is dropped and its
 /// lease re-issued).
 constexpr long kSendTimeoutMs = 2000;
+
+/// How long serve() waits for spawned workers to exit on their own once all
+/// of them hung up after the audit's done: a worker prints its summary
+/// after hanging up, so killing it at once can cut that off.
+constexpr long kChildExitGraceMs = 1000;
 
 /// One accepted worker connection.
 struct Connection {
@@ -84,9 +88,6 @@ public:
     Server& operator=(const Server&) = delete;
 
     ~Server() {
-        // The proxy's pump threads dial and relay to listen_fd_; stop them
-        // before the endpoint goes away.
-        if (proxy_) proxy_->stop();
         for (Connection& conn : conns_) {
             if (conn.fd >= 0) ::close(conn.fd);
         }
@@ -94,6 +95,18 @@ public:
             ::close(listen_fd_);
             if (!listen_ep_.tcp && !listen_ep_.path.empty()) {
                 ::unlink(listen_ep_.path.c_str());
+            }
+        }
+        // Every worker hung up after the done broadcast: the children are
+        // exiting on their own.
+        if (done_ && conns_.empty()) {
+            const TimePoint deadline = Clock::now() + std::chrono::milliseconds(kChildExitGraceMs);
+            for (Child& child : children_) {
+                while (child.pid > 0) {
+                    if (::waitpid(child.pid, nullptr, WNOHANG) != 0) child.pid = -1;  // gone
+                    else if (Clock::now() >= deadline) break;
+                    else std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
             }
         }
         // Leftover children are expendable (losing hedges, stalled
@@ -164,8 +177,7 @@ private:
     std::unique_ptr<LeaseQueue> queue_;
     int listen_fd_ = -1;
     Endpoint listen_ep_;  ///< What run() actually bound (TCP port resolved).
-    Endpoint dial_ep_;    ///< What spawned workers dial (the proxy, if any).
-    std::unique_ptr<FrameProxy> proxy_;
+    Endpoint dial_ep_;    ///< What spawned workers dial (loopback for a wildcard).
     std::vector<Connection> conns_;
     std::vector<Child> children_;
     /// Sessions whose connection dropped while holding leases: the leases
@@ -316,7 +328,7 @@ void Server::drop_connection(std::size_t i, const std::string& why, TimePoint no
             // executing — a resume within the grace window continues
             // heartbeating the same attempt, so the lease is never
             // re-issued for a transport hiccup.
-            auto held = queue_->park_worker(conn.key, now, config_.session_grace_ms);
+            auto held = queue_->park_worker(conn.key, config_.session_grace_ms);
             if (!held.empty()) {
                 parked = true;
                 parked_[conn.key] = now;
@@ -487,7 +499,6 @@ bool Server::handle_frame(Connection& conn, const Json& msg, TimePoint now) {
 }
 
 void Server::handle_lease_request(Connection& conn, TimePoint now) {
-    conn.shard = conn.attempt = -1;
     if (queue_->all_done()) {
         Json done = Json::object();
         done["type"] = "done";
@@ -495,7 +506,11 @@ void Server::handle_lease_request(Connection& conn, TimePoint now) {
         conn.done_sent = true;
         return;
     }
-    std::optional<Lease> lease = queue_->acquire(conn.key, now);
+    // One lease per connection at a time: a request while one is held (a
+    // duplicated frame; completions and failures release it first) waits,
+    // so no worker sits on a shard it will only start after its current one.
+    std::optional<Lease> lease =
+        conn.shard >= 0 ? std::nullopt : queue_->acquire(conn.key, now);
     if (!lease) {
         auto next = queue_->next_event_ms(now);
         Json wait = Json::object();
@@ -807,21 +822,12 @@ ServeResult Server::run() {
     // Nonblocking accept: the event loop drains the backlog until EAGAIN.
     ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
 
-    // Where spawned workers dial: the bound endpoint (loopback when we
-    // listened on a wildcard address), or the fault proxy interposed in
-    // front of it.
+    // Where spawned workers dial: the bound endpoint, or loopback when we
+    // listened on a wildcard address.
     dial_ep_ = listen_ep_;
     if (dial_ep_.tcp &&
         (dial_ep_.host.empty() || dial_ep_.host == "0.0.0.0" || dial_ep_.host == "::")) {
         dial_ep_.host = "127.0.0.1";
-    }
-    NetFaultPlan net_plan = NetFaultPlan::parse(config_.net_fault);
-    if (!net_plan.empty()) {
-        Endpoint proxy_ep = listen_ep_.tcp ? Endpoint::parse_tcp("127.0.0.1:0")
-                                           : Endpoint::unix_path(config_.socket_path + ".fault");
-        proxy_ = std::make_unique<FrameProxy>(proxy_ep, dial_ep_, net_plan);
-        dial_ep_ = proxy_->listen_endpoint();
-        log("net-fault proxy [" + net_plan.describe() + "] on " + dial_ep_.describe());
     }
     // Plan here; the audit completed shards fold into is prepared once, on
     // a thread started after the workers spawn (below), and finalize()
@@ -928,16 +934,6 @@ ServeResult Server::run() {
         // A finished prepare joins here, so its failure ends the serve
         // without waiting for the first fold.
         if (prepare_done_.load(std::memory_order_acquire)) audit();
-    }
-
-    if (proxy_) {
-        proxy_->stop();
-        stats_.net = proxy_->stats();
-        log("net-fault proxy: " + std::to_string(stats_.net.frames_forwarded) + " forwarded, " +
-            std::to_string(stats_.net.frames_dropped) + " dropped, " +
-            std::to_string(stats_.net.frames_duplicated) + " duplicated, " +
-            std::to_string(stats_.net.frames_corrupted) + " corrupted, " +
-            std::to_string(stats_.net.partitions) + " partition(s)");
     }
 
     ServeResult result;

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "coord/net_fault.h"
 #include "coord/queue.h"
 #include "core/fuzzer.h"
 #include "shard/manifest.h"
@@ -46,15 +45,11 @@ struct CoordConfig {
     /// set it replaces the unix socket as the transport; spawned workers
     /// are handed the resolved address via --connect.
     std::string listen_address;
-    /// Network fault spec (NetFaultPlan::parse syntax).  When set, serve()
-    /// interposes a FrameProxy between itself and the workers it spawns —
-    /// the chaos harness for the wire-integrity and session-resume
-    /// machinery.  "" = no proxy.
-    std::string net_fault;
     /// When a registered worker's connection drops while it holds leases,
-    /// park those leases for this long instead of re-issuing them — a
-    /// reconnect with the same session id resumes heartbeating the same
-    /// attempt.  0 disables parking (drop = immediate worker_lost).
+    /// park those leases for this long past their last heartbeat instead
+    /// of re-issuing them — a reconnect with the same session id resumes
+    /// heartbeating the same attempt.  0 disables parking (drop =
+    /// immediate worker_lost).
     double session_grace_ms = 3000.0;
     /// --reply-timeout-ms for spawned workers (0 = worker default); the
     /// chaos harness shrinks it so dropped frames re-request quickly.
@@ -74,7 +69,9 @@ struct CoordConfig {
     /// times across the whole run.
     int max_respawns = 8;
     /// Fault specs (FaultPlan::parse syntax) by spawned-worker index — the
-    /// chaos harness; respawned replacements are always clean.
+    /// chaos harness for worker crashes and stalls, and, through the frame
+    /// faults, for the wire-integrity and session-resume machinery;
+    /// respawned replacements are always clean.
     std::map<int, std::string> worker_faults;
     /// Binary to exec for spawned workers ("" = /proc/self/exe).
     std::string ffaudit_path;
@@ -111,8 +108,6 @@ struct CoordStats {
     /// Parked sessions whose grace window lapsed (or whose process was
     /// reaped) before a resume — their leases went back to the queue.
     int sessions_expired = 0;
-    /// What the interposed FrameProxy did (all zero without --net-fault).
-    NetFaultStats net;
     /// Flat unit indices re-run in-process under tightened budgets after
     /// their shard permanently failed (poison-unit quarantine), in blame
     /// order.  Non-empty turns ffaudit serve's exit code into

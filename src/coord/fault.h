@@ -3,49 +3,32 @@
 // A FaultPlan is carried by a worker and fired at exact, reproducible
 // points of its execution — kills land after a fixed number of units via
 // the runner's interrupt_after_units hook (so the torn record tail is the
-// same every run), stalls are fixed sleeps before the first leased shard.
+// same every run), stalls are fixed sleeps before the first leased shard,
+// and wire faults fire at fixed ordinals of the frames the worker writes.
 // The same plans drive the in-process E2E tests (tests/test_coord.cpp,
 // where "crash" means silently abandoning the lease, since a thread cannot
-// SIGKILL itself without taking the test down) and the CI chaos job
+// SIGKILL itself without taking the test down) and the CI chaos jobs
 // (scripts/coord_chaos.py, where kill-after-units raises a real SIGKILL
-// mid-shard).
+// mid-shard and --net hands every worker a wire-fault plan).
 #pragma once
 
 /// \file
-/// FaultPlan: parseable, deterministic worker fault injection, and the
-/// spec tokenizer it shares with NetFaultPlan.
+/// FaultPlan: parseable, deterministic worker and wire fault injection.
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ff::coord {
 
-/// One `key[=value]` token of a comma-separated fault spec — the grammar
-/// both fault dialects (FaultPlan, NetFaultPlan) share.  Errors start with
-/// the dialect's name, e.g. "fault plan: kill-after-units=soon: expected an
-/// integer".
-struct FaultToken {
-    std::string dialect;     ///< Error prefix ("fault plan", "net fault plan").
-    std::string text;        ///< The whole token.
-    std::string key;         ///< Up to the first '='.
-    std::string value;       ///< After the first '=' ("" without one).
-    bool has_value = false;  ///< Whether the token has an '='.
-
-    /// The value as an integer; throws common::Error unless it is one.
-    std::int64_t i64() const;
-    /// The value as a number; throws common::Error unless it is one.
-    double f64() const;
-    /// Throws common::Error naming this token as unknown; `expected` lists
-    /// the dialect's tokens.
-    [[noreturn]] void reject(const std::string& expected) const;
-};
-
-/// The non-empty comma-separated tokens of `spec`, in order.
-std::vector<FaultToken> fault_tokens(const std::string& spec, const std::string& dialect);
-
 /// What a worker sabotages, and when.  One-shot faults arm on the first
-/// lease the worker receives and fire once; drop-heartbeats is persistent.
+/// lease the worker receives and fire once; drop-heartbeats and the frame
+/// faults are persistent.
+///
+/// Frame faults act at the worker's one send/receive point
+/// (coord/worker.cpp).  Ordinals are 1-based and count every frame the
+/// worker offers an open connection over its lifetime, across reconnects,
+/// hello included — so where a fault lands depends on this worker's own
+/// traffic only, and a frame refused by a closed connection takes none.
 struct FaultPlan {
     /// SIGKILL the worker process after this many units of its first
     /// leased shard (torn write included, exactly like an OOM kill).
@@ -81,6 +64,11 @@ struct FaultPlan {
     /// not re-issued).  < 0 = disabled.
     std::int64_t disconnect_after_units = -1;
 
+    /// With disconnect_after_units: a partition.  The worker refuses to
+    /// redial for this long after the disconnect, then resumes its session.
+    /// 0 = redial at once.
+    double heal_ms = 0.0;
+
     /// Never send heartbeats, so every lease this worker holds expires
     /// even while it keeps (slowly, from the coordinator's view) working.
     bool drop_heartbeats = false;
@@ -89,19 +77,45 @@ struct FaultPlan {
     /// straggler that outlives its lease.  0 = disabled.
     double delay_lease_ms = 0.0;
 
+    /// Skip writing frames N, 2N, ...  0 = disabled.  N == 1 would drop
+    /// every hello and wedge the handshake forever, so parse() rejects it.
+    std::int64_t drop_frame_every_n = 0;
+
+    /// Sleep this long before each frame written and after each frame
+    /// read — bounded latency, not loss.  0 = disabled.
+    double delay_frame_ms = 0.0;
+
+    /// Write frames N, 2N, ... twice.  0 = disabled.
+    std::int64_t duplicate_frame_every_n = 0;
+
+    /// One-shot: flip one payload byte of frame N (or of the first frame
+    /// written after it, should N be dropped), after its CRC is computed,
+    /// so the receiver's frame check classifies it as a disconnect.
+    /// 0 = disabled.
+    std::int64_t corrupt_frame_byte = 0;
+
+    /// True when any frame fault is configured.
+    bool frame_faults() const {
+        return drop_frame_every_n > 0 || delay_frame_ms > 0.0 || duplicate_frame_every_n > 0 ||
+               corrupt_frame_byte > 0;
+    }
+
     /// True when no fault is configured.
     bool empty() const {
         return kill_after_units < 0 && abandon_after_units < 0 && spin_after_units < 0 &&
                hog_memory_after_units < 0 && disconnect_after_units < 0 &&
-               !drop_heartbeats && delay_lease_ms <= 0.0;
+               !drop_heartbeats && delay_lease_ms <= 0.0 && !frame_faults();
     }
 
     /// Parses a comma-separated spec, e.g.
-    /// "kill-after-units=3,drop-heartbeats" or "delay-lease-ms=500".
+    /// "kill-after-units=3,drop-heartbeats" or
+    /// "drop-frame-every-n=7,disconnect-after-units=3,heal-ms=1500".
     /// Keys: kill-after-units, abandon-after-units, spin-after-units,
-    /// hog-memory-after-units, disconnect-after-units, drop-heartbeats,
-    /// delay-lease-ms.  Empty spec = no faults.  Throws common::Error on
-    /// unknown keys or malformed values.
+    /// hog-memory-after-units, disconnect-after-units, heal-ms,
+    /// drop-heartbeats, delay-lease-ms, drop-frame-every-n, delay-frame-ms,
+    /// duplicate-frame, corrupt-frame-byte.  Empty spec = no faults.
+    /// Throws common::Error on unknown keys, malformed values,
+    /// drop-frame-every-n=1, or heal-ms without disconnect-after-units.
     static FaultPlan parse(const std::string& spec);
 
     /// Human-readable summary ("none" when empty) for logs.

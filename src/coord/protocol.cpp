@@ -118,24 +118,8 @@ bool finish_interrupted_connect(int fd) {
     return err == 0;
 }
 
-}  // namespace
-
-std::string encode_frame(const common::Json& message) {
-    std::string payload = message.dump();
-    if (payload.size() > kMaxFrameBytes) {
-        throw common::Error("frame payload too large: " + std::to_string(payload.size()) +
-                            " bytes");
-    }
-    std::string wire(kFrameHeaderBytes, '\0');
-    put_u32_be(wire.data(), static_cast<std::uint32_t>(payload.size()));
-    wire[4] = static_cast<char>(kProtocolVersion);
-    put_u32_be(wire.data() + 5, common::crc32c(payload));
-    wire += payload;
-    return wire;
-}
-
-void write_frame(int fd, const common::Json& message) {
-    std::string wire = encode_frame(message);
+/// Sends every byte of one encoded frame (blocking).
+void send_wire(int fd, const std::string& wire) {
     std::size_t off = 0;
     while (off < wire.size()) {
         // MSG_NOSIGNAL: a peer that died mid-write surfaces as EPIPE, not
@@ -154,6 +138,60 @@ void write_frame(int fd, const common::Json& message) {
         off += static_cast<std::size_t>(n);
     }
 }
+
+/// Binds + listens on a unix-domain stream socket, unlinking any stale
+/// file at `path` first.  Returns the listening fd; throws on failure.
+int listen_unix(const std::string& path, int backlog) {
+    sockaddr_un addr = make_addr(path);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) throw_errno("socket");
+    ::unlink(path.c_str());  // stale socket file from a previous run
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+        int saved = errno;
+        ::close(fd);
+        errno = saved;
+        throw_errno("bind " + path);
+    }
+    if (::listen(fd, backlog) < 0) {
+        int saved = errno;
+        ::close(fd);
+        errno = saved;
+        throw_errno("listen " + path);
+    }
+    return fd;
+}
+
+/// Connects to a unix-domain socket.  Returns the fd, or -1 when the
+/// coordinator is not (yet) there — callers retry with backoff.
+int connect_unix(const std::string& path) {
+    sockaddr_un addr = make_addr(path);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (fd < 0) throw_errno("socket");
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
+        if (errno == EINTR && finish_interrupted_connect(fd)) return fd;
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+}  // namespace
+
+std::string encode_frame(const common::Json& message) {
+    std::string payload = message.dump();
+    if (payload.size() > kMaxFrameBytes) {
+        throw common::Error("frame payload too large: " + std::to_string(payload.size()) +
+                            " bytes");
+    }
+    std::string wire(kFrameHeaderBytes, '\0');
+    put_u32_be(wire.data(), static_cast<std::uint32_t>(payload.size()));
+    wire[4] = static_cast<char>(kProtocolVersion);
+    put_u32_be(wire.data() + 5, common::crc32c(payload));
+    wire += payload;
+    return wire;
+}
+
+void write_frame(int fd, const common::Json& message) { send_wire(fd, encode_frame(message)); }
 
 void FrameBuffer::append(const char* data, std::size_t size) { buf_.append(data, size); }
 
@@ -214,10 +252,12 @@ FramedConn& FramedConn::operator=(FramedConn&& other) noexcept {
 
 FramedConn::~FramedConn() { close(); }
 
-void FramedConn::write(const common::Json& message) {
+void FramedConn::write(const common::Json& message) { write_wire(encode_frame(message)); }
+
+void FramedConn::write_wire(const std::string& wire) {
     std::lock_guard<std::mutex> lock(write_mu_);
     if (fd_ < 0) throw common::Error("write on a closed connection");
-    write_frame(fd_, message);
+    send_wire(fd_, wire);
 }
 
 ReadResult FramedConn::read(int timeout_ms) {
@@ -364,41 +404,9 @@ int connect_endpoint(const Endpoint& ep) {
     return -1;
 }
 
-int listen_unix(const std::string& path, int backlog) {
-    sockaddr_un addr = make_addr(path);
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw_errno("socket");
-    ::unlink(path.c_str());  // stale socket file from a previous run
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-        int saved = errno;
-        ::close(fd);
-        errno = saved;
-        throw_errno("bind " + path);
-    }
-    if (::listen(fd, backlog) < 0) {
-        int saved = errno;
-        ::close(fd);
-        errno = saved;
-        throw_errno("listen " + path);
-    }
-    return fd;
-}
-
 void ignore_sigpipe() {
     static std::once_flag once;
     std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
-}
-
-int connect_unix(const std::string& path) {
-    sockaddr_un addr = make_addr(path);
-    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) throw_errno("socket");
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-        if (errno == EINTR && finish_interrupted_connect(fd)) return fd;
-        ::close(fd);
-        return -1;
-    }
-    return fd;
 }
 
 }  // namespace ff::coord

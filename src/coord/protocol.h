@@ -156,6 +156,10 @@ public:
     /// Writes one frame under the write mutex (thread-safe).
     void write(const common::Json& message);
 
+    /// Writes pre-encoded frame bytes (encode_frame's output, possibly
+    /// sabotaged by a fault plan) under the write mutex.
+    void write_wire(const std::string& wire);
+
     /// Reads the next frame, waiting up to `timeout_ms` (< 0 = forever).
     /// Single-reader only.  EOF returns ReadStatus::Closed (any partial
     /// frame in flight is discarded with the connection).  A signal landing
@@ -204,14 +208,6 @@ int listen_endpoint(const Endpoint& ep, int backlog, int* bound_port = nullptr);
 /// with backoff.  EINTR during connect is handled internally (the
 /// in-progress connect is waited out), never surfaced as unreachable.
 int connect_endpoint(const Endpoint& ep);
-
-/// Binds + listens on a unix-domain stream socket, unlinking any stale
-/// file at `path` first.  Returns the listening fd; throws on failure.
-int listen_unix(const std::string& path, int backlog);
-
-/// Connects to a unix-domain socket.  Returns the fd, or -1 when the
-/// coordinator is not (yet) there — callers retry with backoff.
-int connect_unix(const std::string& path);
 
 /// Ignores SIGPIPE process-wide, once (thread-safe): a peer that dies
 /// mid-frame must surface as an I/O error, not kill the process.  Called

@@ -40,7 +40,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         Attempt attempt;
         attempt.attempt = entry.attempts_issued++;
         attempt.worker = worker;
-        attempt.issued = now;
+        attempt.issued = attempt.beaten = now;
         attempt.deadline = add_ms(now, config_.lease_ms);
         entry.active.push_back(attempt);
         entry.state = ShardState::Leased;
@@ -81,7 +81,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         Attempt attempt;
         attempt.attempt = entry.attempts_issued++;
         attempt.worker = worker;
-        attempt.issued = now;
+        attempt.issued = attempt.beaten = now;
         attempt.deadline = add_ms(now, config_.lease_ms);
         entry.active.push_back(attempt);
         ++stats_.granted;
@@ -101,6 +101,7 @@ bool LeaseQueue::heartbeat(int shard, int attempt, TimePoint now) {
     ShardEntry& entry = shards_[shard];
     for (Attempt& a : entry.active) {
         if (a.attempt == attempt) {
+            a.beaten = now;
             a.deadline = add_ms(now, config_.lease_ms);
             return true;
         }
@@ -203,7 +204,7 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::worker_lost(const std::string& 
 }
 
 std::vector<LeaseQueue::LostAttempt> LeaseQueue::park_worker(const std::string& worker,
-                                                             TimePoint now, double grace_ms) {
+                                                             double grace_ms) {
     std::vector<LostAttempt> parked;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         ShardEntry& entry = shards_[i];
@@ -211,8 +212,11 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::park_worker(const std::string& 
         for (Attempt& a : entry.active) {
             if (a.worker != worker) continue;
             // max(): a lease whose deadline already reaches past the grace
-            // window keeps it — parking never *shortens* a lease.
-            a.deadline = std::max(a.deadline, add_ms(now, grace_ms));
+            // window keeps it — parking never *shortens* a lease.  The
+            // window runs from the last heartbeat, not from the drop: a
+            // session that reconnects over and over without beating an
+            // attempt (a grant it never read) cannot keep it alive.
+            a.deadline = std::max(a.deadline, add_ms(a.beaten, grace_ms));
             parked.push_back({static_cast<int>(i), a.attempt, a.worker});
         }
     }

@@ -148,13 +148,14 @@ public:
 
     /// Session resume, coordinator side: the worker's *connection* died but
     /// its session may come back, so instead of dropping its attempts,
-    /// extend each one's deadline to at least `now + grace_ms`.  A
-    /// reconnecting worker resumes heartbeating the same attempts; one that
-    /// never returns loses them through the ordinary expire() path when the
-    /// grace lapses.  Returns the parked attempts (empty = nothing was
+    /// extend each one's deadline to at least `grace_ms` past its last
+    /// heartbeat (or its issue).  A reconnecting worker resumes
+    /// heartbeating the same attempts; one that never returns loses them
+    /// through the ordinary expire() path when the grace lapses — and so
+    /// does an attempt its session holds but never runs, however often the
+    /// session reconnects.  Returns the parked attempts (empty = nothing was
     /// active, caller falls back to worker_lost bookkeeping).
-    std::vector<LostAttempt> park_worker(const std::string& worker, TimePoint now,
-                                         double grace_ms);
+    std::vector<LostAttempt> park_worker(const std::string& worker, double grace_ms);
 
     bool all_done() const;  ///< Every shard Done.
     ShardState state(int shard) const;
@@ -179,6 +180,7 @@ private:
         int attempt = 0;
         std::string worker;
         TimePoint issued;
+        TimePoint beaten;  ///< Issue or latest heartbeat: its last sign of life.
         TimePoint deadline;
     };
     struct ShardEntry {

@@ -251,13 +251,23 @@ private:
                                                : Endpoint::parse_tcp(config_.connect_address);
     }
 
+    /// The one point every frame is written through: the fault plan's
+    /// frame faults fire here, at ordinals of the worker's own traffic.
+    void send(FramedConn& conn, const Json& message);
+    /// The one point every frame is read through (the frame delay holds
+    /// each frame read).
+    ReadResult receive(FramedConn& conn, int timeout_ms);
+
     /// One dial + hello exchange.  Returns false on anything recoverable
     /// (unreachable, dropped hello, dead stream) so the backoff loop
     /// retries; throws FatalError on an explicit protocol refusal.
     /// Callers serialize via conn_mu_ whenever a heartbeat thread is alive.
     bool connect_once();
-    /// connect_once under the backoff schedule.  Same serialization rule.
-    bool reconnect(int max_attempts);
+    /// Closes conn_, waits out a partition fault's heal, then runs
+    /// connect_once under the backoff schedule.  `stop` (the heartbeat
+    /// thread's) cuts every wait short and abandons the dial.  Same
+    /// serialization rule.
+    bool reconnect(StopSignal* stop = nullptr);
     /// One heartbeat delivery, reconnecting the session on a dead socket
     /// (HeartbeatThread's beat callback; `stop` aborts backoff sleeps).
     /// False = unrecoverable.
@@ -292,8 +302,46 @@ private:
     /// prepares only the instances its range adds.
     shard::JobCache jobs_;
     bool fault_armed_;  ///< One-shot faults not yet fired.
+    /// No dial before this (a disconnect fault's heal-ms); under conn_mu_.
+    Clock::time_point redial_at_{};
+    /// Guards frames_sent_ and the frame counters of stats_, so a frame's
+    /// ordinal is its place on the wire.
+    std::mutex wire_mu_;
+    std::int64_t frames_sent_ = 0;  ///< Frames offered to an open connection so far.
     WorkerStats stats_;
 };
+
+void Worker::send(FramedConn& conn, const Json& message) {
+    const FaultPlan& fault = config_.fault;
+    // A closed connection refuses the frame before it takes an ordinal, so
+    // the ordinals and counters see only frames the wire could carry.
+    if (!fault.frame_faults() || !conn.open()) return conn.write(message);
+    if (fault.delay_frame_ms > 0.0) sleep_ms(fault.delay_frame_ms);
+    std::lock_guard<std::mutex> lock(wire_mu_);
+    const std::int64_t ordinal = ++frames_sent_;
+    if (fault.drop_frame_every_n > 0 && ordinal % fault.drop_frame_every_n == 0) {
+        ++stats_.frames_dropped;
+        return;
+    }
+    std::string wire = encode_frame(message);
+    const bool corrupt = fault.corrupt_frame_byte > 0 && ordinal >= fault.corrupt_frame_byte &&
+                         stats_.frames_corrupted == 0;
+    if (corrupt) wire.back() = static_cast<char>(wire.back() ^ 0x5a);  // after the CRC
+    conn.write_wire(wire);
+    if (corrupt) ++stats_.frames_corrupted;  // written: the peer sees a bad checksum
+    if (fault.duplicate_frame_every_n > 0 && ordinal % fault.duplicate_frame_every_n == 0) {
+        conn.write_wire(wire);
+        ++stats_.frames_duplicated;
+    }
+}
+
+ReadResult Worker::receive(FramedConn& conn, int timeout_ms) {
+    ReadResult r = conn.read(timeout_ms);
+    if (r.status == ReadStatus::Ok && config_.fault.delay_frame_ms > 0.0) {
+        sleep_ms(config_.fault.delay_frame_ms);
+    }
+    return r;
+}
 
 bool Worker::connect_once() {
     int fd = connect_endpoint(endpoint());
@@ -305,9 +353,9 @@ bool Worker::connect_once() {
     hello["session"] = session_;
     hello["protocol"] = kProtocolVersion;
     try {
-        fresh.write(hello);
+        send(fresh, hello);
         while (true) {
-            ReadResult r = fresh.read(static_cast<int>(config_.reply_timeout_ms));
+            ReadResult r = receive(fresh, static_cast<int>(config_.reply_timeout_ms));
             if (r.status != ReadStatus::Ok) return false;
             const std::string& type = common::json_string(r.message, "type");
             if (type == "error") {
@@ -331,11 +379,16 @@ bool Worker::connect_once() {
     return true;
 }
 
-bool Worker::reconnect(int max_attempts) {
+bool Worker::reconnect(StopSignal* stop) {
     conn_.close();
+    auto wait = [stop](double ms) {
+        if (stop) stop->wait_for(ms);
+        else sleep_ms(ms);
+    };
+    wait(ms_until(redial_at_));
     return common::retry_with_backoff(
-        max_attempts, config_.reconnect, rng_, [&] { return connect_once(); },
-        [](double ms) { sleep_ms(ms); });
+        config_.max_connect_attempts, config_.reconnect, rng_,
+        [&] { return (stop && stop->stopped()) || connect_once(); }, wait);
 }
 
 Json Worker::make_beat(int shard, int attempt) const {
@@ -350,7 +403,7 @@ Json Worker::make_beat(int shard, int attempt) const {
 bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
     std::lock_guard<std::mutex> lock(conn_mu_);
     try {
-        conn_.write(make_beat(shard, attempt));
+        send(conn_, make_beat(shard, attempt));
         return true;
     } catch (const common::Error&) {
     }
@@ -359,18 +412,11 @@ bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
     // the same attempt: the coordinator parked the lease on the drop and
     // splices this session back onto it, so the shard in progress is never
     // re-issued for a transport hiccup.  The stop signal short-circuits
-    // both the attempts and the sleeps — once the lease is over, nobody
-    // needs this connection enough to wait out a backoff schedule for it.
-    conn_.close();
+    // the heal wait, the attempts and the sleeps — once the lease is over,
+    // nobody needs this connection enough to wait for it.
     bool ok = false;
     try {
-        ok = common::retry_with_backoff(
-            config_.max_connect_attempts, config_.reconnect, rng_,
-            [&] {
-                if (stop.stopped()) return true;  // abandon quietly
-                return connect_once();
-            },
-            [&](double ms) { stop.wait_for(ms); });
+        ok = reconnect(&stop);
     } catch (const FatalError&) {
         return false;  // refusal surfaces on the main thread's next frame
     }
@@ -378,7 +424,7 @@ bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
     ++stats_.reconnects;
     log("heartbeat reconnected (session " + session_ + ", shard " + std::to_string(shard) + ")");
     try {
-        conn_.write(make_beat(shard, attempt));
+        send(conn_, make_beat(shard, attempt));
         return true;
     } catch (const common::Error&) {
         return false;
@@ -397,15 +443,16 @@ Worker::Outcome Worker::serve_leases() {
         try {
             Json request = Json::object();
             request["type"] = "lease-request";
-            conn_.write(request);
+            send(conn_, request);
             // After a wait reply the worker keeps reading its socket until
             // the retry deadline: the coordinator's done broadcast then ends
             // an idle worker at once, and only the deadline passing
             // re-requests.
             std::optional<Clock::time_point> retry_at;
             while (true) {
-                ReadResult r = conn_.read(retry_at ? ms_until(*retry_at)
-                                                   : static_cast<int>(config_.reply_timeout_ms));
+                ReadResult r = receive(
+                    conn_, retry_at ? ms_until(*retry_at)
+                                    : static_cast<int>(config_.reply_timeout_ms));
                 if (r.status == ReadStatus::Timeout) {
                     if (!retry_at) throw common::Error("no reply from the coordinator");
                     break;  // the retry is due: re-request
@@ -497,16 +544,21 @@ Worker::Outcome Worker::execute_lease(Json grant) {
                 " units (still executing)");
             // The deterministic driver of session resume: the coordinator
             // sees EOF and parks the lease; the beat thread's next write
-            // fails, reconnects with the same session, and resumes it.
+            // fails, waits out heal-ms (a partition), reconnects with the
+            // same session, and resumes it.
             std::lock_guard<std::mutex> lock(conn_mu_);
             conn_.close();
+            stats_.disconnected = true;
+            redial_at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                                            std::chrono::duration<double, std::milli>(
+                                                config_.fault.heal_ms));
             return;
         }
         if (config_.fault.drop_heartbeats) return;
         std::unique_lock<std::mutex> lock(conn_mu_, std::try_to_lock);
         if (!lock.owns_lock()) return;
         try {
-            conn_.write(make_beat(shard, attempt));
+            send(conn_, make_beat(shard, attempt));
         } catch (const common::Error&) {
         }
     };
@@ -530,9 +582,9 @@ Worker::Outcome Worker::execute_lease(Json grant) {
             failed["shard"] = shard;
             failed["attempt"] = attempt;
             failed["error"] = std::string(e.what());
-            conn_.write(failed);
+            send(conn_, failed);
             while (true) {
-                ReadResult r = conn_.read(static_cast<int>(config_.reply_timeout_ms));
+                ReadResult r = receive(conn_, static_cast<int>(config_.reply_timeout_ms));
                 if (r.status != ReadStatus::Ok) return Outcome::Reconnect;
                 const std::string& type = common::json_string(r.message, "type");
                 if (type == "done") return Outcome::Done;
@@ -569,18 +621,14 @@ Worker::Outcome Worker::report_complete(int shard, int attempt, std::int64_t uni
     // finished shard back to the queue for a pointless re-execution.
     for (int round = 0; round < 3; ++round) {
         if (round > 0) {
-            try {
-                if (!reconnect(config_.max_connect_attempts)) return Outcome::Reconnect;
-            } catch (const FatalError&) {
-                throw;
-            }
+            if (!reconnect()) return Outcome::Reconnect;
             ++stats_.reconnects;
             log("reconnected to resend completion of shard " + std::to_string(shard));
         }
         try {
-            conn_.write(complete);
+            send(conn_, complete);
             while (true) {
-                ReadResult r = conn_.read(static_cast<int>(config_.reply_timeout_ms));
+                ReadResult r = receive(conn_, static_cast<int>(config_.reply_timeout_ms));
                 if (r.status != ReadStatus::Ok) break;  // reconnect + resend
                 const std::string& type = common::json_string(r.message, "type");
                 if (type == "done") return Outcome::Done;
@@ -646,7 +694,7 @@ void Worker::salvage(const shard::ShardManifest& manifest, const std::string& re
 WorkerStats Worker::run() {
     bool first = true;
     while (true) {
-        if (!reconnect(config_.max_connect_attempts)) {
+        if (!reconnect()) {
             throw common::Error("worker " + id_ + ": coordinator unreachable at " +
                                 endpoint().describe() + " after " +
                                 std::to_string(config_.max_connect_attempts) + " attempts");

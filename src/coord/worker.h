@@ -9,7 +9,8 @@
 // like death — and when the socket dies mid-shard, that thread reconnects
 // with the worker's session id and resumes beating the same attempt, so a
 // transport blip never forfeits a lease (the coordinator parks it for a
-// grace window).  Faults (coord/fault.h) fire at their planned points;
+// grace window).  Faults (coord/fault.h) fire at their planned points,
+// wire faults at the one point every frame is written and read through;
 // everything else — socket errors, coordinator restarts, rejected
 // completions — is survived by reconnecting and re-requesting.
 //
@@ -80,6 +81,10 @@ struct WorkerStats {
     int salvages = 0;          ///< Prior-attempt checkpoints resumed from.
     int reconnects = 0;        ///< Successful dials after the first.
     std::int64_t units_run = 0;  ///< Units executed across all leases.
+    std::int64_t frames_dropped = 0;     ///< Frames a drop fault skipped.
+    std::int64_t frames_duplicated = 0;  ///< Frames a duplicate fault wrote twice.
+    std::int64_t frames_corrupted = 0;   ///< Frames a corrupt fault flipped a byte of.
+    bool disconnected = false; ///< A disconnect fault fired (a partition with heal-ms).
     bool abandoned = false;    ///< An abandon fault fired (test crash stand-in).
 };
 

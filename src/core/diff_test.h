@@ -144,9 +144,6 @@ public:
     /// Whether the bound transformed graph passed validation.
     bool transformed_valid() const { return validation_.valid; }
 
-    /// Validation failure message (empty when transformed_valid()).
-    const std::string& validation_error() const { return validation_.error; }
-
     /// Runs one trial on a sampled input configuration.  Requires a bound
     /// instance (common::Error otherwise).
     TrialOutcome run_trial(const interp::Context& inputs);

@@ -706,10 +706,6 @@ bool PreparedAudit::instance_runnable(std::size_t instance) const {
     return impl_->jobs.at(instance).runnable;
 }
 
-const FuzzReport& PreparedAudit::prepared_report(std::size_t instance) const {
-    return impl_->jobs.at(instance).report;
-}
-
 void PreparedAudit::prepare_range(const ir::SDFG& p,
                                   const std::vector<xform::TransformationPtr>& passes,
                                   std::int64_t unit_begin, std::int64_t unit_end) {

@@ -211,10 +211,6 @@ public:
     /// units are skipped by every scheduler — or when it is not prepared).
     bool instance_runnable(std::size_t instance) const;
 
-    /// The instance's report as of preparation (final for non-runnable
-    /// instances, partial otherwise — finalize() completes it).
-    const FuzzReport& prepared_report(std::size_t instance) const;
-
     /// Runs the per-instance pipelines of every instance that intersects
     /// [unit_begin, unit_end) and is not prepared yet, fanned over the
     /// configured worker pool.  `p` and `passes` must be the program and

@@ -72,11 +72,6 @@ void Buffer::store(std::int64_t flat, const Value& v) {
     }
 }
 
-void Buffer::fill_zero() {
-    std::visit([](auto& vec) { std::fill(vec.begin(), vec.end(), typename std::decay_t<decltype(vec)>::value_type{}); },
-               data_);
-}
-
 void Buffer::fill_garbage(std::uint64_t seed) {
     common::Rng rng(seed);
     for (std::int64_t i = 0; i < size_; ++i) {

@@ -83,7 +83,6 @@ public:
 
     double load_double(std::int64_t flat) const { return load(flat).as_double(); }
 
-    void fill_zero();
     /// Deterministic pseudo-random fill (used for Device allocations).
     void fill_garbage(std::uint64_t seed);
 

@@ -28,7 +28,6 @@ struct InterstateEdge {
     sym::BoolExprPtr condition;  ///< nullptr means "always true".
     std::vector<std::pair<std::string, sym::ExprPtr>> assignments;
 
-    bool always_true() const { return condition == nullptr; }
     std::string to_string() const;
 };
 

@@ -70,7 +70,10 @@ ir::SDFG load_job_program(const JobSpec& job) {
         throw common::Error("job specifies both a workload name and an SDFG path");
     if (!job.workload.empty()) return workloads::build_npbench_kernel(job.workload);
     if (job.sdfg_path.empty()) throw common::Error("job specifies neither workload nor SDFG path");
-    return ir::sdfg_from_json(Json::parse_file(job.sdfg_path));
+    // Passes, cutouts and the interpreter assume a well-formed program.
+    ir::SDFG program = ir::sdfg_from_json(Json::parse_file(job.sdfg_path));
+    program.validate();
+    return program;
 }
 
 std::vector<xform::TransformationPtr> job_passes(const JobSpec& job) {

@@ -89,7 +89,8 @@ struct JobSpec {
 };
 
 /// Loads / rebuilds the job's program; throws common::Error for unknown
-/// workloads or unreadable SDFG files.
+/// workloads or unreadable SDFG files, common::ValidationError for an SDFG
+/// file that fails ir::SDFG::validate().
 ir::SDFG load_job_program(const JobSpec& job);
 
 /// Instantiates the job's named pass set; throws common::Error for unknown

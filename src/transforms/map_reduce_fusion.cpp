@@ -48,6 +48,10 @@ std::vector<Match> MapReduceFusion::find_matches(const ir::SDFG& sdfg) const {
             if (uses != 1) continue;
             const ir::DataDesc& s_desc = sdfg.container(g.node(acc_s).data);
             if (s_desc.dims() != 0) continue;
+            // The fused loop adds each partial straight into S in double,
+            // without storing it into T: that matches the reduction only
+            // when T and S are both F64.
+            if (t_desc.dtype != ir::DType::F64 || s_desc.dtype != ir::DType::F64) continue;
 
             Match m;
             m.state = sid;

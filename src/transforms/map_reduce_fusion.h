@@ -7,6 +7,9 @@
 //     =>
 //   S = 0 ; for i { S += f(x[i]) }
 //
+// Both T and S must be F64: a narrower T would round each partial before
+// the sum, a narrower S each step of it.
+//
 // The bug variant deletes the intermediate container from the SDFG while a
 // stale access node still references it — `generates invalid code`, caught
 // by validation.

@@ -39,8 +39,6 @@ struct ChangeSet {
     /// cutout extraction promotes these to whole-state granularity.
     std::set<ir::StateId> control_flow_states;
 
-    bool touches_control_flow() const { return !control_flow_states.empty(); }
-
     void add(ir::StateId state, ir::NodeId node) { nodes.insert(NodeRef{state, node}); }
     void merge(const ChangeSet& other);
 };

@@ -14,8 +14,4 @@ namespace ff::workloads {
 
 ir::SDFG build_matrix_chain();
 
-/// Label of the map implementing the second multiplication (the Fig. 2
-/// tiling target): "mm2".
-inline const char* matrix_chain_target_label() { return "mm2"; }
-
 }  // namespace ff::workloads

@@ -26,7 +26,4 @@ ir::SDFG build_mha_scale(int extra_layers = 0);
 /// Default symbol values used when concretizing (scaled-down BERT-LARGE).
 sym::Bindings mha_defaults(std::int64_t sm = 64);
 
-/// Label of the scaling loop nest: "scale_tmp".
-inline const char* mha_target_label() { return "ew_tmp"; }
-
 }  // namespace ff::workloads

@@ -26,7 +26,4 @@ ir::SDFG build_sddmm();
 sym::Bindings sddmm_defaults(std::int64_t nloc = 8, std::int64_t k = 8,
                              std::int64_t nchunk = 8, int ranks = 4);
 
-/// Label of the dense contraction map: "sddmm_mm".
-inline const char* sddmm_target_label() { return "sddmm_mm"; }
-
 }  // namespace ff::workloads

@@ -23,6 +23,10 @@
 
 #include <sys/wait.h>
 
+#include "common/json.h"
+#include "ir/serialize.h"
+#include "workloads/npbench.h"
+
 namespace ff {
 namespace {
 
@@ -166,6 +170,30 @@ TEST(CliJobErrors, UnknownWorkloadExitsFour) {
     const CliResult r = run_cli("run --workload no_such_kernel");
     EXPECT_EQ(r.code, 4);
     EXPECT_NE(r.out.find("no_such_kernel"), std::string::npos) << r.out;
+}
+
+TEST(CliJobErrors, InvalidSdfgExitsFourNamingTheFault) {
+    // gemm with a third param on its two-range zero_T map.  The passes and
+    // the interpreter read one range per param, so an audit of the program
+    // as loaded reads past the ranges; validated at load, it is refused.
+    common::Json sdfg = ir::to_json(workloads::build_npbench_kernel("gemm"));
+    int mutated = 0;
+    for (common::Json& state : sdfg["states"].as_array()) {
+        for (common::Json& node : state["nodes"].as_array()) {
+            if (common::json_string(node, "kind") == "map_entry" &&
+                common::json_string(node, "label") == "zero_T") {
+                node["params"].as_array().emplace_back(std::string("zk"));
+                ++mutated;
+            }
+        }
+    }
+    ASSERT_EQ(mutated, 1);
+    const std::string path = scratch_dir("bad_sdfg") + "/mut.json";
+    std::ofstream(path) << sdfg.dump();
+    const CliResult r = run_cli("run --sdfg " + path + " --passes table2 --trials 3 --size-max 4");
+    EXPECT_EQ(r.code, 4) << r.out;
+    EXPECT_NE(r.out.find("map 'zero_T' has mismatched params/ranges"), std::string::npos)
+        << r.out;
 }
 
 TEST(CliParseErrors, MalformedManifestExitsSeven) {

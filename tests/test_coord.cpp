@@ -2,10 +2,12 @@
 // tests driven by a fake clock (expiry, backoff, retry caps, straggler
 // hedging, duplicate completion), wire-framing round trips, fault-plan
 // parsing, a worker against a scripted coordinator (wait replies, wire
-// timings), and the end-to-end acceptance bar — a coordinator plus in-
-// process worker threads, with one worker crashing mid-shard and one
-// stalling past its lease, finishes the audit with a report byte-identical
-// to the single-process Fuzzer::audit at worker counts {1, 2, 4}
+// timings, each wire fault at its frame ordinal, no ordinal spent on a
+// closed connection, a healed partition), and the end-to-end acceptance
+// bar — a coordinator plus in-process worker threads, with one worker
+// crashing mid-shard and one stalling past its lease, finishes the audit
+// with a report byte-identical to the single-process Fuzzer::audit at
+// worker counts {1, 2, 4}
 // (docs/ARCHITECTURE.md "Coordinator") — plus the poison-unit quarantine
 // path: a permanently failed shard is salvaged, its blamed unit re-run
 // in-process under tightened budgets, and the remainder split and re-issued.
@@ -31,7 +33,6 @@
 #include "common/rng.h"
 #include "coord/coordinator.h"
 #include "coord/fault.h"
-#include "coord/net_fault.h"
 #include "coord/protocol.h"
 #include "coord/queue.h"
 #include "coord/worker.h"
@@ -107,10 +108,38 @@ TEST(FaultPlan, ParsesSpecsAndDescribesThem) {
     EXPECT_FALSE(poison.empty());
     EXPECT_EQ(poison.describe(), "spin-after-units=2,hog-memory-after-units=5");
 
+    // The wire faults, and a disconnect that heals only after a partition.
+    coord::FaultPlan wire = coord::FaultPlan::parse(
+        "drop-frame-every-n=7,delay-frame-ms=5,duplicate-frame=4,"
+        "corrupt-frame-byte=9,disconnect-after-units=3,heal-ms=250");
+    EXPECT_EQ(wire.drop_frame_every_n, 7);
+    EXPECT_DOUBLE_EQ(wire.delay_frame_ms, 5.0);
+    EXPECT_EQ(wire.duplicate_frame_every_n, 4);
+    EXPECT_EQ(wire.corrupt_frame_byte, 9);
+    EXPECT_EQ(wire.disconnect_after_units, 3);
+    EXPECT_DOUBLE_EQ(wire.heal_ms, 250.0);
+    EXPECT_TRUE(wire.frame_faults());
+    EXPECT_FALSE(wire.empty());
+    EXPECT_EQ(wire.describe(),
+              "disconnect-after-units=3,heal-ms=250,drop-frame-every-n=7,delay-frame-ms=5,"
+              "duplicate-frame=4,corrupt-frame-byte=9");
+    EXPECT_FALSE(coord::FaultPlan::parse("disconnect-after-units=3").frame_faults());
+
     EXPECT_THROW(coord::FaultPlan::parse("explode"), common::Error);
     EXPECT_THROW(coord::FaultPlan::parse("kill-after-units=soon"), common::Error);
     EXPECT_THROW(coord::FaultPlan::parse("drop-heartbeats=yes"), common::Error);
     EXPECT_THROW(coord::FaultPlan::parse("spin-after-units=never"), common::Error);
+    // drop-frame-every-n=1 would drop every hello and wedge the handshake.
+    EXPECT_THROW(coord::FaultPlan::parse("drop-frame-every-n=1"), common::Error);
+    EXPECT_THROW(coord::FaultPlan::parse("delay-frame-ms=soon"), common::Error);
+    // Millisecond values stay within a day, so no deadline overflows.
+    EXPECT_THROW(coord::FaultPlan::parse("disconnect-after-units=1,heal-ms=1e300"),
+                 common::Error);
+    EXPECT_THROW(coord::FaultPlan::parse("delay-lease-ms=-5"), common::Error);
+    EXPECT_THROW(coord::FaultPlan::parse("delay-frame-ms=nan"), common::Error);
+    EXPECT_THROW(coord::FaultPlan::parse("sever-the-cable"), common::Error);
+    // A heal needs the disconnect it ends.
+    EXPECT_THROW(coord::FaultPlan::parse("heal-ms=250"), common::Error);
 }
 
 // --- Frame codec -------------------------------------------------------------
@@ -291,35 +320,6 @@ TEST(FrameBuffer, PropertyRandomStreamMutationsAlwaysClassify) {
         // never a wedge.
         (void)errored;
     }
-}
-
-// --- NetFaultPlan ------------------------------------------------------------
-
-TEST(NetFaultPlan, ParsesSpecsAndRejectsNonsense) {
-    coord::NetFaultPlan none = coord::NetFaultPlan::parse("");
-    EXPECT_TRUE(none.empty());
-    EXPECT_EQ(none.describe(), "none");
-
-    coord::NetFaultPlan plan = coord::NetFaultPlan::parse(
-        "drop-frame-every-n=7,delay-frame-ms=5,duplicate-frame=4,"
-        "corrupt-frame-byte=9,partition-after-units=3,heal-ms=250");
-    EXPECT_EQ(plan.drop_frame_every_n, 7);
-    EXPECT_DOUBLE_EQ(plan.delay_frame_ms, 5.0);
-    EXPECT_EQ(plan.duplicate_frame_every_n, 4);
-    EXPECT_EQ(plan.corrupt_frame_byte, 9);
-    EXPECT_EQ(plan.partition_after_units, 3);
-    EXPECT_DOUBLE_EQ(plan.heal_ms, 250.0);
-    EXPECT_FALSE(plan.empty());
-    EXPECT_NE(plan.describe().find("drop-frame-every-n=7"), std::string::npos);
-
-    // The long-form alias.
-    EXPECT_EQ(coord::NetFaultPlan::parse("duplicate-frame-every-n=2").duplicate_frame_every_n,
-              2);
-
-    // drop-frame-every-n=1 would drop every hello and wedge the handshake.
-    EXPECT_THROW(coord::NetFaultPlan::parse("drop-frame-every-n=1"), common::Error);
-    EXPECT_THROW(coord::NetFaultPlan::parse("sever-the-cable"), common::Error);
-    EXPECT_THROW(coord::NetFaultPlan::parse("delay-frame-ms=soon"), common::Error);
 }
 
 // --- Endpoint ----------------------------------------------------------------
@@ -527,6 +527,30 @@ TEST(LeaseQueue, AddShardMidRunStartsCleanAndGrantable) {
     EXPECT_TRUE(queue.all_done());
 }
 
+TEST(LeaseQueue, ParkedLeaseLivesOnlyGraceMsPastItsLastHeartbeat) {
+    coord::LeaseQueue queue(toy_shards(2), toy_lease());
+    ASSERT_TRUE(queue.acquire("run", at_ms(0)));     // shard 0, beaten below
+    ASSERT_TRUE(queue.acquire("orphan", at_ms(0)));  // shard 1, never beaten
+    EXPECT_TRUE(queue.heartbeat(0, 0, at_ms(900)));
+
+    // Both sessions drop and park, the orphan's twice: however often it is
+    // parked, an attempt lives 2000 ms past its last sign of life (900 ms
+    // and 0 ms), never past the drop.
+    EXPECT_EQ(queue.park_worker("run", 2000.0).size(), 1u);
+    EXPECT_EQ(queue.park_worker("orphan", 2000.0).size(), 1u);
+    EXPECT_TRUE(queue.expire(at_ms(1999)).empty());
+    EXPECT_EQ(queue.park_worker("orphan", 2000.0).size(), 1u);
+    const auto lost = queue.expire(at_ms(2001));
+    ASSERT_EQ(lost.size(), 1u);
+    EXPECT_EQ(lost[0].worker, "orphan");
+
+    // The resumed session that beats its attempt keeps it.
+    EXPECT_TRUE(queue.heartbeat(0, 0, at_ms(2500)));
+    EXPECT_EQ(queue.park_worker("run", 2000.0).size(), 1u);
+    EXPECT_TRUE(queue.expire(at_ms(4499)).empty());
+    EXPECT_EQ(queue.expire(at_ms(4501)).size(), 1u);
+}
+
 TEST(LeaseQueue, NextEventTracksDeadlinesAndBackoffGates) {
     coord::LeaseQueue queue(toy_shards(1), toy_lease());
     // Fresh pending shard: nothing scheduled, the caller polls at its pace.
@@ -602,12 +626,13 @@ struct ScriptedRun {
     double seconds = 0.0;  ///< Wall time of run_worker.
 };
 
-/// Runs one worker against `script`, which plays the coordinator on the
-/// listening socket from its own thread and closes it when done, so a
-/// worker that outlives the script fails fast on reconnect.  A failed
-/// script step or a worker error is a test failure.
+/// Runs one worker, sabotaged by `fault`, against `script`, which plays the
+/// coordinator on the listening socket from its own thread and closes it
+/// when done, so a worker that outlives the script fails fast on
+/// reconnect.  A failed script step or a worker error is a test failure.
 ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
-                         const std::function<void(int listen_fd)>& script) {
+                         const std::function<void(int listen_fd)>& script,
+                         const coord::FaultPlan& fault = {}) {
     const std::string path = scratch_dir(name) + "/coord.sock";
     const int listen_fd = coord::listen_endpoint(coord::Endpoint::unix_path(path), 4);
     std::thread coordinator([&] {
@@ -623,6 +648,7 @@ ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
     wc.worker_id = "w0";
     wc.reply_timeout_ms = reply_timeout_ms;
     wc.max_connect_attempts = 3;
+    wc.fault = fault;
     ScriptedRun run;
     const auto start = std::chrono::steady_clock::now();
     try {
@@ -785,6 +811,187 @@ TEST(ScriptedCoordinator, EofMidWaitReconnectsTheSameSession) {
     });
     EXPECT_LT(run.seconds, 5.0);
     EXPECT_EQ(run.stats.reconnects, 1);
+}
+
+/// Plays the wire-fault scripts below up to the worker's third frame, its
+/// second lease-request: welcomes the hello (frame 1), answers the first
+/// request (frame 2) with a wait that re-requests at once.
+void script_to_third_frame(coord::FramedConn& conn) {
+    welcome_worker(conn);
+    expect_frame(conn, "lease-request");
+    conn.write(wait_reply(0.0));
+}
+
+/// Ends a wire-fault script on a fresh connection: the worker's redialed
+/// hello, its lease-request, and the done that sends it home.
+void script_reconnected_done(int listen_fd) {
+    coord::FramedConn conn = accept_worker(listen_fd);
+    welcome_worker(conn, /*resumed=*/true);
+    expect_frame(conn, "lease-request");
+    conn.write(message("done"));
+    expect_worker_left(conn);
+}
+
+TEST(ScriptedCoordinator, WireFaultsFireAtTheirFrameOrdinals) {
+    // Drop: frame 3 never arrives.  The worker waits out its reply timeout,
+    // hangs up and redials; the peer sees the hangup, not the request.
+    const ScriptedRun drop = run_scripted(
+        "wire_drop", 300.0,
+        [](int listen_fd) {
+            {
+                coord::FramedConn conn = accept_worker(listen_fd);
+                script_to_third_frame(conn);
+                const coord::ReadResult r = conn.read(5000);
+                EXPECT_EQ(r.status, coord::ReadStatus::Closed) << "frame 3 arrived";
+            }
+            script_reconnected_done(listen_fd);
+        },
+        coord::FaultPlan::parse("drop-frame-every-n=3"));
+    EXPECT_EQ(drop.stats.frames_dropped, 1);
+    EXPECT_EQ(drop.stats.reconnects, 1);
+
+    // Duplicate: frame 3 arrives twice.  The worker sends nothing more
+    // until a reply, so the second request is the same frame.
+    const ScriptedRun duplicate = run_scripted(
+        "wire_duplicate", 60000.0,
+        [](int listen_fd) {
+            coord::FramedConn conn = accept_worker(listen_fd);
+            script_to_third_frame(conn);
+            expect_frame(conn, "lease-request");
+            expect_frame(conn, "lease-request");
+            conn.write(message("done"));
+            expect_worker_left(conn);
+        },
+        coord::FaultPlan::parse("duplicate-frame=3"));
+    EXPECT_EQ(duplicate.stats.frames_duplicated, 1);
+    EXPECT_EQ(duplicate.stats.reconnects, 0);
+
+    // Corrupt: frame 3 fails the peer's CRC check.  The peer hangs up as
+    // the coordinator does, and the worker redials.
+    const ScriptedRun corrupt = run_scripted(
+        "wire_corrupt", 60000.0,
+        [](int listen_fd) {
+            {
+                coord::FramedConn conn = accept_worker(listen_fd);
+                script_to_third_frame(conn);
+                try {
+                    conn.read(5000);
+                    ADD_FAILURE() << "frame 3 decoded";
+                } catch (const coord::FrameError& e) {
+                    EXPECT_EQ(e.kind(), coord::FrameError::Kind::BadChecksum) << e.what();
+                }
+            }
+            script_reconnected_done(listen_fd);
+        },
+        coord::FaultPlan::parse("corrupt-frame-byte=3"));
+    EXPECT_EQ(corrupt.stats.frames_corrupted, 1);
+    EXPECT_EQ(corrupt.stats.reconnects, 1);
+}
+
+/// A grant of the whole gemm_job(4) as one shard, written to `records`.
+common::Json whole_job_grant(const std::string& records) {
+    const shard::JobSpec job = gemm_job(4);
+    common::Json grant = message("lease");
+    grant["shard"] = 0;
+    grant["attempt"] = 0;
+    grant["manifest"] =
+        shard::plan_shards(job, shard::load_job_program(job), 1, 2).front().to_json();
+    grant["records_path"] = records;
+    grant["resume_candidates"] = common::Json::array();
+    grant["heartbeat_ms"] = 100.0;
+    return grant;
+}
+
+TEST(ScriptedCoordinator, HealedDisconnectRedialsAfterHealWithTheSameSession) {
+    const std::string records = scratch_dir("heal_records") + "/lease-s0-a0.jsonl";
+    constexpr double kHealMs = 500.0;
+    double gap_ms = 0.0;
+    const ScriptedRun run = run_scripted(
+        "heal", 60000.0,
+        [&](int listen_fd) {
+            std::string session;
+            std::chrono::steady_clock::time_point dropped;
+            {
+                coord::FramedConn conn = accept_worker(listen_fd);
+                session = common::json_string(welcome_worker(conn), "session");
+                expect_frame(conn, "lease-request");
+                conn.write(whole_job_grant(records));
+                // Heartbeats until the disconnect fault hangs up.
+                while (true) {
+                    coord::ReadResult r = conn.read(30000);
+                    if (r.status == coord::ReadStatus::Closed) break;
+                    if (r.status != coord::ReadStatus::Ok) throw common::Error("no disconnect");
+                    const std::string type = common::json_string(r.message, "type");
+                    if (type != "heartbeat") throw common::Error("unexpected '" + type + "'");
+                }
+                dropped = std::chrono::steady_clock::now();
+            }
+            coord::FramedConn conn = accept_worker(listen_fd);
+            const common::Json hello = welcome_worker(conn, /*resumed=*/true);
+            gap_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - dropped)
+                         .count();
+            EXPECT_EQ(common::json_string(hello, "session"), session);
+            while (true) {
+                coord::ReadResult r = conn.read(30000);
+                if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
+                const std::string type = common::json_string(r.message, "type");
+                if (type == "complete") break;
+                if (type != "heartbeat") throw common::Error("unexpected '" + type + "'");
+            }
+            common::Json ack = message("ack");
+            ack["done"] = true;
+            conn.write(ack);
+            expect_worker_left(conn);
+        },
+        coord::FaultPlan::parse("disconnect-after-units=1,heal-ms=" +
+                                std::to_string(static_cast<int>(kHealMs))));
+    // The worker stamps its heal deadline after hanging up, so the hello
+    // trails the hangup by heal-ms, less the moment the peer took to
+    // notice the hangup (a few ms at most).
+    EXPECT_GE(gap_ms, kHealMs - 25.0);
+    EXPECT_TRUE(run.stats.disconnected);
+    EXPECT_EQ(run.stats.reconnects, 1);
+    EXPECT_EQ(run.stats.shards_completed, 1);
+}
+
+TEST(ScriptedCoordinator, FrameOfferedToAClosedConnectionTakesNoOrdinal) {
+    // Without heartbeats the worker offers no frame between its hangup and
+    // the completion it tries on the closed connection.  That attempt takes
+    // no ordinal, so frame 3, the corrupted one, is the redialed hello.
+    const std::string records = scratch_dir("closed_ordinal_records") + "/lease-s0-a0.jsonl";
+    const ScriptedRun run = run_scripted(
+        "closed_ordinal", 60000.0,
+        [&](int listen_fd) {
+            {
+                coord::FramedConn conn = accept_worker(listen_fd);
+                welcome_worker(conn);
+                expect_frame(conn, "lease-request");
+                conn.write(whole_job_grant(records));
+                const coord::ReadResult r = conn.read(30000);
+                EXPECT_EQ(r.status, coord::ReadStatus::Closed) << "a frame before the hangup";
+            }
+            {
+                coord::FramedConn conn = accept_worker(listen_fd);
+                try {
+                    conn.read(5000);
+                    ADD_FAILURE() << "the redialed hello decoded";
+                } catch (const coord::FrameError& e) {
+                    EXPECT_EQ(e.kind(), coord::FrameError::Kind::BadChecksum) << e.what();
+                }
+            }
+            coord::FramedConn conn = accept_worker(listen_fd);
+            welcome_worker(conn, /*resumed=*/true);
+            expect_frame(conn, "complete");
+            common::Json ack = message("ack");
+            ack["done"] = true;
+            conn.write(ack);
+            expect_worker_left(conn);
+        },
+        coord::FaultPlan::parse("drop-heartbeats,disconnect-after-units=1,corrupt-frame-byte=3"));
+    EXPECT_TRUE(run.stats.disconnected);
+    EXPECT_EQ(run.stats.frames_corrupted, 1);
+    EXPECT_EQ(run.stats.shards_completed, 1);
 }
 
 // --- End to end: coordinator + in-process workers ----------------------------
@@ -1087,6 +1294,34 @@ TEST(CoordEndToEnd, TransportBlipParksAndResumesTheSession) {
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
 
+TEST(CoordEndToEnd, DuplicatedLeaseRequestLeasesOneShardAtATime) {
+    const shard::JobSpec job = gemm_job(4);
+    const std::string dir = scratch_dir("duplicated_request");
+    coord::CoordConfig config = cluster_config(dir, job);
+    config.shard_count = 2;
+    config.artifact_dir.clear();
+
+    std::vector<coord::WorkerConfig> workers;
+    workers.push_back(cluster_worker(config, 0));
+    // Frame 2 is the worker's first lease-request: the coordinator reads it
+    // twice while the first copy's lease is held.
+    workers[0].fault = coord::FaultPlan::parse("duplicate-frame=2");
+
+    ClusterResult result = run_cluster(config, workers);
+    EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
+    ASSERT_EQ(result.workers.size(), 1u);
+    EXPECT_GE(result.workers.front().frames_duplicated, 1);
+
+    // The second copy waits: a second grant would sit unrun on this worker
+    // until it expired and went out again.
+    const coord::CoordStats& stats = result.serve.stats;
+    EXPECT_EQ(stats.queue.granted, config.shard_count);
+    EXPECT_EQ(stats.queue.expirations, 0);
+    EXPECT_EQ(stats.shards_merged, config.shard_count);
+    EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2),
+              reference_doc(job, ""));
+}
+
 TEST(CoordEndToEnd, TcpTransportMatchesUnixByteForByte) {
     const shard::JobSpec job = gemm_job(4);
     const std::string want_doc = reference_doc(job, "");
@@ -1118,44 +1353,45 @@ TEST(CoordEndToEnd, TcpTransportMatchesUnixByteForByte) {
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
 
-TEST(CoordEndToEnd, FrameProxyFaultsAreAbsorbedByteIdentically) {
+TEST(CoordEndToEnd, WireFaultsAreAbsorbedByteIdentically) {
     const shard::JobSpec job = gemm_job(6);
     const std::string want_doc = reference_doc(job, "");
 
-    const std::string dir = scratch_dir("proxy");
+    const std::string dir = scratch_dir("wire_faults");
     coord::CoordConfig config = cluster_config(dir, job);
     config.artifact_dir.clear();
     config.session_grace_ms = 8000.0;
 
-    // Every fault class at once: periodic loss, latency, duplication, one
-    // corrupted frame (-> CRC disconnect -> session resume) and one timed
-    // partition with heal.
-    coord::NetFaultPlan plan = coord::NetFaultPlan::parse(
-        "drop-frame-every-n=11,delay-frame-ms=2,duplicate-frame=6,"
-        "corrupt-frame-byte=25,partition-after-units=3,heal-ms=700");
-    coord::FrameProxy proxy(coord::Endpoint::unix_path(dir + "/proxy.sock"),
-                            coord::Endpoint::unix_path(config.socket_path), plan);
-
+    // Every fault class at once, on both workers: periodic loss, latency,
+    // duplication, one corrupted frame (-> CRC disconnect -> session
+    // resume) and a disconnect that redials only once its partition heals.
     std::vector<coord::WorkerConfig> workers;
     for (int i = 0; i < 2; ++i) {
         coord::WorkerConfig wc = cluster_worker(config, i);
-        wc.socket_path = dir + "/proxy.sock";  // dial through the saboteur
-        wc.reply_timeout_ms = 1500.0;          // dropped replies re-request fast
+        wc.fault = coord::FaultPlan::parse(
+            "drop-frame-every-n=11,delay-frame-ms=2,duplicate-frame=6,"
+            "corrupt-frame-byte=9,disconnect-after-units=3,heal-ms=700");
+        wc.reply_timeout_ms = 1500.0;  // a dropped request is re-sent fast
         workers.push_back(wc);
     }
 
     ClusterResult result = run_cluster(config, workers);
-    proxy.stop();
     EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
 
-    const coord::NetFaultStats net = proxy.stats();
-    EXPECT_GT(net.frames_forwarded, 0);
-    EXPECT_GE(net.frames_dropped, 1);
-    EXPECT_GE(net.frames_duplicated, 1);
-    EXPECT_EQ(net.frames_corrupted, 1);
-    EXPECT_EQ(net.partitions, 1);
-    // The corrupted frame and the partition both severed live connections;
-    // the grace window turned every one of them into a resume.
+    ASSERT_EQ(result.workers.size(), 2u);
+    std::int64_t dropped = 0, duplicated = 0;
+    for (const coord::WorkerStats& w : result.workers) {
+        dropped += w.frames_dropped;
+        duplicated += w.frames_duplicated;
+        // The one-shot faults fire once per worker: one corrupted frame
+        // written, and one partition during the worker's first lease.
+        EXPECT_EQ(w.frames_corrupted, 1);
+        EXPECT_TRUE(w.disconnected);
+    }
+    EXPECT_GE(dropped, 1);
+    EXPECT_GE(duplicated, 1);
+    // The corrupted frames and the partitions severed live connections;
+    // the grace window turned them into resumes.
     EXPECT_GE(result.serve.stats.sessions_resumed, 1);
     EXPECT_EQ(result.serve.stats.shards_merged, config.shard_count);
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);

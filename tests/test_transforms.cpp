@@ -277,6 +277,25 @@ TEST(MapReduceFusionTest, CorrectMatchesReduction) {
     EXPECT_THROW(r.validate(), common::ValidationError);
 }
 
+TEST(MapReduceFusionTest, MatchesOnlyAnF64IntermediateAndTarget) {
+    // The all-F64 go_fast fuses its tanh map into the trace reduction.
+    const ir::SDFG p = workloads::build_npbench_kernel("go_fast");
+    MapReduceFusion correct(MapReduceFusion::Variant::Correct);
+    EXPECT_EQ(correct.find_matches(p).size(), 1u);
+
+    // An I32 intermediate truncates each tanh before the sum; the fused
+    // loop would add the untruncated partials.
+    ir::SDFG narrow_t = p;
+    narrow_t.container("tdiag").dtype = ir::DType::I32;
+    EXPECT_TRUE(correct.find_matches(narrow_t).empty());
+
+    // An F32 target would round at every step of the fused loop instead of
+    // once, after the reduction.
+    ir::SDFG narrow_s = p;
+    narrow_s.container("trace").dtype = ir::DType::F32;
+    EXPECT_TRUE(correct.find_matches(narrow_s).empty());
+}
+
 TEST(BufferTilingTest, CorrectPreservesChain) {
     for (int n : {7, 8, 16, 19}) {
         ir::SDFG p = make_chain_sdfg("o = i * i", "o = i + 2.0");

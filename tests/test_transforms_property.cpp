@@ -106,12 +106,12 @@ TierRun run_all_tiers(const ir::SDFG& sdfg, const sym::Bindings& bindings, std::
 /// the original and transformed run.  Both sides first pass the full
 /// execution-tier sweep (run_all_tiers), so the comparison below holds for
 /// every tier at once.
-/// `threshold` is the p-vs-q float tolerance: 1e-9 suits f64 storage; the
-/// f32-bearing dtype schemes pass 1e-4 because passes that reassociate a
-/// reduction (MapReduceFusion) legitimately shift f32-rounded partial sums
-/// by a few float ulps.  Tier-vs-tier comparison stays bitwise regardless.
+/// Correct passes keep every dtype scheme within 1e-9 (MapReduceFusion,
+/// which would round each partial sum into a narrower container, matches
+/// only F64 ones).  Tier-vs-tier comparison stays bitwise regardless.
 void expect_equivalent(const ir::SDFG& p, const ir::SDFG& q, const sym::Bindings& bindings,
-                       const std::string& label, double threshold = 1e-9) {
+                       const std::string& label) {
+    constexpr double threshold = 1e-9;
     TierRun tp = run_all_tiers(p, bindings, 1234, label + " original");
     TierRun tq = run_all_tiers(q, bindings, 1234, label + " transformed");
     const auto& rp = tp.res;
@@ -266,11 +266,9 @@ TEST_P(DtypeWidenedProperty, PreservesSemanticsOnAllMatches) {
             ASSERT_NO_THROW(pass->apply(transformed, matches[i]))
                 << kernel << " / " << pass->name();
             ASSERT_NO_THROW(transformed.validate()) << kernel << " / " << pass->name();
-            const double threshold = scheme == DtypeScheme::I64 ? 1e-9 : 1e-4;
             expect_equivalent(original, transformed, bindings,
                               kernel + "[" + scheme_name(scheme) + "] / " + pass->name() +
-                                  " #" + std::to_string(i),
-                              threshold);
+                                  " #" + std::to_string(i));
         }
     }
 }

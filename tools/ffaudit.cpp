@@ -128,17 +128,18 @@ int usage(const char* detail = nullptr) {
                  "           [--worker-watchdog-ms <x>] [--worker-rlimit-as <bytes>]\n"
                  "           [--quarantine-max-points <n>] [--quarantine-max-alloc-bytes <n>]\n"
                  "           [--session-grace-ms <x>] [--worker-reply-timeout-ms <x>]\n"
-                 "           [--net-fault <spec>]  (deterministic frame-proxy chaos:\n"
-                 "             drop-frame-every-n=N | delay-frame-ms=N | duplicate-frame=N |\n"
-                 "             corrupt-frame-byte=N | partition-after-units=N | heal-ms=N)\n"
                  "worker:    --socket <path> | --connect <host:port> [--id <name>]\n"
                  "           [--threads <n>] [--fault <spec>]\n"
                  "           [--watchdog-ms <x>] [--rlimit-as <bytes>]\n"
                  "           [--connect-attempts <n>] [--reply-timeout-ms <x>] [--quiet]\n"
                  "           fault <spec>: kill-after-units=N | abandon-after-units=N |\n"
                  "                         spin-after-units=N | hog-memory-after-units=N |\n"
-                 "                         disconnect-after-units=N | delay-lease-ms=N |\n"
-                 "                         drop-heartbeats (comma-joined)\n"
+                 "                         disconnect-after-units=N[,heal-ms=N] |\n"
+                 "                         delay-lease-ms=N | drop-heartbeats |\n"
+                 "                         wire faults on the worker's Nth frames:\n"
+                 "                         drop-frame-every-n=N | delay-frame-ms=N |\n"
+                 "                         duplicate-frame=N | corrupt-frame-byte=N\n"
+                 "                         (comma-joined; serve --worker-fault takes the same)\n"
                  "fsck:      --records <file>... | --records-dir <dir> [--repair]\n"
                  "replay:    <testcase.json>\n"
                  "\n"
@@ -486,14 +487,6 @@ int cmd_serve(const std::vector<std::string>& args) {
             config.session_grace_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-reply-timeout-ms")
             config.worker_reply_timeout_ms = bounded_value(args, i, true, kMaxReplyTimeoutMs);
-        else if (args[i] == "--net-fault") {
-            config.net_fault = flag_value(args, i);
-            try {
-                coord::NetFaultPlan::parse(config.net_fault);  // validate up front
-            } catch (const common::Error& e) {
-                return usage(e.what());
-            }
-        }
         else if (args[i] == "--quiet") config.verbose = false;
         else if (args[i] == "--worker-fault") {
             const std::string kv = flag_value(args, i);
@@ -535,14 +528,6 @@ int cmd_serve(const std::vector<std::string>& args) {
                 s.duplicate_files_verified, s.workers_seen, s.workers_lost, s.workers_spawned,
                 s.quarantined_units.size(), s.shards_split, s.sessions_parked,
                 s.sessions_resumed, s.sessions_expired);
-    if (!config.net_fault.empty()) {
-        std::printf("net faults: %lld frame(s) forwarded, %lld dropped, %lld duplicated, "
-                    "%lld corrupted, %d partition(s)\n",
-                    static_cast<long long>(s.net.frames_forwarded),
-                    static_cast<long long>(s.net.frames_dropped),
-                    static_cast<long long>(s.net.frames_duplicated),
-                    static_cast<long long>(s.net.frames_corrupted), s.net.partitions);
-    }
     if (!s.quarantined_units.empty()) {
         std::string units;
         for (std::int64_t unit : s.quarantined_units) {
@@ -584,9 +569,13 @@ int cmd_worker(const std::vector<std::string>& args) {
 
     coord::WorkerStats stats = coord::run_worker(config);
     std::printf("worker done: %d shard(s) completed, %d failed, %d salvage(s), "
-                "%lld unit(s)%s\n",
+                "%lld unit(s), %lld frame(s) dropped, %lld duplicated, %lld corrupted%s%s\n",
                 stats.shards_completed, stats.shards_failed, stats.salvages,
                 static_cast<long long>(stats.units_run),
+                static_cast<long long>(stats.frames_dropped),
+                static_cast<long long>(stats.frames_duplicated),
+                static_cast<long long>(stats.frames_corrupted),
+                stats.disconnected ? " (disconnected by fault plan)" : "",
                 stats.abandoned ? " (abandoned by fault plan)" : "");
     return kExitOk;
 }
