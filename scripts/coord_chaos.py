@@ -36,7 +36,9 @@ duplication, one corrupted frame per worker and one partition per worker
 counts, with the same byte-identical acceptance bar.  The `worker done:`
 line of every worker that ran a lease must show frames dropped and
 duplicated, its one corrupted frame and its partition; the summary must
-show severed connections coming back as session *resumes*.
+show severed connections coming back as session *resumes* and no lease
+expired: `--lease-ms` outlives a partition plus one reply timeout, so
+every holder is back before its deadline.
 
 Usage:  python3 scripts/coord_chaos.py --ffaudit build/ffaudit [--net]
 Exits non-zero on the first violated expectation.
@@ -88,13 +90,13 @@ def summary_counts(output: str) -> dict:
         r"(\d+) requeue\(s\), (\d+) hedge\(s\), (\d+) duplicate completion\(s\) "
         r"\((\d+) byte-verified\), (\d+) worker\(s\) seen, (\d+) lost, (\d+) spawned, "
         r"(\d+) quarantined unit\(s\), (\d+) split shard\(s\), "
-        r"(\d+) session\(s\) parked, (\d+) resumed, (\d+) grace-expired",
+        r"(\d+) session\(s\) resumed",
         output)
     if not m:
         fail("serve printed no summary line")
     keys = ("shards", "leases", "expirations", "requeues", "hedges",
             "duplicates", "verified", "seen", "lost", "spawned",
-            "quarantined", "split", "parked", "resumed", "grace_expired")
+            "quarantined", "split", "resumed")
     return dict(zip(keys, (int(g) for g in m.groups())))
 
 
@@ -129,9 +131,9 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
     must turn it into a clean disconnect) and one partition per worker,
     healed after `heal-ms` — at worker counts {1, 2, 4}.  Each run must
     exit 0, prove via the workers' counters that every fault class fired
-    and via the summary that broken connections were resumed (not expired),
-    and produce a report and artifacts byte-identical to the single-process
-    reference.
+    and via the summary that broken connections were resumed with no lease
+    expired, and produce a report and artifacts byte-identical to the
+    single-process reference.
     """
     for n in WORKER_COUNTS:
         report = root / f"report-net{n}.json"
@@ -144,11 +146,12 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
                "--out", report,
                "--spawn-workers", str(n),
                "--listen", "127.0.0.1:0",
-               # Leases stay alive through the partition via the grace
-               # window; dropped requests are re-sent fast.
-               "--lease-ms", "3000",
+               # The lease is the whole silence budget: it outlives the
+               # 1500 ms partition plus one 2000 ms reply timeout (a
+               # dropped hello or report), and dropped requests are re-sent
+               # fast.
+               "--lease-ms", "8000",
                "--heartbeat-ms", "300",
-               "--session-grace-ms", "8000",
                "--worker-reply-timeout-ms", "2000",
                "--straggler-factor", "50",
                "--linger-ms", "8000"]
@@ -177,6 +180,9 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
         if counts["resumed"] < 1:
             fail(f"net n={n}: no session resumed — severed connections were "
                  "not spliced back onto their leases")
+        if counts["expirations"] != 0:
+            fail(f"net n={n}: {counts['expirations']} lease(s) expired — a holder "
+                 "stayed silent past --lease-ms")
 
         if report.read_bytes() != ref_report.read_bytes():
             fail(f"net n={n}: report differs from the single-process report")
@@ -186,7 +192,7 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
         print(f"coord_chaos: net n={n} byte-identical "
               f"({net['dropped']} dropped, {net['duplicated']} duplicated, "
               f"{net['corrupted']} corrupted, {partitions} partition(s), "
-              f"{counts['parked']} parked, {counts['resumed']} resumed)")
+              f"{counts['resumed']} resumed, 0 expired)")
 
     print("coord_chaos: PASS (drop + delay + duplicate + corrupt + partition/heal "
           "over TCP at every worker count; reports byte-identical)")

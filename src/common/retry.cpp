@@ -15,7 +15,7 @@ double BackoffPolicy::delay_ms(int attempt, Rng& rng) const {
     }
     // max_ms is a hard ceiling, jitter included: upward jitter on a
     // capped delay must not overshoot it, or a fleet's worst-case
-    // reconnect stretches past what the grace windows were sized for.
+    // reconnect stretches past what the lease deadlines were sized for.
     return std::clamp(delay, 0.0, max_ms);
 }
 

@@ -16,7 +16,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -40,9 +39,13 @@ double ms_since(TimePoint then, TimePoint now) {
     return std::chrono::duration<double, std::milli>(now - then).count();
 }
 
+/// Event-loop tick bound: the housekeeping cadence (expiry, reaping, the
+/// quarantine gate) when no queue event is due sooner.
+constexpr double kPollMs = 100.0;
+
 /// SO_SNDTIMEO for worker connections: far above any healthy local-socket
-/// send, far below wedging the audit (a timed-out peer is dropped and its
-/// lease re-issued).
+/// send, far below wedging the audit (a timed-out peer is dropped, and its
+/// lease re-issued unless it comes back before the deadline).
 constexpr long kSendTimeoutMs = 2000;
 
 /// How long serve() waits for spawned workers to exit on their own once all
@@ -54,11 +57,10 @@ constexpr long kChildExitGraceMs = 1000;
 struct Connection {
     int fd = -1;  ///< -1 = superseded by a session resume; swept next tick.
     FrameBuffer frames;
-    /// Queue identity.  The worker's session id when its hello carries one
-    /// ("w0/711.0" — stable across reconnects, so a resumed connection
-    /// heartbeats the same leases), else unique per connection ("w0#3").
+    /// Queue identity: the session id of the worker's hello ("w0/711.0"),
+    /// stable across reconnects, so a resumed connection heartbeats the
+    /// same leases.
     std::string key;
-    std::string name;  ///< As announced in hello (logging only).
     bool registered = false;
     int shard = -1;    ///< Current assignment; -1 when idle.
     int attempt = -1;
@@ -136,7 +138,7 @@ private:
     void reap_children();
     void accept_connections();
     void read_connection(std::size_t i);
-    void drop_connection(std::size_t i, const std::string& why, TimePoint now);
+    void drop_connection(std::size_t i, const std::string& why);
     /// Returns false when the connection should be dropped.
     bool handle_frame(Connection& conn, const Json& msg, TimePoint now);
     void handle_lease_request(Connection& conn, TimePoint now);
@@ -180,11 +182,8 @@ private:
     Endpoint dial_ep_;    ///< What spawned workers dial (loopback for a wildcard).
     std::vector<Connection> conns_;
     std::vector<Child> children_;
-    /// Sessions whose connection dropped while holding leases: the leases
-    /// stay issued (deadline pushed to the grace window) awaiting a resume.
-    /// Keyed by session id; the value is when the session parked.
-    std::map<std::string, TimePoint> parked_;
-    int conn_seq_ = 0;
+    /// Every session that said hello; another hello from one is a resume.
+    std::set<std::string> sessions_;
     int respawns_used_ = 0;
     bool done_ = false;
     TimePoint done_at_{};
@@ -193,9 +192,8 @@ private:
 };
 
 void Server::spawn_worker(int index, const std::string& fault_spec) {
-    std::string binary = config_.ffaudit_path.empty() ? "/proc/self/exe" : config_.ffaudit_path;
     std::string id = "w" + std::to_string(index);
-    std::vector<std::string> args = {binary, "worker"};
+    std::vector<std::string> args = {"/proc/self/exe", "worker"};
     if (dial_ep_.tcp) {
         args.push_back("--connect");
         args.push_back(dial_ep_.describe());
@@ -264,24 +262,20 @@ void Server::reap_children() {
         }
         log("worker w" + std::to_string(index) + " pid " + std::to_string(child.pid) +
             " terminated (" + how + ")");
-        child.pid = -1;
-        // A reaped process can never resume its parked sessions: force the
-        // grace window shut so its leases re-issue now, not at the lapse.
-        const std::string prefix = "w" + std::to_string(index) + "/";
-        TimePoint now = Clock::now();
-        for (auto it = parked_.begin(); it != parked_.end();) {
-            if (it->first.compare(0, prefix.size(), prefix) != 0) {
-                ++it;
-                continue;
-            }
-            log("session " + it->first + " force-expired (its process was reaped)");
-            for (const auto& lost : queue_->worker_lost(it->first, now)) {
+        // A dead process never resumes its sessions ("w<k>/<pid>.<seq>"):
+        // requeue their leases now rather than at their deadlines, whether
+        // or not its connection's EOF has been read yet.
+        const std::string prefix =
+            "w" + std::to_string(index) + "/" + std::to_string(child.pid) + ".";
+        const TimePoint now = Clock::now();
+        for (auto it = sessions_.lower_bound(prefix);
+             it != sessions_.end() && it->compare(0, prefix.size(), prefix) == 0; ++it) {
+            for (const auto& lost : queue_->worker_lost(*it, now)) {
                 log("  lost lease shard " + std::to_string(lost.shard) + " attempt " +
-                    std::to_string(lost.attempt));
+                    std::to_string(lost.attempt) + " (session " + *it + ")");
             }
-            ++stats_.sessions_expired;
-            it = parked_.erase(it);
         }
+        child.pid = -1;
         if (!clean && !done_ && respawns_used_ < config_.max_respawns) {
             ++respawns_used_;
             // The replacement is always fault-free: the fault is a plan,
@@ -315,39 +309,14 @@ void Server::accept_connections() {
     }
 }
 
-void Server::drop_connection(std::size_t i, const std::string& why, TimePoint now) {
+void Server::drop_connection(std::size_t i, const std::string& why) {
     Connection& conn = conns_[i];
     log("connection " + (conn.registered ? conn.key : std::string("<anon>")) + " dropped (" +
         why + ")");
-    if (conn.registered) {
-        ++stats_.workers_lost;
-        bool parked = false;
-        if (config_.session_grace_ms > 0.0) {
-            // Park instead of expiring: the worker may only have lost its
-            // socket (network blip, partition) while the shard keeps
-            // executing — a resume within the grace window continues
-            // heartbeating the same attempt, so the lease is never
-            // re-issued for a transport hiccup.
-            auto held = queue_->park_worker(conn.key, config_.session_grace_ms);
-            if (!held.empty()) {
-                parked = true;
-                parked_[conn.key] = now;
-                ++stats_.sessions_parked;
-                for (const auto& p : held) {
-                    log("  parked lease shard " + std::to_string(p.shard) + " attempt " +
-                        std::to_string(p.attempt) + " (grace " +
-                        std::to_string(static_cast<long long>(config_.session_grace_ms)) +
-                        " ms)");
-                }
-            }
-        }
-        if (!parked) {
-            for (const auto& lost : queue_->worker_lost(conn.key, now)) {
-                log("  lost lease shard " + std::to_string(lost.shard) + " attempt " +
-                    std::to_string(lost.attempt));
-            }
-        }
-    }
+    // The session's leases stay issued: the worker may only have lost its
+    // socket (network blip, partition) while the shard keeps executing, and
+    // a resume before the deadline continues heartbeating the same attempt.
+    if (conn.registered) ++stats_.workers_lost;
     if (conn.fd >= 0) ::close(conn.fd);
     conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
 }
@@ -360,18 +329,18 @@ void Server::read_connection(std::size_t i) {
     TimePoint now = Clock::now();
     if (n < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return;
-        drop_connection(i, std::strerror(errno), now);
+        drop_connection(i, std::strerror(errno));
         return;
     }
     if (n == 0) {
-        drop_connection(i, "eof", now);
+        drop_connection(i, "eof");
         return;
     }
     conn.frames.append(chunk, static_cast<std::size_t>(n));
     try {
         while (auto msg = conn.frames.next()) {
             if (!handle_frame(conn, *msg, now)) {
-                drop_connection(i, "protocol error", now);
+                drop_connection(i, "protocol error");
                 return;
             }
         }
@@ -380,7 +349,7 @@ void Server::read_connection(std::size_t i) {
         // peer speaking another protocol version gets a best-effort
         // readable refusal before the handshake drop; corruption
         // (checksum/length/payload) is treated exactly like a disconnect —
-        // a registered holder's session parks as usual.
+        // a registered holder's leases live on to their deadlines.
         if (e.kind() == FrameError::Kind::BadVersion && !conn.registered) {
             try {
                 Json refuse = Json::object();
@@ -390,12 +359,12 @@ void Server::read_connection(std::size_t i) {
                 write_frame(conn.fd, refuse);
             } catch (const common::Error&) {
             }
-            drop_connection(i, std::string("handshake: ") + e.what(), now);
+            drop_connection(i, std::string("handshake: ") + e.what());
         } else {
-            drop_connection(i, e.what(), now);
+            drop_connection(i, e.what());
         }
     } catch (const common::Error& e) {
-        drop_connection(i, e.what(), now);
+        drop_connection(i, e.what());
     }
 }
 
@@ -416,29 +385,28 @@ bool Server::handle_frame(Connection& conn, const Json& msg, TimePoint now) {
             }());
             return false;
         }
-        conn.name = common::json_string(msg, "worker");
+        // Leases belong to sessions: a connection without one could hold a
+        // lease nobody can ever resume.
         const std::string session =
             msg.contains("session") ? common::json_string(msg, "session") : std::string();
-        bool resumed = false;
-        if (!session.empty()) {
-            conn.key = session;
-            // A reconnect can beat the old socket's EOF here: supersede the
-            // stale connection in place (close + fd = -1, swept before the
-            // next poll) WITHOUT touching its leases — they belong to the
-            // session, which is alive again on this connection.
-            for (Connection& other : conns_) {
-                if (&other == &conn || !other.registered || other.key != session) continue;
-                log("session " + session + " superseded a stale connection");
-                if (other.fd >= 0) ::close(other.fd);
-                other.fd = -1;
-                other.registered = false;
-                resumed = true;
-            }
-            if (parked_.erase(session) > 0) resumed = true;
-        } else {
-            conn.key = conn.name + "#" + std::to_string(conn_seq_++);
+        if (session.empty()) {
+            log("hello without a session");
+            return false;
+        }
+        conn.key = session;
+        // A reconnect can beat the old socket's EOF here: supersede the
+        // stale connection in place (close + fd = -1, swept before the next
+        // poll) — its leases belong to the session, which is alive again on
+        // this connection.
+        for (Connection& other : conns_) {
+            if (&other == &conn || !other.registered || other.key != session) continue;
+            log("session " + session + " superseded a stale connection");
+            ::close(other.fd);
+            other.fd = -1;
+            other.registered = false;
         }
         conn.registered = true;
+        const bool resumed = !sessions_.insert(session).second;
         if (resumed) {
             ++stats_.sessions_resumed;
             log("worker " + conn.key + " resumed its session");
@@ -515,7 +483,7 @@ void Server::handle_lease_request(Connection& conn, TimePoint now) {
         auto next = queue_->next_event_ms(now);
         Json wait = Json::object();
         wait["type"] = "wait";
-        wait["retry_ms"] = std::clamp(next.value_or(config_.poll_ms), 20.0, 1000.0);
+        wait["retry_ms"] = std::clamp(next.value_or(kPollMs), 20.0, 1000.0);
         write_frame(conn.fd, wait);
         return;
     }
@@ -876,9 +844,9 @@ ServeResult Server::run() {
             if (conns_.empty() || ms_since(done_at_, now) >= config_.linger_ms) break;
         }
 
-        double timeout = config_.poll_ms;
+        double timeout = kPollMs;
         if (auto next = queue_->next_event_ms(now)) timeout = std::min(timeout, *next);
-        timeout = std::clamp(timeout, 0.0, config_.poll_ms);
+        timeout = std::clamp(timeout, 0.0, kPollMs);
 
         // Sweep connections superseded by a session resume (fd already
         // closed, registered already cleared) before sizing pfds from
@@ -908,26 +876,13 @@ ServeResult Server::run() {
             if (pfds[0].revents & POLLIN) accept_connections();
         }
 
-        now = Clock::now();
-        std::set<std::string> grace_expired;
-        for (const auto& lost : queue_->expire(now)) {
-            if (parked_.erase(lost.worker) > 0) {
-                grace_expired.insert(lost.worker);
-                ++stats_.sessions_expired;
-            }
-            if (grace_expired.count(lost.worker) > 0) continue;  // logged once below
+        for (const auto& lost : queue_->expire(Clock::now())) {
             log("lease expired: shard " + std::to_string(lost.shard) + " attempt " +
                 std::to_string(lost.attempt) + " (worker " + lost.worker + ")");
             // The holder may still be executing (a zombie); clearing the
             // assignment is the worker's business — it learns on its next
             // completion/failure, which the queue handles as stale-but-
             // welcome.
-        }
-        // One line per session, not per parked attempt: the session spent
-        // its whole grace window without resuming, so its leases just
-        // went back to the queue.
-        for (const std::string& session : grace_expired) {
-            log("session " + session + " never resumed; grace window expired, leases re-issued");
         }
         reap_children();
         if (!done_) handle_failed_shards();

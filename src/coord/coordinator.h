@@ -6,19 +6,26 @@
 // canonical merge), then runs a single-threaded poll loop over its listen
 // socket (unix-domain by default, TCP for multi-host audits — see
 // CoordConfig::listen_address): granting leases (coord/queue.h), tracking
-// heartbeats, expiring
-// and re-issuing lost shards with backoff, hedging stragglers, and folding
-// each completed shard's records into the prepared audit the moment they
-// arrive.  Fault tolerance leans entirely on the determinism contract
-// (docs/ARCHITECTURE.md): a re-executed shard reproduces its record stream
-// byte for byte, so the coordinator re-issues work freely and *verifies*
-// duplicate completions byte-for-byte instead of discarding them —
-// every race the fault model creates becomes a free end-to-end check.
+// heartbeats, expiring and re-issuing lost shards with backoff, hedging
+// stragglers, and folding each completed shard's records into the prepared
+// audit the moment they arrive.  Fault tolerance leans entirely on the
+// determinism contract (docs/ARCHITECTURE.md): a re-executed shard
+// reproduces its record stream byte for byte, so the coordinator re-issues
+// work freely and *verifies* duplicate completions byte-for-byte instead of
+// discarding them — every race the fault model creates becomes a free
+// end-to-end check.
+//
+// Every connection belongs to a worker session (the hello's session id).
+// A broken connection leaves the session's leases alone: each lives by its
+// deadline, so a worker that redials and beats again within lease_ms keeps
+// its shard, and one that never returns loses it to expiry like any silent
+// holder.
 //
 // Workers are external by design (they connect over the socket; `ffaudit
 // worker`), but serve() can also spawn and babysit its own worker
-// processes (spawn_workers > 0): children that die are reaped and
-// restarted, which is what the CI chaos job exercises with SIGKILL.
+// processes (spawn_workers > 0): children that die are reaped, their
+// leases requeued at once, and restarted, which is what the CI chaos job
+// exercises with SIGKILL.
 #pragma once
 
 /// \file
@@ -45,19 +52,12 @@ struct CoordConfig {
     /// set it replaces the unix socket as the transport; spawned workers
     /// are handed the resolved address via --connect.
     std::string listen_address;
-    /// When a registered worker's connection drops while it holds leases,
-    /// park those leases for this long past their last heartbeat instead
-    /// of re-issuing them — a reconnect with the same session id resumes
-    /// heartbeating the same attempt.  0 disables parking (drop =
-    /// immediate worker_lost).
-    double session_grace_ms = 3000.0;
     /// --reply-timeout-ms for spawned workers (0 = worker default); the
     /// chaos harness shrinks it so dropped frames re-request quickly.
     double worker_reply_timeout_ms = 0.0;
     std::string records_dir;      ///< Where per-attempt record streams live.
     std::string artifact_dir;     ///< Reproducer artifacts at finalize ("" = off).
     LeaseConfig lease;            ///< Lease/heartbeat/backoff/straggler knobs.
-    double poll_ms = 100.0;       ///< Event-loop tick bound (housekeeping cadence).
     /// After the last shard completes, keep serving this long while
     /// in-flight duplicate attempts finish (their completions byte-verify
     /// against the winners); 0 shuts down immediately.
@@ -73,8 +73,6 @@ struct CoordConfig {
     /// faults, for the wire-integrity and session-resume machinery;
     /// respawned replacements are always clean.
     std::map<int, std::string> worker_faults;
-    /// Binary to exec for spawned workers ("" = /proc/self/exe).
-    std::string ffaudit_path;
     /// Wall-clock watchdog passed to spawned workers (--watchdog-ms); a
     /// worker that lands no durable checkpoint for this long exits with
     /// kWorkerExitWatchdog.  0 = off.
@@ -100,14 +98,10 @@ struct CoordStats {
     /// Losing duplicate completions whose record files were verified
     /// byte-identical to the winner's (a failed verification aborts serve).
     int duplicate_files_verified = 0;
-    int workers_seen = 0;     ///< Hello handshakes accepted (fresh sessions).
+    int workers_seen = 0;     ///< Sessions that said hello (first hellos).
     int workers_lost = 0;     ///< Connections that dropped.
     int workers_spawned = 0;  ///< Child processes forked (incl. respawns).
-    int sessions_parked = 0;   ///< Disconnects that parked live leases.
-    int sessions_resumed = 0;  ///< Reconnects spliced onto a live session.
-    /// Parked sessions whose grace window lapsed (or whose process was
-    /// reaped) before a resume — their leases went back to the queue.
-    int sessions_expired = 0;
+    int sessions_resumed = 0; ///< Hellos from a session that said hello before.
     /// Flat unit indices re-run in-process under tightened budgets after
     /// their shard permanently failed (poison-unit quarantine), in blame
     /// order.  Non-empty turns ffaudit serve's exit code into

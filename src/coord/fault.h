@@ -59,9 +59,9 @@ struct FaultPlan {
     /// Close the coordinator connection after this many units of the first
     /// leased shard — but *keep executing*.  The worker's heartbeat path
     /// notices the dead socket, reconnects with the same session id and
-    /// resumes beating the same attempt: the deterministic driver of the
-    /// coordinator's session-resume machinery (the lease must be parked,
-    /// not re-issued).  < 0 = disabled.
+    /// resumes beating the same attempt: the deterministic driver of
+    /// session resume (the lease must outlive the broken connection, not
+    /// be re-issued).  < 0 = disabled.
     std::int64_t disconnect_after_units = -1;
 
     /// With disconnect_after_units: a partition.  The worker refuses to

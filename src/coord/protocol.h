@@ -36,7 +36,7 @@
 //                                                     to N ms, then re-request;
 //                                                     a "done" may arrive first)
 //                   | {"type":"done"}                (audit finished, exit)
-//   worker -> coord   {"type":"heartbeat","shard":i,"attempt":a,"units":u}
+//   worker -> coord   {"type":"heartbeat","shard":i,"attempt":a}
 //                     (one-way; extends the lease deadline)
 //   worker -> coord   {"type":"complete","shard":i,"attempt":a}
 //   coord  -> worker  {"type":"ack","done":bool}
@@ -44,9 +44,12 @@
 //   worker -> coord   {"type":"failed","shard":i,"attempt":a,"error":"..."}
 //   coord  -> worker  {"type":"ack","done":bool}
 //
-// The "session" id is what survives a broken connection: a worker that
-// reconnects mid-shard re-sends hello with the same session string and the
-// coordinator splices it back onto its parked lease (see coordinator.h).
+// The "session" id is what survives a broken connection, and every hello
+// must carry one: a worker that reconnects mid-shard re-sends hello with
+// the same session string and heartbeats the same attempt, whose lease
+// lived on by its deadline (see coordinator.h).  A finished lease's
+// complete or failed frame is the first frame after the welcome on every
+// connection until an ack or reject settles it.
 #pragma once
 
 /// \file

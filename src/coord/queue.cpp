@@ -11,6 +11,12 @@ namespace {
 
 using Millis = std::chrono::duration<double, std::milli>;
 
+/// Seed of the backoff-jitter Rng: a fixed seed replays the same schedule.
+constexpr std::uint64_t kBackoffSeed = 0x5eedc0de;
+
+/// Concurrent attempts of one shard (first issue + one hedge).
+constexpr int kMaxActivePerShard = 2;
+
 TimePoint add_ms(TimePoint t, double ms) {
     return t + std::chrono::duration_cast<TimePoint::duration>(Millis(ms));
 }
@@ -22,7 +28,7 @@ double ms_until(TimePoint now, TimePoint t) {
 }  // namespace
 
 LeaseQueue::LeaseQueue(std::vector<shard::ShardManifest> shards, const LeaseConfig& config)
-    : config_(config), rng_(config.seed) {
+    : config_(config), rng_(kBackoffSeed) {
     shards_.reserve(shards.size());
     for (auto& manifest : shards) {
         ShardEntry entry;
@@ -40,7 +46,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         Attempt attempt;
         attempt.attempt = entry.attempts_issued++;
         attempt.worker = worker;
-        attempt.issued = attempt.beaten = now;
+        attempt.issued = now;
         attempt.deadline = add_ms(now, config_.lease_ms);
         entry.active.push_back(attempt);
         entry.state = ShardState::Leased;
@@ -67,7 +73,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
     for (std::size_t i = 0; i < shards_.size(); ++i) {
         const ShardEntry& entry = shards_[i];
         if (entry.state != ShardState::Leased) continue;
-        if (static_cast<int>(entry.active.size()) >= config_.max_active_per_shard) continue;
+        if (static_cast<int>(entry.active.size()) >= kMaxActivePerShard) continue;
         TimePoint newest = newest_issue(entry);
         if (ms_until(newest, now) < straggler_ms) continue;  // not old enough
         if (!found || newest < best_newest) {
@@ -81,7 +87,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         Attempt attempt;
         attempt.attempt = entry.attempts_issued++;
         attempt.worker = worker;
-        attempt.issued = attempt.beaten = now;
+        attempt.issued = now;
         attempt.deadline = add_ms(now, config_.lease_ms);
         entry.active.push_back(attempt);
         ++stats_.granted;
@@ -101,7 +107,6 @@ bool LeaseQueue::heartbeat(int shard, int attempt, TimePoint now) {
     ShardEntry& entry = shards_[shard];
     for (Attempt& a : entry.active) {
         if (a.attempt == attempt) {
-            a.beaten = now;
             a.deadline = add_ms(now, config_.lease_ms);
             return true;
         }
@@ -190,7 +195,7 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::worker_lost(const std::string& 
             if (it->worker == worker) {
                 lost.push_back({static_cast<int>(i), it->attempt, it->worker});
                 ++entry.failures;
-                entry.last_error = "worker " + worker + " disconnected";
+                entry.last_error = "worker " + worker + " terminated";
                 it = entry.active.erase(it);
             } else {
                 ++it;
@@ -201,26 +206,6 @@ std::vector<LeaseQueue::LostAttempt> LeaseQueue::worker_lost(const std::string& 
         }
     }
     return lost;
-}
-
-std::vector<LeaseQueue::LostAttempt> LeaseQueue::park_worker(const std::string& worker,
-                                                             double grace_ms) {
-    std::vector<LostAttempt> parked;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        ShardEntry& entry = shards_[i];
-        if (entry.state != ShardState::Leased) continue;
-        for (Attempt& a : entry.active) {
-            if (a.worker != worker) continue;
-            // max(): a lease whose deadline already reaches past the grace
-            // window keeps it — parking never *shortens* a lease.  The
-            // window runs from the last heartbeat, not from the drop: a
-            // session that reconnects over and over without beating an
-            // attempt (a grant it never read) cannot keep it alive.
-            a.deadline = std::max(a.deadline, add_ms(a.beaten, grace_ms));
-            parked.push_back({static_cast<int>(i), a.attempt, a.worker});
-        }
-    }
-    return parked;
 }
 
 void LeaseQueue::requeue_or_fail(ShardEntry& entry, TimePoint now) {
@@ -281,7 +266,7 @@ std::optional<double> LeaseQueue::next_event_ms(TimePoint now) const {
                 consider(ms_until(now, a.deadline));  // lease deadline
                 newest = std::max(newest, a.issued);
             }
-            if (static_cast<int>(entry.active.size()) < config_.max_active_per_shard) {
+            if (static_cast<int>(entry.active.size()) < kMaxActivePerShard) {
                 // The moment this lease ages into hedge eligibility.
                 consider(ms_until(now, add_ms(newest, straggler_ms)));
             }

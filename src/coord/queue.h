@@ -3,7 +3,11 @@
 // Every shard of the plan moves through Pending -> Leased -> Done (or
 // Failed after too many losses).  A *lease* hands one shard to one worker
 // for a bounded time; heartbeats extend the deadline, silence expires it
-// and puts the shard back in the queue behind an exponential backoff.
+// and puts the shard back in the queue behind an exponential backoff.  The
+// deadline is the only clock a lease is judged by: a holder whose
+// connection breaks keeps its attempts, and one that reconnects and beats
+// again before the deadline keeps the lease (session resume), whatever
+// became of the socket in between.
 // Near the end of an audit the queue duplicate-issues long-running leases
 // ("straggler hedging"): a second attempt races the first, the first
 // completion wins, and the loser's record file is byte-verified against
@@ -52,12 +56,9 @@ struct LeaseConfig {
     /// waits backoff.delay_ms(k-1) before the shard is grantable again.
     common::BackoffPolicy backoff{200.0, 2.0, 10000.0, 0.2};
     /// An idle worker may duplicate-issue ("hedge") a running lease whose
-    /// newest attempt is older than straggler_factor * lease_ms.
+    /// newest attempt is older than straggler_factor * lease_ms; at most
+    /// two attempts of a shard run at once.
     double straggler_factor = 3.0;
-    /// Concurrent attempts of one shard (first issue + hedges).
-    int max_active_per_shard = 2;
-    /// Seed of the backoff-jitter Rng; fixed seed = reproducible schedule.
-    std::uint64_t seed = 0x5eedc0de;
 };
 
 /// Lifecycle of one shard in the queue.
@@ -130,7 +131,7 @@ public:
     /// starts with a clean failure count and no backoff gate.
     int add_shard(const shard::ShardManifest& manifest);
 
-    /// An attempt lost to expiry or disconnection.
+    /// An attempt lost to expiry or to its holder's death.
     struct LostAttempt {
         int shard = 0;
         int attempt = 0;
@@ -141,21 +142,10 @@ public:
     /// loop tick.  Returns what expired (for logging).
     std::vector<LostAttempt> expire(TimePoint now);
 
-    /// Drops every attempt held by `worker` (its connection died).  The
-    /// shards are requeued immediately — disconnection is a fact, not a
+    /// Drops every attempt held by `worker` (its process is gone).  The
+    /// shards are requeued immediately — a dead process is a fact, not a
     /// timeout, so no need to wait out the lease.
     std::vector<LostAttempt> worker_lost(const std::string& worker, TimePoint now);
-
-    /// Session resume, coordinator side: the worker's *connection* died but
-    /// its session may come back, so instead of dropping its attempts,
-    /// extend each one's deadline to at least `grace_ms` past its last
-    /// heartbeat (or its issue).  A reconnecting worker resumes
-    /// heartbeating the same attempts; one that never returns loses them
-    /// through the ordinary expire() path when the grace lapses — and so
-    /// does an attempt its session holds but never runs, however often the
-    /// session reconnects.  Returns the parked attempts (empty = nothing was
-    /// active, caller falls back to worker_lost bookkeeping).
-    std::vector<LostAttempt> park_worker(const std::string& worker, double grace_ms);
 
     bool all_done() const;  ///< Every shard Done.
     ShardState state(int shard) const;
@@ -180,7 +170,6 @@ private:
         int attempt = 0;
         std::string worker;
         TimePoint issued;
-        TimePoint beaten;  ///< Issue or latest heartbeat: its last sign of life.
         TimePoint deadline;
     };
     struct ShardEntry {
@@ -199,7 +188,7 @@ private:
 
     std::vector<ShardEntry> shards_;
     LeaseConfig config_;
-    common::Rng rng_;  ///< Backoff jitter; seeded from config, deterministic.
+    common::Rng rng_;  ///< Backoff jitter; fixed seed, reproducible schedule.
     LeaseQueueStats stats_;
 };
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/retry.h"
 #include "common/rng.h"
 #include "common/sealed_log.h"
 #include "coord/protocol.h"
@@ -48,6 +49,12 @@ int ms_until(Clock::time_point deadline) {
     const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
     return static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX));
 }
+
+/// Reconnect schedule when the coordinator is unreachable; jitter spreads a
+/// worker fleet's reconnect stampede.  The short first delay lets workers
+/// started alongside their coordinator join even an audit whose leases
+/// finish within tens of milliseconds.
+constexpr common::BackoffPolicy kReconnectBackoff{20.0, 2.0, 3000.0, 0.2};
 
 /// Floor of the heartbeat interval a welcome or lease grant advertises.
 /// HeartbeatThread skips its sleep for an interval <= 0, so a bad value
@@ -74,8 +81,8 @@ std::uint64_t fnv1a(const std::string& s) {
 
 /// Session id: stable across every reconnect of this worker lifetime,
 /// unique across processes and across run_worker() calls in one process
-/// (in-process test clusters).  The coordinator splices a reconnect with a
-/// known session id back onto its parked leases.
+/// (in-process test clusters).  A reconnect that says hello with it
+/// resumes the session, whose leases outlive any one connection.
 std::string make_session(const std::string& id) {
     static std::atomic<int> seq{0};
     return id + "/" + std::to_string(::getpid()) + "." + std::to_string(seq.fetch_add(1));
@@ -238,7 +245,7 @@ public:
     WorkerStats run();
 
 private:
-    enum class Outcome { Continue, Done, Abandon, Reconnect };
+    enum class Outcome { Done, Abandon, Reconnect };
 
     void log(const std::string& line) const {
         if (config_.verbose) {
@@ -274,16 +281,18 @@ private:
     bool send_heartbeat(int shard, int attempt, StopSignal& stop);
     Json make_beat(int shard, int attempt) const;
 
-    Outcome serve_leases();  ///< The request loop on one connection.
+    /// The request loop on one connection: the pending report first, then
+    /// lease requests.
+    Outcome serve_leases();
     /// A wait reply's retry_ms as an int, clamped to [0, reply_timeout_ms]
     /// before it becomes a deadline: a wire value like 1e300 would overflow
     /// the conversion, and a negative or NaN one re-requests at once.
     int retry_ms(const Json& wait) const;
-    Outcome execute_lease(Json grant);
-    /// The completion handshake, resending across reconnects: the records
-    /// are durable and duplicate completions byte-verify, so a dead socket
-    /// must not forfeit a finished shard.
-    Outcome report_complete(int shard, int attempt, std::int64_t units_run);
+    /// Runs the granted shard and leaves its `complete` or `failed` frame
+    /// in report_.  False when an abandon fault ended the lease instead.
+    bool execute_lease(Json grant);
+    /// Takes the ack or reject that answers report_ into the stats.
+    void settle_report(const Json& reply);
     void salvage(const shard::ShardManifest& manifest, const std::string& records_path,
                  const Json& candidates);
 
@@ -297,7 +306,12 @@ private:
     std::mutex conn_mu_;
     FramedConn conn_;
     double heartbeat_ms_ = 2500.0;
-    std::atomic<std::int64_t> units_done_{0};  ///< Carried in heartbeats.
+    /// The finished lease's report until an ack or reject settles it.
+    /// serve_leases sends it first on every connection, so no report is lost
+    /// with its socket: the coordinator byte-verifies a repeated completion
+    /// and ignores a repeated failure of an attempt it already dropped.
+    std::optional<Json> report_;
+    std::int64_t report_units_ = 0;  ///< Units the reported attempt ran.
     /// The prepared job, kept across leases: the next lease of the same job
     /// prepares only the instances its range adds.
     shard::JobCache jobs_;
@@ -387,7 +401,7 @@ bool Worker::reconnect(StopSignal* stop) {
     };
     wait(ms_until(redial_at_));
     return common::retry_with_backoff(
-        config_.max_connect_attempts, config_.reconnect, rng_,
+        config_.max_connect_attempts, kReconnectBackoff, rng_,
         [&] { return (stop && stop->stopped()) || connect_once(); }, wait);
 }
 
@@ -396,7 +410,6 @@ Json Worker::make_beat(int shard, int attempt) const {
     beat["type"] = "heartbeat";
     beat["shard"] = shard;
     beat["attempt"] = attempt;
-    beat["units"] = units_done_.load(std::memory_order_relaxed);
     return beat;
 }
 
@@ -409,11 +422,11 @@ bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
     }
     // The socket died mid-lease (partition, coordinator blip, injected
     // disconnect).  Reconnect with the same session id and resume beating
-    // the same attempt: the coordinator parked the lease on the drop and
-    // splices this session back onto it, so the shard in progress is never
-    // re-issued for a transport hiccup.  The stop signal short-circuits
-    // the heal wait, the attempts and the sleeps — once the lease is over,
-    // nobody needs this connection enough to wait for it.
+    // the same attempt: the lease lives to its deadline whatever became of
+    // the connection, so a session back within lease_ms keeps the shard in
+    // progress.  The stop signal short-circuits the heal wait, the attempts
+    // and the sleeps — once the lease is over, nobody needs this connection
+    // enough to wait for it.
     bool ok = false;
     try {
         ok = reconnect(&stop);
@@ -440,10 +453,12 @@ int Worker::retry_ms(const Json& wait) const {
 
 Worker::Outcome Worker::serve_leases() {
     while (true) {
+        // A disconnect fault closed the socket mid-lease: redial first.
+        if (!conn_.open()) return Outcome::Reconnect;
         try {
             Json request = Json::object();
             request["type"] = "lease-request";
-            send(conn_, request);
+            send(conn_, report_ ? *report_ : request);
             // After a wait reply the worker keeps reading its socket until
             // the retry deadline: the coordinator's done broadcast then ends
             // an idle worker at once, and only the deadline passing
@@ -460,20 +475,24 @@ Worker::Outcome Worker::serve_leases() {
                 if (r.status == ReadStatus::Closed) return Outcome::Reconnect;
                 const std::string& type = common::json_string(r.message, "type");
                 if (type == "done") return Outcome::Done;
-                if (type == "wait" && !retry_at) {
+                if (type == "error") {
+                    throw FatalError("coordinator: " + common::json_string(r.message, "error"));
+                }
+                if (report_ && (type == "ack" || type == "reject")) {
+                    settle_report(r.message);
+                    if (type == "ack" && common::json_bool(r.message, "done")) return Outcome::Done;
+                    break;
+                }
+                if (!report_ && type == "wait" && !retry_at) {
                     retry_at = Clock::now() + std::chrono::milliseconds(retry_ms(r.message));
-                } else if (type == "lease") {
+                } else if (!report_ && type == "lease") {
                     // Also mid-wait: a duplicated request's second reply can
                     // grant a lease, and the coordinator counts it as held.
-                    Outcome out = execute_lease(std::move(r.message));
-                    if (out != Outcome::Continue) return out;
+                    if (!execute_lease(std::move(r.message))) return Outcome::Abandon;
                     break;
-                } else if (type == "error") {
-                    throw FatalError("coordinator: " + common::json_string(r.message, "error"));
                 } else {
-                    // A duplicated request's extra reply (a second wait
-                    // too), or a stale ack from before a resume: skip,
-                    // never desynchronize.
+                    // A duplicated frame's extra reply (a second wait or
+                    // ack): skip, never desynchronize.
                     log("ignoring stray '" + type + "' frame");
                 }
             }
@@ -486,13 +505,26 @@ Worker::Outcome Worker::serve_leases() {
     }
 }
 
-Worker::Outcome Worker::execute_lease(Json grant) {
+void Worker::settle_report(const Json& reply) {
+    const std::string shard = std::to_string(common::json_int(*report_, "shard"));
+    if (common::json_string(reply, "type") == "reject") {
+        log("report on shard " + shard + " rejected: " + common::json_string(reply, "error"));
+        ++stats_.shards_failed;
+    } else if (common::json_string(*report_, "type") == "complete") {
+        ++stats_.shards_completed;
+        stats_.units_run += report_units_;
+        log("shard " + shard + " complete (" + std::to_string(report_units_) +
+            " units this attempt)");
+    }
+    report_.reset();
+}
+
+bool Worker::execute_lease(Json grant) {
     int shard = static_cast<int>(common::json_int(grant, "shard"));
     int attempt = static_cast<int>(common::json_int(grant, "attempt"));
     shard::ShardManifest manifest = shard::ShardManifest::from_json(grant["manifest"]);
     const std::string records_path = common::json_string(grant, "records_path");
     heartbeat_ms_ = heartbeat_interval_ms(grant);
-    units_done_.store(0, std::memory_order_relaxed);
     log("leased shard " + std::to_string(shard) + " attempt " + std::to_string(attempt) +
         " [" + std::to_string(manifest.unit_begin) + ", " + std::to_string(manifest.unit_end) +
         ")");
@@ -521,7 +553,6 @@ Worker::Outcome Worker::execute_lease(Json grant) {
     // byte-verify, so the shard is worth finishing even on a dead socket.
     options.on_progress = [this, &watchdog, shard, attempt](std::int64_t units_done) {
         watchdog.reset();
-        units_done_.store(units_done, std::memory_order_relaxed);
         if (fault_armed_ && config_.fault.hog_memory_after_units >= 0 &&
             units_done > config_.fault.hog_memory_after_units) {
             fault_armed_ = false;
@@ -543,9 +574,9 @@ Worker::Outcome Worker::execute_lease(Json grant) {
             log("fault: dropping the connection after " + std::to_string(units_done) +
                 " units (still executing)");
             // The deterministic driver of session resume: the coordinator
-            // sees EOF and parks the lease; the beat thread's next write
-            // fails, waits out heal-ms (a partition), reconnects with the
-            // same session, and resumes it.
+            // sees EOF and leaves the lease to its deadline; the beat
+            // thread's next write fails, waits out heal-ms (a partition),
+            // reconnects with the same session, and resumes it.
             std::lock_guard<std::mutex> lock(conn_mu_);
             conn_.close();
             stats_.disconnected = true;
@@ -564,34 +595,25 @@ Worker::Outcome Worker::execute_lease(Json grant) {
     };
 
     shard::RunShardResult result;
-    {
+    try {
+        // Beats stop with this scope, before any report goes out.
         HeartbeatThread heartbeats(
             [this, shard, attempt](StopSignal& stop) {
                 return send_heartbeat(shard, attempt, stop);
             },
             heartbeat_ms_, !config_.fault.drop_heartbeats);
-        try {
-            result = shard::run_shard(jobs_, manifest, records_path, options);
-        } catch (const common::Error& e) {
-            heartbeats.stop();
-            watchdog.disarm();
-            log("shard " + std::to_string(shard) + " failed: " + e.what());
-            ++stats_.shards_failed;
-            Json failed = Json::object();
-            failed["type"] = "failed";
-            failed["shard"] = shard;
-            failed["attempt"] = attempt;
-            failed["error"] = std::string(e.what());
-            send(conn_, failed);
-            while (true) {
-                ReadResult r = receive(conn_, static_cast<int>(config_.reply_timeout_ms));
-                if (r.status != ReadStatus::Ok) return Outcome::Reconnect;
-                const std::string& type = common::json_string(r.message, "type");
-                if (type == "done") return Outcome::Done;
-                if (type == "ack") return Outcome::Continue;
-                log("ignoring stray '" + type + "' frame");
-            }
-        }
+        result = shard::run_shard(jobs_, manifest, records_path, options);
+    } catch (const common::Error& e) {
+        watchdog.disarm();
+        log("shard " + std::to_string(shard) + " failed: " + e.what());
+        ++stats_.shards_failed;
+        Json failed = Json::object();
+        failed["type"] = "failed";
+        failed["shard"] = shard;
+        failed["attempt"] = attempt;
+        failed["error"] = std::string(e.what());
+        report_ = std::move(failed);
+        return true;
     }
     watchdog.disarm();
 
@@ -605,53 +627,16 @@ Worker::Outcome Worker::execute_lease(Json grant) {
         log("fault: abandoning shard " + std::to_string(shard) + " after " +
             std::to_string(result.units_run) + " units");
         conn_.close();
-        return Outcome::Abandon;
+        return false;
     }
     fault_armed_ = false;
-    return report_complete(shard, attempt, result.units_run);
-}
-
-Worker::Outcome Worker::report_complete(int shard, int attempt, std::int64_t units_run) {
     Json complete = Json::object();
     complete["type"] = "complete";
     complete["shard"] = shard;
     complete["attempt"] = attempt;
-    // Up to three socket lifetimes: resending a completion is always safe
-    // (the coordinator byte-verifies duplicates), while giving up hands a
-    // finished shard back to the queue for a pointless re-execution.
-    for (int round = 0; round < 3; ++round) {
-        if (round > 0) {
-            if (!reconnect()) return Outcome::Reconnect;
-            ++stats_.reconnects;
-            log("reconnected to resend completion of shard " + std::to_string(shard));
-        }
-        try {
-            send(conn_, complete);
-            while (true) {
-                ReadResult r = receive(conn_, static_cast<int>(config_.reply_timeout_ms));
-                if (r.status != ReadStatus::Ok) break;  // reconnect + resend
-                const std::string& type = common::json_string(r.message, "type");
-                if (type == "done") return Outcome::Done;
-                if (type == "reject") {
-                    log("completion rejected: " + common::json_string(r.message, "error"));
-                    ++stats_.shards_failed;
-                    return Outcome::Continue;
-                }
-                if (type == "ack") {
-                    ++stats_.shards_completed;
-                    stats_.units_run += units_run;
-                    log("shard " + std::to_string(shard) + " complete (" +
-                        std::to_string(units_run) + " units this attempt)");
-                    return common::json_bool(r.message, "done") ? Outcome::Done
-                                                                : Outcome::Continue;
-                }
-                log("ignoring stray '" + type + "' frame");  // stale wait/lease/welcome
-            }
-        } catch (const common::Error& e) {
-            log(std::string("completion handshake failed: ") + e.what());
-        }
-    }
-    return Outcome::Reconnect;
+    report_ = std::move(complete);
+    report_units_ = result.units_run;
+    return true;
 }
 
 void Worker::salvage(const shard::ShardManifest& manifest, const std::string& records_path,
@@ -701,18 +686,14 @@ WorkerStats Worker::run() {
         }
         if (!first) ++stats_.reconnects;
         first = false;
-        switch (serve_leases()) {
-            case Outcome::Done:
-                log("audit done; exiting");
-                return stats_;
-            case Outcome::Abandon:
-                stats_.abandoned = true;
-                return stats_;
-            case Outcome::Reconnect:
-                conn_.close();
-                break;
-            case Outcome::Continue:
-                break;  // unreachable
+        const Outcome out = serve_leases();
+        if (out == Outcome::Done) {
+            log("audit done; exiting");
+            return stats_;
+        }
+        if (out == Outcome::Abandon) {
+            stats_.abandoned = true;
+            return stats_;
         }
     }
 }

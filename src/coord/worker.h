@@ -4,15 +4,18 @@
 // reconnect backoff — common/retry.h), then loops: request a lease, execute
 // the granted shard with shard::run_shard (salvaging the checkpointed
 // prefix of a prior attempt's record file when the coordinator names one),
-// report completion, ask again.  A background thread heartbeats while a
+// report the outcome, ask again.  A background thread heartbeats while a
 // shard is executing so long prepare phases and slow chunks never look
 // like death — and when the socket dies mid-shard, that thread reconnects
 // with the worker's session id and resumes beating the same attempt, so a
-// transport blip never forfeits a lease (the coordinator parks it for a
-// grace window).  Faults (coord/fault.h) fire at their planned points,
-// wire faults at the one point every frame is written and read through;
-// everything else — socket errors, coordinator restarts, rejected
-// completions — is survived by reconnecting and re-requesting.
+// transport blip shorter than the lease never forfeits it.  A finished
+// lease's `complete` or `failed` frame stays pending until the coordinator
+// acks or rejects it, and goes out first on every connection until then:
+// a report is never lost with its socket.  Faults (coord/fault.h) fire at
+// their planned points, wire faults at the one point every frame is
+// written and read through; everything else — socket errors, coordinator
+// restarts, rejected completions — is survived by reconnecting and
+// re-requesting.
 //
 // Workers keep nothing between leases that a result depends on: every fact
 // they need is in the lease grant, and the prepared job they keep for the
@@ -27,7 +30,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/retry.h"
 #include "coord/fault.h"
 
 namespace ff::coord {
@@ -51,12 +53,9 @@ struct WorkerConfig {
     std::string worker_id;     ///< Name in hello ("" = "pid<pid>").
     int num_threads = 1;       ///< Threads of each shard's trial pool.
     FaultPlan fault;           ///< Injected sabotage (tests/chaos only).
-    /// Reconnect schedule when the coordinator is unreachable; jitter
-    /// spreads a worker fleet's reconnect stampede.  The short first delay
-    /// lets workers started alongside their coordinator join even an audit
-    /// whose leases finish within tens of milliseconds.
-    common::BackoffPolicy reconnect{20.0, 2.0, 3000.0, 0.2};
-    int max_connect_attempts = 20;  ///< Dial attempts before giving up.
+    /// Dial attempts per reconnect before giving up, on a jittered backoff
+    /// schedule from 20 ms up to 3 s.
+    int max_connect_attempts = 20;
     /// Patience for a reply frame; generous, the coordinator answers every
     /// request promptly unless it is gone.
     double reply_timeout_ms = 60000.0;

@@ -15,9 +15,11 @@
 //   9  audit completed but poison units were quarantined (serve)
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <utility>
 
@@ -127,17 +129,15 @@ TEST(CliUsage, ServeRejectsBadTimingFlagsAtParseTime) {
     for (const char* bad :
          {"--lease-ms 0", "--lease-ms nan", "--lease-ms soon", "--heartbeat-ms 0",
           "--heartbeat-ms -1", "--heartbeat-ms inf", "--linger-ms -1", "--linger-ms nan",
-          "--session-grace-ms -0.5", "--session-grace-ms inf", "--straggler-factor nan",
-          "--straggler-factor -1", "--backoff-base-ms -5", "--backoff-max-ms inf",
-          "--worker-watchdog-ms -1", "--worker-reply-timeout-ms nan",
+          "--straggler-factor nan", "--straggler-factor -1", "--backoff-base-ms -5",
+          "--backoff-max-ms inf", "--worker-watchdog-ms -1", "--worker-reply-timeout-ms nan",
           "--worker-reply-timeout-ms 3e9", "--threads two"}) {
         const CliResult r = run_cli(serve + bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
     }
-    // No linger, no session parking, no backoff and no watchdog are valid
-    // settings.
+    // No linger, no backoff and no watchdog are valid settings.
     const CliResult zero =
-        run_cli(serve + "--linger-ms 0 --session-grace-ms 0 --lease-ms 1e4 --backoff-base-ms 0 "
+        run_cli(serve + "--linger-ms 0 --lease-ms 1e4 --backoff-base-ms 0 "
                         "--worker-watchdog-ms 0 --worker-reply-timeout-ms 2147483647");
     EXPECT_EQ(zero.code, 4) << zero.out;
 
@@ -337,6 +337,29 @@ TEST(CliCoordinator, QuarantinedPoisonUnitsExitNine) {
     EXPECT_EQ(r.code, 9) << r.out;
     EXPECT_NE(r.out.find("quarantined units:"), std::string::npos) << r.out;
     EXPECT_TRUE(fs::exists(dir + "/report.json")) << r.out;
+}
+
+TEST(CliCoordinator, ReapedWorkersLeaseIsRequeuedAtOnce) {
+    // A SIGKILLed worker never comes back for its lease: the reaper requeues
+    // it when it reaps the process, whether or not serve has read the
+    // socket's EOF yet, so the audit ends far inside the 60 s lease, with
+    // no expiration.
+    const std::string dir = scratch_dir("reaper");
+    const auto start = std::chrono::steady_clock::now();
+    const CliResult r = run_cli(std::string("serve ") + kJob +
+                                " --shards 2 --checkpoint-interval 2 --socket " + dir +
+                                "/coord.sock --records-dir " + dir + "/records" +
+                                " --spawn-workers 1 --lease-ms 60000" +
+                                " --worker-fault 0=kill-after-units=3 --quiet");
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_EQ(r.code, 0) << r.out;
+    std::smatch m;
+    const std::regex counts(R"((\d+) expiration\(s\), (\d+) requeue)");
+    ASSERT_TRUE(std::regex_search(r.out, m, counts)) << r.out;
+    EXPECT_EQ(std::stoi(m[1]), 0) << r.out;
+    EXPECT_GE(std::stoi(m[2]), 1) << r.out;
+    EXPECT_LT(seconds, 30.0) << r.out;
 }
 
 TEST(CliCoordinator, UnreachableCoordinatorExitsEight) {

@@ -3,7 +3,8 @@
 // hedging, duplicate completion), wire-framing round trips, fault-plan
 // parsing, a worker against a scripted coordinator (wait replies, wire
 // timings, each wire fault at its frame ordinal, no ordinal spent on a
-// closed connection, a healed partition), and the end-to-end acceptance
+// closed connection, a healed partition, a finished lease's report resent
+// on every connection until it is settled), and the end-to-end acceptance
 // bar — a coordinator plus in-process worker threads, with one worker
 // crashing mid-shard and one stalling past its lease, finishes the audit
 // with a report byte-identical to the single-process Fuzzer::audit at
@@ -374,7 +375,6 @@ coord::LeaseConfig toy_lease() {
     lease.max_failures = 3;
     lease.backoff = {100.0, 2.0, 1000.0, 0.0};  // jitter off: exact delays
     lease.straggler_factor = 3.0;
-    lease.max_active_per_shard = 2;
     return lease;
 }
 
@@ -453,7 +453,7 @@ TEST(LeaseQueue, WorkerLossRequeuesItsLeasesImmediately) {
     EXPECT_EQ(lost[0].shard, 0);
     EXPECT_EQ(queue.state(0), coord::ShardState::Pending);
     EXPECT_EQ(queue.state(1), coord::ShardState::Leased);
-    EXPECT_NE(queue.last_error(0).find("disconnected"), std::string::npos);
+    EXPECT_NE(queue.last_error(0).find("terminated"), std::string::npos);
 }
 
 TEST(LeaseQueue, ReportedFailureRequeuesWithTheError) {
@@ -527,30 +527,6 @@ TEST(LeaseQueue, AddShardMidRunStartsCleanAndGrantable) {
     EXPECT_TRUE(queue.all_done());
 }
 
-TEST(LeaseQueue, ParkedLeaseLivesOnlyGraceMsPastItsLastHeartbeat) {
-    coord::LeaseQueue queue(toy_shards(2), toy_lease());
-    ASSERT_TRUE(queue.acquire("run", at_ms(0)));     // shard 0, beaten below
-    ASSERT_TRUE(queue.acquire("orphan", at_ms(0)));  // shard 1, never beaten
-    EXPECT_TRUE(queue.heartbeat(0, 0, at_ms(900)));
-
-    // Both sessions drop and park, the orphan's twice: however often it is
-    // parked, an attempt lives 2000 ms past its last sign of life (900 ms
-    // and 0 ms), never past the drop.
-    EXPECT_EQ(queue.park_worker("run", 2000.0).size(), 1u);
-    EXPECT_EQ(queue.park_worker("orphan", 2000.0).size(), 1u);
-    EXPECT_TRUE(queue.expire(at_ms(1999)).empty());
-    EXPECT_EQ(queue.park_worker("orphan", 2000.0).size(), 1u);
-    const auto lost = queue.expire(at_ms(2001));
-    ASSERT_EQ(lost.size(), 1u);
-    EXPECT_EQ(lost[0].worker, "orphan");
-
-    // The resumed session that beats its attempt keeps it.
-    EXPECT_TRUE(queue.heartbeat(0, 0, at_ms(2500)));
-    EXPECT_EQ(queue.park_worker("run", 2000.0).size(), 1u);
-    EXPECT_TRUE(queue.expire(at_ms(4499)).empty());
-    EXPECT_EQ(queue.expire(at_ms(4501)).size(), 1u);
-}
-
 TEST(LeaseQueue, NextEventTracksDeadlinesAndBackoffGates) {
     coord::LeaseQueue queue(toy_shards(1), toy_lease());
     // Fresh pending shard: nothing scheduled, the caller polls at its pace.
@@ -611,6 +587,22 @@ common::Json welcome_worker(coord::FramedConn& conn, bool resumed = false) {
     return hello;
 }
 
+/// Reads the worker's heartbeats until its next other frame, which must be
+/// of `type`; returns that frame.
+common::Json expect_frame_after_beats(coord::FramedConn& conn, const std::string& type) {
+    while (true) {
+        coord::ReadResult r = conn.read(30000);
+        if (r.status != coord::ReadStatus::Ok) {
+            throw common::Error("expected a '" + type + "' frame, got none");
+        }
+        const std::string got = common::json_string(r.message, "type");
+        if (got == type) return r.message;
+        if (got != "heartbeat") {
+            throw common::Error("expected a '" + type + "' frame, got '" + got + "'");
+        }
+    }
+}
+
 /// Waits up to 5 s for the worker to close its end.
 void expect_worker_left(coord::FramedConn& conn) {
     coord::ReadResult r = conn.read(5000);
@@ -619,6 +611,15 @@ void expect_worker_left(coord::FramedConn& conn) {
                             "' instead of leaving");
     }
     if (r.status == coord::ReadStatus::Timeout) throw common::Error("the worker did not leave");
+}
+
+/// Answers the worker's report with the ack that ends the audit, then
+/// waits for it to leave.
+void ack_done(coord::FramedConn& conn) {
+    common::Json ack = message("ack");
+    ack["done"] = true;
+    conn.write(ack);
+    expect_worker_left(conn);
 }
 
 struct ScriptedRun {
@@ -730,10 +731,7 @@ TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
         busy_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                             granted)
                       .count();
-        common::Json ack = message("ack");
-        ack["done"] = true;
-        conn.write(ack);
-        expect_worker_left(conn);
+        ack_done(conn);
     });
     EXPECT_EQ(run.stats.shards_completed, 1);
     // The beat thread beats at once and then at most once per 20 ms; each
@@ -773,17 +771,8 @@ TEST(ScriptedCoordinator, SalvagedTornCopyIsPublishedAndCompletedToTheGoldenByte
         grant["resume_candidates"] = std::move(candidates);
         grant["heartbeat_ms"] = 100.0;
         conn.write(grant);
-        while (true) {
-            coord::ReadResult r = conn.read(30000);
-            if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
-            const std::string type = common::json_string(r.message, "type");
-            if (type == "complete") break;
-            if (type != "heartbeat") throw common::Error("unexpected '" + type + "' frame");
-        }
-        common::Json ack = message("ack");
-        ack["done"] = true;
-        conn.write(ack);
-        expect_worker_left(conn);
+        expect_frame_after_beats(conn, "complete");
+        ack_done(conn);
     });
     EXPECT_EQ(run.stats.salvages, 1);
     EXPECT_EQ(run.stats.shards_completed, 1);
@@ -932,17 +921,8 @@ TEST(ScriptedCoordinator, HealedDisconnectRedialsAfterHealWithTheSameSession) {
                          std::chrono::steady_clock::now() - dropped)
                          .count();
             EXPECT_EQ(common::json_string(hello, "session"), session);
-            while (true) {
-                coord::ReadResult r = conn.read(30000);
-                if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
-                const std::string type = common::json_string(r.message, "type");
-                if (type == "complete") break;
-                if (type != "heartbeat") throw common::Error("unexpected '" + type + "'");
-            }
-            common::Json ack = message("ack");
-            ack["done"] = true;
-            conn.write(ack);
-            expect_worker_left(conn);
+            expect_frame_after_beats(conn, "complete");
+            ack_done(conn);
         },
         coord::FaultPlan::parse("disconnect-after-units=1,heal-ms=" +
                                 std::to_string(static_cast<int>(kHealMs))));
@@ -983,15 +963,64 @@ TEST(ScriptedCoordinator, FrameOfferedToAClosedConnectionTakesNoOrdinal) {
             coord::FramedConn conn = accept_worker(listen_fd);
             welcome_worker(conn, /*resumed=*/true);
             expect_frame(conn, "complete");
-            common::Json ack = message("ack");
-            ack["done"] = true;
-            conn.write(ack);
-            expect_worker_left(conn);
+            ack_done(conn);
         },
         coord::FaultPlan::parse("drop-heartbeats,disconnect-after-units=1,corrupt-frame-byte=3"));
     EXPECT_TRUE(run.stats.disconnected);
     EXPECT_EQ(run.stats.frames_corrupted, 1);
     EXPECT_EQ(run.stats.shards_completed, 1);
+}
+
+TEST(ScriptedCoordinator, CompletionIsResentFirstOnEveryConnectionUntilAcked) {
+    // The coordinator hangs up on the worker's first three completions.  The
+    // report stays pending across every redial and goes out right after the
+    // hello, ahead of any lease request, until the fourth copy is acked.
+    const std::string records = scratch_dir("resend_complete_records") + "/lease-s0-a0.jsonl";
+    const ScriptedRun run = run_scripted("resend_complete", 60000.0, [&](int listen_fd) {
+        {
+            coord::FramedConn conn = accept_worker(listen_fd);
+            welcome_worker(conn);
+            expect_frame(conn, "lease-request");
+            conn.write(whole_job_grant(records));
+            expect_frame_after_beats(conn, "complete");
+        }
+        for (int redial = 1; redial <= 3; ++redial) {
+            coord::FramedConn conn = accept_worker(listen_fd);
+            welcome_worker(conn, /*resumed=*/true);
+            expect_frame(conn, "complete");
+            if (redial == 3) ack_done(conn);
+        }
+    });
+    EXPECT_EQ(run.stats.reconnects, 3);
+    EXPECT_EQ(run.stats.shards_completed, 1);
+}
+
+TEST(ScriptedCoordinator, FailureIsResentOnTheRedialedConnection) {
+    // A manifest that miscounts the job's instances makes run_shard throw.
+    // The coordinator hangs up on the failure report, and the redialed
+    // connection must carry it again: a lost report would leave the shard
+    // to expire as "lease expired" instead of naming the worker's error.
+    const std::string records = scratch_dir("resend_failed_records") + "/lease-s0-a0.jsonl";
+    std::string error;
+    const ScriptedRun run = run_scripted("resend_failed", 60000.0, [&](int listen_fd) {
+        {
+            coord::FramedConn conn = accept_worker(listen_fd);
+            welcome_worker(conn);
+            expect_frame(conn, "lease-request");
+            common::Json grant = whole_job_grant(records);
+            grant["manifest"]["instance_count"] =
+                common::json_int(grant["manifest"], "instance_count") + 1;
+            conn.write(grant);
+            error = common::json_string(expect_frame_after_beats(conn, "failed"), "error");
+        }
+        coord::FramedConn conn = accept_worker(listen_fd);
+        welcome_worker(conn, /*resumed=*/true);
+        EXPECT_EQ(common::json_string(expect_frame(conn, "failed"), "error"), error);
+        ack_done(conn);
+    });
+    EXPECT_NE(error.find("instances but the manifest says"), std::string::npos) << error;
+    EXPECT_EQ(run.stats.shards_failed, 1);
+    EXPECT_EQ(run.stats.reconnects, 1);
 }
 
 // --- End to end: coordinator + in-process workers ----------------------------
@@ -1245,8 +1274,8 @@ TEST(CoordEndToEnd, QuarantinedUnitKeepsItsCoverage) {
     coord::CoordConfig config = cluster_config(dir, job);
     config.artifact_dir.clear();
     config.shard_count = 1;
+    // The abandoned lease expires at its deadline: one loss fails the shard.
     config.lease.max_failures = 1;
-    config.session_grace_ms = 0.0;  // the abandon is a loss, not a parked session
 
     std::vector<coord::WorkerConfig> workers;
     workers.push_back(cluster_worker(config, 0));
@@ -1261,7 +1290,7 @@ TEST(CoordEndToEnd, QuarantinedUnitKeepsItsCoverage) {
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
 
-TEST(CoordEndToEnd, TransportBlipParksAndResumesTheSession) {
+TEST(CoordEndToEnd, TransportBlipResumesTheSession) {
     const shard::JobSpec job = gemm_job(6);
     const std::string want_doc = reference_doc(job, "");
 
@@ -1269,7 +1298,9 @@ TEST(CoordEndToEnd, TransportBlipParksAndResumesTheSession) {
     coord::CoordConfig config = cluster_config(dir, job);
     config.shard_count = 2;
     config.artifact_dir.clear();
-    config.session_grace_ms = 8000.0;  // generous: the reconnect must win
+    // The lease is the whole silence budget: it outlives the blip plus one
+    // reply timeout of the redial.
+    config.lease.lease_ms = 4000.0;
 
     std::vector<coord::WorkerConfig> workers;
     workers.push_back(cluster_worker(config, 0));
@@ -1277,16 +1308,15 @@ TEST(CoordEndToEnd, TransportBlipParksAndResumesTheSession) {
     // survives and keeps executing; its heartbeat thread reconnects with
     // the same session id and resumes beating the SAME attempt.
     workers[0].fault = coord::FaultPlan::parse("disconnect-after-units=3");
+    workers[0].reply_timeout_ms = 1500.0;
 
     ClusterResult result = run_cluster(config, workers);
     EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
 
     const coord::CoordStats& stats = result.serve.stats;
-    EXPECT_GE(stats.sessions_parked, 1);
     EXPECT_GE(stats.sessions_resumed, 1);
-    EXPECT_EQ(stats.sessions_expired, 0);
-    // The parked lease was never re-issued: no expiration, no second
-    // attempt of the interrupted shard.
+    // The lease outlived the broken connection and was never re-issued: no
+    // expiration, no second attempt of the interrupted shard.
     EXPECT_EQ(stats.queue.expirations, 0);
     EXPECT_EQ(stats.queue.requeues, 0);
     EXPECT_EQ(stats.workers_seen, 1) << "a resume is not a fresh session";
@@ -1320,6 +1350,56 @@ TEST(CoordEndToEnd, DuplicatedLeaseRequestLeasesOneShardAtATime) {
     EXPECT_EQ(stats.shards_merged, config.shard_count);
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2),
               reference_doc(job, ""));
+}
+
+TEST(CoordEndToEnd, HelloWithoutASessionIsDropped) {
+    // A connection without a session could hold a lease no reconnect can
+    // resume, so its hello is a protocol error; a normal worker still
+    // finishes the audit.
+    const shard::JobSpec job = gemm_job(4);
+    const std::string dir = scratch_dir("sessionless");
+    coord::CoordConfig config = cluster_config(dir, job);
+    config.shard_count = 2;
+    config.artifact_dir.clear();
+
+    coord::ServeResult served;
+    std::exception_ptr serve_error;
+    std::thread coordinator([&] {
+        try {
+            served = coord::serve(config);
+        } catch (...) {
+            serve_error = std::current_exception();
+        }
+    });
+    try {
+        const coord::Endpoint ep = coord::Endpoint::unix_path(config.socket_path);
+        int fd = coord::connect_endpoint(ep);
+        for (int tries = 0; fd < 0 && tries < 500; ++tries) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            fd = coord::connect_endpoint(ep);
+        }
+        coord::FramedConn conn(fd);
+        common::Json hello = message("hello");
+        hello["worker"] = "anonymous";
+        hello["protocol"] = coord::kProtocolVersion;
+        conn.write(hello);
+        const coord::ReadResult r = conn.read(5000);
+        EXPECT_EQ(r.status, coord::ReadStatus::Closed)
+            << (r.status == coord::ReadStatus::Ok ? common::json_string(r.message, "type")
+                                                   : std::string("timeout"));
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "sessionless hello: " << e.what();
+    }
+    try {
+        coord::run_worker(cluster_worker(config, 0));
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "worker: " << e.what();
+    }
+    coordinator.join();
+    if (serve_error) std::rethrow_exception(serve_error);
+    EXPECT_EQ(served.stats.workers_seen, 1);
+    EXPECT_EQ(served.stats.shards_merged, config.shard_count);
+    EXPECT_EQ(shard::canonical_report_document(served.reports).dump(2), reference_doc(job, ""));
 }
 
 TEST(CoordEndToEnd, TcpTransportMatchesUnixByteForByte) {
@@ -1360,7 +1440,9 @@ TEST(CoordEndToEnd, WireFaultsAreAbsorbedByteIdentically) {
     const std::string dir = scratch_dir("wire_faults");
     coord::CoordConfig config = cluster_config(dir, job);
     config.artifact_dir.clear();
-    config.session_grace_ms = 8000.0;
+    // The lease outlives the 700 ms partition plus one 1500 ms reply
+    // timeout (a dropped hello on the redial).
+    config.lease.lease_ms = 4000.0;
 
     // Every fault class at once, on both workers: periodic loss, latency,
     // duplication, one corrupted frame (-> CRC disconnect -> session
@@ -1391,8 +1473,9 @@ TEST(CoordEndToEnd, WireFaultsAreAbsorbedByteIdentically) {
     EXPECT_GE(dropped, 1);
     EXPECT_GE(duplicated, 1);
     // The corrupted frames and the partitions severed live connections;
-    // the grace window turned them into resumes.
+    // every holder came back within its lease and resumed it.
     EXPECT_GE(result.serve.stats.sessions_resumed, 1);
+    EXPECT_EQ(result.serve.stats.queue.expirations, 0);
     EXPECT_EQ(result.serve.stats.shards_merged, config.shard_count);
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }

@@ -127,7 +127,7 @@ int usage(const char* detail = nullptr) {
                  "           [--max-respawns <n>] [--worker-fault <k>=<spec>] [--quiet]\n"
                  "           [--worker-watchdog-ms <x>] [--worker-rlimit-as <bytes>]\n"
                  "           [--quarantine-max-points <n>] [--quarantine-max-alloc-bytes <n>]\n"
-                 "           [--session-grace-ms <x>] [--worker-reply-timeout-ms <x>]\n"
+                 "           [--worker-reply-timeout-ms <x>]\n"
                  "worker:    --socket <path> | --connect <host:port> [--id <name>]\n"
                  "           [--threads <n>] [--fault <spec>]\n"
                  "           [--watchdog-ms <x>] [--rlimit-as <bytes>]\n"
@@ -483,8 +483,6 @@ int cmd_serve(const std::vector<std::string>& args) {
         else if (args[i] == "--quarantine-max-alloc-bytes")
             config.quarantine_max_alloc_bytes = number_value(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
-        else if (args[i] == "--session-grace-ms")
-            config.session_grace_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-reply-timeout-ms")
             config.worker_reply_timeout_ms = bounded_value(args, i, true, kMaxReplyTimeoutMs);
         else if (args[i] == "--quiet") config.verbose = false;
@@ -519,15 +517,14 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::printf("served %d shard(s): %lld lease(s), %lld expiration(s), %lld requeue(s), "
                 "%lld hedge(s), %lld duplicate completion(s) (%d byte-verified), "
                 "%d worker(s) seen, %d lost, %d spawned, %zu quarantined unit(s), "
-                "%d split shard(s), %d session(s) parked, %d resumed, %d grace-expired\n",
+                "%d split shard(s), %d session(s) resumed\n",
                 s.shards_merged, static_cast<long long>(s.queue.granted),
                 static_cast<long long>(s.queue.expirations),
                 static_cast<long long>(s.queue.requeues),
                 static_cast<long long>(s.queue.hedges),
                 static_cast<long long>(s.queue.duplicate_completions),
                 s.duplicate_files_verified, s.workers_seen, s.workers_lost, s.workers_spawned,
-                s.quarantined_units.size(), s.shards_split, s.sessions_parked,
-                s.sessions_resumed, s.sessions_expired);
+                s.quarantined_units.size(), s.shards_split, s.sessions_resumed);
     if (!s.quarantined_units.empty()) {
         std::string units;
         for (std::int64_t unit : s.quarantined_units) {
