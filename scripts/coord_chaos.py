@@ -22,10 +22,13 @@ injected faults and checks the fault-tolerance acceptance bar end to end:
    spins forever after its first checkpoint (heartbeats keep flowing, only
    the wall-clock watchdog catches it, exit 113) and one allocates without
    bound (caught by RLIMIT_AS, exit 114) — with `--max-failures 1`, so each
-   death permanently fails its shard.  serve must quarantine the blamed
-   units, finish the audit, exit 9, name the quarantined units, and still
-   produce a report byte-identical to step 1 (the blamed units are benign:
-   the faults lived in the workers, not the trials).
+   death permanently fails its shard.  The address-space cap is a
+   fault-free worker's measured VmPeak plus 128 MiB, so the hog reaches it
+   in a few allocations, long before the watchdog's 600 ms.  serve must
+   end the spinner with exit 113 and the hog with exit 114, quarantine the
+   blamed units, finish the audit, exit 9, name the quarantined units, and
+   still produce a report byte-identical to step 1 (the blamed units are
+   benign: the faults lived in the workers, not the trials).
 
 With --net the scenario changes to network chaos: the coordinator listens
 on TCP (127.0.0.1, kernel-assigned port) and hands every spawned worker the
@@ -49,6 +52,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 JOB_FLAGS = [
@@ -60,6 +64,9 @@ JOB_FLAGS = [
 ]
 
 WORKER_COUNTS = [1, 2, 4]
+# Address space the poison hog may take beyond a fault-free worker's peak:
+# room for two more 64 MiB malloc arenas, and a few 16 MiB hog blocks.
+HOG_HEADROOM = 128 << 20
 # (workers, shards) of the crash + stall serves.
 CRASH_STALL_SERVES = [(1, 4), (2, 4), (4, 4), (2, 8)]
 
@@ -98,6 +105,42 @@ def summary_counts(output: str) -> dict:
             "duplicates", "verified", "seen", "lost", "spawned",
             "quarantined", "split", "resumed")
     return dict(zip(keys, (int(g) for g in m.groups())))
+
+
+def worker_vm_peak(ffaudit: str, root: Path) -> int:
+    """Peak address space (VmPeak, in bytes) of a fault-free worker.
+
+    A serve that spawns no workers hands the whole poison job to one worker
+    started here with the poison workers' threads and watchdog, and its
+    /proc status is polled until it exits (VmPeak only grows).
+    """
+    sock = root / "peak.sock"
+    serve = subprocess.Popen([ffaudit, "serve", *JOB_FLAGS,
+                              "--shards", "4",
+                              "--checkpoint-interval", "2",
+                              "--records-dir", root / "records-peak",
+                              "--socket", sock,
+                              "--linger-ms", "0",
+                              "--quiet"],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    worker = subprocess.Popen([ffaudit, "worker", "--socket", sock, "--id", "peak",
+                               "--watchdog-ms", "600", "--quiet"],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    peak_kb = 0
+    while worker.poll() is None:
+        try:
+            with open(f"/proc/{worker.pid}/status") as status:
+                for line in status:
+                    if line.startswith("VmPeak:"):
+                        peak_kb = max(peak_kb, int(line.split()[1]))
+        except (OSError, ValueError):
+            pass  # exited between the poll and the read
+        time.sleep(0.002)
+    if worker.returncode != 0 or serve.wait(timeout=60) != 0:
+        fail(f"VmPeak probe: worker exited {worker.returncode}, serve {serve.returncode}")
+    if peak_kb == 0:
+        fail("VmPeak probe: no VmPeak read from the worker's /proc status")
+    return peak_kb << 10
 
 
 # The wire-fault plan every --net worker carries.  A worker that runs a
@@ -283,7 +326,10 @@ def main() -> None:
         #    shard at --max-failures 1.  The audit must still finish — with
         #    the blamed units quarantined, exit code 9, and a report that is
         #    byte-identical to the single-process one (the faults live in
-        #    the workers, so every blamed unit is benign under re-run).
+        #    the workers, so every blamed unit is benign under re-run).  A
+        #    1 GiB cap took the hog longer than the watchdog to fill on a
+        #    loaded host; a cap just above a worker's own peak does not.
+        cap = worker_vm_peak(ffaudit, root) + HOG_HEADROOM
         report = root / "report-poison.json"
         art = root / "art-poison"
         out = run([ffaudit, "serve", *JOB_FLAGS,
@@ -298,7 +344,7 @@ def main() -> None:
                    "--linger-ms", "8000",
                    "--max-failures", "1",
                    "--worker-watchdog-ms", "600",
-                   "--worker-rlimit-as", str(1 << 30),
+                   "--worker-rlimit-as", str(cap),
                    "--worker-fault", "0=spin-after-units=1",
                    "--worker-fault", "1=hog-memory-after-units=1"],
                   expect_rc=9)
@@ -310,6 +356,15 @@ def main() -> None:
         if counts["lost"] < 2:
             fail(f"poison: only {counts['lost']} worker(s) lost — expected both "
                  "the spinner (watchdog) and the hog (rlimit) to die")
+        # Each worker's first death is its fault's; respawns run clean.
+        first_exit = {}
+        for index, code in re.findall(r"worker w(\d+) pid \d+ terminated \(exit (\d+)", out):
+            first_exit.setdefault(int(index), int(code))
+        if first_exit.get(0) != 113:
+            fail(f"poison: the spinner exited {first_exit.get(0)}, not 113 (watchdog)")
+        if first_exit.get(1) != 114:
+            fail(f"poison: the hog exited {first_exit.get(1)}, not 114 (address-space "
+                 f"cap {cap} bytes)")
         if "quarantined units:" not in out:
             fail("poison: summary does not name the quarantined units")
         if report.read_bytes() != ref_report.read_bytes():
@@ -317,7 +372,8 @@ def main() -> None:
         if dir_bytes(art) != ref_artifacts:
             fail("poison: reproducer artifacts differ from the single-process ones")
         print(f"coord_chaos: poison byte-identical ({counts['quarantined']} unit(s) "
-              f"quarantined, {counts['split']} split shard(s), exit 9)")
+              f"quarantined, {counts['split']} split shard(s), spinner exit 113, hog exit "
+              f"114 under a {cap >> 20} MiB cap, exit 9)")
 
     print("coord_chaos: PASS (crash + stall at every worker count and at 8 shards; "
           "poison units quarantined; reports byte-identical)")

@@ -524,6 +524,18 @@ void Server::handle_complete(Connection& conn, int shard, int attempt, TimePoint
         write_frame(conn.fd, reject);
         return;
     }
+    Json ack = Json::object();
+    ack["type"] = "ack";
+    if (queue_->winner(shard) == attempt) {
+        // The accepted completion again (a duplicated frame, or a report
+        // re-sent after its ack was lost): its records are folded already,
+        // and its file is the winner's own.
+        log("repeated completion of shard " + std::to_string(shard) + " attempt " +
+            std::to_string(attempt) + " acknowledged");
+        ack["done"] = queue_->all_done();
+        write_frame(conn.fd, ack);
+        return;
+    }
     std::string path = records_path(shard, attempt);
     shard::ShardRecordFile file;
     bool valid = true;
@@ -584,8 +596,6 @@ void Server::handle_complete(Connection& conn, int shard, int attempt, TimePoint
         log("duplicate completion of shard " + std::to_string(shard) + " attempt " +
             std::to_string(attempt) + " verified byte-identical");
     }
-    Json ack = Json::object();
-    ack["type"] = "ack";
     ack["done"] = queue_->all_done();
     write_frame(conn.fd, ack);
 }
@@ -679,6 +689,7 @@ void Server::quarantine_shard(int shard) {
     // record under it is a fact (fsync'd, pure function of the job).
     shard::ShardRecordFile best;
     std::string best_path;
+    int best_attempt = -1;
     bool have = false;
     const std::string want = manifest.to_json().dump();
     for (int a = 0; a < queue_->attempts_issued(shard); ++a) {
@@ -689,6 +700,7 @@ void Server::quarantine_shard(int shard) {
             if (!have || file.checkpoint > best.checkpoint) {
                 best = std::move(file);
                 best_path = path;
+                best_attempt = a;
                 have = true;
             }
         } catch (const common::Error&) {
@@ -700,7 +712,7 @@ void Server::quarantine_shard(int shard) {
         // The shard actually finished — an attempt's file is complete on
         // disk even though no completion frame ever arrived (the worker
         // died between the last checkpoint and the report).
-        queue_->complete(shard, 0);
+        queue_->complete(shard, best_attempt);
         winner_path_[static_cast<std::size_t>(shard)] = best_path;
         fold_records(best);
         ++stats_.shards_merged;
@@ -743,8 +755,8 @@ void Server::quarantine_shard(int shard) {
 
     // Close out the poisoned shard and re-issue the rest as fresh, smaller
     // shards — bisection: if another poison unit lurks in the remainder,
-    // the next quarantine blames it from a tighter range.
-    queue_->complete(shard, 0);
+    // the next quarantine blames it from a tighter range.  No attempt won.
+    queue_->complete(shard, -1);
     ++stats_.shards_quarantined;
     const std::int64_t rest_begin = std::min(blamed + 1, manifest.unit_end);
     if (rest_begin < manifest.unit_end) {

@@ -119,15 +119,16 @@ bool LeaseQueue::complete(int shard, int attempt) {
         throw common::Error("complete: shard " + std::to_string(shard) + " out of range");
     }
     ShardEntry& entry = shards_[shard];
-    (void)attempt;  // any attempt's completion counts; files are byte-equal
     if (entry.state == ShardState::Done) {
-        ++stats_.duplicate_completions;
+        if (winner(shard) != attempt) ++stats_.duplicate_completions;
         return false;
     }
     // Leased, Pending (the attempt expired but the worker finished anyway)
-    // or even Failed (a zombie rescued the shard after the retry cap).
+    // or even Failed (a zombie rescued the shard after the retry cap).  Any
+    // attempt's completion counts; files are byte-equal.
     if (entry.state == ShardState::Failed) --stats_.shards_failed;
     entry.state = ShardState::Done;
+    entry.winner = attempt;
     entry.active.clear();
     entry.last_error.clear();
     ++stats_.completions;
@@ -224,6 +225,13 @@ bool LeaseQueue::all_done() const {
         if (entry.state != ShardState::Done) return false;
     }
     return true;
+}
+
+std::optional<int> LeaseQueue::winner(int shard) const {
+    if (shard < 0 || shard >= shard_count()) return std::nullopt;
+    const ShardEntry& entry = shards_[shard];
+    if (entry.state != ShardState::Done || entry.winner < 0) return std::nullopt;
+    return entry.winner;
 }
 
 ShardState LeaseQueue::state(int shard) const {

@@ -85,7 +85,9 @@ struct LeaseQueueStats {
     std::int64_t worker_failures = 0;  ///< Attempts lost to a reported error.
     std::int64_t requeues = 0;      ///< Shard returns to Pending (with backoff).
     std::int64_t completions = 0;   ///< First completions accepted.
-    std::int64_t duplicate_completions = 0;  ///< Losing hedge/zombie completions.
+    /// Completions of a Done shard by another attempt than the winner
+    /// (losing hedges and zombies).
+    std::int64_t duplicate_completions = 0;
     int shards_failed = 0;          ///< Shards that hit the retry cap.
 };
 
@@ -107,11 +109,19 @@ public:
     bool heartbeat(int shard, int attempt, TimePoint now);
 
     /// Reports a completion.  Returns true for the first completion of the
-    /// shard (caller folds the records) and false for duplicates (caller
-    /// byte-verifies the file against the winner's).  A completion is
+    /// shard (caller folds the records; `attempt` becomes the winner) and
+    /// false for a later one — a duplicate to byte-verify against the
+    /// winner's file, unless it repeats the winner itself.  A completion is
     /// accepted in ANY state — even Failed: a zombie worker finishing after
-    /// the retry cap still rescues the shard.
+    /// the retry cap still rescues the shard.  `attempt` -1 resolves the
+    /// shard without a winning attempt (quarantine).
     bool complete(int shard, int attempt);
+
+    /// The attempt whose completion was accepted; nullopt while the shard
+    /// is not Done, or when it was resolved without one.  A `complete` of
+    /// the winner again (a duplicated frame, or a report re-sent after its
+    /// ack was lost) has nothing left to fold or to verify.
+    std::optional<int> winner(int shard) const;
 
     /// Reports a worker-side execution failure of an attempt; the shard is
     /// requeued behind backoff or declared Failed at the cap.
@@ -178,6 +188,7 @@ private:
         std::vector<Attempt> active;  ///< Outstanding attempts (<= cap).
         int attempts_issued = 0;
         int failures = 0;         ///< Expiries + reported failures.
+        int winner = -1;          ///< Accepted attempt (-1: none).
         TimePoint not_before{};   ///< Backoff gate while Pending.
         std::string last_error;
     };

@@ -1,7 +1,9 @@
 // Differential testing of a cutout against its transformed version (Sec. 5).
 //
 // A trial runs the same input configuration through both programs and
-// compares the system state.  Verdict taxonomy mirrors the paper:
+// compares the system state.  Instances whose cutouts are equal share an
+// OriginalMemo, so the original side of a trial runs once per cutout class.
+// Verdict taxonomy mirrors the paper:
 //  * SemanticsChanged — system state differs beyond the threshold (or
 //    bitwise when threshold <= 0);
 //  * TransformedCrash / TransformedHang — "the transformed program crashes
@@ -13,16 +15,18 @@
 #pragma once
 
 /// \file
-/// Differential execution contexts: verdicts and the reusable
-/// instance-switchable DifferentialTester.
+/// Differential execution contexts: verdicts, the original-side memo of a
+/// cutout class, and the reusable instance-switchable DifferentialTester.
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/digest.h"
 #include "feedback/coverage.h"
 #include "interp/interpreter.h"
 #include "ir/sdfg.h"
@@ -97,6 +101,77 @@ struct ValidationResult {
     static ValidationResult of(const ir::SDFG& transformed);
 };
 
+/// Counters of the original-side memos (see OriginalMemo).  A memoized trial
+/// is a hit or a miss; a fallback is a hit that re-ran the original side.
+struct MemoStats {
+    /// Trials whose original side the memo answered: an entry with the
+    /// trial's input digest was there.
+    std::int64_t hits = 0;
+    /// Trials of a memoized instance that found no entry with their input
+    /// digest and ran the original side (the first one publishes it).
+    std::int64_t misses = 0;
+    /// Hits whose transformed system state did not match the entry's
+    /// digests, so the original side re-ran for the exact comparison.
+    std::int64_t fallbacks = 0;
+
+    MemoStats& operator+=(const MemoStats& o) {
+        hits += o.hits;
+        misses += o.misses;
+        fallbacks += o.fallbacks;
+        return *this;
+    }
+    MemoStats& operator-=(const MemoStats& o) {
+        hits -= o.hits;
+        misses -= o.misses;
+        fallbacks -= o.fallbacks;
+        return *this;
+    }
+};
+
+/// The original side's results per trial, shared by the instances of one
+/// cutout class.  Instances whose cutouts are equal (program, input
+/// configuration and system state) run the same original side on the same
+/// trial inputs, so the first tester to run a trial publishes what that side
+/// produced and every other member's tester reuses it.  An entry holds
+/// digests, not buffers: the trial's input digest, the ExecResult, the
+/// coverage words and, per system-state container, its presence and content
+/// digest.  A pure-function cache, so it outlives run ranges and
+/// reset_trials().  Thread-safe: an entry is immutable once published and
+/// lives as long as the memo, and the first writer of a trial wins.
+class OriginalMemo {
+public:
+    /// What the original side did on one trial's inputs.
+    struct Entry {
+        common::Digest128 inputs;  ///< Digest of the input configuration.
+        interp::ExecStatus status = interp::ExecStatus::Ok;
+        std::string message;            ///< ExecResult::message.
+        std::int64_t points = 0;        ///< ExecResult::points.
+        std::int64_t instructions = 0;  ///< ExecResult::instructions.
+        std::vector<std::uint64_t> coverage;  ///< Trimmed words (instrumented runs).
+        /// Per system-state container, in set order: its content digest, or
+        /// nullopt when the original side did not produce it.
+        std::vector<std::optional<common::Digest128>> state;
+    };
+
+    /// A memo for trials [0, trials).
+    explicit OriginalMemo(int trials);
+
+    /// The entry of `trial` when one was published for inputs with digest
+    /// `inputs` (a hit), else nullptr (a miss).
+    const Entry* lookup(int trial, const common::Digest128& inputs);
+    /// Publishes `entry` as trial `trial`'s unless one is there already.
+    void publish(int trial, Entry entry);
+    /// Counts a hit that had to re-run the original side.
+    void note_fallback();
+    /// Counters since construction.
+    MemoStats stats() const;
+
+private:
+    mutable std::mutex mutex_;  ///< Guards entries_ and stats_.
+    std::vector<std::unique_ptr<const Entry>> entries_;  ///< Per trial.
+    MemoStats stats_;
+};
+
 /// A reusable differential-execution context: two interpreters (original /
 /// transformed side) plus their scratch arenas.
 ///
@@ -136,17 +211,23 @@ public:
     /// dropped), so the first trial after a rebind pays plan-lookup cost and
     /// steady state is as fast as a freshly constructed tester.  `original`,
     /// `transformed` and `system_state` are captured by reference and must
-    /// outlive the binding; `prevalidated` (when given) is copied.
+    /// outlive the binding; `prevalidated` (when given) is copied.  `memo`
+    /// (when given) is the original-side memo of the instance's cutout class
+    /// and must outlive the binding too.
     void bind(const ir::SDFG& original, const ir::SDFG& transformed,
               const std::set<std::string>& system_state, interp::PlanCachePtr plan_cache,
-              const ValidationResult* prevalidated = nullptr);
+              const ValidationResult* prevalidated = nullptr, OriginalMemo* memo = nullptr);
 
     /// Whether the bound transformed graph passed validation.
     bool transformed_valid() const { return validation_.valid; }
 
     /// Runs one trial on a sampled input configuration.  Requires a bound
-    /// instance (common::Error otherwise).
-    TrialOutcome run_trial(const interp::Context& inputs);
+    /// instance (common::Error otherwise).  With a bound memo, `trial` (the
+    /// trial's index) selects its entry: a hit skips the original side, and
+    /// a transformed system state that does not match the entry's digests
+    /// re-runs it for the exact comparison, so the outcome is always the one
+    /// a tester without a memo returns.  -1 bypasses the memo.
+    TrialOutcome run_trial(const interp::Context& inputs, int trial = -1);
 
 private:
     const ir::SDFG* original_ = nullptr;     ///< Bound original side.
@@ -157,6 +238,7 @@ private:
     std::set<std::string> owned_system_state_;  ///< Backing for the owning ctor.
     DiffConfig config_;                         ///< Comparison + exec settings.
     ValidationResult validation_;               ///< Of the bound transformed graph.
+    OriginalMemo* memo_ = nullptr;              ///< The bound cutout class's memo.
     interp::Interpreter interp_original_;       ///< Original-side interpreter.
     interp::Interpreter interp_transformed_;    ///< Transformed-side interpreter.
     /// Coverage instrumentation of the bound original side (only populated

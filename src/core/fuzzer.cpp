@@ -6,6 +6,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "core/guided.h"
 #include "core/report.h"
 #include "core/testcase_io.h"
+#include "ir/serialize.h"
 
 namespace ff::core {
 
@@ -59,6 +61,12 @@ struct InstanceJob {
     Constraints constraints;    ///< Gray-box sampling constraints.
     InputSampler sampler;       ///< Deterministic (seed, trial) input source.
     ValidationResult validation;  ///< Of `transformed`, computed once.
+    /// Key of the instance's cutout class (see cutout_key); set for
+    /// instances whose trials run both sides.
+    std::optional<common::Digest128> class_key;
+    /// The original-side memo the instance shares with the other members
+    /// of its cutout class (null while it has none).  Owned by the audit.
+    OriginalMemo* memo = nullptr;
     /// The instance's compiled artifacts (plans, tasklet programs, coverage
     /// atlas), shared by every tester bound to it and by the feedback
     /// derivation; they live as long as the prepared audit.
@@ -188,12 +196,15 @@ private:
 };
 
 /// A pool-worker slot's execution context: its tester (two interpreters +
-/// scratch) and the instance that tester is bound to.  Kept by the
-/// PreparedAudit across run_range calls and reset_trials().
+/// scratch) and the instance (and class memo) that tester is bound to.  Kept
+/// by the PreparedAudit across run_range calls and reset_trials().
 struct WorkerContext {
     static constexpr std::size_t kUnbound = std::numeric_limits<std::size_t>::max();
     std::unique_ptr<DifferentialTester> tester;  ///< Null until first claimed.
     std::size_t instance = kUnbound;             ///< Binding of `tester`.
+    /// Memo of the binding: an instance gains one when a later prepare
+    /// finds the first other member of its class.
+    const OriginalMemo* memo = nullptr;
 };
 
 /// Everything the worker pool shares for one run.
@@ -257,7 +268,7 @@ void run_unit(InstanceJob& job, int trial, DifferentialTester& tester,
         if (job.feedback) job.feedback->note_trial(trial, {});
         return;
     }
-    const TrialOutcome outcome = tester.run_trial(inputs);
+    const TrialOutcome outcome = tester.run_trial(inputs, trial);
     // Donate the original-side coverage so corpus derivation at finalize
     // does not have to re-execute this trial.
     if (job.feedback) job.feedback->note_trial(trial, outcome.coverage);
@@ -284,7 +295,7 @@ void run_unit(InstanceJob& job, int trial, DifferentialTester& tester,
 /// Points a worker's context at `job`: builds the slot's tester on its
 /// first use, keeps one already bound to the job (a hit), rebinds otherwise.
 void bind_context(PoolShared& sh, WorkerContext& ctx, InstanceJob& job) {
-    if (ctx.tester && ctx.instance == job.index) {
+    if (ctx.tester && ctx.instance == job.index && ctx.memo == job.memo) {
         sh.context_hits.fetch_add(1, std::memory_order_relaxed);
         return;
     }
@@ -298,8 +309,9 @@ void bind_context(PoolShared& sh, WorkerContext& ctx, InstanceJob& job) {
     // a later range.
     ctx.instance = WorkerContext::kUnbound;
     ctx.tester->bind(job.cutout.program, job.transformed, job.cutout.system_state, job.plans,
-                     &job.validation);
+                     &job.validation, job.memo);
     ctx.instance = job.index;
+    ctx.memo = job.memo;
 }
 
 /// One worker of the audit-wide pool: claims units off the global queue,
@@ -333,6 +345,22 @@ void run_worker(PoolShared& sh, int worker) {
         if (!sh.error) sh.error = std::current_exception();
         sh.scheduler.abort();
     }
+}
+
+/// Key of a cutout's class: a digest of the serialized cutout program, its
+/// input configuration and its system state.  Within an audit, trial inputs
+/// and the original side's run are functions of these alone (constraints
+/// derive from the audited program and the cutout program; sampler seed and
+/// exec settings are audit-wide), so instances with equal keys run equal
+/// original sides on equal inputs.
+common::Digest128 cutout_key(const Cutout& cutout) {
+    common::Hasher128 h;
+    h.str(ir::to_json(cutout.program).dump());
+    h.u64(cutout.input_config.size());
+    for (const std::string& name : cutout.input_config) h.str(name);
+    h.u64(cutout.system_state.size());
+    for (const std::string& name : cutout.system_state) h.str(name);
+    return h.finish();
 }
 
 /// Steps 1-4 of the pipeline for one instance: isolation, extraction,
@@ -391,7 +419,11 @@ void prepare_instance(const FuzzConfig& config, const ir::SDFG& p,
     job.validation = ValidationResult::of(job.transformed);
     job.records.resize(static_cast<std::size_t>(std::max(config.max_trials, 0)));
     job.plans = std::make_shared<interp::PlanCache>();
-    if (config.feedback) {
+    // An instance whose transformed cutout fails validation never runs the
+    // original side (each trial is invalid-code at once): it joins no class
+    // and derives no corpus.
+    if (job.validation.valid && config.max_trials > 0) job.class_key = cutout_key(job.cutout);
+    if (config.feedback && job.validation.valid) {
         // The feedback state captures references into this job (pinned in
         // the audit's deque) and runs its derivation interpreter over the
         // job's plan cache with the same exec settings the trial testers use.
@@ -459,8 +491,14 @@ struct PreparedAudit::Impl {
     std::size_t pass_count = 0;     ///< Size of the pass set discovery ran on.
     SchedulerStats stats;           ///< Since preparation or the last reset.
     std::vector<WorkerContext> contexts;  ///< One per pool-worker slot.
+    /// Cutout classes of the prepared instances: each key's first member.
+    std::map<common::Digest128, std::size_t> classes;
+    /// One original-side memo per class of two or more prepared members.
+    std::vector<std::unique_ptr<OriginalMemo>> memos;
     /// Plan-cache counters at the last reset; stats report the growth since.
     interp::SpecStats spec_base;
+    /// Memo counters at the last reset.
+    MemoStats memo_base;
     std::chrono::steady_clock::time_point epoch;  ///< Trial wall-clock base.
     /// Lowest known failing trial per instance (max_trials = none): seeds
     /// the scheduler's early-stop across run_range calls and set_record
@@ -479,6 +517,17 @@ struct PreparedAudit::Impl {
             if (job.plans) total += job.plans->spec_stats();
         return total;
     }
+
+    /// Memo counters summed over every class memo.
+    MemoStats memo_totals() const {
+        MemoStats total;
+        for (const auto& memo : memos) total += memo->stats();
+        return total;
+    }
+
+    /// Puts newly prepared instances into their cutout classes, giving a
+    /// class its memo when its second member arrives.
+    void join_classes(const std::vector<std::size_t>& prepared);
 
     /// Instances [first, last) whose units intersect [begin, end).  With no
     /// trials per instance no instance has units, and every range covers
@@ -572,8 +621,24 @@ void PreparedAudit::Impl::prepare_range(const ir::SDFG& p,
         for (std::thread& t : pool) t.join();
         if (error) std::rethrow_exception(error);
     }
+    join_classes(todo);
     stats.prepare_seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+void PreparedAudit::Impl::join_classes(const std::vector<std::size_t>& prepared) {
+    for (std::size_t i : prepared) {
+        InstanceJob& job = jobs[i];
+        if (!job.class_key) continue;
+        const auto [it, first] = classes.try_emplace(*job.class_key, i);
+        if (first) continue;
+        InstanceJob& head = jobs[it->second];
+        if (!head.memo) {
+            memos.push_back(std::make_unique<OriginalMemo>(max_trials()));
+            head.memo = memos.back().get();
+        }
+        job.memo = head.memo;
+    }
 }
 
 /// Executes every unit of [begin, end) with one worker pool (the audit-wide
@@ -657,6 +722,8 @@ void PreparedAudit::Impl::run_range(std::int64_t begin, std::int64_t end, std::i
 
     stats.spec = spec_totals();
     stats.spec -= spec_base;
+    stats.memo = memo_totals();
+    stats.memo -= memo_base;
     const std::int64_t units = sh.units.load(std::memory_order_relaxed);
     stats.units += units;
     stats.claims += units;  // one unit per claim
@@ -727,6 +794,7 @@ void PreparedAudit::reset_trials() {
     impl.lowest_failure.assign(impl.jobs.size(), impl.max_trials());
     impl.stats = SchedulerStats{};
     impl.spec_base = impl.spec_totals();
+    impl.memo_base = impl.memo_totals();
     impl.epoch = std::chrono::steady_clock::now();
 }
 

@@ -6,7 +6,8 @@
 // units with a fixed pool of workers.  Each worker slot owns one execution
 // context (two interpreters + scratch), built on its first claim and rebound
 // when the worker moves to another instance; each prepared instance owns the
-// plan cache its contexts bind to.  Trial inputs are a pure function of
+// plan cache its contexts bind to, and instances with equal cutouts share
+// one memo of the original side.  Trial inputs are a pure function of
 // (seed, trial index) and per-instance results are merged in canonical trial
 // order, so reports are byte-identical at any worker count.
 #pragma once
@@ -162,6 +163,10 @@ struct SchedulerStats {
     /// plans nothing.  Launch counters scale with executed trials and
     /// include the feedback derivation's re-executions.
     interp::SpecStats spec;
+    /// Original-side memo counters since preparation or the last reset:
+    /// trials of instances that share their cutout with another instance
+    /// (see OriginalMemo).  Trials of the other instances count nowhere.
+    MemoStats memo;
 };
 
 /// Progress hook of PreparedAudit::run_range: called with `[from, to)` each
@@ -185,10 +190,10 @@ using SettleFn = std::function<bool(std::int64_t from, std::int64_t to)>;
 /// merge and artifact saving either way.  `Fuzzer::audit` itself is
 /// prepare + run_range(0, unit_count()) + finalize().
 ///
-/// run_range() may be called repeatedly; execution contexts and the
-/// instances' plan caches persist across calls, and reset_trials() starts a
-/// new run over the same prepared instances (a coordinator worker's next
-/// lease of the job).
+/// run_range() may be called repeatedly; execution contexts, the
+/// instances' plan caches and the cutout classes' original-side memos
+/// persist across calls, and reset_trials() starts a new run over the same
+/// prepared instances (a coordinator worker's next lease of the job).
 /// Determinism contract (docs/ARCHITECTURE.md): for a fixed prepared job,
 /// the records of every executed unit are byte-identical regardless of how
 /// the unit space is cut into ranges, processes, or worker threads.
@@ -241,10 +246,10 @@ public:
 
     /// Forgets every executed trial — slots back to NotRun, lowest-failure
     /// watermarks cleared, trial clocks and scheduler counters restarted —
-    /// while keeping the prepared instances, plan caches, execution contexts
-    /// and feedback state (a pure-function cache of the canonical corpus
-    /// scan).  A run after the reset records exactly what a freshly prepared
-    /// audit would.
+    /// while keeping the prepared instances, plan caches, execution contexts,
+    /// original-side memos and feedback state (pure-function caches of the
+    /// original side and of the canonical corpus scan).  A run after the
+    /// reset records exactly what a freshly prepared audit would.
     void reset_trials();
 
     /// Trial slots of instance `i` (empty for non-runnable instances).

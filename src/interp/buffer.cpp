@@ -117,7 +117,9 @@ std::optional<BufferMismatch> compare_buffers(const Buffer& a, const Buffer& b,
     for (std::int64_t i = 0; i < a.size(); ++i) {
         const double x = a.load_double(i);
         const double y = b.load_double(i);
-        if (std::isnan(x) && std::isnan(y)) continue;
+        // Equal values first: equal infinities would make the relative
+        // test's difference NaN.
+        if (x == y || (std::isnan(x) && std::isnan(y))) continue;
         const double diff = std::fabs(x - y);
         const double scale = std::fmax(1.0, std::fmax(std::fabs(x), std::fabs(y)));
         if (!(diff / scale <= threshold)) return BufferMismatch{i, x, y};

@@ -494,6 +494,32 @@ TEST(LeaseQueue, HedgesTheStragglerAndFirstCompletionWins) {
     EXPECT_EQ(queue.active_attempts(), 0);
 }
 
+TEST(LeaseQueue, RepeatOfTheWinningCompletionIsNoDuplicate) {
+    coord::LeaseQueue queue(toy_shards(1), toy_lease());
+    ASSERT_TRUE(queue.acquire("slow", at_ms(0)));
+    EXPECT_FALSE(queue.winner(0).has_value());
+    ASSERT_TRUE(queue.acquire("idle", at_ms(3001)));  // a hedge: attempt 1
+
+    EXPECT_TRUE(queue.complete(0, 1));
+    EXPECT_EQ(queue.winner(0), 1);
+    // The winner's completion again (a duplicated frame, or a report re-sent
+    // after its ack was lost) is neither a first completion nor a duplicate.
+    EXPECT_FALSE(queue.complete(0, 1));
+    EXPECT_EQ(queue.stats().duplicate_completions, 0);
+    // The losing hedge's completion is.
+    EXPECT_FALSE(queue.complete(0, 0));
+    EXPECT_EQ(queue.stats().duplicate_completions, 1);
+    EXPECT_EQ(queue.stats().completions, 1);
+    EXPECT_EQ(queue.winner(0), 1);
+
+    // A shard resolved without an attempt (quarantine) has no winner.
+    coord::LeaseQueue resolved(toy_shards(1), toy_lease());
+    EXPECT_TRUE(resolved.complete(0, -1));
+    EXPECT_FALSE(resolved.winner(0).has_value());
+    EXPECT_FALSE(resolved.complete(0, 0));
+    EXPECT_EQ(resolved.stats().duplicate_completions, 1);
+}
+
 TEST(LeaseQueue, AddShardMidRunStartsCleanAndGrantable) {
     coord::LeaseConfig lease = toy_lease();
     lease.max_failures = 1;
@@ -1347,6 +1373,37 @@ TEST(CoordEndToEnd, DuplicatedLeaseRequestLeasesOneShardAtATime) {
     const coord::CoordStats& stats = result.serve.stats;
     EXPECT_EQ(stats.queue.granted, config.shard_count);
     EXPECT_EQ(stats.queue.expirations, 0);
+    EXPECT_EQ(stats.shards_merged, config.shard_count);
+    EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2),
+              reference_doc(job, ""));
+}
+
+TEST(CoordEndToEnd, RepeatedCompletionOfTheWinnerIsAcknowledgedUnread) {
+    const shard::JobSpec job = gemm_job(4);
+    const std::string dir = scratch_dir("repeated_complete");
+    coord::CoordConfig config = cluster_config(dir, job);
+    config.shard_count = 2;
+    config.artifact_dir.clear();
+    config.lease.lease_ms = 8000.0;  // outlives each shard without heartbeats
+
+    std::vector<coord::WorkerConfig> workers;
+    workers.push_back(cluster_worker(config, 0));
+    // Without heartbeats the worker's frames are hello, lease-request,
+    // complete, ...: frame 3, its first completion, reaches the coordinator
+    // twice.
+    workers[0].fault = coord::FaultPlan::parse("drop-heartbeats,duplicate-frame=3");
+
+    ClusterResult result = run_cluster(config, workers);
+    EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
+    ASSERT_EQ(result.workers.size(), 1u);
+    EXPECT_GE(result.workers.front().frames_duplicated, 1);
+
+    // The repeat is acknowledged: not a losing duplicate, and there is no
+    // other file to verify against the winner's.
+    const coord::CoordStats& stats = result.serve.stats;
+    EXPECT_EQ(stats.queue.duplicate_completions, 0);
+    EXPECT_EQ(stats.duplicate_files_verified, 0);
+    EXPECT_EQ(stats.queue.completions, config.shard_count);
     EXPECT_EQ(stats.shards_merged, config.shard_count);
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2),
               reference_doc(job, ""));

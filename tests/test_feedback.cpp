@@ -450,6 +450,54 @@ TEST(FeedbackDeterminism, ShardMergedCorpusMatchesSingleProcessByteForByte) {
     }
 }
 
+TEST(FeedbackDeterminism, InvalidInstanceDerivesNoCorpusWhereverARangeSplits) {
+    // fdtd_2d's Vectorization instance (instance 3 of the correct pass set)
+    // fails validation, so none of its trials runs the original side.  It
+    // derives no corpus: with one, its corpus depended on where a range
+    // boundary fell inside it — unit 301 is its trial 1 — because trials a
+    // range ran donated "no coverage" while trials it did not run were
+    // re-derived with real coverage.
+    shard::JobSpec job;
+    job.workload = "fdtd_2d";
+    job.passes = "correct";
+    job.seed = 11000;
+    job.feedback = job.coverage = true;
+    job.defaults = workloads::npbench_defaults();
+    const std::string root = scratch_dir("split301");
+    const ir::SDFG program = shard::load_job_program(job);
+
+    auto in_process = [&](int threads) {
+        core::FuzzConfig config = shard::job_fuzz_config(job);
+        config.num_threads = threads;
+        core::Fuzzer fuzzer(config);
+        core::PreparedAudit audit = fuzzer.prepare(program, shard::job_passes(job));
+        audit.run_range(0, audit.unit_count());
+        const std::vector<core::FuzzReport> reports = audit.finalize();
+        EXPECT_EQ(reports.at(3).transformation, "Vectorization");
+        EXPECT_EQ(reports.at(3).verdict, core::Verdict::InvalidCode);
+        EXPECT_EQ(reports.at(3).corpus_size, 0);
+        const std::string path = root + "/corpus-t" + std::to_string(threads) + ".jsonl";
+        feedback::write_corpus_file(path, job.to_json(), audit.corpus());
+        return read_file(path);
+    };
+    const std::string reference = in_process(1);
+    EXPECT_NE(reference.find("\"cov\""), std::string::npos) << "corpus has entries";
+    EXPECT_EQ(in_process(4), reference) << "4 threads";
+
+    std::vector<shard::ShardManifest> manifests = shard::plan_shards(job, program, 2, 64);
+    ASSERT_EQ(manifests.size(), 2u);
+    manifests[0].unit_end = manifests[1].unit_begin = 301;
+    std::vector<std::string> paths;
+    for (const shard::ShardManifest& m : manifests) {
+        paths.push_back(root + "/records-" + std::to_string(m.shard_index) + ".jsonl");
+        EXPECT_TRUE(shard::run_shard(m, paths.back(), {}).completed);
+    }
+    const shard::MergeResult merged = shard::merge_shards(paths);
+    const std::string split_path = root + "/corpus-split.jsonl";
+    feedback::write_corpus_file(split_path, merged.job.to_json(), merged.corpus);
+    EXPECT_EQ(read_file(split_path), reference) << "ranges split at unit 301";
+}
+
 TEST(FeedbackDeterminism, JobSpecKeyAndManifestCoverFeedbackKnobs) {
     shard::JobSpec plain;
     plain.workload = "gemm";

@@ -310,6 +310,159 @@ TEST(Fuzzer, ArtifactRoundTripReproducesFailure) {
     EXPECT_EQ(outcome.verdict, report.verdict);
 }
 
+// --- The original-side memo of a cutout class ---------------------------------
+
+/// The fields of a report that trials determine (no wall clock, no threads).
+std::string trial_fields(const FuzzReport& r) {
+    return r.transformation + "|" + r.match_description + "|" + verdict_name(r.verdict) + "|" +
+           r.detail + "|" + std::to_string(r.trials) + "|" + std::to_string(r.uninteresting) +
+           "|" + std::to_string(r.original_points) + "|" + std::to_string(r.original_instructions) +
+           "|" + std::to_string(r.transformed_points) + "|" +
+           std::to_string(r.transformed_instructions);
+}
+
+TEST(Digest128, AnySplitOfTheBytesGivesOneDigest) {
+    // The memo digests buffers field by field: a digest must depend on the
+    // bytes fed, never on how they were split into calls.
+    std::string bytes;
+    for (int i = 0; i < 100; ++i) bytes += static_cast<char>('a' + i % 26);
+    common::Hasher128 whole;
+    whole.bytes(bytes.data(), bytes.size());
+    for (std::size_t cut1 = 0; cut1 <= bytes.size(); cut1 += 7) {
+        for (std::size_t cut2 = cut1; cut2 <= bytes.size(); cut2 += 5) {
+            common::Hasher128 h;
+            h.bytes(bytes.data(), cut1)
+                .bytes(bytes.data() + cut1, cut2 - cut1)
+                .bytes(bytes.data() + cut2, bytes.size() - cut2);
+            EXPECT_EQ(h.finish(), whole.finish()) << cut1 << ", " << cut2;
+        }
+    }
+    // Every byte and the length count; no bytes (even from a null pointer)
+    // feed nothing.
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        std::string flipped = bytes;
+        flipped[i] ^= 1;
+        common::Hasher128 h;
+        h.bytes(flipped.data(), flipped.size());
+        EXPECT_NE(h.finish(), whole.finish()) << i;
+    }
+    common::Hasher128 shorter;
+    shorter.bytes(bytes.data(), bytes.size() - 1);
+    EXPECT_NE(shorter.finish(), whole.finish());
+    common::Hasher128 empty;
+    empty.bytes(nullptr, 0);
+    EXPECT_EQ(empty.finish(), common::Hasher128{}.finish());
+}
+
+TEST(OriginalMemo, PassesSharingACutoutShareOnlyTheOriginalSide) {
+    // MapTiling and its off-by-one variant match the same maps of the matrix
+    // chain, so each map's two instances extract equal cutouts and share one
+    // memo: whichever runs a trial first publishes the original side and the
+    // other reuses it.  Only the buggy variant may be flagged, and every
+    // report must equal the one test_instance (a lone instance, so no memo)
+    // produces — in either pass order, at any thread count.
+    const ir::SDFG p = workloads::build_matrix_chain();
+    FuzzConfig config = quick_config(6);
+    config.sampler.size_max = 6;
+    auto pass = [](bool buggy) -> xform::TransformationPtr {
+        return std::make_unique<xform::MapTiling>(
+            4, buggy ? xform::MapTiling::Variant::OffByOne : xform::MapTiling::Variant::Correct);
+    };
+    auto alone = [&](bool buggy) {
+        const xform::TransformationPtr t = pass(buggy);
+        Fuzzer fuzzer(config);
+        std::vector<FuzzReport> reports;
+        for (const xform::Match& m : t->find_matches(p)) {
+            reports.push_back(fuzzer.test_instance(p, *t, m));
+            EXPECT_EQ(fuzzer.last_stats().memo.hits + fuzzer.last_stats().memo.misses, 0);
+        }
+        return reports;
+    };
+    const std::vector<FuzzReport> correct_alone = alone(false);
+    const std::vector<FuzzReport> buggy_alone = alone(true);
+    ASSERT_GE(correct_alone.size(), 2u);
+    ASSERT_EQ(buggy_alone.size(), correct_alone.size());
+
+    for (bool buggy_first : {false, true}) {
+        for (int threads : {1, 4}) {
+            std::vector<xform::TransformationPtr> passes;
+            passes.push_back(pass(buggy_first));
+            passes.push_back(pass(!buggy_first));
+            config.num_threads = threads;
+            Fuzzer fuzzer(config);
+            const std::vector<FuzzReport> reports = fuzzer.audit(p, passes);
+            const std::string where = std::string(buggy_first ? "buggy" : "correct") +
+                                      " pass first, " + std::to_string(threads) + " thread(s)";
+            ASSERT_EQ(reports.size(), 2 * correct_alone.size()) << where;
+            int flagged = 0;
+            for (std::size_t i = 0; i < reports.size(); ++i) {
+                const bool buggy = (i < correct_alone.size()) == buggy_first;
+                const FuzzReport& want =
+                    (buggy ? buggy_alone : correct_alone)[i % correct_alone.size()];
+                EXPECT_EQ(trial_fields(reports[i]), trial_fields(want))
+                    << where << ", report " << i;
+                if (!buggy) {
+                    EXPECT_FALSE(reports[i].failed()) << where << ": " << reports[i].detail;
+                }
+                flagged += reports[i].failed() ? 1 : 0;
+            }
+            EXPECT_GE(flagged, 1) << where << ": the off-by-one tiling went unflagged";
+            EXPECT_GT(fuzzer.last_stats().memo.hits, 0) << where;
+            EXPECT_GT(fuzzer.last_stats().memo.misses, 0) << where;
+        }
+    }
+}
+
+TEST(OriginalMemo, DigestMismatchFallsBackToTheExactComparison) {
+    // Two testers of one cutout class: the first runs the original side and
+    // publishes it; the second's transformed side differs bitwise but within
+    // the threshold, so its digests cannot vouch for it — it re-runs the
+    // original side and compares exactly, returning what a tester without a
+    // memo returns.
+    const ir::SDFG p = make_scale_sdfg("o = i * 2.0");
+    const ir::SDFG near = make_scale_sdfg("o = i * 2.0 + 1e-12");
+    const std::set<std::string> state = {"y"};
+    interp::Context inputs;
+    inputs.symbols["N"] = 4;
+    inputs.buffers.emplace("x", ff::testing::make_buffer({1, 2, 3, 4}));
+
+    for (double threshold : {1e-5, 0.0}) {
+        DiffConfig cfg;
+        cfg.threshold = threshold;
+        OriginalMemo memo(2);
+        DifferentialTester first(cfg);
+        first.bind(p, p, state, nullptr, nullptr, &memo);
+        EXPECT_EQ(first.run_trial(inputs, 0).verdict, Verdict::Pass);
+        EXPECT_EQ(memo.stats().misses, 1);
+
+        DifferentialTester second(cfg);
+        second.bind(p, near, state, nullptr, nullptr, &memo);
+        const TrialOutcome got = second.run_trial(inputs, 0);
+        DifferentialTester plain(p, near, state, cfg);
+        const TrialOutcome want = plain.run_trial(inputs);
+        EXPECT_EQ(got.verdict, threshold > 0 ? Verdict::Pass : Verdict::SemanticsChanged);
+        EXPECT_EQ(got.verdict, want.verdict) << "threshold " << threshold;
+        EXPECT_EQ(got.detail, want.detail) << "threshold " << threshold;
+        EXPECT_EQ(got.original_points, want.original_points);
+        EXPECT_EQ(got.original_instructions, want.original_instructions);
+        EXPECT_EQ(got.transformed_points, want.transformed_points);
+        EXPECT_EQ(memo.stats().hits, 1);
+        EXPECT_GT(memo.stats().fallbacks, 0) << "threshold " << threshold;
+
+        // A bitwise-equal transformed side passes from the memo alone; other
+        // inputs (or an unindexed trial) never read the entry.
+        EXPECT_EQ(first.run_trial(inputs, 0).verdict, Verdict::Pass);
+        EXPECT_EQ(memo.stats().hits, 2);
+        EXPECT_EQ(memo.stats().fallbacks, 1);
+        interp::Context other = inputs;
+        other.buffers.at("x").store(0, interp::Value::from_double(5.0));
+        EXPECT_EQ(second.run_trial(other, 0).verdict, plain.run_trial(other).verdict);
+        EXPECT_EQ(second.run_trial(inputs).verdict, want.verdict);
+        EXPECT_EQ(memo.stats().hits, 2);
+        EXPECT_EQ(memo.stats().misses, 2);
+    }
+}
+
 TEST(Report, AuditSummaryAggregates) {
     FuzzReport a;
     a.transformation = "X";

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "common/error.h"
@@ -115,6 +116,23 @@ TEST(Buffer, CompareThresholdAndBitwise) {
     EXPECT_EQ(mismatch->flat_index, 1);
     // Shape mismatch is a mismatch.
     EXPECT_TRUE(compare_buffers(a, make_buffer({1.0, 2.0}), 1e-5).has_value());
+    // Identical infinities are equal at every threshold; opposite ones, or
+    // an infinity against a finite value, stay mismatches.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double threshold : {1e-5, 0.0}) {
+        EXPECT_FALSE(compare_buffers(make_buffer({1.0, inf}), make_buffer({1.0, inf}), threshold))
+            << threshold;
+        EXPECT_FALSE(compare_buffers(make_buffer({-inf}), make_buffer({-inf}), threshold))
+            << threshold;
+        const auto opposite = compare_buffers(make_buffer({1.0, inf}), make_buffer({1.0, -inf}),
+                                              threshold);
+        ASSERT_TRUE(opposite.has_value()) << threshold;
+        EXPECT_EQ(opposite->flat_index, 1);
+        EXPECT_TRUE(compare_buffers(make_buffer({inf}), make_buffer({1e300}), threshold))
+            << threshold;
+        EXPECT_TRUE(compare_buffers(make_buffer({2.0}), make_buffer({-inf}), threshold))
+            << threshold;
+    }
 }
 
 TEST(Interpreter, ElementwiseMap) {
