@@ -14,13 +14,18 @@ namespace ff::common {
 std::int64_t Json::as_int() const {
     if (is_int()) return std::get<std::int64_t>(value_);
     if (is_double()) return static_cast<std::int64_t>(std::get<double>(value_));
-    throw ParseError("json value is not a number");
+    wrong_type("a number");
 }
 
 double Json::as_double() const {
     if (is_double()) return std::get<double>(value_);
     if (is_int()) return static_cast<double>(std::get<std::int64_t>(value_));
-    throw ParseError("json value is not a number");
+    wrong_type("a number");
+}
+
+void Json::wrong_type(const char* expected) const {
+    throw ParseError(std::string("json value is not ") + expected + " (got " +
+                     json_type_name(*this) + ")");
 }
 
 Json& Json::operator[](const std::string& key) {

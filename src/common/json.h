@@ -70,14 +70,18 @@ public:
     bool is_array() const { return std::holds_alternative<JsonArray>(value_); }
     bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
 
-    bool as_bool() const { return std::get<bool>(value_); }
+    /// Typed reads.  A value of another type throws ParseError naming the
+    /// expected and the actual type — a wrong-typed field is malformed
+    /// input, not an internal error.  as_int and as_double accept either
+    /// number type.
+    bool as_bool() const { return get<bool>("a boolean"); }
     std::int64_t as_int() const;
     double as_double() const;
-    const std::string& as_string() const { return std::get<std::string>(value_); }
-    const JsonArray& as_array() const { return std::get<JsonArray>(value_); }
-    JsonArray& as_array() { return std::get<JsonArray>(value_); }
-    const JsonObject& as_object() const { return std::get<JsonObject>(value_); }
-    JsonObject& as_object() { return std::get<JsonObject>(value_); }
+    const std::string& as_string() const { return get<std::string>("a string"); }
+    const JsonArray& as_array() const { return get<JsonArray>("an array"); }
+    JsonArray& as_array() { return get<JsonArray>("an array"); }
+    const JsonObject& as_object() const { return get<JsonObject>("an object"); }
+    JsonObject& as_object() { return get<JsonObject>("an object"); }
 
     /// Object member access; inserts null when missing (non-const).
     Json& operator[](const std::string& key);
@@ -99,6 +103,19 @@ public:
     static Json parse_file(const std::string& path);
 
 private:
+    template <typename T>
+    const T& get(const char* expected) const {
+        if (const T* v = std::get_if<T>(&value_)) return *v;
+        wrong_type(expected);
+    }
+    template <typename T>
+    T& get(const char* expected) {
+        if (T* v = std::get_if<T>(&value_)) return *v;
+        wrong_type(expected);
+    }
+    /// Throws ParseError: "json value is not <expected> (got <actual>)".
+    [[noreturn]] void wrong_type(const char* expected) const;
+
     std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, JsonArray, JsonObject>
         value_;
 };

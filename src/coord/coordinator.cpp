@@ -53,6 +53,17 @@ constexpr long kSendTimeoutMs = 2000;
 /// after hanging up, so killing it at once can cut that off.
 constexpr long kChildExitGraceMs = 1000;
 
+/// Spawned workers that die are restarted (fault-free) up to this many
+/// times across the whole run.
+constexpr int kMaxRespawns = 8;
+
+/// Budget caps for the quarantine re-run of a blamed unit.  The re-run
+/// executes in the coordinator's own process, so it must terminate no
+/// matter how hostile the trial: the caps apply whenever the job's own
+/// budgets are unset or looser.
+constexpr std::int64_t kQuarantineMaxPoints = 16'000'000;
+constexpr std::int64_t kQuarantineMaxAllocBytes = 256ll << 20;
+
 /// One accepted worker connection.
 struct Connection {
     int fd = -1;  ///< -1 = superseded by a session resume; swept next tick.
@@ -276,7 +287,7 @@ void Server::reap_children() {
             }
         }
         child.pid = -1;
-        if (!clean && !done_ && respawns_used_ < config_.max_respawns) {
+        if (!clean && !done_ && respawns_used_ < kMaxRespawns) {
             ++respawns_used_;
             // The replacement is always fault-free: the fault is a plan,
             // not a property of the slot.
@@ -661,12 +672,12 @@ core::PreparedAudit& Server::quarantine_audit(std::int64_t unit) {
     core::FuzzConfig qc = shard::job_fuzz_config(config_.job);
     qc.num_threads = 1;
     qc.artifact_dir = "";  // artifacts are saved by the main audit's finalize
-    if (qc.diff.exec.max_points <= 0 || qc.diff.exec.max_points > config_.quarantine_max_points) {
-        qc.diff.exec.max_points = config_.quarantine_max_points;
+    if (qc.diff.exec.max_points <= 0 || qc.diff.exec.max_points > kQuarantineMaxPoints) {
+        qc.diff.exec.max_points = kQuarantineMaxPoints;
     }
     if (qc.diff.exec.max_alloc_bytes <= 0 ||
-        qc.diff.exec.max_alloc_bytes > config_.quarantine_max_alloc_bytes) {
-        qc.diff.exec.max_alloc_bytes = config_.quarantine_max_alloc_bytes;
+        qc.diff.exec.max_alloc_bytes > kQuarantineMaxAllocBytes) {
+        qc.diff.exec.max_alloc_bytes = kQuarantineMaxAllocBytes;
     }
     log("preparing quarantine audit (max_points=" + std::to_string(qc.diff.exec.max_points) +
         ", max_alloc_bytes=" + std::to_string(qc.diff.exec.max_alloc_bytes) + ")");

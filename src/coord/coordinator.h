@@ -65,9 +65,6 @@ struct CoordConfig {
     int prepare_threads = 1;      ///< Pool width of the coordinator's own prepare.
     int spawn_workers = 0;        ///< Worker processes to fork+exec (0 = external only).
     int worker_threads = 1;       ///< --threads of spawned workers.
-    /// Spawned workers that die are restarted (fault-free) up to this many
-    /// times across the whole run.
-    int max_respawns = 8;
     /// Fault specs (FaultPlan::parse syntax) by spawned-worker index — the
     /// chaos harness for worker crashes and stalls, and, through the frame
     /// faults, for the wire-integrity and session-resume machinery;
@@ -81,12 +78,6 @@ struct CoordConfig {
     /// whose allocations hit the cap exits with kWorkerExitMemoryCap.
     /// 0 = off.
     std::int64_t worker_rlimit_as = 0;
-    /// Budget caps for the quarantine re-run of a blamed unit.  The re-run
-    /// executes in the coordinator's own process, so it must terminate no
-    /// matter how hostile the trial: the caps apply whenever the job's own
-    /// budgets are unset or looser.
-    std::int64_t quarantine_max_points = 16'000'000;
-    std::int64_t quarantine_max_alloc_bytes = 256ll << 20;
     bool verbose = false;         ///< Log lease traffic to stderr.
 };
 

@@ -151,13 +151,13 @@ ValidationResult ValidationResult::of(const ir::SDFG& transformed) {
 }
 
 DifferentialTester::DifferentialTester(DiffConfig config)
-    // One interpreter per side, retained for the tester's lifetime: state
-    // plans, compiled tasklet bytecode and the execution scratch arena are
-    // built on the first trial of a binding and amortized over every
-    // subsequent one (config.exec.use_compiled_tasklets selects the engine).
-    // An unbound tester carries throwaway private caches; bind() installs
-    // the instance's shared cache.
-    : config_(config), interp_original_(config.exec), interp_transformed_(config.exec) {}
+    // One interpreter for both sides, retained for the tester's lifetime:
+    // its execution scratch arena is amortized over every trial, and state
+    // plans and compiled tasklet bytecode live in the bound instance's plan
+    // cache (config.exec.use_compiled_tasklets selects the engine).  An
+    // unbound tester carries a throwaway private cache; bind() installs the
+    // instance's shared cache.
+    : config_(config), interp_(config.exec) {}
 
 DifferentialTester::DifferentialTester(const ir::SDFG& original, const ir::SDFG& transformed,
                                        std::set<std::string> system_state, DiffConfig config,
@@ -178,22 +178,14 @@ void DifferentialTester::bind(const ir::SDFG& original, const ir::SDFG& transfor
     memo_ = memo;
     // Both sides share one plan cache — and with it every sibling tester
     // running trials of the same instance on other threads.
-    interp_original_.rebind_plan_cache(plan_cache ? std::move(plan_cache)
-                                                  : std::make_shared<interp::PlanCache>());
-    interp_transformed_.rebind_plan_cache(interp_original_.plan_cache());
+    interp_.rebind_plan_cache(std::move(plan_cache));
     validation_ = prevalidated ? *prevalidated : ValidationResult::of(transformed);
 
     // Coverage instruments the *original* side only: the corpus and report
     // counters are defined over original-side def-use pairs, which exist on
     // every trial (the transformed side may not even run).
-    if (config_.exec.coverage) {
-        atlas_ = interp_original_.plan_cache()->atlas_for(original);
-        cov_map_.reset(atlas_->pair_count());
-        interp_original_.set_coverage(&cov_map_);
-    } else {
-        atlas_.reset();
-        interp_original_.set_coverage(nullptr);
-    }
+    if (config_.exec.coverage) atlas_ = interp_.plan_cache()->atlas_for(original);
+    else atlas_.reset();
 }
 
 TrialOutcome DifferentialTester::run_trial(const interp::Context& inputs, int trial) {
@@ -218,9 +210,14 @@ TrialOutcome DifferentialTester::run_trial(const interp::Context& inputs, int tr
         outcome.original_instructions = hit->instructions;
         outcome.coverage = hit->coverage;
     } else {
-        if (atlas_) cov_map_.reset(atlas_->pair_count());
+        // The coverage map is installed only while this run executes.
+        if (atlas_) {
+            cov_map_.reset(atlas_->pair_count());
+            interp_.set_coverage(&cov_map_);
+        }
         ctx_original = inputs;
-        const interp::ExecResult r1 = interp_original_.run(*original_, ctx_original);
+        const interp::ExecResult r1 = interp_.run(*original_, ctx_original);
+        interp_.set_coverage(nullptr);
         if (r1.ok()) {
             outcome.original_points = r1.points;
             outcome.original_instructions = r1.instructions;
@@ -233,7 +230,7 @@ TrialOutcome DifferentialTester::run_trial(const interp::Context& inputs, int tr
     }
 
     interp::Context ctx_transformed = inputs;
-    const interp::ExecResult r2 = interp_transformed_.run(*transformed_, ctx_transformed);
+    const interp::ExecResult r2 = interp_.run(*transformed_, ctx_transformed);
     if (r2.status == interp::ExecStatus::Hang) {
         outcome.verdict = Verdict::TransformedHang;
         outcome.detail = r2.message;
@@ -262,7 +259,7 @@ TrialOutcome DifferentialTester::run_trial(const interp::Context& inputs, int tr
         }
         memo->note_fallback();
         ctx_original = inputs;
-        interp_original_.run(*original_, ctx_original);
+        interp_.run(*original_, ctx_original);
     }
 
     // System-state comparison.

@@ -172,8 +172,8 @@ private:
     MemoStats stats_;
 };
 
-/// A reusable differential-execution context: two interpreters (original /
-/// transformed side) plus their scratch arenas.
+/// A reusable differential-execution context: one interpreter, with its
+/// scratch arena, that runs both sides of every trial.
 ///
 /// A tester is *bound* to one transformation instance — an (original,
 /// transformed, system-state, plan-cache) tuple — and runs any number of
@@ -183,7 +183,7 @@ private:
 /// the whole audit instead of being rebuilt per instance (see core::Fuzzer).
 class DifferentialTester {
 public:
-    /// Unbound tester: interpreters and scratch only.  bind() must be called
+    /// Unbound tester: interpreter and scratch only.  bind() must be called
     /// before run_trial().
     explicit DifferentialTester(DiffConfig config = {});
 
@@ -206,12 +206,11 @@ public:
     DifferentialTester(const DifferentialTester&) = delete;
     DifferentialTester& operator=(const DifferentialTester&) = delete;
 
-    /// Rebinds this tester to a different instance.  The interpreters keep
-    /// their scratch arenas but swap plan caches (per-interpreter memos are
-    /// dropped), so the first trial after a rebind pays plan-lookup cost and
-    /// steady state is as fast as a freshly constructed tester.  `original`,
-    /// `transformed` and `system_state` are captured by reference and must
-    /// outlive the binding; `prevalidated` (when given) is copied.  `memo`
+    /// Rebinds this tester to a different instance.  The interpreter keeps
+    /// its scratch arena but swaps plan caches, so steady state is as fast
+    /// as a freshly constructed tester's.  `original`, `transformed` and
+    /// `system_state` are captured by reference and must outlive the
+    /// binding; `prevalidated` (when given) is copied.  `memo`
     /// (when given) is the original-side memo of the instance's cutout class
     /// and must outlive the binding too.
     void bind(const ir::SDFG& original, const ir::SDFG& transformed,
@@ -239,11 +238,10 @@ private:
     DiffConfig config_;                         ///< Comparison + exec settings.
     ValidationResult validation_;               ///< Of the bound transformed graph.
     OriginalMemo* memo_ = nullptr;              ///< The bound cutout class's memo.
-    interp::Interpreter interp_original_;       ///< Original-side interpreter.
-    interp::Interpreter interp_transformed_;    ///< Transformed-side interpreter.
+    interp::Interpreter interp_;                ///< Runs both sides.
     /// Coverage instrumentation of the bound original side (only populated
     /// when config_.exec.coverage): the shared atlas keys the per-trial
-    /// bitmap the original-side interpreter marks into.
+    /// bitmap the interpreter marks into while the original side runs.
     std::shared_ptr<const feedback::CovAtlas> atlas_;
     feedback::CoverageMap cov_map_;  ///< Reset per trial, read after Ok runs.
 };

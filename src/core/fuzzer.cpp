@@ -195,7 +195,7 @@ private:
     std::vector<std::atomic<std::int64_t>> in_flight_;
 };
 
-/// A pool-worker slot's execution context: its tester (two interpreters +
+/// A pool-worker slot's execution context: its tester (one interpreter +
 /// scratch) and the instance (and class memo) that tester is bound to.  Kept
 /// by the PreparedAudit across run_range calls and reset_trials().
 struct WorkerContext {

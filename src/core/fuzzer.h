@@ -4,7 +4,7 @@
 // Execution model (see docs/ARCHITECTURE.md): audit() prepares every
 // transformation instance, then drains one global queue of (instance, trial)
 // units with a fixed pool of workers.  Each worker slot owns one execution
-// context (two interpreters + scratch), built on its first claim and rebound
+// context (one interpreter + scratch), built on its first claim and rebound
 // when the worker moves to another instance; each prepared instance owns the
 // plan cache its contexts bind to, and instances with equal cutouts share
 // one memo of the original side.  Trial inputs are a pure function of

@@ -6,6 +6,35 @@
 
 namespace ff::core {
 
+namespace {
+
+/// Input buffer elements are drawn from these intervals by dtype family.
+constexpr double kFloatLo = -1.0, kFloatHi = 1.0;
+constexpr std::int64_t kIntLo = -8, kIntHi = 8;
+/// Uniform mode draws every symbol from this interval (it may produce
+/// invalid sizes on purpose).
+constexpr std::int64_t kUniformLo = -64, kUniformHi = 64;
+
+/// Allocates every input container at the shape `ctx`'s symbols give it and
+/// fills it uniformly at random.
+void fill_inputs(const ir::SDFG& cutout, const std::set<std::string>& input_config,
+                 common::Rng& rng, interp::Context& ctx) {
+    for (const auto& name : input_config) {
+        const ir::DataDesc& desc = cutout.container(name);
+        interp::Buffer buf(desc.dtype, desc.concrete_shape(ctx.symbols));
+        const bool is_float = ir::dtype_is_float(desc.dtype);
+        for (std::int64_t i = 0; i < buf.size(); ++i) {
+            if (is_float)
+                buf.store(i, interp::Value::from_double(rng.uniform_double(kFloatLo, kFloatHi)));
+            else
+                buf.store(i, interp::Value::from_int(rng.uniform_int(kIntLo, kIntHi)));
+        }
+        ctx.buffers.emplace(name, std::move(buf));
+    }
+}
+
+}  // namespace
+
 interp::Context InputSampler::sample(const ir::SDFG& cutout,
                                      const std::set<std::string>& input_config,
                                      const Constraints& constraints,
@@ -16,7 +45,7 @@ interp::Context InputSampler::sample(const ir::SDFG& cutout,
     if (!config_.gray_box) {
         // Uniform sampling over one wide interval for every symbol.
         for (const auto& s : constraints.free_symbols)
-            ctx.symbols[s] = rng.uniform_int(config_.uniform_lo, config_.uniform_hi);
+            ctx.symbols[s] = rng.uniform_int(kUniformLo, kUniformHi);
     } else {
         // Pass 1: sizes (needed to evaluate index bounds).
         for (const auto& s : constraints.free_symbols)
@@ -45,21 +74,7 @@ interp::Context InputSampler::sample(const ir::SDFG& cutout,
         }
     }
 
-    // Input buffers, filled uniformly at random.
-    for (const auto& name : input_config) {
-        const ir::DataDesc& desc = cutout.container(name);
-        interp::Buffer buf(desc.dtype, desc.concrete_shape(ctx.symbols));
-        const bool is_float = ir::dtype_is_float(desc.dtype);
-        for (std::int64_t i = 0; i < buf.size(); ++i) {
-            if (is_float)
-                buf.store(i, interp::Value::from_double(
-                                 rng.uniform_double(config_.float_lo, config_.float_hi)));
-            else
-                buf.store(i, interp::Value::from_int(
-                                 rng.uniform_int(config_.int_lo, config_.int_hi)));
-        }
-        ctx.buffers.emplace(name, std::move(buf));
-    }
+    fill_inputs(cutout, input_config, rng, ctx);
     return ctx;
 }
 
@@ -86,7 +101,7 @@ interp::Context InputSampler::mutate(const ir::SDFG& cutout,
         for (const auto& s : constraints.free_symbols) {
             std::int64_t v = 0;
             if (parent_symbol(s, v) && !rng.chance(0.5)) ctx.symbols[s] = v;
-            else ctx.symbols[s] = rng.uniform_int(config_.uniform_lo, config_.uniform_hi);
+            else ctx.symbols[s] = rng.uniform_int(kUniformLo, kUniformHi);
         }
     } else {
         // Pass 1: sizes.  Redraws are boundary-biased — extents of 0 map
@@ -142,20 +157,7 @@ interp::Context InputSampler::mutate(const ir::SDFG& cutout,
     // Input buffers: fresh fill for the mutated shapes (shape symbols may
     // have changed, so parent values cannot be carried over in general; the
     // symbols carry the coverage-relevant structure).
-    for (const auto& name : input_config) {
-        const ir::DataDesc& desc = cutout.container(name);
-        interp::Buffer buf(desc.dtype, desc.concrete_shape(ctx.symbols));
-        const bool is_float = ir::dtype_is_float(desc.dtype);
-        for (std::int64_t i = 0; i < buf.size(); ++i) {
-            if (is_float)
-                buf.store(i, interp::Value::from_double(
-                                 rng.uniform_double(config_.float_lo, config_.float_hi)));
-            else
-                buf.store(i, interp::Value::from_int(
-                                 rng.uniform_int(config_.int_lo, config_.int_hi)));
-        }
-        ctx.buffers.emplace(name, std::move(buf));
-    }
+    fill_inputs(cutout, input_config, rng, ctx);
     return ctx;
 }
 

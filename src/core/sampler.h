@@ -14,34 +14,20 @@
 
 namespace ff::core {
 
+/// Input buffers draw float elements from [-1, 1] and integer elements
+/// from [-8, 8]; uniform mode draws every symbol from [-64, 64].
 struct SamplerConfig {
     std::uint64_t seed = 0x5eed;
     std::int64_t size_max = 16;
-    double float_lo = -1.0;
-    double float_hi = 1.0;
-    std::int64_t int_lo = -8;
-    std::int64_t int_hi = 8;
     bool gray_box = true;
-    /// Uniform-mode symbol interval (may produce invalid sizes on purpose).
-    std::int64_t uniform_lo = -64;
-    std::int64_t uniform_hi = 64;
 };
 
 class InputSampler {
 public:
-    /// Throws common::ValidationError on a config whose intervals are
-    /// inverted (float_lo > float_hi, int_lo > int_hi) or whose size_max
-    /// admits no valid size (< 1) — catching nonsense at construction
-    /// instead of sampling from an empty interval trials later.
+    /// Throws common::ValidationError on a config whose size_max admits no
+    /// valid size (< 1) — catching nonsense at construction instead of
+    /// sampling from an empty interval trials later.
     explicit InputSampler(SamplerConfig config = {}) : config_(config) {
-        if (config_.float_lo > config_.float_hi)
-            throw common::ValidationError("sampler float interval is empty: float_lo " +
-                                          std::to_string(config_.float_lo) + " > float_hi " +
-                                          std::to_string(config_.float_hi));
-        if (config_.int_lo > config_.int_hi)
-            throw common::ValidationError("sampler int interval is empty: int_lo " +
-                                          std::to_string(config_.int_lo) + " > int_hi " +
-                                          std::to_string(config_.int_hi));
         if (config_.size_max < 1)
             throw common::ValidationError("sampler size_max must be >= 1, got " +
                                           std::to_string(config_.size_max));

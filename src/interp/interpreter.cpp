@@ -24,6 +24,9 @@ namespace {
 constexpr std::size_t kCopyScratch = 6;
 constexpr std::size_t kPassthroughBase = 8;  // + per-tasklet passthrough pool index
 
+/// Seed of the deterministic garbage Device containers start with.
+constexpr std::uint64_t kDeviceGarbageSeed = 0xD00DULL;
+
 /// Precomputes subset shape facts that do not depend on symbol values.
 void analyze_subset(AccessPlan& ap) {
     ap.single_point = true;
@@ -326,37 +329,24 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     for (const ir::NodeId c : sp.children) {
         if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // nested scope etc.
         const TaskletPlan* tp = plan.plan_of(c);
-        if (!tp || tp->use_reference) return;
+        // Kernels run the untagged VM only.  The F64 signature binds every
+        // access to a single point of a container, and its feasibility
+        // proof rules out traps and integer division — so the committed
+        // point loop is throw-free, as it must be: lane buffers are
+        // pre-allocated at launch, and a tasklet throwing mid-loop would
+        // leave different partial allocations than the lazily-allocating
+        // generic path.  Every other tasklet runs the generic tagged VM.
+        if (!tp || tp->sig != VMSig::F64) return;
         // Input validation must be statically satisfied: single-point
         // gathers deliver exactly one lane, so any wider (or unbound)
         // declared input would throw per point — leave that to the generic
         // path.
         for (const TaskletPlan::InputCheck& check : tp->input_checks)
             if (check.input_index < 0 || check.width > 1) return;
-        // The committed point loop must be throw-free: lane buffers are
-        // pre-allocated at launch, so a tasklet throwing mid-loop would
-        // leave different partial allocations than the lazily-allocating
-        // generic path.  Trap instructions always throw when reached;
-        // integer division/modulo can throw on a zero divisor — allowed
-        // only when the f64 feasibility proof (all inputs arrive as
-        // doubles, so the int division path is unreachable) applies, i.e.
-        // the program is feasible and every input container is float.
-        if (!tp->prog->trap_connectors().empty()) return;
-        if (tp->prog->has_div_mod()) {
-            bool floats_only = tp->prog->has_f64_variant();
-            for (const AccessPlan& ap : tp->inputs)
-                floats_only = floats_only && sdfg.has_container(ap.memlet->data) &&
-                              ir::dtype_is_float(sdfg.container(ap.memlet->data).dtype);
-            if (!floats_only) return;
-        }
         const int tindex = static_cast<int>(kern.tasklets.size());
         auto classify_access = [&](const AccessPlan& ap, bool output, int index) {
-            if (!ap.single_point || ap.invalid || ap.passthrough_pool >= 0) return false;
-            if (output && ap.slot_base < 0) return false;
-            if (!sdfg.has_container(ap.memlet->data)) return false;
-            const ir::DataDesc& desc = sdfg.container(ap.memlet->data);
             // Rank mismatches raise inside the loop on the generic path.
-            if (desc.dims() != ap.dims.size()) return false;
+            if (sdfg.container(ap.memlet->data).dims() != ap.dims.size()) return false;
             KernelAccess ka;
             ka.tasklet = tindex;
             ka.output = output;
@@ -378,18 +368,12 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
         kern.tasklets.push_back(plan.node_to_plan[static_cast<std::size_t>(c)]);
     }
 
-    // Segment eligibility: every tasklet runs the untagged f64 VM (so lanes
-    // move through raw storage) and is straight-line (so the VM's batch mode
-    // applies).  Tagged-sig tasklets are excluded — batching them would
-    // re-introduce per-element tag dispatch for no gain.  Note integer
-    // Div/Mod can never reach here: the throw-free gate above only admits
-    // div/mod under the f64 feasibility proof.
+    // Segment eligibility: every tasklet is straight-line, so the VM's batch
+    // mode applies.
     kern.segment_ok = !kern.tasklets.empty();
-    for (const int t : kern.tasklets) {
-        const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(t)];
-        kern.segment_ok =
-            kern.segment_ok && tp.sig == VMSig::F64 && tp.prog->is_straightline();
-    }
+    for (const int t : kern.tasklets)
+        kern.segment_ok = kern.segment_ok &&
+                          plan.tasklet_plans[static_cast<std::size_t>(t)].prog->is_straightline();
 
     sp.kernel = static_cast<int>(plan.kernels.size());
     plan.kernels.push_back(std::move(kern));
@@ -514,21 +498,10 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
     if (!tp.use_reference && prog.has_f64_variant() && untagged_ok()) tp.sig = VMSig::F64;
 }
 
-const StatePlan& Interpreter::plan_for(const ir::SDFG& sdfg, const ir::State& state) {
-    const PlanKey key{sdfg.plan_uid(), sdfg.mutation_epoch(), &state};
-    auto it = plan_memo_.find(key);
-    if (it == plan_memo_.end()) {
-        // Drop memo entries of this SDFG from older mutation epochs: they
-        // can never hit again (epochs only grow), and a warm interpreter
-        // reused across many transformations must not accumulate them.
-        const auto first = plan_memo_.lower_bound(PlanKey{sdfg.plan_uid(), 0, nullptr});
-        const auto last =
-            plan_memo_.lower_bound(PlanKey{sdfg.plan_uid(), sdfg.mutation_epoch(), nullptr});
-        plan_memo_.erase(first, last);
-        auto plan = plans_->get_or_build(key, [&] { return build_plan(sdfg, state); });
-        it = plan_memo_.emplace(key, std::move(plan)).first;
-    }
-    return *it->second;
+std::shared_ptr<const StatePlan> Interpreter::plan_for(const ir::SDFG& sdfg,
+                                                       const ir::State& state) {
+    return plans_->get_or_build(PlanKey{sdfg.plan_uid(), sdfg.mutation_epoch(), &state},
+                                [&] { return build_plan(sdfg, state); });
 }
 
 void Interpreter::sync_flat_bindings(const StatePlan& plan, const Context& ctx) {
@@ -550,11 +523,8 @@ void Interpreter::invalidate_execution_cache() {
 
 void Interpreter::rebind_plan_cache(PlanCachePtr plans) {
     plans_ = plans ? std::move(plans) : std::make_shared<PlanCache>();
-    // The memo holds shared_ptrs into the *previous* cache; plans compiled
-    // against a different cache's symbol table must never be mixed, so the
-    // memo goes with it.  Scratch stays: its vectors are sized per state on
-    // entry and reusing their capacity is the point of rebinding.
-    plan_memo_.clear();
+    // Scratch stays: its vectors are sized per state on entry and reusing
+    // their capacity is the point of rebinding.
     invalidate_execution_cache();
 }
 
@@ -613,7 +583,8 @@ ExecResult Interpreter::run(const ir::SDFG& sdfg, Context& ctx) {
 }
 
 void Interpreter::execute_state(const ir::SDFG& sdfg, const ir::State& state, Context& ctx) {
-    const StatePlan& plan = plan_for(sdfg, state);
+    const std::shared_ptr<const StatePlan> held = plan_for(sdfg, state);
+    const StatePlan& plan = *held;
     invalidate_execution_cache();
     sync_flat_bindings(plan, ctx);
     for (NodeId nid : plan.top_level) {
@@ -630,9 +601,9 @@ void Interpreter::execute_state(const ir::SDFG& sdfg, const ir::State& state, Co
 
 void Interpreter::execute_node(const ir::SDFG& sdfg, const ir::State& state, NodeId nid,
                                Context& ctx) {
-    const StatePlan& plan = plan_for(sdfg, state);
-    sync_flat_bindings(plan, ctx);
-    execute_node_planned(sdfg, state, plan, nid, ctx);
+    const std::shared_ptr<const StatePlan> plan = plan_for(sdfg, state);
+    sync_flat_bindings(*plan, ctx);
+    execute_node_planned(sdfg, state, *plan, nid, ctx);
 }
 
 void Interpreter::execute_node_planned(const ir::SDFG& sdfg, const ir::State& state,
@@ -826,20 +797,14 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                       : tp.inputs[static_cast<std::size_t>(ka.index)];
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
         Scratch::KernelLane& lane = s.lanes[a];
-        lane.buf = &buf;
-        lane.raw = nullptr;
+        lane.raw = raw_data_of(buf);
         lane.dt = buf.dtype();
         lane.slot = ap.slot_base;
         const std::size_t dims = ap.dims.size();
         if (buf.dims() != dims) return false;  // generic raises rank mismatch
-        if (tp.sig == VMSig::F64) {
-            // Input dtype drift outside the float family: the generic tagged
-            // path handles any dtype.  Outputs convert on store, so only
-            // their raw pointer matters.
-            if (!ka.output && !ir::dtype_is_float(lane.dt)) return false;
-            lane.raw = raw_data_of(buf);
-            if (!lane.raw) return false;  // defensive
-        }
+        // Input dtype drift outside the float family: the generic tagged
+        // path handles any dtype.  Outputs convert on store.
+        if (!ka.output && !ir::dtype_is_float(lane.dt)) return false;
         const auto& shape = buf.shape();
         const auto& strides = buf.strides();
         __int128 flat0 = 0;
@@ -911,39 +876,24 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     }
 
     // 4. The loop.  Per point: gather -> VM -> scatter per tasklet through
-    // the lanes; advancing to the next point is one add per lane.
+    // the lanes' raw storage; advancing to the next point is one add per
+    // lane.
     s.kiter.assign(nparams, 0);
     for (;;) {
         std::size_t a = 0;
         for (std::size_t t = 0; t < ntasklets; ++t) {
             const TaskletPlan& tp =
                 plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-            const std::size_t nin = tp.inputs.size();
-            const std::size_t nout = tp.outputs.size();
-            // Tagged lanes move Values through Buffer::load/store, untagged
-            // lanes raw storage through the conversions above.
-            const auto run_point = [&](auto& slot_vec, auto& reg_vec) {
-                using T = typename std::decay_t<decltype(slot_vec)>::value_type;
-                T* slots = reset_frame(slot_vec, reg_vec, *tp.prog);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot < 0) continue;
-                    if constexpr (std::is_same_v<T, Value>)
-                        slots[lane.slot] = lane.buf->load(lane.offset);
-                    else
-                        slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
-                }
-                tp.prog->run_vm(slots, reg_vec.data());
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if constexpr (std::is_same_v<T, Value>)
-                        lane.buf->store(lane.offset, slots[lane.slot]);
-                    else
-                        store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
-                }
-            };
-            if (tp.sig == VMSig::Tagged) run_point(s.slots, s.regs);
-            else run_point(s.f64_slots, s.f64_regs);
+            double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
+            for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+                const Scratch::KernelLane& lane = s.lanes[a];
+                if (lane.slot >= 0) slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
+            }
+            tp.prog->run_vm(slots, s.f64_regs.data());
+            for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
+                const Scratch::KernelLane& lane = s.lanes[a];
+                store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
+            }
         }
         // Odometer: find the deepest level that advances; the precomputed
         // delta folds that advance plus every deeper level's reset into one
@@ -974,7 +924,7 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparam
             // Inputs with no slot are never loaded (side-effect-only
             // gathers); they cannot observe reordering.
             if (!kern.accesses[l].output && s.lanes[l].slot < 0) continue;
-            if (s.lanes[l].buf != s.lanes[w].buf) continue;
+            if (s.lanes[l].raw != s.lanes[w].raw) continue;  // different buffers
             const std::int64_t ld = s.lane_delta[l * nparams + inner];
             const std::int64_t lo = s.lanes[l].offset;
             // Pointwise-aligned: the pair touches each address only at the
@@ -1008,7 +958,6 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
     // within a tile every tasklet sees its predecessors' stores for the
     // whole tile — for pointwise-aligned dependencies (the only cross-lane
     // interaction the alias check admits) that is exactly per-point order.
-    // segment_ok excludes Tagged tasklets.
     constexpr std::int64_t kTile = 256;
     for (std::size_t t = 0; t < ntasklets; ++t) {
         const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
@@ -1103,7 +1052,7 @@ Buffer& Interpreter::ensure_buffer(const ir::SDFG& sdfg, Context& ctx, const std
     Buffer buf(desc.dtype, std::move(shape));
     if (desc.storage == ir::Storage::Device) {
         // Deterministic garbage, stable per container name.
-        std::uint64_t h = config_.device_garbage_seed;
+        std::uint64_t h = kDeviceGarbageSeed;
         for (char c : name) h = common::splitmix64(h ^ static_cast<std::uint64_t>(c));
         buf.fill_garbage(h);
     }

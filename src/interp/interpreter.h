@@ -52,27 +52,30 @@
 //
 // Specialization tiers (plan-level loop specialization):
 //
-// On top of the compiled path, build_plan classifies every map scope.  A
-// scope whose children are all compiled tasklets, whose range bounds are
-// evaluable at scope entry (they never reference the scope's own
-// parameters), and whose memlet indices are affine in the scope parameters
-// with constant coefficients carries a ScopeKernel: per-access flat-stride
-// advances replace the odometer's per-point index-expression evaluation and
-// bounds-checked flat_index calls — advancing a point is one add per
-// connector, and the whole iteration footprint is validated once per launch
-// (a launch that could fault falls back to the generic odometer, which owns
-// partial-effect and error-ordering semantics).  Independently, each tasklet
-// selects a *dtype signature* (TaskletPlan::sig): a program admitting the
-// untagged double VM (TaskletProgram::has_f64_variant) whose input
-// connectors all bind scalar float-family (F64/F32) containers runs tagless
-// on raw doubles; every other tasklet, int-family inputs included, runs the
-// tagged VM.  Output containers may be any dtype — the store-side
-// conversions mirror the tagged VM's Buffer::store casts exactly.  Inside a
-// kernel an untagged tasklet's inner loop runs over raw Buffer storage with
-// per-lane dtype conversion.  On top of that sits the *segment* tier: a
-// kernel whose tasklets are all untagged and straight-line (no branches, no
-// traps) can run its whole stride-1 innermost extent per dispatch through the
-// VM's batch mode (TaskletProgram::run_vm<double, true>) — auto-vectorizable
+// On top of the compiled path, each tasklet selects a *dtype signature*
+// (TaskletPlan::sig): a program admitting the untagged double VM
+// (TaskletProgram::has_f64_variant) whose accesses all bind single points
+// and whose input connectors all bind float-family (F64/F32) containers runs
+// tagless on raw doubles; every other tasklet, int-family inputs included,
+// runs the tagged VM.  Output containers may be any dtype — the store-side
+// conversions mirror the tagged VM's Buffer::store casts exactly.  Then
+// build_plan classifies every map scope.  A scope whose children are all
+// F64-signature tasklets, whose range bounds are evaluable at scope entry
+// (they never reference the scope's own parameters), and whose memlet
+// indices are affine in the scope parameters with constant coefficients
+// carries a ScopeKernel: per-access flat-stride advances replace the
+// odometer's per-point index-expression evaluation and bounds-checked
+// flat_index calls — advancing a point is one add per connector, and the
+// whole iteration footprint is validated once per launch (a launch that
+// could fault falls back to the generic odometer, which owns partial-effect
+// and error-ordering semantics).  Kernels are untagged only: their lanes
+// move raw Buffer storage with per-lane dtype conversion, and the F64
+// feasibility proof (no traps, no integer division) makes their point loop
+// throw-free.  A scope holding any tagged tasklet — every int-family one —
+// runs the generic odometer.  On top of that sits the *segment* tier: a
+// kernel whose tasklets are all straight-line (no branches, no traps) can
+// run its whole stride-1 innermost extent per dispatch through the VM's
+// batch mode (TaskletProgram::run_vm<double, true>) — auto-vectorizable
 // column loops instead of per-point dispatch.  Each launch checks the
 // concrete lane windows for unsafe aliasing (vertical execution reorders
 // loads/stores across points) and silently degrades to the per-point kernel
@@ -88,9 +91,11 @@
 // (SDFG plan uid, mutation epoch, state).  Several interpreters — e.g. one
 // per worker thread of the parallel fuzzer — can share one cache over the
 // same immutable SDFG pair; per-interpreter scratch keeps execution state
-// thread-private.  Applying a transformation bumps the SDFG's mutation
-// epoch, so a warm interpreter transparently rebuilds plans for the
-// transformed graph instead of requiring a fresh instance.
+// thread-private.  A plan lookup takes the cache lock once per state
+// execution, and the returned handle keeps the plan alive while the state
+// runs.  Applying a transformation bumps the SDFG's mutation epoch, so a
+// warm interpreter transparently rebuilds plans for the transformed graph
+// instead of requiring a fresh instance.
 #pragma once
 
 #include <cstdint>
@@ -125,7 +130,6 @@ struct ExecConfig {
     /// Per-run() allocation budget over lazily created buffers, in bytes
     /// (0 = unlimited).  Caller-provided input buffers are never charged.
     std::int64_t max_alloc_bytes = 0;
-    std::uint64_t device_garbage_seed = 0xD00DULL;
     /// Execute tasklets via the bytecode VM against precomputed memlet
     /// access plans (the fast path).  false selects the reference AST
     /// engine with per-point ConnectorEnv construction — kept selectable
@@ -288,21 +292,21 @@ struct KernelAccess {
     std::vector<std::int64_t> coeffs;  ///< dims x params, row-major.
 };
 
-/// Flat-stride specialization of one map scope: every child is a compiled
-/// tasklet, every range bound is evaluable at scope entry, and every memlet
-/// index is affine in the scope parameters with constant coefficients —
-/// per-point addressing collapses to one precomputed flat-offset add per
-/// connector.  Classified once at plan time; every launch still validates
-/// ranks and the concrete iteration footprint, handing scopes that could
-/// fault back to the generic odometer (which owns partial-effect and
-/// error-ordering semantics).
+/// Flat-stride specialization of one map scope: every child is a tasklet
+/// that selected the untagged F64 signature, every range bound is evaluable
+/// at scope entry, and every memlet index is affine in the scope parameters
+/// with constant coefficients — per-point addressing collapses to one
+/// precomputed flat-offset add per connector.  Classified once at plan
+/// time; every launch still validates ranks, input dtypes and the concrete
+/// iteration footprint, handing scopes that could fault back to the generic
+/// odometer (which owns partial-effect and error-ordering semantics).
 struct ScopeKernel {
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
-    /// Segment-eligible: every tasklet selected the F64 signature and is
-    /// straight-line, so the innermost extent can execute through the batch
-    /// VM.  Each launch still checks the concrete lane windows for unsafe
-    /// aliasing before batching (see execute_scope_kernel).
+    /// Segment-eligible: every tasklet is straight-line, so the innermost
+    /// extent can execute through the batch VM.  Each launch still checks
+    /// the concrete lane windows for unsafe aliasing before batching (see
+    /// execute_scope_kernel).
     bool segment_ok = false;
 };
 
@@ -348,12 +352,12 @@ public:
     const ExecConfig& config() const { return config_; }
     const PlanCachePtr& plan_cache() const { return plans_; }
 
-    /// Swaps the shared plan cache and drops the per-interpreter plan memo
-    /// and execution cache, so a *warm* interpreter — scratch arena and value
-    /// pool intact — can be rebound to a different SDFG pair.  This is how
-    /// the audit-wide scheduler reuses one execution context across
-    /// transformation instances (see core::Fuzzer).  nullptr installs a
-    /// fresh private cache.
+    /// Swaps the shared plan cache and drops the execution cache, so a
+    /// *warm* interpreter — scratch arena and value pool intact — can be
+    /// rebound to a different SDFG pair.  This is how the audit-wide
+    /// scheduler reuses one execution context across transformation
+    /// instances (see core::Fuzzer).  nullptr installs a fresh private
+    /// cache.
     void rebind_plan_cache(PlanCachePtr plans);
 
     /// Runs the whole SDFG.  The context provides inputs (pre-created
@@ -463,10 +467,12 @@ private:
     void execute_comm_single_rank(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                                   Context& ctx);
 
-    /// Cached StatePlan, keyed by (sdfg plan uid, mutation epoch, state).
-    /// Lock-free after the first lookup (per-interpreter memo over the
-    /// shared cache); a mutation-epoch bump invalidates transparently.
-    const StatePlan& plan_for(const ir::SDFG& sdfg, const ir::State& state);
+    /// The bound PlanCache's StatePlan for (sdfg plan uid, mutation epoch,
+    /// state), built on first use; a mutation-epoch bump invalidates
+    /// transparently.  Takes the cache lock once per call, so callers look
+    /// a plan up once per state execution and hold the returned handle
+    /// while it runs.
+    std::shared_ptr<const StatePlan> plan_for(const ir::SDFG& sdfg, const ir::State& state);
     /// Mirrors the symbols `plan` references from ctx.symbols into the flat
     /// bindings (once per state execution; also resets the scope stacks).
     void sync_flat_bindings(const StatePlan& plan, const Context& ctx);
@@ -498,8 +504,6 @@ private:
     /// only at scope-launch / top-level-dispatch granularity, never per
     /// point.
     feedback::CoverageMap* cov_map_ = nullptr;
-    /// Thread-private memo over plans_: steady-state lookups take no lock.
-    std::map<PlanKey, std::shared_ptr<const StatePlan>> plan_memo_;
 
     /// Per-run() resource accounting, reset at run() entry: map points and
     /// tasklet dispatches executed (the fuel behind ExecConfig::max_points
@@ -552,11 +556,9 @@ private:
         std::vector<double> f64_slots, f64_regs, f64_cols;
 
         // Flat-stride kernel launch state (reused across launches).
-        /// One access of the running kernel: its buffer, the raw storage
-        /// pointer + runtime dtype (untagged fast path), and the current
-        /// flat offset.
+        /// One access of the running kernel: its buffer's raw storage base
+        /// and runtime dtype, and the current flat offset.
         struct KernelLane {
-            Buffer* buf = nullptr;
             void* raw = nullptr;            // dtype-erased storage base
             ir::DType dt = ir::DType::F64;  // runtime buffer dtype
             std::int64_t offset = 0;

@@ -8,9 +8,9 @@
 //
 //  * Plans are built once under a lock (builds are serialized; the build is
 //    cheap and happens once per state per mutation epoch).
-//  * Steady-state reads are lock-free: each Interpreter keeps a private memo
-//    of shared_ptrs into the cache, so after the first execution of a state
-//    no lock is touched on the trial path.
+//  * There is no per-interpreter memo: an interpreter asks the cache once
+//    per state execution, taking its lock for one map lookup, and holds the
+//    returned shared_ptr while the state runs.
 //  * Cache keys carry the SDFG's plan uid and mutation epoch, so applying a
 //    transformation (which bumps the epoch via Transformation::apply)
 //    naturally invalidates without any cross-thread coordination, and
@@ -116,11 +116,11 @@ public:
     sym::SymbolTable& symbols() { return symbols_; }
 
     /// Plan for `key`, building it via `build` under the cache lock when
-    /// missing.  The returned plan is immutable and shared.  A miss first
-    /// evicts plans of the same SDFG from older mutation epochs — they can
-    /// never be requested again (epochs only grow) and hold pointers into
-    /// the pre-mutation graph, so a long-lived cache reused across many
-    /// transformations stays bounded.
+    /// missing.  The returned plan is immutable and shared; the handle keeps
+    /// it alive after an eviction.  A miss first evicts plans of the same
+    /// SDFG from older mutation epochs — they can never be requested again
+    /// (epochs only grow) and hold pointers into the pre-mutation graph, so
+    /// a long-lived cache reused across many transformations stays bounded.
     template <typename BuildFn>
     std::shared_ptr<const StatePlan> get_or_build(const PlanKey& key, BuildFn&& build) {
         std::lock_guard<std::mutex> lock(plans_mutex_);

@@ -525,7 +525,6 @@ private:
         p_.reg_count_ = max_reg_ + 1;
         p_.straightline_ = true;
         for (const BCInstr& in : p_.bytecode_) {
-            if (in.op == BC::Div || in.op == BC::Mod) p_.has_div_mod_ = true;
             if (in.op == BC::Jump || in.op == BC::JumpIfFalse || in.op == BC::JumpIfTrue ||
                 in.op == BC::Trap)
                 p_.straightline_ = false;

@@ -157,12 +157,6 @@ public:
     /// these at runtime — only then could the reference engine succeed.
     const std::vector<std::string>& trap_connectors() const { return trap_connectors_; }
 
-    /// Whether the bytecode contains any division/modulo instruction — the
-    /// only opcodes (besides traps) that can throw at runtime (integer
-    /// division by zero).  Kernel classification uses this to prove a
-    /// tasklet's inner loop throw-free.
-    bool has_div_mod() const { return has_div_mod_; }
-
     const std::string& source() const { return source_; }
 
 private:
@@ -231,7 +225,6 @@ private:
     std::vector<double> f64consts_;  ///< consts_ as doubles (run_vm<double>).
     bool f64_feasible_ = false;      ///< See has_f64_variant().
     bool straightline_ = false;      ///< See is_straightline().
-    bool has_div_mod_ = false;       ///< See has_div_mod().
     std::vector<SlotDesc> slot_table_;  // indexed by var index
     std::vector<std::string> trap_connectors_;
     int slot_count_ = 0;

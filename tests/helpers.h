@@ -2,6 +2,11 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
+#include <system_error>
 
 #include "interp/interpreter.h"
 #include "ir/sdfg.h"
@@ -56,6 +61,30 @@ inline std::vector<double> to_vector(const interp::Buffer& buf) {
     std::vector<double> out;
     for (std::int64_t i = 0; i < buf.size(); ++i) out.push_back(buf.load_double(i));
     return out;
+}
+
+/// This process's scratch root, `ff_<pid>` under the gtest temp directory:
+/// created on first use and removed at exit, so concurrent runs of one test
+/// binary never share a path.
+inline const std::string& scratch_root() {
+    struct Root {
+        std::string path = ::testing::TempDir() + "ff_" + std::to_string(::getpid());
+        Root() { std::filesystem::create_directories(path); }
+        ~Root() {
+            std::error_code ignored;
+            std::filesystem::remove_all(path, ignored);
+        }
+    };
+    static const Root root;
+    return root.path;
+}
+
+/// Fresh empty scratch directory `name` under scratch_root().
+inline std::string scratch_dir(const std::string& name) {
+    const std::string path = scratch_root() + "/" + name;
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+    return path;
 }
 
 }  // namespace ff::testing

@@ -203,25 +203,58 @@ TEST(Batched, NonUnitOuterStrideAdvancesSegmentsCorrectly) {
 
 // --- Dtype coverage of the segment VM ------------------------------------------
 
-TEST(Batched, IntKernelsRunTaggedWithoutSegments) {
-    // Int-family inputs have no untagged engine: the flat-stride kernel runs
-    // its tasklet on the tagged VM, point by point.
-    ir::SDFG p = make_scale_sdfg("o = i * 2 + 1");
-    p.container("x").dtype = ir::DType::I64;
-    p.container("y").dtype = ir::DType::I64;
-    p.bump_mutation_epoch();
+TEST(Batched, IntAffineScopesRunTheGenericTaggedVM) {
+    // Int-family inputs have no untagged engine, and kernels run the
+    // untagged VM only: the affine scope is not kernelized, so the generic
+    // odometer runs its tasklet on the tagged VM, point by point — and
+    // still matches the reference engine bitwise.  Integer division by the
+    // zero element raises the same error with the same partial effects.
+    for (const bool divides : {false, true}) {
+        const std::string code = divides ? "o = 700 / i" : "o = i * 2 + 1";
+        ir::SDFG p = make_scale_sdfg(code);
+        p.container("x").dtype = ir::DType::I64;
+        p.container("y").dtype = ir::DType::I64;
+        p.bump_mutation_epoch();
 
-    interp::Context inputs;
-    inputs.symbols["N"] = 700;
-    interp::Buffer xv(ir::DType::I64, {700});
-    for (std::int64_t i = 0; i < 700; ++i) xv.store(i, interp::Value::from_int(i - 350));
-    inputs.buffers.emplace("x", std::move(xv));
+        interp::Context inputs;
+        inputs.symbols["N"] = 700;
+        interp::Buffer xv(ir::DType::I64, {700});
+        for (std::int64_t i = 0; i < 700; ++i) xv.store(i, interp::Value::from_int(i - 350));
+        inputs.buffers.emplace("x", std::move(xv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "i64 scale");
-    EXPECT_EQ(batched.stats.tasklets_f64, 0);
-    EXPECT_EQ(batched.stats.kernel_launches, 1);
-    EXPECT_EQ(batched.stats.segment_launches, 0);
-    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(0), -699.0);
+        const TierOut batched = expect_all_tiers_agree(p, inputs, code);
+        expect_same(batched, run_cfg(p, inputs, false, false, false), code + " (bitwise)");
+        EXPECT_EQ(batched.res.status,
+                  divides ? interp::ExecStatus::Crash : interp::ExecStatus::Ok)
+            << code;
+        if (!divides) {
+            EXPECT_EQ(batched.ctx.buffers.at("y").load_double(0), -699.0);
+        }
+        EXPECT_EQ(batched.stats.tasklets_f64, 0) << code;
+        EXPECT_EQ(batched.stats.scopes_planned, 1) << code;
+        EXPECT_EQ(batched.stats.scopes_specialized, 0) << code;
+        EXPECT_EQ(batched.stats.kernel_launches, 0) << code;
+        EXPECT_EQ(batched.stats.kernel_fallbacks, 0) << code;
+        EXPECT_EQ(batched.stats.segment_launches, 0) << code;
+    }
+}
+
+TEST(Batched, FloatDivisionAndModuloKernelizeAndSegment) {
+    // The F64 signature is the kernels' throw-free gate: with every input a
+    // double, its feasibility proof rules out the integer division path,
+    // so `/` and `%` tasklets kernelize and run batched segments — even
+    // dividing by a zero element — and every tier agrees bitwise.
+    for (const std::string code :
+         {"o = i / (i * i + 1.0)", "o = 1.0 / i", "o = i % (i * 0.5 + 4.0)", "o = i % 0.75"}) {
+        const ir::SDFG p = make_scale_sdfg(code);
+        const TierOut batched = expect_all_tiers_agree(p, scale_inputs(600), code);
+        EXPECT_TRUE(batched.res.ok()) << code << ": " << batched.res.message;
+        EXPECT_EQ(batched.stats.tasklets_f64, 1) << code;
+        EXPECT_EQ(batched.stats.scopes_specialized, 1) << code;
+        EXPECT_EQ(batched.stats.scopes_segmented, 1) << code;
+        EXPECT_EQ(batched.stats.kernel_launches, 1) << code;
+        EXPECT_EQ(batched.stats.segment_launches, 1) << code;
+    }
 }
 
 TEST(Batched, MixedDtypeSegmentsConvertLikeTheTaggedVM) {

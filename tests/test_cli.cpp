@@ -26,6 +26,8 @@
 #include <sys/wait.h>
 
 #include "common/json.h"
+#include "core/testcase_io.h"
+#include "helpers.h"
 #include "ir/serialize.h"
 #include "workloads/npbench.h"
 
@@ -33,14 +35,7 @@ namespace ff {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh empty scratch directory under the gtest temp root.
-std::string scratch_dir(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "ff_cli_" + name;
-    fs::remove_all(path);
-    fs::create_directories(path);
-    return path;
-}
+using ff::testing::scratch_dir;
 
 struct CliResult {
     int code = -1;     ///< Exit code, or -1 when the process died on a signal.
@@ -51,7 +46,7 @@ struct CliResult {
 CliResult run_cli(const std::string& args) {
     static int counter = 0;
     const std::string capture =
-        ::testing::TempDir() + "ff_cli_capture_" + std::to_string(counter++) + ".txt";
+        ff::testing::scratch_root() + "/capture_" + std::to_string(counter++) + ".txt";
     const std::string cmd = std::string(FFAUDIT_PATH) + " " + args + " > " + capture + " 2>&1";
     const int status = std::system(cmd.c_str());
     CliResult result;
@@ -194,6 +189,35 @@ TEST(CliJobErrors, InvalidSdfgExitsFourNamingTheFault) {
     EXPECT_EQ(r.code, 4) << r.out;
     EXPECT_NE(r.out.find("map 'zero_T' has mismatched params/ranges"), std::string::npos)
         << r.out;
+}
+
+TEST(CliParseErrors, WrongTypedSdfgFieldExitsSeven) {
+    // A container dtype that is a number, not a name: malformed input.
+    common::Json sdfg = ir::to_json(workloads::build_npbench_kernel("gemm"));
+    sdfg["containers"].as_array().at(0)["dtype"] = 5;
+    const std::string path = scratch_dir("wrong_typed_sdfg") + "/mut.json";
+    std::ofstream(path) << sdfg.dump();
+    const CliResult r = run_cli("run --sdfg " + path + " --passes table2 --trials 3 --size-max 4");
+    EXPECT_EQ(r.code, 7) << r.out;
+    EXPECT_NE(r.out.find("not a string (got an integer)"), std::string::npos) << r.out;
+}
+
+TEST(CliParseErrors, WrongTypedReproducerFieldExitsSeven) {
+    // A reproducer whose transformation name is a number: malformed input.
+    const common::Json program = ir::to_json(workloads::build_npbench_kernel("gemm"));
+    common::Json testcase = common::Json::object();
+    testcase["transformation"] = 5;
+    testcase["verdict"] = "pass";
+    testcase["detail"] = "";
+    testcase["original"] = program;
+    testcase["transformed"] = program;
+    testcase["system_state"] = common::Json::array();
+    testcase["inputs"] = core::context_to_json(interp::Context{});
+    const std::string path = scratch_dir("wrong_typed_testcase") + "/testcase.json";
+    std::ofstream(path) << testcase.dump();
+    const CliResult r = run_cli("replay " + path);
+    EXPECT_EQ(r.code, 7) << r.out;
+    EXPECT_NE(r.out.find("not a string (got an integer)"), std::string::npos) << r.out;
 }
 
 TEST(CliParseErrors, MalformedManifestExitsSeven) {

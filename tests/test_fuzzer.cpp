@@ -155,6 +155,68 @@ TEST(DiffTester, InvalidTransformedProgram) {
     EXPECT_EQ(tester.run_trial(inputs).verdict, Verdict::InvalidCode);
 }
 
+TEST(DiffTester, CoverageMarksOnlyTheOriginalSide) {
+    // One interpreter runs both sides; the coverage map is installed only
+    // while the original side runs.  The original is the two-map chain (16
+    // pair ids, one bitmap word).  The transformed side is 17 top-level
+    // tasklets doubling x[0] into y[0]: its 34 accesses have pair ids up to
+    // 135, so a transformed run that marked the original's map would write
+    // past its one word (an abort in the assertion and sanitizer builds).
+    const ir::SDFG p = ff::testing::make_chain_sdfg();
+    const ir::SDFG q = [] {
+        ir::SDFG sdfg("top_level");
+        sdfg.add_symbol("N");
+        sdfg.add_array("x", ir::DType::F64, {sym::symb("N")}, /*transient=*/false);
+        sdfg.add_array("y", ir::DType::F64, {sym::symb("N")}, /*transient=*/false);
+        ir::State& st = sdfg.state(sdfg.add_state("main", true));
+        const ir::Subset first{{ir::Range::index(sym::cst(0))}};
+        for (int k = 0; k < 17; ++k) {
+            const ir::NodeId t = st.add_tasklet("t" + std::to_string(k), "o = i * 2.0");
+            st.add_edge(st.add_access("x"), "", t, "i", ir::Memlet("x", first));
+            st.add_edge(t, "o", st.add_access("y"), "", ir::Memlet("y", first));
+        }
+        return sdfg;
+    }();
+    const std::set<std::string> state = {"y"};
+    interp::Context inputs;
+    inputs.symbols["N"] = 4;
+    inputs.buffers.emplace("x", ff::testing::make_buffer({1, 2, 3, 4}));
+    DiffConfig cfg;
+    cfg.exec.coverage = true;
+
+    // The words of a lone run of `program` under its own atlas.
+    const auto lone_words = [&](const ir::SDFG& program) {
+        interp::Interpreter lone(cfg.exec);
+        feedback::CoverageMap map;
+        map.reset(lone.plan_cache()->atlas_for(program)->pair_count());
+        lone.set_coverage(&map);
+        interp::Context ctx = inputs;
+        EXPECT_TRUE(lone.run(program, ctx).ok());
+        return map.trimmed_words();
+    };
+    const std::vector<std::uint64_t> want = lone_words(p);
+    ASSERT_FALSE(want.empty());
+    ASSERT_NE(lone_words(q), want);
+
+    DifferentialTester tester(p, q, state, cfg);
+    for (int trial = 0; trial < 2; ++trial) {
+        const TrialOutcome got = tester.run_trial(inputs);
+        EXPECT_EQ(got.verdict, Verdict::SemanticsChanged);
+        EXPECT_EQ(got.coverage, want) << "trial " << trial;
+    }
+
+    // A memo fallback re-runs the original side without touching the words.
+    OriginalMemo memo(1);
+    DifferentialTester first(cfg);
+    first.bind(p, p, state, nullptr, nullptr, &memo);
+    EXPECT_EQ(first.run_trial(inputs, 0).coverage, want);
+    DifferentialTester second(cfg);
+    second.bind(p, q, state, nullptr, nullptr, &memo);
+    EXPECT_EQ(second.run_trial(inputs, 0).coverage, want);
+    EXPECT_EQ(memo.stats().fallbacks, 1);
+    EXPECT_EQ(second.run_trial(inputs).coverage, want);
+}
+
 TEST(DiffTester, VerdictNamesRoundTripExhaustively) {
     // Iterate the enum by value, not by a hand-written list: adding a
     // verdict without extending verdict_name/verdict_from_name (or without

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/json.h"
@@ -87,6 +88,45 @@ TEST(Json, MissingKeyThrows) {
     EXPECT_THROW(obj.at("b"), ParseError);
     EXPECT_TRUE(obj.contains("a"));
     EXPECT_FALSE(obj.contains("b"));
+}
+
+TEST(Json, WrongTypedAccessThrowsParseErrorNamingTheTypes) {
+    // Each typed read of a value of another type is malformed input: a
+    // ParseError that names the expected and the actual type, never a bare
+    // variant access failure.
+    const Json five = Json::parse("5");
+    const auto message_of = [](auto&& read) {
+        try {
+            read();
+        } catch (const ParseError& e) {
+            return std::string(e.what());
+        }
+        return std::string("no ParseError");
+    };
+    EXPECT_EQ(message_of([&] { five.as_string(); }),
+              "parse: json value is not a string (got an integer)");
+    EXPECT_EQ(message_of([&] { five.as_bool(); }),
+              "parse: json value is not a boolean (got an integer)");
+    EXPECT_EQ(message_of([&] { five.as_array(); }),
+              "parse: json value is not an array (got an integer)");
+    EXPECT_EQ(message_of([&] { five.as_object(); }),
+              "parse: json value is not an object (got an integer)");
+    EXPECT_EQ(message_of([] { Json::parse("\"x\"").as_int(); }),
+              "parse: json value is not a number (got a string)");
+    EXPECT_EQ(message_of([] { Json::parse("[]").as_double(); }),
+              "parse: json value is not a number (got an array)");
+    // The mutable accessors and the members built on them check too.
+    Json mutable_five = five;
+    EXPECT_THROW(mutable_five.as_array(), ParseError);
+    EXPECT_THROW(mutable_five.as_object(), ParseError);
+    EXPECT_THROW(mutable_five.push_back(Json(1)), ParseError);
+    EXPECT_THROW(mutable_five["key"], ParseError);
+    EXPECT_THROW(five.at("key"), ParseError);
+    // Matching types still read through.
+    EXPECT_EQ(Json::parse("\"x\"").as_string(), "x");
+    EXPECT_TRUE(Json::parse("true").as_bool());
+    EXPECT_EQ(Json::parse("[1]").as_array().size(), 1u);
+    EXPECT_EQ(Json::parse("{\"a\": 1}").as_object().size(), 1u);
 }
 
 TEST(Json, NestedStructures) {

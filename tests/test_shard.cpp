@@ -34,14 +34,7 @@ namespace ff {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Fresh empty scratch directory under the gtest temp root.
-std::string scratch_dir(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "ff_shard_" + name;
-    fs::remove_all(path);
-    fs::create_directories(path);
-    return path;
-}
+using ff::testing::scratch_dir;
 
 std::string read_file(const std::string& path) {
     std::ifstream in(path, std::ios::binary);

@@ -124,9 +124,8 @@ int usage(const char* detail = nullptr) {
                  "           [--lease-ms <x>] [--heartbeat-ms <x>] [--max-failures <n>]\n"
                  "           [--backoff-base-ms <x>] [--backoff-max-ms <x>]\n"
                  "           [--straggler-factor <x>] [--linger-ms <x>]\n"
-                 "           [--max-respawns <n>] [--worker-fault <k>=<spec>] [--quiet]\n"
+                 "           [--worker-fault <k>=<spec>] [--quiet]\n"
                  "           [--worker-watchdog-ms <x>] [--worker-rlimit-as <bytes>]\n"
-                 "           [--quarantine-max-points <n>] [--quarantine-max-alloc-bytes <n>]\n"
                  "           [--worker-reply-timeout-ms <x>]\n"
                  "worker:    --socket <path> | --connect <host:port> [--id <name>]\n"
                  "           [--threads <n>] [--fault <spec>]\n"
@@ -461,7 +460,6 @@ int cmd_serve(const std::vector<std::string>& args) {
         else if (args[i] == "--threads") config.prepare_threads = number_value<int>(args, i);
         else if (args[i] == "--spawn-workers") config.spawn_workers = number_value<int>(args, i);
         else if (args[i] == "--worker-threads") config.worker_threads = number_value<int>(args, i);
-        else if (args[i] == "--max-respawns") config.max_respawns = number_value<int>(args, i);
         else if (args[i] == "--lease-ms") config.lease.lease_ms = bounded_value(args, i, false);
         else if (args[i] == "--heartbeat-ms")
             config.lease.heartbeat_ms = bounded_value(args, i, false);
@@ -478,10 +476,6 @@ int cmd_serve(const std::vector<std::string>& args) {
             config.worker_watchdog_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-rlimit-as")
             config.worker_rlimit_as = number_value(args, i);
-        else if (args[i] == "--quarantine-max-points")
-            config.quarantine_max_points = number_value(args, i);
-        else if (args[i] == "--quarantine-max-alloc-bytes")
-            config.quarantine_max_alloc_bytes = number_value(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
         else if (args[i] == "--worker-reply-timeout-ms")
             config.worker_reply_timeout_ms = bounded_value(args, i, true, kMaxReplyTimeoutMs);
