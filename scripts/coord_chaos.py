@@ -40,8 +40,9 @@ counts, with the same byte-identical acceptance bar.  The `worker done:`
 line of every worker that ran a lease must show frames dropped and
 duplicated, its one corrupted frame and its partition; the summary must
 show severed connections coming back as session *resumes* and no lease
-expired: `--lease-ms` outlives a partition plus one reply timeout, so
-every holder is back before its deadline.
+expired: `--lease-ms` outlives a partition plus one reply timeout (a
+worker waits a quarter lease for any reply), so every holder is back
+before its deadline.
 
 Usage:  python3 scripts/coord_chaos.py --ffaudit build/ffaudit [--net]
 Exits non-zero on the first violated expectation.
@@ -190,13 +191,9 @@ def net_chaos(ffaudit: str, root: Path, ref_report: Path, ref_artifacts: dict) -
                "--spawn-workers", str(n),
                "--listen", "127.0.0.1:0",
                # The lease is the whole silence budget: it outlives the
-               # 1500 ms partition plus one 2000 ms reply timeout (a
-               # dropped hello or report), and dropped requests are re-sent
-               # fast.
+               # 1500 ms partition plus one 2000 ms reply timeout, a
+               # quarter lease (a dropped hello or report).
                "--lease-ms", "8000",
-               "--heartbeat-ms", "300",
-               "--worker-reply-timeout-ms", "2000",
-               "--straggler-factor", "50",
                "--linger-ms", "8000"]
         for k in range(n):
             cmd += ["--worker-fault", f"{k}={NET_FAULT}"]
@@ -280,11 +277,8 @@ def main() -> None:
                    # Multi-threaded workers: their record streams must still
                    # byte-verify against a duplicate's.
                    "--worker-threads", "2",
-                   # Tight leases so the stall visibly expires one, and an
-                   # aggressive straggler factor so hedging gets exercise.
+                   # Tight leases so the stall visibly expires one.
                    "--lease-ms", "1500",
-                   "--heartbeat-ms", "300",
-                   "--straggler-factor", "1.0",
                    "--linger-ms", "8000",
                    # Worker 0 dies by SIGKILL mid-shard, after its first
                    # durable checkpoint (interval 2, killed after 3 units).
@@ -340,7 +334,6 @@ def main() -> None:
                    "--out", report,
                    "--spawn-workers", "2",
                    "--lease-ms", "4000",
-                   "--heartbeat-ms", "300",
                    "--linger-ms", "8000",
                    "--max-failures", "1",
                    "--worker-watchdog-ms", "600",

@@ -1,11 +1,11 @@
 // Retry with exponential backoff and deterministic jitter.
 //
-// The coordinator and its workers (src/coord) both need "try again, later,
-// but not all at once" in several places: re-issuing an expired shard lease,
-// reconnecting a worker to a restarted coordinator, polling for work when
-// the queue is momentarily empty.  This header is the one shared policy:
-// delays grow geometrically from `base_ms` up to `max_ms`, and an optional
-// jitter fraction spreads simultaneous retries apart.  Jitter is drawn from
+// A worker (src/coord) redialing a coordinator that is unreachable or
+// restarting needs "try again, later, but not all at once".  This header
+// is that policy: delays grow geometrically from `base_ms` up to `max_ms`,
+// and an optional jitter fraction spreads a fleet's simultaneous retries
+// apart.  (A lost shard's re-issue delay derives from the lease instead,
+// coord::LeaseConfig, without jitter.)  Jitter is drawn from
 // a caller-owned common::Rng, so a fixed seed yields a fixed delay sequence
 // — fault-injection tests can predict every sleep.
 #pragma once

@@ -198,6 +198,9 @@ private:
     int respawns_used_ = 0;
     bool done_ = false;
     TimePoint done_at_{};
+    /// The serve outlives its audit until then: a tick deaf for longer than
+    /// the advertised reply patience sends workers redialing for an answer.
+    TimePoint redial_grace_until_{};
     std::vector<std::string> winner_path_;  ///< Per shard, "" until merged.
     CoordStats stats_;
 };
@@ -216,10 +219,6 @@ void Server::spawn_worker(int index, const std::string& fault_spec) {
     args.push_back(id);
     args.push_back("--threads");
     args.push_back(std::to_string(config_.worker_threads));
-    if (config_.worker_reply_timeout_ms > 0.0) {
-        args.push_back("--reply-timeout-ms");
-        args.push_back(std::to_string(config_.worker_reply_timeout_ms));
-    }
     if (config_.worker_watchdog_ms > 0.0) {
         args.push_back("--watchdog-ms");
         args.push_back(std::to_string(config_.worker_watchdog_ms));
@@ -428,7 +427,7 @@ bool Server::handle_frame(Connection& conn, const Json& msg, TimePoint now) {
         Json welcome = Json::object();
         welcome["type"] = "welcome";
         welcome["protocol"] = kProtocolVersion;
-        welcome["heartbeat_ms"] = config_.lease.heartbeat_ms;
+        welcome["heartbeat_ms"] = config_.lease.heartbeat_ms();
         welcome["resumed"] = resumed;
         write_frame(conn.fd, welcome);
         return true;
@@ -515,7 +514,7 @@ void Server::handle_lease_request(Connection& conn, TimePoint now) {
     }
     grant["resume_candidates"] = std::move(candidates);
     grant["lease_ms"] = config_.lease.lease_ms;
-    grant["heartbeat_ms"] = config_.lease.heartbeat_ms;
+    grant["heartbeat_ms"] = config_.lease.heartbeat_ms();
     write_frame(conn.fd, grant);
     log("leased shard " + std::to_string(lease->shard) + " attempt " +
         std::to_string(lease->attempt) + (lease->hedge ? " (hedge)" : "") + " to " + conn.key);
@@ -863,8 +862,11 @@ ServeResult Server::run() {
             // linger expires.  Idle workers wait on their sockets and leave
             // on the done broadcast at once, so linger only runs while a
             // connection still holds an attempt — a hedge or zombie whose
-            // duplicate completion should land and byte-verify.
-            if (conns_.empty() || ms_since(done_at_, now) >= config_.linger_ms) break;
+            // duplicate completion should land and byte-verify — and for a
+            // lease after a deaf tick, while its redialing workers return.
+            if (now >= redial_grace_until_ &&
+                (conns_.empty() || ms_since(done_at_, now) >= config_.linger_ms))
+                break;
         }
 
         double timeout = kPollMs;
@@ -886,6 +888,7 @@ ServeResult Server::run() {
         if (pr < 0 && errno != EINTR) {
             throw common::Error(std::string("poll: ") + std::strerror(errno));
         }
+        const TimePoint woke = Clock::now();
 
         if (pr > 0) {
             // Read before accepting: pfds was sized from the pre-poll
@@ -912,6 +915,10 @@ ServeResult Server::run() {
         // A finished prepare joins here, so its failure ends the serve
         // without waiting for the first fold.
         if (prepare_done_.load(std::memory_order_acquire)) audit();
+        const TimePoint end = Clock::now();
+        if (ms_since(woke, end) > config_.lease.heartbeat_ms())
+            redial_grace_until_ = end + std::chrono::milliseconds(
+                                            static_cast<std::int64_t>(config_.lease.lease_ms));
     }
 
     ServeResult result;

@@ -52,15 +52,13 @@ struct CoordConfig {
     /// set it replaces the unix socket as the transport; spawned workers
     /// are handed the resolved address via --connect.
     std::string listen_address;
-    /// --reply-timeout-ms for spawned workers (0 = worker default); the
-    /// chaos harness shrinks it so dropped frames re-request quickly.
-    double worker_reply_timeout_ms = 0.0;
     std::string records_dir;      ///< Where per-attempt record streams live.
     std::string artifact_dir;     ///< Reproducer artifacts at finalize ("" = off).
-    LeaseConfig lease;            ///< Lease/heartbeat/backoff/straggler knobs.
+    LeaseConfig lease;            ///< The fleet's one clock and the retry cap.
     /// After the last shard completes, keep serving this long while
     /// in-flight duplicate attempts finish (their completions byte-verify
-    /// against the winners); 0 shuts down immediately.
+    /// against the winners); 0 shuts down immediately, unless a tick deaf
+    /// past the reply patience just sent workers redialing.
     double linger_ms = 1000.0;
     int prepare_threads = 1;      ///< Pool width of the coordinator's own prepare.
     int spawn_workers = 0;        ///< Worker processes to fork+exec (0 = external only).

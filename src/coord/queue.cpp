@@ -1,6 +1,7 @@
 #include "coord/queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.h"
@@ -11,8 +12,8 @@ namespace {
 
 using Millis = std::chrono::duration<double, std::milli>;
 
-/// Seed of the backoff-jitter Rng: a fixed seed replays the same schedule.
-constexpr std::uint64_t kBackoffSeed = 0x5eedc0de;
+/// Re-issue delay after a shard's first loss; each further loss doubles it.
+constexpr double kFirstReissueMs = 200.0;
 
 /// Concurrent attempts of one shard (first issue + one hedge).
 constexpr int kMaxActivePerShard = 2;
@@ -27,8 +28,12 @@ double ms_until(TimePoint now, TimePoint t) {
 
 }  // namespace
 
+double LeaseConfig::reissue_delay_ms(int losses) const {
+    return std::min(std::ldexp(kFirstReissueMs, std::max(losses, 1) - 1), lease_ms);
+}
+
 LeaseQueue::LeaseQueue(std::vector<shard::ShardManifest> shards, const LeaseConfig& config)
-    : config_(config), rng_(kBackoffSeed) {
+    : config_(config) {
     shards_.reserve(shards.size());
     for (auto& manifest : shards) {
         ShardEntry entry;
@@ -58,10 +63,9 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         return lease;
     }
     // Otherwise hedge a straggler: a Leased shard under the attempt cap
-    // whose newest attempt has been out longer than straggler_factor
-    // leases.  Pick the one with the oldest newest-attempt so the worst
-    // straggler is hedged first.
-    double straggler_ms = config_.straggler_factor * config_.lease_ms;
+    // whose newest attempt has been out for the hedge age.  Pick the one
+    // with the oldest newest-attempt so the worst straggler is hedged first.
+    const double hedge_age_ms = config_.hedge_age_ms();
     auto newest_issue = [](const ShardEntry& e) {
         TimePoint newest = e.active.front().issued;
         for (const Attempt& a : e.active) newest = std::max(newest, a.issued);
@@ -75,7 +79,7 @@ std::optional<Lease> LeaseQueue::acquire(const std::string& worker, TimePoint no
         if (entry.state != ShardState::Leased) continue;
         if (static_cast<int>(entry.active.size()) >= kMaxActivePerShard) continue;
         TimePoint newest = newest_issue(entry);
-        if (ms_until(newest, now) < straggler_ms) continue;  // not old enough
+        if (ms_until(newest, now) < hedge_age_ms) continue;  // not old enough
         if (!found || newest < best_newest) {
             found = true;
             best_index = i;
@@ -216,7 +220,7 @@ void LeaseQueue::requeue_or_fail(ShardEntry& entry, TimePoint now) {
         return;
     }
     entry.state = ShardState::Pending;
-    entry.not_before = add_ms(now, config_.backoff.delay_ms(entry.failures - 1, rng_));
+    entry.not_before = add_ms(now, config_.reissue_delay_ms(entry.failures));
     ++stats_.requeues;
 }
 
@@ -264,7 +268,7 @@ std::optional<double> LeaseQueue::next_event_ms(TimePoint now) const {
         double clamped = std::max(0.0, ms);
         if (!best || clamped < *best) best = clamped;
     };
-    double straggler_ms = config_.straggler_factor * config_.lease_ms;
+    const double hedge_age_ms = config_.hedge_age_ms();
     for (const ShardEntry& entry : shards_) {
         if (entry.state == ShardState::Pending && entry.attempts_issued > 0) {
             consider(ms_until(now, entry.not_before));  // backoff expiry
@@ -276,7 +280,7 @@ std::optional<double> LeaseQueue::next_event_ms(TimePoint now) const {
             }
             if (static_cast<int>(entry.active.size()) < kMaxActivePerShard) {
                 // The moment this lease ages into hedge eligibility.
-                consider(ms_until(now, add_ms(newest, straggler_ms)));
+                consider(ms_until(now, add_ms(newest, hedge_age_ms)));
             }
         }
     }

@@ -15,6 +15,8 @@
 // deterministic (docs/ARCHITECTURE.md, contract clauses 6-7), so hedging
 // costs only wasted work, never correctness.
 //
+// The lease is the fleet's one clock: LeaseConfig derives every timing.
+//
 // The queue itself never reads a clock or sleeps: every method takes the
 // caller's `now`, and next_event_ms() tells the caller how long it may
 // sleep before something (a deadline, a backoff expiry, a straggler
@@ -33,32 +35,33 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.h"
-#include "common/rng.h"
 #include "shard/manifest.h"
 
 namespace ff::coord {
 
 using TimePoint = std::chrono::steady_clock::time_point;
 
-/// Tuning knobs of the lease state machine (docs/TUNING.md "Coordinator").
+/// The lease state machine's two settings (docs/TUNING.md "Coordinator"),
+/// and every timing of the fleet, derived from the lease.
 struct LeaseConfig {
     /// Lease duration: a worker that neither heartbeats nor completes for
     /// this long forfeits the shard.
     double lease_ms = 10000.0;
-    /// Heartbeat cadence advertised to workers; keep well under lease_ms
-    /// (the default ratio is 4x) so one dropped beat is not an expiry.
-    double heartbeat_ms = 2500.0;
     /// Failed/expired attempts a shard tolerates before it is declared
-    /// permanently Failed and the audit aborts.
+    /// permanently Failed (and quarantined).
     int max_failures = 5;
-    /// Delay schedule for re-issuing a lost shard: attempt k of the retry
-    /// waits backoff.delay_ms(k-1) before the shard is grantable again.
-    common::BackoffPolicy backoff{200.0, 2.0, 10000.0, 0.2};
-    /// An idle worker may duplicate-issue ("hedge") a running lease whose
-    /// newest attempt is older than straggler_factor * lease_ms; at most
-    /// two attempts of a shard run at once.
-    double straggler_factor = 3.0;
+
+    /// Heartbeat interval the coordinator advertises in `welcome` and
+    /// `lease` frames, which a worker also waits for any reply before it
+    /// redials: a quarter lease, so neither one lost beat nor one
+    /// unanswered frame costs a healthy holder its lease.
+    double heartbeat_ms() const { return lease_ms / 4.0; }
+    /// Delay before a shard lost `losses` times is grantable again: 200 ms,
+    /// doubling per loss, at most one lease.
+    double reissue_delay_ms(int losses) const;
+    /// Age of a lease's newest attempt at which an idle worker may hedge
+    /// it: three leases.  At most two attempts of a shard run at once.
+    double hedge_age_ms() const { return 3.0 * lease_ms; }
 };
 
 /// Lifecycle of one shard in the queue.
@@ -99,7 +102,7 @@ public:
 
     /// Grants the lowest-index grantable shard: a Pending shard whose
     /// backoff has elapsed, else a hedge on the oldest-newest-attempt
-    /// Leased shard that qualifies (see LeaseConfig::straggler_factor).
+    /// Leased shard that qualifies (see LeaseConfig::hedge_age_ms).
     /// nullopt when nothing is grantable right now.
     std::optional<Lease> acquire(const std::string& worker, TimePoint now);
 
@@ -199,7 +202,6 @@ private:
 
     std::vector<ShardEntry> shards_;
     LeaseConfig config_;
-    common::Rng rng_;  ///< Backoff jitter; fixed seed, reproducible schedule.
     LeaseQueueStats stats_;
 };
 

@@ -56,14 +56,17 @@ int ms_until(Clock::time_point deadline) {
 /// finish within tens of milliseconds.
 constexpr common::BackoffPolicy kReconnectBackoff{20.0, 2.0, 3000.0, 0.2};
 
-/// Floor of the heartbeat interval a welcome or lease grant advertises.
+/// Bounds of the heartbeat interval a welcome or lease grant advertises.
 /// HeartbeatThread skips its sleep for an interval <= 0, so a bad value
-/// would beat in a tight loop against the single-threaded coordinator.
+/// would beat in a tight loop against the single-threaded coordinator; the
+/// interval is also the reply patience, which poll(2) takes as an int.
 constexpr double kMinHeartbeatMs = 20.0;
+constexpr double kMaxHeartbeatMs = 86400000.0;  // one day
 
 double heartbeat_interval_ms(const Json& message) {
     const double ms = common::json_double(message, "heartbeat_ms");
-    return ms > kMinHeartbeatMs ? ms : kMinHeartbeatMs;  // NaN fails the test too
+    // NaN fails the test too.
+    return ms > kMinHeartbeatMs ? std::min(ms, kMaxHeartbeatMs) : kMinHeartbeatMs;
 }
 
 /// FNV-1a of the worker id, seeding the reconnect-jitter Rng.  Not
@@ -284,7 +287,7 @@ private:
     /// The request loop on one connection: the pending report first, then
     /// lease requests.
     Outcome serve_leases();
-    /// A wait reply's retry_ms as an int, clamped to [0, reply_timeout_ms]
+    /// A wait reply's retry_ms as an int, clamped to [0, heartbeat_ms_]
     /// before it becomes a deadline: a wire value like 1e300 would overflow
     /// the conversion, and a negative or NaN one re-requests at once.
     int retry_ms(const Json& wait) const;
@@ -305,6 +308,8 @@ private:
     /// hook only try_locks (a skipped progress beat is harmless).
     std::mutex conn_mu_;
     FramedConn conn_;
+    /// The interval the last welcome or lease grant advertised: the beat
+    /// cadence and the reply patience.
     double heartbeat_ms_ = 2500.0;
     /// The finished lease's report until an ack or reject settles it.
     /// serve_leases sends it first on every connection, so no report is lost
@@ -369,7 +374,7 @@ bool Worker::connect_once() {
     try {
         send(fresh, hello);
         while (true) {
-            ReadResult r = receive(fresh, static_cast<int>(config_.reply_timeout_ms));
+            ReadResult r = receive(fresh, static_cast<int>(heartbeat_ms_));
             if (r.status != ReadStatus::Ok) return false;
             const std::string& type = common::json_string(r.message, "type");
             if (type == "error") {
@@ -446,9 +451,7 @@ bool Worker::send_heartbeat(int shard, int attempt, StopSignal& stop) {
 
 int Worker::retry_ms(const Json& wait) const {
     const double ms = common::json_double(wait, "retry_ms");
-    const int cap = static_cast<int>(config_.reply_timeout_ms);  // < 0: reads never time out
-    const double bound = cap < 0 ? INT_MAX : cap;
-    return ms > 0.0 ? static_cast<int>(std::min(ms, bound)) : 0;  // NaN fails the test too
+    return ms > 0.0 ? static_cast<int>(std::min(ms, heartbeat_ms_)) : 0;  // NaN fails the test too
 }
 
 Worker::Outcome Worker::serve_leases() {
@@ -466,8 +469,7 @@ Worker::Outcome Worker::serve_leases() {
             std::optional<Clock::time_point> retry_at;
             while (true) {
                 ReadResult r = receive(
-                    conn_, retry_at ? ms_until(*retry_at)
-                                    : static_cast<int>(config_.reply_timeout_ms));
+                    conn_, retry_at ? ms_until(*retry_at) : static_cast<int>(heartbeat_ms_));
                 if (r.status == ReadStatus::Timeout) {
                     if (!retry_at) throw common::Error("no reply from the coordinator");
                     break;  // the retry is due: re-request

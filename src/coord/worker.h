@@ -8,7 +8,9 @@
 // shard is executing so long prepare phases and slow chunks never look
 // like death — and when the socket dies mid-shard, that thread reconnects
 // with the worker's session id and resumes beating the same attempt, so a
-// transport blip shorter than the lease never forfeits it.  A finished
+// transport blip shorter than the lease never forfeits it.  The interval
+// the coordinator advertises (a quarter lease) is also the worker's
+// patience for any reply: one left unanswered that long means a redial.  A finished
 // lease's `complete` or `failed` frame stays pending until the coordinator
 // acks or rejects it, and goes out first on every connection until then:
 // a report is never lost with its socket.  Faults (coord/fault.h) fire at
@@ -56,9 +58,6 @@ struct WorkerConfig {
     /// Dial attempts per reconnect before giving up, on a jittered backoff
     /// schedule from 20 ms up to 3 s.
     int max_connect_attempts = 20;
-    /// Patience for a reply frame; generous, the coordinator answers every
-    /// request promptly unless it is gone.
-    double reply_timeout_ms = 60000.0;
     /// Wall-clock containment: when > 0, a background watchdog kills the
     /// process with kWorkerExitWatchdog if no durable checkpoint lands for
     /// this long while a lease is executing.  Catches trials that spin

@@ -179,8 +179,7 @@ Cutout extract_cutout(const ir::SDFG& p, const xform::ChangeSet& delta,
         local_map[n] = nn;
         cutout.node_map[xform::NodeRef{sid, n}] = xform::NodeRef{new_sid, nn};
     }
-    while (nst.next_scope_id() <= max_scope) {
-    }
+    nst.skip_scope_ids(max_scope);
 
     // Containers touched by copied edges or nodes.
     std::set<std::string> used_containers;

@@ -57,14 +57,31 @@ Json buffer_to_json(const interp::Buffer& buffer) {
     return j;
 }
 
-interp::Buffer buffer_from_json(const Json& j) {
-    std::vector<std::int64_t> shape;
-    for (const auto& d : j.at("shape").as_array()) shape.push_back(d.as_int());
-    interp::Buffer buf(ir::dtype_from_name(j.at("dtype").as_string()), std::move(shape));
+interp::Buffer buffer_from_json(const Json& j, const std::string& name) {
+    const ir::DType dtype = ir::dtype_from_name(j.at("dtype").as_string());
     const auto& data = j.at("data").as_array();
-    const bool is_float = ir::dtype_is_float(buf.dtype());
+    // The shape must describe exactly the data at hand before it sizes an
+    // allocation: no negative extent, and no product of the non-zero
+    // extents (which bounds every stride) past int64.
+    std::vector<std::int64_t> shape;
+    std::int64_t nonzero = 1;
+    bool empty = false;
+    for (const auto& d : j.at("shape").as_array()) {
+        const std::int64_t extent = d.as_int();
+        if (extent < 0 || (extent > 0 && __builtin_mul_overflow(nonzero, extent, &nonzero)))
+            throw common::ParseError(name + ": shape extent " + std::to_string(extent) +
+                                     " is negative or overflows the element count");
+        empty |= extent == 0;
+        shape.push_back(extent);
+    }
+    const std::int64_t elements = empty ? 0 : nonzero;
+    if (elements != static_cast<std::int64_t>(data.size()))
+        throw common::ParseError(name + ": shape holds " + std::to_string(elements) +
+                                 " elements but data has " + std::to_string(data.size()));
+    interp::Buffer buf(dtype, std::move(shape));
+    const bool is_float = ir::dtype_is_float(dtype);
     for (std::int64_t i = 0; i < buf.size(); ++i) {
-        const auto& v = data.at(static_cast<std::size_t>(i));
+        const auto& v = data[static_cast<std::size_t>(i)];
         buf.store(i, is_float ? interp::Value::from_double(v.as_double())
                               : interp::Value::from_int(v.as_int()));
     }
@@ -87,7 +104,7 @@ interp::Context context_from_json(const Json& j) {
     for (const auto& [name, value] : j.at("symbols").as_object())
         ctx.symbols[name] = value.as_int();
     for (const auto& [name, buffer] : j.at("buffers").as_object())
-        ctx.buffers.emplace(name, buffer_from_json(buffer));
+        ctx.buffers.emplace(name, buffer_from_json(buffer, "buffer '" + name + "'"));
     return ctx;
 }
 
@@ -226,6 +243,10 @@ Json testcase_to_json(const Cutout& cutout, const ir::SDFG& transformed,
 LoadedTestCase testcase_from_json(const Json& j) {
     LoadedTestCase tc;
     tc.original = ir::sdfg_from_json(j.at("original"));
+    // The original side runs unguarded; the transformed side's validity is
+    // the verdict under test (invalid-code), so only the original is
+    // checked here.
+    tc.original.validate();
     tc.transformed = ir::sdfg_from_json(j.at("transformed"));
     tc.inputs = context_from_json(j.at("inputs"));
     for (const auto& name : j.at("system_state").as_array())

@@ -21,7 +21,9 @@ struct FuzzReport;   // fuzzer.h
 struct TrialRecord;  // report.h
 
 common::Json buffer_to_json(const interp::Buffer& buffer);
-interp::Buffer buffer_from_json(const common::Json& j);
+/// Throws common::ParseError, naming `name`, unless the data holds exactly
+/// the shape's element count.
+interp::Buffer buffer_from_json(const common::Json& j, const std::string& name = "buffer");
 
 common::Json context_to_json(const interp::Context& ctx);
 interp::Context context_from_json(const common::Json& j);
@@ -55,11 +57,14 @@ struct LoadedTestCase {
     std::string detail;
 };
 
+/// Throws common::ParseError on a malformed document and
+/// common::ValidationError when the original program fails ir::validate.
 LoadedTestCase testcase_from_json(const common::Json& j);
 
 /// Reads and parses a test-case JSON file; throws common::Error (unreadable
-/// file) or common::ParseError (malformed JSON).  The single loader path
-/// shared by `ffaudit replay` and examples/replay_testcase.
+/// file), common::ParseError (malformed JSON) or common::ValidationError
+/// (an invalid original program).  The single loader path shared by
+/// `ffaudit replay` and examples/replay_testcase.
 LoadedTestCase load_testcase_file(const std::string& path);
 
 /// Outcome of re-running a loaded test case through a fresh differential

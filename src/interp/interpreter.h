@@ -148,12 +148,14 @@ struct ExecConfig {
     /// byte-identical either way, so this knob exists for benchmarking and
     /// differential self-checks.
     bool batch_segments = true;
-    /// Record def-use pair coverage (see feedback/coverage.h) into the map
-    /// installed via Interpreter::set_coverage.  Marking is charged at
+    /// Ask core::DifferentialTester to record def-use pair coverage (see
+    /// feedback/coverage.h): when set, DifferentialTester::bind fetches the
+    /// coverage atlas and installs a map via Interpreter::set_coverage for
+    /// the original side.  The interpreter itself never reads this flag —
+    /// it marks whenever a map is installed.  Marking is charged at
     /// scope-launch granularity from tier-invariant point counts, so the
-    /// resulting bitmap is byte-identical across every execution tier and
-    /// toggle combination — enabling this never perturbs results, it only
-    /// adds the (cheap) marking stores.
+    /// bitmap is byte-identical across every execution tier and toggle
+    /// combination, and recording never perturbs results.
     bool coverage = false;
 };
 

@@ -18,6 +18,26 @@ Json expr_to_json(const sym::ExprPtr& e) { return Json(e->to_string()); }
 
 sym::ExprPtr expr_from_json(const Json& j) { return sym::parse_expr(j.as_string()); }
 
+/// Scope ids a document may carry: far above any real program's, far
+/// below wrapping a state's int32 scope counter.
+constexpr std::int64_t kMaxScopeId = std::int64_t{1} << 30;
+
+std::int32_t scope_id_from_json(const Json& j) {
+    const std::int64_t id = j.at("scope_id").as_int();
+    if (id < 0 || id >= kMaxScopeId)
+        throw common::ParseError("scope_id " + std::to_string(id) + " out of range");
+    return static_cast<std::int32_t>(id);
+}
+
+/// The id `id` was remapped to, or a ParseError naming `what` refers to no
+/// such element.
+template <typename Id>
+Id remapped(const std::map<std::int64_t, Id>& ids, const Json& id, const std::string& what) {
+    const auto it = ids.find(id.as_int());
+    if (it == ids.end()) throw common::ParseError(what + " " + std::to_string(id.as_int()));
+    return it->second;
+}
+
 Json range_to_json(const Range& r) {
     Json o = Json::object();
     o["begin"] = expr_to_json(r.begin);
@@ -80,13 +100,13 @@ DataflowNode node_from_json(const Json& j) {
         n.code = j.at("code").as_string();
     } else if (kind == "map_entry") {
         n.kind = NodeKind::MapEntry;
-        n.scope_id = static_cast<std::int32_t>(j.at("scope_id").as_int());
+        n.scope_id = scope_id_from_json(j);
         n.schedule = schedule_from_name(j.at("schedule").as_string());
         for (const auto& p : j.at("params").as_array()) n.params.push_back(p.as_string());
         for (const auto& r : j.at("ranges").as_array()) n.map_ranges.push_back(range_from_json(r));
     } else if (kind == "map_exit") {
         n.kind = NodeKind::MapExit;
-        n.scope_id = static_cast<std::int32_t>(j.at("scope_id").as_int());
+        n.scope_id = scope_id_from_json(j);
         n.schedule = schedule_from_name(j.at("schedule").as_string());
     } else if (kind == "library") {
         n.kind = NodeKind::Library;
@@ -215,31 +235,39 @@ SDFG sdfg_from_json(const Json& j) {
             max_scope = std::max(max_scope, n.scope_id);
             node_map[nj.at("id").as_int()] = st.graph().add_node(std::move(n));
         }
-        // Advance the scope counter past deserialized scope ids.
-        while (st.next_scope_id() <= max_scope) {
-        }
-        for (const auto& ej : s.at("edges").as_array()) {
+        st.skip_scope_ids(max_scope);
+        const auto& edges = s.at("edges").as_array();
+        for (std::size_t k = 0; k < edges.size(); ++k) {
+            const Json& ej = edges[k];
+            const std::string edge = "state " + std::to_string(sid) + " edge " + std::to_string(k);
             MemletEdge me;
             me.memlet.data = ej.at("data").as_string();
             me.memlet.subset = subset_from_json(ej.at("subset"));
             me.src_conn = ej.at("src_conn").as_string();
             me.dst_conn = ej.at("dst_conn").as_string();
-            st.graph().add_edge(node_map.at(ej.at("src").as_int()),
-                                node_map.at(ej.at("dst").as_int()), std::move(me));
+            st.graph().add_edge(remapped(node_map, ej.at("src"), edge + ": no src node"),
+                                remapped(node_map, ej.at("dst"), edge + ": no dst node"),
+                                std::move(me));
         }
     }
 
-    sdfg.set_start_state(state_map.at(j.at("start_state").as_int()));
+    sdfg.set_start_state(remapped(state_map, j.at("start_state"), "start_state: no state"));
 
-    for (const auto& ej : j.at("interstate_edges").as_array()) {
+    const auto& isedges = j.at("interstate_edges").as_array();
+    for (std::size_t k = 0; k < isedges.size(); ++k) {
+        const Json& ej = isedges[k];
+        const std::string edge = "interstate edge " + std::to_string(k);
         InterstateEdge e;
         if (ej.contains("condition")) e.condition = sym::parse_bool(ej.at("condition").as_string());
         for (const auto& pair : ej.at("assignments").as_array()) {
+            if (pair.as_array().size() != 2)
+                throw common::ParseError(edge + ": an assignment is not a [symbol, expr] pair");
             e.assignments.emplace_back(pair.as_array()[0].as_string(),
                                        expr_from_json(pair.as_array()[1]));
         }
-        sdfg.add_interstate_edge(state_map.at(ej.at("src").as_int()),
-                                 state_map.at(ej.at("dst").as_int()), std::move(e));
+        sdfg.add_interstate_edge(remapped(state_map, ej.at("src"), edge + ": no src state"),
+                                 remapped(state_map, ej.at("dst"), edge + ": no dst state"),
+                                 std::move(e));
     }
     return sdfg;
 }

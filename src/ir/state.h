@@ -8,6 +8,7 @@
 // matching MapExit lies inside the scope.
 #pragma once
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <utility>
@@ -72,6 +73,12 @@ public:
 
     /// Fresh scope id for transformations that create new maps.
     std::int32_t next_scope_id() { return scope_counter_++; }
+    /// After adding nodes that carry their own scope ids up to `max_scope`:
+    /// skips the counter past them, as calling next_scope_id() until it
+    /// returns more than `max_scope` would.
+    void skip_scope_ids(std::int32_t max_scope) {
+        scope_counter_ = std::max(scope_counter_, max_scope + 1) + 1;
+    }
 
     std::string to_string() const;
 

@@ -6,6 +6,7 @@
 // here and reported as failures, mirroring the paper's crash-on-apply class.
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/error.h"
 #include "interp/tasklet_lang.h"
@@ -152,6 +153,33 @@ void validate_state(const SDFG& sdfg, const State& st) {
                                           "' needs 'in' and 'out' connectors");
                 break;
             }
+        }
+    }
+
+    // Scope structure: a scope id names one entry and one exit, and a scope
+    // holding either end of another map holds both, so scopes nest and no
+    // walk along a scope chain (cutout closure, parameter visibility) can
+    // circle without reaching what it looks for.
+    std::set<std::pair<NodeKind, std::int32_t>> scope_ends;
+    for (NodeId nid : g.nodes()) {
+        const DataflowNode& n = g.node(nid);
+        if (n.kind != NodeKind::MapEntry && n.kind != NodeKind::MapExit) continue;
+        if (!scope_ends.insert({n.kind, n.scope_id}).second)
+            throw ValidationError(where + "map '" + n.label + "' shares scope id " +
+                                  std::to_string(n.scope_id) + " with another map " +
+                                  (n.kind == NodeKind::MapEntry ? "entry" : "exit"));
+    }
+    for (NodeId nid : g.nodes()) {
+        if (g.node(nid).kind != NodeKind::MapEntry) continue;
+        const std::set<NodeId> inside = st.scope_nodes(nid);
+        for (NodeId inner : inside) {
+            const DataflowNode& in = g.node(inner);
+            const NodeId other = in.kind == NodeKind::MapEntry  ? st.map_exit_of(inner)
+                                 : in.kind == NodeKind::MapExit ? st.map_entry_of(inner)
+                                                                : graph::kInvalidNode;
+            if (other != graph::kInvalidNode && !inside.count(other))
+                throw ValidationError(where + "map '" + in.label + "' is not nested inside map '" +
+                                      g.node(nid).label + "'");
         }
     }
 

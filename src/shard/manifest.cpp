@@ -73,6 +73,14 @@ ir::SDFG load_job_program(const JobSpec& job) {
     // Passes, cutouts and the interpreter assume a well-formed program.
     ir::SDFG program = ir::sdfg_from_json(Json::parse_file(job.sdfg_path));
     program.validate();
+    // Prepare would stop at the first symbol without a binding; name them
+    // all up front.  (The npbench defaults bind every workload's symbols.)
+    std::string unbound;
+    for (const std::string& symbol : program.symbols())
+        if (!job.defaults.count(symbol)) unbound += (unbound.empty() ? "" : ", ") + symbol;
+    if (!unbound.empty())
+        throw common::Error(job.sdfg_path + " declares symbols without a default binding "
+                            "(--default <sym>=<val>): " + unbound);
     return program;
 }
 

@@ -89,8 +89,9 @@ struct JobSpec {
 };
 
 /// Loads / rebuilds the job's program; throws common::Error for unknown
-/// workloads or unreadable SDFG files, common::ValidationError for an SDFG
-/// file that fails ir::SDFG::validate().
+/// workloads, unreadable SDFG files or an SDFG symbol the job's defaults
+/// leave unbound, common::ValidationError for an SDFG file that fails
+/// ir::SDFG::validate().
 ir::SDFG load_job_program(const JobSpec& job);
 
 /// Instantiates the job's named pass set; throws common::Error for unknown

@@ -118,30 +118,36 @@ TEST(CliUsage, BadInvocationsExitTwo) {
 TEST(CliUsage, ServeRejectsBadTimingFlagsAtParseTime) {
     // An unknown workload fails job construction (exit 4) only after every
     // flag has parsed, so exit 2 here means the flag itself was refused: a
-    // NaN lease or a 0 ms heartbeat never reaches a running serve.
+    // NaN or zero lease never reaches a running serve.
     const std::string serve =
         "serve --workload no_such_kernel --records-dir " + scratch_dir("timing") + " ";
-    for (const char* bad :
-         {"--lease-ms 0", "--lease-ms nan", "--lease-ms soon", "--heartbeat-ms 0",
-          "--heartbeat-ms -1", "--heartbeat-ms inf", "--linger-ms -1", "--linger-ms nan",
-          "--straggler-factor nan", "--straggler-factor -1", "--backoff-base-ms -5",
-          "--backoff-max-ms inf", "--worker-watchdog-ms -1", "--worker-reply-timeout-ms nan",
-          "--worker-reply-timeout-ms 3e9", "--threads two"}) {
+    for (const char* bad : {"--lease-ms 0", "--lease-ms nan", "--lease-ms soon", "--lease-ms inf",
+                            "--linger-ms -1", "--linger-ms nan", "--worker-watchdog-ms -1",
+                            "--threads two"}) {
         const CliResult r = run_cli(serve + bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
     }
-    // No linger, no backoff and no watchdog are valid settings.
-    const CliResult zero =
-        run_cli(serve + "--linger-ms 0 --lease-ms 1e4 --backoff-base-ms 0 "
-                        "--worker-watchdog-ms 0 --worker-reply-timeout-ms 2147483647");
+    // No linger and no watchdog are valid settings.
+    const CliResult zero = run_cli(serve + "--linger-ms 0 --lease-ms 1e4 --worker-watchdog-ms 0");
     EXPECT_EQ(zero.code, 4) << zero.out;
 
     // The worker refuses the same class of values before it dials anyone.
-    for (const char* bad : {"--reply-timeout-ms 3e9", "--reply-timeout-ms 0",
-                            "--reply-timeout-ms -1", "--watchdog-ms nan", "--watchdog-ms -2"}) {
+    for (const char* bad : {"--watchdog-ms nan", "--watchdog-ms -2"}) {
         const CliResult r = run_cli(std::string("worker --socket /tmp/x.sock ") + bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
     }
+
+    // Every other timing derives from the lease: the knobs that once set
+    // them apart are unknown options.
+    for (const char* gone : {"--heartbeat-ms 300", "--backoff-base-ms 50", "--backoff-max-ms 200",
+                             "--straggler-factor 1", "--worker-reply-timeout-ms 2000"}) {
+        const CliResult r = run_cli(serve + gone);
+        EXPECT_EQ(r.code, 2) << gone << "\n" << r.out;
+        EXPECT_NE(r.out.find("unknown serve option"), std::string::npos) << gone << "\n" << r.out;
+    }
+    const CliResult gone = run_cli("worker --socket /tmp/x.sock --reply-timeout-ms 1500");
+    EXPECT_EQ(gone.code, 2) << gone.out;
+    EXPECT_NE(gone.out.find("unknown worker option"), std::string::npos) << gone.out;
 }
 
 TEST(CliUsage, ListWorkloadsWorksWhereHelpSaysItDoes) {
@@ -189,6 +195,54 @@ TEST(CliJobErrors, InvalidSdfgExitsFourNamingTheFault) {
     EXPECT_EQ(r.code, 4) << r.out;
     EXPECT_NE(r.out.find("map 'zero_T' has mismatched params/ranges"), std::string::npos)
         << r.out;
+}
+
+TEST(CliJobErrors, SdfgWithoutDefaultsExitsFourNamingTheSymbols) {
+    // Prepare used to stop at the first unbound symbol (exit 5 from run,
+    // while plan exited 0); the job is refused before any of it.
+    const std::string dir = scratch_dir("unbound_sdfg");
+    const std::string path = dir + "/gemm.json";
+    std::ofstream(path) << ir::to_json(workloads::build_npbench_kernel("gemm")).dump();
+    const std::string sdfg = "--sdfg " + path + " --passes table2 --trials 2 ";
+    for (const std::string& command :
+         {"plan " + sdfg + "--shards 1 --out-dir " + dir + "/plan", "run " + sdfg,
+          "serve " + sdfg + "--records-dir " + dir + "/records"}) {
+        const CliResult r = run_cli(command);
+        EXPECT_EQ(r.code, 4) << command << "\n" << r.out;
+        EXPECT_NE(r.out.find("without a default binding (--default <sym>=<val>): K, M, N"),
+                  std::string::npos)
+            << command << "\n" << r.out;
+    }
+    const CliResult bound = run_cli("plan " + sdfg + "--default K=4 --default M=4 --default N=4 " +
+                                    "--shards 1 --out-dir " + dir + "/plan");
+    EXPECT_EQ(bound.code, 0) << bound.out;
+}
+
+TEST(CliParseErrors, ReproducerWithAnInvalidOriginalExitsSeven) {
+    // A Table 2 gemm reproducer whose map `mm` keeps one of its two ranges.
+    // Replaying it used to walk past the map's ranges (a segfault);
+    // validated at load, it is a malformed file.
+    const std::string dir = scratch_dir("invalid_original");
+    ASSERT_EQ(run_cli(std::string("run ") + kJob + " --artifact-dir " + dir + "/art").code, 0);
+    std::string path;
+    for (const auto& entry : fs::directory_iterator(dir + "/art")) {
+        common::Json tc = common::Json::parse_file(entry.path().string());
+        if (common::json_string(tc, "transformation") != "Vectorization") continue;
+        int cut = 0;
+        for (common::Json& node : tc["original"]["states"].as_array()[0]["nodes"].as_array()) {
+            if (common::json_string(node, "label") != "mm" || !node.contains("ranges")) continue;
+            node["ranges"].as_array().resize(1);
+            ++cut;
+        }
+        if (cut == 0) continue;
+        path = dir + "/testcase.json";
+        std::ofstream(path) << tc.dump();
+        break;
+    }
+    ASSERT_FALSE(path.empty()) << "no Vectorization reproducer of map mm";
+    const CliResult r = run_cli("replay " + path);
+    EXPECT_EQ(r.code, 7) << r.out;
+    EXPECT_NE(r.out.find("map 'mm' has mismatched params/ranges"), std::string::npos) << r.out;
 }
 
 TEST(CliParseErrors, WrongTypedSdfgFieldExitsSeven) {
@@ -356,7 +410,7 @@ TEST(CliCoordinator, QuarantinedPoisonUnitsExitNine) {
                                 "/coord.sock --records-dir " + dir + "/records" +
                                 " --spawn-workers 1 --worker-fault 0=spin-after-units=1" +
                                 " --worker-watchdog-ms 300 --max-failures 1" +
-                                " --lease-ms 4000 --heartbeat-ms 300 --out " + dir +
+                                " --lease-ms 4000 --out " + dir +
                                 "/report.json --quiet");
     EXPECT_EQ(r.code, 9) << r.out;
     EXPECT_NE(r.out.find("quarantined units:"), std::string::npos) << r.out;

@@ -11,7 +11,8 @@
 // worker counts {1, 2, 4}
 // (docs/ARCHITECTURE.md "Coordinator") — plus the poison-unit quarantine
 // path: a permanently failed shard is salvaged, its blamed unit re-run
-// in-process under tightened budgets, and the remainder split and re-issued.
+// in-process under tightened budgets, and the remainder split and re-issued,
+// and a short lease whose holder is kept alive by the derived heartbeat.
 #include <gtest/gtest.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -363,13 +364,28 @@ std::vector<shard::ShardManifest> toy_shards(int count, std::int64_t units_each 
     return shards;
 }
 
+/// A 1000 ms lease: re-issue after 200, 400, 800, then 1000 ms, hedge at
+/// 3000 ms.
 coord::LeaseConfig toy_lease() {
     coord::LeaseConfig lease;
     lease.lease_ms = 1000.0;
     lease.max_failures = 3;
-    lease.backoff = {100.0, 2.0, 1000.0, 0.0};  // jitter off: exact delays
-    lease.straggler_factor = 3.0;
     return lease;
+}
+
+TEST(LeaseQueue, EveryTimingDerivesFromTheLease) {
+    const coord::LeaseConfig lease = toy_lease();
+    EXPECT_DOUBLE_EQ(lease.heartbeat_ms(), 250.0);
+    EXPECT_DOUBLE_EQ(lease.hedge_age_ms(), 3000.0);
+    const double delays[] = {200.0, 400.0, 800.0, 1000.0, 1000.0};
+    for (int loss = 1; loss <= 5; ++loss)
+        EXPECT_DOUBLE_EQ(lease.reissue_delay_ms(loss), delays[loss - 1]) << loss;
+    EXPECT_DOUBLE_EQ(lease.reissue_delay_ms(1 << 20), 1000.0);  // no overflow past the cap
+    // A lease shorter than the first delay caps even that one.
+    coord::LeaseConfig tiny;
+    tiny.lease_ms = 80.0;
+    EXPECT_DOUBLE_EQ(tiny.reissue_delay_ms(1), 80.0);
+    EXPECT_DOUBLE_EQ(tiny.heartbeat_ms(), 20.0);
 }
 
 TEST(LeaseQueue, GrantsShardsInOrderThenRunsDry) {
@@ -402,17 +418,18 @@ TEST(LeaseQueue, ExpiryRequeuesBehindBackoffAndHeartbeatPrevents) {
     EXPECT_EQ(queue.stats().expirations, 1);
     EXPECT_EQ(queue.stats().requeues, 1);
 
-    // The re-issue waits out the first backoff delay (100 ms, no jitter).
+    // The re-issue waits out the first backoff delay (200 ms, no jitter).
     EXPECT_FALSE(queue.acquire("b", at_ms(1950)).has_value());
     auto next = queue.next_event_ms(at_ms(1950));
     ASSERT_TRUE(next.has_value());
-    EXPECT_NEAR(*next, 51.0, 1.5);
-    auto retry = queue.acquire("b", at_ms(2002));
+    EXPECT_NEAR(*next, 151.0, 1.5);
+    EXPECT_FALSE(queue.acquire("b", at_ms(2100)).has_value());
+    auto retry = queue.acquire("b", at_ms(2102));
     ASSERT_TRUE(retry.has_value());
     EXPECT_EQ(retry->attempt, 1);
 
     // Heartbeats from the expired attempt are stale no-ops.
-    EXPECT_FALSE(queue.heartbeat(0, 0, at_ms(2005)));
+    EXPECT_FALSE(queue.heartbeat(0, 0, at_ms(2105)));
 }
 
 TEST(LeaseQueue, RetryCapFailsShardAndLateCompletionRescuesIt) {
@@ -422,7 +439,7 @@ TEST(LeaseQueue, RetryCapFailsShardAndLateCompletionRescuesIt) {
 
     ASSERT_TRUE(queue.acquire("a", at_ms(0)));
     ASSERT_EQ(queue.expire(at_ms(1001)).size(), 1u);
-    ASSERT_TRUE(queue.acquire("a", at_ms(1200)));
+    ASSERT_TRUE(queue.acquire("a", at_ms(1201)));
     ASSERT_EQ(queue.expire(at_ms(2500)).size(), 1u);
 
     EXPECT_EQ(queue.state(0), coord::ShardState::Failed);
@@ -563,6 +580,12 @@ TEST(LeaseQueue, NextEventTracksDeadlinesAndBackoffGates) {
 // A coordinator played from a script over a real unix socket puts the worker
 // in states the real one reaches only by timing (a long wait, a done pushed
 // mid-wait, a socket closed mid-wait) and feeds it out-of-range timings.
+// The heartbeat interval a welcome or grant advertises is also the worker's
+// patience for any reply, so a script that answers at its own pace
+// advertises a long one.
+
+/// A heartbeat interval no scripted reply comes close to.
+constexpr double kPatientBeatMs = 60000.0;
 
 common::Json message(const std::string& type) {
     common::Json m = common::Json::object();
@@ -596,12 +619,14 @@ common::Json expect_frame(coord::FramedConn& conn, const std::string& type) {
     return r.message;
 }
 
-/// Answers the worker's hello with a welcome; returns the hello.
-common::Json welcome_worker(coord::FramedConn& conn, bool resumed = false) {
+/// Answers the worker's hello with a welcome advertising `heartbeat_ms`;
+/// returns the hello.
+common::Json welcome_worker(coord::FramedConn& conn, bool resumed = false,
+                            double heartbeat_ms = kPatientBeatMs) {
     common::Json hello = expect_frame(conn, "hello");
     common::Json welcome = message("welcome");
     welcome["protocol"] = coord::kProtocolVersion;
-    welcome["heartbeat_ms"] = 100.0;
+    welcome["heartbeat_ms"] = heartbeat_ms;
     welcome["resumed"] = resumed;
     conn.write(welcome);
     return hello;
@@ -651,7 +676,7 @@ struct ScriptedRun {
 /// coordinator on the listening socket from its own thread and closes it
 /// when done, so a worker that outlives the script fails fast on
 /// reconnect.  A failed script step or a worker error is a test failure.
-ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
+ScriptedRun run_scripted(const std::string& name,
                          const std::function<void(int listen_fd)>& script,
                          const coord::FaultPlan& fault = {}) {
     const std::string path = scratch_dir(name) + "/coord.sock";
@@ -667,7 +692,6 @@ ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
     coord::WorkerConfig wc;
     wc.socket_path = path;
     wc.worker_id = "w0";
-    wc.reply_timeout_ms = reply_timeout_ms;
     wc.max_connect_attempts = 3;
     wc.fault = fault;
     ScriptedRun run;
@@ -684,7 +708,7 @@ ScriptedRun run_scripted(const std::string& name, double reply_timeout_ms,
 }
 
 TEST(ScriptedCoordinator, PushedDoneEndsALongWaitAtOnce) {
-    const ScriptedRun run = run_scripted("wait_done", 60000.0, [](int listen_fd) {
+    const ScriptedRun run = run_scripted("wait_done", [](int listen_fd) {
         coord::FramedConn conn = accept_worker(listen_fd);
         welcome_worker(conn);
         expect_frame(conn, "lease-request");
@@ -701,14 +725,15 @@ TEST(ScriptedCoordinator, PushedDoneEndsALongWaitAtOnce) {
 }
 
 TEST(ScriptedCoordinator, RetryFromTheWireIsClampedToTheReplyTimeout) {
-    const ScriptedRun run = run_scripted("wait_clamp", 300.0, [](int listen_fd) {
+    const ScriptedRun run = run_scripted("wait_clamp", [](int listen_fd) {
         coord::FramedConn conn = accept_worker(listen_fd);
-        welcome_worker(conn);
+        welcome_worker(conn, /*resumed=*/false, /*heartbeat_ms=*/300.0);
         expect_frame(conn, "lease-request");
         conn.write(wait_reply(-5.0));  // below the range: re-request at once
         expect_frame(conn, "lease-request");
         // Past any integer millisecond count: the worker waits out its
-        // 300 ms reply timeout, not an overflowed deadline.
+        // reply timeout, the advertised 300 ms interval, not an overflowed
+        // deadline.
         const auto sent = std::chrono::steady_clock::now();
         conn.write(wait_reply(1e300));
         expect_frame(conn, "lease-request");
@@ -727,7 +752,7 @@ TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
     const std::string records = scratch_dir("beat_floor_records") + "/lease-s0-a0.jsonl";
     int beats = 0;
     double busy_ms = 0.0;
-    const ScriptedRun run = run_scripted("beat_floor", 60000.0, [&](int listen_fd) {
+    const ScriptedRun run = run_scripted("beat_floor", [&](int listen_fd) {
         coord::FramedConn conn = accept_worker(listen_fd);
         welcome_worker(conn);
         expect_frame(conn, "lease-request");
@@ -740,6 +765,11 @@ TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
         grant["heartbeat_ms"] = 0.0;  // unfloored, the beat thread never sleeps
         const auto granted = std::chrono::steady_clock::now();
         conn.write(grant);
+        // The ack that ends the audit goes out ahead of the completion: the
+        // floored interval is also the worker's reply patience, 20 ms.
+        common::Json ack = message("ack");
+        ack["done"] = true;
+        conn.write(ack);
         while (true) {
             coord::ReadResult r = conn.read(30000);
             if (r.status != coord::ReadStatus::Ok) throw common::Error("no completion");
@@ -751,7 +781,7 @@ TEST(ScriptedCoordinator, HeartbeatIntervalFromTheWireIsFloored) {
         busy_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                             granted)
                       .count();
-        ack_done(conn);
+        expect_worker_left(conn);
     });
     EXPECT_EQ(run.stats.shards_completed, 1);
     // The beat thread beats at once and then at most once per 20 ms; each
@@ -777,7 +807,7 @@ TEST(ScriptedCoordinator, SalvagedTornCopyIsPublishedAndCompletedToTheGoldenByte
     const std::string records = dir + "/lease-s0-a1.jsonl";
     std::ofstream(prior, std::ios::binary) << torn;
 
-    const ScriptedRun run = run_scripted("salvage_sealed", 60000.0, [&](int listen_fd) {
+    const ScriptedRun run = run_scripted("salvage_sealed", [&](int listen_fd) {
         coord::FramedConn conn = accept_worker(listen_fd);
         welcome_worker(conn);
         expect_frame(conn, "lease-request");
@@ -789,7 +819,7 @@ TEST(ScriptedCoordinator, SalvagedTornCopyIsPublishedAndCompletedToTheGoldenByte
         common::Json candidates = common::Json::array();
         candidates.push_back(prior);
         grant["resume_candidates"] = std::move(candidates);
-        grant["heartbeat_ms"] = 100.0;
+        grant["heartbeat_ms"] = kPatientBeatMs;
         conn.write(grant);
         expect_frame_after_beats(conn, "complete");
         ack_done(conn);
@@ -802,7 +832,7 @@ TEST(ScriptedCoordinator, SalvagedTornCopyIsPublishedAndCompletedToTheGoldenByte
 }
 
 TEST(ScriptedCoordinator, EofMidWaitReconnectsTheSameSession) {
-    const ScriptedRun run = run_scripted("wait_eof", 60000.0, [](int listen_fd) {
+    const ScriptedRun run = run_scripted("wait_eof", [](int listen_fd) {
         std::string session;
         {
             coord::FramedConn conn = accept_worker(listen_fd);
@@ -823,10 +853,11 @@ TEST(ScriptedCoordinator, EofMidWaitReconnectsTheSameSession) {
 }
 
 /// Plays the wire-fault scripts below up to the worker's third frame, its
-/// second lease-request: welcomes the hello (frame 1), answers the first
-/// request (frame 2) with a wait that re-requests at once.
-void script_to_third_frame(coord::FramedConn& conn) {
-    welcome_worker(conn);
+/// second lease-request: welcomes the hello (frame 1) advertising
+/// `heartbeat_ms`, answers the first request (frame 2) with a wait that
+/// re-requests at once.
+void script_to_third_frame(coord::FramedConn& conn, double heartbeat_ms = kPatientBeatMs) {
+    welcome_worker(conn, /*resumed=*/false, heartbeat_ms);
     expect_frame(conn, "lease-request");
     conn.write(wait_reply(0.0));
 }
@@ -842,14 +873,15 @@ void script_reconnected_done(int listen_fd) {
 }
 
 TEST(ScriptedCoordinator, WireFaultsFireAtTheirFrameOrdinals) {
-    // Drop: frame 3 never arrives.  The worker waits out its reply timeout,
-    // hangs up and redials; the peer sees the hangup, not the request.
+    // Drop: frame 3 never arrives.  The worker waits out its reply timeout
+    // (the advertised 300 ms interval), hangs up and redials; the peer sees
+    // the hangup, not the request.
     const ScriptedRun drop = run_scripted(
-        "wire_drop", 300.0,
+        "wire_drop",
         [](int listen_fd) {
             {
                 coord::FramedConn conn = accept_worker(listen_fd);
-                script_to_third_frame(conn);
+                script_to_third_frame(conn, 300.0);
                 const coord::ReadResult r = conn.read(5000);
                 EXPECT_EQ(r.status, coord::ReadStatus::Closed) << "frame 3 arrived";
             }
@@ -862,7 +894,7 @@ TEST(ScriptedCoordinator, WireFaultsFireAtTheirFrameOrdinals) {
     // Duplicate: frame 3 arrives twice.  The worker sends nothing more
     // until a reply, so the second request is the same frame.
     const ScriptedRun duplicate = run_scripted(
-        "wire_duplicate", 60000.0,
+        "wire_duplicate",
         [](int listen_fd) {
             coord::FramedConn conn = accept_worker(listen_fd);
             script_to_third_frame(conn);
@@ -878,7 +910,7 @@ TEST(ScriptedCoordinator, WireFaultsFireAtTheirFrameOrdinals) {
     // Corrupt: frame 3 fails the peer's CRC check.  The peer hangs up as
     // the coordinator does, and the worker redials.
     const ScriptedRun corrupt = run_scripted(
-        "wire_corrupt", 60000.0,
+        "wire_corrupt",
         [](int listen_fd) {
             {
                 coord::FramedConn conn = accept_worker(listen_fd);
@@ -916,7 +948,7 @@ TEST(ScriptedCoordinator, HealedDisconnectRedialsAfterHealWithTheSameSession) {
     constexpr double kHealMs = 500.0;
     double gap_ms = 0.0;
     const ScriptedRun run = run_scripted(
-        "heal", 60000.0,
+        "heal",
         [&](int listen_fd) {
             std::string session;
             std::chrono::steady_clock::time_point dropped;
@@ -961,7 +993,7 @@ TEST(ScriptedCoordinator, FrameOfferedToAClosedConnectionTakesNoOrdinal) {
     // no ordinal, so frame 3, the corrupted one, is the redialed hello.
     const std::string records = scratch_dir("closed_ordinal_records") + "/lease-s0-a0.jsonl";
     const ScriptedRun run = run_scripted(
-        "closed_ordinal", 60000.0,
+        "closed_ordinal",
         [&](int listen_fd) {
             {
                 coord::FramedConn conn = accept_worker(listen_fd);
@@ -996,7 +1028,7 @@ TEST(ScriptedCoordinator, CompletionIsResentFirstOnEveryConnectionUntilAcked) {
     // report stays pending across every redial and goes out right after the
     // hello, ahead of any lease request, until the fourth copy is acked.
     const std::string records = scratch_dir("resend_complete_records") + "/lease-s0-a0.jsonl";
-    const ScriptedRun run = run_scripted("resend_complete", 60000.0, [&](int listen_fd) {
+    const ScriptedRun run = run_scripted("resend_complete", [&](int listen_fd) {
         {
             coord::FramedConn conn = accept_worker(listen_fd);
             welcome_worker(conn);
@@ -1022,7 +1054,7 @@ TEST(ScriptedCoordinator, FailureIsResentOnTheRedialedConnection) {
     // to expire as "lease expired" instead of naming the worker's error.
     const std::string records = scratch_dir("resend_failed_records") + "/lease-s0-a0.jsonl";
     std::string error;
-    const ScriptedRun run = run_scripted("resend_failed", 60000.0, [&](int listen_fd) {
+    const ScriptedRun run = run_scripted("resend_failed", [&](int listen_fd) {
         {
             coord::FramedConn conn = accept_worker(listen_fd);
             welcome_worker(conn);
@@ -1117,12 +1149,9 @@ coord::CoordConfig cluster_config(const std::string& dir, const shard::JobSpec& 
     config.socket_path = dir + "/coord.sock";
     config.records_dir = dir + "/records";
     config.artifact_dir = dir + "/artifacts";
-    config.lease.lease_ms = 600.0;
-    config.lease.heartbeat_ms = 150.0;
+    config.lease.lease_ms = 600.0;  // beats every 150 ms, hedges at 1800 ms
     config.lease.max_failures = 8;
-    config.lease.backoff = {50.0, 2.0, 200.0, 0.2};
-    config.lease.straggler_factor = 50.0;  // hedging off: faults drive this test
-    config.linger_ms = 8000.0;             // wait for stalled duplicates to land
+    config.linger_ms = 8000.0;  // wait for stalled duplicates to land
     return config;
 }
 
@@ -1261,9 +1290,11 @@ TEST(CoordEndToEnd, PoisonShardIsQuarantinedAndReportStaysByteIdentical) {
     // shard straight into the quarantine path instead of a clean re-issue.
     config.lease.max_failures = 1;
 
+    // The faulted worker is the only one until its abandon fires, so it
+    // surely leases a shard and crashes it; its fault-free clone then
+    // drains the rest.
     std::vector<coord::WorkerConfig> workers;
     workers.push_back(cluster_worker(config, 0));
-    workers.push_back(cluster_worker(config, 1));
     workers[0].fault = coord::FaultPlan::parse("abandon-after-units=3");
 
     ClusterResult result = run_cluster(config, workers);
@@ -1277,7 +1308,7 @@ TEST(CoordEndToEnd, PoisonShardIsQuarantinedAndReportStaysByteIdentical) {
     // The fault lived in the worker, not the trial: the blamed unit is
     // benign, so its tightened-budget in-process re-run reproduces the
     // record a healthy worker would have written, the split remainder is
-    // drained by the fault-free workers, and the finished audit matches the
+    // drained by the fault-free clone, and the finished audit matches the
     // single-process run byte for byte.
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
@@ -1310,6 +1341,40 @@ TEST(CoordEndToEnd, QuarantinedUnitKeepsItsCoverage) {
     EXPECT_EQ(shard::canonical_report_document(result.serve.reports).dump(2), want_doc);
 }
 
+TEST(CoordEndToEnd, ShortLeaseIsBeatAtAQuarterOfItself) {
+    // Only the lease is set, well under the fixed 2500 ms heartbeat serve
+    // used to advertise whatever the lease, and the one shard outlasts it
+    // with no checkpoint inside: only beats at the derived interval keep
+    // the healthy holder's lease from expiring mid-shard.
+    shard::JobSpec job;
+    job.workload = "doitgen";
+    job.passes = "correct";
+    job.max_trials = 600;
+    job.defaults = workloads::npbench_defaults();
+    const std::string dir = scratch_dir("short_lease");
+    coord::CoordConfig config;
+    config.job = job;
+    config.shard_count = 1;
+    config.checkpoint_interval = 1 << 30;
+    config.socket_path = dir + "/coord.sock";
+    config.records_dir = dir + "/records";
+    config.lease.lease_ms = 600.0;
+
+    const auto start = std::chrono::steady_clock::now();
+    ClusterResult result = run_cluster(config, {cluster_worker(config, 0)});
+    const double serve_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
+    // The shard ran for more than one lease, or this proves nothing.
+    EXPECT_GT(serve_ms, config.lease.lease_ms);
+    const coord::CoordStats& stats = result.serve.stats;
+    EXPECT_EQ(stats.queue.expirations, 0);
+    EXPECT_EQ(stats.queue.requeues, 0);
+    EXPECT_EQ(stats.queue.granted, 1);
+    EXPECT_EQ(stats.shards_merged, 1);
+}
+
 TEST(CoordEndToEnd, TransportBlipResumesTheSession) {
     const shard::JobSpec job = gemm_job(6);
     const std::string want_doc = reference_doc(job, "");
@@ -1319,7 +1384,7 @@ TEST(CoordEndToEnd, TransportBlipResumesTheSession) {
     config.shard_count = 2;
     config.artifact_dir.clear();
     // The lease is the whole silence budget: it outlives the blip plus one
-    // reply timeout of the redial.
+    // reply timeout (a quarter lease) of the redial.
     config.lease.lease_ms = 4000.0;
 
     std::vector<coord::WorkerConfig> workers;
@@ -1328,7 +1393,6 @@ TEST(CoordEndToEnd, TransportBlipResumesTheSession) {
     // survives and keeps executing; its heartbeat thread reconnects with
     // the same session id and resumes beating the SAME attempt.
     workers[0].fault = coord::FaultPlan::parse("disconnect-after-units=3");
-    workers[0].reply_timeout_ms = 1500.0;
 
     ClusterResult result = run_cluster(config, workers);
     EXPECT_TRUE(result.worker_errors.empty()) << result.worker_errors.front();
@@ -1491,8 +1555,8 @@ TEST(CoordEndToEnd, WireFaultsAreAbsorbedByteIdentically) {
     const std::string dir = scratch_dir("wire_faults");
     coord::CoordConfig config = cluster_config(dir, job);
     config.artifact_dir.clear();
-    // The lease outlives the 700 ms partition plus one 1500 ms reply
-    // timeout (a dropped hello on the redial).
+    // The lease outlives the 700 ms partition plus one 1000 ms reply
+    // timeout, a quarter lease (a dropped hello on the redial).
     config.lease.lease_ms = 4000.0;
 
     // Every fault class at once, on both workers: periodic loss, latency,
@@ -1504,7 +1568,6 @@ TEST(CoordEndToEnd, WireFaultsAreAbsorbedByteIdentically) {
         wc.fault = coord::FaultPlan::parse(
             "drop-frame-every-n=11,delay-frame-ms=2,duplicate-frame=6,"
             "corrupt-frame-byte=9,disconnect-after-units=3,heal-ms=700");
-        wc.reply_timeout_ms = 1500.0;  // a dropped request is re-sent fast
         workers.push_back(wc);
     }
 

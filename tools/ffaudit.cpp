@@ -31,7 +31,6 @@
 //       their last verifiable prefix so run-shard/serve can resume them.
 #include <algorithm>
 #include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -107,7 +106,8 @@ int usage(const char* detail = nullptr) {
                  "  --feedback               coverage-guided trial generation (implies\n"
                  "                           --coverage; part of the job key)\n"
                  "  --generation-size <n>    trials per feedback generation [25]\n"
-                 "  --default <sym>=<val>    default symbol binding (repeatable)\n"
+                 "  --default <sym>=<val>    default symbol binding (repeatable; an --sdfg\n"
+                 "                           job must bind every symbol it declares)\n"
                  "\n"
                  "plan:      --shards <n> --out-dir <dir> [--checkpoint-interval <n>]\n"
                  "run-shard: --manifest <file> --records-dir <dir> [--records <file>]\n"
@@ -121,16 +121,17 @@ int usage(const char* detail = nullptr) {
                  "           [--threads <n>] [--spawn-workers <n>] [--worker-threads <n>]\n"
                  "           [--out <file>]\n"
                  "           [--shards <n>] [--artifact-dir <dir>] [--checkpoint-interval <n>]\n"
-                 "           [--lease-ms <x>] [--heartbeat-ms <x>] [--max-failures <n>]\n"
-                 "           [--backoff-base-ms <x>] [--backoff-max-ms <x>]\n"
-                 "           [--straggler-factor <x>] [--linger-ms <x>]\n"
+                 "           [--lease-ms <x>] [--max-failures <n>] [--linger-ms <x>]\n"
                  "           [--worker-fault <k>=<spec>] [--quiet]\n"
                  "           [--worker-watchdog-ms <x>] [--worker-rlimit-as <bytes>]\n"
-                 "           [--worker-reply-timeout-ms <x>]\n"
+                 "           --lease-ms is the fleet's one clock: workers beat, and wait\n"
+                 "           for any reply, a quarter lease; a lost shard is re-issued\n"
+                 "           after 200 ms doubling up to a lease; a shard is hedged at\n"
+                 "           three leases; a partition under 3/4 lease is absorbed\n"
                  "worker:    --socket <path> | --connect <host:port> [--id <name>]\n"
                  "           [--threads <n>] [--fault <spec>]\n"
                  "           [--watchdog-ms <x>] [--rlimit-as <bytes>]\n"
-                 "           [--connect-attempts <n>] [--reply-timeout-ms <x>] [--quiet]\n"
+                 "           [--connect-attempts <n>] [--quiet]\n"
                  "           fault <spec>: kill-after-units=N | abandon-after-units=N |\n"
                  "                         spin-after-units=N | hog-memory-after-units=N |\n"
                  "                         disconnect-after-units=N[,heal-ms=N] |\n"
@@ -151,7 +152,8 @@ int usage(const char* detail = nullptr) {
                  "  5  audit execution failed\n"
                  "  6  merge, coverage or record-integrity validation failed\n"
                  "     (also: fsck found corruption)\n"
-                 "  7  malformed input file (manifest, record stream, test case)\n"
+                 "  7  malformed input file (manifest, record stream, test case,\n"
+                 "     incl. a test case whose original program fails validation)\n"
                  "  8  coordinator gave up (shard permanently failed, determinism\n"
                  "     violation) or worker lost the coordinator\n"
                  "  9  audit completed but poison units were quarantined (serve)\n");
@@ -205,25 +207,18 @@ T positive_value(const std::vector<std::string>& args, std::size_t& i) {
     return v;
 }
 
-/// Value of a millisecond timing or ratio flag; advances `i`.  Throws
-/// UsageError unless it is a finite number > 0 (>= 0 when `zero_ok`) and
-/// at most `max` (strtod alone would take "nan", "inf" and negatives).
-double bounded_value(const std::vector<std::string>& args, std::size_t& i, bool zero_ok,
-                     double max = std::numeric_limits<double>::max()) {
+/// Value of a millisecond timing flag; advances `i`.  Throws UsageError
+/// unless it is a finite number > 0 (>= 0 when `zero_ok`); strtod alone
+/// would take "nan", "inf" and negatives.
+double bounded_value(const std::vector<std::string>& args, std::size_t& i, bool zero_ok) {
     const std::string flag = args[i];
     const double v = number_value<double>(args, i);
-    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok) || v > max) {
+    if (!std::isfinite(v) || v < 0.0 || (v == 0.0 && !zero_ok)) {
         throw UsageError(flag + " needs a finite number " + (zero_ok ? ">= 0" : "> 0") +
-                         (max < std::numeric_limits<double>::max()
-                              ? " and <= " + std::to_string(static_cast<long long>(max))
-                              : std::string()) +
                          ", got '" + args[i] + "'");
     }
     return v;
 }
-
-/// Reply timeouts end up as poll(2)'s int millisecond timeout.
-constexpr double kMaxReplyTimeoutMs = INT_MAX;
 
 /// Parses one job option; returns false when `args[i]` is not a job flag.
 /// --list-workloads prints the npbench kernel names and exits 0.
@@ -461,24 +456,14 @@ int cmd_serve(const std::vector<std::string>& args) {
         else if (args[i] == "--spawn-workers") config.spawn_workers = number_value<int>(args, i);
         else if (args[i] == "--worker-threads") config.worker_threads = number_value<int>(args, i);
         else if (args[i] == "--lease-ms") config.lease.lease_ms = bounded_value(args, i, false);
-        else if (args[i] == "--heartbeat-ms")
-            config.lease.heartbeat_ms = bounded_value(args, i, false);
         else if (args[i] == "--max-failures")
             config.lease.max_failures = number_value<int>(args, i);
-        else if (args[i] == "--backoff-base-ms")
-            config.lease.backoff.base_ms = bounded_value(args, i, true);
-        else if (args[i] == "--backoff-max-ms")
-            config.lease.backoff.max_ms = bounded_value(args, i, true);
-        else if (args[i] == "--straggler-factor")
-            config.lease.straggler_factor = bounded_value(args, i, true);
         else if (args[i] == "--linger-ms") config.linger_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-watchdog-ms")
             config.worker_watchdog_ms = bounded_value(args, i, true);
         else if (args[i] == "--worker-rlimit-as")
             config.worker_rlimit_as = number_value(args, i);
         else if (args[i] == "--listen") config.listen_address = flag_value(args, i);
-        else if (args[i] == "--worker-reply-timeout-ms")
-            config.worker_reply_timeout_ms = bounded_value(args, i, true, kMaxReplyTimeoutMs);
         else if (args[i] == "--quiet") config.verbose = false;
         else if (args[i] == "--worker-fault") {
             const std::string kv = flag_value(args, i);
@@ -548,8 +533,6 @@ int cmd_worker(const std::vector<std::string>& args) {
         }
         else if (args[i] == "--connect-attempts")
             config.max_connect_attempts = number_value<int>(args, i);
-        else if (args[i] == "--reply-timeout-ms")
-            config.reply_timeout_ms = bounded_value(args, i, false, kMaxReplyTimeoutMs);
         else if (args[i] == "--watchdog-ms") config.watchdog_ms = bounded_value(args, i, true);
         else if (args[i] == "--rlimit-as") config.rlimit_as_bytes = number_value(args, i);
         else if (args[i] == "--quiet") config.verbose = false;
@@ -668,7 +651,14 @@ int cmd_fsck(const std::vector<std::string>& args) {
 int cmd_replay(const std::vector<std::string>& args) {
     if (args.size() != 1 || args[0].rfind("--", 0) == 0)
         return usage("replay expects exactly one <testcase.json>");
-    const core::LoadedTestCase tc = core::load_testcase_file(args[0]);
+    core::LoadedTestCase tc;
+    try {
+        tc = core::load_testcase_file(args[0]);
+    } catch (const common::ValidationError& e) {
+        // An original program that fails validation is a malformed file.
+        std::fprintf(stderr, "ffaudit replay: %s: %s\n", args[0].c_str(), e.what());
+        return kExitParse;
+    }
     std::printf("transformation: %s\n", tc.transformation.c_str());
     std::printf("recorded verdict: %s (%s)\n", tc.verdict.c_str(), tc.detail.c_str());
     const core::ReplayResult replay = core::replay_testcase(tc);
