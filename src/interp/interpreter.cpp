@@ -56,6 +56,12 @@ RangePlan lower_range(const ir::Range& r, sym::SymbolTable& tab,
     return rp;
 }
 
+/// Whether any bound of `r` references one of `ids`.
+bool range_uses(const RangePlan& r, const sym::SymId* ids, std::size_t count) {
+    return r.begin.uses_any(ids, count) || r.end.uses_any(ids, count) ||
+           r.step.uses_any(ids, count);
+}
+
 /// Saturating counter add: hostile iteration footprints (a kernel launch's
 /// point product can exceed int64) must clamp, never wrap into a fresh
 /// budget.
@@ -225,6 +231,11 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
                 sp.ranges.push_back(lower_range(node.map_ranges[i], tab, used));
             }
             sp.children = std::move(scope_children[n]);
+            sp.same_subnest.assign(sp.params.size(), 1);
+            for (std::size_t k = 0; k < sp.params.size(); ++k)
+                for (std::size_t j = k + 1; j < sp.params.size(); ++j)
+                    if (range_uses(sp.ranges[j], &sp.params[k], sp.params.size() - k))
+                        sp.same_subnest[k] = 0;
             plan.node_to_scope[static_cast<std::size_t>(n)] =
                 static_cast<int>(plan.scope_plans.size());
             plan.scope_plans.push_back(std::move(sp));
@@ -255,7 +266,7 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
         sp.pure = pure;
     }
 
-    // Specialization tier: flat-stride kernels for qualifying scopes.
+    // Specialization tier: flat-stride bands for qualifying scopes.
     std::int64_t f64_count = 0;
     for (const TaskletPlan& tp : plan.tasklet_plans) f64_count += tp.sig == VMSig::F64 ? 1 : 0;
     std::int64_t specialized = 0, segmented = 0;
@@ -317,16 +328,49 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     const std::size_t nparams = sp.params.size();
     if (!sp.pure || nparams == 0) return;
 
-    // Range bounds must be evaluable once at scope entry: no bound may
-    // reference the scope's own parameters (triangular nests stay generic).
-    for (const RangePlan& r : sp.ranges)
-        if (r.begin.uses_any(sp.params.data(), nparams) ||
-            r.end.uses_any(sp.params.data(), nparams) ||
-            r.step.uses_any(sp.params.data(), nparams))
-            return;
-
+    // The band starts one past the deepest level any of the scope's bounds
+    // references: the levels above feed bounds and stay on the generic
+    // odometer, which launches the band once per prefix point (tiled and
+    // triangular maps).  Band bounds are then evaluable at band entry.
     ScopeKernel kern;
-    for (const ir::NodeId c : sp.children) {
+    for (const RangePlan& r : sp.ranges)
+        for (std::size_t k = kern.prefix; k < nparams; ++k)
+            if (range_uses(r, &sp.params[k], 1)) kern.prefix = k + 1;
+    if (kern.prefix == nparams) return;
+    std::vector<const std::string*> names;
+    for (std::size_t k = kern.prefix; k < nparams; ++k) {
+        kern.levels.push_back(BandLevel{sp.params[k], sp.ranges[k]});
+        names.push_back(sp.param_names[k]);
+    }
+    kern.outer_levels = kern.levels.size();
+
+    // A sole nested map scope extends the band when no nested bound
+    // references a band parameter — the perfectly nested reduction.
+    const ScopePlan* body = &sp;
+    if (sp.children.size() == 1 &&
+        state.graph().node(sp.children[0]).kind == NodeKind::MapEntry) {
+        const int ni = plan.node_to_scope[static_cast<std::size_t>(sp.children[0])];
+        const ScopePlan& inner = plan.scope_plans[static_cast<std::size_t>(ni)];
+        if (inner.params.empty()) return;
+        for (std::size_t k = 0; k < inner.params.size(); ++k) {
+            kern.levels.push_back(BandLevel{inner.params[k], inner.ranges[k]});
+            names.push_back(inner.param_names[k]);
+        }
+        std::vector<sym::SymId> band;
+        for (const BandLevel& l : kern.levels) band.push_back(l.param);
+        for (const RangePlan& r : inner.ranges)
+            if (range_uses(r, band.data(), band.size())) return;
+        kern.nested = ni;
+        body = &inner;
+    }
+    const std::size_t nlevels = kern.levels.size();
+    // Every band level binds its own parameter (a shadowing nested
+    // parameter or a repeated one would alias two levels).
+    for (std::size_t k = 0; k < nlevels; ++k)
+        for (std::size_t j = k + 1; j < nlevels; ++j)
+            if (kern.levels[k].param == kern.levels[j].param) return;
+
+    for (const ir::NodeId c : body->children) {
         if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // nested scope etc.
         const TaskletPlan* tp = plan.plan_of(c);
         // Kernels run the untagged VM only.  The F64 signature binds every
@@ -351,10 +395,10 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
             ka.tasklet = tindex;
             ka.output = output;
             ka.index = index;
-            ka.coeffs.reserve(ap.dims.size() * nparams);
+            ka.coeffs.reserve(ap.dims.size() * nlevels);
             for (const ir::Range& r : ap.memlet->subset.ranges) {
                 // single_point: begin == end structurally, begin is the index.
-                const auto coeffs = ir::affine_coefficients(r.begin, sp.param_names);
+                const auto coeffs = ir::affine_coefficients(r.begin, names);
                 if (!coeffs) return false;
                 ka.coeffs.insert(ka.coeffs.end(), coeffs->begin(), coeffs->end());
             }
@@ -627,22 +671,11 @@ void Interpreter::execute_node_planned(const ir::SDFG& sdfg, const ir::State& st
     }
 }
 
-void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
-                                const StatePlan& plan, NodeId entry, Context& ctx) {
-    const ScopePlan& sp = plan.scope_of(entry);
-    const std::size_t nparams = sp.params.size();
+void Interpreter::enter_params(const ScopePlan& sp, bool interned_only, const Context& ctx) {
+    // Stack discipline on reusable scratch vectors: nested scopes push above
+    // their parent, no steady-state allocation.
     Scratch& s = scratch_;
-    // Pure scopes iterate entirely in the flat bindings: parameter binding
-    // is an array store.  Impure scopes (library/comm/access/reference-
-    // engine nodes inside) additionally maintain the string-keyed Context
-    // bindings those nodes read, exactly like the legacy engine.
-    const bool interned_only = config_.use_compiled_tasklets && sp.pure;
-
-    // Save shadowed bindings (stack discipline on reusable scratch vectors:
-    // nested scopes push above their parent, no steady-state allocation).
-    const std::size_t pbase = s.param_stack.size();
-    const std::size_t abase = s.active_params.size();
-    for (std::size_t i = 0; i < nparams; ++i) {
+    for (std::size_t i = 0; i < sp.params.size(); ++i) {
         Scratch::SavedParam sv;
         sv.id = sp.params[i];
         sv.flat_bound = s.flat.is_bound(sv.id);
@@ -659,6 +692,37 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
         s.param_stack.push_back(sv);
         s.active_params.push_back(Scratch::ActiveParam{sp.param_names[i], 0});
     }
+}
+
+void Interpreter::leave_params(const ScopePlan& sp, bool interned_only, Context& ctx) {
+    Scratch& s = scratch_;
+    const std::size_t nparams = sp.params.size();
+    const std::size_t pbase = s.param_stack.size() - nparams;
+    for (std::size_t i = 0; i < nparams; ++i) {
+        const Scratch::SavedParam& sv = s.param_stack[pbase + i];
+        if (sv.flat_bound) s.flat.bind(sv.id, sv.flat_value);
+        else s.flat.unbind(sv.id);
+        if (!interned_only) {
+            if (sv.str_bound) ctx.symbols[*sp.param_names[i]] = sv.str_value;
+            else ctx.symbols.erase(*sp.param_names[i]);
+        }
+    }
+    s.param_stack.resize(pbase);
+    s.active_params.resize(s.active_params.size() - nparams);
+}
+
+void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
+                                const StatePlan& plan, NodeId entry, Context& ctx) {
+    const ScopePlan& sp = plan.scope_of(entry);
+    const std::size_t nparams = sp.params.size();
+    Scratch& s = scratch_;
+    // Pure scopes iterate entirely in the flat bindings: parameter binding
+    // is an array store.  Impure scopes (library/comm/access/reference-
+    // engine nodes inside) additionally maintain the string-keyed Context
+    // bindings those nodes read, exactly like the legacy engine.
+    const bool interned_only = config_.use_compiled_tasklets && sp.pure;
+    const std::size_t abase = s.active_params.size();
+    enter_params(sp, interned_only, ctx);
 
     // Coverage is charged per launch from the launch's point-fuel delta:
     // the kernel tier pre-charges the same total the generic odometer
@@ -666,21 +730,23 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
     // bitmap — is byte-identical across tiers.
     const std::int64_t cov_snapshot = points_used_;
 
-    // Flat-stride kernel: when the scope classified at plan time and this
-    // launch's ranks/footprint validate, the whole nest runs over
-    // precomputed flat-offset advances (execute_scope_kernel); otherwise
-    // fall through to the generic odometer below, which reproduces the
-    // unspecialized path's exact effects and errors.
-    bool kernel_done = false;
-    if (interned_only && config_.specialize && sp.kernel >= 0) {
-        kernel_done = execute_scope_kernel(
-            sdfg, plan, sp, plan.kernels[static_cast<std::size_t>(sp.kernel)], ctx);
-        plans_->note_kernel_launch(kernel_done);
-    }
+    // Flat-stride band: when the scope classified at plan time, the odometer
+    // reaching the band's first level launches the whole band over
+    // precomputed flat-offset advances (execute_scope_kernel) — once, or
+    // once per prefix point.  A launch that does not validate falls through
+    // to the generic levels below, which reproduce the unspecialized path's
+    // exact effects and errors.
+    const ScopeKernel* kern = interned_only && config_.specialize && sp.kernel >= 0
+                                  ? &plan.kernels[static_cast<std::size_t>(sp.kernel)]
+                                  : nullptr;
 
     // Iterate the cartesian product of ranges.  Bounds are evaluated per
     // level because they may reference parameters of enclosing scopes.
     auto iterate = [&](auto&& self, std::size_t level) -> void {
+        if (kern && level == kern->prefix) {
+            if (execute_scope_kernel(sdfg, plan, sp, *kern, ctx)) return;
+            plans_->note_kernel_fallback();
+        }
         if (level == nparams) {
             // One map point.  The fuel check fires *before* the point's
             // children execute, so the kernel path's launch-entry pre-charge
@@ -699,43 +765,48 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
         const std::int64_t step = r.step.eval(s.flat, s.eval_stack);
         if (step == 0) throw common::Error("map '" + sp.label + "' has step 0");
         const sym::SymId id = sp.params[level];
-        for (std::int64_t v = begin; step > 0 ? v <= end : v >= end; v += step) {
+        const auto bind = [&](std::int64_t v) {
             s.flat.bind(id, v);
             s.active_params[abase + level].value = v;
             if (!interned_only) ctx.symbols[*sp.param_names[level]] = v;
+        };
+        for (std::int64_t v = begin; step > 0 ? v <= end : v >= end; v += step) {
+            bind(v);
+            const std::int64_t before = points_used_;
             self(self, level + 1);
+            // Every value iterates the same sub-nest: when the first reached
+            // no leaf (charged no point), no later one does — skip them,
+            // leaving the parameter at its last value like the full walk.
+            // (A saturated counter cannot tell, so it keeps walking.)
+            if (v == begin && sp.same_subnest[level] && points_used_ == before &&
+                before < std::numeric_limits<std::int64_t>::max()) {
+                const __int128 span = static_cast<__int128>(end) - begin;
+                bind(static_cast<std::int64_t>(begin + span / step * step));
+                break;
+            }
         }
     };
-    if (!kernel_done) iterate(iterate, 0);
+    iterate(iterate, 0);
 
     if (cov_map_ && !sp.cov_bases.empty()) {
         const std::uint32_t cls =
             static_cast<std::uint32_t>(feedback::region_class(points_used_ - cov_snapshot));
         for (const std::uint32_t base : sp.cov_bases) cov_map_->mark(base + cls);
     }
-
-    // Restore bindings.
-    for (std::size_t i = 0; i < nparams; ++i) {
-        const Scratch::SavedParam& sv = s.param_stack[pbase + i];
-        if (sv.flat_bound) s.flat.bind(sv.id, sv.flat_value);
-        else s.flat.unbind(sv.id);
-        if (!interned_only) {
-            if (sv.str_bound) ctx.symbols[*sp.param_names[i]] = sv.str_value;
-            else ctx.symbols.erase(*sp.param_names[i]);
-        }
-    }
-    s.param_stack.resize(pbase);
-    s.active_params.resize(abase);
+    leave_params(sp, interned_only, ctx);
 }
 
 bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan,
                                        const ScopePlan& sp, const ScopeKernel& kern,
                                        Context& ctx) {
     Scratch& s = scratch_;
-    const std::size_t nparams = sp.params.size();
+    const std::size_t nlevels = kern.levels.size();
     const std::size_t nlanes = kern.accesses.size();
-    // Caller (execute_scope) pushed this scope's active_params block.
-    const std::size_t abase = s.active_params.size() - nparams;
+    const bool nest = kern.nested >= 0;
+    // The caller entered sp's parameters; the band's begin at the top of the
+    // active-parameter stack, and a nest's nested parameters enter right
+    // above them, so band level k binds active_params[abase + k].
+    const std::size_t abase = s.active_params.size() - kern.outer_levels;
 
     // The kernel bypasses execute_tasklet_planned, so it owns the Buffer*
     // cache guard its per-point loop relies on.
@@ -748,38 +819,76 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // 1. Ranges, level by level: an empty level returns before a deeper
     // level's step-0 / unbound-symbol error fires, exactly like the generic
     // path (whose inner levels are never evaluated under an empty outer one).
-    s.kbegin.resize(nparams);
-    s.kstep.resize(nparams);
-    s.kcount.resize(nparams);
-    for (std::size_t k = 0; k < nparams; ++k) {
-        const RangePlan& r = sp.ranges[k];
-        const std::int64_t begin = r.begin.eval(s.flat, s.eval_stack);
-        const std::int64_t end = r.end.eval(s.flat, s.eval_stack);
-        const std::int64_t step = r.step.eval(s.flat, s.eval_stack);
-        if (step == 0) throw common::Error("map '" + sp.label + "' has step 0");
-        const std::int64_t count =
-            ir::concrete_range_size(ir::ConcreteRange{begin, end, step});
-        if (count == 0) return true;  // empty nest: nothing executes, committed
+    // The generic nest evaluates the nested levels only after charging its
+    // first outer point, so any surprise there declines instead.
+    s.kbegin.resize(nlevels);
+    s.kstep.resize(nlevels);
+    s.kcount.resize(nlevels);
+    bool too_long = false;
+    for (std::size_t k = 0; k < nlevels; ++k) {
+        const bool nested_level = k >= kern.outer_levels;
+        const RangePlan& r = kern.levels[k].range;
+        std::int64_t begin = 0, end = 0, step = 0;
+        try {
+            begin = r.begin.eval(s.flat, s.eval_stack);
+            end = r.end.eval(s.flat, s.eval_stack);
+            step = r.step.eval(s.flat, s.eval_stack);
+        } catch (...) {
+            if (nested_level) return false;
+            throw;
+        }
+        if (step == 0) {
+            if (nested_level) return false;
+            throw common::Error("map '" + sp.label + "' has step 0");
+        }
+        const std::int64_t count = ir::concrete_range_size(ir::ConcreteRange{begin, end, step});
+        if (count == 0) {
+            if (nested_level) return false;
+            // Empty band: nothing executes, committed.
+            plans_->note_kernel_launch(PlanCache::Launch{0, nest, kern.prefix > 0});
+            return true;
+        }
         // Extents past 2^31 make no throughput difference either way; keep
-        // the footprint arithmetic comfortably inside __int128.
-        if (count > (std::int64_t{1} << 31)) return false;
+        // the footprint arithmetic comfortably inside __int128.  A deeper
+        // empty level still commits, as the generic walk finds it too.
+        too_long = too_long || count > (std::int64_t{1} << 31);
         s.kbegin[k] = begin;
         s.kstep[k] = step;
         s.kcount[k] = count;
     }
+    if (too_long) return false;
+
+    // Points: the band's, plus — for a nest — one per outer point, which
+    // the generic path charges before running each nested launch.
+    __int128 outer_points = 1, band_points = 1;
+    for (std::size_t k = 0; k < nlevels; ++k) {
+        band_points *= s.kcount[k];
+        if (k < kern.outer_levels) outer_points *= s.kcount[k];
+    }
+    const __int128 charge = band_points + (nest ? outer_points : 0);
+    const bool over_budget = config_.max_points > 0 &&
+                             static_cast<__int128>(points_used_) + charge > config_.max_points;
+    // A nest the budget cannot cover runs as per-outer-point launches, which
+    // reproduce the exact partial effects of the crossing point; declining
+    // before lane setup keeps its buffers unallocated, as there.
+    if (nest && over_budget) return false;
 
     // 2. Bind parameters to the begin point, so base-index evaluation and
     // any lazy buffer-shape resolution see exactly what the generic path's
-    // first iteration would.
-    for (std::size_t k = 0; k < nparams; ++k) {
-        s.flat.bind(sp.params[k], s.kbegin[k]);
+    // first iteration would.  A nest enters its nested scope's parameters
+    // here, standing in for that scope's per-outer-point executions.
+    const ScopePlan* inner =
+        nest ? &plan.scope_plans[static_cast<std::size_t>(kern.nested)] : nullptr;
+    if (inner) enter_params(*inner, /*interned_only=*/true, ctx);
+    for (std::size_t k = 0; k < nlevels; ++k) {
+        s.flat.bind(kern.levels[k].param, s.kbegin[k]);
         s.active_params[abase + k].value = s.kbegin[k];
     }
 
     // 3. Per access, in the generic path's first-point order: ensure the
     // buffer, evaluate the base index, validate rank and the whole iteration
-    // footprint, and fold the affine coefficients into flat-offset deltas.
-    // Any validation failure — *including* anything thrown (shape
+    // footprint, and fold the affine coefficients into flat-offset steps and
+    // deltas.  Any validation failure — *including* anything thrown (shape
     // resolution, unbound index symbol) — falls back: the generic odometer
     // owns error semantics outright, re-raising from the exact point the
     // unspecialized run would (with earlier sibling tasklets' first-point
@@ -787,7 +896,8 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // attempted here is idempotent (allocation, pure evaluation), so the
     // replay is byte-identical.
     s.lanes.resize(nlanes);
-    s.lane_delta.assign(nlanes * nparams, 0);
+    s.lane_step.assign(nlanes * nlevels, 0);
+    s.lane_delta.assign(nlanes * nlevels, 0);
     const auto setup_lane = [&](std::size_t a) {
         const KernelAccess& ka = kern.accesses[a];
         const TaskletPlan& tp =
@@ -811,34 +921,38 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         for (std::size_t d = 0; d < dims; ++d) {
             const std::int64_t base = ap.dims[d].begin.eval(s.flat, s.eval_stack);
             __int128 lo = base, hi = base;
-            for (std::size_t k = 0; k < nparams; ++k) {
-                const __int128 travel = static_cast<__int128>(ka.coeffs[d * nparams + k]) *
+            for (std::size_t k = 0; k < nlevels; ++k) {
+                const __int128 travel = static_cast<__int128>(ka.coeffs[d * nlevels + k]) *
                                         (s.kcount[k] - 1) * s.kstep[k];
                 (travel < 0 ? lo : hi) += travel;
             }
             if (lo < 0 || hi >= shape[d]) return false;  // could fault: generic raises
             flat0 += static_cast<__int128>(base) * strides[d];
         }
-        // Every point's offset is now proven in [0, size), so every delta —
-        // a difference of reachable offsets — fits an int64.
+        // Every point's offset is now proven in [0, size), so every step
+        // and delta — a difference of reachable offsets — fits an int64.
         lane.offset = static_cast<std::int64_t>(flat0);
-        std::int64_t* delta = &s.lane_delta[a * nparams];
+        std::int64_t* step = &s.lane_step[a * nlevels];
+        std::int64_t* delta = &s.lane_delta[a * nlevels];
         std::int64_t suffix = 0;  // full traversal of the levels below k
-        for (std::size_t k = nparams; k-- > 0;) {
-            std::int64_t adv = 0;
+        for (std::size_t k = nlevels; k-- > 0;) {
             if (s.kcount[k] > 1)
                 for (std::size_t d = 0; d < dims; ++d)
-                    adv += ka.coeffs[d * nparams + k] * s.kstep[k] * strides[d];
-            delta[k] = adv - suffix;
-            suffix += adv * (s.kcount[k] - 1);
+                    step[k] += ka.coeffs[d * nlevels + k] * s.kstep[k] * strides[d];
+            delta[k] = step[k] - suffix;
+            suffix += step[k] * (s.kcount[k] - 1);
         }
         return true;
     };
+    bool lanes_ok = true;
     try {
-        for (std::size_t a = 0; a < nlanes; ++a)
-            if (!setup_lane(a)) return false;
+        for (std::size_t a = 0; a < nlanes && lanes_ok; ++a) lanes_ok = setup_lane(a);
     } catch (...) {
-        return false;  // generic replay re-raises from the right point
+        lanes_ok = false;  // generic replay re-raises from the right point
+    }
+    if (!lanes_ok) {
+        if (inner) leave_params(*inner, /*interned_only=*/true, ctx);
+        return false;
     }
 
     // 3.5. Resource accounting, whole launch at once: the committed loop
@@ -849,97 +963,132 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
     // check-free.  Charged after lane setup so a fallback never
     // double-counts.
     const std::size_t ntasklets = kern.tasklets.size();
-    {
-        __int128 total = 1;
-        for (std::size_t k = 0; k < nparams; ++k) total *= s.kcount[k];
-        if (config_.max_points > 0 &&
-            static_cast<__int128>(points_used_) + total > config_.max_points)
-            throw common::ResourceError::points(config_.max_points);
-        points_used_ = saturating_add(points_used_, total);
-        instructions_used_ =
-            saturating_add(instructions_used_, total * static_cast<__int128>(ntasklets));
+    if (over_budget) throw common::ResourceError::points(config_.max_points);
+    points_used_ = saturating_add(points_used_, charge);
+    instructions_used_ =
+        saturating_add(instructions_used_, band_points * static_cast<__int128>(ntasklets));
+    // Every nested launch the nest stands in for iterates the same count,
+    // so one mark covers them all.
+    if (inner && cov_map_) {
+        const std::uint32_t cls = static_cast<std::uint32_t>(feedback::region_class(
+            static_cast<std::int64_t>(band_points / outer_points)));
+        for (const std::uint32_t base : inner->cov_bases) cov_map_->mark(base + cls);
     }
 
-    // 3.75. Segment (batched) execution: when the kernel is
-    // segment-eligible, the knob is on, and this launch's concrete lane
-    // windows are alias-safe, run the whole innermost extent per dispatch
-    // through the VM's batch mode.  Falls through to the per-point loop
-    // below (still a committed launch — same results, point at a time)
-    // when any condition fails.
-    const std::size_t inner = nparams - 1;
-    const std::int64_t seg_len = s.kcount[inner];
-    if (kern.segment_ok && config_.batch_segments && seg_len > 1 &&
-        segment_alias_safe(kern, nparams, seg_len)) {
-        run_segment_kernel(plan, kern, nparams, seg_len);
-        plans_->note_segment_launch();
-        return true;
+    // 3.75. Batched execution: when the kernel is segment-eligible, the knob
+    // is on, and this launch's concrete lane windows are alias-safe, run a
+    // batch level through the VM's batch mode — the innermost level (a
+    // segment), or failing that a nest's outer innermost level with the
+    // nested levels in order inside each lane (a reduction batched along
+    // its output axis: each output accumulates in the per-point order).
+    // Falls through to the per-point loop below (still a committed launch —
+    // same results, point at a time) when no level qualifies.
+    PlanCache::Launch note{static_cast<std::int64_t>(band_points), nest, kern.prefix > 0};
+    if (kern.segment_ok && config_.batch_segments) {
+        for (const std::size_t batch : {nlevels - 1, kern.outer_levels - 1}) {
+            if (s.kcount[batch] > 1 && segment_alias_safe(kern, batch)) {
+                run_segment_kernel(plan, kern, batch);
+                note.batched = true;
+                note.sequential = batch + 1 < nlevels;
+                break;
+            }
+            if (!nest) break;
+        }
     }
 
-    // 4. The loop.  Per point: gather -> VM -> scatter per tasklet through
-    // the lanes' raw storage; advancing to the next point is one add per
-    // lane.
-    s.kiter.assign(nparams, 0);
-    for (;;) {
-        std::size_t a = 0;
-        for (std::size_t t = 0; t < ntasklets; ++t) {
-            const TaskletPlan& tp =
-                plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-            double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
-            for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
-                const Scratch::KernelLane& lane = s.lanes[a];
-                if (lane.slot >= 0) slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
+    // 4. The per-point loop.  Per point: gather -> VM -> scatter per
+    // tasklet through the lanes' raw storage; advancing to the next point is
+    // one add per lane.
+    if (!note.batched) {
+        s.kiter.assign(nlevels, 0);
+        for (bool more = true; more;) {
+            std::size_t a = 0;
+            for (std::size_t t = 0; t < ntasklets; ++t) {
+                const TaskletPlan& tp =
+                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
+                double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
+                for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    if (lane.slot >= 0)
+                        slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
+                }
+                tp.prog->run_vm(slots, s.f64_regs.data());
+                for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
+                }
             }
-            tp.prog->run_vm(slots, s.f64_regs.data());
-            for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
-                const Scratch::KernelLane& lane = s.lanes[a];
-                store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
+            // Odometer: find the deepest level that advances; the
+            // precomputed delta folds that advance plus every deeper level's
+            // reset into one add per lane.
+            std::size_t k = nlevels;
+            for (more = false; k-- > 0;) {
+                if (++s.kiter[k] < s.kcount[k]) {
+                    more = true;
+                    break;
+                }
+                s.kiter[k] = 0;
             }
+            if (more)
+                for (std::size_t l = 0; l < nlanes; ++l)
+                    s.lanes[l].offset += s.lane_delta[l * nlevels + k];
         }
-        // Odometer: find the deepest level that advances; the precomputed
-        // delta folds that advance plus every deeper level's reset into one
-        // add per lane.
-        std::size_t k = nparams - 1;
-        for (;;) {
-            if (++s.kiter[k] < static_cast<std::int64_t>(s.kcount[k])) break;
-            s.kiter[k] = 0;
-            if (k == 0) return true;  // every level wrapped: done
-            --k;
-        }
-        for (std::size_t l = 0; l < nlanes; ++l)
-            s.lanes[l].offset += s.lane_delta[l * nparams + k];
     }
+    if (inner) leave_params(*inner, /*interned_only=*/true, ctx);
+    plans_->note_kernel_launch(note);
+    return true;
 }
 
-bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
-                                     std::int64_t seg_len) const {
+bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t batch) const {
     const Scratch& s = scratch_;
     const std::size_t nlanes = kern.accesses.size();
-    const std::size_t inner = nparams - 1;
+    const std::size_t nlevels = kern.levels.size();
+    // Address window of lane l over levels [from, nlevels), relative to its
+    // launch offset.  Offsets are proven inside [0, buffer size) by lane
+    // setup, so the interval arithmetic cannot overflow.
+    const auto window = [&](std::size_t l, std::size_t from) {
+        std::pair<std::int64_t, std::int64_t> w{0, 0};
+        for (std::size_t k = from; k < nlevels; ++k) {
+            const std::int64_t travel = s.lane_step[l * nlevels + k] * (s.kcount[k] - 1);
+            (travel < 0 ? w.first : w.second) += travel;
+        }
+        return w;
+    };
     for (std::size_t w = 0; w < nlanes; ++w) {
         if (!kern.accesses[w].output) continue;
-        const std::int64_t wd = s.lane_delta[w * nparams + inner];
+        const std::int64_t* ws = &s.lane_step[w * nlevels];
         const std::int64_t wo = s.lanes[w].offset;
+        // Batch lanes run the levels below the batch level interleaved, so
+        // one lane's whole sequential travel must stay short of the next
+        // lane's writes.
+        if (batch + 1 < nlevels) {
+            const auto [tlo, thi] = window(w, batch + 1);
+            if ((ws[batch] < 0 ? -ws[batch] : ws[batch]) <= thi - tlo) return false;
+        }
         for (std::size_t l = 0; l < nlanes; ++l) {
             if (l == w) continue;
             // Inputs with no slot are never loaded (side-effect-only
             // gathers); they cannot observe reordering.
             if (!kern.accesses[l].output && s.lanes[l].slot < 0) continue;
             if (s.lanes[l].raw != s.lanes[w].raw) continue;  // different buffers
-            const std::int64_t ld = s.lane_delta[l * nparams + inner];
+            const std::int64_t* ls = &s.lane_step[l * nlevels];
             const std::int64_t lo = s.lanes[l].offset;
+            // Levels above the batch level stepping alike keep the pair's
+            // relative offset in every segment: the first segment decides.
+            const bool same_outer = std::equal(ws, ws + batch, ls);
             // Pointwise-aligned: the pair touches each address only at the
-            // same inner position, so relative order per address is
-            // preserved.  Stride 0 over a multi-point segment is a repeated
+            // same point, so relative order per address is preserved.
+            // Stride 0 over a multi-point segment is a repeated
             // same-address access — a sequential dependency, not aligned.
-            if (wo == lo && wd == ld && wd != 0) continue;
-            // Otherwise the windows must be disjoint.  Offsets are proven
-            // inside [0, buffer size) by lane setup, so the interval
-            // arithmetic cannot overflow.
-            const std::int64_t wlo = wd < 0 ? wo + wd * (seg_len - 1) : wo;
-            const std::int64_t whi = wd < 0 ? wo : wo + wd * (seg_len - 1);
-            const std::int64_t llo = ld < 0 ? lo + ld * (seg_len - 1) : lo;
-            const std::int64_t lhi = ld < 0 ? lo : lo + ld * (seg_len - 1);
-            if (whi < llo || lhi < wlo) continue;
+            if (same_outer && wo == lo && ws[batch] != 0 &&
+                std::equal(ws + batch, ws + nlevels, ls + batch))
+                continue;
+            // Otherwise the windows must be disjoint: per segment, or over
+            // the whole launch when the relative offset moves.
+            const std::size_t from = same_outer ? batch : 0;
+            const auto [wlo, whi] = window(w, from);
+            const auto [llo, lhi] = window(l, from);
+            if (wo + whi < lo + llo || lo + lhi < wo + wlo) continue;
             return false;
         }
     }
@@ -947,11 +1096,12 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t nparam
 }
 
 void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern,
-                                     std::size_t nparams, std::int64_t seg_len) {
+                                     std::size_t batch) {
     Scratch& s = scratch_;
     const std::size_t nlanes = kern.accesses.size();
+    const std::size_t nlevels = kern.levels.size();
     const std::size_t ntasklets = kern.tasklets.size();
-    const std::size_t inner = nparams - 1;
+    const std::int64_t seg_len = s.kcount[batch];
 
     // Column arena: tile the segment so scratch stays cache-resident, sized
     // once for the largest program.  Tile-outer / tasklet-inner order:
@@ -966,44 +1116,67 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
         if (s.f64_cols.size() < cols) s.f64_cols.resize(cols);
     }
 
-    // Lane offsets stay at the segment's start point; addresses inside a
-    // segment are offset + j * inner-stride.
-    s.kiter.assign(nparams, 0);
+    // Lane offsets stay at the segment's start point; inside a segment a
+    // lane's cursor walks the levels below the batch level, and batch lane
+    // j of a tile sits at cursor + j * batch-step.
+    s.lane_cursor.resize(nlanes);
+    s.lane_travel.resize(nlanes);
+    for (std::size_t l = 0; l < nlanes; ++l) {
+        s.lane_travel[l] = 0;
+        for (std::size_t k = batch; k < nlevels; ++k)
+            s.lane_travel[l] += s.lane_step[l * nlevels + k] * (s.kcount[k] - 1);
+    }
+    s.kiter.assign(nlevels, 0);
     for (;;) {
         for (std::int64_t j0 = 0; j0 < seg_len; j0 += kTile) {
             const std::int64_t tn = std::min(kTile, seg_len - j0);
-            std::size_t a = 0;
-            for (std::size_t t = 0; t < ntasklets; ++t) {
-                const TaskletPlan& tp =
-                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-                const std::size_t nin = tp.inputs.size();
-                const std::size_t nout = tp.outputs.size();
-                const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
-                double* cols = s.f64_cols.data();
-                std::fill_n(cols, nslots * tn, 0.0);
-                for (std::size_t i = 0; i < nin; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot < 0) continue;
-                    const std::int64_t d = s.lane_delta[a * nparams + inner];
-                    gather_column(cols + lane.slot * tn, lane.raw, lane.dt,
-                                  lane.offset + j0 * d, d, tn);
+            for (std::size_t l = 0; l < nlanes; ++l)
+                s.lane_cursor[l] = s.lanes[l].offset + j0 * s.lane_step[l * nlevels + batch];
+            for (bool more = true; more;) {
+                std::size_t a = 0;
+                for (std::size_t t = 0; t < ntasklets; ++t) {
+                    const TaskletPlan& tp =
+                        plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
+                    const std::size_t nin = tp.inputs.size();
+                    const std::size_t nout = tp.outputs.size();
+                    const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
+                    double* cols = s.f64_cols.data();
+                    std::fill_n(cols, nslots * tn, 0.0);
+                    for (std::size_t i = 0; i < nin; ++i, ++a) {
+                        const Scratch::KernelLane& lane = s.lanes[a];
+                        if (lane.slot < 0) continue;
+                        gather_column(cols + lane.slot * tn, lane.raw, lane.dt, s.lane_cursor[a],
+                                      s.lane_step[a * nlevels + batch], tn);
+                    }
+                    tp.prog->run_vm<double, true>(cols, cols + nslots * tn, tn);
+                    for (std::size_t i = 0; i < nout; ++i, ++a) {
+                        const Scratch::KernelLane& lane = s.lanes[a];
+                        scatter_column(lane.raw, lane.dt, s.lane_cursor[a],
+                                       s.lane_step[a * nlevels + batch], cols + lane.slot * tn,
+                                       tn);
+                    }
                 }
-                tp.prog->run_vm<double, true>(cols, cols + nslots * tn, tn);
-                for (std::size_t i = 0; i < nout; ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    const std::int64_t d = s.lane_delta[a * nparams + inner];
-                    scatter_column(lane.raw, lane.dt, lane.offset + j0 * d, d,
-                                   cols + lane.slot * tn, tn);
+                // Odometer over the levels below the batch level.
+                std::size_t k = nlevels;
+                for (more = false; k-- > batch + 1;) {
+                    if (++s.kiter[k] < s.kcount[k]) {
+                        more = true;
+                        break;
+                    }
+                    s.kiter[k] = 0;
                 }
+                if (more)
+                    for (std::size_t l = 0; l < nlanes; ++l)
+                        s.lane_cursor[l] += s.lane_delta[l * nlevels + k];
             }
         }
-        // Outer odometer (levels [0, inner)); a level-k advance moves every
-        // lane from this segment's start to the next segment's start: the
-        // per-point delta for level k (which folds the resets of all deeper
-        // levels, including the untraveled inner one) plus the inner
-        // traversal the per-point path would have performed.
-        if (inner == 0) return;
-        std::size_t k = inner - 1;
+        // Odometer over the levels above the batch level; a level-k advance
+        // moves every lane from this segment's start to the next segment's
+        // start: the per-point delta for level k (which folds the resets of
+        // all deeper levels, including the batch level and those below it)
+        // plus the segment's travel the per-point path would have performed.
+        if (batch == 0) return;
+        std::size_t k = batch - 1;
         for (;;) {
             if (++s.kiter[k] < s.kcount[k]) break;
             s.kiter[k] = 0;
@@ -1011,8 +1184,7 @@ void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& k
             --k;
         }
         for (std::size_t l = 0; l < nlanes; ++l)
-            s.lanes[l].offset += s.lane_delta[l * nparams + k] +
-                                 s.lane_delta[l * nparams + inner] * (seg_len - 1);
+            s.lanes[l].offset += s.lane_delta[l * nlevels + k] + s.lane_travel[l];
     }
 }
 

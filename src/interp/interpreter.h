@@ -59,31 +59,38 @@
 // tagless on raw doubles; every other tasklet, int-family inputs included,
 // runs the tagged VM.  Output containers may be any dtype — the store-side
 // conversions mirror the tagged VM's Buffer::store casts exactly.  Then
-// build_plan classifies every map scope.  A scope whose children are all
-// F64-signature tasklets, whose range bounds are evaluable at scope entry
-// (they never reference the scope's own parameters), and whose memlet
-// indices are affine in the scope parameters with constant coefficients
-// carries a ScopeKernel: per-access flat-stride advances replace the
-// odometer's per-point index-expression evaluation and bounds-checked
-// flat_index calls — advancing a point is one add per connector, and the
-// whole iteration footprint is validated once per launch (a launch that
-// could fault falls back to the generic odometer, which owns partial-effect
-// and error-ordering semantics).  Kernels are untagged only: their lanes
-// move raw Buffer storage with per-lane dtype conversion, and the F64
-// feasibility proof (no traps, no integer division) makes their point loop
-// throw-free.  A scope holding any tagged tasklet — every int-family one —
-// runs the generic odometer.  On top of that sits the *segment* tier: a
-// kernel whose tasklets are all straight-line (no branches, no traps) can
-// run its whole stride-1 innermost extent per dispatch through the VM's
-// batch mode (TaskletProgram::run_vm<double, true>) — auto-vectorizable
-// column loops instead of per-point dispatch.  Each launch checks the
-// concrete lane windows for unsafe aliasing (vertical execution reorders
-// loads/stores across points) and silently degrades to the per-point kernel
-// loop when segments could overlap.  Classification lives in the shared
-// plan (keyed, like everything else, on plan uid + mutation epoch);
-// ExecConfig::specialize and ExecConfig::batch_segments select what
-// execution uses, and results are byte-identical under every toggle
-// combination.
+// build_plan classifies every map scope.  A scope may carry a ScopeKernel
+// over a *band* of perfectly nested levels: its levels below the deepest
+// one any of its bounds references (the leading levels that feed bounds —
+// tile parameters, a triangular map's outer level — stay on the generic
+// odometer, which launches the band once per prefix point), extended by
+// every level of a sole nested map scope whose bounds reference no band
+// parameter (the reduction nest of every matmul).  The band's tasklets
+// must all select the F64 signature and their memlet indices be affine in
+// the band parameters with constant coefficients: per-access flat-stride
+// advances replace the odometer's per-point index-expression evaluation
+// and bounds-checked flat_index calls — advancing a point is one add per
+// connector, and the whole iteration footprint is validated once per
+// launch (a launch that could fault falls back to the generic odometer,
+// which owns partial-effect and error-ordering semantics).  Kernels are
+// untagged only: their lanes move raw Buffer storage with per-lane dtype
+// conversion, and the F64 feasibility proof (no traps, no integer
+// division) makes their point loop throw-free.  A scope holding any tagged
+// tasklet — every int-family one — runs the generic odometer.  On top of
+// that sits the *segment* tier: a kernel whose tasklets are all
+// straight-line (no branches, no traps) can run a whole batch level per
+// dispatch through the VM's batch mode (TaskletProgram::run_vm<double,
+// true>) — auto-vectorizable column loops instead of per-point dispatch.
+// The batch level is the innermost one, or for a nest whose innermost
+// level cannot batch (a reduction's stride-0 accumulator) its outer
+// scope's innermost level, with the nested levels in order inside each
+// batch lane.  Each launch checks the concrete lane windows for unsafe
+// aliasing (batching reorders loads/stores across points) and silently
+// degrades to the per-point kernel loop when lanes could collide.
+// Classification lives in the shared plan (keyed, like everything else, on
+// plan uid + mutation epoch); ExecConfig::specialize and
+// ExecConfig::batch_segments select what execution uses, and results are
+// byte-identical under every toggle combination.
 //
 // Plan sharing across threads:
 //
@@ -271,9 +278,14 @@ struct ScopePlan {
     /// scopes: iteration binds parameters in the flat bindings only, never
     /// touching the string-keyed Context map.
     bool pure = false;
-    /// Index into StatePlan::kernels when this scope classified as a
-    /// flat-stride kernel; -1 otherwise.
+    /// Index into StatePlan::kernels when this scope launches a flat-stride
+    /// band (see ScopeKernel); -1 otherwise.
     int kernel = -1;
+    /// Per level: no range of a deeper level references this level's
+    /// parameter or a deeper one, so every value of the level iterates the
+    /// same sub-nest.  When its first value reaches no leaf, the odometer
+    /// skips the rest (no budget would stop a walk that never charges fuel).
+    std::vector<std::uint8_t> same_subnest;
     /// Concatenated cov_bases of this scope's *direct* tasklet children:
     /// after a successful launch the interpreter marks base +
     /// region_class(points this launch iterated) for each — one pass over a
@@ -283,32 +295,52 @@ struct ScopePlan {
 };
 
 /// One memlet of a flat-stride kernel: the affine decomposition of its
-/// (single-point) subset over the scope parameters.  index_d = base_d +
-/// sum_k coeffs[d * params + k] * param_k, where base_d is obtained at
-/// launch time by evaluating the lowered index programs at the ranges'
-/// begin point.
+/// (single-point) subset over the band's parameters.  index_d = base_d +
+/// sum_k coeffs[d * levels + k] * param_k, where base_d is obtained at
+/// launch time by evaluating the lowered index programs at the band's begin
+/// point (parameters outside the band are part of the base).
 struct KernelAccess {
     int tasklet = 0;      ///< Index into ScopeKernel::tasklets.
     bool output = false;  ///< Input or output of that tasklet.
     int index = 0;        ///< Position among the tasklet's inputs/outputs.
-    std::vector<std::int64_t> coeffs;  ///< dims x params, row-major.
+    std::vector<std::int64_t> coeffs;  ///< dims x band levels, row-major.
 };
 
-/// Flat-stride specialization of one map scope: every child is a tasklet
-/// that selected the untagged F64 signature, every range bound is evaluable
-/// at scope entry, and every memlet index is affine in the scope parameters
-/// with constant coefficients — per-point addressing collapses to one
-/// precomputed flat-offset add per connector.  Classified once at plan
-/// time; every launch still validates ranks, input dtypes and the concrete
-/// iteration footprint, handing scopes that could fault back to the generic
-/// odometer (which owns partial-effect and error-ordering semantics).
+/// One iteration level of a kernel's band.
+struct BandLevel {
+    sym::SymId param;  ///< Interned iteration variable.
+    RangePlan range;   ///< Never references a band parameter.
+};
+
+/// Flat-stride specialization of one map scope: a *band* of perfectly
+/// nested levels launched as one kernel.  The band is the scope's levels
+/// from `prefix` on — leading levels whose parameters feed later bounds
+/// (MapTiling's tile parameters, triangular maps) stay on the generic
+/// odometer, which launches the band once per prefix point — followed, for
+/// a scope whose only child is a map scope, by every level of that nested
+/// scope (the matmul/matvec reduction nest).  Every band bound is
+/// evaluable at band entry, every tasklet the band runs selected the
+/// untagged F64 signature, and every memlet index is affine in the band
+/// parameters with constant coefficients — per-point addressing collapses
+/// to one precomputed flat-offset add per connector.  Classified once at
+/// plan time; every launch still validates ranks, input dtypes and the
+/// concrete iteration footprint, handing launches that could fault back to
+/// the generic odometer (which owns partial-effect and error-ordering
+/// semantics).
 struct ScopeKernel {
+    std::size_t prefix = 0;         ///< Leading scope levels outside the band.
+    std::vector<BandLevel> levels;  ///< The band, outermost first.
+    /// Band levels of the launching scope; the rest belong to `nested`.
+    std::size_t outer_levels = 0;
+    /// scope_plans index of the sole nested scope the band spans, -1 when
+    /// the band covers one scope.  Its children are the kernel's tasklets.
+    int nested = -1;
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
-    /// Segment-eligible: every tasklet is straight-line, so the innermost
-    /// extent can execute through the batch VM.  Each launch still checks
-    /// the concrete lane windows for unsafe aliasing before batching (see
-    /// execute_scope_kernel).
+    /// Segment-eligible: every tasklet is straight-line, so a batch level
+    /// can execute through the batch VM.  Each launch still checks the
+    /// concrete lane windows for unsafe aliasing before batching (see
+    /// segment_alias_safe).
     bool segment_ok = false;
 };
 
@@ -421,36 +453,51 @@ private:
                               const StatePlan& plan, ir::NodeId node, Context& ctx);
     void execute_scope(const ir::SDFG& sdfg, const ir::State& state, const StatePlan& plan,
                        ir::NodeId entry, Context& ctx);
-    /// Attempts one flat-stride launch of a kernelized scope.  Returns false
-    /// when per-launch validation (rank match, footprint in bounds, sane
-    /// extents) fails — the caller then runs the generic odometer, which
-    /// reproduces the exact partial effects and error of the unspecialized
-    /// path.  Ranges are evaluated level by level exactly like the generic
-    /// path, so step-0 / unbound-symbol errors surface identically.
+    /// Pushes `sp`'s parameters onto the scope stacks, saving the bindings
+    /// they shadow; leave_params restores them.  `interned_only` scopes
+    /// bind in the flat bindings only.
+    void enter_params(const ScopePlan& sp, bool interned_only, const Context& ctx);
+    void leave_params(const ScopePlan& sp, bool interned_only, Context& ctx);
+    /// Attempts one flat-stride launch of `kern`'s band at the current
+    /// prefix point of `sp` (whose parameters the caller entered).  Returns
+    /// false when per-launch validation (rank match, footprint in bounds,
+    /// sane extents) fails — the caller then runs the generic odometer,
+    /// which reproduces the exact partial effects and error of the
+    /// unspecialized path.  A band spanning a nested scope also declines
+    /// when the budget cannot cover the whole nest or a nested extent is
+    /// empty, steps by 0 or fails to evaluate, because the generic nest
+    /// evaluates those only after charging its first outer point.  The
+    /// launching scope's ranges are evaluated level by level exactly like
+    /// the generic path, so step-0 / unbound-symbol errors surface
+    /// identically.
     bool execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan, const ScopePlan& sp,
                               const ScopeKernel& kern, Context& ctx);
-    /// Whether this launch's concrete lane windows permit vertical (batched)
-    /// execution of the innermost extent.  Vertical execution reorders
-    /// loads/stores across points, so every (write, other) lane pair on the
-    /// same buffer must either be pointwise-aligned — same start offset and
-    /// same nonzero inner stride, so the pair only ever interacts at equal
-    /// inner positions — or cover disjoint address windows.  In particular a
-    /// stride-0 in-place update (x = f(x) broadcast over the segment) is a
-    /// sequential dependency and stays on the per-point loop.  Reads scratch
+    /// Whether this launch's concrete lane windows permit batching band
+    /// level `batch`, with the levels below it running in order inside each
+    /// batch lane.  Batching reorders loads/stores across points, so:
+    ///  * with levels below `batch`, every write lane's batch stride must
+    ///    exceed its whole sequential travel, so different batch lanes
+    ///    never write one address;
+    ///  * every (write, other) lane pair on the same buffer must be
+    ///    pointwise-aligned — the same address at every point, with a
+    ///    nonzero batch stride — or cover disjoint address windows.  Pairs
+    ///    whose levels above `batch` step alike keep their relative offset
+    ///    in every segment, so the first segment decides; any other pair
+    ///    must be disjoint over the whole launch.
+    /// In particular a stride-0 in-place update (x = f(x) broadcast over the
+    /// segment) is a sequential dependency and is refused.  Reads scratch
     /// lane state set up by execute_scope_kernel.
-    bool segment_alias_safe(const ScopeKernel& kern, std::size_t nparams,
-                            std::int64_t seg_len) const;
-    /// The batched inner loop of a committed, alias-safe launch: iterates
-    /// the outer levels, and per segment runs each tasklet's whole innermost
-    /// extent through the VM's batch mode in tiles (gather columns -> batch
-    /// VM -> scatter columns, converting per lane dtype).  Tile-outer /
-    /// tasklet-inner order preserves per-point semantics for
-    /// pointwise-aligned cross-tasklet dependencies.  Must only be called
-    /// from execute_scope_kernel after footprint validation and fuel
-    /// charging; cannot throw (straight-line, throw-free programs by
-    /// classification).
-    void run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern, std::size_t nparams,
-                            std::int64_t seg_len);
+    bool segment_alias_safe(const ScopeKernel& kern, std::size_t batch) const;
+    /// The batched loop of a committed, alias-safe launch: iterates the
+    /// levels above `batch`, and per segment runs tiles of batch lanes
+    /// through the VM's batch mode (gather columns -> batch VM -> scatter
+    /// columns, converting per lane dtype), once per point of the levels
+    /// below `batch`, in order.  Tile-outer / tasklet-inner order preserves
+    /// per-point semantics for pointwise-aligned cross-tasklet
+    /// dependencies.  Must only be called from execute_scope_kernel after
+    /// footprint validation and fuel charging; cannot throw (straight-line,
+    /// throw-free programs by classification).
+    void run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern, std::size_t batch);
     void execute_tasklet(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
@@ -487,7 +534,7 @@ private:
     StatePlan build_plan(const ir::SDFG& sdfg, const ir::State& state);
     void build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                             TaskletPlan& tp, int& cache_counter, std::vector<sym::SymId>& used);
-    /// Classifies one scope for flat-stride execution; appends to
+    /// Classifies one scope for flat-stride band execution; appends to
     /// plan.kernels and links sp.kernel on success.
     void classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& state, StatePlan& plan,
                                ScopePlan& sp);
@@ -567,12 +614,18 @@ private:
             int slot = -1;  // connector slot base; -1 = side-effect-only gather
         };
         std::vector<KernelLane> lanes;
-        /// lanes x params: offset delta applied when level k advances (its
-        /// own stride times step, minus the full traversal of every deeper
-        /// level — the odometer reset folded into one add).
+        /// lanes x levels: offset advance of one step of level k (0 for a
+        /// level with one value).
+        std::vector<std::int64_t> lane_step;
+        /// lanes x levels: offset delta applied when level k advances (its
+        /// step, minus the full traversal of every deeper level — the
+        /// odometer reset folded into one add).
         std::vector<std::int64_t> lane_delta;
         std::vector<std::int64_t> kbegin, kstep, kcount;  // per level
         std::vector<std::int64_t> kiter;                  // odometer counters
+        /// Per lane, batched launches: the offset at the current point of
+        /// the levels below the batch level, and one segment's travel.
+        std::vector<std::int64_t> lane_cursor, lane_travel;
     };
     Scratch scratch_;
     // Deque: growing the pool must not invalidate references handed out for

@@ -60,14 +60,14 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 /// Specialization counters of one plan cache (see docs/TUNING.md).
 ///
 /// The plan-time fields count classification outcomes — how many map scopes
-/// collapsed to flat-stride kernels (and of those, how many are
-/// segment-eligible) and how many tasklets got the untagged f64 engine —
-/// once per built StatePlan.  The runtime fields count kernel launches: a
-/// *fallback* is a launch whose per-execution validation (rank or
-/// footprint) handed the scope back to the generic odometer; a *segment
-/// launch* is a committed launch that ran the batched vertical VM instead of
-/// the per-point kernel loop.  Counter values never influence results; they
-/// exist for benchmarks and tuning.
+/// launch a flat-stride band (and of those, how many are segment-eligible)
+/// and how many tasklets got the untagged f64 engine — once per built
+/// StatePlan.  The runtime fields count kernel launches, one per band
+/// launch: a *fallback* is a launch whose per-execution validation (rank,
+/// footprint, or a nest's budget and nested extents) handed it back to the
+/// generic odometer; a *segment launch* is a committed launch that ran the
+/// batched vertical VM instead of the per-point kernel loop.  Counter
+/// values never influence results; they exist for benchmarks and tuning.
 struct SpecStats {
     std::int64_t scopes_planned = 0;      ///< Map scopes classified.
     std::int64_t scopes_specialized = 0;  ///< ... that carry a flat-stride kernel.
@@ -77,6 +77,13 @@ struct SpecStats {
     std::int64_t kernel_launches = 0;     ///< Flat-stride executions committed.
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.
     std::int64_t segment_launches = 0;    ///< Committed launches that ran batched segments.
+    std::int64_t kernel_points = 0;       ///< Band points of committed launches.
+    std::int64_t segment_points = 0;      ///< ... of which ran batched.
+    std::int64_t nest_launches = 0;       ///< Committed launches spanning a nested scope.
+    std::int64_t prefix_launches = 0;     ///< Committed launches below generic prefix levels.
+    /// Batched launches that ran the levels below the batch level in order
+    /// inside each lane (reductions batched along their output axis).
+    std::int64_t band_segment_launches = 0;
 
     /// Field-wise accumulation (totals over many caches).
     SpecStats& operator+=(const SpecStats& o) {
@@ -88,6 +95,11 @@ struct SpecStats {
         kernel_launches += o.kernel_launches;
         kernel_fallbacks += o.kernel_fallbacks;
         segment_launches += o.segment_launches;
+        kernel_points += o.kernel_points;
+        segment_points += o.segment_points;
+        nest_launches += o.nest_launches;
+        prefix_launches += o.prefix_launches;
+        band_segment_launches += o.band_segment_launches;
         return *this;
     }
 
@@ -101,6 +113,11 @@ struct SpecStats {
         kernel_launches -= o.kernel_launches;
         kernel_fallbacks -= o.kernel_fallbacks;
         segment_launches -= o.segment_launches;
+        kernel_points -= o.kernel_points;
+        segment_points -= o.segment_points;
+        nest_launches -= o.nest_launches;
+        prefix_launches -= o.prefix_launches;
+        band_segment_launches -= o.band_segment_launches;
         return *this;
     }
 };
@@ -154,20 +171,30 @@ public:
         tasklets_f64_.fetch_add(f64, std::memory_order_relaxed);
     }
 
-    /// Counts one flat-stride launch attempt: `committed` false records a
-    /// per-execution validation fallback to the generic odometer.  Called
-    /// once per scope execution (not per point), so the relaxed atomic is
-    /// off the per-point hot path.
-    void note_kernel_launch(bool committed) {
-        (committed ? kernel_launches_ : kernel_fallbacks_)
-            .fetch_add(1, std::memory_order_relaxed);
-    }
+    /// Counts one launch that per-execution validation handed back to the
+    /// generic odometer.  Called once per band launch (not per point), so
+    /// the relaxed atomics are off the per-point hot path.
+    void note_kernel_fallback() { kernel_fallbacks_.fetch_add(1, std::memory_order_relaxed); }
 
-    /// Counts one committed launch that executed batched segments (the
-    /// vertical VM) rather than the per-point kernel loop.  Called at most
-    /// once per scope execution (alongside note_kernel_launch(true)).
-    void note_segment_launch() {
-        segment_launches_.fetch_add(1, std::memory_order_relaxed);
+    /// What one committed band launch ran.
+    struct Launch {
+        std::int64_t points = 0;  ///< Band points.
+        bool nest = false;        ///< The band spans a nested scope.
+        bool prefix = false;      ///< Launched below generic prefix levels.
+        bool batched = false;     ///< Ran the batched vertical VM ...
+        bool sequential = false;  ///< ... with levels below the batch level.
+    };
+    /// Counts one committed band launch.
+    void note_kernel_launch(const Launch& l) {
+        constexpr auto relaxed = std::memory_order_relaxed;
+        kernel_launches_.fetch_add(1, relaxed);
+        kernel_points_.fetch_add(l.points, relaxed);
+        if (l.nest) nest_launches_.fetch_add(1, relaxed);
+        if (l.prefix) prefix_launches_.fetch_add(1, relaxed);
+        if (!l.batched) return;
+        segment_launches_.fetch_add(1, relaxed);
+        segment_points_.fetch_add(l.points, relaxed);
+        if (l.sequential) band_segment_launches_.fetch_add(1, relaxed);
     }
 
     /// Snapshot of the counters.
@@ -181,6 +208,11 @@ public:
         s.kernel_launches = kernel_launches_.load(std::memory_order_relaxed);
         s.kernel_fallbacks = kernel_fallbacks_.load(std::memory_order_relaxed);
         s.segment_launches = segment_launches_.load(std::memory_order_relaxed);
+        s.kernel_points = kernel_points_.load(std::memory_order_relaxed);
+        s.segment_points = segment_points_.load(std::memory_order_relaxed);
+        s.nest_launches = nest_launches_.load(std::memory_order_relaxed);
+        s.prefix_launches = prefix_launches_.load(std::memory_order_relaxed);
+        s.band_segment_launches = band_segment_launches_.load(std::memory_order_relaxed);
         return s;
     }
 
@@ -209,6 +241,11 @@ private:
     std::atomic<std::int64_t> kernel_launches_{0};
     std::atomic<std::int64_t> kernel_fallbacks_{0};
     std::atomic<std::int64_t> segment_launches_{0};
+    std::atomic<std::int64_t> kernel_points_{0};
+    std::atomic<std::int64_t> segment_points_{0};
+    std::atomic<std::int64_t> nest_launches_{0};
+    std::atomic<std::int64_t> prefix_launches_{0};
+    std::atomic<std::int64_t> band_segment_launches_{0};
 };
 
 /// Shared handle to a PlanCache; interpreters hold these, so a cache lives

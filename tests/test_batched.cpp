@@ -21,10 +21,12 @@
 #include <vector>
 
 #include "common/error.h"
+#include "feedback/coverage.h"
 #include "helpers.h"
 #include "interp/interpreter.h"
 #include "interp/plan_cache.h"
 #include "ir/subset.h"
+#include "transforms/map_tiling.h"
 
 namespace ff {
 namespace {
@@ -37,6 +39,7 @@ struct TierOut {
     interp::ExecResult res;
     interp::Context ctx;
     interp::SpecStats stats;
+    std::vector<std::uint64_t> coverage;  ///< Def-use bitmap words of the run.
 };
 
 TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
@@ -45,14 +48,19 @@ TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
     cfg.use_compiled_tasklets = compiled;
     cfg.specialize = specialize;
     cfg.batch_segments = batch;
+    cfg.coverage = true;
     if (max_points > 0) {
         cfg.max_points = max_points;
         cfg.max_alloc_bytes = 1ll << 30;
     }
     interp::Interpreter interp(cfg);
-    TierOut out{interp::ExecResult{}, inputs, interp::SpecStats{}};
+    feedback::CoverageMap map;
+    map.reset(interp.plan_cache()->atlas_for(p)->pair_count());
+    interp.set_coverage(&map);
+    TierOut out{interp::ExecResult{}, inputs, interp::SpecStats{}, {}};
     out.res = interp.run(p, out.ctx);
     out.stats = interp.plan_cache()->spec_stats();
+    out.coverage = map.trimmed_words();
     return out;
 }
 
@@ -67,6 +75,7 @@ void expect_same(const TierOut& a, const TierOut& b, const std::string& what,
     if (a.res.ok() && b.res.ok()) {
         EXPECT_EQ(a.res.points, b.res.points) << what;
         EXPECT_EQ(a.res.instructions, b.res.instructions) << what;
+        EXPECT_EQ(a.coverage, b.coverage) << what << ": coverage bitmaps differ";
     }
     ASSERT_EQ(a.ctx.buffers.size(), b.ctx.buffers.size()) << what;
     auto ita = a.ctx.buffers.begin();
@@ -447,6 +456,303 @@ TEST(Batched, StrideZeroBroadcastWriteRunsPerPoint) {
     const TierOut batched = expect_all_tiers_agree(p, inputs, "stride-0 broadcast");
     EXPECT_EQ(batched.stats.segment_launches, 0) << "stride-0 write must not batch";
     EXPECT_EQ(batched.ctx.buffers.at("x").load_double(0), 400.5);
+}
+
+TEST(Batched, LaneOffsetsDriftingApartAcrossSegmentsRunPerPoint) {
+    // y[j + 3i] = y[j + 2i] * 2 + 1 over i < 2, j < 4: the read and write
+    // lanes coincide in the first segment (i = 0) but drift apart by one
+    // element per segment, so in the second the write runs one ahead of
+    // the read — a loop-carried dependency.  The first segment alone must
+    // not decide: lanes whose outer levels step differently have to be
+    // disjoint over the whole launch.
+    ir::SDFG p("drift");
+    p.add_array("y", ir::DType::F64, {sym::cst(16)});
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId yin = st.add_access("y");
+    auto [entry, exit] = st.add_map(
+        "m", {"i", "j"}, {ir::Range::full(sym::cst(2)), ir::Range::full(sym::cst(4))});
+    const ir::NodeId t = st.add_tasklet("t", "o = v * 2.0 + 1.0");
+    const ir::NodeId yout = st.add_access("y");
+    const sym::ExprPtr i = sym::symb("i"), j = sym::symb("j");
+    const auto idx = [](sym::ExprPtr e) { return ir::Subset{{ir::Range::index(e)}}; };
+    st.add_edge(yin, "", entry, "", ir::Memlet("y", ir::Subset::full({sym::cst(16)})));
+    st.add_edge(entry, "", t, "v", ir::Memlet("y", idx(j + i * 2)));
+    st.add_edge(t, "o", exit, "", ir::Memlet("y", idx(j + i * 3)));
+    st.add_edge(exit, "", yout, "", ir::Memlet("y", ir::Subset::full({sym::cst(16)})));
+
+    std::vector<double> yv(16);
+    for (std::size_t e = 0; e < yv.size(); ++e) yv[e] = static_cast<double>(e);
+    interp::Context inputs;
+    inputs.buffers.emplace("y", make_buffer(yv));
+    const TierOut batched = expect_all_tiers_agree(p, inputs, "drifting lanes");
+    EXPECT_EQ(batched.stats.segment_launches, 0);
+    EXPECT_EQ(batched.ctx.buffers.at("y").load_double(5), 47.0);  // reads y[4] = 23
+}
+
+// --- Bands: reduction nests and tiled maps -------------------------------------
+
+/// Containers of the nest programs: a[kRows, kCols] read at a[i, k] and
+/// the 1-D accumulator o[kRows].
+constexpr std::int64_t kRows = 320;
+constexpr std::int64_t kCols = 12;
+
+using Connectors = std::vector<std::pair<std::string, ir::Memlet>>;
+
+/// The accum_nest shape of every matmul/matvec kernel (workloads/npbench.cpp):
+/// a Parallel map over i around a Sequential map over k whose tasklet reads
+/// `ins` and writes `outs` (all on a and o).
+ir::SDFG make_nest(const ir::Range& outer, const ir::Range& inner, const Connectors& ins,
+                   const Connectors& outs, const std::string& code) {
+    ir::SDFG p("nest");
+    p.add_array("a", ir::DType::F64, {sym::cst(kRows), sym::cst(kCols)});
+    p.add_array("o", ir::DType::F64, {sym::cst(kRows)});
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId a = st.add_access("a");
+    const ir::NodeId oin = st.add_access("o");
+    auto [pe, px] = st.add_map("outer", {"i"}, {outer}, ir::Schedule::Parallel);
+    auto [re, rx] = st.add_map("red", {"k"}, {inner}, ir::Schedule::Sequential);
+    const ir::NodeId t = st.add_tasklet("acc", code);
+    const ir::NodeId oout = st.add_access("o");
+    const ir::Subset a_full = ir::Subset::full({sym::cst(kRows), sym::cst(kCols)});
+    const ir::Subset o_full = ir::Subset::full({sym::cst(kRows)});
+    st.add_edge(a, "", pe, "", ir::Memlet("a", a_full));
+    st.add_edge(pe, "", re, "", ir::Memlet("a", a_full));
+    st.add_edge(oin, "", pe, "", ir::Memlet("o", o_full));
+    st.add_edge(pe, "", re, "", ir::Memlet("o", o_full));
+    for (const auto& [conn, memlet] : ins) st.add_edge(re, "", t, conn, memlet);
+    for (const auto& [conn, memlet] : outs) st.add_edge(t, conn, rx, "", memlet);
+    st.add_edge(rx, "", px, "", ir::Memlet("o", o_full));
+    st.add_edge(px, "", oout, "", ir::Memlet("o", o_full));
+    return p;
+}
+
+const sym::ExprPtr kI = sym::symb("i");
+const sym::ExprPtr kK = sym::symb("k");
+
+ir::Memlet a_at(const sym::ExprPtr& row, const sym::ExprPtr& col) {
+    return ir::Memlet("a", ir::Subset{{ir::Range::index(row), ir::Range::index(col)}});
+}
+ir::Memlet o_at(const sym::ExprPtr& index) {
+    return ir::Memlet("o", ir::Subset{{ir::Range::index(index)}});
+}
+
+/// o[i] = o[i] + a[i, k] * 0.5 over i < n, k < kext: the reduction.
+ir::SDFG make_reduction(std::int64_t n, std::int64_t kext) {
+    return make_nest(ir::Range::full(sym::cst(n)), ir::Range::full(sym::cst(kext)),
+                     {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}}, {{"cout", o_at(kI)}},
+                     "cout = cin + a * 0.5");
+}
+
+interp::Context nest_inputs() {
+    interp::Context ctx;
+    interp::Buffer a(ir::DType::F64, {kRows, kCols});
+    for (std::int64_t e = 0; e < a.size(); ++e)
+        a.store(e, interp::Value::from_double(0.1 * static_cast<double>((e * 37) % 101) - 4.9));
+    std::vector<double> o(static_cast<std::size_t>(kRows));
+    for (std::size_t e = 0; e < o.size(); ++e) o[e] = 1.0 / (1.0 + static_cast<double>(e));
+    ctx.buffers.emplace("a", std::move(a));
+    ctx.buffers.emplace("o", make_buffer(o));
+    return ctx;
+}
+
+TEST(Bands, ReductionNestBatchesAlongItsOutputAxis) {
+    // One launch covers the whole nest.  Its innermost level writes o[i]
+    // with stride 0, so it batches along i and runs k in order inside each
+    // lane: every o[i] accumulates in the per-point order, bitwise.
+    const TierOut batched =
+        expect_all_tiers_agree(make_reduction(8, 8), nest_inputs(), "8x8 reduction");
+    EXPECT_EQ(batched.stats.scopes_specialized, 2);  // the nest and its inner scope
+    EXPECT_EQ(batched.stats.kernel_launches, 1);
+    EXPECT_EQ(batched.stats.nest_launches, 1);
+    EXPECT_EQ(batched.stats.segment_launches, 1);
+    EXPECT_EQ(batched.stats.band_segment_launches, 1);
+    EXPECT_EQ(batched.stats.kernel_points, 64);
+    EXPECT_EQ(batched.stats.segment_points, 64);
+    EXPECT_EQ(batched.res.points, 8 + 64) << "one point per outer point plus the inner points";
+    EXPECT_FALSE(batched.coverage.empty());
+}
+
+TEST(Bands, DegenerateReductionAndBatchExtents) {
+    // A reduction extent of 0: the generic nest charges each outer point
+    // before finding the inner range empty, so the nest declines to
+    // per-outer-point launches (each an empty commit).
+    const TierOut empty =
+        expect_all_tiers_agree(make_reduction(6, 0), nest_inputs(), "reduction extent 0");
+    EXPECT_EQ(empty.res.points, 6);
+    EXPECT_EQ(empty.stats.nest_launches, 0);
+    EXPECT_EQ(empty.stats.kernel_fallbacks, 1);
+    EXPECT_EQ(empty.stats.kernel_launches, 6);
+    // A reduction extent of 1 commits and batches along i.
+    const TierOut one =
+        expect_all_tiers_agree(make_reduction(6, 1), nest_inputs(), "reduction extent 1");
+    EXPECT_EQ(one.stats.nest_launches, 1);
+    EXPECT_EQ(one.stats.band_segment_launches, 1);
+    // A batch extent of 1 leaves nothing to batch: the per-point loop.
+    const TierOut single =
+        expect_all_tiers_agree(make_reduction(1, 9), nest_inputs(), "batch extent 1");
+    EXPECT_EQ(single.stats.nest_launches, 1);
+    EXPECT_EQ(single.stats.segment_launches, 0);
+    EXPECT_EQ(single.res.points, 1 + 9);
+}
+
+TEST(Bands, BatchExtentPastATileLeavesATail) {
+    // 300 outputs: one full 256-lane tile and a 44-lane tail, each running
+    // the whole reduction in order.
+    const TierOut batched =
+        expect_all_tiers_agree(make_reduction(300, 7), nest_inputs(), "300x7 reduction");
+    EXPECT_EQ(batched.stats.band_segment_launches, 1);
+    EXPECT_EQ(batched.stats.segment_points, 300 * 7);
+}
+
+TEST(Bands, AliasedReductionOutputsRunPerPoint) {
+    // o[i] += a[i, k] * o[k] reads the accumulator at another point: the
+    // read window overlaps the write window unaligned, so the launch must
+    // run point by point.
+    const ir::SDFG inplace =
+        make_nest(ir::Range::full(sym::cst(9)), ir::Range::full(sym::cst(9)),
+                  {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}, {"b", o_at(kK)}}, {{"cout", o_at(kI)}},
+                  "cout = cin + a * b");
+    const TierOut aliased = expect_all_tiers_agree(inplace, nest_inputs(), "o[i] += a * o[k]");
+    EXPECT_EQ(aliased.stats.nest_launches, 1);
+    EXPECT_EQ(aliased.stats.segment_launches, 0) << "alias check must refuse batching";
+
+    // Two accumulators: o[i + 100] += a (stride 0 along k, so the innermost
+    // level cannot batch) and o[out] += a * 0.5 over 9 x kext.
+    const auto two_sums = [](const sym::ExprPtr& out, std::int64_t kext) {
+        const sym::ExprPtr side = kI + 100;
+        return make_nest(ir::Range::full(sym::cst(9)), ir::Range::full(sym::cst(kext)),
+                         {{"cin", o_at(out)}, {"pin", o_at(side)}, {"a", a_at(kI, kK)}},
+                         {{"cout", o_at(out)}, {"q", o_at(side)}},
+                         "cout = cin + a * 0.5; q = pin + a");
+    };
+    // o[i + k]: aligned with its own read, but neighbouring batch lanes
+    // write each other's outputs (the batch stride 1 does not outrun the
+    // sequential travel 8), so batching along i would change each output's
+    // summation order.
+    const TierOut shifted =
+        expect_all_tiers_agree(two_sums(kI + kK, 9), nest_inputs(), "o[i + k] += a[i, k]");
+    EXPECT_EQ(shifted.stats.nest_launches, 1);
+    EXPECT_EQ(shifted.stats.segment_launches, 0) << "stride-vs-travel rule must refuse";
+    // o[2i + k] for k < 2 strides past its whole travel: batches along i.
+    const TierOut spread =
+        expect_all_tiers_agree(two_sums(kI * 2 + kK, 2), nest_inputs(), "o[2i + k] += a[i, k]");
+    EXPECT_EQ(spread.stats.band_segment_launches, 1);
+}
+
+/// The nest of make_reduction whose inner range reads i without changing:
+/// the nest cannot form, so its inner scope launches once per outer point —
+/// the execution every nest stood in for before bands spanned scopes.
+ir::SDFG make_per_outer_point_reduction(std::int64_t n, std::int64_t kext) {
+    return make_nest(ir::Range::full(sym::cst(n)),
+                     ir::Range{sym::min(kI, sym::cst(0)), sym::cst(kext - 1), sym::cst(1)},
+                     {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}}, {{"cout", o_at(kI)}},
+                     "cout = cin + a * 0.5");
+}
+
+TEST(Bands, BudgetCrossingMidNestMatchesPerOuterPointLaunches) {
+    // 4 x 10 nest charges 4 + 40 points.  Under a budget of 30 the nest
+    // declines before lane setup, and per-outer-point launches run: rows 0
+    // and 1 complete (22 points), row 2's launch is refused wholesale at
+    // 23 + 10 > 30.  Same status, message and state as the twin program
+    // whose nest cannot form.
+    const ir::SDFG nest = make_reduction(4, 10);
+    const ir::SDFG twin = make_per_outer_point_reduction(4, 10);
+    for (const bool batch : {true, false}) {
+        const TierOut got = run_cfg(nest, nest_inputs(), true, true, batch, /*max_points=*/30);
+        const TierOut want = run_cfg(twin, nest_inputs(), true, true, batch, 30);
+        expect_same(got, want, batch ? "budget mid-nest (batched)" : "budget mid-nest (per-point)");
+        EXPECT_EQ(got.res.status, interp::ExecStatus::Resource);
+        EXPECT_EQ(got.stats.nest_launches, 0);
+        EXPECT_EQ(got.stats.kernel_launches, 2);
+        const TierOut generic = run_cfg(nest, nest_inputs(), true, false, false, 30);
+        EXPECT_EQ(got.res.status, generic.res.status);
+        EXPECT_EQ(got.res.message, generic.res.message);
+    }
+    // Exactly at the boundary the nest commits and the budget is
+    // unobservable.
+    const TierOut exact = expect_all_tiers_agree(nest, nest_inputs(), "budget exact", 44);
+    EXPECT_TRUE(exact.res.ok());
+    EXPECT_EQ(exact.stats.nest_launches, 1);
+    const TierOut per_outer_point = run_cfg(twin, nest_inputs(), true, true, true);
+    EXPECT_EQ(per_outer_point.stats.nest_launches, 0);
+    EXPECT_EQ(per_outer_point.stats.kernel_launches, 4);
+    expect_same(exact, per_outer_point, "exact vs twin");
+}
+
+TEST(Bands, TriangularInnerRangeStaysPerOuterPoint) {
+    // k <= i: the inner bounds read a band parameter, so no nest forms and
+    // the inner scope launches once per outer point.
+    const ir::SDFG tri =
+        make_nest(ir::Range::full(sym::cst(7)), ir::Range{sym::cst(0), kI, sym::cst(1)},
+                  {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}}, {{"cout", o_at(kI)}},
+                  "cout = cin + a * 0.5");
+    const TierOut batched = expect_all_tiers_agree(tri, nest_inputs(), "triangular nest");
+    EXPECT_EQ(batched.stats.scopes_specialized, 1);
+    EXPECT_EQ(batched.stats.nest_launches, 0);
+    EXPECT_EQ(batched.stats.kernel_launches, 7);
+    EXPECT_EQ(batched.res.points, 7 + 28);
+}
+
+TEST(Bands, NestCoverageBitmapMatchesTheGenericTier) {
+    // The nest marks its inner tasklet's class once; the generic tier marks
+    // it per inner launch.  Every inner launch iterates the same count, so
+    // the bitmaps agree — for the few (2..16) and many (>16) classes.
+    for (const std::int64_t kext : {1, 5, 12}) {
+        const std::string what = "coverage K=" + std::to_string(kext);
+        const TierOut batched = run_cfg(make_reduction(5, kext), nest_inputs(), true, true, true);
+        const TierOut generic = run_cfg(make_reduction(5, kext), nest_inputs(), true, false, false);
+        ASSERT_TRUE(batched.res.ok()) << what;
+        EXPECT_EQ(batched.stats.nest_launches, 1) << what;
+        EXPECT_FALSE(batched.coverage.empty()) << what;
+        EXPECT_EQ(batched.coverage, generic.coverage) << what;
+    }
+}
+
+/// y[i, j] = x[i, j] * 1.5 + 1 over i < 20, j < 13 on 20x13 arrays, tiled by
+/// MapTiling(8, variant): the tile parameters feed the inner bounds.
+ir::SDFG make_tiled(xform::MapTiling::Variant variant) {
+    ir::SDFG p("tiled");
+    const std::vector<sym::ExprPtr> shape{sym::cst(20), sym::cst(13)};
+    p.add_array("x", ir::DType::F64, shape);
+    p.add_array("y", ir::DType::F64, shape);
+    ir::State& st = p.state(p.add_state("main", true));
+    auto [entry, exit] = st.add_map("m", {"i", "j"},
+                                    {ir::Range::full(sym::cst(20)), ir::Range::full(sym::cst(13))});
+    const ir::NodeId t = st.add_tasklet("t", "o = v * 1.5 + 1.0");
+    const ir::Subset point{{ir::Range::index(kI), ir::Range::index(sym::symb("j"))}};
+    st.add_edge(st.add_access("x"), "", entry, "", ir::Memlet("x", ir::Subset::full(shape)));
+    st.add_edge(entry, "", t, "v", ir::Memlet("x", point));
+    st.add_edge(t, "o", exit, "", ir::Memlet("y", point));
+    st.add_edge(exit, "", st.add_access("y"), "", ir::Memlet("y", ir::Subset::full(shape)));
+    const xform::MapTiling tiling(8, variant);
+    tiling.apply(p, tiling.find_matches(p).at(0));
+    return p;
+}
+
+TEST(Bands, TiledMapsLaunchTheirTilesAsBands) {
+    interp::Context inputs;
+    interp::Buffer x(ir::DType::F64, {20, 13});
+    for (std::int64_t e = 0; e < x.size(); ++e)
+        x.store(e, interp::Value::from_double(0.25 * static_cast<double>(e % 29) - 3.0));
+    inputs.buffers.emplace("x", std::move(x));
+    using V = xform::MapTiling::Variant;
+    // Correct: one band launch per (i__tile, j__tile) point, 3 x 2 tiles.
+    const TierOut correct = expect_all_tiers_agree(make_tiled(V::Correct), inputs, "tiled");
+    EXPECT_TRUE(correct.res.ok());
+    EXPECT_EQ(correct.stats.prefix_launches, 6);
+    EXPECT_EQ(correct.stats.segment_launches, 6);
+    EXPECT_EQ(correct.stats.kernel_points, 20 * 13);
+    // Off by one: overlapping in-bounds tiles, still one launch per tile.
+    const TierOut off = expect_all_tiers_agree(make_tiled(V::OffByOne), inputs, "off-by-one");
+    EXPECT_TRUE(off.res.ok());
+    EXPECT_EQ(off.stats.prefix_launches, 6);
+    // No remainder: the last tiles reach past 20 and 13.  Their launches
+    // fail footprint validation and the generic levels raise the generic
+    // path's error with its partial effects.
+    const TierOut oob = expect_all_tiers_agree(make_tiled(V::NoRemainder), inputs, "no-remainder");
+    EXPECT_EQ(oob.res.status, interp::ExecStatus::Crash);
+    EXPECT_GT(oob.stats.kernel_fallbacks, 0);
+    EXPECT_GT(oob.stats.prefix_launches, 0);
 }
 
 // --- DType name round-trip (exhaustive) ---------------------------------------

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -445,6 +446,34 @@ TEST(MutationCases, DanglingIdsInAnSdfgAreParseErrorsNamingThem) {
     for (Json& node : scope["states"].as_array()[0]["nodes"].as_array())
         if (node.contains("scope_id")) node["scope_id"] = std::int64_t{1} << 40;
     expect_parse_error(scope, "scope_id");
+}
+
+/// Replays `doc` and returns the wall seconds it took.
+double timed_replay(const Json& doc) {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(replay(doc), End::Verdict);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+TEST(MutationCases, EmptyInnerRangeEndsTheOuterWalk) {
+    // The generic odometer walked every value of an outer level whose inner
+    // range is empty, and map-point fuel is charged only at leaf points, so
+    // no budget stopped it: M = 10^10 with N = 0 replayed for minutes.  The
+    // walk now stops after the first outer value, since every later one
+    // iterates the same empty sub-nest.  (The bound is generous for
+    // sanitizer builds; the replay takes milliseconds.)
+    Json tc = reproducer();
+    tc["inputs"]["symbols"]["M"] = std::int64_t{10'000'000'000};
+    tc["inputs"]["symbols"]["N"] = 0;
+    EXPECT_LT(timed_replay(tc), 5.0);
+
+    // Test-case mutant 400140 of the generator above, an inputs edit: M =
+    // 2^40, N = -1.
+    Json mutant = reproducer();
+    Mutator(mutant, 400140).mutate(mutant["inputs"]);
+    ASSERT_EQ(common::json_int(mutant.at("inputs").at("symbols"), "M"), std::int64_t{1} << 40);
+    ASSERT_EQ(common::json_int(mutant.at("inputs").at("symbols"), "N"), -1);
+    EXPECT_LT(timed_replay(mutant), 5.0);
 }
 
 TEST(MutationCases, BufferDataMustMatchItsShape) {

@@ -26,6 +26,7 @@
 #include "interp/interpreter.h"
 #include "interp/plan_cache.h"
 #include "ir/subset.h"
+#include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/matchain.h"
 
@@ -320,8 +321,9 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
 // --- Differential property test ----------------------------------------------
 //
 // 420 random programs spanning dtypes, strided/offset/reversed subsets,
-// non-affine indices, triangular (non-constant) ranges and occasional
-// out-of-bounds offsets.  Reference AST engine, generic compiled path and
+// non-affine indices, triangular (non-constant) ranges, reduction nests,
+// tiled maps (every MapTiling variant) and occasional out-of-bounds
+// offsets.  Reference AST engine, generic compiled path and
 // specialized path must agree bit for bit — results and crash messages.
 
 struct RandomProgram {
@@ -465,6 +467,97 @@ ir::NodeId random_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId
     return out_acc;
 }
 
+/// A range of `extent` points: plain, reversed, offset or strided.
+ir::Range random_range(common::Rng& rng, std::int64_t extent) {
+    switch (rng.uniform_int(0, 3)) {
+        case 0: return ir::Range::full(sym::cst(extent));
+        case 1: return ir::Range{sym::cst(extent - 1), sym::cst(0), sym::cst(-1)};
+        case 2: return ir::Range{sym::cst(1), sym::cst(extent), sym::cst(1)};
+        default: return ir::Range{sym::cst(0), sym::cst(2 * (extent - 1)), sym::cst(2)};
+    }
+}
+
+/// One random reduction-nest stage (the accum_nest shape of every matmul):
+/// a map over i around a Sequential map over k accumulating into a fresh
+/// container, o[out] = o[in_out] + f(in[..]).  Extents are 0..4.  The
+/// accumulator is sometimes read at a shifted index, written with stride 0
+/// along i or at i + k, and the inner range sometimes references i.
+ir::NodeId random_nest_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::NodeId in_access,
+                             int stage) {
+    const std::string in_name = st.graph().node(in_access).data;
+    const std::vector<sym::ExprPtr>& shape = p.container(in_name).shape;
+    const std::size_t rank = shape.size();
+    const std::string out_name = "s" + std::to_string(stage);
+    p.add_array(out_name, pick_dtype(rng), shape, /*transient=*/false);
+
+    const std::string pi = "p" + std::to_string(stage) + "_i";
+    const std::string pk = "p" + std::to_string(stage) + "_k";
+    const sym::ExprPtr i = sym::symb(pi), k = sym::symb(pk);
+    const ir::Range outer = random_range(rng, rng.uniform_int(0, 4));
+    const ir::Range inner = rng.chance(0.2) ? ir::Range{sym::cst(0), i, sym::cst(1)}
+                                            : random_range(rng, rng.uniform_int(0, 4));
+    auto pick_index = [&](const sym::ExprPtr& v) -> sym::ExprPtr {
+        switch (rng.uniform_int(0, 5)) {
+            case 0: return v;
+            case 1: return v + 1;
+            case 2: return v * 2;
+            case 3: return v * 2 + 1;
+            case 4: return sym::floordiv(v + 3, sym::cst(2));  // non-affine
+            default: return rng.chance(0.3) ? v + 40 : v;       // rarely out of bounds
+        }
+    };
+    ir::Subset in_point, out_point, acc_point;
+    if (rank == 2) {
+        in_point.ranges = {ir::Range::index(pick_index(i)), ir::Range::index(pick_index(k))};
+    } else {
+        in_point.ranges = {ir::Range::index(rng.chance(0.5) ? pick_index(i) + k : pick_index(k))};
+    }
+    sym::ExprPtr out_index;
+    switch (rng.uniform_int(0, 5)) {
+        case 0: out_index = sym::cst(1); break;  // stride 0 along both levels
+        case 1: out_index = i + k; break;        // neighbouring lanes collide
+        case 2: out_index = i * 2 + 1; break;
+        default: out_index = i; break;
+    }
+    // Occasionally read the accumulator one element past what is written.
+    const sym::ExprPtr acc_index = rng.chance(0.15) ? out_index + 1 : out_index;
+    out_point.ranges = {ir::Range::index(out_index)};
+    acc_point.ranges = {ir::Range::index(acc_index)};
+    if (rank == 2) {
+        const sym::ExprPtr col = rng.chance(0.7) ? sym::cst(0) : k;
+        out_point.ranges.push_back(ir::Range::index(col));
+        acc_point.ranges.push_back(ir::Range::index(col));
+    }
+
+    static const char* kCodes[] = {
+        "cout = cin + a * 0.5",
+        "cout = cin * 0.5 + a * a",
+        "cout = max(cin, a) + 0.25",
+        "cout = cin + (a > 0.0 ? a : -a)",
+        "cout = cin + exp(min(a, 1.0))",
+        "cout = cin + a % 3",
+    };
+    const std::string code = kCodes[rng.uniform_int(0, 5)];
+
+    const ir::Subset full = ir::Subset::full(shape);
+    auto [pe, px] = st.add_map("n" + std::to_string(stage), {pi}, {outer}, ir::Schedule::Parallel);
+    auto [re, rx] =
+        st.add_map("r" + std::to_string(stage), {pk}, {inner}, ir::Schedule::Sequential);
+    const ir::NodeId t = st.add_tasklet("acc" + std::to_string(stage), code);
+    const ir::NodeId acc_in = st.add_access(out_name);
+    const ir::NodeId out_acc = st.add_access(out_name);
+    st.add_edge(in_access, "", pe, "", ir::Memlet(in_name, full));
+    st.add_edge(pe, "", re, "", ir::Memlet(in_name, full));
+    st.add_edge(re, "", t, "a", ir::Memlet(in_name, in_point));
+    st.add_edge(acc_in, "", pe, "", ir::Memlet(out_name, full));
+    st.add_edge(pe, "", re, "", ir::Memlet(out_name, full));
+    st.add_edge(re, "", t, "cin", ir::Memlet(out_name, acc_point));
+    st.add_edge(t, "cout", rx, "", ir::Memlet(out_name, out_point));
+    st.add_edge(rx, "", px, "", ir::Memlet(out_name, full));
+    st.add_edge(px, "", out_acc, "", ir::Memlet(out_name, full));
+    return out_acc;
+}
+
 RandomProgram make_random_program(std::uint64_t seed) {
     common::Rng rng(seed);
     RandomProgram rp;
@@ -482,7 +575,22 @@ RandomProgram make_random_program(std::uint64_t seed) {
     ir::State& st = rp.p.state(rp.p.add_state("main", true));
     ir::NodeId cur = st.add_access("a0");
     const int stages = static_cast<int>(rng.uniform_int(1, 2));
-    for (int s = 0; s < stages; ++s) cur = random_stage(rng, rp.p, st, cur, s);
+    for (int s = 0; s < stages; ++s)
+        cur = rng.chance(0.35) ? random_nest_stage(rng, rp.p, st, cur, s)
+                               : random_stage(rng, rp.p, st, cur, s);
+    // Sometimes tile one map, in any variant: the tile parameters feed the
+    // inner bounds (a prefix band), and the no-remainder variant reaches
+    // out of bounds in the last tile.
+    if (rng.chance(0.3)) {
+        static const xform::MapTiling::Variant kVariants[] = {
+            xform::MapTiling::Variant::Correct, xform::MapTiling::Variant::OffByOne,
+            xform::MapTiling::Variant::NoRemainder};
+        const xform::MapTiling tiling(rng.uniform_int(2, 3), kVariants[rng.uniform_int(0, 2)]);
+        const std::vector<xform::Match> matches = tiling.find_matches(rp.p);
+        if (!matches.empty())
+            tiling.apply(rp.p, matches[static_cast<std::size_t>(
+                                   rng.uniform_int(0, static_cast<std::int64_t>(matches.size()) - 1))]);
+    }
     rp.inputs.buffers.emplace("a0", random_buffer(rng, in_dtype, concrete));
     return rp;
 }
@@ -521,6 +629,7 @@ void expect_context_equal(const interp::Context& a, const interp::Context& b,
 
 TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, segments = 0;
+    int nests = 0, prefixes = 0, band_segments = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
 
@@ -562,11 +671,17 @@ TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
         kernels += static_cast<int>(spec.stats.kernel_launches);
         f64s += static_cast<int>(spec.stats.tasklets_f64);
         segments += static_cast<int>(batched.stats.segment_launches);
+        nests += static_cast<int>(batched.stats.nest_launches);
+        prefixes += static_cast<int>(batched.stats.prefix_launches);
+        band_segments += static_cast<int>(batched.stats.band_segment_launches);
     }
     // The generator must actually exercise every tier.
     EXPECT_GT(kernels, 50) << "flat-stride kernels barely exercised";
     EXPECT_GT(f64s, 20) << "untagged f64 VM barely exercised";
     EXPECT_GT(segments, 20) << "batched segment VM barely exercised";
+    EXPECT_GT(nests, 0) << "no reduction nest launched as one band";
+    EXPECT_GT(prefixes, 0) << "no band launched below prefix levels";
+    EXPECT_GT(band_segments, 0) << "no band batched along its output axis";
     EXPECT_GT(crashes, 5) << "crash paths barely exercised";
     EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
 }
