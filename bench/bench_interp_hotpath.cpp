@@ -29,7 +29,11 @@
 // A second, flat-stride section measures the batched segment tier against
 // the per-point kernel loop on straight-line 1-D chains per float dtype
 // (f64, f32).  Acceptance bar: batched >= 2x per-point on the f64 section.
-// The exit code is 1 when any of the four bars fails.
+// A third section runs the matmul nest alone, once as is and once with its
+// reduction map tiled by MapTiling at the registry's tile size: the tiled
+// nest must walk its tiles into runs and batch along its output axis.
+// Acceptance bar: tiled batched >= 0.5x the untiled nest's batched exec/s.
+// The exit code is 1 when any of the five bars fails.
 //
 // Lines prefixed BENCH_KV are machine-readable; `scripts/bench_json.py hotpath`
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
@@ -40,6 +44,8 @@
 #include <cstdlib>
 #include <thread>
 
+#include "transforms/map_tiling.h"
+#include "transforms/registry.h"
 #include "workloads/builders.h"
 
 namespace {
@@ -93,12 +99,42 @@ std::int64_t tasklet_executions_per_run() {
 
 sym::Bindings bindings() { return {{"N", kN}, {"M", kM}, {"K", kK}}; }
 
-/// Executions/second on one engine; runs `reps` full program executions
-/// against a warm interpreter (plan + tasklet caches populated).  `spec`
-/// optionally receives the plan cache's specialization counters.
-double measure(bool compiled, bool specialize, bool batch, int reps,
-               interp::SpecStats* spec = nullptr) {
-    ir::SDFG p = build_hotpath();
+/// The hotpath program's matmul nest after its zero-init map, with the
+/// reduction map `acc_k` tiled by MapTiling at the registry's tile size when
+/// `tiled`.
+ir::SDFG build_nest(bool tiled) {
+    ir::SDFG p("nest");
+    p.add_symbol("N");
+    p.add_symbol("M");
+    p.add_symbol("K");
+    const sym::ExprPtr n = sym::symb("N"), m = sym::symb("M"), k = sym::symb("K");
+    p.add_array("a", ir::DType::F64, {n, k});
+    p.add_array("b", ir::DType::F64, {k, m});
+    p.add_array("c", ir::DType::F64, {n, m});
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId a = st.add_access("a");
+    const ir::NodeId b = st.add_access("b");
+    workloads::matmul_nest(p, st, a, b, workloads::zero_init(p, st, "c"), n, k, m, "acc");
+    if (tiled) {
+        const xform::MapTiling tiling(xform::RegistryConfig{}.tile_size);
+        for (const xform::Match& match : tiling.find_matches(p))
+            if (p.state(match.state).graph().node(match.nodes.at(0)).label == "acc_k") {
+                tiling.apply(p, match);
+                return p;
+            }
+        throw common::Error("no reduction map to tile");
+    }
+    return p;
+}
+
+std::int64_t nest_executions_per_run() { return kN * kM + kN * kM * kK; }
+
+/// Executions/second of `p` (`execs` tasklet executions per run) on one
+/// engine; runs `reps` full program executions against a warm interpreter
+/// (plan + tasklet caches populated).  `spec` optionally receives the plan
+/// cache's specialization counters.
+double measure(const ir::SDFG& p, std::int64_t execs, bool compiled, bool specialize, bool batch,
+               int reps, interp::SpecStats* spec = nullptr) {
     interp::ExecConfig cfg;
     cfg.use_compiled_tasklets = compiled;
     cfg.specialize = specialize;
@@ -121,7 +157,7 @@ double measure(bool compiled, bool specialize, bool batch, int reps,
     const double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                             .count();
     if (spec) *spec = interp.plan_cache()->spec_stats();
-    return static_cast<double>(tasklet_executions_per_run()) * reps / secs;
+    return static_cast<double>(execs) * reps / secs;
 }
 
 // --- Flat-stride batched vs per-point, per float dtype ------------------------
@@ -238,18 +274,21 @@ double measure_parallel(int threads, int reps_per_thread) {
     return static_cast<double>(tasklet_executions_per_run()) * threads * reps_per_thread / secs;
 }
 
-/// Prints the report; returns whether all four acceptance bars hold.
+/// Prints the report; returns whether all five acceptance bars hold.
 bool print_report() {
     const int reps = 6;
-    const double ref = measure(/*compiled=*/false, /*specialize=*/false, /*batch=*/false, reps);
-    const double generic =
-        measure(/*compiled=*/true, /*specialize=*/false, /*batch=*/false, reps);
+    const ir::SDFG hotpath = build_hotpath();
+    const std::int64_t execs = tasklet_executions_per_run();
+    const double ref = measure(hotpath, execs, /*compiled=*/false, /*specialize=*/false,
+                               /*batch=*/false, reps);
+    const double generic = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/false,
+                                   /*batch=*/false, reps);
     interp::SpecStats spec_stats;
-    const double specialized = measure(/*compiled=*/true, /*specialize=*/true, /*batch=*/false,
-                                       reps, &spec_stats);
+    const double specialized = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/true,
+                                       /*batch=*/false, reps, &spec_stats);
     interp::SpecStats batch_stats;
-    const double batched = measure(/*compiled=*/true, /*specialize=*/true, /*batch=*/true,
-                                   reps, &batch_stats);
+    const double batched = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/true,
+                                   /*batch=*/true, reps, &batch_stats);
     // The 3x bar gates the *generic* compiled path (the pre-specialization
     // guarantee — still a supported mode and the kernel fallback target);
     // the 1.5x bar gates specialization on top of it.
@@ -320,6 +359,30 @@ bool print_report() {
                         : "");
     }
 
+    // The matmul nest with its reduction tiled: one launch per run of the
+    // program, walking the tiles into runs, batched along the output axis.
+    bench::banner("Tiled reduction nest - batched exec/s (matmul nest, reduction map tiled by " +
+                  std::to_string(xform::RegistryConfig{}.tile_size) + ")");
+    interp::SpecStats untiled_stats, tiled_stats;
+    const double untiled_nest =
+        measure(build_nest(false), nest_executions_per_run(), true, true, true, reps,
+                &untiled_stats);
+    const double tiled_nest = measure(build_nest(true), nest_executions_per_run(), true, true,
+                                      true, reps, &tiled_stats);
+    const double tiled_ratio = tiled_nest / untiled_nest;
+    const double tiled_share =
+        tiled_stats.kernel_points > 0
+            ? static_cast<double>(tiled_stats.segment_points) / tiled_stats.kernel_points
+            : 0.0;
+    bars_hold = bars_hold && tiled_ratio >= 0.5;
+    std::printf("  untiled: %12.0f exec/s, tiled: %12.0f exec/s -> %.2fx  "
+                "(acceptance bar: >= 0.5x) %s\n",
+                untiled_nest, tiled_nest, tiled_ratio, tiled_ratio >= 0.5 ? "PASS" : "FAIL");
+    std::printf("  tiled: %lld kernel launches (%ld runs of the program), %.1f%% of kernel "
+                "points batched\n",
+                static_cast<long long>(tiled_stats.kernel_launches), static_cast<long>(reps + 1),
+                100.0 * tiled_share);
+
     // Thread scaling over the shared plan cache.  FF_BENCH_THREADS overrides
     // the thread count (CI runs 1 and N and prints the ratio).
     const int threads = bench::env_threads();
@@ -366,6 +429,11 @@ bool print_report() {
         std::printf("BENCH_KV flat_%s_segment_launches=%lld\n", row.name,
                     static_cast<long long>(row.segments));
     }
+    std::printf("BENCH_KV nest_untiled_batched_exec_per_s=%.0f\n", untiled_nest);
+    std::printf("BENCH_KV nest_tiled_batched_exec_per_s=%.0f\n", tiled_nest);
+    std::printf("BENCH_KV nest_tiled_ratio=%.3f\n", tiled_ratio);
+    std::printf("BENCH_KV nest_tiled_kernel_launches=%lld nest_tiled_batched_point_share=%.3f\n",
+                static_cast<long long>(tiled_stats.kernel_launches), tiled_share);
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
     return bars_hold;

@@ -63,6 +63,7 @@ HOTPATH_KEYS = (
     "segment_launches",
     "flat_f64_batch_speedup",
     "flat_f32_batch_speedup",
+    "nest_tiled_ratio",
 )
 
 GENERATION_SIZE = 10

@@ -465,7 +465,8 @@ void finalize_instance(const FuzzConfig& config, InstanceJob& job) {
         if (failing->inputs)
             report.artifact_path =
                 save_testcase_artifact(config.artifact_dir, job.cutout, job.transformed,
-                                       *failing->inputs, report, &report.artifact_error);
+                                       *failing->inputs, report, config.diff.exec,
+                                       &report.artifact_error);
         else  // unreachable for records this process executed
             report.artifact_error = "failing record carries no inputs; no artifact saved";
     }

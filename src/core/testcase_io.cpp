@@ -226,11 +226,16 @@ FuzzReport fuzz_report_from_json(const Json& j) {
 
 Json testcase_to_json(const Cutout& cutout, const ir::SDFG& transformed,
                       const interp::Context& inputs, const std::string& transformation,
-                      const std::string& verdict, const std::string& detail) {
+                      const std::string& verdict, const std::string& detail,
+                      const interp::ExecConfig& exec) {
     Json j = Json::object();
     j["transformation"] = transformation;
     j["verdict"] = verdict;
     j["detail"] = detail;
+    if (exec.max_state_transitions != interp::ExecConfig{}.max_state_transitions)
+        j["max_state_transitions"] = exec.max_state_transitions;
+    if (exec.max_points > 0) j["max_points"] = exec.max_points;
+    if (exec.max_alloc_bytes > 0) j["max_alloc_bytes"] = exec.max_alloc_bytes;
     j["original"] = ir::to_json(cutout.program);
     j["transformed"] = ir::to_json(transformed);
     Json system_state = Json::array();
@@ -254,6 +259,15 @@ LoadedTestCase testcase_from_json(const Json& j) {
     tc.transformation = j.at("transformation").as_string();
     tc.verdict = j.at("verdict").as_string();
     tc.detail = j.at("detail").as_string();
+    const auto budget = [&](const char* key, std::int64_t& out) {
+        if (!j.contains(key)) return;
+        out = common::json_int(j, key);
+        if (out <= 0) throw common::ParseError(std::string("test case budget '") + key +
+                                               "' must be positive");
+    };
+    budget("max_state_transitions", tc.max_state_transitions);
+    budget("max_points", tc.max_points);
+    budget("max_alloc_bytes", tc.max_alloc_bytes);
     return tc;
 }
 
@@ -262,6 +276,9 @@ LoadedTestCase load_testcase_file(const std::string& path) {
 }
 
 ReplayResult replay_testcase(const LoadedTestCase& tc, DiffConfig config) {
+    if (tc.max_state_transitions > 0) config.exec.max_state_transitions = tc.max_state_transitions;
+    if (tc.max_points > 0) config.exec.max_points = tc.max_points;
+    if (tc.max_alloc_bytes > 0) config.exec.max_alloc_bytes = tc.max_alloc_bytes;
     DifferentialTester tester(tc.original, tc.transformed, tc.system_state, std::move(config));
     ReplayResult result;
     result.outcome = tester.run_trial(tc.inputs);
@@ -271,9 +288,10 @@ ReplayResult replay_testcase(const LoadedTestCase& tc, DiffConfig config) {
 
 std::string save_testcase_artifact(const std::string& dir, const Cutout& cutout,
                                    const ir::SDFG& transformed, const interp::Context& inputs,
-                                   const FuzzReport& report, std::string* error) {
+                                   const FuzzReport& report, const interp::ExecConfig& exec,
+                                   std::string* error) {
     const Json j = testcase_to_json(cutout, transformed, inputs, report.transformation,
-                                    verdict_name(report.verdict), report.detail);
+                                    verdict_name(report.verdict), report.detail, exec);
     const std::string text = j.dump(2);
     // Content-derived name keeps repeated runs deterministic.
     std::uint64_t h = 0x4242;

@@ -43,9 +43,14 @@ TrialRecord trial_record_from_json(const common::Json& j);
 common::Json fuzz_report_to_json(const FuzzReport& report);
 FuzzReport fuzz_report_from_json(const common::Json& j);
 
+/// `exec` holds the budgets the trial ran under.  Each one the job set — a
+/// transition budget other than the interpreter default, a point or an
+/// allocation budget — is recorded, so a replay runs under the same
+/// budgets; a reproducer of an unbudgeted job records none.
 common::Json testcase_to_json(const Cutout& cutout, const ir::SDFG& transformed,
                               const interp::Context& inputs, const std::string& transformation,
-                              const std::string& verdict, const std::string& detail);
+                              const std::string& verdict, const std::string& detail,
+                              const interp::ExecConfig& exec);
 
 struct LoadedTestCase {
     ir::SDFG original;
@@ -55,9 +60,14 @@ struct LoadedTestCase {
     std::string transformation;
     std::string verdict;
     std::string detail;
+    /// Recorded budgets (see testcase_to_json); 0 = not recorded.
+    std::int64_t max_state_transitions = 0;
+    std::int64_t max_points = 0;
+    std::int64_t max_alloc_bytes = 0;
 };
 
-/// Throws common::ParseError on a malformed document and
+/// Throws common::ParseError on a malformed document (a recorded budget
+/// must be a positive integer) and
 /// common::ValidationError when the original program fails ir::validate.
 LoadedTestCase testcase_from_json(const common::Json& j);
 
@@ -74,16 +84,19 @@ struct ReplayResult {
     bool reproduced = false;  ///< Replayed verdict matches the recorded one.
 };
 
-/// Replays `tc` (both sides, differential comparison) and checks the
-/// verdict against the recorded one.
+/// Replays `tc` (both sides, differential comparison) under its recorded
+/// budgets — `config`'s stand for the ones it did not record — and checks
+/// the verdict against the recorded one.
 ReplayResult replay_testcase(const LoadedTestCase& tc, DiffConfig config = {});
 
-/// Writes the test case into `dir` with a content-derived filename; returns
-/// the path.  On I/O failure returns "" and, when `error` is non-null,
-/// stores a description there (the fuzzer surfaces it as
-/// FuzzReport::artifact_error) — an empty return is never silent.
+/// Writes the test case, with the budgets of `exec`, into `dir` with a
+/// content-derived filename; returns the path.  On I/O failure returns ""
+/// and, when `error` is non-null, stores a description there (the fuzzer
+/// surfaces it as FuzzReport::artifact_error) — an empty return is never
+/// silent.
 std::string save_testcase_artifact(const std::string& dir, const Cutout& cutout,
                                    const ir::SDFG& transformed, const interp::Context& inputs,
-                                   const FuzzReport& report, std::string* error = nullptr);
+                                   const FuzzReport& report, const interp::ExecConfig& exec,
+                                   std::string* error = nullptr);
 
 }  // namespace ff::core

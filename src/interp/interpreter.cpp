@@ -24,6 +24,14 @@ namespace {
 constexpr std::size_t kCopyScratch = 6;
 constexpr std::size_t kPassthroughBase = 8;  // + per-tasklet passthrough pool index
 
+/// Longest level a flat-stride launch takes on: longer extents make no
+/// throughput difference either way, and keep the footprint arithmetic
+/// comfortably inside __int128.
+constexpr std::int64_t kMaxExtent = std::int64_t{1} << 31;
+/// Most nested prefix points one nest launch walks into runs; a longer walk
+/// declines to per-outer-point launches.
+constexpr std::size_t kMaxRuns = 256;
+
 /// Seed of the deterministic garbage Device containers start with.
 constexpr std::uint64_t kDeviceGarbageSeed = 0xD00DULL;
 
@@ -345,30 +353,42 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
     kern.outer_levels = kern.levels.size();
 
     // A sole nested map scope extends the band when no nested bound
-    // references a band parameter — the perfectly nested reduction.
+    // references an outer band parameter — the perfectly nested reduction.
+    // Its own leading levels that feed its later bounds (a tiled
+    // reduction's tile parameter) become runs, walked once per launch.
     const ScopePlan* body = &sp;
+    std::vector<sym::SymId> params;  // every parameter the launch binds
+    for (const BandLevel& l : kern.levels) params.push_back(l.param);
     if (sp.children.size() == 1 &&
         state.graph().node(sp.children[0]).kind == NodeKind::MapEntry) {
         const int ni = plan.node_to_scope[static_cast<std::size_t>(sp.children[0])];
         const ScopePlan& inner = plan.scope_plans[static_cast<std::size_t>(ni)];
-        if (inner.params.empty()) return;
-        for (std::size_t k = 0; k < inner.params.size(); ++k) {
+        const std::size_t ninner = inner.params.size();
+        for (const RangePlan& r : inner.ranges)
+            if (range_uses(r, params.data(), params.size())) return;
+        for (const RangePlan& r : inner.ranges)
+            for (std::size_t k = kern.nested_prefix; k < ninner; ++k)
+                if (range_uses(r, &inner.params[k], 1)) kern.nested_prefix = k + 1;
+        if (kern.nested_prefix == ninner) return;
+        // All runs share one set of steps.
+        for (std::size_t k = kern.nested_prefix; k < ninner; ++k)
+            if (inner.ranges[k].step.uses_any(inner.params.data(), kern.nested_prefix)) return;
+        params.insert(params.end(), inner.params.begin(),
+                      inner.params.begin() + static_cast<std::ptrdiff_t>(kern.nested_prefix));
+        for (std::size_t k = kern.nested_prefix; k < ninner; ++k) {
             kern.levels.push_back(BandLevel{inner.params[k], inner.ranges[k]});
             names.push_back(inner.param_names[k]);
+            params.push_back(inner.params[k]);
         }
-        std::vector<sym::SymId> band;
-        for (const BandLevel& l : kern.levels) band.push_back(l.param);
-        for (const RangePlan& r : inner.ranges)
-            if (range_uses(r, band.data(), band.size())) return;
         kern.nested = ni;
         body = &inner;
     }
     const std::size_t nlevels = kern.levels.size();
-    // Every band level binds its own parameter (a shadowing nested
+    // Every parameter the launch binds is its own (a shadowing nested
     // parameter or a repeated one would alias two levels).
-    for (std::size_t k = 0; k < nlevels; ++k)
-        for (std::size_t j = k + 1; j < nlevels; ++j)
-            if (kern.levels[k].param == kern.levels[j].param) return;
+    for (std::size_t k = 0; k < params.size(); ++k)
+        for (std::size_t j = k + 1; j < params.size(); ++j)
+            if (params[k] == params[j]) return;
 
     for (const ir::NodeId c : body->children) {
         if (state.graph().node(c).kind != NodeKind::Tasklet) return;  // nested scope etc.
@@ -759,10 +779,7 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
                 execute_node_planned(sdfg, state, plan, child, ctx);
             return;
         }
-        const RangePlan& r = sp.ranges[level];
-        const std::int64_t begin = r.begin.eval(s.flat, s.eval_stack);
-        const std::int64_t end = r.end.eval(s.flat, s.eval_stack);
-        const std::int64_t step = r.step.eval(s.flat, s.eval_stack);
+        const auto [begin, end, step] = eval_range(sp.ranges[level]);
         if (step == 0) throw common::Error("map '" + sp.label + "' has step 0");
         const sym::SymId id = sp.params[level];
         const auto bind = [&](std::int64_t v) {
@@ -801,12 +818,16 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
                                        Context& ctx) {
     Scratch& s = scratch_;
     const std::size_t nlevels = kern.levels.size();
+    const std::size_t nouter = kern.outer_levels;
     const std::size_t nlanes = kern.accesses.size();
-    const bool nest = kern.nested >= 0;
+    const ScopePlan* inner =
+        kern.nested >= 0 ? &plan.scope_plans[static_cast<std::size_t>(kern.nested)] : nullptr;
+    PlanCache::Launch note{0, inner != nullptr, kern.prefix > 0, kern.nested_prefix > 0};
     // The caller entered sp's parameters; the band's begin at the top of the
     // active-parameter stack, and a nest's nested parameters enter right
-    // above them, so band level k binds active_params[abase + k].
-    const std::size_t abase = s.active_params.size() - kern.outer_levels;
+    // above them, so outer band level k binds active_params[abase + k] and
+    // nested parameter j binds active_params[abase + nouter + j].
+    const std::size_t abase = s.active_params.size() - nouter;
 
     // The kernel bypasses execute_tasklet_planned, so it owns the Buffer*
     // cache guard its per-point loop relies on.
@@ -816,251 +837,298 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         s.cache_ctx = &ctx;
     }
 
-    // 1. Ranges, level by level: an empty level returns before a deeper
-    // level's step-0 / unbound-symbol error fires, exactly like the generic
-    // path (whose inner levels are never evaluated under an empty outer one).
-    // The generic nest evaluates the nested levels only after charging its
-    // first outer point, so any surprise there declines instead.
-    s.kbegin.resize(nlevels);
+    // 1. The launching scope's ranges, level by level: an empty level
+    // returns before a deeper level's step-0 / unbound-symbol error fires,
+    // exactly like the generic path (whose inner levels are never evaluated
+    // under an empty outer one).  Their counts open run 0's row.
+    s.kbegin.resize(nouter);
     s.kstep.resize(nlevels);
-    s.kcount.resize(nlevels);
+    s.run_count.resize(nouter);
     bool too_long = false;
-    for (std::size_t k = 0; k < nlevels; ++k) {
-        const bool nested_level = k >= kern.outer_levels;
-        const RangePlan& r = kern.levels[k].range;
-        std::int64_t begin = 0, end = 0, step = 0;
-        try {
-            begin = r.begin.eval(s.flat, s.eval_stack);
-            end = r.end.eval(s.flat, s.eval_stack);
-            step = r.step.eval(s.flat, s.eval_stack);
-        } catch (...) {
-            if (nested_level) return false;
-            throw;
-        }
-        if (step == 0) {
-            if (nested_level) return false;
-            throw common::Error("map '" + sp.label + "' has step 0");
-        }
+    for (std::size_t k = 0; k < nouter; ++k) {
+        const auto [begin, end, step] = eval_range(kern.levels[k].range);
+        if (step == 0) throw common::Error("map '" + sp.label + "' has step 0");
         const std::int64_t count = ir::concrete_range_size(ir::ConcreteRange{begin, end, step});
         if (count == 0) {
-            if (nested_level) return false;
             // Empty band: nothing executes, committed.
-            plans_->note_kernel_launch(PlanCache::Launch{0, nest, kern.prefix > 0});
+            plans_->note_kernel_launch(note);
             return true;
         }
-        // Extents past 2^31 make no throughput difference either way; keep
-        // the footprint arithmetic comfortably inside __int128.  A deeper
-        // empty level still commits, as the generic walk finds it too.
-        too_long = too_long || count > (std::int64_t{1} << 31);
+        // A deeper empty level still commits, as the generic walk finds it
+        // too.
+        too_long = too_long || count > kMaxExtent;
         s.kbegin[k] = begin;
         s.kstep[k] = step;
-        s.kcount[k] = count;
+        s.run_count[k] = count;
     }
     if (too_long) return false;
 
-    // Points: the band's, plus — for a nest — one per outer point, which
-    // the generic path charges before running each nested launch.
-    __int128 outer_points = 1, band_points = 1;
-    for (std::size_t k = 0; k < nlevels; ++k) {
-        band_points *= s.kcount[k];
-        if (k < kern.outer_levels) outer_points *= s.kcount[k];
+    // 2. Runs.  A nest enters its nested scope's parameters, standing in for
+    // that scope's per-outer-point executions, and walks it once: its
+    // bounds read nothing the outer band varies, so every outer point
+    // replays the same runs.  A band without a nested scope is one run.
+    if (inner) enter_params(*inner, /*interned_only=*/true, ctx);
+    const auto decline = [&] {
+        if (inner) leave_params(*inner, /*interned_only=*/true, ctx);
+        return false;
+    };
+    if (inner && !walk_runs(kern, *inner)) return decline();
+    const std::size_t nruns = s.run_count.size() / nlevels;
+
+    // Points: the band's — every outer point replays every run — plus, for
+    // a nest, one per outer point, which the generic path charges before
+    // running each nested launch.
+    __int128 outer_points = 1, run_points = 0;
+    for (std::size_t k = 0; k < nouter; ++k) outer_points *= s.run_count[k];
+    for (std::size_t r = 0; r < nruns; ++r) {
+        __int128 points = 1;
+        for (std::size_t k = nouter; k < nlevels; ++k) points *= s.run_count[r * nlevels + k];
+        run_points += points;
     }
-    const __int128 charge = band_points + (nest ? outer_points : 0);
+    const __int128 band_points = outer_points * run_points;
+    const __int128 charge = band_points + (inner ? outer_points : 0);
     const bool over_budget = config_.max_points > 0 &&
                              static_cast<__int128>(points_used_) + charge > config_.max_points;
     // A nest the budget cannot cover runs as per-outer-point launches, which
     // reproduce the exact partial effects of the crossing point; declining
     // before lane setup keeps its buffers unallocated, as there.
-    if (nest && over_budget) return false;
+    if (inner && over_budget) return decline();
 
-    // 2. Bind parameters to the begin point, so base-index evaluation and
-    // any lazy buffer-shape resolution see exactly what the generic path's
-    // first iteration would.  A nest enters its nested scope's parameters
-    // here, standing in for that scope's per-outer-point executions.
-    const ScopePlan* inner =
-        nest ? &plan.scope_plans[static_cast<std::size_t>(kern.nested)] : nullptr;
-    if (inner) enter_params(*inner, /*interned_only=*/true, ctx);
-    for (std::size_t k = 0; k < nlevels; ++k) {
+    // 3. Bind parameters to run 0's first point, so base-index evaluation
+    // and any lazy buffer-shape resolution see exactly what the generic
+    // path's first iteration would.
+    for (std::size_t k = 0; k < nouter; ++k) {
         s.flat.bind(kern.levels[k].param, s.kbegin[k]);
         s.active_params[abase + k].value = s.kbegin[k];
     }
+    const auto bind_run = [&](std::size_t r) {
+        const std::size_t ninner = inner->params.size();
+        for (std::size_t j = 0; j < ninner; ++j) {
+            const std::int64_t v = s.run_vals[r * ninner + j];
+            s.flat.bind(inner->params[j], v);
+            s.active_params[abase + nouter + j].value = v;
+        }
+    };
+    if (inner) bind_run(0);
 
-    // 3. Per access, in the generic path's first-point order: ensure the
-    // buffer, evaluate the base index, validate rank and the whole iteration
-    // footprint, and fold the affine coefficients into flat-offset steps and
-    // deltas.  Any validation failure — *including* anything thrown (shape
-    // resolution, unbound index symbol) — falls back: the generic odometer
-    // owns error semantics outright, re-raising from the exact point the
-    // unspecialized run would (with earlier sibling tasklets' first-point
-    // effects in place, which this pre-pass must not shortcut).  Everything
-    // attempted here is idempotent (allocation, pure evaluation), so the
-    // replay is byte-identical.
-    s.lanes.resize(nlanes);
-    s.lane_step.assign(nlanes * nlevels, 0);
-    s.lane_delta.assign(nlanes * nlevels, 0);
-    const auto setup_lane = [&](std::size_t a) {
+    // 4. Per access, in the generic path's first-point order: ensure the
+    // buffer, validate rank and dtype, and place run 0 — evaluate the base
+    // index and prove the outer travel plus the run's travel in bounds.
+    // Then place every further run at its own first point.  Any validation
+    // failure — *including* anything thrown (shape resolution, unbound index
+    // symbol) — falls back: the generic odometer owns error semantics
+    // outright, re-raising from the exact point the unspecialized run would
+    // (with earlier sibling tasklets' first-point effects in place, which
+    // this pre-pass must not shortcut).  Everything attempted here is
+    // idempotent (allocation, pure evaluation), and a later run is only
+    // placed once run 0 proved every lane's first point, where the generic
+    // path allocates every lane buffer too — so the replay is byte-identical.
+    const auto access_plan = [&](std::size_t a) -> const AccessPlan& {
         const KernelAccess& ka = kern.accesses[a];
         const TaskletPlan& tp =
             plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[ka.tasklet])];
-        const AccessPlan& ap =
-            ka.output ? tp.outputs[static_cast<std::size_t>(ka.index)]
-                      : tp.inputs[static_cast<std::size_t>(ka.index)];
+        return ka.output ? tp.outputs[static_cast<std::size_t>(ka.index)]
+                         : tp.inputs[static_cast<std::size_t>(ka.index)];
+    };
+    // Flat offset of access a at the current bindings (run r's first point),
+    // or -1 when some point of the outer travel plus run r's travel could
+    // fault.
+    const auto place = [&](std::size_t a, std::size_t r) -> std::int64_t {
+        const KernelAccess& ka = kern.accesses[a];
+        const AccessPlan& ap = access_plan(a);
+        const Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
+        const std::int64_t* cnt = &s.run_count[r * nlevels];
+        __int128 flat = 0;
+        for (std::size_t d = 0; d < ap.dims.size(); ++d) {
+            const std::int64_t base = ap.dims[d].begin.eval(s.flat, s.eval_stack);
+            __int128 lo = base, hi = base;
+            for (std::size_t k = 0; k < nlevels; ++k) {
+                const __int128 travel = static_cast<__int128>(ka.coeffs[d * nlevels + k]) *
+                                        (cnt[k] - 1) * s.kstep[k];
+                (travel < 0 ? lo : hi) += travel;
+            }
+            if (lo < 0 || hi >= buf.shape()[d]) return -1;  // could fault: generic raises
+            flat += static_cast<__int128>(base) * buf.strides()[d];
+        }
+        return static_cast<std::int64_t>(flat);
+    };
+    s.lanes.resize(nlanes);
+    s.lane_base.resize(nlanes);
+    s.run_off.assign(nruns * nlanes, 0);
+    const auto setup_lane = [&](std::size_t a) {
+        const AccessPlan& ap = access_plan(a);
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
         Scratch::KernelLane& lane = s.lanes[a];
         lane.raw = raw_data_of(buf);
         lane.dt = buf.dtype();
         lane.slot = ap.slot_base;
-        const std::size_t dims = ap.dims.size();
-        if (buf.dims() != dims) return false;  // generic raises rank mismatch
+        if (buf.dims() != ap.dims.size()) return false;  // generic raises rank mismatch
         // Input dtype drift outside the float family: the generic tagged
         // path handles any dtype.  Outputs convert on store.
-        if (!ka.output && !ir::dtype_is_float(lane.dt)) return false;
-        const auto& shape = buf.shape();
-        const auto& strides = buf.strides();
-        __int128 flat0 = 0;
-        for (std::size_t d = 0; d < dims; ++d) {
-            const std::int64_t base = ap.dims[d].begin.eval(s.flat, s.eval_stack);
-            __int128 lo = base, hi = base;
-            for (std::size_t k = 0; k < nlevels; ++k) {
-                const __int128 travel = static_cast<__int128>(ka.coeffs[d * nlevels + k]) *
-                                        (s.kcount[k] - 1) * s.kstep[k];
-                (travel < 0 ? lo : hi) += travel;
-            }
-            if (lo < 0 || hi >= shape[d]) return false;  // could fault: generic raises
-            flat0 += static_cast<__int128>(base) * strides[d];
-        }
-        // Every point's offset is now proven in [0, size), so every step
-        // and delta — a difference of reachable offsets — fits an int64.
-        lane.offset = static_cast<std::int64_t>(flat0);
-        std::int64_t* step = &s.lane_step[a * nlevels];
-        std::int64_t* delta = &s.lane_delta[a * nlevels];
-        std::int64_t suffix = 0;  // full traversal of the levels below k
-        for (std::size_t k = nlevels; k-- > 0;) {
-            if (s.kcount[k] > 1)
-                for (std::size_t d = 0; d < dims; ++d)
-                    step[k] += ka.coeffs[d * nlevels + k] * s.kstep[k] * strides[d];
-            delta[k] = step[k] - suffix;
-            suffix += step[k] * (s.kcount[k] - 1);
-        }
-        return true;
+        if (!kern.accesses[a].output && !ir::dtype_is_float(lane.dt)) return false;
+        s.lane_base[a] = place(a, 0);
+        return s.lane_base[a] >= 0;
     };
     bool lanes_ok = true;
     try {
         for (std::size_t a = 0; a < nlanes && lanes_ok; ++a) lanes_ok = setup_lane(a);
+        for (std::size_t r = 1; r < nruns && lanes_ok; ++r) {
+            bind_run(r);
+            for (std::size_t a = 0; a < nlanes && lanes_ok; ++a) {
+                const std::int64_t offset = place(a, r);
+                lanes_ok = offset >= 0;
+                s.run_off[r * nlanes + a] = offset - s.lane_base[a];
+            }
+        }
     } catch (...) {
         lanes_ok = false;  // generic replay re-raises from the right point
     }
-    if (!lanes_ok) {
-        if (inner) leave_params(*inner, /*interned_only=*/true, ctx);
-        return false;
+    if (!lanes_ok) return decline();
+    // Every run's points are now proven in [0, size), so the step of every
+    // level that moves in some run — a difference of reachable offsets —
+    // fits an int64.  A level with one value in every run keeps step 0.
+    s.lane_step.assign(nlanes * nlevels, 0);
+    for (std::size_t k = 0; k < nlevels; ++k) {
+        bool moves = false;
+        for (std::size_t r = 0; r < nruns; ++r) moves = moves || s.run_count[r * nlevels + k] > 1;
+        if (!moves) continue;
+        for (std::size_t a = 0; a < nlanes; ++a) {
+            const std::int64_t* coeffs = kern.accesses[a].coeffs.data();
+            const AccessPlan& ap = access_plan(a);
+            const auto& strides = plan_buffer(sdfg, ctx, plan, ap).strides();
+            for (std::size_t d = 0; d < ap.dims.size(); ++d)
+                s.lane_step[a * nlevels + k] += coeffs[d * nlevels + k] * s.kstep[k] * strides[d];
+        }
     }
 
-    // 3.5. Resource accounting, whole launch at once: the committed loop
-    // below cannot raise (footprint proven in bounds, throw-free tasklet
-    // programs by classification), so the generic path run on the same
-    // launch either completes every point or hits the same fuel exhaustion
-    // — charging up front is observationally identical and keeps the loop
-    // check-free.  Charged after lane setup so a fallback never
+    // 5. Resource accounting, whole launch at once: the committed loop
+    // below cannot raise (every run's footprint proven in bounds, throw-free
+    // tasklet programs by classification), so the generic path run on the
+    // same launch either completes every point or hits the same fuel
+    // exhaustion — charging up front is observationally identical and keeps
+    // the loop check-free.  Charged after lane setup so a fallback never
     // double-counts.
-    const std::size_t ntasklets = kern.tasklets.size();
     if (over_budget) throw common::ResourceError::points(config_.max_points);
     points_used_ = saturating_add(points_used_, charge);
-    instructions_used_ =
-        saturating_add(instructions_used_, band_points * static_cast<__int128>(ntasklets));
-    // Every nested launch the nest stands in for iterates the same count,
-    // so one mark covers them all.
+    instructions_used_ = saturating_add(
+        instructions_used_, band_points * static_cast<__int128>(kern.tasklets.size()));
+    // Every nested launch the nest stands in for iterates the same runs, so
+    // one mark covers them all.
     if (inner && cov_map_) {
-        const std::uint32_t cls = static_cast<std::uint32_t>(feedback::region_class(
-            static_cast<std::int64_t>(band_points / outer_points)));
+        const std::uint32_t cls = static_cast<std::uint32_t>(
+            feedback::region_class(static_cast<std::int64_t>(run_points)));
         for (const std::uint32_t base : inner->cov_bases) cov_map_->mark(base + cls);
     }
 
-    // 3.75. Batched execution: when the kernel is segment-eligible, the knob
-    // is on, and this launch's concrete lane windows are alias-safe, run a
-    // batch level through the VM's batch mode — the innermost level (a
-    // segment), or failing that a nest's outer innermost level with the
-    // nested levels in order inside each lane (a reduction batched along
-    // its output axis: each output accumulates in the per-point order).
-    // Falls through to the per-point loop below (still a committed launch —
-    // same results, point at a time) when no level qualifies.
-    PlanCache::Launch note{static_cast<std::int64_t>(band_points), nest, kern.prefix > 0};
+    // 6. Batched execution: when the kernel is segment-eligible, the knob is
+    // on, and this launch's concrete lane windows are alias-safe, run a batch
+    // level through the VM's batch mode — the innermost level (a segment), or
+    // failing that a nest's outer innermost level with the runs in order
+    // inside each lane (a reduction batched along its output axis: each
+    // output accumulates in the per-point order).  Otherwise the launch runs
+    // point at a time (still committed — same results).
+    std::size_t batch = nlevels;
     if (kern.segment_ok && config_.batch_segments) {
-        for (const std::size_t batch : {nlevels - 1, kern.outer_levels - 1}) {
-            if (s.kcount[batch] > 1 && segment_alias_safe(kern, batch)) {
-                run_segment_kernel(plan, kern, batch);
-                note.batched = true;
-                note.sequential = batch + 1 < nlevels;
+        for (const std::size_t b : {nlevels - 1, nouter - 1}) {
+            if (s.run_count[b] > 1 && segment_alias_safe(kern, b)) {
+                batch = b;
                 break;
             }
-            if (!nest) break;
+            if (!inner) break;
         }
     }
-
-    // 4. The per-point loop.  Per point: gather -> VM -> scatter per
-    // tasklet through the lanes' raw storage; advancing to the next point is
-    // one add per lane.
-    if (!note.batched) {
-        s.kiter.assign(nlevels, 0);
-        for (bool more = true; more;) {
-            std::size_t a = 0;
-            for (std::size_t t = 0; t < ntasklets; ++t) {
-                const TaskletPlan& tp =
-                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-                double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
-                for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    if (lane.slot >= 0)
-                        slots[lane.slot] = load_double(lane.raw, lane.dt, lane.offset);
-                }
-                tp.prog->run_vm(slots, s.f64_regs.data());
-                for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
-                    const Scratch::KernelLane& lane = s.lanes[a];
-                    store_double(lane.raw, lane.dt, lane.offset, slots[lane.slot]);
-                }
-            }
-            // Odometer: find the deepest level that advances; the
-            // precomputed delta folds that advance plus every deeper level's
-            // reset into one add per lane.
-            std::size_t k = nlevels;
-            for (more = false; k-- > 0;) {
-                if (++s.kiter[k] < s.kcount[k]) {
-                    more = true;
-                    break;
-                }
-                s.kiter[k] = 0;
-            }
-            if (more)
-                for (std::size_t l = 0; l < nlanes; ++l)
-                    s.lanes[l].offset += s.lane_delta[l * nlevels + k];
-        }
-    }
+    run_band(plan, kern, batch);
     if (inner) leave_params(*inner, /*interned_only=*/true, ctx);
+    note.points = static_cast<std::int64_t>(band_points);
+    note.batched = batch < nlevels;
+    note.sequential = batch + 1 < nlevels;
     plans_->note_kernel_launch(note);
     return true;
+}
+
+bool Interpreter::walk_runs(const ScopeKernel& kern, const ScopePlan& inner) {
+    Scratch& s = scratch_;
+    const std::size_t nlevels = kern.levels.size();
+    const std::size_t nouter = kern.outer_levels;
+    const std::size_t nprefix = kern.nested_prefix;
+    const std::size_t ninner = inner.params.size();
+    std::size_t nruns = 0, visits = 0;
+    // One point of the prefix levels: evaluate the band levels in order — an
+    // empty one drops the run before a deeper range is evaluated, as in the
+    // generic walk — and record a non-empty run.
+    const auto visit = [&] {
+        s.run_count.resize((nruns + 1) * nlevels);
+        s.run_vals.resize((nruns + 1) * ninner);
+        std::int64_t* cnt = &s.run_count[nruns * nlevels];
+        std::int64_t* vals = &s.run_vals[nruns * ninner];
+        for (std::size_t k = 0; k < nouter; ++k) cnt[k] = s.run_count[k];
+        for (std::size_t j = 0; j < nprefix; ++j) vals[j] = s.flat.value(inner.params[j]);
+        for (std::size_t k = nouter; k < nlevels; ++k) {
+            const auto [begin, end, step] = eval_range(kern.levels[k].range);
+            if (step == 0) return false;
+            const std::int64_t count = ir::concrete_range_size(ir::ConcreteRange{begin, end, step});
+            if (count == 0) return true;
+            if (count > kMaxExtent) return false;
+            s.kstep[k] = step;  // the same in every run, by classification
+            cnt[k] = count;
+            vals[nprefix + k - nouter] = begin;
+        }
+        ++nruns;
+        return true;
+    };
+    const auto walk = [&](auto&& self, std::size_t level) -> bool {
+        if (level == nprefix) return visit();
+        const auto [begin, end, step] = eval_range(inner.ranges[level]);
+        if (step == 0) return false;
+        for (std::int64_t v = begin; step > 0 ? v <= end : v >= end; v += step) {
+            if (++visits > kMaxRuns) return false;
+            s.flat.bind(inner.params[level], v);
+            if (!self(self, level + 1)) return false;
+        }
+        return true;
+    };
+    bool ok = false;
+    try {
+        ok = walk(walk, 0);
+    } catch (...) {
+        // The generic nest raises it after charging its first outer point.
+    }
+    s.run_count.resize(nruns * nlevels);
+    s.run_vals.resize(nruns * ninner);
+    return ok && nruns > 0;
 }
 
 bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t batch) const {
     const Scratch& s = scratch_;
     const std::size_t nlanes = kern.accesses.size();
     const std::size_t nlevels = kern.levels.size();
-    // Address window of lane l over levels [from, nlevels), relative to its
+    const std::size_t nruns = s.run_count.size() / nlevels;
+    // Address window of lane l over levels [from, nlevels) and every run
+    // (each run's offset plus its own travel), relative to the lane's
     // launch offset.  Offsets are proven inside [0, buffer size) by lane
     // setup, so the interval arithmetic cannot overflow.
     const auto window = [&](std::size_t l, std::size_t from) {
-        std::pair<std::int64_t, std::int64_t> w{0, 0};
-        for (std::size_t k = from; k < nlevels; ++k) {
-            const std::int64_t travel = s.lane_step[l * nlevels + k] * (s.kcount[k] - 1);
-            (travel < 0 ? w.first : w.second) += travel;
+        std::pair<std::int64_t, std::int64_t> w{std::numeric_limits<std::int64_t>::max(),
+                                                std::numeric_limits<std::int64_t>::min()};
+        for (std::size_t r = 0; r < nruns; ++r) {
+            std::int64_t lo = s.run_off[r * nlanes + l], hi = lo;
+            for (std::size_t k = from; k < nlevels; ++k) {
+                const std::int64_t travel =
+                    s.lane_step[l * nlevels + k] * (s.run_count[r * nlevels + k] - 1);
+                (travel < 0 ? lo : hi) += travel;
+            }
+            w.first = std::min(w.first, lo);
+            w.second = std::max(w.second, hi);
         }
         return w;
     };
     for (std::size_t w = 0; w < nlanes; ++w) {
         if (!kern.accesses[w].output) continue;
         const std::int64_t* ws = &s.lane_step[w * nlevels];
-        const std::int64_t wo = s.lanes[w].offset;
-        // Batch lanes run the levels below the batch level interleaved, so
-        // one lane's whole sequential travel must stay short of the next
-        // lane's writes.
+        const std::int64_t wo = s.lane_base[w];
+        // Batch lanes run the runs and levels below the batch level
+        // interleaved, so one lane's whole sequential span must stay short
+        // of the next lane's writes.
         if (batch + 1 < nlevels) {
             const auto [tlo, thi] = window(w, batch + 1);
             if ((ws[batch] < 0 ? -ws[batch] : ws[batch]) <= thi - tlo) return false;
@@ -1072,10 +1140,13 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t batch)
             if (!kern.accesses[l].output && s.lanes[l].slot < 0) continue;
             if (s.lanes[l].raw != s.lanes[w].raw) continue;  // different buffers
             const std::int64_t* ls = &s.lane_step[l * nlevels];
-            const std::int64_t lo = s.lanes[l].offset;
-            // Levels above the batch level stepping alike keep the pair's
-            // relative offset in every segment: the first segment decides.
-            const bool same_outer = std::equal(ws, ws + batch, ls);
+            const std::int64_t lo = s.lane_base[l];
+            bool same_runs = true;
+            for (std::size_t r = 1; r < nruns; ++r)
+                same_runs = same_runs && s.run_off[r * nlanes + w] == s.run_off[r * nlanes + l];
+            // Levels above the batch level and runs stepping alike keep the
+            // pair's relative offset in every segment: the first decides.
+            const bool same_outer = same_runs && std::equal(ws, ws + batch, ls);
             // Pointwise-aligned: the pair touches each address only at the
             // same point, so relative order per address is preserved.
             // Stride 0 over a multi-point segment is a repeated
@@ -1095,97 +1166,120 @@ bool Interpreter::segment_alias_safe(const ScopeKernel& kern, std::size_t batch)
     return true;
 }
 
-void Interpreter::run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern,
-                                     std::size_t batch) {
+void Interpreter::run_band(const StatePlan& plan, const ScopeKernel& kern, std::size_t batch) {
     Scratch& s = scratch_;
     const std::size_t nlanes = kern.accesses.size();
     const std::size_t nlevels = kern.levels.size();
+    const std::size_t nouter = kern.outer_levels;
+    const std::size_t nruns = s.run_count.size() / nlevels;
     const std::size_t ntasklets = kern.tasklets.size();
-    const std::int64_t seg_len = s.kcount[batch];
+    const bool batched = batch < nlevels;
+    // The odometers walk every level but the batch level, which each visit
+    // tiles: the outer levels around the runs, a run's levels inside it.
+    const std::size_t outer_end = batched && batch < nouter ? batch : nouter;
+    const std::size_t nested_end = batched && batch >= nouter ? batch : nlevels;
 
-    // Column arena: tile the segment so scratch stays cache-resident, sized
-    // once for the largest program.  Tile-outer / tasklet-inner order:
-    // within a tile every tasklet sees its predecessors' stores for the
-    // whole tile — for pointwise-aligned dependencies (the only cross-lane
-    // interaction the alias check admits) that is exactly per-point order.
+    // Column arena: tile the batch level so scratch stays cache-resident,
+    // sized once for the largest program.
     constexpr std::int64_t kTile = 256;
-    for (std::size_t t = 0; t < ntasklets; ++t) {
-        const TaskletPlan& tp = plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-        const auto cols = static_cast<std::size_t>(
-            (tp.prog->slot_count() + tp.prog->reg_count()) * kTile);
-        if (s.f64_cols.size() < cols) s.f64_cols.resize(cols);
+    if (batched) {
+        for (std::size_t t = 0; t < ntasklets; ++t) {
+            const TaskletPlan& tp =
+                plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
+            const auto cols = static_cast<std::size_t>(
+                (tp.prog->slot_count() + tp.prog->reg_count()) * kTile);
+            if (s.f64_cols.size() < cols) s.f64_cols.resize(cols);
+        }
     }
 
-    // Lane offsets stay at the segment's start point; inside a segment a
-    // lane's cursor walks the levels below the batch level, and batch lane
-    // j of a tile sits at cursor + j * batch-step.
-    s.lane_cursor.resize(nlanes);
-    s.lane_travel.resize(nlanes);
-    for (std::size_t l = 0; l < nlanes; ++l) {
-        s.lane_travel[l] = 0;
-        for (std::size_t k = batch; k < nlevels; ++k)
-            s.lane_travel[l] += s.lane_step[l * nlevels + k] * (s.kcount[k] - 1);
-    }
-    s.kiter.assign(nlevels, 0);
-    for (;;) {
-        for (std::int64_t j0 = 0; j0 < seg_len; j0 += kTile) {
-            const std::int64_t tn = std::min(kTile, seg_len - j0);
-            for (std::size_t l = 0; l < nlanes; ++l)
-                s.lane_cursor[l] = s.lanes[l].offset + j0 * s.lane_step[l * nlevels + batch];
-            for (bool more = true; more;) {
-                std::size_t a = 0;
-                for (std::size_t t = 0; t < ntasklets; ++t) {
-                    const TaskletPlan& tp =
-                        plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
-                    const std::size_t nin = tp.inputs.size();
-                    const std::size_t nout = tp.outputs.size();
-                    const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
-                    double* cols = s.f64_cols.data();
-                    std::fill_n(cols, nslots * tn, 0.0);
-                    for (std::size_t i = 0; i < nin; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        if (lane.slot < 0) continue;
-                        gather_column(cols + lane.slot * tn, lane.raw, lane.dt, s.lane_cursor[a],
-                                      s.lane_step[a * nlevels + batch], tn);
-                    }
-                    tp.prog->run_vm<double, true>(cols, cols + nslots * tn, tn);
-                    for (std::size_t i = 0; i < nout; ++i, ++a) {
-                        const Scratch::KernelLane& lane = s.lanes[a];
-                        scatter_column(lane.raw, lane.dt, s.lane_cursor[a],
-                                       s.lane_step[a * nlevels + batch], cols + lane.slot * tn,
-                                       tn);
-                    }
-                }
-                // Odometer over the levels below the batch level.
-                std::size_t k = nlevels;
-                for (more = false; k-- > batch + 1;) {
-                    if (++s.kiter[k] < s.kcount[k]) {
-                        more = true;
-                        break;
-                    }
-                    s.kiter[k] = 0;
-                }
-                if (more)
-                    for (std::size_t l = 0; l < nlanes; ++l)
-                        s.lane_cursor[l] += s.lane_delta[l * nlevels + k];
+    // One point at the lane cursors: gather -> VM -> scatter per tasklet
+    // through the lanes' raw storage.
+    const auto point = [&] {
+        std::size_t a = 0;
+        for (std::size_t t = 0; t < ntasklets; ++t) {
+            const TaskletPlan& tp =
+                plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
+            double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
+            for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+                const Scratch::KernelLane& lane = s.lanes[a];
+                if (lane.slot >= 0)
+                    slots[lane.slot] = load_double(lane.raw, lane.dt, s.lane_cursor[a]);
+            }
+            tp.prog->run_vm(slots, s.f64_regs.data());
+            for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
+                const Scratch::KernelLane& lane = s.lanes[a];
+                store_double(lane.raw, lane.dt, s.lane_cursor[a], slots[lane.slot]);
             }
         }
-        // Odometer over the levels above the batch level; a level-k advance
-        // moves every lane from this segment's start to the next segment's
-        // start: the per-point delta for level k (which folds the resets of
-        // all deeper levels, including the batch level and those below it)
-        // plus the segment's travel the per-point path would have performed.
-        if (batch == 0) return;
-        std::size_t k = batch - 1;
-        for (;;) {
-            if (++s.kiter[k] < s.kcount[k]) break;
-            s.kiter[k] = 0;
-            if (k == 0) return;
-            --k;
+    };
+    // The batch level's lanes from the lane cursors, in tiles: gather
+    // columns -> batch VM -> scatter columns.  Tile-outer / tasklet-inner
+    // order: within a tile every tasklet sees its predecessors' stores for
+    // the whole tile — for pointwise-aligned dependencies (the only
+    // cross-lane interaction the alias check admits) that is exactly
+    // per-point order.
+    const auto columns = [&](std::int64_t extent) {
+        for (std::int64_t j0 = 0; j0 < extent; j0 += kTile) {
+            const std::int64_t tn = std::min(kTile, extent - j0);
+            std::size_t a = 0;
+            for (std::size_t t = 0; t < ntasklets; ++t) {
+                const TaskletPlan& tp =
+                    plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
+                const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
+                double* cols = s.f64_cols.data();
+                std::fill_n(cols, nslots * tn, 0.0);
+                for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    if (lane.slot < 0) continue;
+                    const std::int64_t stride = s.lane_step[a * nlevels + batch];
+                    gather_column(cols + lane.slot * tn, lane.raw, lane.dt,
+                                  s.lane_cursor[a] + j0 * stride, stride, tn);
+                }
+                tp.prog->run_vm<double, true>(cols, cols + nslots * tn, tn);
+                for (std::size_t i = 0; i < tp.outputs.size(); ++i, ++a) {
+                    const Scratch::KernelLane& lane = s.lanes[a];
+                    const std::int64_t stride = s.lane_step[a * nlevels + batch];
+                    scatter_column(lane.raw, lane.dt, s.lane_cursor[a] + j0 * stride, stride,
+                                   cols + lane.slot * tn, tn);
+                }
+            }
         }
-        for (std::size_t l = 0; l < nlanes; ++l)
-            s.lanes[l].offset += s.lane_delta[l * nlevels + k] + s.lane_travel[l];
-    }
+    };
+    // Advances the odometer of levels [from, to) under counts `cnt` by one
+    // point and moves every lane position in `pos` with it: the advancing
+    // level steps once and each deeper level of the range returns to its
+    // first value.  False once the levels are exhausted (counters back at
+    // 0).
+    const auto advance = [&](std::size_t from, std::size_t to, const std::int64_t* cnt,
+                             std::int64_t* pos) {
+        for (std::size_t k = to; k-- > from;) {
+            if (++s.kiter[k] < cnt[k]) {
+                for (std::size_t l = 0; l < nlanes; ++l) {
+                    const std::int64_t* step = &s.lane_step[l * nlevels];
+                    std::int64_t delta = step[k];
+                    for (std::size_t j = k + 1; j < to; ++j) delta -= step[j] * (cnt[j] - 1);
+                    pos[l] += delta;
+                }
+                return true;
+            }
+            s.kiter[k] = 0;
+        }
+        return false;
+    };
+
+    s.kiter.assign(nlevels, 0);
+    s.lane_cursor.resize(nlanes);
+    do {
+        for (std::size_t r = 0; r < nruns; ++r) {
+            const std::int64_t* cnt = &s.run_count[r * nlevels];
+            for (std::size_t l = 0; l < nlanes; ++l)
+                s.lane_cursor[l] = s.lane_base[l] + s.run_off[r * nlanes + l];
+            do {
+                if (batched) columns(cnt[batch]);
+                else point();
+            } while (advance(nouter, nested_end, cnt, s.lane_cursor.data()));
+        }
+    } while (advance(0, outer_end, s.run_count.data(), s.lane_base.data()));
 }
 
 Buffer& Interpreter::ensure_buffer(const ir::SDFG& sdfg, Context& ctx, const std::string& name) {
@@ -1256,11 +1350,14 @@ const std::vector<ir::ConcreteRange>& Interpreter::concretize_plan(const AccessP
     Scratch& s = scratch_;
     auto& cr = s.ranges;
     cr.resize(ap.dims.size());
-    for (std::size_t d = 0; d < ap.dims.size(); ++d)
-        cr[d] = ir::ConcreteRange{ap.dims[d].begin.eval(s.flat, s.eval_stack),
-                                  ap.dims[d].end.eval(s.flat, s.eval_stack),
-                                  ap.dims[d].step.eval(s.flat, s.eval_stack)};
+    for (std::size_t d = 0; d < ap.dims.size(); ++d) cr[d] = eval_range(ap.dims[d]);
     return cr;
+}
+
+ir::ConcreteRange Interpreter::eval_range(const RangePlan& r) {
+    Scratch& s = scratch_;
+    return {r.begin.eval(s.flat, s.eval_stack), r.end.eval(s.flat, s.eval_stack),
+            r.step.eval(s.flat, s.eval_stack)};
 }
 
 void Interpreter::gather_into(const ir::SDFG& sdfg, Context& ctx, const ir::Memlet& memlet,

@@ -64,27 +64,31 @@
 // one any of its bounds references (the leading levels that feed bounds —
 // tile parameters, a triangular map's outer level — stay on the generic
 // odometer, which launches the band once per prefix point), extended by
-// every level of a sole nested map scope whose bounds reference no band
-// parameter (the reduction nest of every matmul).  The band's tasklets
-// must all select the F64 signature and their memlet indices be affine in
-// the band parameters with constant coefficients: per-access flat-stride
-// advances replace the odometer's per-point index-expression evaluation
-// and bounds-checked flat_index calls — advancing a point is one add per
-// connector, and the whole iteration footprint is validated once per
-// launch (a launch that could fault falls back to the generic odometer,
-// which owns partial-effect and error-ordering semantics).  Kernels are
-// untagged only: their lanes move raw Buffer storage with per-lane dtype
-// conversion, and the F64 feasibility proof (no traps, no integer
-// division) makes their point loop throw-free.  A scope holding any tagged
-// tasklet — every int-family one — runs the generic odometer.  On top of
-// that sits the *segment* tier: a kernel whose tasklets are all
+// the levels of a sole nested map scope whose bounds reference no outer
+// band parameter (the reduction nest of every matmul).  That nested scope
+// may keep a prefix of its own — a tiled reduction's tile level: a launch
+// walks it once into *runs* (the prefix values, each nested band level's
+// begin and count), and every outer point replays them in order; an
+// untiled nest is the one-run case.  The band's tasklets must all select
+// the F64 signature and their memlet indices be affine in the band
+// parameters with constant coefficients: per-access flat-stride advances
+// replace the odometer's per-point index-expression evaluation and
+// bounds-checked flat_index calls — advancing a point is one add per
+// connector, and the whole iteration footprint, every run included, is
+// validated once per launch (a launch that could fault falls back to the
+// generic odometer, which owns partial-effect and error-ordering
+// semantics).  Kernels are untagged only: their lanes move raw Buffer
+// storage with per-lane dtype conversion, and the F64 feasibility proof
+// (no traps, no integer division) makes their point loop throw-free.  A
+// scope holding any tagged tasklet — every int-family one — runs the
+// generic odometer.  On top of that sits the *segment* tier: a kernel whose tasklets are all
 // straight-line (no branches, no traps) can run a whole batch level per
 // dispatch through the VM's batch mode (TaskletProgram::run_vm<double,
 // true>) — auto-vectorizable column loops instead of per-point dispatch.
 // The batch level is the innermost one, or for a nest whose innermost
 // level cannot batch (a reduction's stride-0 accumulator) its outer
-// scope's innermost level, with the nested levels in order inside each
-// batch lane.  Each launch checks the concrete lane windows for unsafe
+// scope's innermost level, with the runs and their levels in order inside
+// each batch lane.  Each launch checks the concrete lane windows for unsafe
 // aliasing (batching reorders loads/stores across points) and silently
 // degrades to the per-point kernel loop when lanes could collide.
 // Classification lives in the shared plan (keyed, like everything else, on
@@ -317,24 +321,36 @@ struct BandLevel {
 /// from `prefix` on — leading levels whose parameters feed later bounds
 /// (MapTiling's tile parameters, triangular maps) stay on the generic
 /// odometer, which launches the band once per prefix point — followed, for
-/// a scope whose only child is a map scope, by every level of that nested
-/// scope (the matmul/matvec reduction nest).  Every band bound is
-/// evaluable at band entry, every tasklet the band runs selected the
-/// untagged F64 signature, and every memlet index is affine in the band
-/// parameters with constant coefficients — per-point addressing collapses
-/// to one precomputed flat-offset add per connector.  Classified once at
-/// plan time; every launch still validates ranks, input dtypes and the
-/// concrete iteration footprint, handing launches that could fault back to
-/// the generic odometer (which owns partial-effect and error-ordering
-/// semantics).
+/// a scope whose only child is a map scope, by that nested scope's levels
+/// past its own `nested_prefix` (the matmul/matvec reduction nest, tiled or
+/// not).  The nested scope's bounds read no outer band parameter, so its
+/// iteration is the same at every outer point: each launch walks it once
+/// into *runs* — one per point of the nested prefix levels, holding those
+/// levels' values and each nested band level's begin and count — and every
+/// outer point replays the runs in order.  An untiled nest is one run.
+/// Every band bound is evaluable at band entry (nested ones per run), every
+/// tasklet the band runs selected the untagged F64 signature, and every
+/// memlet index is affine in the band parameters with constant
+/// coefficients — per-point addressing collapses to one precomputed
+/// flat-offset add per connector, and a run starts at a per-lane offset.
+/// Classified once at plan time; every launch still validates ranks, input
+/// dtypes and the concrete iteration footprint of every run, handing
+/// launches that could fault back to the generic odometer (which owns
+/// partial-effect and error-ordering semantics).
 struct ScopeKernel {
     std::size_t prefix = 0;         ///< Leading scope levels outside the band.
-    std::vector<BandLevel> levels;  ///< The band, outermost first.
+    /// The band, outermost first: the launching scope's levels, then the
+    /// nested scope's levels past its prefix.
+    std::vector<BandLevel> levels;
     /// Band levels of the launching scope; the rest belong to `nested`.
     std::size_t outer_levels = 0;
     /// scope_plans index of the sole nested scope the band spans, -1 when
     /// the band covers one scope.  Its children are the kernel's tasklets.
     int nested = -1;
+    /// Leading levels of the nested scope whose parameters feed its later
+    /// bounds (MapTiling's tile parameters): walked into runs per launch.
+    /// Band level steps never read them, so every run shares one set.
+    std::size_t nested_prefix = 0;
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
     std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
     /// Segment-eligible: every tasklet is straight-line, so a batch level
@@ -460,44 +476,53 @@ private:
     void leave_params(const ScopePlan& sp, bool interned_only, Context& ctx);
     /// Attempts one flat-stride launch of `kern`'s band at the current
     /// prefix point of `sp` (whose parameters the caller entered).  Returns
-    /// false when per-launch validation (rank match, footprint in bounds,
-    /// sane extents) fails — the caller then runs the generic odometer,
-    /// which reproduces the exact partial effects and error of the
-    /// unspecialized path.  A band spanning a nested scope also declines
-    /// when the budget cannot cover the whole nest or a nested extent is
-    /// empty, steps by 0 or fails to evaluate, because the generic nest
-    /// evaluates those only after charging its first outer point.  The
-    /// launching scope's ranges are evaluated level by level exactly like
-    /// the generic path, so step-0 / unbound-symbol errors surface
-    /// identically.
+    /// false when per-launch validation (rank match, footprint of every run
+    /// in bounds, sane extents) fails — the caller then runs the generic
+    /// odometer, which reproduces the exact partial effects and error of the
+    /// unspecialized path.  A band spanning a nested scope also declines,
+    /// before any buffer is touched, when the budget cannot cover the whole
+    /// nest, or when walking the nested scope into runs reaches no point,
+    /// meets a range that steps by 0 or fails to evaluate, or exceeds
+    /// kMaxRuns: the generic nest evaluates those only after charging its
+    /// first outer point.  The launching scope's ranges are evaluated level
+    /// by level exactly like the generic path, so step-0 / unbound-symbol
+    /// errors surface identically.
     bool execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& plan, const ScopePlan& sp,
                               const ScopeKernel& kern, Context& ctx);
+    /// Walks the nested scope of a nest launch (parameters entered by the
+    /// caller) in the generic odometer's order into the scratch run table.
+    /// Returns false when the launch must decline (see
+    /// execute_scope_kernel).
+    bool walk_runs(const ScopeKernel& kern, const ScopePlan& inner);
     /// Whether this launch's concrete lane windows permit batching band
-    /// level `batch`, with the levels below it running in order inside each
-    /// batch lane.  Batching reorders loads/stores across points, so:
+    /// level `batch`, with the runs and levels below it running in order
+    /// inside each batch lane.  Batching reorders loads/stores across
+    /// points, so:
     ///  * with levels below `batch`, every write lane's batch stride must
-    ///    exceed its whole sequential travel, so different batch lanes
-    ///    never write one address;
+    ///    exceed the address span of all its runs, so different batch
+    ///    lanes never write one address;
     ///  * every (write, other) lane pair on the same buffer must be
-    ///    pointwise-aligned — the same address at every point, with a
-    ///    nonzero batch stride — or cover disjoint address windows.  Pairs
-    ///    whose levels above `batch` step alike keep their relative offset
-    ///    in every segment, so the first segment decides; any other pair
-    ///    must be disjoint over the whole launch.
+    ///    pointwise-aligned — the same launch offset, steps and run offsets,
+    ///    with a nonzero batch stride — or cover disjoint address windows.
+    ///    Pairs whose levels above `batch` and runs step alike keep their
+    ///    relative offset in every segment, so the first segment decides;
+    ///    any other pair must be disjoint over the whole launch.
     /// In particular a stride-0 in-place update (x = f(x) broadcast over the
     /// segment) is a sequential dependency and is refused.  Reads scratch
     /// lane state set up by execute_scope_kernel.
     bool segment_alias_safe(const ScopeKernel& kern, std::size_t batch) const;
-    /// The batched loop of a committed, alias-safe launch: iterates the
-    /// levels above `batch`, and per segment runs tiles of batch lanes
-    /// through the VM's batch mode (gather columns -> batch VM -> scatter
-    /// columns, converting per lane dtype), once per point of the levels
-    /// below `batch`, in order.  Tile-outer / tasklet-inner order preserves
-    /// per-point semantics for pointwise-aligned cross-tasklet
-    /// dependencies.  Must only be called from execute_scope_kernel after
-    /// footprint validation and fuel charging; cannot throw (straight-line,
-    /// throw-free programs by classification).
-    void run_segment_kernel(const StatePlan& plan, const ScopeKernel& kern, std::size_t batch);
+    /// The point loop of a committed launch: outer points in odometer
+    /// order, each replaying the runs in order, each run walking its nested
+    /// levels.  `batch` < levels.size() runs that level through the VM's
+    /// batch mode (gather columns -> batch VM -> scatter columns, converting
+    /// per lane dtype) in tiles of batch lanes, with the runs and levels
+    /// below it in order inside each lane; `batch` == levels.size() runs
+    /// point at a time.  Tasklet-inner order preserves per-point semantics
+    /// for pointwise-aligned cross-tasklet dependencies.  Must only be
+    /// called from execute_scope_kernel after footprint validation, fuel
+    /// charging and (when batched) segment_alias_safe; cannot throw
+    /// (throw-free programs by classification).
+    void run_band(const StatePlan& plan, const ScopeKernel& kern, std::size_t batch);
     void execute_tasklet(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
@@ -531,6 +556,9 @@ private:
                                                           const Context& ctx);
     /// Evaluates an access plan's lowered dims against the flat bindings.
     const std::vector<ir::ConcreteRange>& concretize_plan(const AccessPlan& ap);
+    /// Evaluates one lowered range (begin, end, step, in that order) against
+    /// the flat bindings.
+    ir::ConcreteRange eval_range(const RangePlan& r);
     StatePlan build_plan(const ir::SDFG& sdfg, const ir::State& state);
     void build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                             TaskletPlan& tp, int& cache_counter, std::vector<sym::SymId>& used);
@@ -606,26 +634,28 @@ private:
 
         // Flat-stride kernel launch state (reused across launches).
         /// One access of the running kernel: its buffer's raw storage base
-        /// and runtime dtype, and the current flat offset.
+        /// and runtime dtype.
         struct KernelLane {
             void* raw = nullptr;            // dtype-erased storage base
             ir::DType dt = ir::DType::F64;  // runtime buffer dtype
-            std::int64_t offset = 0;
             int slot = -1;  // connector slot base; -1 = side-effect-only gather
         };
         std::vector<KernelLane> lanes;
         /// lanes x levels: offset advance of one step of level k (0 for a
-        /// level with one value).
+        /// level with one value in every run).
         std::vector<std::int64_t> lane_step;
-        /// lanes x levels: offset delta applied when level k advances (its
-        /// step, minus the full traversal of every deeper level — the
-        /// odometer reset folded into one add).
-        std::vector<std::int64_t> lane_delta;
-        std::vector<std::int64_t> kbegin, kstep, kcount;  // per level
-        std::vector<std::int64_t> kiter;                  // odometer counters
-        /// Per lane, batched launches: the offset at the current point of
-        /// the levels below the batch level, and one segment's travel.
-        std::vector<std::int64_t> lane_cursor, lane_travel;
+        std::vector<std::int64_t> kbegin;  // per outer level
+        std::vector<std::int64_t> kstep;   // per level (a run's levels: shared)
+        std::vector<std::int64_t> kiter;          // odometer counters
+        /// The launch's runs: runs x levels counts (outer levels repeat in
+        /// every row), runs x (nested prefix + nested band levels) values to
+        /// bind at each run's first point, and runs x lanes offsets of each
+        /// run's first point relative to run 0's.  A band without a nested
+        /// scope is one run.
+        std::vector<std::int64_t> run_count, run_vals, run_off;
+        /// Per lane: the offset at the current outer point (run 0's first
+        /// point), and at the current point inside a run.
+        std::vector<std::int64_t> lane_base, lane_cursor;
     };
     Scratch scratch_;
     // Deque: growing the pool must not invalidate references handed out for

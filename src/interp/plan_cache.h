@@ -84,6 +84,9 @@ struct SpecStats {
     /// Batched launches that ran the levels below the batch level in order
     /// inside each lane (reductions batched along their output axis).
     std::int64_t band_segment_launches = 0;
+    /// Committed nest launches whose nested scope walked its own prefix
+    /// levels into runs (tiled reductions).
+    std::int64_t run_launches = 0;
 
     /// Field-wise accumulation (totals over many caches).
     SpecStats& operator+=(const SpecStats& o) {
@@ -100,6 +103,7 @@ struct SpecStats {
         nest_launches += o.nest_launches;
         prefix_launches += o.prefix_launches;
         band_segment_launches += o.band_segment_launches;
+        run_launches += o.run_launches;
         return *this;
     }
 
@@ -118,6 +122,7 @@ struct SpecStats {
         nest_launches -= o.nest_launches;
         prefix_launches -= o.prefix_launches;
         band_segment_launches -= o.band_segment_launches;
+        run_launches -= o.run_launches;
         return *this;
     }
 };
@@ -181,6 +186,7 @@ public:
         std::int64_t points = 0;  ///< Band points.
         bool nest = false;        ///< The band spans a nested scope.
         bool prefix = false;      ///< Launched below generic prefix levels.
+        bool runs = false;        ///< The nest walked a nested prefix into runs.
         bool batched = false;     ///< Ran the batched vertical VM ...
         bool sequential = false;  ///< ... with levels below the batch level.
     };
@@ -191,6 +197,7 @@ public:
         kernel_points_.fetch_add(l.points, relaxed);
         if (l.nest) nest_launches_.fetch_add(1, relaxed);
         if (l.prefix) prefix_launches_.fetch_add(1, relaxed);
+        if (l.runs) run_launches_.fetch_add(1, relaxed);
         if (!l.batched) return;
         segment_launches_.fetch_add(1, relaxed);
         segment_points_.fetch_add(l.points, relaxed);
@@ -213,6 +220,7 @@ public:
         s.nest_launches = nest_launches_.load(std::memory_order_relaxed);
         s.prefix_launches = prefix_launches_.load(std::memory_order_relaxed);
         s.band_segment_launches = band_segment_launches_.load(std::memory_order_relaxed);
+        s.run_launches = run_launches_.load(std::memory_order_relaxed);
         return s;
     }
 
@@ -246,6 +254,7 @@ private:
     std::atomic<std::int64_t> nest_launches_{0};
     std::atomic<std::int64_t> prefix_launches_{0};
     std::atomic<std::int64_t> band_segment_launches_{0};
+    std::atomic<std::int64_t> run_launches_{0};
 };
 
 /// Shared handle to a PlanCache; interpreters hold these, so a cache lives

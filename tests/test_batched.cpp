@@ -708,6 +708,164 @@ TEST(Bands, NestCoverageBitmapMatchesTheGenericTier) {
     }
 }
 
+/// `p` with its reduction map "red" tiled by MapTiling(tile, variant): the
+/// tile parameter k__tile feeds the bounds of k, so the nest walks k__tile
+/// into runs.
+ir::SDFG tile_reduction(ir::SDFG p, std::int64_t tile,
+                        xform::MapTiling::Variant variant = xform::MapTiling::Variant::Correct) {
+    const xform::MapTiling tiling(tile, variant);
+    for (const xform::Match& m : tiling.find_matches(p))
+        if (p.state(m.state).graph().node(m.nodes.at(0)).label == "red") {
+            tiling.apply(p, m);
+            return p;
+        }
+    ADD_FAILURE() << "no reduction map to tile";
+    return p;
+}
+
+TEST(Bands, TiledReductionReplaysItsRunsPerOutputLane) {
+    // K = 12 in tiles of 8: runs k in [0, 7] and [8, 11], the last one
+    // partial.  One launch covers the whole nest and batches along i, each
+    // lane replaying both runs in order.
+    const TierOut batched = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 8),
+                                                   nest_inputs(), "40x12 reduction in tiles of 8");
+    EXPECT_EQ(batched.stats.kernel_launches, 1);
+    EXPECT_EQ(batched.stats.run_launches, 1);
+    EXPECT_EQ(batched.stats.band_segment_launches, 1);
+    EXPECT_EQ(batched.stats.segment_points, 40 * 12);
+    EXPECT_EQ(batched.stats.kernel_fallbacks, 0);
+    EXPECT_EQ(batched.res.points, 40 + 40 * 12);
+    // Tiles of 3: four runs, the same single launch.
+    const TierOut small = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 3),
+                                                 nest_inputs(), "40x12 reduction in tiles of 3");
+    EXPECT_EQ(small.stats.kernel_launches, 1);
+    EXPECT_EQ(small.stats.band_segment_launches, 1);
+}
+
+TEST(Bands, TileWiderThanTheReductionIsOneRun) {
+    for (const std::int64_t kext : {5, 8}) {
+        const std::string what = "K=" + std::to_string(kext) + " in one tile of 8";
+        const TierOut one = expect_all_tiers_agree(tile_reduction(make_reduction(17, kext), 8),
+                                                   nest_inputs(), what);
+        EXPECT_EQ(one.stats.kernel_launches, 1) << what;
+        EXPECT_EQ(one.stats.run_launches, 1) << what;
+        EXPECT_EQ(one.stats.band_segment_launches, 1) << what;
+    }
+}
+
+TEST(Bands, EmptyTiledReductionDeclinesToPerOuterPointLaunches) {
+    // k__tile in [0, -1]: the walk reaches no point, so the nest declines
+    // and the generic levels charge each outer point before finding the
+    // nested scope empty.
+    const TierOut empty = expect_all_tiers_agree(tile_reduction(make_reduction(6, 0), 8),
+                                                 nest_inputs(), "tiled reduction extent 0");
+    EXPECT_EQ(empty.res.points, 6);
+    EXPECT_EQ(empty.stats.run_launches, 0);
+    EXPECT_EQ(empty.stats.kernel_fallbacks, 1);
+}
+
+TEST(Bands, TilingBugVariantsOnTheReductionMatchTheGenericTier) {
+    using V = xform::MapTiling::Variant;
+    // Off by one: tiles [0, 8] and [8, 11] overlap at k = 8, in bounds, so
+    // the launch commits and every output adds a[i, 8] twice, in order.
+    const TierOut off = expect_all_tiers_agree(
+        tile_reduction(make_reduction(30, 12), 8, V::OffByOne), nest_inputs(), "off-by-one");
+    EXPECT_TRUE(off.res.ok());
+    EXPECT_EQ(off.res.points, 30 + 30 * 13);
+    EXPECT_EQ(off.stats.run_launches, 1);
+    EXPECT_EQ(off.stats.band_segment_launches, 1);
+    // No remainder: the last tile [8, 15] reads past a's 12 columns.  Run 0
+    // is in bounds, run 1 is not, so lane setup declines and the generic
+    // levels raise the generic path's error, with row 0's first run and the
+    // in-bounds points of its second already accumulated.
+    const TierOut oob = expect_all_tiers_agree(
+        tile_reduction(make_reduction(30, 12), 8, V::NoRemainder), nest_inputs(), "no-remainder");
+    EXPECT_EQ(oob.res.status, interp::ExecStatus::Crash);
+    EXPECT_EQ(oob.stats.run_launches, 0);
+    EXPECT_GT(oob.stats.kernel_fallbacks, 0);
+    const TierOut generic =
+        run_cfg(tile_reduction(make_reduction(30, 12), 8, V::NoRemainder), nest_inputs(), true,
+                false, false);
+    EXPECT_EQ(oob.res.message, generic.res.message);
+}
+
+TEST(Bands, BudgetCrossingMidTiledNestMatchesPerOuterPointLaunches) {
+    // 4 x 12 in tiles of 8 charges 4 + 48 points.  Under 30 the nest
+    // declines before lane setup, and per-outer-point launches run, each
+    // tile its own band launch: rows 0 and 1 complete (26 points), and row
+    // 2's first tile is refused wholesale at 27 + 8 > 30.  Same status,
+    // message and state as the twin program whose nest cannot form; the
+    // generic odometer blames the same limit point by point.
+    const ir::SDFG nest = tile_reduction(make_reduction(4, 12), 8);
+    const ir::SDFG twin = tile_reduction(make_per_outer_point_reduction(4, 12), 8);
+    for (const bool batch : {true, false}) {
+        const std::string what = batch ? "tiled budget (batched)" : "tiled budget (per-point)";
+        const TierOut got = run_cfg(nest, nest_inputs(), true, true, batch, /*max_points=*/30);
+        const TierOut want = run_cfg(twin, nest_inputs(), true, true, batch, 30);
+        expect_same(got, want, what);
+        EXPECT_EQ(got.res.status, interp::ExecStatus::Resource) << what;
+        EXPECT_EQ(got.stats.run_launches, 0) << what;
+        EXPECT_EQ(got.stats.kernel_fallbacks, 1) << what;
+        EXPECT_EQ(got.stats.kernel_launches, 4) << what << ": two tiles in each of two rows";
+        const TierOut generic = run_cfg(nest, nest_inputs(), true, false, false, 30);
+        EXPECT_EQ(got.res.status, generic.res.status) << what;
+        EXPECT_EQ(got.res.message, generic.res.message) << what;
+    }
+    // Exactly at the boundary the nest commits and the budget is
+    // unobservable.
+    const TierOut exact = expect_all_tiers_agree(nest, nest_inputs(), "budget 52", 52);
+    EXPECT_TRUE(exact.res.ok());
+    EXPECT_EQ(exact.stats.run_launches, 1);
+    EXPECT_EQ(exact.stats.kernel_launches, 1);
+    expect_same(exact, run_cfg(twin, nest_inputs(), true, true, true), "exact vs twin");
+}
+
+TEST(Bands, AliasedTiledAccumulatorsRunPerPoint) {
+    // o[i] += a[i, k] * o[k]: the read window of o[k] overlaps the written
+    // outputs unaligned.
+    const ir::SDFG inplace = tile_reduction(
+        make_nest(ir::Range::full(sym::cst(12)), ir::Range::full(sym::cst(12)),
+                  {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}, {"b", o_at(kK)}}, {{"cout", o_at(kI)}},
+                  "cout = cin + a * b"),
+        8);
+    const TierOut aliased =
+        expect_all_tiers_agree(inplace, nest_inputs(), "tiled o[i] += a * o[k]");
+    EXPECT_EQ(aliased.stats.run_launches, 1);
+    EXPECT_EQ(aliased.stats.segment_launches, 0) << "alias check must refuse batching";
+    // o[8i + k] = o[8i + k] * 0.5 + a over k < 12 in tiles of 8, beside the
+    // stride-0 accumulator o[i + 100] that keeps k from batching.  One run
+    // of k spans 7 < 8, but both runs span 11: lane i's second run writes
+    // o[8i + 8 ..] after lane i + 1's first run wrote it, so batching along
+    // i would reorder those updates.
+    const ir::SDFG spread = tile_reduction(
+        make_nest(ir::Range::full(sym::cst(9)), ir::Range::full(sym::cst(12)),
+                  {{"cin", o_at(kI * 8 + kK)}, {"pin", o_at(kI + 100)}, {"a", a_at(kI, kK)}},
+                  {{"cout", o_at(kI * 8 + kK)}, {"q", o_at(kI + 100)}},
+                  "cout = cin * 0.5 + a; q = pin + a"),
+        8);
+    const TierOut runs = expect_all_tiers_agree(spread, nest_inputs(), "tiled o[8i + k]");
+    EXPECT_EQ(runs.stats.run_launches, 1);
+    EXPECT_EQ(runs.stats.segment_launches, 0) << "the span of all runs must refuse batching";
+}
+
+TEST(Bands, TiledNestCoverageBitmapMatchesTheGenericTier) {
+    // The nest marks its inner tasklet's class once, from the points of all
+    // runs; the generic tier marks it per inner launch.
+    for (const std::int64_t kext : {1, 5, 12}) {
+        for (const std::int64_t tile : {3, 8}) {
+            const std::string what =
+                "coverage K=" + std::to_string(kext) + " tile " + std::to_string(tile);
+            const ir::SDFG p = tile_reduction(make_reduction(5, kext), tile);
+            const TierOut batched = run_cfg(p, nest_inputs(), true, true, true);
+            const TierOut generic = run_cfg(p, nest_inputs(), true, false, false);
+            ASSERT_TRUE(batched.res.ok()) << what;
+            EXPECT_EQ(batched.stats.run_launches, 1) << what;
+            EXPECT_FALSE(batched.coverage.empty()) << what;
+            EXPECT_EQ(batched.coverage, generic.coverage) << what;
+        }
+    }
+}
+
 /// y[i, j] = x[i, j] * 1.5 + 1 over i < 20, j < 13 on 20x13 arrays, tiled by
 /// MapTiling(8, variant): the tile parameters feed the inner bounds.
 ir::SDFG make_tiled(xform::MapTiling::Variant variant) {

@@ -274,6 +274,44 @@ TEST(CliParseErrors, WrongTypedReproducerFieldExitsSeven) {
     EXPECT_NE(r.out.find("not a string (got an integer)"), std::string::npos) << r.out;
 }
 
+TEST(CliReplay, BudgetedReproducerReplaysUnderItsBudget) {
+    // Under 400 points per execution, MapExpansion's transformed side runs
+    // out of fuel where the original does not.  The reproducer records the
+    // point budget, so its replay exhausts it again.
+    const std::string dir = scratch_dir("budgeted_replay");
+    ASSERT_EQ(run_cli("run --workload gemm --passes correct --trials 20 --max-points 400 "
+                      "--artifact-dir " + dir + "/art").code,
+              0);
+    std::string path;
+    for (const auto& entry : fs::directory_iterator(dir + "/art")) {
+        const common::Json tc = common::Json::parse_file(entry.path().string());
+        if (common::json_string(tc, "verdict") != "resource-exhausted") continue;
+        EXPECT_EQ(common::json_int(tc, "max_points"), 400);
+        EXPECT_FALSE(tc.contains("max_state_transitions")) << "the job left it at the default";
+        EXPECT_FALSE(tc.contains("max_alloc_bytes"));
+        path = entry.path().string();
+    }
+    ASSERT_FALSE(path.empty()) << "no resource-exhausted reproducer";
+    const CliResult r = run_cli("replay " + path);
+    EXPECT_EQ(r.code, 0) << r.out;
+    EXPECT_NE(r.out.find("REPRODUCED"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("exceeded 400 points"), std::string::npos) << r.out;
+
+    // A job without budgets records none.
+    ASSERT_EQ(run_cli("run --workload gemm --passes table2 --trials 4 --size-max 5 "
+                      "--artifact-dir " + dir + "/plain").code,
+              0);
+    int artifacts = 0;
+    for (const auto& entry : fs::directory_iterator(dir + "/plain")) {
+        const common::Json tc = common::Json::parse_file(entry.path().string());
+        EXPECT_FALSE(tc.contains("max_state_transitions") || tc.contains("max_points") ||
+                     tc.contains("max_alloc_bytes"))
+            << entry.path();
+        ++artifacts;
+    }
+    EXPECT_GT(artifacts, 0);
+}
+
 TEST(CliParseErrors, MalformedManifestExitsSeven) {
     const std::string dir = scratch_dir("bad_manifest");
     std::ofstream(dir + "/shard-0.json") << "{\"job\": nope}";

@@ -1345,12 +1345,13 @@ TEST(CoordEndToEnd, ShortLeaseIsBeatAtAQuarterOfItself) {
     // Only the lease is set, well under the fixed 2500 ms heartbeat serve
     // used to advertise whatever the lease, and the one shard outlasts it
     // with no checkpoint inside: only beats at the derived interval keep
-    // the healthy holder's lease from expiring mid-shard.  (1500 trials
-    // keep the shard at over twice the lease on a 4-vCPU host.)
+    // the healthy holder's lease from expiring mid-shard.  (3000 trials
+    // keep the shard at over twice the lease: the test took 1.5-1.7 s on a
+    // 4-vCPU host.)
     shard::JobSpec job;
     job.workload = "doitgen";
     job.passes = "correct";
-    job.max_trials = 1500;
+    job.max_trials = 3000;
     job.defaults = workloads::npbench_defaults();
     const std::string dir = scratch_dir("short_lease");
     coord::CoordConfig config;

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -558,18 +559,28 @@ ir::NodeId random_nest_stage(common::Rng& rng, ir::SDFG& p, ir::State& st, ir::N
     return out_acc;
 }
 
-RandomProgram make_random_program(std::uint64_t seed) {
-    common::Rng rng(seed);
-    RandomProgram rp;
+/// A rank-1 or rank-2 container shape with extents 10-14: room for stride-2
+/// + offset indexing of a 2..4 extent space.
+void random_shape(common::Rng& rng, std::vector<sym::ExprPtr>& shape,
+                  std::vector<std::int64_t>& concrete) {
     const std::size_t rank = static_cast<std::size_t>(rng.uniform_int(1, 2));
-    std::vector<sym::ExprPtr> shape;
-    std::vector<std::int64_t> concrete;
     for (std::size_t d = 0; d < rank; ++d) {
-        // Room for stride-2 + offset indexing of a 2..4 extent space.
         const std::int64_t extent = rng.uniform_int(10, 14);
         shape.push_back(sym::cst(extent));
         concrete.push_back(extent);
     }
+}
+
+const xform::MapTiling::Variant kTilingVariants[] = {xform::MapTiling::Variant::Correct,
+                                                     xform::MapTiling::Variant::OffByOne,
+                                                     xform::MapTiling::Variant::NoRemainder};
+
+RandomProgram make_random_program(std::uint64_t seed) {
+    common::Rng rng(seed);
+    RandomProgram rp;
+    std::vector<sym::ExprPtr> shape;
+    std::vector<std::int64_t> concrete;
+    random_shape(rng, shape, concrete);
     const ir::DType in_dtype = pick_dtype(rng);
     rp.p.add_array("a0", in_dtype, shape);
     ir::State& st = rp.p.state(rp.p.add_state("main", true));
@@ -582,10 +593,8 @@ RandomProgram make_random_program(std::uint64_t seed) {
     // inner bounds (a prefix band), and the no-remainder variant reaches
     // out of bounds in the last tile.
     if (rng.chance(0.3)) {
-        static const xform::MapTiling::Variant kVariants[] = {
-            xform::MapTiling::Variant::Correct, xform::MapTiling::Variant::OffByOne,
-            xform::MapTiling::Variant::NoRemainder};
-        const xform::MapTiling tiling(rng.uniform_int(2, 3), kVariants[rng.uniform_int(0, 2)]);
+        const xform::MapTiling tiling(rng.uniform_int(2, 3),
+                                      kTilingVariants[rng.uniform_int(0, 2)]);
         const std::vector<xform::Match> matches = tiling.find_matches(rp.p);
         if (!matches.empty())
             tiling.apply(rp.p, matches[static_cast<std::size_t>(
@@ -593,6 +602,52 @@ RandomProgram make_random_program(std::uint64_t seed) {
     }
     rp.inputs.buffers.emplace("a0", random_buffer(rng, in_dtype, concrete));
     return rp;
+}
+
+/// One random reduction nest stage over a float input whose reduction map
+/// MapTiling tiled (tile 1-3, any variant); nothing when the stage's
+/// accumulator is an integer container (its tasklet runs tagged, so no
+/// kernel forms) or its reduction range does not step by 1.
+std::optional<RandomProgram> make_tiled_nest_program(std::uint64_t seed) {
+    common::Rng rng(seed);
+    RandomProgram rp;
+    std::vector<sym::ExprPtr> shape;
+    std::vector<std::int64_t> concrete;
+    random_shape(rng, shape, concrete);
+    const ir::DType in_dtype = rng.chance(0.5) ? ir::DType::F64 : ir::DType::F32;
+    rp.p.add_array("a0", in_dtype, shape);
+    ir::State& st = rp.p.state(rp.p.add_state("main", true));
+    random_nest_stage(rng, rp.p, st, st.add_access("a0"), 0);
+    if (!ir::dtype_is_float(rp.p.container("s0").dtype)) return std::nullopt;
+    const xform::MapTiling tiling(rng.uniform_int(1, 3), kTilingVariants[rng.uniform_int(0, 2)]);
+    for (const xform::Match& m : tiling.find_matches(rp.p)) {
+        if (rp.p.state(m.state).graph().node(m.nodes.at(0)).label != "r0") continue;
+        tiling.apply(rp.p, m);
+        rp.inputs.buffers.emplace("a0", random_buffer(rng, in_dtype, concrete));
+        return rp;
+    }
+    return std::nullopt;
+}
+
+/// One tier's run of a random program.
+struct TierRun {
+    interp::ExecResult result;
+    interp::Context ctx;
+    interp::SpecStats stats;
+};
+
+TierRun run_tier(const RandomProgram& rp, bool compiled, bool specialize, bool batch,
+                 std::int64_t max_points = 0) {
+    interp::ExecConfig cfg;
+    cfg.use_compiled_tasklets = compiled;
+    cfg.specialize = specialize;
+    cfg.batch_segments = batch;
+    cfg.max_points = max_points;
+    interp::Interpreter interp(cfg);
+    TierRun r{interp::ExecResult{}, rp.inputs, interp::SpecStats{}};
+    r.result = interp.run(rp.p, r.ctx);
+    r.stats = interp.plan_cache()->spec_stats();
+    return r;
 }
 
 /// Bitwise equality, except that any two NaNs match when `nan_equiv`.
@@ -629,30 +684,13 @@ void expect_context_equal(const interp::Context& a, const interp::Context& b,
 
 TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, segments = 0;
-    int nests = 0, prefixes = 0, band_segments = 0;
+    int nests = 0, prefixes = 0, band_segments = 0, runs = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
-
-        struct Run {
-            interp::ExecResult result;
-            interp::Context ctx;
-            interp::SpecStats stats;
-        };
-        auto run_with = [&](bool compiled, bool specialize, bool batch) {
-            interp::ExecConfig cfg;
-            cfg.use_compiled_tasklets = compiled;
-            cfg.specialize = specialize;
-            cfg.batch_segments = batch;
-            interp::Interpreter interp(cfg);
-            Run r{interp::ExecResult{}, rp.inputs, interp::SpecStats{}};
-            r.result = interp.run(rp.p, r.ctx);
-            r.stats = interp.plan_cache()->spec_stats();
-            return r;
-        };
-        const Run batched = run_with(true, true, true);
-        const Run spec = run_with(true, true, false);
-        const Run generic = run_with(true, false, false);
-        const Run reference = run_with(false, false, false);
+        const TierRun batched = run_tier(rp, true, true, true);
+        const TierRun spec = run_tier(rp, true, true, false);
+        const TierRun generic = run_tier(rp, true, false, false);
+        const TierRun reference = run_tier(rp, false, false, false);
 
         const std::string what = "seed " + std::to_string(seed);
         EXPECT_EQ(batched.result.status, spec.result.status) << what;
@@ -674,6 +712,7 @@ TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
         nests += static_cast<int>(batched.stats.nest_launches);
         prefixes += static_cast<int>(batched.stats.prefix_launches);
         band_segments += static_cast<int>(batched.stats.band_segment_launches);
+        runs += static_cast<int>(batched.stats.run_launches);
     }
     // The generator must actually exercise every tier.
     EXPECT_GT(kernels, 50) << "flat-stride kernels barely exercised";
@@ -682,8 +721,55 @@ TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
     EXPECT_GT(nests, 0) << "no reduction nest launched as one band";
     EXPECT_GT(prefixes, 0) << "no band launched below prefix levels";
     EXPECT_GT(band_segments, 0) << "no band batched along its output axis";
+    EXPECT_GT(runs, 0) << "no nest walked a tiled reduction into runs";
     EXPECT_GT(crashes, 5) << "crash paths barely exercised";
     EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
+}
+
+TEST(SpecializationProperty, TiledReductionNestsAgreeOnAllFourTiers) {
+    // The battery above seldom tiles the reduction map of a float nest, so
+    // this property drives the nest's runs on purpose.  The kernel tiers
+    // also run under a budget one point short of the whole program: the
+    // crossing launch must end them alike.
+    int programs = 0, runs = 0, band_segments = 0, crashes = 0;
+    for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+        const std::optional<RandomProgram> rp = make_tiled_nest_program(0xBEEF0000ULL + seed);
+        if (!rp) continue;
+        ++programs;
+        const TierRun batched = run_tier(*rp, true, true, true);
+        const TierRun spec = run_tier(*rp, true, true, false);
+        const TierRun generic = run_tier(*rp, true, false, false);
+        const TierRun reference = run_tier(*rp, false, false, false);
+
+        const std::string what = "tiled nest seed " + std::to_string(seed);
+        EXPECT_EQ(batched.result.status, generic.result.status) << what;
+        EXPECT_EQ(batched.result.message, generic.result.message) << what;
+        EXPECT_EQ(spec.result.message, generic.result.message) << what;
+        EXPECT_EQ(reference.result.message, generic.result.message) << what;
+        expect_context_equal(batched.ctx, generic.ctx, what + " (batched vs generic)");
+        expect_context_equal(spec.ctx, generic.ctx, what + " (per-point vs generic)");
+        if (generic.result.ok()) {
+            EXPECT_EQ(batched.result.points, generic.result.points) << what;
+            EXPECT_EQ(batched.result.instructions, generic.result.instructions) << what;
+            expect_context_equal(generic.ctx, reference.ctx, what + " (generic vs reference)",
+                                 /*nan_equiv=*/true);
+            if (generic.result.points > 1) {
+                const std::int64_t budget = generic.result.points - 1;
+                const TierRun b = run_tier(*rp, true, true, true, budget);
+                const TierRun p = run_tier(*rp, true, true, false, budget);
+                EXPECT_EQ(b.result.status, interp::ExecStatus::Resource) << what;
+                EXPECT_EQ(b.result.message, p.result.message) << what;
+                expect_context_equal(b.ctx, p.ctx, what + " (budget: batched vs per-point)");
+            }
+        }
+        crashes += generic.result.ok() ? 0 : 1;
+        runs += static_cast<int>(batched.stats.run_launches);
+        band_segments += static_cast<int>(batched.stats.band_segment_launches);
+    }
+    EXPECT_GT(programs, 300);
+    EXPECT_GT(runs, 100) << "nested-prefix runs barely exercised";
+    EXPECT_GT(band_segments, 20) << "tiled nests barely batched along their output axis";
+    EXPECT_GT(crashes, 10) << "out-of-bounds tiles barely exercised";
 }
 
 // --- Fuzzer-level toggle determinism ----------------------------------------
