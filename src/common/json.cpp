@@ -13,8 +13,11 @@ namespace ff::common {
 
 std::int64_t Json::as_int() const {
     if (is_int()) return std::get<std::int64_t>(value_);
-    if (is_double()) return static_cast<std::int64_t>(std::get<double>(value_));
-    wrong_type("a number");
+    if (!is_double()) wrong_type("a number");
+    // [-2^63, 2^63) converts exactly; NaN fails both comparisons.
+    const double d = std::get<double>(value_);
+    if (d >= -0x1p63 && d < 0x1p63 && std::trunc(d) == d) return static_cast<std::int64_t>(d);
+    throw ParseError("json number " + dump() + " is not an integer in int64 range");
 }
 
 double Json::as_double() const {
@@ -372,7 +375,11 @@ const Json& field_or_throw(const Json& j, const std::string& key, const char* ex
 std::int64_t json_int(const Json& j, const std::string& key) {
     const Json& v = field_or_throw(j, key, "an integer");
     if (!v.is_number()) wrong_type(key, "an integer", v);
-    return v.as_int();
+    try {
+        return v.as_int();
+    } catch (const ParseError& e) {
+        throw ParseError("key '" + key + "': " + error_detail(e));
+    }
 }
 
 double json_double(const Json& j, const std::string& key) {

@@ -73,7 +73,8 @@ public:
     /// Typed reads.  A value of another type throws ParseError naming the
     /// expected and the actual type — a wrong-typed field is malformed
     /// input, not an internal error.  as_int and as_double accept either
-    /// number type.
+    /// number type, but as_int takes a double only when it is integral and
+    /// in int64 range, and throws ParseError otherwise.
     bool as_bool() const { return get<bool>("a boolean"); }
     std::int64_t as_int() const;
     double as_double() const;

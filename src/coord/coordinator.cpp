@@ -777,6 +777,7 @@ void Server::quarantine_shard(int shard) {
             if (begin >= end) continue;
             shard::ShardManifest sub = manifest;
             sub.shard_index = static_cast<int>(manifests_.size());
+            sub.shard_count = sub.shard_index + 1;  // the plan grew by this shard
             sub.unit_begin = begin;
             sub.unit_end = end;
             manifests_.push_back(sub);

@@ -50,26 +50,20 @@ void classify_whole_program(const ir::SDFG& p, Cutout& cutout) {
 
 /// Expands a node set so that map scopes are included wholesale: any node
 /// inside a scope pulls in the entire top-level scope it belongs to.
-std::set<NodeId> scope_closure(const ir::State& st, const std::set<NodeId>& seeds) {
+std::set<NodeId> scope_closure(const ir::State& st, const ir::ScopeTree& scopes,
+                               const std::set<NodeId>& seeds) {
     std::set<NodeId> closure;
     for (NodeId n : seeds) {
         // Walk to the outermost enclosing scope.
         NodeId top = n;
-        if (st.graph().node(top).kind == NodeKind::MapExit) {
-            const NodeId entry = st.map_entry_of(top);
-            if (entry != graph::kInvalidNode) top = entry;
-        }
-        while (true) {
-            const NodeId parent = st.parent_scope_of(top);
-            if (parent == graph::kInvalidNode) break;
-            top = parent;
-        }
+        if (st.graph().node(top).kind == NodeKind::MapExit &&
+            scopes.partner(top) != graph::kInvalidNode)
+            top = scopes.partner(top);
+        while (scopes.parent(top) != graph::kInvalidNode) top = scopes.parent(top);
         if (st.graph().node(top).kind == NodeKind::MapEntry) {
             closure.insert(top);
-            const NodeId exit = st.map_exit_of(top);
-            if (exit != graph::kInvalidNode) closure.insert(exit);
-            const auto inside = st.scope_nodes(top);
-            closure.insert(inside.begin(), inside.end());
+            if (scopes.partner(top) != graph::kInvalidNode) closure.insert(scopes.partner(top));
+            closure.insert(scopes.members(top).begin(), scopes.members(top).end());
         } else {
             closure.insert(top);
         }
@@ -113,7 +107,8 @@ Cutout extract_cutout(const ir::SDFG& p, const xform::ChangeSet& delta,
     //    over any non-access neighbour reached by a crossing edge.
     std::set<NodeId> seeds;
     for (const auto& ref : delta.nodes) seeds.insert(ref.node);
-    std::set<NodeId> closure = scope_closure(st, seeds);
+    const ir::ScopeTree scopes(st);
+    std::set<NodeId> closure = scope_closure(st, scopes, seeds);
     while (true) {
         // Computation nodes may not be cut apart from their non-access
         // neighbours (e.g. a tasklet feeding a tasklet directly); access
@@ -134,7 +129,7 @@ Cutout extract_cutout(const ir::SDFG& p, const xform::ChangeSet& delta,
             }
         }
         if (extra.empty()) break;
-        const std::set<NodeId> expanded = scope_closure(st, extra);
+        const std::set<NodeId> expanded = scope_closure(st, scopes, extra);
         closure.insert(expanded.begin(), expanded.end());
     }
 

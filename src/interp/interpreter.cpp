@@ -118,7 +118,7 @@ void with_elements(void* raw, ir::DType dt, Fn&& fn) {
 template <typename S>
 S store_cast(double v) {
     if constexpr (std::is_floating_point_v<S>) return static_cast<S>(v);
-    else return static_cast<S>(static_cast<std::int64_t>(v));
+    else return static_cast<S>(truncate_to_int64(v));
 }
 
 /// Element `flat` of F64 or F32 storage, promoted like Buffer::load.
@@ -171,31 +171,7 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
     const auto topo = state.graph().topological_order();
     if (!topo) throw common::ValidationError("state '" + state.name() + "' has a dataflow cycle");
 
-    // parent[n] = innermost enclosing MapEntry (kInvalidNode at top level).
-    std::map<NodeId, NodeId> parent;
-    for (NodeId n : *topo) parent[n] = graph::kInvalidNode;
-    struct ScopeInfo {
-        NodeId entry;
-        std::set<NodeId> inside;
-    };
-    std::vector<ScopeInfo> scopes;
-    for (NodeId n : *topo) {
-        if (state.graph().node(n).kind == NodeKind::MapEntry)
-            scopes.push_back(ScopeInfo{n, state.scope_nodes(n)});
-    }
-    for (NodeId n : *topo) {
-        NodeId best = graph::kInvalidNode;
-        std::size_t best_size = 0;
-        for (const ScopeInfo& s : scopes) {
-            if (!s.inside.count(n)) continue;
-            if (best == graph::kInvalidNode || s.inside.size() < best_size) {
-                best = s.entry;
-                best_size = s.inside.size();
-            }
-        }
-        parent[n] = best;
-    }
-
+    const ir::ScopeTree scopes(state);
     StatePlan plan;
     NodeId max_id = -1;
     std::map<NodeId, std::vector<NodeId>> scope_children;
@@ -203,7 +179,7 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
         max_id = std::max(max_id, n);
         const NodeKind k = state.graph().node(n).kind;
         if (k == NodeKind::MapExit) continue;  // executed with its entry
-        const NodeId p = parent[n];
+        const NodeId p = scopes.parent(n);
         if (p == graph::kInvalidNode) plan.top_level.push_back(n);
         else scope_children[p].push_back(n);
     }

@@ -37,8 +37,9 @@ MultiRankResult MultiRankInterpreter::run(const ir::SDFG& sdfg,
 
         // Node-major execution: every producer finishes on all ranks before
         // a collective reads; this is the lockstep SPMD schedule.
+        const ir::ScopeTree scopes(state);
         for (NodeId nid : *topo) {
-            if (state.parent_scope_of(nid) != graph::kInvalidNode) continue;
+            if (scopes.parent(nid) != graph::kInvalidNode) continue;
             const ir::DataflowNode& node = state.graph().node(nid);
             if (node.kind == NodeKind::MapExit) continue;
             if (node.kind == NodeKind::Comm) {

@@ -40,12 +40,22 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace ff::interp {
+
+/// `d` truncated toward zero, defined for every double: NaN and values
+/// outside int64 give INT64_MIN, which is what x86-64's cvttsd2si returns
+/// for them, so results match a plain cast there.
+inline std::int64_t truncate_to_int64(double d) {
+    // [-2^63, 2^63) converts exactly; NaN fails both comparisons.
+    return d >= -0x1p63 && d < 0x1p63 ? static_cast<std::int64_t>(d)
+                                      : std::numeric_limits<std::int64_t>::min();
+}
 
 /// A scalar runtime value: double or int64.
 struct Value {
@@ -57,7 +67,7 @@ struct Value {
     static Value from_int(std::int64_t v) { return Value{false, 0.0, v}; }
 
     double as_double() const { return is_float ? f : static_cast<double>(i); }
-    std::int64_t as_int() const { return is_float ? static_cast<std::int64_t>(f) : i; }
+    std::int64_t as_int() const { return is_float ? truncate_to_int64(f) : i; }
     bool truthy() const { return is_float ? f != 0.0 : i != 0; }
 };
 

@@ -1,6 +1,7 @@
 #include "ir/state.h"
 
-#include <algorithm>
+#include <map>
+#include <set>
 
 namespace ff::ir {
 
@@ -67,57 +68,6 @@ EdgeId State::add_edge(NodeId src, const std::string& src_conn, NodeId dst,
     return graph_.add_edge(src, dst, std::move(e));
 }
 
-NodeId State::map_exit_of(NodeId entry) const {
-    const DataflowNode& n = graph_.node(entry);
-    if (n.kind != NodeKind::MapEntry) return graph::kInvalidNode;
-    for (NodeId cand : graph_.nodes()) {
-        const DataflowNode& c = graph_.node(cand);
-        if (c.kind == NodeKind::MapExit && c.scope_id == n.scope_id) return cand;
-    }
-    return graph::kInvalidNode;
-}
-
-NodeId State::map_entry_of(NodeId exit) const {
-    const DataflowNode& n = graph_.node(exit);
-    if (n.kind != NodeKind::MapExit) return graph::kInvalidNode;
-    for (NodeId cand : graph_.nodes()) {
-        const DataflowNode& c = graph_.node(cand);
-        if (c.kind == NodeKind::MapEntry && c.scope_id == n.scope_id) return cand;
-    }
-    return graph::kInvalidNode;
-}
-
-std::set<NodeId> State::scope_nodes(NodeId entry) const {
-    const NodeId exit = map_exit_of(entry);
-    if (exit == graph::kInvalidNode) return {};
-    // Inside = (reachable from entry) ∩ (reaching exit) \ {entry, exit}.
-    std::set<NodeId> fwd = graph_.reachable_from(entry);
-    std::set<NodeId> bwd = graph_.reaching(exit);
-    std::set<NodeId> inside;
-    std::set_intersection(fwd.begin(), fwd.end(), bwd.begin(), bwd.end(),
-                          std::inserter(inside, inside.begin()));
-    inside.erase(entry);
-    inside.erase(exit);
-    return inside;
-}
-
-NodeId State::parent_scope_of(NodeId node) const {
-    NodeId best = graph::kInvalidNode;
-    std::size_t best_size = 0;
-    for (NodeId cand : graph_.nodes()) {
-        if (graph_.node(cand).kind != NodeKind::MapEntry) continue;
-        std::set<NodeId> inside = scope_nodes(cand);
-        if (inside.count(node)) {
-            // The innermost enclosing scope is the smallest one containing it.
-            if (best == graph::kInvalidNode || inside.size() < best_size) {
-                best = cand;
-                best_size = inside.size();
-            }
-        }
-    }
-    return best;
-}
-
 std::vector<NodeId> State::access_nodes(const std::string& data) const {
     std::vector<NodeId> out;
     for (NodeId n : graph_.nodes()) {
@@ -138,6 +88,48 @@ std::string State::to_string() const {
     }
     s += "}";
     return s;
+}
+
+ScopeTree::ScopeTree(const State& st) {
+    const auto& g = st.graph();
+    const auto slot = [](NodeId n) { return static_cast<std::size_t>(n); };
+    const std::vector<NodeId> nodes = g.nodes();
+    slots_.resize(nodes.empty() ? 0 : slot(nodes.back()) + 1);
+
+    // Partners: the first node of the other kind with the same scope id.
+    std::map<std::pair<NodeKind, std::int32_t>, NodeId> first;
+    for (NodeId n : nodes) first.emplace(std::pair{g.node(n).kind, g.node(n).scope_id}, n);
+    for (NodeId n : nodes) {
+        const NodeKind kind = g.node(n).kind;
+        if (kind != NodeKind::MapEntry && kind != NodeKind::MapExit) continue;
+        const NodeKind other = kind == NodeKind::MapEntry ? NodeKind::MapExit : NodeKind::MapEntry;
+        const auto it = first.find({other, g.node(n).scope_id});
+        if (it != first.end()) slots_[slot(n)].partner = it->second;
+    }
+
+    // Members: reachable from the entry and reaching its exit, once per scope.
+    for (NodeId entry : nodes) {
+        const NodeId exit = slots_[slot(entry)].partner;
+        if (g.node(entry).kind != NodeKind::MapEntry || exit == graph::kInvalidNode) continue;
+        const std::set<NodeId> from = g.reachable_from(entry), to = g.reaching(exit);
+        for (NodeId n : from)
+            if (n != entry && n != exit && to.count(n)) slots_[slot(entry)].members.push_back(n);
+    }
+
+    // Parent: the smallest scope holding a node, ties to the first in node order.
+    for (NodeId entry : nodes) {
+        for (NodeId n : members(entry)) {
+            NodeId& parent = slots_[slot(n)].parent;
+            if (parent == graph::kInvalidNode || members(entry).size() < members(parent).size())
+                parent = entry;
+        }
+    }
+}
+
+const ScopeTree::Slot& ScopeTree::at(NodeId n) const {
+    static const Slot none;
+    const auto i = static_cast<std::size_t>(n);
+    return n >= 0 && i < slots_.size() ? slots_[i] : none;
 }
 
 }  // namespace ff::ir

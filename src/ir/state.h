@@ -5,11 +5,12 @@
 // and communication nodes, and whose edges carry memlets.  Scope structure
 // (which nodes live inside which map) is derived from graph connectivity,
 // like in DaCe: everything reachable from a MapEntry that can also reach the
-// matching MapExit lies inside the scope.
+// matching MapExit lies inside the scope.  A ScopeTree computes it for a
+// whole state at once; nothing caches it, so a caller that changes the graph
+// builds a new tree.
 #pragma once
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,20 +55,6 @@ public:
     EdgeId add_edge(NodeId src, const std::string& src_conn, NodeId dst,
                     const std::string& dst_conn, Memlet memlet);
 
-    // --- Scope queries ---
-
-    /// Matching exit for a MapEntry (by scope_id); kInvalidNode if missing.
-    NodeId map_exit_of(NodeId entry) const;
-    /// Matching entry for a MapExit; kInvalidNode if missing.
-    NodeId map_entry_of(NodeId exit) const;
-
-    /// Nodes strictly inside the scope of `entry` (excludes entry and exit,
-    /// includes nested scopes' nodes).
-    std::set<NodeId> scope_nodes(NodeId entry) const;
-
-    /// Innermost MapEntry whose scope contains `node`; kInvalidNode at top level.
-    NodeId parent_scope_of(NodeId node) const;
-
     /// All access nodes referring to `data`.
     std::vector<NodeId> access_nodes(const std::string& data) const;
 
@@ -86,6 +73,41 @@ private:
     std::string name_;
     Graph graph_;
     std::int32_t scope_counter_ = 0;
+};
+
+/// The map scopes of one state, computed from its graph in one call.  A node
+/// lies inside the scope of a MapEntry when it is reachable from the entry
+/// and reaches the entry's exit.  Built on any graph (cyclic, with dangling
+/// or duplicated map ends) without throwing; validation guarantees that the
+/// scopes of a valid state nest.
+class ScopeTree {
+public:
+    explicit ScopeTree(const State& st);
+
+    /// The other end of a MapEntry or MapExit: the first node of the other
+    /// kind, in node order, with the same scope id; kInvalidNode if none or
+    /// for any other node.
+    NodeId partner(NodeId end) const { return at(end).partner; }
+    /// Innermost MapEntry whose scope holds `node`: the smallest, ties to the
+    /// first in node order; kInvalidNode at top level.
+    NodeId parent(NodeId node) const { return at(node).parent; }
+    /// Nodes strictly inside the scope of `entry`, nested scopes' included,
+    /// in node order; empty unless `entry` is a MapEntry with an exit.
+    const std::vector<NodeId>& members(NodeId entry) const { return at(entry).members; }
+    /// Whether `node` lies strictly inside the scope of `entry`.
+    bool contains(NodeId entry, NodeId node) const {
+        return std::binary_search(members(entry).begin(), members(entry).end(), node);
+    }
+
+private:
+    struct Slot {
+        NodeId partner = graph::kInvalidNode;
+        NodeId parent = graph::kInvalidNode;
+        std::vector<NodeId> members;
+    };
+    const Slot& at(NodeId n) const;
+
+    std::vector<Slot> slots_;  ///< By node id.
 };
 
 }  // namespace ff::ir

@@ -37,31 +37,31 @@ LibSpec library_spec(LibraryKind kind) {
 }
 
 /// Map parameters visible at `node` (walking enclosing scopes).
-std::set<std::string> visible_params(const State& st, NodeId node) {
+std::set<std::string> visible_params(const State& st, const ScopeTree& scopes, NodeId node) {
     std::set<std::string> out;
+    const auto add = [&](NodeId entry) {
+        for (const auto& p : st.graph().node(entry).params) out.insert(p);
+    };
     // A MapEntry/MapExit sees its own parameters (its memlets use them).
-    const DataflowNode& n = st.graph().node(node);
-    if (n.kind == NodeKind::MapEntry) {
-        for (const auto& p : n.params) out.insert(p);
-    } else if (n.kind == NodeKind::MapExit) {
-        const NodeId entry = st.map_entry_of(node);
-        if (entry != graph::kInvalidNode)
-            for (const auto& p : st.graph().node(entry).params) out.insert(p);
-    }
-    NodeId scope = st.parent_scope_of(node);
-    while (scope != graph::kInvalidNode) {
-        for (const auto& p : st.graph().node(scope).params) out.insert(p);
-        scope = st.parent_scope_of(scope);
-    }
+    const NodeKind kind = st.graph().node(node).kind;
+    const NodeId own = kind == NodeKind::MapEntry  ? node
+                       : kind == NodeKind::MapExit ? scopes.partner(node)
+                                                   : graph::kInvalidNode;
+    if (own != graph::kInvalidNode) add(own);
+    for (NodeId scope = scopes.parent(node); scope != graph::kInvalidNode;
+         scope = scopes.parent(scope))
+        add(scope);
     return out;
 }
 
-void validate_state(const SDFG& sdfg, const State& st) {
+/// Validates one state; returns its scope tree for the nesting check.
+ScopeTree validate_state(const SDFG& sdfg, const State& st) {
     const auto& g = st.graph();
     const std::string where = "state '" + st.name() + "': ";
 
     if (!g.topological_order())
         throw ValidationError(where + "dataflow graph contains a cycle");
+    ScopeTree scopes(st);
 
     // Node-local checks.
     for (NodeId nid : g.nodes()) {
@@ -78,12 +78,12 @@ void validate_state(const SDFG& sdfg, const State& st) {
                                           "' has mismatched params/ranges");
                 if (n.params.empty())
                     throw ValidationError(where + "map '" + n.label + "' has no parameters");
-                if (st.map_exit_of(nid) == graph::kInvalidNode)
+                if (scopes.partner(nid) == graph::kInvalidNode)
                     throw ValidationError(where + "map '" + n.label + "' has no matching exit");
                 break;
             }
             case NodeKind::MapExit:
-                if (st.map_entry_of(nid) == graph::kInvalidNode)
+                if (scopes.partner(nid) == graph::kInvalidNode)
                     throw ValidationError(where + "map exit '" + n.label +
                                           "' has no matching entry");
                 break;
@@ -171,15 +171,11 @@ void validate_state(const SDFG& sdfg, const State& st) {
     }
     for (NodeId nid : g.nodes()) {
         if (g.node(nid).kind != NodeKind::MapEntry) continue;
-        const std::set<NodeId> inside = st.scope_nodes(nid);
-        for (NodeId inner : inside) {
-            const DataflowNode& in = g.node(inner);
-            const NodeId other = in.kind == NodeKind::MapEntry  ? st.map_exit_of(inner)
-                                 : in.kind == NodeKind::MapExit ? st.map_entry_of(inner)
-                                                                : graph::kInvalidNode;
-            if (other != graph::kInvalidNode && !inside.count(other))
-                throw ValidationError(where + "map '" + in.label + "' is not nested inside map '" +
-                                      g.node(nid).label + "'");
+        for (NodeId inner : scopes.members(nid)) {
+            const NodeId other = scopes.partner(inner);
+            if (other != graph::kInvalidNode && !scopes.contains(nid, other))
+                throw ValidationError(where + "map '" + g.node(inner).label +
+                                      "' is not nested inside map '" + g.node(nid).label + "'");
         }
     }
 
@@ -201,8 +197,8 @@ void validate_state(const SDFG& sdfg, const State& st) {
             r.end->collect_symbols(free);
             r.step->collect_symbols(free);
         }
-        std::set<std::string> visible = visible_params(st, edge.src);
-        for (const auto& p : visible_params(st, edge.dst)) visible.insert(p);
+        std::set<std::string> visible = visible_params(st, scopes, edge.src);
+        for (const auto& p : visible_params(st, scopes, edge.dst)) visible.insert(p);
         for (const auto& s : free) {
             if (!sdfg.has_symbol(s) && !visible.count(s))
                 throw ValidationError(where + "memlet '" + m.to_string() +
@@ -222,13 +218,31 @@ void validate_state(const SDFG& sdfg, const State& st) {
                 throw ValidationError(where + "GPU map '" + n.label +
                                       "' accesses host container '" + m.data + "'");
         };
-        for (NodeId inner : st.scope_nodes(nid)) {
+        for (NodeId inner : scopes.members(nid)) {
             for (graph::EdgeId eid : g.in_edges(inner)) check_device(eid);
             for (graph::EdgeId eid : g.out_edges(inner)) check_device(eid);
         }
         for (graph::EdgeId eid : g.in_edges(nid)) check_device(eid);
-        const NodeId exit = st.map_exit_of(nid);
-        for (graph::EdgeId eid : g.out_edges(exit)) check_device(eid);
+        for (graph::EdgeId eid : g.out_edges(scopes.partner(nid))) check_device(eid);
+    }
+    return scopes;
+}
+
+/// Any two map scopes that hold a common node must nest, so every node has
+/// one innermost scope.  Relies on the nesting check of validate_state (a
+/// scope holding one end of a map holds both): a scope S holding node n is
+/// n's innermost scope P or holds P's entry; if it does neither, P, which is
+/// smaller, cannot hold S's entry either, so the two overlap.
+void check_scopes_nest(const State& st, const ScopeTree& scopes) {
+    const auto& g = st.graph();
+    for (NodeId entry : g.nodes()) {
+        for (NodeId n : scopes.members(entry)) {
+            const NodeId innermost = scopes.parent(n);
+            if (innermost == entry || scopes.contains(entry, innermost)) continue;
+            throw ValidationError("state '" + st.name() + "': maps '" + g.node(innermost).label +
+                                  "' and '" + g.node(entry).label + "' both hold '" +
+                                  g.node(n).label + "' but neither is nested inside the other");
+        }
     }
 }
 
@@ -250,7 +264,8 @@ void SDFG::validate() const {
         }
     }
 
-    for (StateId sid : cfg_.nodes()) validate_state(*this, cfg_.node(sid));
+    std::vector<ScopeTree> scopes;
+    for (StateId sid : cfg_.nodes()) scopes.push_back(validate_state(*this, cfg_.node(sid)));
 
     // Interstate edges may only assign to declared symbols.
     for (graph::EdgeId eid : cfg_.edges()) {
@@ -262,6 +277,10 @@ void SDFG::validate() const {
                                       "'");
         }
     }
+
+    // Last, so a graph that fails another check keeps that check's message.
+    std::size_t i = 0;
+    for (StateId sid : cfg_.nodes()) check_scopes_nest(cfg_.node(sid), scopes[i++]);
 }
 
 }  // namespace ff::ir

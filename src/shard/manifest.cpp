@@ -1,5 +1,7 @@
 #include "shard/manifest.h"
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/error.h"
@@ -11,6 +13,24 @@
 namespace ff::shard {
 
 using common::Json;
+
+namespace {
+
+/// Integer member `key` of `j`, checked against [lo, hi] before any caller
+/// narrows it; a value outside is a ParseError naming the member.
+std::int64_t int_field(const Json& j, const std::string& key, std::int64_t lo,
+                       std::int64_t hi = std::numeric_limits<int>::max()) {
+    const std::int64_t v = common::json_int(j, key);
+    if (v < lo || v > hi)
+        throw common::ParseError("key '" + key + "': expected an integer in [" +
+                                 std::to_string(lo) + ", " + std::to_string(hi) + "], got " +
+                                 std::to_string(v));
+    return v;
+}
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+}  // namespace
 
 Json JobSpec::to_json() const {
     Json j = Json::object();
@@ -44,18 +64,21 @@ JobSpec JobSpec::from_json(const Json& j) {
     spec.sdfg_path = common::json_string(j, "sdfg_path");
     spec.passes = common::json_string(j, "passes");
     spec.seed = static_cast<std::uint64_t>(common::json_int(j, "seed"));
-    spec.max_trials = static_cast<int>(common::json_int(j, "max_trials"));
-    spec.size_max = common::json_int(j, "size_max");
+    spec.max_trials = static_cast<int>(int_field(j, "max_trials", 1));
+    spec.size_max = int_field(j, "size_max", 1, kInt64Max);
     spec.threshold = common::json_double(j, "threshold");
-    spec.max_state_transitions = common::json_int(j, "max_state_transitions");
-    spec.max_points = common::json_int(j, "max_points");
-    spec.max_alloc_bytes = common::json_int(j, "max_alloc_bytes");
+    if (!std::isfinite(spec.threshold))
+        throw common::ParseError("key 'threshold': expected a finite number");
+    spec.max_state_transitions = int_field(j, "max_state_transitions", 0, kInt64Max);
+    spec.max_points = int_field(j, "max_points", 0, kInt64Max);
+    spec.max_alloc_bytes = int_field(j, "max_alloc_bytes", 0, kInt64Max);
     spec.use_mincut = common::json_bool(j, "use_mincut");
     spec.coverage = j.contains("coverage") && common::json_bool(j, "coverage");
     spec.feedback = j.contains("feedback") && common::json_bool(j, "feedback");
     if (spec.feedback) spec.coverage = true;
     if (j.contains("generation_size"))
-        spec.generation_size = static_cast<int>(common::json_int(j, "generation_size"));
+        spec.generation_size = static_cast<int>(
+            int_field(j, "generation_size", std::numeric_limits<int>::min()));
     for (const auto& [name, value] : common::json_object_field(j, "defaults")) {
         if (!value.is_number())
             throw common::ParseError("defaults entry '" + name + "': expected an integer, got " +
@@ -129,22 +152,21 @@ Json ShardManifest::to_json() const {
 
 ShardManifest ShardManifest::from_json(const Json& j) {
     ShardManifest m;
-    m.format_version = static_cast<int>(common::json_int(j, "format_version"));
-    if (m.format_version != kFormatVersion)
-        throw common::Error("unsupported shard format version " +
-                            std::to_string(m.format_version) + " (this build speaks " +
-                            std::to_string(kFormatVersion) + ")");
+    const std::int64_t version = common::json_int(j, "format_version");
+    if (version != kFormatVersion)
+        throw common::Error("unsupported shard format version " + std::to_string(version) +
+                            " (this build speaks " + std::to_string(kFormatVersion) + ")");
     try {
         m.job = JobSpec::from_json(j.at("job"));
     } catch (const common::ParseError& e) {
         throw common::ParseError("job: " + common::error_detail(e));
     }
-    m.shard_index = static_cast<int>(common::json_int(j, "shard_index"));
-    m.shard_count = static_cast<int>(common::json_int(j, "shard_count"));
-    m.unit_begin = common::json_int(j, "unit_begin");
-    m.unit_end = common::json_int(j, "unit_end");
+    m.shard_count = static_cast<int>(int_field(j, "shard_count", 1));
+    m.shard_index = static_cast<int>(int_field(j, "shard_index", 0, m.shard_count - 1));
+    m.unit_end = int_field(j, "unit_end", 0, kInt64Max);
+    m.unit_begin = int_field(j, "unit_begin", 0, m.unit_end);
     m.instance_count = common::json_int(j, "instance_count");
-    m.checkpoint_interval = static_cast<int>(common::json_int(j, "checkpoint_interval"));
+    m.checkpoint_interval = static_cast<int>(int_field(j, "checkpoint_interval", 1));
     return m;
 }
 

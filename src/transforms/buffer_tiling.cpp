@@ -8,14 +8,15 @@ using ir::NodeKind;
 namespace {
 
 /// Matches the single-tasklet 1-D map scope shape; returns the tasklet.
-ir::NodeId single_tasklet_scope(const ir::State& st, ir::NodeId entry) {
+ir::NodeId single_tasklet_scope(const ir::State& st, const ir::ScopeTree& scopes,
+                                ir::NodeId entry) {
     const DataflowNode& n = st.graph().node(entry);
     if (n.kind != NodeKind::MapEntry || n.params.size() != 1) return graph::kInvalidNode;
     if (!(n.map_ranges[0].step->is_constant() && n.map_ranges[0].step->constant_value() == 1))
         return graph::kInvalidNode;
-    const auto inside = st.scope_nodes(entry);
+    const auto& inside = scopes.members(entry);
     if (inside.size() != 1) return graph::kInvalidNode;
-    const ir::NodeId body = *inside.begin();
+    const ir::NodeId body = inside.front();
     return st.graph().node(body).kind == NodeKind::Tasklet ? body : graph::kInvalidNode;
 }
 
@@ -26,6 +27,7 @@ std::vector<Match> BufferTiling::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId acc : g.nodes()) {
             const DataflowNode& an = g.node(acc);
             if (an.kind != NodeKind::Access) continue;
@@ -34,14 +36,14 @@ std::vector<Match> BufferTiling::find_matches(const ir::SDFG& sdfg) const {
             const ir::NodeId m2_entry = g.edge(g.out_edges(acc)[0]).dst;
             if (g.node(m1_exit).kind != NodeKind::MapExit) continue;
             if (g.node(m2_entry).kind != NodeKind::MapEntry) continue;
-            const ir::NodeId m1_entry = st.map_entry_of(m1_exit);
-            const ir::NodeId m2_exit = st.map_exit_of(m2_entry);
+            const ir::NodeId m1_entry = scopes.partner(m1_exit);
+            const ir::NodeId m2_exit = scopes.partner(m2_entry);
             if (m1_entry == graph::kInvalidNode || m2_exit == graph::kInvalidNode) continue;
-            if (st.parent_scope_of(m1_entry) != graph::kInvalidNode) continue;
-            if (st.parent_scope_of(m2_entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(m1_entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(m2_entry) != graph::kInvalidNode) continue;
 
-            const ir::NodeId t1 = single_tasklet_scope(st, m1_entry);
-            const ir::NodeId t2 = single_tasklet_scope(st, m2_entry);
+            const ir::NodeId t1 = single_tasklet_scope(st, scopes, m1_entry);
+            const ir::NodeId t2 = single_tasklet_scope(st, scopes, m2_entry);
             if (t1 == graph::kInvalidNode || t2 == graph::kInvalidNode) continue;
 
             const DataflowNode& e1 = g.node(m1_entry);

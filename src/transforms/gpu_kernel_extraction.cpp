@@ -12,14 +12,15 @@ std::vector<Match> GpuKernelExtraction::find_matches(const ir::SDFG& sdfg) const
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId entry : g.nodes()) {
             const DataflowNode& n = g.node(entry);
             if (n.kind != NodeKind::MapEntry) continue;
             if (n.schedule != ir::Schedule::Parallel) continue;
-            if (st.parent_scope_of(entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(entry) != graph::kInvalidNode) continue;
             // Tasklet-only scopes on host containers.
             bool ok = true;
-            for (ir::NodeId inner : st.scope_nodes(entry)) {
+            for (ir::NodeId inner : scopes.members(entry)) {
                 const NodeKind k = g.node(inner).kind;
                 if (k != NodeKind::Tasklet) { ok = false; break; }
                 for (graph::EdgeId eid : g.in_edges(inner))
@@ -29,7 +30,7 @@ std::vector<Match> GpuKernelExtraction::find_matches(const ir::SDFG& sdfg) const
                     ok &= sdfg.container(g.edge(eid).data.memlet.data).storage ==
                           ir::Storage::Host;
             }
-            if (!ok || st.scope_nodes(entry).empty()) continue;
+            if (!ok || scopes.members(entry).empty()) continue;
             Match m;
             m.state = sid;
             m.nodes = {entry};
@@ -44,7 +45,8 @@ void GpuKernelExtraction::apply_impl(ir::SDFG& sdfg, const Match& match) const {
     ir::State& st = sdfg.state(match.state);
     auto& g = st.graph();
     const ir::NodeId entry = match.nodes.at(0);
-    const ir::NodeId exit = st.map_exit_of(entry);
+    const ir::ScopeTree scopes(st);
+    const ir::NodeId exit = scopes.partner(entry);
 
     // Containers read (inputs) and written (outputs) by the kernel.
     std::set<std::string> inputs, outputs;
@@ -69,7 +71,7 @@ void GpuKernelExtraction::apply_impl(ir::SDFG& sdfg, const Match& match) const {
         auto it = twin.find(m.data);
         if (it != twin.end()) m.data = it->second;
     };
-    for (ir::NodeId inner : st.scope_nodes(entry)) {
+    for (ir::NodeId inner : scopes.members(entry)) {
         for (graph::EdgeId eid : g.in_edges(inner)) retarget(eid);
         for (graph::EdgeId eid : g.out_edges(inner)) retarget(eid);
     }

@@ -12,12 +12,13 @@ std::vector<Match> LoopUnrolling::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId entry : g.nodes()) {
             const DataflowNode& n = g.node(entry);
             if (n.kind != NodeKind::MapEntry) continue;
             if (n.schedule != ir::Schedule::Sequential) continue;
             if (n.params.size() != 1) continue;
-            if (st.parent_scope_of(entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(entry) != graph::kInvalidNode) continue;
             const ir::Range& r = n.map_ranges[0];
             if (!r.begin->is_constant() || !r.end->is_constant() || !r.step->is_constant())
                 continue;
@@ -26,9 +27,9 @@ std::vector<Match> LoopUnrolling::find_matches(const ir::SDFG& sdfg) const {
             // Body: a single tasklet with no container both read and
             // written (iterations must be independent, since unrolled
             // instances execute in topological rather than loop order).
-            const auto inside = st.scope_nodes(entry);
+            const auto& inside = scopes.members(entry);
             if (inside.size() != 1) continue;
-            const ir::NodeId body = *inside.begin();
+            const ir::NodeId body = inside.front();
             if (g.node(body).kind != NodeKind::Tasklet) continue;
             std::set<std::string> read_data, written_data;
             for (graph::EdgeId eid : g.in_edges(body))
@@ -54,7 +55,7 @@ void LoopUnrolling::apply_impl(ir::SDFG& sdfg, const Match& match) const {
     auto& g = st.graph();
     const ir::NodeId entry = match.nodes.at(0);
     const ir::NodeId body = match.nodes.at(1);
-    const ir::NodeId exit = st.map_exit_of(entry);
+    const ir::NodeId exit = ir::ScopeTree(st).partner(entry);
 
     const DataflowNode map_node = g.node(entry);  // copy before removal
     const DataflowNode body_node = g.node(body);

@@ -9,6 +9,7 @@ std::vector<Match> MapExpansion::find_matches(const ir::SDFG& sdfg) const {
     std::vector<Match> matches;
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId nid : st.graph().nodes()) {
             const DataflowNode& n = st.graph().node(nid);
             if (n.kind != NodeKind::MapEntry) continue;
@@ -27,7 +28,7 @@ std::vector<Match> MapExpansion::find_matches(const ir::SDFG& sdfg) const {
             // The first parameter must appear in some scope memlet (this is
             // what makes the buggy variant's malformed scope detectable).
             bool used = false;
-            for (ir::NodeId inner : st.scope_nodes(nid)) {
+            for (ir::NodeId inner : scopes.members(nid)) {
                 for (graph::EdgeId eid : st.graph().in_edges(inner)) {
                     std::set<std::string> syms;
                     for (const auto& r : st.graph().edge(eid).data.memlet.subset.ranges) {
@@ -52,7 +53,7 @@ void MapExpansion::apply_impl(ir::SDFG& sdfg, const Match& match) const {
     ir::State& st = sdfg.state(match.state);
     auto& g = st.graph();
     const ir::NodeId inner_entry = match.nodes.at(0);
-    const ir::NodeId inner_exit = st.map_exit_of(inner_entry);
+    const ir::NodeId inner_exit = ir::ScopeTree(st).partner(inner_entry);
 
     DataflowNode& entry = g.node(inner_entry);
     const std::string peeled = entry.params[0];

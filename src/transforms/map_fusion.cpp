@@ -21,6 +21,7 @@ std::vector<Match> MapFusion::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId acc : g.nodes()) {
             const DataflowNode& an = g.node(acc);
             if (an.kind != NodeKind::Access) continue;
@@ -29,11 +30,11 @@ std::vector<Match> MapFusion::find_matches(const ir::SDFG& sdfg) const {
             const ir::NodeId m2_entry = g.edge(g.out_edges(acc)[0]).dst;
             if (g.node(m1_exit).kind != NodeKind::MapExit) continue;
             if (g.node(m2_entry).kind != NodeKind::MapEntry) continue;
-            const ir::NodeId m1_entry = st.map_entry_of(m1_exit);
-            const ir::NodeId m2_exit = st.map_exit_of(m2_entry);
+            const ir::NodeId m1_entry = scopes.partner(m1_exit);
+            const ir::NodeId m2_exit = scopes.partner(m2_entry);
             if (m1_entry == graph::kInvalidNode || m2_exit == graph::kInvalidNode) continue;
-            if (st.parent_scope_of(m1_entry) != graph::kInvalidNode) continue;
-            if (st.parent_scope_of(m2_entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(m1_entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(m2_entry) != graph::kInvalidNode) continue;
 
             const DataflowNode& e1 = g.node(m1_entry);
             const DataflowNode& e2 = g.node(m2_entry);
@@ -44,11 +45,11 @@ std::vector<Match> MapFusion::find_matches(const ir::SDFG& sdfg) const {
             // m1 only feeds the intermediate; both scopes are single
             // tasklets; the intermediate has no other uses program-wide.
             if (g.out_degree(m1_exit) != 1) continue;
-            const auto in1 = st.scope_nodes(m1_entry);
-            const auto in2 = st.scope_nodes(m2_entry);
+            const auto& in1 = scopes.members(m1_entry);
+            const auto& in2 = scopes.members(m2_entry);
             if (in1.size() != 1 || in2.size() != 1) continue;
-            const ir::NodeId t1 = *in1.begin();
-            const ir::NodeId t2 = *in2.begin();
+            const ir::NodeId t1 = in1.front();
+            const ir::NodeId t2 = in2.front();
             if (g.node(t1).kind != NodeKind::Tasklet || g.node(t2).kind != NodeKind::Tasklet)
                 continue;
             if (!sdfg.container(an.data).transient) continue;

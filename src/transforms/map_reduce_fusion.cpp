@@ -12,6 +12,7 @@ std::vector<Match> MapReduceFusion::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId red : g.nodes()) {
             const DataflowNode& rn = g.node(red);
             if (rn.kind != NodeKind::Library || rn.lib != ir::LibraryKind::ReduceSum) continue;
@@ -24,15 +25,15 @@ std::vector<Match> MapReduceFusion::find_matches(const ir::SDFG& sdfg) const {
             if (g.in_degree(acc_t) != 1 || g.out_degree(acc_t) != 1) continue;
             const ir::NodeId m_exit = g.edge(g.in_edges(acc_t)[0]).src;
             if (g.node(m_exit).kind != NodeKind::MapExit) continue;
-            const ir::NodeId m_entry = st.map_entry_of(m_exit);
+            const ir::NodeId m_entry = scopes.partner(m_exit);
             if (m_entry == graph::kInvalidNode) continue;
-            if (st.parent_scope_of(m_entry) != graph::kInvalidNode) continue;
+            if (scopes.parent(m_entry) != graph::kInvalidNode) continue;
             const DataflowNode& en = g.node(m_entry);
             if (en.params.size() != 1) continue;
 
-            const auto inside = st.scope_nodes(m_entry);
+            const auto& inside = scopes.members(m_entry);
             if (inside.size() != 1) continue;
-            const ir::NodeId body = *inside.begin();
+            const ir::NodeId body = inside.front();
             if (g.node(body).kind != NodeKind::Tasklet) continue;
             // Single output connector writing T[i].
             if (g.out_degree(body) != 1) continue;

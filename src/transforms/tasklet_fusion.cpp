@@ -22,6 +22,7 @@ std::vector<Match> TaskletFusion::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId mid : g.nodes()) {
             const DataflowNode& mnode = g.node(mid);
             if (mnode.kind != NodeKind::Access) continue;
@@ -37,7 +38,7 @@ std::vector<Match> TaskletFusion::find_matches(const ir::SDFG& sdfg) const {
             // Producer and consumer must touch the same subset.
             if (!in_e.data.memlet.subset.equals(out_e.data.memlet.subset)) continue;
             // Same scope level.
-            if (st.parent_scope_of(t1) != st.parent_scope_of(t2)) continue;
+            if (scopes.parent(t1) != scopes.parent(t2)) continue;
 
             if (variant_ == Variant::Correct) {
                 const ir::DataDesc& desc = sdfg.container(mnode.data);

@@ -22,6 +22,7 @@ std::vector<Match> Vectorization::find_matches(const ir::SDFG& sdfg) const {
     std::vector<Match> matches;
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId nid : st.graph().nodes()) {
             const DataflowNode& n = st.graph().node(nid);
             if (n.kind != NodeKind::MapEntry) continue;
@@ -32,9 +33,9 @@ std::vector<Match> Vectorization::find_matches(const ir::SDFG& sdfg) const {
 
             // The scope must be a single tasklet whose memlets access the
             // innermost dimension with the plain last parameter.
-            const std::set<ir::NodeId> inside = st.scope_nodes(nid);
+            const auto& inside = scopes.members(nid);
             if (inside.size() != 1) continue;
-            const ir::NodeId body = *inside.begin();
+            const ir::NodeId body = inside.front();
             if (st.graph().node(body).kind != NodeKind::Tasklet) continue;
 
             const std::string& p = n.params.back();

@@ -45,16 +45,17 @@ std::vector<Match> WriteElimination::find_matches(const ir::SDFG& sdfg) const {
     for (ir::StateId sid : sdfg.states()) {
         const ir::State& st = sdfg.state(sid);
         const auto& g = st.graph();
+        const ir::ScopeTree scopes(st);
         for (ir::NodeId entry : g.nodes()) {
             const DataflowNode& en = g.node(entry);
             if (en.kind != NodeKind::MapEntry) continue;
-            if (st.parent_scope_of(entry) != graph::kInvalidNode) continue;  // top level only
-            const std::set<ir::NodeId> inside = st.scope_nodes(entry);
+            if (scopes.parent(entry) != graph::kInvalidNode) continue;  // top level only
+            const auto& inside = scopes.members(entry);
             if (inside.size() != 1) continue;
-            const ir::NodeId body = *inside.begin();
+            const ir::NodeId body = inside.front();
             if (g.node(body).kind != NodeKind::Tasklet) continue;
             if (!is_identity_tasklet(g.node(body).code)) continue;
-            const ir::NodeId exit = st.map_exit_of(entry);
+            const ir::NodeId exit = scopes.partner(entry);
 
             // Source: single access node feeding the entry; target: single
             // access node fed by the exit.

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "interp/interpreter.h"
 #include "ir/sdfg.h"
@@ -61,6 +65,59 @@ inline std::vector<double> to_vector(const interp::Buffer& buf) {
     std::vector<double> out;
     for (std::int64_t i = 0; i < buf.size(); ++i) out.push_back(buf.load_double(i));
     return out;
+}
+
+/// The first answer of ir::ScopeTree on `st` that differs from a brute-force
+/// reference, or "" when all agree.  The reference matches partners by the
+/// first equal scope_id in node order, takes reachable_from(entry) ∩
+/// reaching(exit) as a scope's members and picks the smallest containing
+/// scope as a node's parent, ties to the first in node order.
+inline std::string scope_tree_mismatch(const ir::State& st) {
+    const auto& g = st.graph();
+    const ir::ScopeTree tree(st);
+    const std::vector<ir::NodeId> nodes = g.nodes();
+    std::map<ir::NodeId, std::vector<ir::NodeId>> inside;
+    for (ir::NodeId n : nodes) {
+        const ir::DataflowNode& node = g.node(n);
+        ir::NodeId partner = graph::kInvalidNode;
+        if (node.kind == ir::NodeKind::MapEntry || node.kind == ir::NodeKind::MapExit) {
+            const ir::NodeKind other = node.kind == ir::NodeKind::MapEntry
+                                           ? ir::NodeKind::MapExit
+                                           : ir::NodeKind::MapEntry;
+            for (ir::NodeId c : nodes) {
+                if (g.node(c).kind == other && g.node(c).scope_id == node.scope_id) {
+                    partner = c;
+                    break;
+                }
+            }
+        }
+        if (tree.partner(n) != partner) return "partner of node " + std::to_string(n);
+        std::vector<ir::NodeId>& members = inside[n];
+        if (node.kind == ir::NodeKind::MapEntry && partner != graph::kInvalidNode) {
+            const std::set<ir::NodeId> fwd = g.reachable_from(n), bwd = g.reaching(partner);
+            for (ir::NodeId m : nodes)
+                if (m != n && m != partner && fwd.count(m) && bwd.count(m)) members.push_back(m);
+        }
+        if (tree.members(n) != members) return "members of node " + std::to_string(n);
+        for (ir::NodeId m : nodes) {
+            const bool in = std::find(members.begin(), members.end(), m) != members.end();
+            if (tree.contains(n, m) != in)
+                return "contains(" + std::to_string(n) + ", " + std::to_string(m) + ")";
+        }
+    }
+    for (ir::NodeId n : nodes) {
+        ir::NodeId parent = graph::kInvalidNode;
+        std::size_t size = 0;
+        for (const auto& [entry, members] : inside) {
+            if (std::find(members.begin(), members.end(), n) == members.end()) continue;
+            if (parent == graph::kInvalidNode || members.size() < size) {
+                parent = entry;
+                size = members.size();
+            }
+        }
+        if (tree.parent(n) != parent) return "parent of node " + std::to_string(n);
+    }
+    return "";
 }
 
 /// This process's scratch root, `ff_<pid>` under the gtest temp directory:

@@ -94,7 +94,13 @@ TEST(CliUsage, BadInvocationsExitTwo) {
          "--trials"},
         {"run --workload gemm --passes tiling --trials 2 --threshold nan", "--threshold"},
         {"run --workload gemm --passes tiling --trials 2 --threshold inf", "--threshold"},
-        {"run --workload gemm --passes tiling --trials 2 --size-max 0", "--size-max"}};
+        {"run --workload gemm --passes tiling --trials 2 --size-max 0", "--size-max"},
+        // A negative budget once ran as no budget at all.
+        {"run --workload gemm --passes tiling --trials 2 --max-transitions -5",
+         "--max-transitions"},
+        {"run --workload gemm --passes tiling --trials 2 --max-points -1", "--max-points"},
+        {"run --workload gemm --passes tiling --trials 2 --max-alloc-bytes -1",
+         "--max-alloc-bytes"}};
     for (const auto& [bad, flag] : malformed) {
         const CliResult r = run_cli(bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
@@ -319,6 +325,38 @@ TEST(CliParseErrors, MalformedManifestExitsSeven) {
                                 dir);
     EXPECT_EQ(r.code, 7);
     EXPECT_NE(r.out.find("shard-0.json"), std::string::npos) << r.out;
+}
+
+TEST(CliParseErrors, OutOfRangeManifestFieldsExitSevenNamingTheField) {
+    // Each edit of a planned gemm manifest once ran: shard_index -1 wrote
+    // records--1.jsonl, size_max 4.9 ran as 4, max_state_transitions -5 ran
+    // unbudgeted, and size_max 1e308 (undefined behaviour to convert) failed
+    // the audit with exit 5.
+    const std::string dir = scratch_dir("range_manifest");
+    ASSERT_EQ(run_cli("plan --workload gemm --passes correct --trials 4 --shards 2 --out-dir " +
+                      dir + "/plan")
+                  .code,
+              0);
+    const common::Json planned = common::Json::parse_file(dir + "/plan/shard-0.json");
+    const std::pair<const char*, common::Json> edits[] = {
+        {"shard_index", common::Json(-1)},
+        {"size_max", common::Json(4.9)},
+        {"size_max", common::Json(1e308)},
+        {"max_state_transitions", common::Json(-5)}};
+    int k = 0;
+    for (const auto& [field, value] : edits) {
+        common::Json manifest = planned;
+        if (manifest.contains(field)) manifest[field] = value;
+        else manifest["job"][field] = value;
+        const std::string path = dir + "/edit-" + std::to_string(k++) + ".json";
+        std::ofstream(path) << manifest.dump(2);
+        const CliResult r =
+            run_cli("run-shard --manifest " + path + " --records-dir " + dir + "/records");
+        EXPECT_EQ(r.code, 7) << field << "\n" << r.out;
+        EXPECT_NE(r.out.find(std::string("'") + field + "'"), std::string::npos)
+            << field << "\n" << r.out;
+    }
+    EXPECT_FALSE(fs::exists(dir + "/records/records--1.jsonl"));
 }
 
 TEST(CliShardLifecycle, PlanInterruptResumeMergeExitCodes) {

@@ -4,8 +4,10 @@
 
 #include "core/cutout.h"
 #include "core/changeset.h"
+#include "core/mincut.h"
 #include "core/side_effects.h"
 #include "helpers.h"
+#include "shard/manifest.h"
 #include "transforms/map_tiling.h"
 #include "transforms/vectorization.h"
 #include "workloads/matchain.h"
@@ -152,6 +154,45 @@ TEST(Cutout, RemapMatchCarriesPatternNodes) {
     ir::SDFG transformed = cutout.program;
     EXPECT_NO_THROW(vec.apply(transformed, remapped));
     EXPECT_NO_THROW(transformed.validate());
+}
+
+TEST(ScopeTreeProperty, MatchesReferenceOnKernelsCutoutsAndTransformedCutouts) {
+    // Every state of the 38 kernels, and of the cutouts (before and after the
+    // min cut) and transformed cutouts that the table2 and correct pass sets
+    // prepare from them, malformed ones included.
+    CutoutOptions opts;
+    opts.defaults = workloads::npbench_defaults();
+    int states = 0;
+    auto check = [&](const ir::SDFG& p, const std::string& where) {
+        for (ir::StateId sid : p.states()) {
+            EXPECT_EQ(ff::testing::scope_tree_mismatch(p.state(sid)), "")
+                << where << " state " << p.state(sid).name();
+            ++states;
+        }
+    };
+    for (const std::string& kernel : workloads::npbench_kernel_names()) {
+        const ir::SDFG p = workloads::build_npbench_kernel(kernel);
+        check(p, kernel);
+        for (const char* passes : {"table2", "correct"}) {
+            shard::JobSpec job;
+            job.passes = passes;
+            for (const auto& pass : shard::job_passes(job)) {
+                for (const xform::Match& match : pass->find_matches(p)) {
+                    const std::string where =
+                        kernel + " " + pass->name() + " " + match.description;
+                    const xform::ChangeSet delta = pass->affected_nodes(p, match);
+                    Cutout cutout = extract_cutout(p, delta, opts);
+                    check(cutout.program, where + " (cutout)");
+                    MinCutResult mc = minimize_input_configuration(p, delta, cutout, opts);
+                    if (mc.improved) check(mc.cutout.program, where + " (min cut)");
+                    ir::SDFG transformed = mc.cutout.program;
+                    pass->apply(transformed, mc.cutout.remap_match(match));
+                    check(transformed, where + " (transformed)");
+                }
+            }
+        }
+    }
+    EXPECT_GT(states, 1000);
 }
 
 TEST(SideEffects, OverlapRespectsSubranges) {

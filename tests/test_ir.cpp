@@ -71,13 +71,50 @@ TEST(State, ScopeStructure) {
     st.add_edge(t, "o", inner_x, "", Memlet("x", Subset{{Range::index(sym::symb("j"))}}));
     st.add_edge(inner_x, "", outer_x, "", Memlet("x", Subset{{Range::full(sym::symb("N"))}}));
 
-    EXPECT_EQ(st.map_exit_of(outer_e), outer_x);
-    EXPECT_EQ(st.map_entry_of(inner_x), inner_e);
-    EXPECT_EQ(st.scope_nodes(outer_e), (std::set<NodeId>{inner_e, t, inner_x}));
-    EXPECT_EQ(st.scope_nodes(inner_e), (std::set<NodeId>{t}));
-    EXPECT_EQ(st.parent_scope_of(t), inner_e);
-    EXPECT_EQ(st.parent_scope_of(inner_e), outer_e);
-    EXPECT_EQ(st.parent_scope_of(outer_e), graph::kInvalidNode);
+    const ScopeTree scopes(st);
+    EXPECT_EQ(scopes.partner(outer_e), outer_x);
+    EXPECT_EQ(scopes.partner(inner_x), inner_e);
+    EXPECT_EQ(scopes.partner(t), graph::kInvalidNode);
+    EXPECT_EQ(scopes.members(outer_e), (std::vector<NodeId>{inner_e, inner_x, t}));
+    EXPECT_EQ(scopes.members(inner_e), (std::vector<NodeId>{t}));
+    EXPECT_TRUE(scopes.members(t).empty());
+    EXPECT_TRUE(scopes.contains(outer_e, t));
+    EXPECT_FALSE(scopes.contains(inner_e, inner_x));
+    EXPECT_EQ(scopes.parent(t), inner_e);
+    EXPECT_EQ(scopes.parent(inner_e), outer_e);
+    EXPECT_EQ(scopes.parent(inner_x), outer_e);
+    EXPECT_EQ(scopes.parent(outer_e), graph::kInvalidNode);
+    EXPECT_EQ(scopes.parent(outer_x), graph::kInvalidNode);
+}
+
+TEST(Validation, RejectsOverlappingScopes) {
+    // A tasklet inside two 1-D maps, neither inside the other: it reads from
+    // both entries and writes to both exits.  Each map's scope is {t} alone,
+    // so t's innermost scope was a tie; this graph validated, and a run
+    // filed t under one map and crashed with "unbound symbol: j".
+    SDFG sdfg("overlap");
+    sdfg.add_symbol("N");
+    const sym::ExprPtr n = sym::symb("N");
+    for (const char* name : {"x", "y", "a", "b"}) sdfg.add_array(name, DType::F64, {n});
+    State& st = sdfg.state(sdfg.add_state("main", true));
+    auto [a_e, a_x] = st.add_map("A", {"i"}, {Range::full(n)});
+    auto [b_e, b_x] = st.add_map("B", {"j"}, {Range::full(n)});
+    const NodeId t = st.add_tasklet("t", "o = u + v; p = u");
+    const Subset whole{{Range::full(n)}};
+    st.add_edge(st.add_access("x"), "", a_e, "", Memlet("x", whole));
+    st.add_edge(st.add_access("y"), "", b_e, "", Memlet("y", whole));
+    st.add_edge(a_e, "", t, "u", Memlet("x", Subset{{Range::index(sym::symb("i"))}}));
+    st.add_edge(b_e, "", t, "v", Memlet("y", Subset{{Range::index(sym::symb("j"))}}));
+    st.add_edge(t, "o", a_x, "", Memlet("a", Subset{{Range::index(sym::symb("i"))}}));
+    st.add_edge(t, "p", b_x, "", Memlet("b", Subset{{Range::index(sym::symb("j"))}}));
+    st.add_edge(a_x, "", st.add_access("a"), "", Memlet("a", whole));
+    st.add_edge(b_x, "", st.add_access("b"), "", Memlet("b", whole));
+    try {
+        sdfg.validate();
+        ADD_FAILURE() << "validated";
+    } catch (const ValidationError& e) {
+        EXPECT_NE(std::string(e.what()).find("maps 'A' and 'B'"), std::string::npos) << e.what();
+    }
 }
 
 TEST(Sdfg, ContainerManagement) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -24,6 +25,17 @@ TEST(Json, IntegersStayIntegers) {
     const Json j = Json::parse("9007199254740993");  // 2^53 + 1
     ASSERT_TRUE(j.is_int());
     EXPECT_EQ(j.as_int(), 9007199254740993LL);
+}
+
+TEST(Json, AsIntRefusesFractionalAndOutOfRangeDoubles) {
+    // A plain cast read 3.7 as 3, and 1e308 was undefined behaviour.
+    EXPECT_EQ(Json::parse("4.0").as_int(), 4);
+    EXPECT_EQ(Json::parse("-4e3").as_int(), -4000);
+    EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+    for (const char* bad : {"3.7", "-0.5", "1e308", "-1e308", "9223372036854775808.0"})
+        EXPECT_THROW(Json::parse(bad).as_int(), ParseError) << bad;
+    EXPECT_THROW(Json(std::nan("")).as_int(), ParseError);
+    EXPECT_THROW(Json(0x1p63).as_int(), ParseError);
 }
 
 TEST(Json, ContainerRoundTrip) {

@@ -310,6 +310,31 @@ TEST(MutationProperty, SdfgMutantsEndInAVerdictOrATypedRefusal) {
     EXPECT_GT(ends[2], 0);
 }
 
+TEST(MutationProperty, ScopeTreeMatchesReferenceOnEveryParsedSdfgMutant) {
+    // The scope tree is built on any graph, whatever its scope structure:
+    // cycles, dangling or duplicated map ends, improper nesting.
+    const Json& original = reproducer().at("original");
+    int parsed = 0;
+    for (int k = 0; k < kMutants; ++k) {
+        const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(k);
+        Json doc = original;
+        Mutator(original, seed).mutate(doc);
+        ir::SDFG program;
+        try {
+            program = ir::sdfg_from_json(doc);
+        } catch (const common::ParseError&) {
+            continue;
+        } catch (const common::ValidationError&) {
+            continue;  // refused while loading, e.g. a duplicated container
+        }
+        ++parsed;
+        for (ir::StateId sid : program.states())
+            EXPECT_EQ(ff::testing::scope_tree_mismatch(program.state(sid)), "")
+                << "mutant " << seed;
+    }
+    EXPECT_GT(parsed, 0);
+}
+
 TEST(MutationProperty, TestCaseMutantsEndInAVerdictOrATypedRefusal) {
     const Json& tc = reproducer();
     ASSERT_EQ(replay(tc), End::Verdict);

@@ -198,12 +198,14 @@ T number_value(const std::vector<std::string>& args, std::size_t& i) {
     return parse_number<T>(flag, flag_value(args, i));
 }
 
-/// Value of an integer flag that must be at least 1; advances `i`.
+/// Value of an integer flag that must be at least `min`; advances `i`.
 template <typename T = std::int64_t>
-T positive_value(const std::vector<std::string>& args, std::size_t& i) {
+T at_least(const std::vector<std::string>& args, std::size_t& i, std::int64_t min) {
     const std::string flag = args[i];
     const T v = number_value<T>(args, i);
-    if (v < 1) throw UsageError(flag + " needs an integer >= 1, got '" + args[i] + "'");
+    if (v < min)
+        throw UsageError(flag + " needs an integer >= " + std::to_string(min) + ", got '" +
+                         args[i] + "'");
     return v;
 }
 
@@ -228,17 +230,17 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     else if (a == "--sdfg") job.sdfg_path = flag_value(args, i);
     else if (a == "--passes") job.passes = flag_value(args, i);
     else if (a == "--seed") job.seed = static_cast<std::uint64_t>(number_value(args, i));
-    else if (a == "--trials") job.max_trials = positive_value<int>(args, i);
-    else if (a == "--size-max") job.size_max = positive_value(args, i);
+    else if (a == "--trials") job.max_trials = at_least<int>(args, i, 1);
+    else if (a == "--size-max") job.size_max = at_least(args, i, 1);
     else if (a == "--threshold") {
         // A threshold <= 0 compares bitwise; NaN would flag every output and
         // infinity none.
         job.threshold = number_value<double>(args, i);
         if (!std::isfinite(job.threshold))
             throw UsageError("--threshold needs a finite number, got '" + args[i] + "'");
-    } else if (a == "--max-transitions") job.max_state_transitions = number_value(args, i);
-    else if (a == "--max-points") job.max_points = number_value(args, i);
-    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = number_value(args, i);
+    } else if (a == "--max-transitions") job.max_state_transitions = at_least(args, i, 0);
+    else if (a == "--max-points") job.max_points = at_least(args, i, 0);
+    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = at_least(args, i, 0);
     else if (a == "--no-mincut") job.use_mincut = false;
     else if (a == "--coverage") job.coverage = true;
     else if (a == "--feedback") job.feedback = job.coverage = true;
