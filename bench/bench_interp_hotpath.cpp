@@ -33,7 +33,12 @@
 // reduction map tiled by MapTiling at the registry's tile size: the tiled
 // nest must walk its tiles into runs and batch along its output axis.
 // Acceptance bar: tiled batched >= 0.5x the untiled nest's batched exec/s.
-// The exit code is 1 when any of the five bars fails.
+// A fourth section runs heat_3d's 3x3x3 stencil, whose window input lowers
+// to taps, on the kernel tiers and on the generic path, which gathers the
+// whole window per point.  Acceptance bar: kernel tier >= 10x generic
+// (measured 22x on one thread of a 4-vCPU x86-64 host); it fails when the
+// window falls back to the generic tier.
+// The exit code is 1 when any of the six bars fails.
 //
 // Lines prefixed BENCH_KV are machine-readable; `scripts/bench_json.py hotpath`
 // folds them into a BENCH_hotpath.json baseline artifact (CI uploads it).
@@ -47,6 +52,7 @@
 #include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/builders.h"
+#include "workloads/npbench.h"
 
 namespace {
 
@@ -129,19 +135,26 @@ ir::SDFG build_nest(bool tiled) {
 
 std::int64_t nest_executions_per_run() { return kN * kM + kN * kM * kK; }
 
+/// heat_3d's extent in the window-stencil section, its runs per engine, and
+/// its bar: the kernel tier's map points/s over the generic path's.
+constexpr std::int64_t kStencilN = 24;
+constexpr int kStencilReps = 20;
+constexpr double kStencilBar = 10.0;
+
 /// Executions/second of `p` (`execs` tasklet executions per run) on one
 /// engine; runs `reps` full program executions against a warm interpreter
 /// (plan + tasklet caches populated).  `spec` optionally receives the plan
 /// cache's specialization counters.
 double measure(const ir::SDFG& p, std::int64_t execs, bool compiled, bool specialize, bool batch,
-               int reps, interp::SpecStats* spec = nullptr) {
+               int reps, interp::SpecStats* spec = nullptr,
+               const sym::Bindings& binds = bindings()) {
     interp::ExecConfig cfg;
     cfg.use_compiled_tasklets = compiled;
     cfg.specialize = specialize;
     cfg.batch_segments = batch;
     interp::Interpreter interp(cfg);
 
-    interp::Context warm = bench::random_inputs(p, bindings());
+    interp::Context warm = bench::random_inputs(p, binds);
     if (!interp.run(p, warm).ok()) throw common::Error("hotpath warmup failed");
 
     // Pre-sample the input configurations so the timed region measures the
@@ -149,7 +162,7 @@ double measure(const ir::SDFG& p, std::int64_t execs, bool compiled, bool specia
     std::vector<interp::Context> contexts;
     contexts.reserve(static_cast<std::size_t>(reps));
     for (int r = 0; r < reps; ++r)
-        contexts.push_back(bench::random_inputs(p, bindings(), 4242 + static_cast<unsigned>(r)));
+        contexts.push_back(bench::random_inputs(p, binds, 4242 + static_cast<unsigned>(r)));
 
     const auto t0 = std::chrono::steady_clock::now();
     for (interp::Context& ctx : contexts)
@@ -274,7 +287,7 @@ double measure_parallel(int threads, int reps_per_thread) {
     return static_cast<double>(tasklet_executions_per_run()) * threads * reps_per_thread / secs;
 }
 
-/// Prints the report; returns whether all five acceptance bars hold.
+/// Prints the report; returns whether all six acceptance bars hold.
 bool print_report() {
     const int reps = 6;
     const ir::SDFG hotpath = build_hotpath();
@@ -383,6 +396,30 @@ bool print_report() {
                 static_cast<long long>(tiled_stats.kernel_launches), static_cast<long>(reps + 1),
                 100.0 * tiled_share);
 
+    // heat_3d's 3x3x3 stencil: its window lowers to taps, so the kernel
+    // tiers run it; the generic path gathers the whole window per point.
+    bench::banner("Window stencil - map points per second (heat_3d, N=" +
+                  std::to_string(kStencilN) + ", 3x3x3 window of which 7 lanes are read)");
+    const ir::SDFG stencil = workloads::build_npbench_kernel("heat_3d");
+    const sym::Bindings stencil_binds{{"N", kStencilN}};
+    const std::int64_t stencil_points = (kStencilN - 2) * (kStencilN - 2) * (kStencilN - 2);
+    interp::SpecStats stencil_stats;
+    const double stencil_generic = measure(stencil, stencil_points, true, false, false,
+                                           kStencilReps, nullptr, stencil_binds);
+    const double stencil_kernel = measure(stencil, stencil_points, true, true, true, kStencilReps,
+                                          &stencil_stats, stencil_binds);
+    const double stencil_speedup = stencil_kernel / stencil_generic;
+    const bool stencil_ok = stencil_speedup >= kStencilBar && stencil_stats.tasklets_window > 0;
+    bars_hold = bars_hold && stencil_ok;
+    std::printf("  generic: %12.0f pts/s, kernel tier: %12.0f pts/s -> %.2fx  "
+                "(acceptance bar: >= %.0fx) %s\n",
+                stencil_generic, stencil_kernel, stencil_speedup, kStencilBar,
+                stencil_ok ? "PASS" : "FAIL");
+    std::printf("  %lld window tasklet(s) on taps, %lld kernel launches (%lld batched)\n",
+                static_cast<long long>(stencil_stats.tasklets_window),
+                static_cast<long long>(stencil_stats.kernel_launches),
+                static_cast<long long>(stencil_stats.segment_launches));
+
     // Thread scaling over the shared plan cache.  FF_BENCH_THREADS overrides
     // the thread count (CI runs 1 and N and prints the ratio).
     const int threads = bench::env_threads();
@@ -434,6 +471,11 @@ bool print_report() {
     std::printf("BENCH_KV nest_tiled_ratio=%.3f\n", tiled_ratio);
     std::printf("BENCH_KV nest_tiled_kernel_launches=%lld nest_tiled_batched_point_share=%.3f\n",
                 static_cast<long long>(tiled_stats.kernel_launches), tiled_share);
+    std::printf("BENCH_KV stencil_n=%lld stencil_generic_pts_per_s=%.0f "
+                "stencil_kernel_pts_per_s=%.0f\n",
+                static_cast<long long>(kStencilN), stencil_generic, stencil_kernel);
+    std::printf("BENCH_KV stencil_kernel_speedup=%.3f stencil_window_tasklets=%lld\n",
+                stencil_speedup, static_cast<long long>(stencil_stats.tasklets_window));
     std::printf("BENCH_KV parallel_1t_exec_per_s=%.0f\n", one);
     std::printf("BENCH_KV parallel_nt_exec_per_s=%.0f parallel_threads=%d\n", many, threads);
     return bars_hold;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <set>
 #include <type_traits>
 
@@ -52,6 +53,79 @@ void analyze_subset(AccessPlan& ap) {
         }
     }
     if (!volume_known) ap.const_volume = -1;
+}
+
+/// `end - begin` of `r` when it is the same under every binding: both bounds
+/// affine in their symbols with equal constant coefficients, which cancel.
+/// Bounded by kMaxExtent.
+std::optional<std::int64_t> constant_extent(const ir::Range& r) {
+    std::set<std::string> names;
+    r.begin->collect_symbols(names);
+    r.end->collect_symbols(names);
+    std::vector<const std::string*> symbols;
+    for (const std::string& n : names) symbols.push_back(&n);
+    const auto begin = ir::affine_coefficients(r.begin, symbols);
+    const auto end = ir::affine_coefficients(r.end, symbols);
+    if (!begin || !end || *begin != *end) return std::nullopt;
+    sym::Bindings zero;
+    for (const std::string& n : names) zero[n] = 0;
+    try {
+        const __int128 extent =
+            static_cast<__int128>(r.end->evaluate(zero)) - r.begin->evaluate(zero);
+        if (extent < -kMaxExtent || extent > kMaxExtent) return std::nullopt;
+        return static_cast<std::int64_t>(extent);
+    } catch (const std::exception&) {
+        return std::nullopt;
+    }
+}
+
+/// Lowers an input of a tasklet that may take the F64 signature to taps
+/// (AccessPlan::taps); false when the input must stay on the tagged gather.
+/// A single point is one tap.  A window qualifies when every dimension has a
+/// constant extent and a constant nonzero step, it holds every lane the
+/// program declares (an empty window, or one the program reads past, raises
+/// or checks nothing on the gather), and its connector is an input only (an
+/// output connector would scatter gathered lanes no tap loads).
+bool lower_taps(AccessPlan& ap, const TaskletProgram& prog) {
+    const std::vector<ir::Range>& ranges = ap.memlet->subset.ranges;
+    const std::size_t dims = ranges.size();
+    ap.box.assign(dims, 0);
+    if (ap.single_point) {
+        ap.taps.push_back({ap.slot_base, std::vector<std::int64_t>(dims, 0)});
+        ap.window_points = 1;
+        return true;
+    }
+    std::vector<std::int64_t> count(dims), step(dims);
+    std::int64_t volume = 1;
+    for (std::size_t d = 0; d < dims; ++d) {
+        const ir::Range& r = ranges[d];
+        if (!r.step->is_constant() || r.step->constant_value() == 0) return false;
+        const std::optional<std::int64_t> extent = constant_extent(r);
+        if (!extent) return false;
+        step[d] = r.step->constant_value();
+        count[d] = ir::concrete_range_size(ir::ConcreteRange{0, *extent, step[d]});
+        if (count[d] == 0 || count[d] > kMaxExtent / volume) return false;
+        volume *= count[d];
+        ap.box[d] = (count[d] - 1) * step[d];
+    }
+    if (volume < ap.width) return false;
+    const SlotDesc* slot = nullptr;
+    for (const SlotDesc& sd : prog.slot_table())
+        if (sd.name == ap.conn) slot = &sd;
+    if (slot && slot->is_output) return false;
+    ap.window_points = volume;
+    // Lane l is the window's l-th point in row-major order.
+    for (const int lane : slot ? prog.loaded_lanes(*slot) : std::vector<int>{}) {
+        AccessPlan::Tap tap{slot->base + lane, std::vector<std::int64_t>(dims)};
+        std::int64_t rest = lane;
+        for (std::size_t d = dims; d-- > 0;) {
+            tap.offset[d] = rest % count[d] * step[d];
+            rest /= count[d];
+        }
+        ap.taps.push_back(std::move(tap));
+    }
+    if (ap.taps.empty()) ap.taps.push_back({-1, std::vector<std::int64_t>(dims, 0)});
+    return true;
 }
 
 /// Lowers one symbolic range triple to interned programs.
@@ -251,8 +325,13 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
     }
 
     // Specialization tier: flat-stride bands for qualifying scopes.
-    std::int64_t f64_count = 0;
-    for (const TaskletPlan& tp : plan.tasklet_plans) f64_count += tp.sig == VMSig::F64 ? 1 : 0;
+    std::int64_t f64_count = 0, window_count = 0;
+    for (const TaskletPlan& tp : plan.tasklet_plans) {
+        if (tp.sig != VMSig::F64) continue;
+        ++f64_count;
+        window_count += std::any_of(tp.inputs.begin(), tp.inputs.end(),
+                                    [](const AccessPlan& ap) { return !ap.single_point; });
+    }
     std::int64_t specialized = 0, segmented = 0;
     for (ScopePlan& sp : plan.scope_plans) {
         classify_scope_kernel(sdfg, state, plan, sp);
@@ -262,7 +341,7 @@ StatePlan Interpreter::build_plan(const ir::SDFG& sdfg, const ir::State& state) 
     }
     plans_->note_classification(static_cast<std::int64_t>(plan.scope_plans.size()), specialized,
                                 segmented, static_cast<std::int64_t>(plan.tasklet_plans.size()),
-                                f64_count);
+                                f64_count, window_count);
 
     // Def-use pair id bases (feedback/coverage.h).  The atlas enumerates the
     // same accesses in the same order as the tasklet plans above, so each
@@ -377,13 +456,18 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
         // leave different partial allocations than the lazily-allocating
         // generic path.  Every other tasklet runs the generic tagged VM.
         if (!tp || tp->sig != VMSig::F64) return;
-        // Input validation must be statically satisfied: single-point
-        // gathers deliver exactly one lane, so any wider (or unbound)
-        // declared input would throw per point — leave that to the generic
-        // path.
-        for (const TaskletPlan::InputCheck& check : tp->input_checks)
-            if (check.input_index < 0 || check.width > 1) return;
+        // Input validation must be statically satisfied: an input delivers
+        // its window's points (one for a single point), so any wider (or
+        // unbound) declared input would throw per point — leave that to the
+        // generic path.
+        for (const TaskletPlan::InputCheck& check : tp->input_checks) {
+            if (check.input_index < 0) return;
+            const AccessPlan& in = tp->inputs[static_cast<std::size_t>(check.input_index)];
+            if (check.width > in.window_points) return;
+        }
         const int tindex = static_cast<int>(kern.tasklets.size());
+        // One lane per output and per input tap, each affine in the band
+        // through its memlet's begin index.
         auto classify_access = [&](const AccessPlan& ap, bool output, int index) {
             // Rank mismatches raise inside the loop on the generic path.
             if (sdfg.container(ap.memlet->data).dims() != ap.dims.size()) return false;
@@ -393,16 +477,27 @@ void Interpreter::classify_scope_kernel(const ir::SDFG& sdfg, const ir::State& s
             ka.index = index;
             ka.coeffs.reserve(ap.dims.size() * nlevels);
             for (const ir::Range& r : ap.memlet->subset.ranges) {
-                // single_point: begin == end structurally, begin is the index.
                 const auto coeffs = ir::affine_coefficients(r.begin, names);
                 if (!coeffs) return false;
                 ka.coeffs.insert(ka.coeffs.end(), coeffs->begin(), coeffs->end());
             }
-            kern.accesses.push_back(std::move(ka));
+            if (output || ap.single_point) {
+                ka.slot = ap.slot_base;
+                kern.accesses.push_back(std::move(ka));
+                return true;
+            }
+            ka.box = ap.box;
+            for (const AccessPlan::Tap& tap : ap.taps) {
+                ka.slot = tap.slot;
+                ka.offset = tap.offset;
+                kern.accesses.push_back(ka);
+            }
             return true;
         };
+        const std::size_t first_lane = kern.accesses.size();
         for (std::size_t i = 0; i < tp->inputs.size(); ++i)
             if (!classify_access(tp->inputs[i], false, static_cast<int>(i))) return;
+        kern.input_lanes.push_back(kern.accesses.size() - first_lane);
         for (std::size_t i = 0; i < tp->outputs.size(); ++i)
             if (!classify_access(tp->outputs[i], true, static_cast<int>(i))) return;
         kern.tasklets.push_back(plan.node_to_plan[static_cast<std::size_t>(c)]);
@@ -516,26 +611,34 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
 
     // Dtype-signature selection (see VMSig): program-side feasibility
     // (proved at parse time assuming every input arrives as a double) plus
-    // graph-side facts.  Every *input* must bind a single-point subset of a
-    // float-family container — F32 inputs work on the f64 engine because the
-    // tagged VM already promotes F32 loads to double (Buffer::load), so
-    // computing in double is what the tagged path does anyway.  *Outputs*
-    // bind a single-point subset of any dtype: the untagged scatter
-    // conversions mirror Buffer::store's casts on the tagged result exactly.
-    // No passthrough staging or invalid outputs on either side.
+    // graph-side facts.  Every *input* must bind a float-family container
+    // through a single point or a window that lowers to taps (lower_taps) —
+    // F32 inputs work on the f64 engine because the tagged VM already
+    // promotes F32 loads to double (Buffer::load), so computing in double is
+    // what the tagged path does anyway.  *Outputs* bind a single-point
+    // subset of any dtype: the untagged scatter conversions mirror
+    // Buffer::store's casts on the tagged result exactly.  No passthrough
+    // staging or invalid outputs on either side.
     auto untagged_ok = [&] {
         auto shape_ok = [&](const AccessPlan& ap) {
-            return ap.single_point && !ap.invalid && ap.passthrough_pool < 0 &&
-                   sdfg.has_container(ap.memlet->data);
+            return !ap.invalid && ap.passthrough_pool < 0 && sdfg.has_container(ap.memlet->data);
         };
-        for (const AccessPlan& ap : tp.inputs)
-            if (!shape_ok(ap) || !ir::dtype_is_float(sdfg.container(ap.memlet->data).dtype))
-                return false;
         for (const AccessPlan& ap : tp.outputs)
-            if (!shape_ok(ap)) return false;
+            if (!shape_ok(ap) || !ap.single_point) return false;
+        for (AccessPlan& ap : tp.inputs)
+            if (!shape_ok(ap) || !ir::dtype_is_float(sdfg.container(ap.memlet->data).dtype) ||
+                !lower_taps(ap, prog))
+                return false;
         return true;
     };
-    if (!tp.use_reference && prog.has_f64_variant() && untagged_ok()) tp.sig = VMSig::F64;
+    if (!tp.use_reference && prog.has_f64_variant() && untagged_ok()) {
+        tp.sig = VMSig::F64;
+    } else {
+        for (AccessPlan& ap : tp.inputs) {  // taps mean the F64 signature
+            ap.taps.clear();
+            ap.box.clear();
+        }
+    }
 }
 
 std::shared_ptr<const StatePlan> Interpreter::plan_for(const ir::SDFG& sdfg,
@@ -906,25 +1009,31 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         return ka.output ? tp.outputs[static_cast<std::size_t>(ka.index)]
                          : tp.inputs[static_cast<std::size_t>(ka.index)];
     };
-    // Flat offset of access a at the current bindings (run r's first point),
+    // Flat offset of lane a at the current bindings (run r's first point),
     // or -1 when some point of the outer travel plus run r's travel could
-    // fault.
+    // fault.  A window tap's travel carries the window's whole box, since
+    // the generic gather bounds-checks its unread lanes too, and it
+    // evaluates the window's end bounds as the gather does, so an end that
+    // cannot evaluate throws here.
     const auto place = [&](std::size_t a, std::size_t r) -> std::int64_t {
         const KernelAccess& ka = kern.accesses[a];
         const AccessPlan& ap = access_plan(a);
         const Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
         const std::int64_t* cnt = &s.run_count[r * nlevels];
         __int128 flat = 0;
+        const bool tap = !ka.box.empty();
         for (std::size_t d = 0; d < ap.dims.size(); ++d) {
-            const std::int64_t base = ap.dims[d].begin.eval(s.flat, s.eval_stack);
+            const std::int64_t base = tap ? eval_range(ap.dims[d])[0]
+                                          : ap.dims[d].begin.eval(s.flat, s.eval_stack);
             __int128 lo = base, hi = base;
+            if (tap) (ka.box[d] < 0 ? lo : hi) += ka.box[d];
             for (std::size_t k = 0; k < nlevels; ++k) {
                 const __int128 travel = static_cast<__int128>(ka.coeffs[d * nlevels + k]) *
                                         (cnt[k] - 1) * s.kstep[k];
                 (travel < 0 ? lo : hi) += travel;
             }
             if (lo < 0 || hi >= buf.shape()[d]) return -1;  // could fault: generic raises
-            flat += static_cast<__int128>(base) * buf.strides()[d];
+            flat += (static_cast<__int128>(base) + (tap ? ka.offset[d] : 0)) * buf.strides()[d];
         }
         return static_cast<std::int64_t>(flat);
     };
@@ -937,7 +1046,7 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         Scratch::KernelLane& lane = s.lanes[a];
         lane.raw = raw_data_of(buf);
         lane.dt = buf.dtype();
-        lane.slot = ap.slot_base;
+        lane.slot = kern.accesses[a].slot;
         if (buf.dims() != ap.dims.size()) return false;  // generic raises rank mismatch
         // Input dtype drift outside the float family: the generic tagged
         // path handles any dtype.  Outputs convert on store.
@@ -1176,7 +1285,7 @@ void Interpreter::run_band(const StatePlan& plan, const ScopeKernel& kern, std::
             const TaskletPlan& tp =
                 plan.tasklet_plans[static_cast<std::size_t>(kern.tasklets[t])];
             double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
-            for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+            for (const std::size_t taps_end = a + kern.input_lanes[t]; a < taps_end; ++a) {
                 const Scratch::KernelLane& lane = s.lanes[a];
                 if (lane.slot >= 0)
                     slots[lane.slot] = load_double(lane.raw, lane.dt, s.lane_cursor[a]);
@@ -1204,7 +1313,7 @@ void Interpreter::run_band(const StatePlan& plan, const ScopeKernel& kern, std::
                 const auto nslots = static_cast<std::int64_t>(tp.prog->slot_count());
                 double* cols = s.f64_cols.data();
                 std::fill_n(cols, nslots * tn, 0.0);
-                for (std::size_t i = 0; i < tp.inputs.size(); ++i, ++a) {
+                for (const std::size_t taps_end = a + kern.input_lanes[t]; a < taps_end; ++a) {
                     const Scratch::KernelLane& lane = s.lanes[a];
                     if (lane.slot < 0) continue;
                     const std::int64_t stride = s.lane_step[a * nlevels + batch];
@@ -1523,18 +1632,21 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
 bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
                                            const TaskletPlan& tp, Context& ctx) {
     // Twin of execute_tasklet_planned for tp.sig == F64 nodes outside
-    // flat-stride kernels: every access is a single point (by
-    // classification), so gathers and scatters move raw values between
-    // bounds-checked flat indices and the untagged slot array, converting
+    // flat-stride kernels: every output is a single point and every input a
+    // set of taps (by classification), so gathers and scatters move raw
+    // values between flat indices and the untagged slot array, converting
     // per the buffer's runtime dtype (the exact Buffer::load/store
     // expressions — see the conversion helpers).  Evaluation order — inputs
     // in edge order, declared-input checks, program, outputs in edge order —
     // matches the tagged path instruction for instruction, including lazy
     // output-buffer allocation at each scatter (an earlier output's bounds
     // error must leave later outputs unallocated, exactly like the tagged
-    // path).  A caller-provided *input* buffer whose runtime dtype drifted
-    // outside the float family hands the node back to the tagged path
-    // (return false, before any store); output buffers convert from the
+    // path).  An input the tagged gather would fault on — a rank mismatch,
+    // or any point of its box out of bounds, a window's unread lanes
+    // included — and a caller-provided input buffer whose runtime dtype
+    // drifted outside the float family hand the node back to the tagged
+    // path (return false, before any store), which raises the same first
+    // faulting point or handles any dtype; output buffers convert from the
     // untagged result whatever their dtype, so they can never force a
     // fallback.
     Scratch& s = scratch_;
@@ -1552,10 +1664,29 @@ bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan
         const AccessPlan& ap = tp.inputs[i];
         Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
         if (!ir::dtype_is_float(buf.dtype())) return false;  // drift: tagged path handles it
-        const std::int64_t flat = flat_of(buf, ap);
-        if (ap.slot_base >= 0)
-            slots[ap.slot_base] = load_double(raw_data_of(buf), buf.dtype(), flat);
-        s.input_counts[i] = 1;
+        if (buf.dims() != ap.dims.size()) return false;
+        // The begin index's flat offset, once its box is proven in bounds.  A
+        // window evaluates its whole range triple, as the gather does.
+        std::int64_t flat = 0;
+        for (std::size_t d = 0; d < ap.dims.size(); ++d) {
+            const std::int64_t begin = ap.single_point
+                                           ? ap.dims[d].begin.eval(s.flat, s.eval_stack)
+                                           : eval_range(ap.dims[d])[0];
+            const __int128 corner = static_cast<__int128>(begin) + ap.box[d];
+            if (std::min<__int128>(begin, corner) < 0 ||
+                std::max<__int128>(begin, corner) >= buf.shape()[d])
+                return false;
+            flat += begin * buf.strides()[d];
+        }
+        const void* raw = raw_data_of(buf);
+        for (const AccessPlan::Tap& tap : ap.taps) {
+            if (tap.slot < 0) continue;
+            std::int64_t at = flat;
+            for (std::size_t d = 0; d < ap.dims.size(); ++d)
+                at += tap.offset[d] * buf.strides()[d];
+            slots[tap.slot] = load_double(raw, buf.dtype(), at);
+        }
+        s.input_counts[i] = ap.window_points;
     }
     for (const TaskletPlan::InputCheck& check : tp.input_checks)
         if (check.input_index < 0 ||

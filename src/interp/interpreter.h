@@ -54,11 +54,15 @@
 //
 // On top of the compiled path, each tasklet selects a *dtype signature*
 // (TaskletPlan::sig): a program admitting the untagged double VM
-// (TaskletProgram::has_f64_variant) whose accesses all bind single points
-// and whose input connectors all bind float-family (F64/F32) containers runs
-// tagless on raw doubles; every other tasklet, int-family inputs included,
-// runs the tagged VM.  Output containers may be any dtype — the store-side
-// conversions mirror the tagged VM's Buffer::store casts exactly.  Then
+// (TaskletProgram::has_f64_variant) whose input connectors all bind
+// float-family (F64/F32) containers and whose accesses all bind single
+// points runs tagless on raw doubles.  An input window with constant extents
+// that the program reads only inside counts too: the plan lowers it to
+// *taps*, one single-point read per lane the program loads, while every tier
+// still bounds-checks the window's whole box (the stencils).  Every other
+// tasklet, int-family inputs included, runs the tagged VM.  Output
+// containers may be any dtype — the store-side conversions mirror the
+// tagged VM's Buffer::store casts exactly.  Then
 // build_plan classifies every map scope.  A scope may carry a ScopeKernel
 // over a *band* of perfectly nested levels: its levels below the deepest
 // one any of its bounds references (the leading levels that feed bounds —
@@ -228,15 +232,32 @@ struct AccessPlan {
     /// Subset index expressions lowered to interned-slot programs; evaluated
     /// against the flat bindings on the compiled path (no string lookups).
     std::vector<RangePlan> dims;
+    /// Inputs of F64-signature tasklets only (empty otherwise): the access
+    /// lowered to *taps*, one single-point read per lane the program loads,
+    /// at the subset's begin index plus a constant offset per dimension.  A
+    /// single point is one tap at offset 0; a window the program never loads
+    /// keeps one slotless tap, so its footprint is still checked.
+    struct Tap {
+        int slot = -1;                     ///< Slot the lane loads; -1: none.
+        std::vector<std::int64_t> offset;  ///< Per dimension, from the begin index.
+    };
+    std::vector<Tap> taps;
+    /// With taps: per dimension, the far corner of the subset's box relative
+    /// to its begin index, (extent - 1) * step.  Every tier bounds-checks the
+    /// whole box, unread lanes included, exactly where the tagged gather
+    /// walks every point through a bounds-checked flat_index.
+    std::vector<std::int64_t> box;
+    /// With taps: the points the subset delivers (its constant volume).
+    std::int64_t window_points = 0;
 };
 
 /// Dtype signature of a planned tasklet: which VM executes it under
 /// ExecConfig::specialize.  F64 requires the program to admit the untagged
 /// double engine (TaskletProgram::has_f64_variant), every *input* connector
-/// to bind a single-point subset of a float-family (F64/F32) container, and
-/// every output connector a single-point subset of any dtype — output
-/// conversions mirror the tagged VM's Buffer::store casts exactly, so
-/// results are byte-identical.
+/// to bind a float-family (F64/F32) container through a single point or a
+/// window that lowers to taps (AccessPlan::taps), and every output connector
+/// a single-point subset of any dtype — output conversions mirror the tagged
+/// VM's Buffer::store casts exactly, so results are byte-identical.
 enum class VMSig : std::uint8_t {
     Tagged,  ///< Generic tagged-Value bytecode VM (always correct).
     F64,     ///< Untagged double VM (float-family inputs).
@@ -298,16 +319,22 @@ struct ScopePlan {
     std::vector<std::uint32_t> cov_bases;
 };
 
-/// One memlet of a flat-stride kernel: the affine decomposition of its
-/// (single-point) subset over the band's parameters.  index_d = base_d +
-/// sum_k coeffs[d * levels + k] * param_k, where base_d is obtained at
-/// launch time by evaluating the lowered index programs at the band's begin
-/// point (parameters outside the band are part of the base).
+/// One lane of a flat-stride kernel: an output, or one tap of an input
+/// (AccessPlan::taps), with the affine decomposition of its memlet's begin
+/// index over the band's parameters.  index_d = base_d + offset_d + sum_k
+/// coeffs[d * levels + k] * param_k, where base_d is obtained at launch time
+/// by evaluating the lowered index programs at the band's begin point
+/// (parameters outside the band are part of the base).
 struct KernelAccess {
     int tasklet = 0;      ///< Index into ScopeKernel::tasklets.
     bool output = false;  ///< Input or output of that tasklet.
     int index = 0;        ///< Position among the tasklet's inputs/outputs.
+    int slot = -1;        ///< Slot the lane loads or stores; -1: footprint only.
     std::vector<std::int64_t> coeffs;  ///< dims x band levels, row-major.
+    /// A window tap's constant offset from the begin index and the far
+    /// corner of the window's box (AccessPlan::box), per dimension, which
+    /// the launch footprint covers; both empty for single points.
+    std::vector<std::int64_t> offset, box;
 };
 
 /// One iteration level of a kernel's band.
@@ -352,7 +379,9 @@ struct ScopeKernel {
     /// Band level steps never read them, so every run shares one set.
     std::size_t nested_prefix = 0;
     std::vector<int> tasklets;           ///< tasklet_plans indices, child order.
-    std::vector<KernelAccess> accesses;  ///< Grouped by tasklet, inputs first.
+    /// Lanes grouped by tasklet: its inputs' taps in order, then its outputs.
+    std::vector<KernelAccess> accesses;
+    std::vector<std::size_t> input_lanes;  ///< Per tasklet: its taps.
     /// Segment-eligible: every tasklet is straight-line, so a batch level
     /// can execute through the batch VM.  Each launch still checks the
     /// concrete lane windows for unsafe aliasing before batching (see

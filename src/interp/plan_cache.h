@@ -61,9 +61,10 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 ///
 /// The plan-time fields count classification outcomes — how many map scopes
 /// launch a flat-stride band (and of those, how many are segment-eligible)
-/// and how many tasklets got the untagged f64 engine — once per built
-/// StatePlan.  The runtime fields count kernel launches, one per band
-/// launch: a *fallback* is a launch whose per-execution validation (rank,
+/// and how many tasklets got the untagged f64 engine (and of those, how many
+/// read a window lowered to taps) — once per built StatePlan.  The runtime
+/// fields count kernel launches, one per band launch: a *fallback* is a
+/// launch whose per-execution validation (rank,
 /// footprint, or a nest's budget and nested extents) handed it back to the
 /// generic odometer; a *segment launch* is a committed launch that ran the
 /// batched vertical VM instead of the per-point kernel loop.  Counter
@@ -74,6 +75,7 @@ struct SpecStats {
     std::int64_t scopes_segmented = 0;    ///< ... whose kernel is segment-eligible.
     std::int64_t tasklets_planned = 0;    ///< Tasklet plans built.
     std::int64_t tasklets_f64 = 0;        ///< ... selecting the untagged f64 VM.
+    std::int64_t tasklets_window = 0;     ///< ... of which read a window through taps.
     std::int64_t kernel_launches = 0;     ///< Flat-stride executions committed.
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.
     std::int64_t segment_launches = 0;    ///< Committed launches that ran batched segments.
@@ -95,6 +97,7 @@ struct SpecStats {
         scopes_segmented += o.scopes_segmented;
         tasklets_planned += o.tasklets_planned;
         tasklets_f64 += o.tasklets_f64;
+        tasklets_window += o.tasklets_window;
         kernel_launches += o.kernel_launches;
         kernel_fallbacks += o.kernel_fallbacks;
         segment_launches += o.segment_launches;
@@ -114,6 +117,7 @@ struct SpecStats {
         scopes_segmented -= o.scopes_segmented;
         tasklets_planned -= o.tasklets_planned;
         tasklets_f64 -= o.tasklets_f64;
+        tasklets_window -= o.tasklets_window;
         kernel_launches -= o.kernel_launches;
         kernel_fallbacks -= o.kernel_fallbacks;
         segment_launches -= o.segment_launches;
@@ -168,12 +172,13 @@ public:
     /// called from inside the build callback, so effectively serialized).
     void note_classification(std::int64_t scopes, std::int64_t specialized,
                              std::int64_t segmented, std::int64_t tasklets,
-                             std::int64_t f64) {
+                             std::int64_t f64, std::int64_t window) {
         scopes_planned_.fetch_add(scopes, std::memory_order_relaxed);
         scopes_specialized_.fetch_add(specialized, std::memory_order_relaxed);
         scopes_segmented_.fetch_add(segmented, std::memory_order_relaxed);
         tasklets_planned_.fetch_add(tasklets, std::memory_order_relaxed);
         tasklets_f64_.fetch_add(f64, std::memory_order_relaxed);
+        tasklets_window_.fetch_add(window, std::memory_order_relaxed);
     }
 
     /// Counts one launch that per-execution validation handed back to the
@@ -212,6 +217,7 @@ public:
         s.scopes_segmented = scopes_segmented_.load(std::memory_order_relaxed);
         s.tasklets_planned = tasklets_planned_.load(std::memory_order_relaxed);
         s.tasklets_f64 = tasklets_f64_.load(std::memory_order_relaxed);
+        s.tasklets_window = tasklets_window_.load(std::memory_order_relaxed);
         s.kernel_launches = kernel_launches_.load(std::memory_order_relaxed);
         s.kernel_fallbacks = kernel_fallbacks_.load(std::memory_order_relaxed);
         s.segment_launches = segment_launches_.load(std::memory_order_relaxed);
@@ -246,6 +252,7 @@ private:
     std::atomic<std::int64_t> scopes_segmented_{0};
     std::atomic<std::int64_t> tasklets_planned_{0};
     std::atomic<std::int64_t> tasklets_f64_{0};
+    std::atomic<std::int64_t> tasklets_window_{0};
     std::atomic<std::int64_t> kernel_launches_{0};
     std::atomic<std::int64_t> kernel_fallbacks_{0};
     std::atomic<std::int64_t> segment_launches_{0};

@@ -975,6 +975,17 @@ std::shared_ptr<const TaskletProgram> TaskletProgram::parse(const std::string& c
     return prog;
 }
 
+std::vector<int> TaskletProgram::loaded_lanes(const SlotDesc& sd) const {
+    std::vector<bool> loaded(static_cast<std::size_t>(sd.width), false);
+    for (const BCInstr& in : bytecode_)
+        if (in.op == BC::LoadSlot && in.a >= sd.base && in.a < sd.base + sd.width)
+            loaded[static_cast<std::size_t>(in.a - sd.base)] = true;
+    std::vector<int> lanes;
+    for (int l = 0; l < sd.width; ++l)
+        if (loaded[static_cast<std::size_t>(l)]) lanes.push_back(l);
+    return lanes;
+}
+
 // --- Bytecode VM -------------------------------------------------------------
 //
 // One executor for every compiled tier, instantiated per value representation

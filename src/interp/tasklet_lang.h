@@ -108,6 +108,11 @@ public:
     /// Slot layout: every variable (inputs, outputs, locals) occupies a
     /// contiguous lane range in the flat slot array.
     const std::vector<SlotDesc>& slot_table() const { return slot_table_; }
+    /// Lanes of `sd` (a slot_table() entry) the bytecode loads, ascending:
+    /// the only lanes of an input connector a run can observe.  The
+    /// interpreter lowers a window input to one single-point read per such
+    /// lane.
+    std::vector<int> loaded_lanes(const SlotDesc& sd) const;
     /// Size of the flat slot array `run_vm` operates on.
     int slot_count() const { return slot_count_; }
     /// Number of scratch registers the VM needs.

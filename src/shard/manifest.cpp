@@ -77,8 +77,7 @@ JobSpec JobSpec::from_json(const Json& j) {
     spec.feedback = j.contains("feedback") && common::json_bool(j, "feedback");
     if (spec.feedback) spec.coverage = true;
     if (j.contains("generation_size"))
-        spec.generation_size = static_cast<int>(
-            int_field(j, "generation_size", std::numeric_limits<int>::min()));
+        spec.generation_size = static_cast<int>(int_field(j, "generation_size", 1));
     for (const auto& [name, value] : common::json_object_field(j, "defaults")) {
         if (!value.is_number())
             throw common::ParseError("defaults entry '" + name + "': expected an integer, got " +
@@ -165,7 +164,7 @@ ShardManifest ShardManifest::from_json(const Json& j) {
     m.shard_index = static_cast<int>(int_field(j, "shard_index", 0, m.shard_count - 1));
     m.unit_end = int_field(j, "unit_end", 0, kInt64Max);
     m.unit_begin = int_field(j, "unit_begin", 0, m.unit_end);
-    m.instance_count = common::json_int(j, "instance_count");
+    m.instance_count = int_field(j, "instance_count", 0, kInt64Max);
     m.checkpoint_interval = static_cast<int>(int_field(j, "checkpoint_interval", 1));
     return m;
 }

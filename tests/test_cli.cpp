@@ -100,7 +100,13 @@ TEST(CliUsage, BadInvocationsExitTwo) {
          "--max-transitions"},
         {"run --workload gemm --passes tiling --trials 2 --max-points -1", "--max-points"},
         {"run --workload gemm --passes tiling --trials 2 --max-alloc-bytes -1",
-         "--max-alloc-bytes"}};
+         "--max-alloc-bytes"},
+        // Generation sizes below 1 once ran clamped to 1 under a job key
+        // that kept the given value.
+        {"run --workload gemm --passes correct --trials 4 --feedback --generation-size -3",
+         "--generation-size"},
+        {"run --workload gemm --passes correct --trials 4 --feedback --generation-size 0",
+         "--generation-size"}};
     for (const auto& [bad, flag] : malformed) {
         const CliResult r = run_cli(bad);
         EXPECT_EQ(r.code, 2) << bad << "\n" << r.out;
@@ -331,7 +337,8 @@ TEST(CliParseErrors, OutOfRangeManifestFieldsExitSevenNamingTheField) {
     // Each edit of a planned gemm manifest once ran: shard_index -1 wrote
     // records--1.jsonl, size_max 4.9 ran as 4, max_state_transitions -5 ran
     // unbudgeted, and size_max 1e308 (undefined behaviour to convert) failed
-    // the audit with exit 5.
+    // the audit with exit 5.  generation_size 0 ran clamped to 1, and
+    // instance_count -1 failed the runner's cross-check with exit 5.
     const std::string dir = scratch_dir("range_manifest");
     ASSERT_EQ(run_cli("plan --workload gemm --passes correct --trials 4 --shards 2 --out-dir " +
                       dir + "/plan")
@@ -342,7 +349,9 @@ TEST(CliParseErrors, OutOfRangeManifestFieldsExitSevenNamingTheField) {
         {"shard_index", common::Json(-1)},
         {"size_max", common::Json(4.9)},
         {"size_max", common::Json(1e308)},
-        {"max_state_transitions", common::Json(-5)}};
+        {"max_state_transitions", common::Json(-5)},
+        {"generation_size", common::Json(0)},
+        {"instance_count", common::Json(-1)}};
     int k = 0;
     for (const auto& [field, value] : edits) {
         common::Json manifest = planned;

@@ -23,13 +23,17 @@
 #include "common/rng.h"
 #include "core/fuzzer.h"
 #include "core/report.h"
+#include "feedback/corpus.h"
 #include "helpers.h"
 #include "interp/interpreter.h"
 #include "interp/plan_cache.h"
 #include "ir/subset.h"
+#include "shard/manifest.h"
+#include "shard/merger.h"
 #include "transforms/map_tiling.h"
 #include "transforms/registry.h"
 #include "workloads/matchain.h"
+#include "workloads/npbench.h"
 
 namespace ff {
 namespace {
@@ -772,6 +776,194 @@ TEST(SpecializationProperty, TiledReductionNestsAgreeOnAllFourTiers) {
     EXPECT_GT(crashes, 10) << "out-of-bounds tiles barely exercised";
 }
 
+/// The npbench kernels whose tasklets read stencil windows.
+constexpr const char* kWindowKernels[] = {"heat_3d", "jacobi_1d", "jacobi_2d",
+                                          "fdtd_2d", "hdiff",     "vadv_lite"};
+
+/// What a random window program exercises (see make_window_program).
+struct WindowProgram {
+    RandomProgram rp;
+    bool in_place = false;  ///< The stencil writes the container it reads.
+};
+
+/// One random window stencil: a map over 1-3 parameters whose tasklet reads
+/// a multi-point window of `a0` at constant lanes and writes one point, of
+/// a fresh container or of `a0` itself.  Per dimension the window has 1-3
+/// points, an offset begin, and steps 1, 2 or -1.  The program reads some
+/// of its lanes, sometimes one lane past it; sometimes the window is empty,
+/// or its unread first corner sits one below the container.  Containers
+/// are mostly float, sometimes F32 or integer.
+WindowProgram make_window_program(std::uint64_t seed) {
+    common::Rng rng(seed);
+    WindowProgram wp;
+    ir::SDFG& p = wp.rp.p;
+    const std::size_t rank = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    std::vector<sym::ExprPtr> shape;
+    std::vector<std::int64_t> concrete;
+    for (std::size_t d = 0; d < rank; ++d) {
+        const std::int64_t extent = rng.uniform_int(10, 13);
+        shape.push_back(sym::cst(extent));
+        concrete.push_back(extent);
+    }
+    const double kind = rng.uniform_double(0.0, 1.0);
+    const ir::DType in_dtype = kind < 0.5    ? ir::DType::F64
+                               : kind < 0.75 ? ir::DType::F32
+                               : kind < 0.9  ? ir::DType::I64
+                                             : ir::DType::I32;
+    p.add_array("a0", in_dtype, shape);
+    wp.in_place = rng.chance(0.2);
+    const std::string out_name = wp.in_place ? "a0" : "s0";
+    if (!wp.in_place) p.add_array(out_name, pick_dtype(rng), shape);
+
+    std::vector<std::string> params;
+    std::vector<ir::Range> ranges;
+    ir::Subset window, point, out_point;
+    std::vector<std::int64_t> counts;
+    const bool low_corner = rng.chance(0.1);  // lane 0 one below the container
+    const bool empty = rng.chance(0.05);
+    for (std::size_t d = 0; d < rank; ++d) {
+        const std::string param = "w" + std::to_string(d);
+        params.push_back(param);
+        const std::int64_t extent = rng.uniform_int(2, 4);
+        ranges.push_back(rng.chance(0.5) ? ir::Range::full(sym::cst(extent))
+                                         : random_range(rng, extent));
+        const sym::ExprPtr pv = sym::symb(param) * (rng.chance(0.9) ? 1 : 2);
+        const std::int64_t count = empty && d == 0 ? 0 : rng.uniform_int(1, 3);
+        const std::int64_t step = rng.chance(0.2) ? -1 : rng.chance(0.2) ? 2 : 1;
+        // The window's lowest index sits at pv + offset; lane 0 is its
+        // highest when it steps down.
+        const std::int64_t offset = rng.chance(0.04) ? -1 : rng.uniform_int(0, 1);
+        std::int64_t first = offset + (step < 0 && count > 0 ? count - 1 : 0);
+        if (low_corner) first = d == 0 ? -1 : 0;
+        const sym::ExprPtr begin = pv + first;
+        window.ranges.push_back(
+            count == 0 ? ir::Range{begin, begin - step, sym::cst(step)}
+                       : ir::Range{begin, begin + (count - 1) * step, sym::cst(step)});
+        counts.push_back(count);
+        point.ranges.push_back(ir::Range::index(pv));
+        out_point.ranges.push_back(ir::Range::index(pv + rng.uniform_int(0, 1)));
+    }
+    // A low corner's map starts at 0, putting lane 0 at index -1; its reads
+    // skip lane 0, so the first faulting point is one the program never
+    // reads.
+    if (low_corner) ranges[0] = ir::Range::full(sym::cst(3));
+
+    std::int64_t volume = 1;
+    for (const std::int64_t c : counts) volume *= c;
+    std::vector<std::int64_t> lanes;
+    const int reads = static_cast<int>(rng.uniform_int(1, 4));
+    for (int r = 0; r < reads; ++r) {
+        if (volume <= (low_corner ? 1 : 0)) break;
+        lanes.push_back(rng.uniform_int(low_corner ? 1 : 0, volume - 1));
+    }
+    if (lanes.empty() || rng.chance(0.05)) lanes.push_back(volume);  // past the window
+    const auto lane = [&](std::size_t k) {
+        return "a[" + std::to_string(lanes[k % lanes.size()]) + "]";
+    };
+    const bool second = rng.chance(0.3);  // a single-point sibling input
+    std::string code = "o = ";
+    switch (rng.uniform_int(0, 3)) {
+        case 0: code += lane(0) + " * 0.5 + " + lane(1) + " - " + lane(2) + " * 0.25"; break;
+        case 1: code += lane(0) + " > " + lane(1) + " ? " + lane(0) + " : " + lane(2); break;
+        case 2: code += "min(" + lane(0) + ", " + lane(1) + ") + (" + lane(2) + " > 0.5)"; break;
+        default: code += lane(0) + " + " + lane(1) + " + " + lane(2) + " + " + lane(3); break;
+    }
+    if (second) code += " + b * 0.125";
+
+    ir::State& st = p.state(p.add_state("main", true));
+    const ir::NodeId in = st.add_access("a0");
+    auto [entry, exit] = st.add_map("win", params, ranges);
+    const ir::NodeId t = st.add_tasklet("stencil", code);
+    const ir::NodeId out = st.add_access(out_name);
+    st.add_edge(in, "", entry, "", ir::Memlet("a0", ir::Subset::full(shape)));
+    st.add_edge(entry, "", t, "a", ir::Memlet("a0", window));
+    if (second) st.add_edge(entry, "", t, "b", ir::Memlet("a0", point));
+    st.add_edge(t, "o", exit, "", ir::Memlet(out_name, out_point));
+    st.add_edge(exit, "", out, "", ir::Memlet(out_name, ir::Subset::full(shape)));
+    wp.rp.inputs.buffers.emplace("a0", random_buffer(rng, in_dtype, concrete));
+    return wp;
+}
+
+TEST(Specialization, WindowKernelsLowerEveryStencilToTaps) {
+    // Every tasklet of the npbench stencils takes the F64 signature, the
+    // windows through taps, and every scope launches a kernel that never
+    // falls back on in-bounds inputs — with the generic path's bytes.
+    for (const char* name : kWindowKernels) {
+        const ir::SDFG p = workloads::build_npbench_kernel(name);
+        RandomProgram rp;
+        rp.inputs.symbols = workloads::npbench_defaults();
+        common::Rng rng(7);
+        for (const auto& [container, desc] : p.containers())
+            if (!desc.transient)
+                rp.inputs.buffers.emplace(
+                    container,
+                    random_buffer(rng, desc.dtype, desc.concrete_shape(rp.inputs.symbols)));
+        rp.p = p;
+        const TierRun batched = run_tier(rp, true, true, true);
+        const TierRun generic = run_tier(rp, true, false, false);
+        ASSERT_TRUE(generic.result.ok()) << name << ": " << generic.result.message;
+        EXPECT_TRUE(batched.result.ok()) << name;
+        expect_context_equal(batched.ctx, generic.ctx, name);
+        const interp::SpecStats& st = batched.stats;
+        EXPECT_EQ(st.tasklets_f64, st.tasklets_planned) << name;
+        EXPECT_GE(st.tasklets_window, 1) << name;
+        EXPECT_EQ(st.scopes_specialized, st.scopes_planned) << name;
+        EXPECT_GT(st.segment_launches, 0) << name;
+        EXPECT_EQ(st.kernel_fallbacks, 0) << name;
+    }
+}
+
+TEST(SpecializationProperty, WindowStencilsAgreeOnAllFourTiers) {
+    // Window inputs lower to taps at plan time; the kernel tiers must still
+    // match the tagged gather everywhere: statuses, messages, buffers and
+    // cost counters, with faults on unread lanes and in-place stencils.
+    // Under a budget one point short, the two kernel tiers end alike.
+    int windows = 0, kernels = 0, segments = 0, fallbacks = 0, crashes = 0, in_place = 0;
+    for (std::uint64_t seed = 0; seed < 600; ++seed) {
+        const WindowProgram wp = make_window_program(0x5EED0000ULL + seed);
+        const RandomProgram& rp = wp.rp;
+        const TierRun batched = run_tier(rp, true, true, true);
+        const TierRun spec = run_tier(rp, true, true, false);
+        const TierRun generic = run_tier(rp, true, false, false);
+        const TierRun reference = run_tier(rp, false, false, false);
+
+        const std::string what = "window seed " + std::to_string(seed);
+        for (const TierRun* tier : {&batched, &spec, &reference}) {
+            EXPECT_EQ(tier->result.status, generic.result.status) << what;
+            EXPECT_EQ(tier->result.message, generic.result.message) << what;
+            EXPECT_EQ(tier->result.points, generic.result.points) << what;
+            EXPECT_EQ(tier->result.instructions, generic.result.instructions) << what;
+        }
+        expect_context_equal(batched.ctx, generic.ctx, what + " (batched vs generic)");
+        expect_context_equal(spec.ctx, generic.ctx, what + " (per-point vs generic)");
+        // A crashed reference run leaves its scope parameters bound.
+        if (generic.result.ok())
+            expect_context_equal(reference.ctx, generic.ctx, what + " (reference vs generic)",
+                                 /*nan_equiv=*/true);
+        if (generic.result.ok() && generic.result.points > 1) {
+            const std::int64_t budget = generic.result.points - 1;
+            const TierRun b = run_tier(rp, true, true, true, budget);
+            const TierRun pp = run_tier(rp, true, true, false, budget);
+            EXPECT_EQ(b.result.status, interp::ExecStatus::Resource) << what;
+            EXPECT_EQ(b.result.message, pp.result.message) << what;
+            expect_context_equal(b.ctx, pp.ctx, what + " (budget: batched vs per-point)");
+        }
+        crashes += generic.result.ok() ? 0 : 1;
+        windows += static_cast<int>(batched.stats.tasklets_window);
+        kernels += static_cast<int>(spec.stats.kernel_launches);
+        segments += static_cast<int>(batched.stats.segment_launches);
+        fallbacks += static_cast<int>(batched.stats.kernel_fallbacks);
+        in_place += wp.in_place && spec.stats.kernel_launches > 0 ? 1 : 0;
+    }
+    EXPECT_GT(windows, 250) << "F64 window tasklets barely exercised";
+    EXPECT_GT(kernels, 200) << "window kernels barely launched";
+    EXPECT_GT(segments, 120) << "window kernels barely batched";
+    EXPECT_GT(fallbacks, 30) << "window footprint faults barely exercised";
+    EXPECT_GT(in_place, 30) << "in-place window kernels barely exercised";
+    EXPECT_GT(crashes, 60) << "crash paths barely exercised";
+    EXPECT_LT(crashes, 300) << "generator crashes too often to test value paths";
+}
+
 // --- Fuzzer-level toggle determinism ----------------------------------------
 
 std::string read_file(const std::string& path) {
@@ -847,6 +1039,76 @@ TEST(SpecializationToggle, AuditByteIdenticalOnOffAt1And8Threads) {
     config.diff.exec.specialize = true;
     expect_snapshots_identical(spec1, snapshot_audit(p, passes, config),
                                "1 thread vs 8 threads, spec on");
+}
+
+/// The bytes one audit of `job` leaves: its canonical report, every
+/// reproducer, and with feedback its corpus file.
+struct JobBytes {
+    std::string report;
+    std::vector<std::string> artifacts;
+    std::string corpus;
+};
+
+JobBytes run_job(const shard::JobSpec& job, int threads, bool specialize) {
+    core::FuzzConfig config = shard::job_fuzz_config(job);
+    config.num_threads = threads;
+    config.diff.exec.specialize = specialize;
+    config.artifact_dir = ff::testing::scratch_dir("toggle_artifacts");
+    core::Fuzzer fuzzer(config);
+    core::PreparedAudit audit =
+        fuzzer.prepare(shard::load_job_program(job), shard::job_passes(job));
+    audit.run_range(0, audit.unit_count());
+    std::vector<core::FuzzReport> reports = audit.finalize();
+    JobBytes bytes;
+    for (const core::FuzzReport& r : reports)
+        bytes.artifacts.push_back(r.artifact_path.empty() ? "" : read_file(r.artifact_path));
+    bytes.report = shard::canonical_report_document(std::move(reports)).dump(2);
+    if (job.feedback) {
+        const std::string path = config.artifact_dir + "/corpus.jsonl";
+        feedback::write_corpus_file(path, job.to_json(), audit.corpus());
+        bytes.corpus = read_file(path);
+    }
+    return bytes;
+}
+
+TEST(SpecializationToggle, WindowKernelsByteIdenticalOnOffAt1And8Threads) {
+    // The stencils whose windows lower to taps: the budgeted Table 2 audit
+    // and the correct passes with feedback (whose corpus replays the
+    // original side's coverage) must leave the same bytes with the kernel
+    // tiers on and off, on one thread and on eight.
+    for (const char* name : kWindowKernels) {
+        shard::JobSpec table2;
+        table2.workload = name;
+        table2.passes = "table2";
+        table2.seed = 1000;
+        table2.max_trials = 10;
+        table2.size_max = 6;
+        table2.max_state_transitions = 2000;
+        table2.defaults = workloads::npbench_defaults();
+        shard::JobSpec guided = table2;
+        guided.passes = "correct";
+        guided.seed = 11000;
+        guided.max_trials = 40;
+        guided.size_max = 16;
+        guided.max_state_transitions = 0;
+        guided.feedback = guided.coverage = true;
+        guided.generation_size = 10;
+        for (const shard::JobSpec* job : {&table2, &guided}) {
+            const std::string what = std::string(name) + " " + job->passes;
+            const JobBytes on = run_job(*job, 1, true);
+            EXPECT_FALSE(on.report.empty()) << what;
+            EXPECT_EQ(job->feedback, !on.corpus.empty()) << what;
+            for (const auto& [threads, specialize] :
+                 {std::pair{1, false}, std::pair{8, false}, std::pair{8, true}}) {
+                const JobBytes other = run_job(*job, threads, specialize);
+                const std::string where = what + ", " + std::to_string(threads) +
+                                          " thread(s), specialize " + (specialize ? "on" : "off");
+                EXPECT_EQ(on.report, other.report) << where;
+                EXPECT_EQ(on.artifacts, other.artifacts) << where;
+                EXPECT_EQ(on.corpus, other.corpus) << where;
+            }
+        }
+    }
 }
 
 TEST(SpecializationToggle, SchedulerStatsExposePrepareAndSpecCounters) {

@@ -244,7 +244,7 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     else if (a == "--no-mincut") job.use_mincut = false;
     else if (a == "--coverage") job.coverage = true;
     else if (a == "--feedback") job.feedback = job.coverage = true;
-    else if (a == "--generation-size") job.generation_size = number_value<int>(args, i);
+    else if (a == "--generation-size") job.generation_size = at_least<int>(args, i, 1);
     else if (a == "--default") {
         const std::string kv = flag_value(args, i);
         const std::size_t eq = kv.find('=');
