@@ -2,20 +2,20 @@
 //
 // The inner loop of every fuzzing trial is one tasklet execution per map
 // point, on both sides of the differential test.  This bench measures that
-// loop head-to-head on the three engines:
+// loop head-to-head on the four tiers (interp::Tier):
 //
 //  * reference   — recursive AST walker, per-point ConnectorEnv (std::map)
-//    construction and fresh gather/scatter vectors;
+//    construction and fresh gather/scatter vectors (Tier::Reference);
 //  * generic     — bytecode VM over precomputed memlet access plans and a
-//    reusable flat scratch arena (ExecConfig::specialize = false);
-//  * specialized — flat-stride map kernels + the untagged f64 VM on top
-//    of the generic path (batch_segments = false here, so this is the
-//    per-point kernel loop; see docs/ARCHITECTURE.md "Specialization
-//    tiers");
+//    reusable flat scratch arena (Tier::Generic);
+//  * specialized — flat-stride map kernels on the untagged f64 VM on top of
+//    the generic path, one point at a time (Tier::Kernel; see
+//    docs/ARCHITECTURE.md "Specialization tiers");
 //  * batched     — segment-eligible kernels run a whole batch level per
-//    dispatch through the VM's batch mode (the default): the stride-1 inner
-//    extent of the elementwise maps, and the accumulation nest — one band
-//    launch spanning both of its scopes — along its output axis.
+//    dispatch through the VM's batch mode (Tier::Batched, the default): the
+//    stride-1 inner extent of the elementwise maps, and the accumulation
+//    nest — one band launch spanning both of its scopes — along its output
+//    axis.
 //
 // The workload is tasklet-dense on purpose (chained elementwise maps with
 // arithmetic, a matmul-style accumulation nest, and a branchy activation —
@@ -142,16 +142,13 @@ constexpr int kStencilReps = 20;
 constexpr double kStencilBar = 10.0;
 
 /// Executions/second of `p` (`execs` tasklet executions per run) on one
-/// engine; runs `reps` full program executions against a warm interpreter
+/// tier; runs `reps` full program executions against a warm interpreter
 /// (plan + tasklet caches populated).  `spec` optionally receives the plan
 /// cache's specialization counters.
-double measure(const ir::SDFG& p, std::int64_t execs, bool compiled, bool specialize, bool batch,
-               int reps, interp::SpecStats* spec = nullptr,
-               const sym::Bindings& binds = bindings()) {
+double measure(const ir::SDFG& p, std::int64_t execs, interp::Tier tier, int reps,
+               interp::SpecStats* spec = nullptr, const sym::Bindings& binds = bindings()) {
     interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = compiled;
-    cfg.specialize = specialize;
-    cfg.batch_segments = batch;
+    cfg.tier = tier;
     interp::Interpreter interp(cfg);
 
     interp::Context warm = bench::random_inputs(p, binds);
@@ -193,13 +190,13 @@ ir::SDFG build_flat(ir::DType dtype) {
     return p;
 }
 
-/// Map points/second on the flat-stride chain for one dtype, batched or
-/// per-point (both run the specialized kernel tier).
-double measure_flat(ir::DType dtype, bool batch, int reps,
+/// Map points/second on the flat-stride chain for one dtype on a kernel
+/// tier (Tier::Batched or the per-point Tier::Kernel).
+double measure_flat(ir::DType dtype, interp::Tier tier, int reps,
                     interp::SpecStats* spec = nullptr) {
     ir::SDFG p = build_flat(dtype);
     interp::ExecConfig cfg;
-    cfg.batch_segments = batch;
+    cfg.tier = tier;
     interp::Interpreter interp(cfg);
     const sym::Bindings binds{{"N", kFlatN}};
 
@@ -223,7 +220,7 @@ double measure_flat(ir::DType dtype, bool batch, int reps,
 void BM_HotpathReference(benchmark::State& state) {
     ir::SDFG p = build_hotpath();
     interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = false;
+    cfg.tier = interp::Tier::Reference;
     interp::Interpreter interp(cfg);
     for (auto _ : state) {
         interp::Context ctx = bench::random_inputs(p, bindings());
@@ -235,9 +232,7 @@ BENCHMARK(BM_HotpathReference)->Unit(benchmark::kMillisecond);
 
 void BM_HotpathCompiled(benchmark::State& state) {
     ir::SDFG p = build_hotpath();
-    interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = true;
-    interp::Interpreter interp(cfg);
+    interp::Interpreter interp;
     for (auto _ : state) {
         interp::Context ctx = bench::random_inputs(p, bindings());
         interp.run(p, ctx);
@@ -251,8 +246,7 @@ BENCHMARK(BM_HotpathCompiled)->Unit(benchmark::kMillisecond);
 /// shape of the parallel fuzzer (per-thread scratch, shared plans).
 double measure_parallel(int threads, int reps_per_thread) {
     ir::SDFG p = build_hotpath();
-    interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = true;
+    const interp::ExecConfig cfg;
     auto cache = std::make_shared<interp::PlanCache>();
 
     // Pre-sample every context so the timed region is pure execution.
@@ -292,16 +286,12 @@ bool print_report() {
     const int reps = 6;
     const ir::SDFG hotpath = build_hotpath();
     const std::int64_t execs = tasklet_executions_per_run();
-    const double ref = measure(hotpath, execs, /*compiled=*/false, /*specialize=*/false,
-                               /*batch=*/false, reps);
-    const double generic = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/false,
-                                   /*batch=*/false, reps);
+    const double ref = measure(hotpath, execs, interp::Tier::Reference, reps);
+    const double generic = measure(hotpath, execs, interp::Tier::Generic, reps);
     interp::SpecStats spec_stats;
-    const double specialized = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/true,
-                                       /*batch=*/false, reps, &spec_stats);
+    const double specialized = measure(hotpath, execs, interp::Tier::Kernel, reps, &spec_stats);
     interp::SpecStats batch_stats;
-    const double batched = measure(hotpath, execs, /*compiled=*/true, /*specialize=*/true,
-                                   /*batch=*/true, reps, &batch_stats);
+    const double batched = measure(hotpath, execs, interp::Tier::Batched, reps, &batch_stats);
     // The 3x bar gates the *generic* compiled path (the pre-specialization
     // guarantee — still a supported mode and the kernel fallback target);
     // the 1.5x bar gates specialization on top of it.
@@ -359,8 +349,8 @@ bool print_report() {
                   std::to_string(kFlatN) + ", 2 straight-line maps)");
     for (FlatRow& row : flats) {
         interp::SpecStats fs;
-        row.perpoint = measure_flat(row.dtype, /*batch=*/false, 20);
-        row.batched = measure_flat(row.dtype, /*batch=*/true, 20, &fs);
+        row.perpoint = measure_flat(row.dtype, interp::Tier::Kernel, 20);
+        row.batched = measure_flat(row.dtype, interp::Tier::Batched, 20, &fs);
         row.segments = fs.segment_launches;
         const double speedup = row.batched / row.perpoint;
         if (row.dtype == ir::DType::F64) bars_hold = bars_hold && speedup >= 2.0;
@@ -377,11 +367,10 @@ bool print_report() {
     bench::banner("Tiled reduction nest - batched exec/s (matmul nest, reduction map tiled by " +
                   std::to_string(xform::RegistryConfig{}.tile_size) + ")");
     interp::SpecStats untiled_stats, tiled_stats;
-    const double untiled_nest =
-        measure(build_nest(false), nest_executions_per_run(), true, true, true, reps,
-                &untiled_stats);
-    const double tiled_nest = measure(build_nest(true), nest_executions_per_run(), true, true,
-                                      true, reps, &tiled_stats);
+    const double untiled_nest = measure(build_nest(false), nest_executions_per_run(),
+                                        interp::Tier::Batched, reps, &untiled_stats);
+    const double tiled_nest = measure(build_nest(true), nest_executions_per_run(),
+                                      interp::Tier::Batched, reps, &tiled_stats);
     const double tiled_ratio = tiled_nest / untiled_nest;
     const double tiled_share =
         tiled_stats.kernel_points > 0
@@ -404,10 +393,10 @@ bool print_report() {
     const sym::Bindings stencil_binds{{"N", kStencilN}};
     const std::int64_t stencil_points = (kStencilN - 2) * (kStencilN - 2) * (kStencilN - 2);
     interp::SpecStats stencil_stats;
-    const double stencil_generic = measure(stencil, stencil_points, true, false, false,
+    const double stencil_generic = measure(stencil, stencil_points, interp::Tier::Generic,
                                            kStencilReps, nullptr, stencil_binds);
-    const double stencil_kernel = measure(stencil, stencil_points, true, true, true, kStencilReps,
-                                          &stencil_stats, stencil_binds);
+    const double stencil_kernel = measure(stencil, stencil_points, interp::Tier::Batched,
+                                          kStencilReps, &stencil_stats, stencil_binds);
     const double stencil_speedup = stencil_kernel / stencil_generic;
     const bool stencil_ok = stencil_speedup >= kStencilBar && stencil_stats.tasklets_window > 0;
     bars_hold = bars_hold && stencil_ok;

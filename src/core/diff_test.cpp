@@ -154,9 +154,9 @@ DifferentialTester::DifferentialTester(DiffConfig config)
     // One interpreter for both sides, retained for the tester's lifetime:
     // its execution scratch arena is amortized over every trial, and state
     // plans and compiled tasklet bytecode live in the bound instance's plan
-    // cache (config.exec.use_compiled_tasklets selects the engine).  An
-    // unbound tester carries a throwaway private cache; bind() installs the
-    // instance's shared cache.
+    // cache (config.exec.tier selects the engine).  An unbound tester
+    // carries a throwaway private cache; bind() installs the instance's
+    // shared cache.
     : config_(config), interp_(config.exec) {}
 
 DifferentialTester::DifferentialTester(const ir::SDFG& original, const ir::SDFG& transformed,

@@ -138,8 +138,12 @@ struct FuzzReport {
 /// test_instance() call.  `workers` is deterministic; every other field can
 /// depend on thread timing (e.g. `units` varies with how many in-flight
 /// trials past a failure still ran) — they exist for benchmarks, tuning
-/// (docs/TUNING.md) and the context tests, and only become run-to-run
-/// stable at one worker or on failure-free audits.
+/// (docs/TUNING.md) and the context tests.  They only become run-to-run
+/// stable at one worker or on failure-free audits, and the launch counters
+/// of `spec` and the `memo` counters only at one worker: two workers whose
+/// instances share a cutout class can both miss the memo on one trial, and
+/// both then run its original side (DifferentialTester::run_trial looks up,
+/// runs, then publishes).
 struct SchedulerStats {
     int workers = 0;             ///< Pool size after clamping to the unit count.
     std::int64_t units = 0;      ///< (instance, trial) units executed.
@@ -157,7 +161,7 @@ struct SchedulerStats {
     double prepare_seconds = 0.0;
     /// Specialization counters summed over every prepared instance's plan
     /// cache since preparation or the last reset: how many scopes/tasklets
-    /// classified into the flat-stride / untagged-f64 tiers and how the
+    /// classified into flat-stride kernels / the F64 signature and how the
     /// kernel launches went (see interp::SpecStats and docs/TUNING.md).
     /// Plans are built once per instance, so a range revisiting an instance
     /// plans nothing.  Launch counters scale with executed trials and

@@ -155,12 +155,13 @@ std::int64_t saturating_add(std::int64_t counter, __int128 amount) {
 
 // --- Untagged load/store conversions -----------------------------------------
 //
-// The untagged tier moves values between raw Buffer storage and flat double
-// arenas.  These helpers are the exact expressions Buffer::load /
-// Buffer::store apply on the tagged path, so every tier stays byte-identical
-// for any container dtype:
+// Kernels move values between raw Buffer storage and flat double arenas
+// (the untagged VM runs only there).  These helpers are the exact
+// expressions Buffer::load / Buffer::store apply on the tagged path, so
+// every tier stays byte-identical for any container dtype:
 //  * loads read float-family storage only (F32 -> double mirrors the tagged
-//    load; the signature and its drift checks keep integer storage out);
+//    load; the signature and each launch's dtype check keep integer
+//    storage out);
 //  * stores convert the untagged result like Buffer::store converts a float
 //    Value: float storage through as_double, integer storage through as_int
 //    (truncation to int64 first, then narrowing).
@@ -616,7 +617,7 @@ void Interpreter::build_tasklet_plan(const ir::SDFG& sdfg, const ir::State& stat
     // F32 inputs work on the f64 engine because the tagged VM already
     // promotes F32 loads to double (Buffer::load), so computing in double is
     // what the tagged path does anyway.  *Outputs* bind a single-point
-    // subset of any dtype: the untagged scatter conversions mirror
+    // subset of any dtype: the kernels' store conversions mirror
     // Buffer::store's casts on the tagged result exactly.  No passthrough
     // staging or invalid outputs on either side.
     auto untagged_ok = [&] {
@@ -758,7 +759,7 @@ void Interpreter::execute_node_planned(const ir::SDFG& sdfg, const ir::State& st
             execute_access_copies(sdfg, state, nid, ctx);
             break;
         case NodeKind::Tasklet: {
-            const TaskletPlan* tp = config_.use_compiled_tasklets ? plan.plan_of(nid) : nullptr;
+            const TaskletPlan* tp = config_.tier != Tier::Reference ? plan.plan_of(nid) : nullptr;
             if (tp && !tp->use_reference) execute_tasklet_planned(sdfg, state, plan, *tp, ctx);
             else execute_tasklet(sdfg, state, nid, ctx);
             break;
@@ -819,7 +820,7 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
     // is an array store.  Impure scopes (library/comm/access/reference-
     // engine nodes inside) additionally maintain the string-keyed Context
     // bindings those nodes read, exactly like the legacy engine.
-    const bool interned_only = config_.use_compiled_tasklets && sp.pure;
+    const bool interned_only = config_.tier != Tier::Reference && sp.pure;
     const std::size_t abase = s.active_params.size();
     enter_params(sp, interned_only, ctx);
 
@@ -835,7 +836,7 @@ void Interpreter::execute_scope(const ir::SDFG& sdfg, const ir::State& state,
     // once per prefix point.  A launch that does not validate falls through
     // to the generic levels below, which reproduce the unspecialized path's
     // exact effects and errors.
-    const ScopeKernel* kern = interned_only && config_.specialize && sp.kernel >= 0
+    const ScopeKernel* kern = interned_only && config_.tier >= Tier::Kernel && sp.kernel >= 0
                                   ? &plan.kernels[static_cast<std::size_t>(sp.kernel)]
                                   : nullptr;
 
@@ -1105,15 +1106,15 @@ bool Interpreter::execute_scope_kernel(const ir::SDFG& sdfg, const StatePlan& pl
         for (const std::uint32_t base : inner->cov_bases) cov_map_->mark(base + cls);
     }
 
-    // 6. Batched execution: when the kernel is segment-eligible, the knob is
-    // on, and this launch's concrete lane windows are alias-safe, run a batch
-    // level through the VM's batch mode — the innermost level (a segment), or
-    // failing that a nest's outer innermost level with the runs in order
-    // inside each lane (a reduction batched along its output axis: each
-    // output accumulates in the per-point order).  Otherwise the launch runs
-    // point at a time (still committed — same results).
+    // 6. Batched execution: when the kernel is segment-eligible, the tier is
+    // Batched, and this launch's concrete lane windows are alias-safe, run a
+    // batch level through the VM's batch mode — the innermost level (a
+    // segment), or failing that a nest's outer innermost level with the runs
+    // in order inside each lane (a reduction batched along its output axis:
+    // each output accumulates in the per-point order).  Otherwise the launch
+    // runs point at a time (still committed — same results).
     std::size_t batch = nlevels;
-    if (kern.segment_ok && config_.batch_segments) {
+    if (kern.segment_ok && config_.tier == Tier::Batched) {
         for (const std::size_t b : {nlevels - 1, nouter - 1}) {
             if (s.run_count[b] > 1 && segment_alias_safe(kern, b)) {
                 batch = b;
@@ -1597,9 +1598,6 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
                                           const StatePlan& plan, const TaskletPlan& tp,
                                           Context& ctx) {
     (void)state;
-    // One dispatch regardless of which VM runs it (the untagged fallback
-    // below re-runs on the tagged path without re-counting) — the cost
-    // counters must be invariant across tiers.
     instructions_used_ = saturating_add(instructions_used_, 1);
     Scratch& s = scratch_;
     if (s.cache_plan != &plan || s.cache_ctx != &ctx) {
@@ -1607,10 +1605,6 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
         s.cache_plan = &plan;
         s.cache_ctx = &ctx;
     }
-    if (tp.sig == VMSig::F64 && config_.specialize &&
-        execute_tasklet_untagged(sdfg, plan, tp, ctx))
-        return;
-
     reset_frame(s.slots, s.regs, *tp.prog);
 
     // Gather every input first (lazy allocation and bounds checks fire in
@@ -1627,80 +1621,6 @@ void Interpreter::execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State&
     tp.prog->run_vm(s.slots.data(), s.regs.data());
 
     for (const AccessPlan& ap : tp.outputs) plan_scatter(sdfg, ctx, plan, tp, ap, s.slots.data());
-}
-
-bool Interpreter::execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
-                                           const TaskletPlan& tp, Context& ctx) {
-    // Twin of execute_tasklet_planned for tp.sig == F64 nodes outside
-    // flat-stride kernels: every output is a single point and every input a
-    // set of taps (by classification), so gathers and scatters move raw
-    // values between flat indices and the untagged slot array, converting
-    // per the buffer's runtime dtype (the exact Buffer::load/store
-    // expressions — see the conversion helpers).  Evaluation order — inputs
-    // in edge order, declared-input checks, program, outputs in edge order —
-    // matches the tagged path instruction for instruction, including lazy
-    // output-buffer allocation at each scatter (an earlier output's bounds
-    // error must leave later outputs unallocated, exactly like the tagged
-    // path).  An input the tagged gather would fault on — a rank mismatch,
-    // or any point of its box out of bounds, a window's unread lanes
-    // included — and a caller-provided input buffer whose runtime dtype
-    // drifted outside the float family hand the node back to the tagged
-    // path (return false, before any store), which raises the same first
-    // faulting point or handles any dtype; output buffers convert from the
-    // untagged result whatever their dtype, so they can never force a
-    // fallback.
-    Scratch& s = scratch_;
-    auto& idx = s.idx;
-    auto flat_of = [&](Buffer& buf, const AccessPlan& ap) {
-        idx.resize(ap.dims.size());
-        for (std::size_t d = 0; d < ap.dims.size(); ++d)
-            idx[d] = ap.dims[d].begin.eval(s.flat, s.eval_stack);
-        return buf.flat_index(idx, ap.memlet->data);
-    };
-
-    double* slots = reset_frame(s.f64_slots, s.f64_regs, *tp.prog);
-    s.input_counts.resize(tp.inputs.size());
-    for (std::size_t i = 0; i < tp.inputs.size(); ++i) {
-        const AccessPlan& ap = tp.inputs[i];
-        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        if (!ir::dtype_is_float(buf.dtype())) return false;  // drift: tagged path handles it
-        if (buf.dims() != ap.dims.size()) return false;
-        // The begin index's flat offset, once its box is proven in bounds.  A
-        // window evaluates its whole range triple, as the gather does.
-        std::int64_t flat = 0;
-        for (std::size_t d = 0; d < ap.dims.size(); ++d) {
-            const std::int64_t begin = ap.single_point
-                                           ? ap.dims[d].begin.eval(s.flat, s.eval_stack)
-                                           : eval_range(ap.dims[d])[0];
-            const __int128 corner = static_cast<__int128>(begin) + ap.box[d];
-            if (std::min<__int128>(begin, corner) < 0 ||
-                std::max<__int128>(begin, corner) >= buf.shape()[d])
-                return false;
-            flat += begin * buf.strides()[d];
-        }
-        const void* raw = raw_data_of(buf);
-        for (const AccessPlan::Tap& tap : ap.taps) {
-            if (tap.slot < 0) continue;
-            std::int64_t at = flat;
-            for (std::size_t d = 0; d < ap.dims.size(); ++d)
-                at += tap.offset[d] * buf.strides()[d];
-            slots[tap.slot] = load_double(raw, buf.dtype(), at);
-        }
-        s.input_counts[i] = ap.window_points;
-    }
-    for (const TaskletPlan::InputCheck& check : tp.input_checks)
-        if (check.input_index < 0 ||
-            s.input_counts[static_cast<std::size_t>(check.input_index)] < check.width)
-            throw common::Error("tasklet: missing input connector '" + check.conn + "'");
-
-    tp.prog->run_vm(slots, s.f64_regs.data());
-
-    for (const AccessPlan& ap : tp.outputs) {
-        Buffer& buf = plan_buffer(sdfg, ctx, plan, ap);
-        const std::int64_t flat = flat_of(buf, ap);
-        store_double(raw_data_of(buf), buf.dtype(), flat, slots[ap.slot_base]);
-    }
-    return true;
 }
 
 // --- Copies and collectives -------------------------------------------------

@@ -33,8 +33,8 @@
 // Value arrays, index/range buffers, per-state Buffer pointer cache) —
 // no ConnectorEnv map, no per-point gather/scatter vectors, no heap
 // allocation per map point for scalar tasklets.  The legacy tree-walking
-// path is kept bit-for-bit intact behind ExecConfig::use_compiled_tasklets
-// = false as the reference for differential testing and benchmarking.
+// path is kept bit-for-bit intact as Tier::Reference, the reference for
+// differential testing and benchmarking.
 //
 // Interned symbols (no hot-path string lookups):
 //
@@ -56,13 +56,13 @@
 // (TaskletPlan::sig): a program admitting the untagged double VM
 // (TaskletProgram::has_f64_variant) whose input connectors all bind
 // float-family (F64/F32) containers and whose accesses all bind single
-// points runs tagless on raw doubles.  An input window with constant extents
-// that the program reads only inside counts too: the plan lowers it to
-// *taps*, one single-point read per lane the program loads, while every tier
-// still bounds-checks the window's whole box (the stencils).  Every other
-// tasklet, int-family inputs included, runs the tagged VM.  Output
-// containers may be any dtype — the store-side conversions mirror the
-// tagged VM's Buffer::store casts exactly.  Then
+// points may run tagless on raw doubles inside a kernel.  An input window
+// with constant extents that the program reads only inside counts too: the
+// plan lowers it to *taps*, one single-point read per lane the program
+// loads, while every tier still bounds-checks the window's whole box (the
+// stencils).  Output containers may be any dtype — the store-side
+// conversions mirror the tagged VM's Buffer::store casts exactly.  Outside
+// a kernel every tasklet runs the tagged VM, whatever its signature.  Then
 // build_plan classifies every map scope.  A scope may carry a ScopeKernel
 // over a *band* of perfectly nested levels: its levels below the deepest
 // one any of its bounds references (the leading levels that feed bounds —
@@ -96,9 +96,8 @@
 // aliasing (batching reorders loads/stores across points) and silently
 // degrades to the per-point kernel loop when lanes could collide.
 // Classification lives in the shared plan (keyed, like everything else, on
-// plan uid + mutation epoch); ExecConfig::specialize and
-// ExecConfig::batch_segments select what execution uses, and results are
-// byte-identical under every toggle combination.
+// plan uid + mutation epoch); ExecConfig::tier selects what execution uses,
+// and results are byte-identical on every tier.
 //
 // Plan sharing across threads:
 //
@@ -134,6 +133,23 @@ class CoverageMap;
 
 namespace ff::interp {
 
+/// Execution tier: how much of the compiled machinery execution uses.  Each
+/// tier adds one layer to the one below, and results are byte-identical on
+/// all four (the determinism contract); the lower tiers stay selectable as
+/// references for differential testing and the hot-path benchmark.
+enum class Tier : std::uint8_t {
+    /// Tree-walking AST engine with per-point ConnectorEnv construction.
+    Reference,
+    /// Bytecode tagged VM over precomputed memlet access plans (StatePlan).
+    Generic,
+    /// Plus flat-stride band kernels (ScopeKernel) on the untagged VM, one
+    /// point at a time.
+    Kernel,
+    /// Plus segment-eligible kernels through the VM's batch mode: a whole
+    /// batch level per dispatch.  The default.
+    Batched,
+};
+
 struct ExecConfig {
     std::int64_t max_state_transitions = 100000;
     /// Map-point fuel: total points executed across all map scopes of one
@@ -145,32 +161,17 @@ struct ExecConfig {
     /// Per-run() allocation budget over lazily created buffers, in bytes
     /// (0 = unlimited).  Caller-provided input buffers are never charged.
     std::int64_t max_alloc_bytes = 0;
-    /// Execute tasklets via the bytecode VM against precomputed memlet
-    /// access plans (the fast path).  false selects the reference AST
-    /// engine with per-point ConnectorEnv construction — kept selectable
-    /// for differential testing and the hot-path benchmark.
-    bool use_compiled_tasklets = true;
-    /// Use the plan's specialization tiers: flat-stride map kernels and the
-    /// untagged f64 tasklet VM (only meaningful with compiled
-    /// tasklets).  Plans always carry the classification; this selects
-    /// whether execution uses it.  Off reproduces the generic compiled path
-    /// — results are byte-identical either way (the determinism contract),
-    /// so this knob exists for benchmarking and differential self-checks.
-    bool specialize = true;
-    /// Run segment-eligible kernels through the batched vertical VMs (whole
-    /// stride-1 innermost extent per dispatch) instead of the per-point
-    /// kernel loop.  Only meaningful with specialize; results are
-    /// byte-identical either way, so this knob exists for benchmarking and
-    /// differential self-checks.
-    bool batch_segments = true;
+    /// Engine tier (see Tier).  Plans always carry the kernel
+    /// classification; the tier selects whether execution uses it.
+    Tier tier = Tier::Batched;
     /// Ask core::DifferentialTester to record def-use pair coverage (see
     /// feedback/coverage.h): when set, DifferentialTester::bind fetches the
     /// coverage atlas and installs a map via Interpreter::set_coverage for
     /// the original side.  The interpreter itself never reads this flag —
     /// it marks whenever a map is installed.  Marking is charged at
     /// scope-launch granularity from tier-invariant point counts, so the
-    /// bitmap is byte-identical across every execution tier and toggle
-    /// combination, and recording never perturbs results.
+    /// bitmap is byte-identical across every execution tier, and recording
+    /// never perturbs results.
     bool coverage = false;
 };
 
@@ -251,16 +252,17 @@ struct AccessPlan {
     std::int64_t window_points = 0;
 };
 
-/// Dtype signature of a planned tasklet: which VM executes it under
-/// ExecConfig::specialize.  F64 requires the program to admit the untagged
+/// Dtype signature of a planned tasklet: whether a kernel may run it on the
+/// untagged double VM.  F64 requires the program to admit the untagged
 /// double engine (TaskletProgram::has_f64_variant), every *input* connector
 /// to bind a float-family (F64/F32) container through a single point or a
 /// window that lowers to taps (AccessPlan::taps), and every output connector
 /// a single-point subset of any dtype — output conversions mirror the tagged
-/// VM's Buffer::store casts exactly, so results are byte-identical.
+/// VM's Buffer::store casts exactly, so results are byte-identical.  Outside
+/// a kernel every tasklet runs the tagged VM.
 enum class VMSig : std::uint8_t {
-    Tagged,  ///< Generic tagged-Value bytecode VM (always correct).
-    F64,     ///< Untagged double VM (float-family inputs).
+    Tagged,  ///< Generic tagged-Value bytecode VM only (always correct).
+    F64,     ///< Also the untagged double VM, inside kernels.
 };
 
 /// Compiled execution recipe for one tasklet node.
@@ -282,8 +284,8 @@ struct TaskletPlan {
     /// Trap connector bound by an edge: the static unbound-lane analysis
     /// does not apply, run this node on the reference engine.
     bool use_reference = false;
-    /// Dtype signature selected at plan time (see VMSig).  Untagged
-    /// signatures are gated at execution time by ExecConfig::specialize.
+    /// Dtype signature selected at plan time (see VMSig).  A scope
+    /// classifies as a kernel only when every tasklet it runs is F64.
     VMSig sig = VMSig::Tagged;
     /// Def-use pair id bases of this tasklet's accesses, inputs then outputs
     /// (the CovAtlas enumeration order matches inputs/outputs exactly).
@@ -556,15 +558,6 @@ private:
                          Context& ctx);
     void execute_tasklet_planned(const ir::SDFG& sdfg, const ir::State& state,
                                  const StatePlan& plan, const TaskletPlan& tp, Context& ctx);
-    /// Untagged twin of execute_tasklet_planned (tp.sig == F64 only):
-    /// single-point gathers/scatters straight between raw Buffer storage and
-    /// a flat double slot array, converting per the lane's dtype — no Value
-    /// tags anywhere.  Returns false — before any store, with only
-    /// idempotent work done — when a caller-provided input buffer's dtype
-    /// drifted outside the float family; the caller then runs the tagged
-    /// path, which handles any dtype.
-    bool execute_tasklet_untagged(const ir::SDFG& sdfg, const StatePlan& plan,
-                                  const TaskletPlan& tp, Context& ctx);
     void execute_access_copies(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
                                Context& ctx);
     void execute_comm_single_rank(const ir::SDFG& sdfg, const ir::State& state, ir::NodeId node,
@@ -654,11 +647,11 @@ private:
         };
         std::vector<ActiveParam> active_params;
 
-        // Untagged tasklet execution (TaskletPlan::sig == F64): connector
-        // lanes, the VM register file, and the segment tier's column arena —
-        // slot and register columns of one tile (slot s occupies
-        // [s*tile, s*tile + tile)), sized per launch for the largest program
-        // and reused across tiles and launches.
+        // Untagged kernel execution (run_band): connector lanes, the VM
+        // register file, and the segment tier's column arena — slot and
+        // register columns of one tile (slot s occupies [s*tile, s*tile +
+        // tile)), sized per launch for the largest program and reused across
+        // tiles and launches.
         std::vector<double> f64_slots, f64_regs, f64_cols;
 
         // Flat-stride kernel launch state (reused across launches).

@@ -61,7 +61,7 @@ using PlanKey = std::tuple<std::uint64_t, std::uint64_t, const ir::State*>;
 ///
 /// The plan-time fields count classification outcomes — how many map scopes
 /// launch a flat-stride band (and of those, how many are segment-eligible)
-/// and how many tasklets got the untagged f64 engine (and of those, how many
+/// and how many tasklets took the F64 signature (and of those, how many
 /// read a window lowered to taps) — once per built StatePlan.  The runtime
 /// fields count kernel launches, one per band launch: a *fallback* is a
 /// launch whose per-execution validation (rank,
@@ -74,7 +74,7 @@ struct SpecStats {
     std::int64_t scopes_specialized = 0;  ///< ... that carry a flat-stride kernel.
     std::int64_t scopes_segmented = 0;    ///< ... whose kernel is segment-eligible.
     std::int64_t tasklets_planned = 0;    ///< Tasklet plans built.
-    std::int64_t tasklets_f64 = 0;        ///< ... selecting the untagged f64 VM.
+    std::int64_t tasklets_f64 = 0;        ///< ... selecting the F64 signature.
     std::int64_t tasklets_window = 0;     ///< ... of which read a window through taps.
     std::int64_t kernel_launches = 0;     ///< Flat-stride executions committed.
     std::int64_t kernel_fallbacks = 0;    ///< Launches revalidated onto the generic path.

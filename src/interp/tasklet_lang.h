@@ -22,7 +22,7 @@
 //
 //  * Reference: a recursive AST walker (`execute`) over a string-keyed
 //    ConnectorEnv.  Kept as the semantic ground truth for differential
-//    testing and selectable via ExecConfig::use_compiled_tasklets = false.
+//    testing and selectable as ExecConfig::tier = Tier::Reference.
 //  * Compiled: at parse time every program is lowered to a flat bytecode
 //    register program, run by one VM template (`run_vm`).  Lowering
 //    constant-folds pure subexpressions, resolves every connector reference

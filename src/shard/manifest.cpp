@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "common/error.h"
 #include "ir/serialize.h"
@@ -30,7 +31,19 @@ std::int64_t int_field(const Json& j, const std::string& key, std::int64_t lo,
 
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
+/// Integer member `key` of `j`, checked against its kJobBounds row.
+std::int64_t job_field(const Json& j, const char* key) {
+    const JobBound& b = job_bound(key);
+    return int_field(j, key, b.lo, b.hi);
+}
+
 }  // namespace
+
+const JobBound& job_bound(std::string_view name) {
+    for (const JobBound& b : kJobBounds)
+        if (b.key == name || b.flag == name) return b;
+    throw std::logic_error("no JobSpec bound named " + std::string(name));
+}
 
 Json JobSpec::to_json() const {
     Json j = Json::object();
@@ -64,20 +77,20 @@ JobSpec JobSpec::from_json(const Json& j) {
     spec.sdfg_path = common::json_string(j, "sdfg_path");
     spec.passes = common::json_string(j, "passes");
     spec.seed = static_cast<std::uint64_t>(common::json_int(j, "seed"));
-    spec.max_trials = static_cast<int>(int_field(j, "max_trials", 1));
-    spec.size_max = int_field(j, "size_max", 1, kInt64Max);
+    spec.max_trials = static_cast<int>(job_field(j, "max_trials"));
+    spec.size_max = job_field(j, "size_max");
     spec.threshold = common::json_double(j, "threshold");
     if (!std::isfinite(spec.threshold))
         throw common::ParseError("key 'threshold': expected a finite number");
-    spec.max_state_transitions = int_field(j, "max_state_transitions", 0, kInt64Max);
-    spec.max_points = int_field(j, "max_points", 0, kInt64Max);
-    spec.max_alloc_bytes = int_field(j, "max_alloc_bytes", 0, kInt64Max);
+    spec.max_state_transitions = job_field(j, "max_state_transitions");
+    spec.max_points = job_field(j, "max_points");
+    spec.max_alloc_bytes = job_field(j, "max_alloc_bytes");
     spec.use_mincut = common::json_bool(j, "use_mincut");
     spec.coverage = j.contains("coverage") && common::json_bool(j, "coverage");
     spec.feedback = j.contains("feedback") && common::json_bool(j, "feedback");
     if (spec.feedback) spec.coverage = true;
     if (j.contains("generation_size"))
-        spec.generation_size = static_cast<int>(int_field(j, "generation_size", 1));
+        spec.generation_size = static_cast<int>(job_field(j, "generation_size"));
     for (const auto& [name, value] : common::json_object_field(j, "defaults")) {
         if (!value.is_number())
             throw common::ParseError("defaults entry '" + name + "': expected an integer, got " +

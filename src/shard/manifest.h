@@ -8,7 +8,7 @@
 // space `unit = instance * max_trials + trial`.  The planner partitions
 // that space into contiguous ranges; one ShardManifest per range is all a
 // worker machine needs (`ffaudit run-shard`).  Execution-only knobs
-// (threads, specialization) are deliberately NOT part of the manifest: the
+// (threads, execution tier) are deliberately NOT part of the manifest: the
 // contract guarantees they cannot change results.
 #pragma once
 
@@ -17,8 +17,10 @@
 /// planner.
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -87,6 +89,31 @@ struct JobSpec {
     /// record files with different keys.
     std::string key() const { return to_json().dump(); }
 };
+
+/// The accepted range of one integer JobSpec field.  Both readers of a job
+/// take their bounds from kJobBounds: JobSpec::from_json names the `key`
+/// of a value outside [lo, hi] (a ParseError), and ffaudit's job flag
+/// parser names the `flag` (a usage error).  Both also require a finite
+/// `threshold`.
+struct JobBound {
+    std::string_view key;   ///< Manifest member.
+    std::string_view flag;  ///< ffaudit job flag.
+    std::int64_t lo;
+    std::int64_t hi;
+};
+
+inline constexpr JobBound kJobBounds[] = {
+    {"max_trials", "--trials", 1, std::numeric_limits<int>::max()},
+    {"size_max", "--size-max", 1, std::numeric_limits<std::int64_t>::max()},
+    {"max_state_transitions", "--max-transitions", 0, std::numeric_limits<std::int64_t>::max()},
+    {"max_points", "--max-points", 0, std::numeric_limits<std::int64_t>::max()},
+    {"max_alloc_bytes", "--max-alloc-bytes", 0, std::numeric_limits<std::int64_t>::max()},
+    {"generation_size", "--generation-size", 1, std::numeric_limits<int>::max()},
+};
+
+/// The kJobBounds row whose key or flag is `name`; std::logic_error when
+/// none is.
+const JobBound& job_bound(std::string_view name);
 
 /// Loads / rebuilds the job's program; throws common::Error for unknown
 /// workloads, unreadable SDFG files or an SDFG symbol the job's defaults

@@ -5,6 +5,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -12,7 +15,9 @@
 #include <system_error>
 #include <vector>
 
+#include "feedback/coverage.h"
 #include "interp/interpreter.h"
+#include "interp/plan_cache.h"
 #include "ir/sdfg.h"
 #include "workloads/builders.h"
 
@@ -65,6 +70,103 @@ inline std::vector<double> to_vector(const interp::Buffer& buf) {
     std::vector<double> out;
     for (std::int64_t i = 0; i < buf.size(); ++i) out.push_back(buf.load_double(i));
     return out;
+}
+
+// --- Execution tiers ---------------------------------------------------------
+
+/// Every execution tier, lowest first.
+inline constexpr interp::Tier kTiers[] = {interp::Tier::Reference, interp::Tier::Generic,
+                                          interp::Tier::Kernel, interp::Tier::Batched};
+
+inline const char* tier_name(interp::Tier tier) {
+    switch (tier) {
+        case interp::Tier::Reference: return "reference";
+        case interp::Tier::Generic: return "generic";
+        case interp::Tier::Kernel: return "kernel";
+        case interp::Tier::Batched: return "batched";
+    }
+    return "?";
+}
+
+/// One run of a program on one tier.
+struct TierRun {
+    interp::Tier tier = interp::Tier::Batched;
+    interp::ExecResult result;
+    interp::Context ctx;        ///< The inputs, as the run left them.
+    interp::SpecStats stats;    ///< The run's plan-cache counters.
+    std::vector<std::uint64_t> coverage;  ///< Def-use bitmap words (cfg.coverage).
+};
+
+/// Runs `sdfg` on a copy of `inputs` on `tier` under `cfg`, with a fresh
+/// interpreter and plan cache.  With cfg.coverage it records the def-use
+/// bitmap of the run.
+inline TierRun run_on_tier(const ir::SDFG& sdfg, const interp::Context& inputs,
+                           interp::Tier tier, interp::ExecConfig cfg = {}) {
+    cfg.tier = tier;
+    interp::Interpreter interp(cfg);
+    feedback::CoverageMap map;
+    if (cfg.coverage) {
+        map.reset(interp.plan_cache()->atlas_for(sdfg)->pair_count());
+        interp.set_coverage(&map);
+    }
+    TierRun run{tier, interp::ExecResult{}, inputs, interp::SpecStats{}, {}};
+    run.result = interp.run(sdfg, run.ctx);
+    run.stats = interp.plan_cache()->spec_stats();
+    if (cfg.coverage) run.coverage = map.trimmed_words();
+    return run;
+}
+
+/// Bitwise equality (dtype, shape, bytes), except that with `nan_equiv` two
+/// NaN elements of float buffers match whatever their payloads.  Runs
+/// against the reference engine need that: which NaN `a + b` propagates is
+/// unspecified in C++, so the AST walker and the bytecode VM (different
+/// instruction selection) can legally differ in NaN sign and payload bits.
+/// The VM tiers run the same VM code and compare strictly bitwise.
+inline bool buffers_equal(const interp::Buffer& a, const interp::Buffer& b,
+                          bool nan_equiv = false) {
+    if (a.bitwise_equal(b)) return true;
+    if (!nan_equiv || a.dtype() != b.dtype() || a.shape() != b.shape() ||
+        !ir::dtype_is_float(a.dtype()))
+        return false;
+    for (std::int64_t i = 0; i < a.size(); ++i) {
+        const double x = a.load_double(i);
+        const double y = b.load_double(i);
+        if (std::isnan(x) && std::isnan(y)) continue;
+        if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+    }
+    return true;
+}
+
+/// Expects two runs of one program to end alike: the same status and
+/// message; for Ok runs the same cost counters and coverage; the same
+/// symbols, unless a reference run failed (the AST engine leaves its scope
+/// parameters bound when it throws); and the same buffers, each
+/// buffers_equal under `nan_equiv`.
+inline void expect_same_run(const TierRun& a, const TierRun& b, const std::string& what,
+                            bool nan_equiv = false) {
+    const std::string where =
+        what + " (" + tier_name(a.tier) + " vs " + tier_name(b.tier) + ")";
+    EXPECT_EQ(a.result.status, b.result.status) << where;
+    EXPECT_EQ(a.result.message, b.result.message) << where;
+    const bool both_ok = a.result.ok() && b.result.ok();
+    if (both_ok) {
+        EXPECT_EQ(a.result.points, b.result.points) << where;
+        EXPECT_EQ(a.result.instructions, b.result.instructions) << where;
+        EXPECT_EQ(a.coverage, b.coverage) << where << ": coverage bitmaps differ";
+    }
+    const bool reference =
+        a.tier == interp::Tier::Reference || b.tier == interp::Tier::Reference;
+    if (both_ok || !reference) {
+        EXPECT_EQ(a.ctx.symbols, b.ctx.symbols) << where;
+    }
+    ASSERT_EQ(a.ctx.buffers.size(), b.ctx.buffers.size()) << where;
+    auto ita = a.ctx.buffers.begin();
+    auto itb = b.ctx.buffers.begin();
+    for (; ita != a.ctx.buffers.end(); ++ita, ++itb) {
+        ASSERT_EQ(ita->first, itb->first) << where;
+        EXPECT_TRUE(buffers_equal(ita->second, itb->second, nan_equiv))
+            << where << ": buffer '" << ita->first << "' differs";
+    }
 }
 
 /// The first answer of ir::ScopeTree on `st` that differs from a brute-force

@@ -1,11 +1,11 @@
 // Batched segment tier: adversarial shapes for the vertical (SIMD-friendly)
 // kernel VM.
 //
-// The contract under test: segment batching (ExecConfig::batch_segments) is
-// a pure execution-strategy choice layered on top of specialization.  For
-// any program the batched tier must produce results byte-identical to the
-// per-point kernel loop, the generic compiled VM, and the reference AST
-// engine — same buffers bit for bit, same error/resource messages, same
+// The contract under test: segment batching (Tier::Batched) is a pure
+// execution-strategy choice layered on top of the kernel tier.  For any
+// program the batched tier must produce results byte-identical to the
+// per-point kernel loop (Tier::Kernel), the generic compiled VM, and the
+// reference AST engine — same buffers bit for bit, same error/resource messages, same
 // cost counters.  This file attacks the batching machinery where it could
 // plausibly diverge: degenerate and empty extents, non-unit outer strides,
 // tails that do not fill a tile, resource budgets that a segment would
@@ -15,102 +15,48 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
-#include "feedback/coverage.h"
 #include "helpers.h"
 #include "interp/interpreter.h"
-#include "interp/plan_cache.h"
 #include "ir/subset.h"
 #include "transforms/map_tiling.h"
 
 namespace ff {
 namespace {
 
+using ff::testing::expect_same_run;
 using ff::testing::make_buffer;
 using ff::testing::make_chain_sdfg;
 using ff::testing::make_scale_sdfg;
+using ff::testing::run_on_tier;
+using ff::testing::TierRun;
+using interp::Tier;
 
-struct TierOut {
-    interp::ExecResult res;
-    interp::Context ctx;
-    interp::SpecStats stats;
-    std::vector<std::uint64_t> coverage;  ///< Def-use bitmap words of the run.
-};
-
-TierOut run_cfg(const ir::SDFG& p, const interp::Context& inputs, bool compiled,
-                bool specialize, bool batch, std::int64_t max_points = 0) {
+/// Every run records coverage; a run under a point budget also caps
+/// allocation.
+interp::ExecConfig config(std::int64_t max_points = 0) {
     interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = compiled;
-    cfg.specialize = specialize;
-    cfg.batch_segments = batch;
     cfg.coverage = true;
     if (max_points > 0) {
         cfg.max_points = max_points;
         cfg.max_alloc_bytes = 1ll << 30;
     }
-    interp::Interpreter interp(cfg);
-    feedback::CoverageMap map;
-    map.reset(interp.plan_cache()->atlas_for(p)->pair_count());
-    interp.set_coverage(&map);
-    TierOut out{interp::ExecResult{}, inputs, interp::SpecStats{}, {}};
-    out.res = interp.run(p, out.ctx);
-    out.stats = interp.plan_cache()->spec_stats();
-    out.coverage = map.trimmed_words();
-    return out;
+    return cfg;
 }
 
-/// Bitwise context equality (same buffer names, dtypes, shapes, bytes) plus
-/// identical status/message.  `nan_equiv` loosens only NaN payload bits —
-/// needed against the reference AST engine, whose instruction selection may
-/// legally propagate a different NaN than the bytecode VM.
-void expect_same(const TierOut& a, const TierOut& b, const std::string& what,
-                 bool nan_equiv = false) {
-    EXPECT_EQ(a.res.status, b.res.status) << what;
-    EXPECT_EQ(a.res.message, b.res.message) << what;
-    if (a.res.ok() && b.res.ok()) {
-        EXPECT_EQ(a.res.points, b.res.points) << what;
-        EXPECT_EQ(a.res.instructions, b.res.instructions) << what;
-        EXPECT_EQ(a.coverage, b.coverage) << what << ": coverage bitmaps differ";
-    }
-    ASSERT_EQ(a.ctx.buffers.size(), b.ctx.buffers.size()) << what;
-    auto ita = a.ctx.buffers.begin();
-    auto itb = b.ctx.buffers.begin();
-    for (; ita != a.ctx.buffers.end(); ++ita, ++itb) {
-        ASSERT_EQ(ita->first, itb->first) << what;
-        if (!nan_equiv) {
-            EXPECT_TRUE(ita->second.bitwise_equal(itb->second))
-                << what << ": buffer '" << ita->first << "' differs";
-            continue;
-        }
-        ASSERT_EQ(ita->second.dtype(), itb->second.dtype()) << what;
-        ASSERT_EQ(ita->second.shape(), itb->second.shape()) << what;
-        for (std::int64_t i = 0; i < ita->second.size(); ++i) {
-            const double x = ita->second.load_double(i);
-            const double y = itb->second.load_double(i);
-            if (std::isnan(x) && std::isnan(y)) continue;
-            EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
-                << what << ": '" << ita->first << "' differs at " << i;
-        }
-    }
-}
-
-/// Runs all four tiers on the same inputs and requires batched == per-point
-/// == generic bitwise, and == reference modulo NaN payloads.  Returns the
+/// Runs all four tiers on the same inputs and requires batched == kernel ==
+/// generic bitwise, and == reference modulo NaN payloads.  Returns the
 /// batched run for extra assertions.
-TierOut expect_all_tiers_agree(const ir::SDFG& p, const interp::Context& inputs,
+TierRun expect_all_tiers_agree(const ir::SDFG& p, const interp::Context& inputs,
                                const std::string& what, std::int64_t max_points = 0) {
-    const TierOut batched = run_cfg(p, inputs, true, true, true, max_points);
-    const TierOut perpoint = run_cfg(p, inputs, true, true, false, max_points);
-    const TierOut generic = run_cfg(p, inputs, true, false, false, max_points);
-    const TierOut reference = run_cfg(p, inputs, false, false, false, max_points);
-    expect_same(batched, perpoint, what + " (batched vs per-point)");
-    expect_same(batched, generic, what + " (batched vs generic)");
-    expect_same(batched, reference, what + " (batched vs reference)", /*nan_equiv=*/true);
+    const TierRun batched = run_on_tier(p, inputs, Tier::Batched, config(max_points));
+    for (const Tier tier : {Tier::Kernel, Tier::Generic, Tier::Reference})
+        expect_same_run(batched, run_on_tier(p, inputs, tier, config(max_points)), what,
+                        /*nan_equiv=*/tier == Tier::Reference);
     return batched;
 }
 
@@ -128,13 +74,13 @@ interp::Context scale_inputs(std::int64_t n) {
 
 TEST(Batched, FlatScaleRunsOneSegmentLaunch) {
     const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(1000), "scale N=1000");
+    const TierRun batched = expect_all_tiers_agree(p, scale_inputs(1000), "scale N=1000");
     EXPECT_EQ(batched.stats.scopes_specialized, 1);
     EXPECT_EQ(batched.stats.scopes_segmented, 1);
     EXPECT_EQ(batched.stats.kernel_launches, 1);
     EXPECT_EQ(batched.stats.segment_launches, 1);
     // With batching disabled, classification is unchanged but no segment runs.
-    const TierOut perpoint = run_cfg(p, scale_inputs(1000), true, true, false);
+    const TierRun perpoint = run_on_tier(p, scale_inputs(1000), Tier::Kernel, config());
     EXPECT_EQ(perpoint.stats.scopes_segmented, 1);
     EXPECT_EQ(perpoint.stats.segment_launches, 0);
     EXPECT_EQ(perpoint.stats.kernel_launches, 1);
@@ -144,16 +90,16 @@ TEST(Batched, LengthOneExtentTakesPerPointPath) {
     // seg_len == 1: batching would be pure overhead; the launch must commit
     // through the per-point loop and stay byte-identical.
     const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(1), "scale N=1");
+    const TierRun batched = expect_all_tiers_agree(p, scale_inputs(1), "scale N=1");
     EXPECT_EQ(batched.stats.kernel_launches, 1);
     EXPECT_EQ(batched.stats.segment_launches, 0);
 }
 
 TEST(Batched, EmptyExtentExecutesNoPoints) {
     const ir::SDFG p = make_scale_sdfg("o = i * 2.0 + 1.0");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(0), "scale N=0");
-    EXPECT_TRUE(batched.res.ok());
-    EXPECT_EQ(batched.res.points, 0);
+    const TierRun batched = expect_all_tiers_agree(p, scale_inputs(0), "scale N=0");
+    EXPECT_TRUE(batched.result.ok());
+    EXPECT_EQ(batched.result.points, 0);
     EXPECT_EQ(batched.stats.segment_launches, 0);
 }
 
@@ -162,7 +108,7 @@ TEST(Batched, UnalignedTailsAndTileBoundaries) {
     // one-past, and well-past the boundary, plus a prime straddle.
     const ir::SDFG p = make_scale_sdfg("t = i * i; o = sqrt(t + 1.0) - i * 0.5");
     for (const std::int64_t n : {7ll, 255ll, 256ll, 257ll, 509ll, 768ll}) {
-        const TierOut batched =
+        const TierRun batched =
             expect_all_tiers_agree(p, scale_inputs(n), "tail N=" + std::to_string(n));
         EXPECT_EQ(batched.stats.segment_launches, 1) << n;
     }
@@ -173,7 +119,7 @@ TEST(Batched, BranchyTaskletNeverSegments) {
     // straight-line only, so the scope must stay per-point (and still match
     // every tier bitwise).
     const ir::SDFG p = make_scale_sdfg("t = i * i; o = t > 4.0 ? sqrt(t) : t * 0.5");
-    const TierOut batched = expect_all_tiers_agree(p, scale_inputs(600), "branchy");
+    const TierRun batched = expect_all_tiers_agree(p, scale_inputs(600), "branchy");
     EXPECT_EQ(batched.stats.scopes_specialized, 1);
     EXPECT_EQ(batched.stats.scopes_segmented, 0);
     EXPECT_EQ(batched.stats.segment_launches, 0);
@@ -205,9 +151,9 @@ TEST(Batched, NonUnitOuterStrideAdvancesSegmentsCorrectly) {
     for (std::int64_t i = 0; i < xv.size(); ++i)
         xv.store(i, interp::Value::from_double(0.125 * static_cast<double>(i % 97) - 2.0));
     inputs.buffers.emplace("x", std::move(xv));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "strided rows");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "strided rows");
     EXPECT_EQ(batched.stats.segment_launches, 1);
-    EXPECT_EQ(batched.res.points, 4 * 300);
+    EXPECT_EQ(batched.result.points, 4 * 300);
 }
 
 // --- Dtype coverage of the segment VM ------------------------------------------
@@ -231,9 +177,10 @@ TEST(Batched, IntAffineScopesRunTheGenericTaggedVM) {
         for (std::int64_t i = 0; i < 700; ++i) xv.store(i, interp::Value::from_int(i - 350));
         inputs.buffers.emplace("x", std::move(xv));
 
-        const TierOut batched = expect_all_tiers_agree(p, inputs, code);
-        expect_same(batched, run_cfg(p, inputs, false, false, false), code + " (bitwise)");
-        EXPECT_EQ(batched.res.status,
+        const TierRun batched = expect_all_tiers_agree(p, inputs, code);
+        expect_same_run(batched, run_on_tier(p, inputs, Tier::Reference, config()),
+                        code + " (bitwise)");
+        EXPECT_EQ(batched.result.status,
                   divides ? interp::ExecStatus::Crash : interp::ExecStatus::Ok)
             << code;
         if (!divides) {
@@ -256,8 +203,8 @@ TEST(Batched, FloatDivisionAndModuloKernelizeAndSegment) {
     for (const std::string code :
          {"o = i / (i * i + 1.0)", "o = 1.0 / i", "o = i % (i * 0.5 + 4.0)", "o = i % 0.75"}) {
         const ir::SDFG p = make_scale_sdfg(code);
-        const TierOut batched = expect_all_tiers_agree(p, scale_inputs(600), code);
-        EXPECT_TRUE(batched.res.ok()) << code << ": " << batched.res.message;
+        const TierRun batched = expect_all_tiers_agree(p, scale_inputs(600), code);
+        EXPECT_TRUE(batched.result.ok()) << code << ": " << batched.result.message;
         EXPECT_EQ(batched.stats.tasklets_f64, 1) << code;
         EXPECT_EQ(batched.stats.scopes_specialized, 1) << code;
         EXPECT_EQ(batched.stats.scopes_segmented, 1) << code;
@@ -282,7 +229,7 @@ TEST(Batched, MixedDtypeSegmentsConvertLikeTheTaggedVM) {
         xv.store(i, interp::Value::from_double(0.3 * static_cast<double>(i - 300)));
     inputs.buffers.emplace("x", std::move(xv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "f32->i32 scale");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "f32->i32 scale");
     EXPECT_EQ(batched.stats.tasklets_f64, 1);
     EXPECT_EQ(batched.stats.segment_launches, 1);
     EXPECT_EQ(batched.ctx.buffers.at("y").dtype(), ir::DType::I32);
@@ -300,16 +247,16 @@ TEST(Batched, BudgetCrossingASegmentBlamesTheSameLimit) {
     // detects the same exhaustion per point — coarser partial effects by
     // documented design (interpreter.h ExecResult), but the same blame.
     const ir::SDFG p = make_chain_sdfg("o = i + 1.0", "o = i * 3.0");
-    const TierOut batched = run_cfg(p, scale_inputs(300), true, true, true, /*max_points=*/450);
-    const TierOut perpoint = run_cfg(p, scale_inputs(300), true, true, false, 450);
-    const TierOut generic = run_cfg(p, scale_inputs(300), true, false, false, 450);
-    const TierOut reference = run_cfg(p, scale_inputs(300), false, false, false, 450);
-    expect_same(batched, perpoint, "budget mid-chain (batched vs per-point)");
-    EXPECT_EQ(batched.res.status, interp::ExecStatus::Resource);
-    EXPECT_EQ(batched.res.message, generic.res.message);
-    EXPECT_EQ(batched.res.message, reference.res.message);
-    EXPECT_EQ(generic.res.status, interp::ExecStatus::Resource);
-    EXPECT_EQ(reference.res.status, interp::ExecStatus::Resource);
+    const TierRun batched = run_on_tier(p, scale_inputs(300), Tier::Batched, config(450));
+    const TierRun perpoint = run_on_tier(p, scale_inputs(300), Tier::Kernel, config(450));
+    const TierRun generic = run_on_tier(p, scale_inputs(300), Tier::Generic, config(450));
+    const TierRun reference = run_on_tier(p, scale_inputs(300), Tier::Reference, config(450));
+    expect_same_run(batched, perpoint, "budget mid-chain");
+    EXPECT_EQ(batched.result.status, interp::ExecStatus::Resource);
+    EXPECT_EQ(batched.result.message, generic.result.message);
+    EXPECT_EQ(batched.result.message, reference.result.message);
+    EXPECT_EQ(generic.result.status, interp::ExecStatus::Resource);
+    EXPECT_EQ(reference.result.status, interp::ExecStatus::Resource);
     // The first map committed (one segment launch) before exhaustion.
     EXPECT_EQ(batched.stats.segment_launches, 1);
     ASSERT_TRUE(batched.ctx.has_buffer("T"));
@@ -326,12 +273,12 @@ TEST(Batched, BudgetCrossingASegmentBlamesTheSameLimit) {
     EXPECT_EQ(generic.ctx.buffers.at("y").load_double(150), 0.0);
 
     // Exactly at the boundary the budget is unobservable (budget purity).
-    const TierOut exact =
+    const TierRun exact =
         expect_all_tiers_agree(p, scale_inputs(300), "budget exact", /*max_points=*/600);
-    EXPECT_TRUE(exact.res.ok());
-    EXPECT_EQ(exact.res.points, 600);
-    const TierOut unbudgeted = run_cfg(p, scale_inputs(300), true, true, true);
-    expect_same(exact, unbudgeted, "budget-at-limit vs unbudgeted");
+    EXPECT_TRUE(exact.result.ok());
+    EXPECT_EQ(exact.result.points, 600);
+    const TierRun unbudgeted = run_on_tier(p, scale_inputs(300), Tier::Batched, config());
+    expect_same_run(exact, unbudgeted, "budget-at-limit vs unbudgeted");
 }
 
 // --- IEEE special payloads ----------------------------------------------------
@@ -350,7 +297,7 @@ TEST(Batched, SpecialPayloadsSurviveBatchingBitwise) {
         xv.insert(xv.end(), payloads.begin(), payloads.end());
     inputs.symbols["N"] = static_cast<std::int64_t>(xv.size());
     inputs.buffers.emplace("x", make_buffer(xv));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "special payloads");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "special payloads");
     EXPECT_EQ(batched.stats.segment_launches, 1);
     // Spot-check semantics: NaN propagates, inf saturates, -0 * 2 + 1 == 1.
     EXPECT_TRUE(std::isnan(batched.ctx.buffers.at("y").load_double(0)));
@@ -370,7 +317,7 @@ TEST(Batched, SignedZeroMinMaxAgreeAcrossTiers) {
     inputs.buffers.emplace("x", make_buffer(xv));
     for (const std::string code :
          {"o = min(i, 0.0)", "o = min(0.0, i)", "o = max(i, 0.0)", "o = max(0.0, i)"}) {
-        const TierOut batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
+        const TierRun batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
         EXPECT_EQ(batched.stats.segment_launches, 1) << code;
         const bool is_min = code.find("min") != std::string::npos;
         for (std::size_t k = 0; k < xv.size(); ++k)
@@ -391,11 +338,11 @@ TEST(Batched, IntegerZeroStaysUnsignedOnEveryTier) {
     inputs.symbols["N"] = static_cast<std::int64_t>(xv.size());
     inputs.buffers.emplace("x", make_buffer(xv));
     for (const std::string code : {"o = -(i > 5.0)", "o = (i > 5.0) * -3"}) {
-        const TierOut batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
+        const TierRun batched = expect_all_tiers_agree(make_scale_sdfg(code), inputs, code);
         EXPECT_EQ(batched.stats.segment_launches, 0) << code;
         EXPECT_FALSE(std::signbit(batched.ctx.buffers.at("y").load_double(0))) << code;
     }
-    const TierOut batched =
+    const TierRun batched =
         expect_all_tiers_agree(make_scale_sdfg("o = (i > 5.0) * 3"), inputs, "nonneg product");
     EXPECT_EQ(batched.stats.segment_launches, 1);
 }
@@ -425,7 +372,7 @@ TEST(Batched, ShiftedSelfAliasRunsPerPoint) {
     yv[0] = 1.0;
     inputs.buffers.emplace("y", make_buffer(yv));
 
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "shifted self-alias");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "shifted self-alias");
     EXPECT_EQ(batched.stats.kernel_launches, 1);
     EXPECT_EQ(batched.stats.segment_launches, 0) << "alias check must refuse batching";
     // The recurrence doubled 1.0 down the array: y[k] == 2^k (until overflow
@@ -453,7 +400,7 @@ TEST(Batched, StrideZeroBroadcastWriteRunsPerPoint) {
 
     interp::Context inputs;
     inputs.buffers.emplace("x", make_buffer({0.5, 0, 0, 0}));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "stride-0 broadcast");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "stride-0 broadcast");
     EXPECT_EQ(batched.stats.segment_launches, 0) << "stride-0 write must not batch";
     EXPECT_EQ(batched.ctx.buffers.at("x").load_double(0), 400.5);
 }
@@ -484,7 +431,7 @@ TEST(Batched, LaneOffsetsDriftingApartAcrossSegmentsRunPerPoint) {
     for (std::size_t e = 0; e < yv.size(); ++e) yv[e] = static_cast<double>(e);
     interp::Context inputs;
     inputs.buffers.emplace("y", make_buffer(yv));
-    const TierOut batched = expect_all_tiers_agree(p, inputs, "drifting lanes");
+    const TierRun batched = expect_all_tiers_agree(p, inputs, "drifting lanes");
     EXPECT_EQ(batched.stats.segment_launches, 0);
     EXPECT_EQ(batched.ctx.buffers.at("y").load_double(5), 47.0);  // reads y[4] = 23
 }
@@ -559,7 +506,7 @@ TEST(Bands, ReductionNestBatchesAlongItsOutputAxis) {
     // One launch covers the whole nest.  Its innermost level writes o[i]
     // with stride 0, so it batches along i and runs k in order inside each
     // lane: every o[i] accumulates in the per-point order, bitwise.
-    const TierOut batched =
+    const TierRun batched =
         expect_all_tiers_agree(make_reduction(8, 8), nest_inputs(), "8x8 reduction");
     EXPECT_EQ(batched.stats.scopes_specialized, 2);  // the nest and its inner scope
     EXPECT_EQ(batched.stats.kernel_launches, 1);
@@ -568,7 +515,7 @@ TEST(Bands, ReductionNestBatchesAlongItsOutputAxis) {
     EXPECT_EQ(batched.stats.band_segment_launches, 1);
     EXPECT_EQ(batched.stats.kernel_points, 64);
     EXPECT_EQ(batched.stats.segment_points, 64);
-    EXPECT_EQ(batched.res.points, 8 + 64) << "one point per outer point plus the inner points";
+    EXPECT_EQ(batched.result.points, 8 + 64) << "one point per outer point plus the inner points";
     EXPECT_FALSE(batched.coverage.empty());
 }
 
@@ -576,29 +523,29 @@ TEST(Bands, DegenerateReductionAndBatchExtents) {
     // A reduction extent of 0: the generic nest charges each outer point
     // before finding the inner range empty, so the nest declines to
     // per-outer-point launches (each an empty commit).
-    const TierOut empty =
+    const TierRun empty =
         expect_all_tiers_agree(make_reduction(6, 0), nest_inputs(), "reduction extent 0");
-    EXPECT_EQ(empty.res.points, 6);
+    EXPECT_EQ(empty.result.points, 6);
     EXPECT_EQ(empty.stats.nest_launches, 0);
     EXPECT_EQ(empty.stats.kernel_fallbacks, 1);
     EXPECT_EQ(empty.stats.kernel_launches, 6);
     // A reduction extent of 1 commits and batches along i.
-    const TierOut one =
+    const TierRun one =
         expect_all_tiers_agree(make_reduction(6, 1), nest_inputs(), "reduction extent 1");
     EXPECT_EQ(one.stats.nest_launches, 1);
     EXPECT_EQ(one.stats.band_segment_launches, 1);
     // A batch extent of 1 leaves nothing to batch: the per-point loop.
-    const TierOut single =
+    const TierRun single =
         expect_all_tiers_agree(make_reduction(1, 9), nest_inputs(), "batch extent 1");
     EXPECT_EQ(single.stats.nest_launches, 1);
     EXPECT_EQ(single.stats.segment_launches, 0);
-    EXPECT_EQ(single.res.points, 1 + 9);
+    EXPECT_EQ(single.result.points, 1 + 9);
 }
 
 TEST(Bands, BatchExtentPastATileLeavesATail) {
     // 300 outputs: one full 256-lane tile and a 44-lane tail, each running
     // the whole reduction in order.
-    const TierOut batched =
+    const TierRun batched =
         expect_all_tiers_agree(make_reduction(300, 7), nest_inputs(), "300x7 reduction");
     EXPECT_EQ(batched.stats.band_segment_launches, 1);
     EXPECT_EQ(batched.stats.segment_points, 300 * 7);
@@ -612,7 +559,7 @@ TEST(Bands, AliasedReductionOutputsRunPerPoint) {
         make_nest(ir::Range::full(sym::cst(9)), ir::Range::full(sym::cst(9)),
                   {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}, {"b", o_at(kK)}}, {{"cout", o_at(kI)}},
                   "cout = cin + a * b");
-    const TierOut aliased = expect_all_tiers_agree(inplace, nest_inputs(), "o[i] += a * o[k]");
+    const TierRun aliased = expect_all_tiers_agree(inplace, nest_inputs(), "o[i] += a * o[k]");
     EXPECT_EQ(aliased.stats.nest_launches, 1);
     EXPECT_EQ(aliased.stats.segment_launches, 0) << "alias check must refuse batching";
 
@@ -629,12 +576,12 @@ TEST(Bands, AliasedReductionOutputsRunPerPoint) {
     // write each other's outputs (the batch stride 1 does not outrun the
     // sequential travel 8), so batching along i would change each output's
     // summation order.
-    const TierOut shifted =
+    const TierRun shifted =
         expect_all_tiers_agree(two_sums(kI + kK, 9), nest_inputs(), "o[i + k] += a[i, k]");
     EXPECT_EQ(shifted.stats.nest_launches, 1);
     EXPECT_EQ(shifted.stats.segment_launches, 0) << "stride-vs-travel rule must refuse";
     // o[2i + k] for k < 2 strides past its whole travel: batches along i.
-    const TierOut spread =
+    const TierRun spread =
         expect_all_tiers_agree(two_sums(kI * 2 + kK, 2), nest_inputs(), "o[2i + k] += a[i, k]");
     EXPECT_EQ(spread.stats.band_segment_launches, 1);
 }
@@ -657,26 +604,26 @@ TEST(Bands, BudgetCrossingMidNestMatchesPerOuterPointLaunches) {
     // whose nest cannot form.
     const ir::SDFG nest = make_reduction(4, 10);
     const ir::SDFG twin = make_per_outer_point_reduction(4, 10);
-    for (const bool batch : {true, false}) {
-        const TierOut got = run_cfg(nest, nest_inputs(), true, true, batch, /*max_points=*/30);
-        const TierOut want = run_cfg(twin, nest_inputs(), true, true, batch, 30);
-        expect_same(got, want, batch ? "budget mid-nest (batched)" : "budget mid-nest (per-point)");
-        EXPECT_EQ(got.res.status, interp::ExecStatus::Resource);
+    for (const Tier tier : {Tier::Batched, Tier::Kernel}) {
+        const TierRun got = run_on_tier(nest, nest_inputs(), tier, config(30));
+        const TierRun want = run_on_tier(twin, nest_inputs(), tier, config(30));
+        expect_same_run(got, want, "budget mid-nest");
+        EXPECT_EQ(got.result.status, interp::ExecStatus::Resource);
         EXPECT_EQ(got.stats.nest_launches, 0);
         EXPECT_EQ(got.stats.kernel_launches, 2);
-        const TierOut generic = run_cfg(nest, nest_inputs(), true, false, false, 30);
-        EXPECT_EQ(got.res.status, generic.res.status);
-        EXPECT_EQ(got.res.message, generic.res.message);
+        const TierRun generic = run_on_tier(nest, nest_inputs(), Tier::Generic, config(30));
+        EXPECT_EQ(got.result.status, generic.result.status);
+        EXPECT_EQ(got.result.message, generic.result.message);
     }
     // Exactly at the boundary the nest commits and the budget is
     // unobservable.
-    const TierOut exact = expect_all_tiers_agree(nest, nest_inputs(), "budget exact", 44);
-    EXPECT_TRUE(exact.res.ok());
+    const TierRun exact = expect_all_tiers_agree(nest, nest_inputs(), "budget exact", 44);
+    EXPECT_TRUE(exact.result.ok());
     EXPECT_EQ(exact.stats.nest_launches, 1);
-    const TierOut per_outer_point = run_cfg(twin, nest_inputs(), true, true, true);
+    const TierRun per_outer_point = run_on_tier(twin, nest_inputs(), Tier::Batched, config());
     EXPECT_EQ(per_outer_point.stats.nest_launches, 0);
     EXPECT_EQ(per_outer_point.stats.kernel_launches, 4);
-    expect_same(exact, per_outer_point, "exact vs twin");
+    expect_same_run(exact, per_outer_point, "exact vs twin");
 }
 
 TEST(Bands, TriangularInnerRangeStaysPerOuterPoint) {
@@ -686,11 +633,11 @@ TEST(Bands, TriangularInnerRangeStaysPerOuterPoint) {
         make_nest(ir::Range::full(sym::cst(7)), ir::Range{sym::cst(0), kI, sym::cst(1)},
                   {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}}, {{"cout", o_at(kI)}},
                   "cout = cin + a * 0.5");
-    const TierOut batched = expect_all_tiers_agree(tri, nest_inputs(), "triangular nest");
+    const TierRun batched = expect_all_tiers_agree(tri, nest_inputs(), "triangular nest");
     EXPECT_EQ(batched.stats.scopes_specialized, 1);
     EXPECT_EQ(batched.stats.nest_launches, 0);
     EXPECT_EQ(batched.stats.kernel_launches, 7);
-    EXPECT_EQ(batched.res.points, 7 + 28);
+    EXPECT_EQ(batched.result.points, 7 + 28);
 }
 
 TEST(Bands, NestCoverageBitmapMatchesTheGenericTier) {
@@ -699,9 +646,10 @@ TEST(Bands, NestCoverageBitmapMatchesTheGenericTier) {
     // the bitmaps agree — for the few (2..16) and many (>16) classes.
     for (const std::int64_t kext : {1, 5, 12}) {
         const std::string what = "coverage K=" + std::to_string(kext);
-        const TierOut batched = run_cfg(make_reduction(5, kext), nest_inputs(), true, true, true);
-        const TierOut generic = run_cfg(make_reduction(5, kext), nest_inputs(), true, false, false);
-        ASSERT_TRUE(batched.res.ok()) << what;
+        const ir::SDFG p = make_reduction(5, kext);
+        const TierRun batched = run_on_tier(p, nest_inputs(), Tier::Batched, config());
+        const TierRun generic = run_on_tier(p, nest_inputs(), Tier::Generic, config());
+        ASSERT_TRUE(batched.result.ok()) << what;
         EXPECT_EQ(batched.stats.nest_launches, 1) << what;
         EXPECT_FALSE(batched.coverage.empty()) << what;
         EXPECT_EQ(batched.coverage, generic.coverage) << what;
@@ -727,16 +675,16 @@ TEST(Bands, TiledReductionReplaysItsRunsPerOutputLane) {
     // K = 12 in tiles of 8: runs k in [0, 7] and [8, 11], the last one
     // partial.  One launch covers the whole nest and batches along i, each
     // lane replaying both runs in order.
-    const TierOut batched = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 8),
+    const TierRun batched = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 8),
                                                    nest_inputs(), "40x12 reduction in tiles of 8");
     EXPECT_EQ(batched.stats.kernel_launches, 1);
     EXPECT_EQ(batched.stats.run_launches, 1);
     EXPECT_EQ(batched.stats.band_segment_launches, 1);
     EXPECT_EQ(batched.stats.segment_points, 40 * 12);
     EXPECT_EQ(batched.stats.kernel_fallbacks, 0);
-    EXPECT_EQ(batched.res.points, 40 + 40 * 12);
+    EXPECT_EQ(batched.result.points, 40 + 40 * 12);
     // Tiles of 3: four runs, the same single launch.
-    const TierOut small = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 3),
+    const TierRun small = expect_all_tiers_agree(tile_reduction(make_reduction(40, 12), 3),
                                                  nest_inputs(), "40x12 reduction in tiles of 3");
     EXPECT_EQ(small.stats.kernel_launches, 1);
     EXPECT_EQ(small.stats.band_segment_launches, 1);
@@ -745,7 +693,7 @@ TEST(Bands, TiledReductionReplaysItsRunsPerOutputLane) {
 TEST(Bands, TileWiderThanTheReductionIsOneRun) {
     for (const std::int64_t kext : {5, 8}) {
         const std::string what = "K=" + std::to_string(kext) + " in one tile of 8";
-        const TierOut one = expect_all_tiers_agree(tile_reduction(make_reduction(17, kext), 8),
+        const TierRun one = expect_all_tiers_agree(tile_reduction(make_reduction(17, kext), 8),
                                                    nest_inputs(), what);
         EXPECT_EQ(one.stats.kernel_launches, 1) << what;
         EXPECT_EQ(one.stats.run_launches, 1) << what;
@@ -757,9 +705,9 @@ TEST(Bands, EmptyTiledReductionDeclinesToPerOuterPointLaunches) {
     // k__tile in [0, -1]: the walk reaches no point, so the nest declines
     // and the generic levels charge each outer point before finding the
     // nested scope empty.
-    const TierOut empty = expect_all_tiers_agree(tile_reduction(make_reduction(6, 0), 8),
+    const TierRun empty = expect_all_tiers_agree(tile_reduction(make_reduction(6, 0), 8),
                                                  nest_inputs(), "tiled reduction extent 0");
-    EXPECT_EQ(empty.res.points, 6);
+    EXPECT_EQ(empty.result.points, 6);
     EXPECT_EQ(empty.stats.run_launches, 0);
     EXPECT_EQ(empty.stats.kernel_fallbacks, 1);
 }
@@ -768,25 +716,24 @@ TEST(Bands, TilingBugVariantsOnTheReductionMatchTheGenericTier) {
     using V = xform::MapTiling::Variant;
     // Off by one: tiles [0, 8] and [8, 11] overlap at k = 8, in bounds, so
     // the launch commits and every output adds a[i, 8] twice, in order.
-    const TierOut off = expect_all_tiers_agree(
+    const TierRun off = expect_all_tiers_agree(
         tile_reduction(make_reduction(30, 12), 8, V::OffByOne), nest_inputs(), "off-by-one");
-    EXPECT_TRUE(off.res.ok());
-    EXPECT_EQ(off.res.points, 30 + 30 * 13);
+    EXPECT_TRUE(off.result.ok());
+    EXPECT_EQ(off.result.points, 30 + 30 * 13);
     EXPECT_EQ(off.stats.run_launches, 1);
     EXPECT_EQ(off.stats.band_segment_launches, 1);
     // No remainder: the last tile [8, 15] reads past a's 12 columns.  Run 0
     // is in bounds, run 1 is not, so lane setup declines and the generic
     // levels raise the generic path's error, with row 0's first run and the
     // in-bounds points of its second already accumulated.
-    const TierOut oob = expect_all_tiers_agree(
+    const TierRun oob = expect_all_tiers_agree(
         tile_reduction(make_reduction(30, 12), 8, V::NoRemainder), nest_inputs(), "no-remainder");
-    EXPECT_EQ(oob.res.status, interp::ExecStatus::Crash);
+    EXPECT_EQ(oob.result.status, interp::ExecStatus::Crash);
     EXPECT_EQ(oob.stats.run_launches, 0);
     EXPECT_GT(oob.stats.kernel_fallbacks, 0);
-    const TierOut generic =
-        run_cfg(tile_reduction(make_reduction(30, 12), 8, V::NoRemainder), nest_inputs(), true,
-                false, false);
-    EXPECT_EQ(oob.res.message, generic.res.message);
+    const TierRun generic = run_on_tier(tile_reduction(make_reduction(30, 12), 8, V::NoRemainder),
+                                        nest_inputs(), Tier::Generic, config());
+    EXPECT_EQ(oob.result.message, generic.result.message);
 }
 
 TEST(Bands, BudgetCrossingMidTiledNestMatchesPerOuterPointLaunches) {
@@ -798,26 +745,27 @@ TEST(Bands, BudgetCrossingMidTiledNestMatchesPerOuterPointLaunches) {
     // generic odometer blames the same limit point by point.
     const ir::SDFG nest = tile_reduction(make_reduction(4, 12), 8);
     const ir::SDFG twin = tile_reduction(make_per_outer_point_reduction(4, 12), 8);
-    for (const bool batch : {true, false}) {
-        const std::string what = batch ? "tiled budget (batched)" : "tiled budget (per-point)";
-        const TierOut got = run_cfg(nest, nest_inputs(), true, true, batch, /*max_points=*/30);
-        const TierOut want = run_cfg(twin, nest_inputs(), true, true, batch, 30);
-        expect_same(got, want, what);
-        EXPECT_EQ(got.res.status, interp::ExecStatus::Resource) << what;
+    for (const Tier tier : {Tier::Batched, Tier::Kernel}) {
+        const std::string what = std::string("tiled budget (") + ff::testing::tier_name(tier) + ")";
+        const TierRun got = run_on_tier(nest, nest_inputs(), tier, config(30));
+        const TierRun want = run_on_tier(twin, nest_inputs(), tier, config(30));
+        expect_same_run(got, want, what);
+        EXPECT_EQ(got.result.status, interp::ExecStatus::Resource) << what;
         EXPECT_EQ(got.stats.run_launches, 0) << what;
         EXPECT_EQ(got.stats.kernel_fallbacks, 1) << what;
         EXPECT_EQ(got.stats.kernel_launches, 4) << what << ": two tiles in each of two rows";
-        const TierOut generic = run_cfg(nest, nest_inputs(), true, false, false, 30);
-        EXPECT_EQ(got.res.status, generic.res.status) << what;
-        EXPECT_EQ(got.res.message, generic.res.message) << what;
+        const TierRun generic = run_on_tier(nest, nest_inputs(), Tier::Generic, config(30));
+        EXPECT_EQ(got.result.status, generic.result.status) << what;
+        EXPECT_EQ(got.result.message, generic.result.message) << what;
     }
     // Exactly at the boundary the nest commits and the budget is
     // unobservable.
-    const TierOut exact = expect_all_tiers_agree(nest, nest_inputs(), "budget 52", 52);
-    EXPECT_TRUE(exact.res.ok());
+    const TierRun exact = expect_all_tiers_agree(nest, nest_inputs(), "budget 52", 52);
+    EXPECT_TRUE(exact.result.ok());
     EXPECT_EQ(exact.stats.run_launches, 1);
     EXPECT_EQ(exact.stats.kernel_launches, 1);
-    expect_same(exact, run_cfg(twin, nest_inputs(), true, true, true), "exact vs twin");
+    expect_same_run(exact, run_on_tier(twin, nest_inputs(), Tier::Batched, config()),
+                    "exact vs twin");
 }
 
 TEST(Bands, AliasedTiledAccumulatorsRunPerPoint) {
@@ -828,7 +776,7 @@ TEST(Bands, AliasedTiledAccumulatorsRunPerPoint) {
                   {{"cin", o_at(kI)}, {"a", a_at(kI, kK)}, {"b", o_at(kK)}}, {{"cout", o_at(kI)}},
                   "cout = cin + a * b"),
         8);
-    const TierOut aliased =
+    const TierRun aliased =
         expect_all_tiers_agree(inplace, nest_inputs(), "tiled o[i] += a * o[k]");
     EXPECT_EQ(aliased.stats.run_launches, 1);
     EXPECT_EQ(aliased.stats.segment_launches, 0) << "alias check must refuse batching";
@@ -843,7 +791,7 @@ TEST(Bands, AliasedTiledAccumulatorsRunPerPoint) {
                   {{"cout", o_at(kI * 8 + kK)}, {"q", o_at(kI + 100)}},
                   "cout = cin * 0.5 + a; q = pin + a"),
         8);
-    const TierOut runs = expect_all_tiers_agree(spread, nest_inputs(), "tiled o[8i + k]");
+    const TierRun runs = expect_all_tiers_agree(spread, nest_inputs(), "tiled o[8i + k]");
     EXPECT_EQ(runs.stats.run_launches, 1);
     EXPECT_EQ(runs.stats.segment_launches, 0) << "the span of all runs must refuse batching";
 }
@@ -856,9 +804,9 @@ TEST(Bands, TiledNestCoverageBitmapMatchesTheGenericTier) {
             const std::string what =
                 "coverage K=" + std::to_string(kext) + " tile " + std::to_string(tile);
             const ir::SDFG p = tile_reduction(make_reduction(5, kext), tile);
-            const TierOut batched = run_cfg(p, nest_inputs(), true, true, true);
-            const TierOut generic = run_cfg(p, nest_inputs(), true, false, false);
-            ASSERT_TRUE(batched.res.ok()) << what;
+            const TierRun batched = run_on_tier(p, nest_inputs(), Tier::Batched, config());
+            const TierRun generic = run_on_tier(p, nest_inputs(), Tier::Generic, config());
+            ASSERT_TRUE(batched.result.ok()) << what;
             EXPECT_EQ(batched.stats.run_launches, 1) << what;
             EXPECT_FALSE(batched.coverage.empty()) << what;
             EXPECT_EQ(batched.coverage, generic.coverage) << what;
@@ -895,20 +843,20 @@ TEST(Bands, TiledMapsLaunchTheirTilesAsBands) {
     inputs.buffers.emplace("x", std::move(x));
     using V = xform::MapTiling::Variant;
     // Correct: one band launch per (i__tile, j__tile) point, 3 x 2 tiles.
-    const TierOut correct = expect_all_tiers_agree(make_tiled(V::Correct), inputs, "tiled");
-    EXPECT_TRUE(correct.res.ok());
+    const TierRun correct = expect_all_tiers_agree(make_tiled(V::Correct), inputs, "tiled");
+    EXPECT_TRUE(correct.result.ok());
     EXPECT_EQ(correct.stats.prefix_launches, 6);
     EXPECT_EQ(correct.stats.segment_launches, 6);
     EXPECT_EQ(correct.stats.kernel_points, 20 * 13);
     // Off by one: overlapping in-bounds tiles, still one launch per tile.
-    const TierOut off = expect_all_tiers_agree(make_tiled(V::OffByOne), inputs, "off-by-one");
-    EXPECT_TRUE(off.res.ok());
+    const TierRun off = expect_all_tiers_agree(make_tiled(V::OffByOne), inputs, "off-by-one");
+    EXPECT_TRUE(off.result.ok());
     EXPECT_EQ(off.stats.prefix_launches, 6);
     // No remainder: the last tiles reach past 20 and 13.  Their launches
     // fail footprint validation and the generic levels raise the generic
     // path's error with its partial effects.
-    const TierOut oob = expect_all_tiers_agree(make_tiled(V::NoRemainder), inputs, "no-remainder");
-    EXPECT_EQ(oob.res.status, interp::ExecStatus::Crash);
+    const TierRun oob = expect_all_tiers_agree(make_tiled(V::NoRemainder), inputs, "no-remainder");
+    EXPECT_EQ(oob.result.status, interp::ExecStatus::Crash);
     EXPECT_GT(oob.stats.kernel_fallbacks, 0);
     EXPECT_GT(oob.stats.prefix_launches, 0);
 }

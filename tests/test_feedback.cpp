@@ -334,13 +334,10 @@ TEST(FeedbackReport, CoverageCountersFlowIntoReportsAndSummary) {
 
 /// Canonical (report document, corpus dump) of one in-process feedback
 /// audit under the given execution tier and worker count.
-std::pair<std::string, std::string> guided_fingerprint(bool compiled, bool specialize,
-                                                       bool batch, int threads) {
+std::pair<std::string, std::string> guided_fingerprint(interp::Tier tier, int threads) {
     core::FuzzConfig config = tiling_config(8, /*feedback=*/true);
     config.num_threads = threads;
-    config.diff.exec.use_compiled_tasklets = compiled;
-    config.diff.exec.specialize = specialize;
-    config.diff.exec.batch_segments = batch;
+    config.diff.exec.tier = tier;
     core::Fuzzer fuzzer(config);
     const ir::SDFG gemm = workloads::build_npbench_kernel("gemm");
     core::PreparedAudit audit = fuzzer.prepare(gemm, tiling_passes());
@@ -354,21 +351,18 @@ std::pair<std::string, std::string> guided_fingerprint(bool compiled, bool speci
 
 TEST(FeedbackDeterminism, ReportsAndCorporaInvariantAcrossTiersAndThreads) {
     // Reference AST engine, single worker.
-    const auto reference = guided_fingerprint(false, false, false, 1);
+    const auto reference = guided_fingerprint(interp::Tier::Reference, 1);
     EXPECT_NE(reference.second, "") << "corpus empty — job too tame for this test";
-    // Generic compiled, per-point specialized, and batched tiers; worker
-    // counts 1 and 8 (the acceptance bar's thread set).
-    const std::tuple<bool, bool, bool> tiers[] = {
-        {true, false, false}, {true, true, false}, {true, true, true}};
-    for (const auto& [compiled, specialize, batch] : tiers) {
+    // Generic compiled, per-point kernel, and batched tiers; worker counts 1
+    // and 8 (the acceptance bar's thread set).
+    for (const interp::Tier tier : ff::testing::kTiers) {
+        if (tier == interp::Tier::Reference) continue;
         for (int threads : {1, 8}) {
-            const auto got = guided_fingerprint(compiled, specialize, batch, threads);
+            const auto got = guided_fingerprint(tier, threads);
             EXPECT_EQ(got.first, reference.first)
-                << "compiled=" << compiled << " specialize=" << specialize
-                << " batch=" << batch << " threads=" << threads;
+                << ff::testing::tier_name(tier) << " threads=" << threads;
             EXPECT_EQ(got.second, reference.second)
-                << "compiled=" << compiled << " specialize=" << specialize
-                << " batch=" << batch << " threads=" << threads;
+                << ff::testing::tier_name(tier) << " threads=" << threads;
         }
     }
 }

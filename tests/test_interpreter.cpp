@@ -441,9 +441,9 @@ TEST(Interpreter, MemletRangeStepZeroIsError) {
 TEST(Interpreter, CompiledMatchesReferenceOnBranchyChain) {
     const ir::SDFG sdfg = make_chain_sdfg("o = i > 0.5 ? i * 2.0 : -i",
                                           "t = i * i; o = t + min(i, 0.25)");
-    auto run_with = [&](bool compiled) {
+    auto run_with = [&](Tier tier) {
         ExecConfig cfg;
-        cfg.use_compiled_tasklets = compiled;
+        cfg.tier = tier;
         Interpreter interp(cfg);
         interp::Context ctx;
         ctx.symbols["N"] = 17;
@@ -452,8 +452,8 @@ TEST(Interpreter, CompiledMatchesReferenceOnBranchyChain) {
         EXPECT_TRUE(interp.run(sdfg, ctx).ok());
         return ctx;
     };
-    const interp::Context ref = run_with(false);
-    const interp::Context fast = run_with(true);
+    const interp::Context ref = run_with(Tier::Reference);
+    const interp::Context fast = run_with(Tier::Batched);
     EXPECT_TRUE(ref.buffers.at("y").bitwise_equal(fast.buffers.at("y")));
 }
 
@@ -469,9 +469,9 @@ TEST(Interpreter, CompiledMatchesReferenceOnMatmulNest) {
     const ir::NodeId c0 = workloads::zero_init(sdfg, st, "C");
     workloads::matmul_nest(sdfg, st, a, b, c0, m, k, n, "mm");
 
-    auto run_with = [&](bool compiled) {
+    auto run_with = [&](Tier tier) {
         ExecConfig cfg;
-        cfg.use_compiled_tasklets = compiled;
+        cfg.tier = tier;
         Interpreter interp(cfg);
         interp::Context ctx;
         interp::Buffer av(ir::DType::F64, {5, 4}), bv(ir::DType::F64, {4, 3});
@@ -484,8 +484,8 @@ TEST(Interpreter, CompiledMatchesReferenceOnMatmulNest) {
         EXPECT_TRUE(interp.run(sdfg, ctx).ok());
         return ctx;
     };
-    const interp::Context ref = run_with(false);
-    const interp::Context fast = run_with(true);
+    const interp::Context ref = run_with(Tier::Reference);
+    const interp::Context fast = run_with(Tier::Batched);
     EXPECT_TRUE(ref.buffers.at("C").bitwise_equal(fast.buffers.at("C")));
 }
 
@@ -507,16 +507,16 @@ TEST(Interpreter, PassthroughOutputForwardsPreExecutionSnapshot) {
     st.add_edge(t, "o", xout, "", Memlet("x", first));  // overwrites x[0] first
     st.add_edge(t, "p", yout, "", Memlet("y", first));  // then forwards p
 
-    for (bool compiled : {false, true}) {
+    for (const Tier tier : {Tier::Reference, Tier::Batched}) {
         ExecConfig cfg;
-        cfg.use_compiled_tasklets = compiled;
+        cfg.tier = tier;
         Interpreter interp(cfg);
         interp::Context ctx;
         ctx.buffers.emplace("x", make_buffer({7.0}));
         const ExecResult r = interp.run(sdfg, ctx);
         ASSERT_TRUE(r.ok()) << r.message;
-        EXPECT_DOUBLE_EQ(ctx.buffers.at("x").load_double(0), 42.0) << "compiled=" << compiled;
-        EXPECT_DOUBLE_EQ(ctx.buffers.at("y").load_double(0), 7.0) << "compiled=" << compiled;
+        EXPECT_DOUBLE_EQ(ctx.buffers.at("x").load_double(0), 42.0) << ff::testing::tier_name(tier);
+        EXPECT_DOUBLE_EQ(ctx.buffers.at("y").load_double(0), 7.0) << ff::testing::tier_name(tier);
     }
 }
 

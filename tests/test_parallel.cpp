@@ -185,9 +185,9 @@ TEST(PlanCache, AllocationInsideInternedScopeSeesShadowingParam) {
     st.add_edge(exit, "", tacc, "", ir::Memlet("T", ir::Subset({ir::Range::span(sym::cst(0), n - 1)})));
     p.validate();
 
-    for (const bool compiled : {true, false}) {
+    for (const interp::Tier tier : {interp::Tier::Batched, interp::Tier::Reference}) {
         interp::ExecConfig cfg;
-        cfg.use_compiled_tasklets = compiled;
+        cfg.tier = tier;
         interp::Interpreter interp(cfg);
         interp::Context ctx;
         ctx.symbols = {{"N", 3}, {"i", 5}};  // outer 'i' must be shadowed
@@ -195,7 +195,7 @@ TEST(PlanCache, AllocationInsideInternedScopeSeesShadowingParam) {
         const interp::ExecResult res = interp.run(p, ctx);
         ASSERT_TRUE(res.ok()) << res.message;
         // First touch is at i = 0: size 3 (i + 3), not 8 (outer i = 5).
-        EXPECT_EQ(ctx.buffers.at("T").size(), 3) << "compiled=" << compiled;
+        EXPECT_EQ(ctx.buffers.at("T").size(), 3) << ff::testing::tier_name(tier);
         EXPECT_EQ(to_vector(ctx.buffers.at("T")), (std::vector<double>{2, 4, 6}));
     }
 }
@@ -332,7 +332,7 @@ TEST(ParallelFuzzer, ReferenceEngineAlsoDeterministicAcrossThreads) {
     std::vector<core::FuzzReport> reports;
     for (const int threads : {1, 4}) {
         core::FuzzConfig config = quick_config();
-        config.diff.exec.use_compiled_tasklets = false;
+        config.diff.exec.tier = interp::Tier::Reference;
         config.num_threads = threads;
         core::Fuzzer fuzzer(config);
         reports.push_back(fuzzer.test_instance(p, buggy, matches[0]));

@@ -1,21 +1,19 @@
-// Specialization tiers: flat-stride map kernels + the untagged f64 VM.
+// Specialization tiers: flat-stride map kernels on the untagged f64 VM.
 //
-// The contract under test: specialization is a pure execution-strategy
-// choice.  For any program — any dtype mix, strided/offset/reversed subsets,
-// non-affine indices, non-constant (triangular) ranges, out-of-bounds
-// accesses — the specialized path (ExecConfig::specialize = true) produces
+// The contract under test: the execution tier (ExecConfig::tier) is a pure
+// execution-strategy choice.  For any program — any dtype mix,
+// strided/offset/reversed subsets, non-affine indices, non-constant
+// (triangular) ranges, out-of-bounds accesses — the kernel tiers produce
 // results byte-identical to the generic compiled path and to the reference
 // AST engine: same buffers bit for bit, same symbols, same crash messages.
 // A fuzzing audit must therefore report byte-identical verdicts, counts and
-// reproducer artifacts with specialization on or off, at any thread count
-// (this file is also a TSan target: the toggle test runs 8-worker audits
-// over shared plan caches carrying kernel classifications).
+// reproducer artifacts on every tier, at any thread count (this file is
+// also a TSan target: the toggle tests run multi-worker audits over shared
+// plan caches carrying kernel classifications).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
-#include <cmath>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +36,11 @@
 namespace ff {
 namespace {
 
+using ff::testing::expect_same_run;
 using ff::testing::make_scale_sdfg;
+using ff::testing::run_on_tier;
+using ff::testing::TierRun;
+using interp::Tier;
 
 // --- Affine analysis ---------------------------------------------------------
 
@@ -122,7 +124,7 @@ TEST(F64Variant, IntSemanticsForceTheTaggedVM) {
 
 TEST(Specialization, ScaleMapClassifiesAndLaunches) {
     const ir::SDFG p = make_scale_sdfg();  // y[i] = x[i] * 2, f64, affine
-    interp::Interpreter interp;            // specialize = true by default
+    interp::Interpreter interp;            // Tier::Batched by default
     interp::Context ctx;
     ctx.symbols["N"] = 16;
     ctx.buffers.emplace("x", ff::testing::make_buffer(std::vector<double>(16, 1.5)));
@@ -136,7 +138,7 @@ TEST(Specialization, ScaleMapClassifiesAndLaunches) {
     EXPECT_EQ(stats.tasklets_f64, 1);
     EXPECT_EQ(stats.kernel_launches, 1);
     EXPECT_EQ(stats.kernel_fallbacks, 0);
-    EXPECT_EQ(stats.segment_launches, 1);  // batch_segments defaults on
+    EXPECT_EQ(stats.segment_launches, 1);  // the batched tier
     EXPECT_EQ(ctx.buffers.at("y").load_double(7), 3.0);
 }
 
@@ -158,9 +160,9 @@ TEST(Specialization, OutOfBoundsFootprintFallsBackAndCrashesIdentically) {
     st.add_edge(t, "o", exit, "", ir::Memlet("y", ir::Subset{{ir::Range::index(sym::symb("i"))}}));
     st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full({sym::cst(16)})));
 
-    auto run_with = [&](bool specialize) {
+    auto run_with = [&](Tier tier) {
         interp::ExecConfig cfg;
-        cfg.specialize = specialize;
+        cfg.tier = tier;
         interp::Interpreter interp(cfg);
         interp::Context ctx;
         std::vector<double> xv(64);
@@ -169,8 +171,8 @@ TEST(Specialization, OutOfBoundsFootprintFallsBackAndCrashesIdentically) {
         const interp::ExecResult r = interp.run(p, ctx);
         return std::make_pair(r, std::move(ctx));
     };
-    auto [r_spec, ctx_spec] = run_with(true);
-    auto [r_gen, ctx_gen] = run_with(false);
+    auto [r_spec, ctx_spec] = run_with(Tier::Batched);
+    auto [r_gen, ctx_gen] = run_with(Tier::Generic);
     EXPECT_EQ(r_spec.status, interp::ExecStatus::Crash);
     EXPECT_EQ(r_spec.status, r_gen.status);
     EXPECT_EQ(r_spec.message, r_gen.message);
@@ -198,9 +200,9 @@ TEST(Specialization, ThrowingTaskletNeverKernelizes) {
     st.add_edge(t, "o", exit, "", ir::Memlet("y", ir::Subset{{ir::Range::index(sym::symb("i"))}}));
     st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full({sym::cst(8)})));
 
-    auto run_with = [&](bool specialize) {
+    auto run_with = [&](Tier tier) {
         interp::ExecConfig cfg;
-        cfg.specialize = specialize;
+        cfg.tier = tier;
         interp::Interpreter interp(cfg);
         interp::Context ctx;
         interp::Buffer xv(ir::DType::I64, {8});
@@ -210,8 +212,8 @@ TEST(Specialization, ThrowingTaskletNeverKernelizes) {
         const interp::SpecStats stats = interp.plan_cache()->spec_stats();
         return std::make_tuple(r, std::move(ctx), stats);
     };
-    auto [r_spec, ctx_spec, stats_spec] = run_with(true);
-    auto [r_gen, ctx_gen, stats_gen] = run_with(false);
+    auto [r_spec, ctx_spec, stats_spec] = run_with(Tier::Batched);
+    auto [r_gen, ctx_gen, stats_gen] = run_with(Tier::Generic);
     EXPECT_EQ(r_spec.status, interp::ExecStatus::Crash);
     EXPECT_EQ(r_spec.status, r_gen.status);
     EXPECT_EQ(r_spec.message, r_gen.message);
@@ -223,9 +225,9 @@ TEST(Specialization, ThrowingTaskletNeverKernelizes) {
 TEST(Specialization, MultiOutputOobLeavesLaterOutputsUnallocated) {
     // All-F64 two-output tasklet whose first output index is out of bounds:
     // the tagged path ensures each output's buffer lazily at its own
-    // scatter, so the crash leaves the second output unallocated.  The f64
-    // path must not pre-allocate it — crashed contexts hold the same buffer
-    // set with specialization on or off.
+    // scatter, so the crash leaves the second output unallocated.  The
+    // kernel tiers must not pre-allocate it — crashed contexts hold the same
+    // buffer set on the batched and the generic tier.
     ir::SDFG p("multioob");
     p.add_array("x", ir::DType::F64, {sym::cst(8)});
     p.add_array("y", ir::DType::F64, {sym::cst(8)});
@@ -244,17 +246,17 @@ TEST(Specialization, MultiOutputOobLeavesLaterOutputsUnallocated) {
     st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full({sym::cst(8)})));
     st.add_edge(exit, "", z, "", ir::Memlet("z", ir::Subset::full({sym::cst(8)})));
 
-    auto run_with = [&](bool specialize) {
+    auto run_with = [&](Tier tier) {
         interp::ExecConfig cfg;
-        cfg.specialize = specialize;
+        cfg.tier = tier;
         interp::Interpreter interp(cfg);
         interp::Context ctx;
         ctx.buffers.emplace("x", ff::testing::make_buffer(std::vector<double>(8, 1.0)));
         const interp::ExecResult r = interp.run(p, ctx);
         return std::make_pair(r, std::move(ctx));
     };
-    auto [r_spec, ctx_spec] = run_with(true);
-    auto [r_gen, ctx_gen] = run_with(false);
+    auto [r_spec, ctx_spec] = run_with(Tier::Batched);
+    auto [r_gen, ctx_gen] = run_with(Tier::Generic);
     EXPECT_EQ(r_spec.status, interp::ExecStatus::Crash);
     EXPECT_EQ(r_spec.status, r_gen.status);
     EXPECT_EQ(r_spec.message, r_gen.message);
@@ -291,9 +293,9 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
     st.add_edge(exit, "", y, "", ir::Memlet("y", ir::Subset::full({sym::cst(8)})));
     st.add_edge(exit, "", z, "", ir::Memlet("z", ir::Subset::full({sym::cst(8)})));
 
-    auto run_with = [&](bool specialize) {
+    auto run_with = [&](Tier tier) {
         interp::ExecConfig cfg;
-        cfg.specialize = specialize;
+        cfg.tier = tier;
         interp::Interpreter interp(cfg);
         interp::Context ctx;
         ctx.buffers.emplace("x", ff::testing::make_buffer(
@@ -302,8 +304,8 @@ TEST(Specialization, ThrowingSiblingLaneFallsBackToGenericReplay) {
         const interp::SpecStats stats = interp.plan_cache()->spec_stats();
         return std::make_tuple(r, std::move(ctx), stats);
     };
-    auto [r_spec, ctx_spec, stats_spec] = run_with(true);
-    auto [r_gen, ctx_gen, stats_gen] = run_with(false);
+    auto [r_spec, ctx_spec, stats_spec] = run_with(Tier::Batched);
+    auto [r_gen, ctx_gen, stats_gen] = run_with(Tier::Generic);
     EXPECT_EQ(r_spec.status, interp::ExecStatus::Crash);
     EXPECT_EQ(r_spec.status, r_gen.status);
     EXPECT_EQ(r_spec.message, r_gen.message);
@@ -633,81 +635,22 @@ std::optional<RandomProgram> make_tiled_nest_program(std::uint64_t seed) {
     return std::nullopt;
 }
 
-/// One tier's run of a random program.
-struct TierRun {
-    interp::ExecResult result;
-    interp::Context ctx;
-    interp::SpecStats stats;
-};
-
-TierRun run_tier(const RandomProgram& rp, bool compiled, bool specialize, bool batch,
-                 std::int64_t max_points = 0) {
-    interp::ExecConfig cfg;
-    cfg.use_compiled_tasklets = compiled;
-    cfg.specialize = specialize;
-    cfg.batch_segments = batch;
-    cfg.max_points = max_points;
-    interp::Interpreter interp(cfg);
-    TierRun r{interp::ExecResult{}, rp.inputs, interp::SpecStats{}};
-    r.result = interp.run(rp.p, r.ctx);
-    r.stats = interp.plan_cache()->spec_stats();
-    return r;
-}
-
-/// Bitwise equality, except that any two NaNs match when `nan_equiv`.
-/// Cross-engine comparisons need that looseness: which NaN payload `a + b`
-/// propagates is unspecified in C++, so the reference AST walker and the
-/// bytecode VM (different translation units, different instruction
-/// selection) can legally differ in NaN sign/payload bits.  The
-/// specialize-on/off comparison stays strictly bitwise — both run the same
-/// VM code, and byte-identical reports are this PR's contract.
-bool buffers_equal(const interp::Buffer& a, const interp::Buffer& b, bool nan_equiv) {
-    if (!nan_equiv) return a.bitwise_equal(b);
-    if (a.dtype() != b.dtype() || a.shape() != b.shape()) return false;
-    for (std::int64_t i = 0; i < a.size(); ++i) {
-        const double x = a.load_double(i);
-        const double y = b.load_double(i);
-        if (std::isnan(x) && std::isnan(y)) continue;
-        if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
-    }
-    return true;
-}
-
-void expect_context_equal(const interp::Context& a, const interp::Context& b,
-                          const std::string& what, bool nan_equiv = false) {
-    EXPECT_EQ(a.symbols, b.symbols) << what;
-    ASSERT_EQ(a.buffers.size(), b.buffers.size()) << what;
-    auto ita = a.buffers.begin();
-    auto itb = b.buffers.begin();
-    for (; ita != a.buffers.end(); ++ita, ++itb) {
-        EXPECT_EQ(ita->first, itb->first) << what;
-        EXPECT_TRUE(buffers_equal(ita->second, itb->second, nan_equiv))
-            << what << ": buffer '" << ita->first << "' differs";
-    }
-}
-
 TEST(SpecializationProperty, AllFourTiersAgreeOn420Programs) {
     int crashes = 0, kernels = 0, f64s = 0, segments = 0;
     int nests = 0, prefixes = 0, band_segments = 0, runs = 0;
     for (std::uint64_t seed = 0; seed < 420; ++seed) {
         const RandomProgram rp = make_random_program(0xC0FFEE00ULL + seed);
-        const TierRun batched = run_tier(rp, true, true, true);
-        const TierRun spec = run_tier(rp, true, true, false);
-        const TierRun generic = run_tier(rp, true, false, false);
-        const TierRun reference = run_tier(rp, false, false, false);
+        const TierRun batched = run_on_tier(rp.p, rp.inputs, Tier::Batched);
+        const TierRun spec = run_on_tier(rp.p, rp.inputs, Tier::Kernel);
+        const TierRun generic = run_on_tier(rp.p, rp.inputs, Tier::Generic);
+        const TierRun reference = run_on_tier(rp.p, rp.inputs, Tier::Reference);
 
         const std::string what = "seed " + std::to_string(seed);
-        EXPECT_EQ(batched.result.status, spec.result.status) << what;
-        EXPECT_EQ(batched.result.message, spec.result.message) << what;
-        EXPECT_EQ(spec.result.status, generic.result.status) << what;
-        EXPECT_EQ(spec.result.message, generic.result.message) << what;
+        expect_same_run(batched, spec, what);
+        expect_same_run(spec, generic, what);
         EXPECT_EQ(spec.result.status, reference.result.status) << what;
         EXPECT_EQ(spec.result.message, reference.result.message) << what;
-        expect_context_equal(batched.ctx, spec.ctx, what + " (batched vs per-point)");
-        expect_context_equal(spec.ctx, generic.ctx, what + " (spec vs generic)");
-        if (spec.result.ok())
-            expect_context_equal(spec.ctx, reference.ctx, what + " (spec vs reference)",
-                                 /*nan_equiv=*/true);
+        if (spec.result.ok()) expect_same_run(spec, reference, what, /*nan_equiv=*/true);
 
         crashes += spec.result.ok() ? 0 : 1;
         kernels += static_cast<int>(spec.stats.kernel_launches);
@@ -740,30 +683,23 @@ TEST(SpecializationProperty, TiledReductionNestsAgreeOnAllFourTiers) {
         const std::optional<RandomProgram> rp = make_tiled_nest_program(0xBEEF0000ULL + seed);
         if (!rp) continue;
         ++programs;
-        const TierRun batched = run_tier(*rp, true, true, true);
-        const TierRun spec = run_tier(*rp, true, true, false);
-        const TierRun generic = run_tier(*rp, true, false, false);
-        const TierRun reference = run_tier(*rp, false, false, false);
+        const TierRun batched = run_on_tier(rp->p, rp->inputs, Tier::Batched);
+        const TierRun spec = run_on_tier(rp->p, rp->inputs, Tier::Kernel);
+        const TierRun generic = run_on_tier(rp->p, rp->inputs, Tier::Generic);
+        const TierRun reference = run_on_tier(rp->p, rp->inputs, Tier::Reference);
 
         const std::string what = "tiled nest seed " + std::to_string(seed);
-        EXPECT_EQ(batched.result.status, generic.result.status) << what;
-        EXPECT_EQ(batched.result.message, generic.result.message) << what;
-        EXPECT_EQ(spec.result.message, generic.result.message) << what;
+        expect_same_run(batched, generic, what);
+        expect_same_run(spec, generic, what);
         EXPECT_EQ(reference.result.message, generic.result.message) << what;
-        expect_context_equal(batched.ctx, generic.ctx, what + " (batched vs generic)");
-        expect_context_equal(spec.ctx, generic.ctx, what + " (per-point vs generic)");
         if (generic.result.ok()) {
-            EXPECT_EQ(batched.result.points, generic.result.points) << what;
-            EXPECT_EQ(batched.result.instructions, generic.result.instructions) << what;
-            expect_context_equal(generic.ctx, reference.ctx, what + " (generic vs reference)",
-                                 /*nan_equiv=*/true);
+            expect_same_run(generic, reference, what, /*nan_equiv=*/true);
             if (generic.result.points > 1) {
-                const std::int64_t budget = generic.result.points - 1;
-                const TierRun b = run_tier(*rp, true, true, true, budget);
-                const TierRun p = run_tier(*rp, true, true, false, budget);
+                const interp::ExecConfig budget{.max_points = generic.result.points - 1};
+                const TierRun b = run_on_tier(rp->p, rp->inputs, Tier::Batched, budget);
+                const TierRun p = run_on_tier(rp->p, rp->inputs, Tier::Kernel, budget);
                 EXPECT_EQ(b.result.status, interp::ExecStatus::Resource) << what;
-                EXPECT_EQ(b.result.message, p.result.message) << what;
-                expect_context_equal(b.ctx, p.ctx, what + " (budget: batched vs per-point)");
+                expect_same_run(b, p, what + " (budget)");
             }
         }
         crashes += generic.result.ok() ? 0 : 1;
@@ -890,20 +826,18 @@ TEST(Specialization, WindowKernelsLowerEveryStencilToTaps) {
     // falls back on in-bounds inputs — with the generic path's bytes.
     for (const char* name : kWindowKernels) {
         const ir::SDFG p = workloads::build_npbench_kernel(name);
-        RandomProgram rp;
-        rp.inputs.symbols = workloads::npbench_defaults();
+        interp::Context inputs;
+        inputs.symbols = workloads::npbench_defaults();
         common::Rng rng(7);
         for (const auto& [container, desc] : p.containers())
             if (!desc.transient)
-                rp.inputs.buffers.emplace(
-                    container,
-                    random_buffer(rng, desc.dtype, desc.concrete_shape(rp.inputs.symbols)));
-        rp.p = p;
-        const TierRun batched = run_tier(rp, true, true, true);
-        const TierRun generic = run_tier(rp, true, false, false);
+                inputs.buffers.emplace(
+                    container, random_buffer(rng, desc.dtype, desc.concrete_shape(inputs.symbols)));
+        const TierRun batched = run_on_tier(p, inputs, Tier::Batched);
+        const TierRun generic = run_on_tier(p, inputs, Tier::Generic);
         ASSERT_TRUE(generic.result.ok()) << name << ": " << generic.result.message;
         EXPECT_TRUE(batched.result.ok()) << name;
-        expect_context_equal(batched.ctx, generic.ctx, name);
+        expect_same_run(batched, generic, name);
         const interp::SpecStats& st = batched.stats;
         EXPECT_EQ(st.tasklets_f64, st.tasklets_planned) << name;
         EXPECT_GE(st.tasklets_window, 1) << name;
@@ -922,10 +856,10 @@ TEST(SpecializationProperty, WindowStencilsAgreeOnAllFourTiers) {
     for (std::uint64_t seed = 0; seed < 600; ++seed) {
         const WindowProgram wp = make_window_program(0x5EED0000ULL + seed);
         const RandomProgram& rp = wp.rp;
-        const TierRun batched = run_tier(rp, true, true, true);
-        const TierRun spec = run_tier(rp, true, true, false);
-        const TierRun generic = run_tier(rp, true, false, false);
-        const TierRun reference = run_tier(rp, false, false, false);
+        const TierRun batched = run_on_tier(rp.p, rp.inputs, Tier::Batched);
+        const TierRun spec = run_on_tier(rp.p, rp.inputs, Tier::Kernel);
+        const TierRun generic = run_on_tier(rp.p, rp.inputs, Tier::Generic);
+        const TierRun reference = run_on_tier(rp.p, rp.inputs, Tier::Reference);
 
         const std::string what = "window seed " + std::to_string(seed);
         for (const TierRun* tier : {&batched, &spec, &reference}) {
@@ -934,19 +868,16 @@ TEST(SpecializationProperty, WindowStencilsAgreeOnAllFourTiers) {
             EXPECT_EQ(tier->result.points, generic.result.points) << what;
             EXPECT_EQ(tier->result.instructions, generic.result.instructions) << what;
         }
-        expect_context_equal(batched.ctx, generic.ctx, what + " (batched vs generic)");
-        expect_context_equal(spec.ctx, generic.ctx, what + " (per-point vs generic)");
+        expect_same_run(batched, generic, what);
+        expect_same_run(spec, generic, what);
         // A crashed reference run leaves its scope parameters bound.
-        if (generic.result.ok())
-            expect_context_equal(reference.ctx, generic.ctx, what + " (reference vs generic)",
-                                 /*nan_equiv=*/true);
+        if (generic.result.ok()) expect_same_run(reference, generic, what, /*nan_equiv=*/true);
         if (generic.result.ok() && generic.result.points > 1) {
-            const std::int64_t budget = generic.result.points - 1;
-            const TierRun b = run_tier(rp, true, true, true, budget);
-            const TierRun pp = run_tier(rp, true, true, false, budget);
+            const interp::ExecConfig budget{.max_points = generic.result.points - 1};
+            const TierRun b = run_on_tier(rp.p, rp.inputs, Tier::Batched, budget);
+            const TierRun pp = run_on_tier(rp.p, rp.inputs, Tier::Kernel, budget);
             EXPECT_EQ(b.result.status, interp::ExecStatus::Resource) << what;
-            EXPECT_EQ(b.result.message, pp.result.message) << what;
-            expect_context_equal(b.ctx, pp.ctx, what + " (budget: batched vs per-point)");
+            expect_same_run(b, pp, what + " (budget)");
         }
         crashes += generic.result.ok() ? 0 : 1;
         windows += static_cast<int>(batched.stats.tasklets_window);
@@ -1022,23 +953,23 @@ TEST(SpecializationToggle, AuditByteIdenticalOnOffAt1And8Threads) {
     config.cutout.defaults = {{"N", 6}};
 
     config.num_threads = 1;
-    config.diff.exec.specialize = true;
+    config.diff.exec.tier = Tier::Batched;
     const AuditSnapshot spec1 = snapshot_audit(p, passes, config);
     ASSERT_FALSE(spec1.reports.empty());
     bool any_failed = false;
     for (const auto& r : spec1.reports) any_failed |= r.failed();
     EXPECT_TRUE(any_failed) << "registry must include buggy variants for artifact coverage";
 
-    config.diff.exec.specialize = false;
+    config.diff.exec.tier = Tier::Generic;
     expect_snapshots_identical(spec1, snapshot_audit(p, passes, config),
-                               "specialize on vs off, 1 thread");
+                               "batched vs generic, 1 thread");
 
     config.num_threads = 8;
     expect_snapshots_identical(spec1, snapshot_audit(p, passes, config),
-                               "1 thread spec-on vs 8 threads spec-off");
-    config.diff.exec.specialize = true;
+                               "1 thread batched vs 8 threads generic");
+    config.diff.exec.tier = Tier::Batched;
     expect_snapshots_identical(spec1, snapshot_audit(p, passes, config),
-                               "1 thread vs 8 threads, spec on");
+                               "1 thread vs 8 threads, batched");
 }
 
 /// The bytes one audit of `job` leaves: its canonical report, every
@@ -1049,10 +980,10 @@ struct JobBytes {
     std::string corpus;
 };
 
-JobBytes run_job(const shard::JobSpec& job, int threads, bool specialize) {
+JobBytes run_job(const shard::JobSpec& job, int threads, Tier tier) {
     core::FuzzConfig config = shard::job_fuzz_config(job);
     config.num_threads = threads;
-    config.diff.exec.specialize = specialize;
+    config.diff.exec.tier = tier;
     config.artifact_dir = ff::testing::scratch_dir("toggle_artifacts");
     core::Fuzzer fuzzer(config);
     core::PreparedAudit audit =
@@ -1074,8 +1005,8 @@ JobBytes run_job(const shard::JobSpec& job, int threads, bool specialize) {
 TEST(SpecializationToggle, WindowKernelsByteIdenticalOnOffAt1And8Threads) {
     // The stencils whose windows lower to taps: the budgeted Table 2 audit
     // and the correct passes with feedback (whose corpus replays the
-    // original side's coverage) must leave the same bytes with the kernel
-    // tiers on and off, on one thread and on eight.
+    // original side's coverage) must leave the same bytes on the batched and
+    // the generic tier, on one thread and on eight.
     for (const char* name : kWindowKernels) {
         shard::JobSpec table2;
         table2.workload = name;
@@ -1095,17 +1026,51 @@ TEST(SpecializationToggle, WindowKernelsByteIdenticalOnOffAt1And8Threads) {
         guided.generation_size = 10;
         for (const shard::JobSpec* job : {&table2, &guided}) {
             const std::string what = std::string(name) + " " + job->passes;
-            const JobBytes on = run_job(*job, 1, true);
+            const JobBytes on = run_job(*job, 1, Tier::Batched);
             EXPECT_FALSE(on.report.empty()) << what;
             EXPECT_EQ(job->feedback, !on.corpus.empty()) << what;
-            for (const auto& [threads, specialize] :
-                 {std::pair{1, false}, std::pair{8, false}, std::pair{8, true}}) {
-                const JobBytes other = run_job(*job, threads, specialize);
+            for (const auto& [threads, tier] : {std::pair{1, Tier::Generic},
+                                                std::pair{8, Tier::Generic},
+                                                std::pair{8, Tier::Batched}}) {
+                const JobBytes other = run_job(*job, threads, tier);
                 const std::string where = what + ", " + std::to_string(threads) +
-                                          " thread(s), specialize " + (specialize ? "on" : "off");
+                                          " thread(s), " + ff::testing::tier_name(tier);
                 EXPECT_EQ(on.report, other.report) << where;
                 EXPECT_EQ(on.artifacts, other.artifacts) << where;
                 EXPECT_EQ(on.corpus, other.corpus) << where;
+            }
+        }
+    }
+}
+
+TEST(SpecializationToggle, EveryKernelByteIdenticalOnEveryTier) {
+    // Every npbench kernel, under the budgeted Table 2 audit and under the
+    // correct passes: the canonical report and every reproducer must be the
+    // same bytes on all four tiers at 4 threads.
+    for (const std::string& name : workloads::npbench_kernel_names()) {
+        shard::JobSpec table2;
+        table2.workload = name;
+        table2.passes = "table2";
+        table2.seed = 1000;
+        table2.max_trials = 10;
+        table2.size_max = 6;
+        table2.max_state_transitions = 2000;
+        table2.defaults = workloads::npbench_defaults();
+        shard::JobSpec correct;
+        correct.workload = name;
+        correct.passes = "correct";
+        correct.seed = 11000;
+        correct.max_trials = 10;
+        correct.defaults = workloads::npbench_defaults();
+        for (const shard::JobSpec* job : {&table2, &correct}) {
+            const std::string what = name + " " + job->passes;
+            const JobBytes batched = run_job(*job, 4, Tier::Batched);
+            EXPECT_FALSE(batched.report.empty()) << what;
+            for (const Tier tier : {Tier::Kernel, Tier::Generic, Tier::Reference}) {
+                const JobBytes other = run_job(*job, 4, tier);
+                const std::string where = what + ", " + ff::testing::tier_name(tier);
+                EXPECT_EQ(batched.report, other.report) << where;
+                EXPECT_EQ(batched.artifacts, other.artifacts) << where;
             }
         }
     }
@@ -1131,9 +1096,9 @@ TEST(SpecializationToggle, SchedulerStatsExposePrepareAndSpecCounters) {
     EXPECT_GT(stats.spec.tasklets_f64, 0);
     EXPECT_GT(stats.spec.kernel_launches, 0);
 
-    // Turning specialization off must zero the launch counters but keep the
+    // The generic tier must zero the launch counters but keep the
     // classification (plans always carry it).
-    config.diff.exec.specialize = false;
+    config.diff.exec.tier = Tier::Generic;
     core::Fuzzer off(config);
     (void)off.audit(p, passes);
     EXPECT_GT(off.last_stats().spec.scopes_specialized, 0);

@@ -19,6 +19,10 @@
 namespace ff::xform {
 namespace {
 
+using ff::testing::expect_same_run;
+using ff::testing::run_on_tier;
+using ff::testing::TierRun;
+
 interp::Context random_inputs(const ir::SDFG& sdfg, const sym::Bindings& bindings,
                               std::uint64_t seed) {
     interp::Context ctx;
@@ -39,65 +43,20 @@ interp::Context random_inputs(const ir::SDFG& sdfg, const sym::Bindings& binding
 }
 
 /// Runs `sdfg` under every execution tier — reference AST engine, generic
-/// compiled VM, specialized per-point kernels, batched segment kernels — and
-/// requires identical observable behavior: same status and message, equal
-/// cost counters for Ok runs, the same set of live buffers, and bitwise-
-/// identical contents for every one of them (transients included).  This is
-/// the tier half of the determinism contract the differential reports rest
-/// on.  Returns the batched (default-config) run.
-struct TierRun {
-    interp::ExecResult res;
-    interp::Context ctx;
-};
-
+/// compiled VM, per-point kernels, batched segment kernels — and requires
+/// each to end exactly like the reference engine (expect_same_run, bitwise:
+/// transients included).  This is the tier half of the determinism contract
+/// the differential reports rest on.  Returns the batched (default-config)
+/// run.
 TierRun run_all_tiers(const ir::SDFG& sdfg, const sym::Bindings& bindings, std::uint64_t seed,
                       const std::string& label) {
-    struct Tier {
-        const char* name;
-        bool compiled, specialize, batch;
-    };
-    constexpr Tier kTiers[] = {
-        {"reference", false, false, false},
-        {"generic-compiled", true, false, false},
-        {"specialized-per-point", true, true, false},
-        {"batched-segments", true, true, true},
-    };
-    TierRun baseline;
+    const interp::Context inputs = random_inputs(sdfg, bindings, seed);
+    const TierRun reference = run_on_tier(sdfg, inputs, interp::Tier::Reference);
     TierRun last;
-    for (const Tier& t : kTiers) {
-        interp::ExecConfig cfg;
-        cfg.use_compiled_tasklets = t.compiled;
-        cfg.specialize = t.specialize;
-        cfg.batch_segments = t.batch;
-        interp::Interpreter interp(cfg);
-        TierRun run;
-        run.ctx = random_inputs(sdfg, bindings, seed);
-        run.res = interp.run(sdfg, run.ctx);
-        if (&t == &kTiers[0]) {
-            baseline = run;
-        } else {
-            EXPECT_EQ(run.res.status, baseline.res.status) << label << " tier " << t.name;
-            EXPECT_EQ(run.res.message, baseline.res.message) << label << " tier " << t.name;
-            if (run.res.ok() && baseline.res.ok()) {
-                EXPECT_EQ(run.res.points, baseline.res.points) << label << " tier " << t.name;
-                EXPECT_EQ(run.res.instructions, baseline.res.instructions)
-                    << label << " tier " << t.name;
-            }
-            EXPECT_EQ(run.ctx.buffers.size(), baseline.ctx.buffers.size())
-                << label << " tier " << t.name;
-            for (const auto& [name, buf] : run.ctx.buffers) {
-                const auto it = baseline.ctx.buffers.find(name);
-                if (it == baseline.ctx.buffers.end()) {
-                    ADD_FAILURE() << label << " tier " << t.name << ": extra buffer '" << name
-                                  << "'";
-                    continue;
-                }
-                EXPECT_TRUE(buf.bitwise_equal(it->second))
-                    << label << " tier " << t.name << ": '" << name
-                    << "' diverged from the reference engine";
-            }
-        }
-        last = std::move(run);
+    for (const interp::Tier tier : ff::testing::kTiers) {
+        if (tier == interp::Tier::Reference) continue;
+        last = run_on_tier(sdfg, inputs, tier);
+        expect_same_run(reference, last, label);
     }
     return last;
 }
@@ -114,8 +73,8 @@ void expect_equivalent(const ir::SDFG& p, const ir::SDFG& q, const sym::Bindings
     constexpr double threshold = 1e-9;
     TierRun tp = run_all_tiers(p, bindings, 1234, label + " original");
     TierRun tq = run_all_tiers(q, bindings, 1234, label + " transformed");
-    const auto& rp = tp.res;
-    const auto& rq = tq.res;
+    const auto& rp = tp.result;
+    const auto& rq = tq.result;
     auto& cp = tp.ctx;
     auto& cq = tq.ctx;
     ASSERT_TRUE(rp.ok()) << label << " original: " << rp.message;

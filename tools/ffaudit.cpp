@@ -198,13 +198,17 @@ T number_value(const std::vector<std::string>& args, std::size_t& i) {
     return parse_number<T>(flag, flag_value(args, i));
 }
 
-/// Value of an integer flag that must be at least `min`; advances `i`.
-template <typename T = std::int64_t>
-T at_least(const std::vector<std::string>& args, std::size_t& i, std::int64_t min) {
+/// Value of a job flag within its shard::kJobBounds row; advances `i`.  A
+/// value outside the field's type, [-hi - 1, hi], is worded as parse_number
+/// words it.
+std::int64_t bounded_job_value(const std::vector<std::string>& args, std::size_t& i) {
     const std::string flag = args[i];
-    const T v = number_value<T>(args, i);
-    if (v < min)
-        throw UsageError(flag + " needs an integer >= " + std::to_string(min) + ", got '" +
+    const shard::JobBound& bound = shard::job_bound(flag);
+    const std::int64_t v = number_value(args, i);
+    if (v > bound.hi || v < -bound.hi - 1)
+        throw UsageError(flag + " needs an integer in range, got '" + args[i] + "'");
+    if (v < bound.lo)
+        throw UsageError(flag + " needs an integer >= " + std::to_string(bound.lo) + ", got '" +
                          args[i] + "'");
     return v;
 }
@@ -230,21 +234,22 @@ bool parse_job_flag(shard::JobSpec& job, const std::vector<std::string>& args, s
     else if (a == "--sdfg") job.sdfg_path = flag_value(args, i);
     else if (a == "--passes") job.passes = flag_value(args, i);
     else if (a == "--seed") job.seed = static_cast<std::uint64_t>(number_value(args, i));
-    else if (a == "--trials") job.max_trials = at_least<int>(args, i, 1);
-    else if (a == "--size-max") job.size_max = at_least(args, i, 1);
+    else if (a == "--trials") job.max_trials = static_cast<int>(bounded_job_value(args, i));
+    else if (a == "--size-max") job.size_max = bounded_job_value(args, i);
     else if (a == "--threshold") {
         // A threshold <= 0 compares bitwise; NaN would flag every output and
         // infinity none.
         job.threshold = number_value<double>(args, i);
         if (!std::isfinite(job.threshold))
             throw UsageError("--threshold needs a finite number, got '" + args[i] + "'");
-    } else if (a == "--max-transitions") job.max_state_transitions = at_least(args, i, 0);
-    else if (a == "--max-points") job.max_points = at_least(args, i, 0);
-    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = at_least(args, i, 0);
+    } else if (a == "--max-transitions") job.max_state_transitions = bounded_job_value(args, i);
+    else if (a == "--max-points") job.max_points = bounded_job_value(args, i);
+    else if (a == "--max-alloc-bytes") job.max_alloc_bytes = bounded_job_value(args, i);
     else if (a == "--no-mincut") job.use_mincut = false;
     else if (a == "--coverage") job.coverage = true;
     else if (a == "--feedback") job.feedback = job.coverage = true;
-    else if (a == "--generation-size") job.generation_size = at_least<int>(args, i, 1);
+    else if (a == "--generation-size")
+        job.generation_size = static_cast<int>(bounded_job_value(args, i));
     else if (a == "--default") {
         const std::string kv = flag_value(args, i);
         const std::size_t eq = kv.find('=');
